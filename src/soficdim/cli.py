@@ -174,9 +174,9 @@ def cmd_count(args) -> int:
             est, err = sofic.monte_carlo_count(params, args.mc, args.seed)
             rows.append((d, delta, args.n, repr(est), repr(err), ""))
         else:
-            count = sofic.count_SA(params, cap=args.cap, workers=args.workers)
-            count_e, stat = sofic.restricted_statistic(params, E, cap=args.cap,
-                                                       workers=args.workers)
+            count, count_e = sofic.count_SA(params, cap=args.cap,
+                                            workers=args.workers, E=E)
+            stat = sofic.statistic_from_count(count_e, d)
             rows.append((d, delta, args.n, count, count_e, repr(stat)))
     header = "estimate,stderr" if args.mc else "count,restricted_count"
     lines = ["# soficdim-csv 1",

@@ -142,9 +142,6 @@ class HACandidate:
         self.sigma = sigma
         self.phi = tuple(phi)
 
-    def phi_at(self, universe: ProjectionUniverse, subset) -> PartialPermutation:
-        return self.phi[universe.index[frozenset(subset)]]
-
 
 @dataclass(frozen=True)
 class HAReport:

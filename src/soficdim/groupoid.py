@@ -281,12 +281,6 @@ class PartialBisection:
                 return g
         return None
 
-    def arrow_at_range(self, e: int):
-        for g in self.arrows:
-            if self.host.range_[g] == e:
-                return g
-        return None
-
     def dom_units(self) -> frozenset:
         return frozenset(self.host.source[g] for g in self.arrows)
 
@@ -504,9 +498,6 @@ class FibredAction:
             for x in self.fibers[g.source[b]]:
                 if self.act[(ab, x)] != self.act[(a, self.act[(b, x)])]:
                     raise GroupoidError("action does not respect composition")
-
-    def act_point(self, arrow: int, x: int) -> int:
-        return self.act[(arrow, x)]
 
     def bisection_map(self, s: PartialBisection) -> dict:
         """The partial transformation of the point set induced by s."""

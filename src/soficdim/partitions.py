@@ -673,9 +673,6 @@ class SpanBasis:
     def ell(self) -> int:
         return len(self.basis_psi_indices)
 
-    def basis_psis(self):
-        return [self.model.psis[i] for i in self.basis_psi_indices]
-
     def expand_vector(self, vec) -> tuple:
         """Coefficients of an arbitrary span vector over the basis."""
         return _solve_against(self._matrix(), vec)

@@ -33,27 +33,29 @@ class PartialPermutation:
 
     __slots__ = ("degree", "images", "dom_mask", "ran_mask", "nfix", "_hash")
 
-    def __init__(self, degree: int, images):
+    def __init__(self, degree: int, images, *, _trusted: bool = False):
+        # _trusted skips the range and injectivity checks; only for
+        # images that are a partial injection of {1..degree} by construction
         images = tuple(images)
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        if len(images) != degree:
-            raise ValueError("images length must equal degree")
+        if not _trusted:
+            if degree < 1:
+                raise ValueError("degree must be >= 1")
+            if len(images) != degree:
+                raise ValueError("images length must equal degree")
+            if min(images) < 0 or max(images) > degree:
+                y = next(y for y in images if not 0 <= y <= degree)
+                raise ValueError(f"image {y} out of range 1..{degree}")
         dom = 0
         ran = 0
         nfix = 0
         for x0, y in enumerate(images):
-            if y == 0:
-                continue
-            if not 1 <= y <= degree:
-                raise ValueError(f"image {y} out of range 1..{degree}")
-            bit = 1 << (y - 1)
-            if ran & bit:
-                raise ValueError("not injective")
-            ran |= bit
-            dom |= 1 << x0
-            if y == x0 + 1:
-                nfix += 1
+            if y:
+                ran |= 1 << (y - 1)
+                dom |= 1 << x0
+                if y == x0 + 1:
+                    nfix += 1
+        if not _trusted and ran.bit_count() != dom.bit_count():
+            raise ValueError("not injective")
         self.degree = degree
         self.images = images
         self.dom_mask = dom
@@ -94,15 +96,8 @@ class PartialPermutation:
         y = self.images[x - 1]
         return y if y else None
 
-    def defined_at(self, x: int) -> bool:
-        return self.images[x - 1] != 0
-
     def dom_points(self) -> tuple[int, ...]:
         return tuple(x for x in range(1, self.degree + 1) if self.images[x - 1])
-
-    def ran_points(self) -> tuple[int, ...]:
-        m = self.ran_mask
-        return tuple(y for y in range(1, self.degree + 1) if m >> (y - 1) & 1)
 
     @property
     def dom_size(self) -> int:
@@ -168,7 +163,7 @@ def compose(s: PartialPermutation, t: PartialPermutation) -> PartialPermutation:
     _check_degrees(s, t)
     si = s.images
     return PartialPermutation(
-        s.degree, tuple(si[y - 1] if y else 0 for y in t.images))
+        s.degree, tuple(si[y - 1] if y else 0 for y in t.images), _trusted=True)
 
 
 def inverse(s: PartialPermutation) -> PartialPermutation:
@@ -176,7 +171,7 @@ def inverse(s: PartialPermutation) -> PartialPermutation:
     for x0, y in enumerate(s.images):
         if y:
             images[y - 1] = x0 + 1
-    return PartialPermutation(s.degree, images)
+    return PartialPermutation(s.degree, images, _trusted=True)
 
 
 def trace(s: PartialPermutation) -> Fraction:
@@ -237,7 +232,7 @@ def orthogonal_sum(parts, degree: int | None = None) -> PartialPermutation:
         for x0, y in enumerate(p.images):
             if y:
                 images[x0] = y
-    return PartialPermutation(d, images)
+    return PartialPermutation(d, images, _trusted=True)
 
 
 def conjugate(s: PartialPermutation, g: PartialPermutation) -> PartialPermutation:
@@ -245,17 +240,6 @@ def conjugate(s: PartialPermutation, g: PartialPermutation) -> PartialPermutatio
     if not g.is_total():
         raise ValueError("conjugator must be a total permutation")
     return compose(compose(g, s), inverse(g))
-
-
-def restrict_to(s: PartialPermutation, points) -> PartialPermutation:
-    """Keep only x in points with s(x) in points (two-sided cut p_B s p_B)."""
-    pts = set(points)
-    images = [0] * s.degree
-    for x in pts:
-        y = s.images[x - 1]
-        if y and y in pts:
-            images[x - 1] = y
-    return PartialPermutation(s.degree, images)
 
 
 def reindex(s: PartialPermutation, points) -> PartialPermutation:
@@ -291,13 +275,13 @@ def iter_all(d: int):
                     images = [0] * d
                     for x, y in zip(dom, img):
                         images[x - 1] = y
-                    yield PartialPermutation(d, images)
+                    yield PartialPermutation(d, images, _trusted=True)
 
 
 def iter_permutations(d: int):
     """All total permutations of degree d in lexicographic order."""
     for img in permutations(range(1, d + 1)):
-        yield PartialPermutation(d, img)
+        yield PartialPermutation(d, img, _trusted=True)
 
 
 def monoid_size(d: int) -> int:
@@ -308,7 +292,7 @@ def monoid_size(d: int) -> int:
 def random_permutation(d: int, rng: SplitMix64) -> PartialPermutation:
     img = list(range(1, d + 1))
     rng.shuffle(img)
-    return PartialPermutation(d, img)
+    return PartialPermutation(d, img, _trusted=True)
 
 
 @lru_cache(maxsize=64)
@@ -339,4 +323,4 @@ def random_pperm(d: int, rng: SplitMix64) -> PartialPermutation:
     images = [0] * d
     for x, y in zip(dom, ran):
         images[x - 1] = y
-    return PartialPermutation(d, images)
+    return PartialPermutation(d, images, _trusted=True)

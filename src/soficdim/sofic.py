@@ -15,18 +15,25 @@ ranges genuinely enlarge the universe.  The sum closure is truncated at
 membership report.
 
 Counting is exact: candidates are enumerated depth first with pruning
-by the trace condition and by every multiplicativity constraint whose
-participants are already assigned, so the count equals the brute-force
-one.  A seeded Monte Carlo estimator and a cycle-type closed form for
-cyclic groups extend the statistic beyond enumeration range.
+by every multiplicativity constraint whose participants are already
+assigned, so the count equals the brute-force one.  The search compares
+integers only: traces and distances are multiples of 1/d, so each ball
+position keeps just the pool candidates whose fixed-point count meets
+its trace condition, and a product fails at ceil(delta*d)
+disagreements.  ``count_SA(..., E=E)`` also returns the number of
+distinct restrictions to the positions E from the same enumeration.  A
+seeded Monte Carlo estimator and a cycle-type closed form for cyclic
+groups extend the statistic beyond enumeration range.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from operator import ne
 
 from . import pperm
 from .groupoid import (
@@ -82,13 +89,7 @@ def bisection_ball(g: FiniteGroupoid, F, n: int, cap: int = 4096):
     identity first).  The empty bisection appears whenever some product
     vanishes.
     """
-    steps = [full_identity(g)]
-    for s in F:
-        if s not in steps:
-            steps.append(s)
-        si = b_inverse(s)
-        if si not in steps:
-            steps.append(si)
+    steps = plus_minus_set(g, F)
     elements = [full_identity(g)]
     seen = {elements[0]}
     frontier = list(elements)
@@ -143,9 +144,9 @@ class GroupoidSource:
         doms = [b.dom_units() for b in elements]
         rans = [b.ran_units() for b in elements]
         if self.m >= 2:
-            stack = [((i,), doms[i], rans[i]) for i in range(self.n_ball)]
+            stack = deque(((i,), doms[i], rans[i]) for i in range(self.n_ball))
             while stack:
-                picked, dom, ran = stack.pop(0)
+                picked, dom, ran = stack.popleft()
                 if len(picked) >= 2:
                     arrows = frozenset().union(*(elements[i].arrows for i in picked))
                     bis = PartialBisection(g, arrows)
@@ -356,17 +357,86 @@ def search_space_size(params: SAParams) -> int:
 
 
 def _check_plan(source):
-    """Triple checks grouped by the ball position that completes them.
+    """Sum resolutions and triple checks, grouped by the ball position
+    that completes them (the largest in the decompositions involved).
 
-    A multiplicativity check fires as soon as the largest ball position
-    among the decompositions of its three participants is assigned.
+    Sums follow the ball in the universe.  Each takes part in the triple
+    (identity, sum, sum), so rejecting an overlap as soon as the sum
+    resolves drops exactly the candidates that triple would.
     """
+    need = [max(parts) for parts in source.decomposition]
     triple_at = [[] for _ in range(source.n_ball)]
+    sums_at = [[] for _ in range(source.n_ball)]
     for (i, j, k) in source.triples:
-        need = max(max(source.decomposition[i]), max(source.decomposition[j]),
-                   max(source.decomposition[k]))
-        triple_at[need].append((i, j, k))
-    return triple_at
+        triple_at[max(need[i], need[j], need[k])].append((i, j, k))
+    for k in range(source.n_ball, source.n_universe):
+        sums_at[need[k]].append(k)
+    return triple_at, sums_at
+
+
+def _position_pools(params: SAParams, pool, first):
+    """Per ball position, the candidates that pass its trace condition.
+
+    Each keeps pool order and carries its images padded with a leading
+    0, so that ``a[b[x]]`` composes two padded maps.  ``first``, when
+    given, replaces the pool at position 0.
+    """
+    d, delta = params.d, params.delta
+    shared = {}
+    pools = []
+    for t, tau in enumerate(params.source.taus):
+        cands = first if t == 0 and first is not None else pool
+        fixed = frozenset(k for k in range(d + 1) if abs(Fraction(k, d) - tau) < delta)
+        key = (fixed, cands is pool)
+        if key not in shared:
+            shared[key] = [(c, (0,) + c.images) for c in cands if c.nfix in fixed]
+        pools.append(shared[key])
+    return pools
+
+
+def _search(params: SAParams, pool, first=None):
+    """Yield the image list at every member, depth first in pool order.
+
+    Every test is on integers: the trace condition is the fixed-point
+    window of :func:`_position_pools`, and a product is within delta
+    when it disagrees with its target on fewer than ceil(delta*d)
+    points (distances are multiples of 1/d).  A sum whose summands'
+    images overlap rejects.  The yielded list is reused; copy it.
+    """
+    source = params.source
+    nball = source.n_ball
+    limit = math.ceil(params.delta * params.d)
+    pools = _position_pools(params, pool, first)
+    triple_at, sums_at = _check_plan(source)
+    dec = source.decomposition
+    images: list = [None] * nball
+    padded: list = [None] * source.n_universe
+
+    def admissible(t):
+        for k in sums_at[t]:
+            try:
+                total = pperm.orthogonal_sum([images[i] for i in dec[k]])
+            except OverlapError:
+                return False
+            padded[k] = (0,) + total.images
+        for (i, j, k) in triple_at[t]:
+            a = padded[i]
+            if sum(map(ne, map(a.__getitem__, padded[j]), padded[k])) >= limit:
+                return False
+        return True
+
+    def walk(t):
+        if t == nball:
+            yield images
+            return
+        for cand, pad in pools[t]:
+            images[t] = cand
+            padded[t] = pad
+            if admissible(t):
+                yield from walk(t + 1)
+
+    yield from walk(0)
+    del walk  # walk refers to itself; dropping it frees the pools at once
 
 
 def iter_SA_members(params: SAParams, pool=None):
@@ -375,95 +445,20 @@ def iter_SA_members(params: SAParams, pool=None):
     Constraints are applied as soon as every participant is assigned,
     so the pruned search yields exactly the brute-force member set.
     """
-    source = params.source
-    delta = params.delta
     if pool is None:
         pool = candidate_pool(params.d, params.mode)
-    taus = source.taus
-    triple_at = _check_plan(source)
-    nball = source.n_ball
-    images: list = [None] * nball
-
-    def resolve(k):
-        dec = source.decomposition[k]
-        if len(dec) == 1:
-            return images[dec[0]]
-        try:
-            return pperm.orthogonal_sum([images[i] for i in dec])
-        except OverlapError:
-            return _OVERLAP
-
-    def admissible(t):
-        if abs(pperm.trace(images[t]) - taus[t]) >= delta:
-            return False
-        for (i, j, k) in triple_at[t]:
-            a, b, c = resolve(i), resolve(j), resolve(k)
-            if a is _OVERLAP or b is _OVERLAP or c is _OVERLAP:
-                return False
-            if pperm.uniform_distance(c, pperm.compose(a, b)) >= delta:
-                return False
-        return True
-
-    def walk(t):
-        if t == nball:
-            yield SoficCandidate(params.d, images)
-            return
-        for cand in pool:
-            images[t] = cand
-            if admissible(t):
-                yield from walk(t + 1)
-        images[t] = None
-
-    yield from walk(0)
+    for images in _search(params, pool):
+        yield SoficCandidate(params.d, images)
 
 
-def _count_chunk(params: SAParams, pool, first_range, positions):
-    """Member count and E-restriction set for a slice of the first level."""
+def _count_chunk(params: SAParams, pool, first, positions):
+    """Member count and E-restriction set, position 0 drawn from ``first``."""
     count = 0
     restrictions = set()
-    source = params.source
-    nball = source.n_ball
-    sub_pool = pool
-    first = pool[first_range[0]:first_range[1]]
-    delta = params.delta
-    taus = source.taus
-    triple_at = _check_plan(source)
-    images: list = [None] * nball
-
-    def resolve(k):
-        dec = source.decomposition[k]
-        if len(dec) == 1:
-            return images[dec[0]]
-        try:
-            return pperm.orthogonal_sum([images[i] for i in dec])
-        except OverlapError:
-            return _OVERLAP
-
-    def admissible(t):
-        if abs(pperm.trace(images[t]) - taus[t]) >= delta:
-            return False
-        for (i, j, k) in triple_at[t]:
-            a, b, c = resolve(i), resolve(j), resolve(k)
-            if a is _OVERLAP or b is _OVERLAP or c is _OVERLAP:
-                return False
-            if pperm.uniform_distance(c, pperm.compose(a, b)) >= delta:
-                return False
-        return True
-
-    def walk(t):
-        nonlocal count
-        if t == nball:
-            count += 1
-            if positions is not None:
-                restrictions.add(tuple(images[i] for i in positions))
-            return
-        for cand in (first if t == 0 else sub_pool):
-            images[t] = cand
-            if admissible(t):
-                walk(t + 1)
-        images[t] = None
-
-    walk(0)
+    for images in _search(params, pool, first):
+        count += 1
+        if positions is not None:
+            restrictions.add(tuple(images[i] for i in positions))
     return count, restrictions
 
 
@@ -472,30 +467,36 @@ def _enumerate_counts(params: SAParams, positions, cap: int, workers: int):
     if space > cap:
         raise InfeasibleError(space, cap)
     pool = candidate_pool(params.d, params.mode)
-    if workers <= 1 or len(pool) < 2 * workers:
-        return _count_chunk(params, pool, (0, len(pool)), positions)
+    # workers share out the candidates admitted at position 0 (the empty pool
+    # skips the rest); with under two each, often the identity alone, one counts
+    firsts = [c for c, _ in _position_pools(params, (), pool)[0]] if workers > 1 else []
+    if workers <= 1 or len(firsts) < 2 * workers:
+        return _count_chunk(params, pool, None, positions)
     import multiprocessing as mp
-    bounds = []
-    step = (len(pool) + workers - 1) // workers
-    for lo in range(0, len(pool), step):
-        bounds.append((lo, min(lo + step, len(pool))))
+    step = (len(firsts) + workers - 1) // workers
+    chunks = [firsts[lo:lo + step] for lo in range(0, len(firsts), step)]
     with mp.Pool(workers) as ex:
-        parts = ex.starmap(_count_chunk,
-                           [(params, pool, b, positions) for b in bounds])
-    total = sum(c for c, _ in parts)
-    restr = set()
-    for _, r in parts:
-        restr |= r
-    return total, restr
+        parts = ex.starmap(_count_chunk, [(params, pool, f, positions) for f in chunks])
+    return sum(c for c, _ in parts), set().union(*(r for _, r in parts))
 
 
 DEFAULT_COUNT_CAP = 10 ** 8
 
 
-def count_SA(params: SAParams, cap: int = DEFAULT_COUNT_CAP, workers: int = 1) -> int:
-    """Exact number of members, by pruned exhaustive enumeration."""
-    count, _ = _enumerate_counts(params, None, cap, workers)
-    return count
+def count_SA(params: SAParams, cap: int = DEFAULT_COUNT_CAP, workers: int = 1,
+             E=None):
+    """Exact number of members, by pruned exhaustive enumeration.
+
+    The search keeps, per ball position, only the candidates whose
+    fixed-point count meets the trace condition, and rejects a triple
+    at ceil(delta*d) disagreements, so it compares integers only.
+    With a collection E of ball positions, the same single enumeration
+    returns ``(count, restricted_count)``, where the restricted count
+    is the number of distinct restrictions of members to E.
+    """
+    positions = None if E is None else tuple(E)
+    count, restrictions = _enumerate_counts(params, positions, cap, workers)
+    return count if E is None else (count, len(restrictions))
 
 
 NEG_INF = float("-inf")
@@ -517,9 +518,7 @@ def restricted_statistic(params: SAParams, E, cap: int = DEFAULT_COUNT_CAP,
     E is a collection of ball positions (indices into the source ball).
     The empty E yields one restriction whenever any member exists.
     """
-    positions = tuple(E)
-    count, restrictions = _enumerate_counts(params, positions, cap, workers)
-    count_e = len(restrictions) if count else 0
+    _, count_e = count_SA(params, cap, workers, E=E)
     return count_e, statistic_from_count(count_e, params.d)
 
 

@@ -246,9 +246,6 @@ class Ball:
     def identity_index(self) -> int:
         return self.index[()]
 
-    def product_index(self, i: int, j: int):
-        return self.mult.get((i, j))
-
     def inverse_index(self, i: int) -> int:
         return self.index[self.system.reduce_word(invert_word(self.elements[i]))]
 

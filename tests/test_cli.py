@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -142,6 +143,38 @@ class TestDeterminism:
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+
+# stdout sha256 of the README's exhaustive counts and of two larger count
+# jobs; the CSV bytes of a configuration never change
+COUNT_SHA256 = [
+    ("readme-trivial",
+     ("--family", "zmod(1)", "--d", "2..6", "--delta", "0.05", "--mode", "all"),
+     "d15f13cb439fc0565d57e599c9ca16d96b0249420935bb7be003cc5a8cce6d72"),
+    ("readme-workers",
+     ("--family", "zmod(2)", "--d", "4", "--delta", "1/10", "--mode", "all",
+      "--workers", "4"),
+     "5e4985c7dfdb3371b1cdf1325a0e6e5a67a36fa4030a71f003cb55d98ee5b94f"),
+    ("zmod2-d6-8",
+     ("--family", "zmod(2)", "--d", "6..8", "--delta", "1/10", "--cap", "10000000000"),
+     "00f74d823509ec31557a02f567d4ab2bab1e82ab9867825f111e0f721ec27ac6"),
+    ("r2-d4-5",
+     ("--source", "r2.gpd", "--mode", "all", "--d", "4..5", "--delta", "1/10"),
+     "3e559d7a8749e96bdd056bc2b7feac22658cd57b8b6809126196b09086b89ef4"),
+]
+
+
+class TestRecordedOutputs:
+    @pytest.mark.parametrize("argv,want", [case[1:] for case in COUNT_SHA256],
+                             ids=[case[0] for case in COUNT_SHA256])
+    def test_count_stdout_is_byte_identical(self, capsys, tmp_path, monkeypatch,
+                                            argv, want):
+        # the source path is echoed into the header: keep it relative
+        monkeypatch.chdir(tmp_path)
+        transitive_groupoid(2).save("r2.gpd")
+        code, out, _ = run(capsys, "count", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 class TestHelpers:

@@ -76,6 +76,29 @@ class TestBasics:
         with pytest.raises(ValueError):
             PartialPermutation(3, (2, 2, 0))
 
+    @pytest.mark.parametrize("degree,images,message", [
+        (3, (1, 3, 1), "not injective"),
+        (3, (0, 3, 3), "not injective"),
+        (3, (1, 4, 0), "image 4 out of range"),
+        (3, (1, -1, 0), "image -1 out of range"),
+        (3, (1, 2), "length"),
+        (0, (), "degree"),
+    ])
+    def test_public_constructor_still_validates(self, degree, images, message):
+        with pytest.raises(ValueError, match=message):
+            PartialPermutation(degree, images)
+
+    def test_trusted_results_match_validated_construction(self):
+        rng = SplitMix64(3)
+        for d in (1, 4, 9):
+            maps = list(iter_all(min(d, 3))) + [pperm.random_pperm(d, rng)
+                                                for _ in range(20)]
+            for s in maps:
+                for got in (s, inverse(s), compose(s, inverse(s))):
+                    want = PartialPermutation(got.degree, got.images)
+                    assert (got.dom_mask, got.ran_mask, got.nfix, hash(got)) == \
+                        (want.dom_mask, want.ran_mask, want.nfix, hash(want))
+
     def test_trace(self):
         assert trace(PartialPermutation.identity(5)) == 1
         assert trace(P("2:[1->2, 2->1]")) == 0
