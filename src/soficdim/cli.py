@@ -274,6 +274,8 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
         ha_pass = lin_pass = True
         ha_count = lin_count = 0
         worst_gap = -1.0
+        params = crossed.HAParams(mdl, delta, d) if "lin146" in suites else None
+        pairs = crossed.disjoint_pairs(params) if params else []
         for m in get_members():
             for i in range(n_partitions):
                 part = partitions.random_partition(d, alphabet, seed + i)
@@ -284,8 +286,7 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
                     ha_count += 1
                     ha_pass &= (prep.passed and res.v_ok and res.report.is_member)
                 if "lin146" in suites:
-                    params = crossed.HAParams(mdl, delta, d)
-                    for p1, p2 in crossed.disjoint_pairs(params):
+                    for p1, p2 in pairs:
                         check = crossed.approx_sum_check(res.candidate, params,
                                                          p1, p2, precheck=False)
                         lin_count += 1

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import pperm, sofic
 from .partitions import (
@@ -76,24 +77,9 @@ class ProjectionUniverse:
         self.p_projections = [frozenset(c) for c in model.distinct_projections()]
         self.p_count = len(self.p_projections)
         self.m = m if m is not None else self.p_count
-        elements = list(self.p_projections)
-        index = {s: i for i, s in enumerate(elements)}
-        decomposition = [(i,) for i in range(self.p_count)]
-        if self.m >= 2:
-            stack = [((i,), elements[i]) for i in range(self.p_count)]
-            while stack:
-                picked, union = stack.pop(0)
-                if len(picked) >= 2 and union not in index:
-                    index[union] = len(elements)
-                    elements.append(union)
-                    decomposition.append(picked)
-                    if len(elements) > sum_cap:
-                        raise InfeasibleError(len(elements), sum_cap)
-                if len(picked) < self.m:
-                    for j in range(picked[-1] + 1, self.p_count):
-                        nxt = self.p_projections[j]
-                        if not (union & nxt):
-                            stack.append((picked + (j,), union | nxt))
+        elements, index, decomposition = sofic.sum_closure(
+            self.p_projections, self.p_projections, self.m,
+            lambda sets: frozenset().union(*sets), sum_cap)
         self.elements = tuple(elements)
         self.index = index
         self.decomposition = tuple(decomposition)
@@ -504,13 +490,15 @@ def build_phi(phi0: Phi0Table, sigma: SoficCandidate, basis: SpanBasis,
     if not V:
         raise HypothesisError("the exactness set V is empty; the linear map "
                               "certification hypotheses must have failed")
-    uni = ProjectionUniverse(model)
     consts = lemma_constants(model.f_pm_size, model.n, basis)
-    p_size = uni.p_count
+    p_size = len(model.distinct_projections())
+    params = HAParams(model,
+                      SqrtTol(ha_tolerance_squared(basis, model.q, p_size, delta)),
+                      d)
     v_bound = Fraction(d) * (1 - 2 * p_size ** 2 * consts.c3 ** 2
                              * basis.kappa ** 4 * delta / basis.gamma ** 2)
     phi_values = []
-    for subset in uni.elements:
+    for subset in params.universe.elements:
         vals = phi0.value_vector(subset)
         support = set()
         for x in V:
@@ -522,9 +510,6 @@ def build_phi(phi0: Phi0Table, sigma: SoficCandidate, basis: SpanBasis,
                     f"phi0 is not 0/1 on V at point {x} (value {v})")
         phi_values.append(PartialPermutation.projection(d, support))
     cand = HACandidate(sigma, phi_values)
-    params = HAParams(model,
-                      SqrtTol(ha_tolerance_squared(basis, model.q, p_size, delta)),
-                      d)
     report = verify_HA(cand, params)
     return BuildPhiResult(cand, params, frozenset(V), Fraction(len(V), d),
                           v_bound, Fraction(len(V)) >= v_bound, report)
@@ -547,6 +532,16 @@ def ha_statistic(params: HAParams, E, Q, sa_delta=None,
 
 def ha_statistic_with_sa(params: HAParams, E, Q, sa_delta=None,
                          cap: int = 10 ** 7):
+    """(count, statistic, sa_count): the distinct (sigma|_E, phi|_Q) over
+    members sigma at ``sa_delta`` and maps phi passing (i)-(iv) with
+    them, the log statistic of their count, and the distinct sigma|_E.
+
+    phi runs on ``sofic.search``, a closure element per position.  As
+    traces and distances are multiples of 1/d, (i) is the window of
+    fixed-point counts k with ``gap_below(|k/d - mu|, delta)``, and a
+    product fails at the fewest disagreements c with
+    ``not gap_below(c/d, delta)``, for either kind of tolerance.
+    """
     model = params.model
     uni = params.universe
     d = params.d
@@ -559,60 +554,46 @@ def ha_statistic_with_sa(params: HAParams, E, Q, sa_delta=None,
     sigma_members = list(sofic.iter_SA_members(sa_params))
     if space * max(len(sigma_members), 1) > cap:
         raise InfeasibleError(space * max(len(sigma_members), 1), cap)
+    below = partial(gap_below, tol=delta)
+    n, n_ball = len(uni), len(model.ball)
+    # slots: the positions, then phi(letter) sigma(b)^-1 for every letter
+    # and ball element b, then sigma(b), sigma(b)^-1 and the identity
+    sig = n + len(uni.letter_index) * n_ball
+    sig_inv = sig + n_ball
+    ident = sig_inv + n_ball
+    slots: list = [None] * (ident + 1)
+    slots[ident] = tuple(range(d + 1))
+    derived = [[] for _ in range(n)]
+    triples = [[] for _ in range(n)]
+    for (i, j, k) in uni.triples:  # (iii)
+        triples[max(i, j, k)].append((i, j, k))
+    for letter, pos in enumerate(uni.letter_index):  # (ii)
+        for b in range(n_ball):
+            tpos = uni.index[model.translate(b, letter)]
+            k = n + letter * n_ball + b
+            derived[pos].append((k, (pos, sig_inv + b)))
+            triples[max(pos, tpos)].append((sig + b, k, tpos))
+    triples[uni.x_index].append((ident, uni.x_index, ident))  # (iv)
+    # (i): a trace window on each cylinder projection
+    centres = [model.mu_points(s) if i < uni.p_count else None
+               for i, s in enumerate(uni.elements)]
+    pools = sofic.trace_windows(pool, d, centres, below)
+    limit = next((c for c in range(d + 1) if not below(Fraction(c, d))), d + 1)
+
+    def compose(ij):
+        return tuple(map(slots[ij[0]].__getitem__, slots[ij[1]]))
+
     letter_pos = [uni.letter_index[i] for i in Q]
     restrictions = set()
     sa_restrictions = set()
-    mu = [model.mu_points(s) for s in uni.elements]
-
-    # checks indexed by the latest universe position they need
-    trace_checks = [[] for _ in range(len(uni))]
-    for i in range(uni.p_count):
-        trace_checks[i].append(i)
-    triple_checks = [[] for _ in range(len(uni))]
-    for (i, j, k) in uni.triples:
-        triple_checks[max(i, j, k)].append((i, j, k))
-    equi_checks = [[] for _ in range(len(uni))]
-    ball_count = len(model.ball)
-    for letter, pos in enumerate(uni.letter_index):
-        for bidx in range(ball_count):
-            tpos = uni.index[model.translate(bidx, letter)]
-            equi_checks[max(pos, tpos)].append((letter, pos, bidx, tpos))
-
     for sigma in sigma_members:
-        images = model.context.align(sigma, model.ball)
-        sa_restrictions.add(sigma.restriction(E))
-        phi: list = [None] * len(uni)
-
-        def admissible(t):
-            for i in trace_checks[t]:
-                if not gap_below(abs(pperm.trace(phi[i]) - mu[i]), delta):
-                    return False
-            for (i, j, k) in triple_checks[t]:
-                if not gap_below(pperm.uniform_distance(
-                        phi[k], pperm.compose(phi[i], phi[j])), delta):
-                    return False
-            for (_, pos, bidx, tpos) in equi_checks[t]:
-                gap = pperm.uniform_distance(
-                    phi[tpos], push_forward(images[bidx], phi[pos]))
-                if not gap_below(gap, delta):
-                    return False
-            if t == uni.x_index and not gap_below(
-                    pperm.uniform_distance(phi[t], PartialPermutation.identity(d)),
-                    delta):
-                return False
-            return True
-
-        def walk(t):
-            if t == len(uni):
-                restrictions.add((sigma.restriction(E),
-                                  tuple(phi[p] for p in letter_pos)))
-                return
-            for cand in pool:
-                phi[t] = cand
-                if admissible(t):
-                    walk(t + 1)
-            phi[t] = None
-
-        walk(0)
+        for b, s in enumerate(model.context.align(sigma, model.ball)):
+            slots[sig + b] = (0,) + s.images
+            slots[sig_inv + b] = (0,) + pperm.inverse(s).images
+        sigma_e = sigma.restriction(E)
+        sa_restrictions.add(sigma_e)
+        for phi in sofic.search(pools, derived, triples, limit, [None] * n, slots,
+                                compose):
+            restrictions.add((sigma_e, tuple(phi[p] for p in letter_pos)))
     count = len(restrictions)
     return count, sofic.statistic_from_count(count, d), len(sa_restrictions)

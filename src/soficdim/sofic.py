@@ -16,14 +16,15 @@ membership report.
 
 Counting is exact: candidates are enumerated depth first with pruning
 by every multiplicativity constraint whose participants are already
-assigned, so the count equals the brute-force one.  The search compares
-integers only: traces and distances are multiples of 1/d, so each ball
-position keeps just the pool candidates whose fixed-point count meets
-its trace condition, and a product fails at ceil(delta*d)
-disagreements.  ``count_SA(..., E=E)`` also returns the number of
-distinct restrictions to the positions E from the same enumeration.  A
-seeded Monte Carlo estimator and a cycle-type closed form for cyclic
-groups extend the statistic beyond enumeration range.
+assigned, so the count equals the brute-force one.  The search, which
+also enumerates the maps phi of ``crossed.ha_statistic_with_sa``,
+compares integers only: distances are multiples of 1/d, so each
+position keeps the candidates whose fixed-point count meets its trace
+condition, and a product fails at ceil(delta*d) disagreements.
+``count_SA(..., E=E)`` also counts the distinct restrictions to the
+positions E in the same enumeration.  A seeded Monte Carlo estimator
+and a cycle-type closed form for cyclic groups extend the statistic
+beyond enumeration range.
 """
 
 from __future__ import annotations
@@ -122,6 +123,34 @@ def plus_minus_set(g: FiniteGroupoid, F):
     return out
 
 
+def sum_closure(parts, footprints, m: int, join, cap: int):
+    """The parts, then every new ``join`` of 2..m parts whose footprints
+    (sets) are pairwise disjoint: (elements, index, decomposition).
+
+    Families come breadth first, by size and then in the order of their
+    prefixes, so each sum keeps a decomposition with the fewest parts.
+    """
+    elements = list(parts)
+    index = {e: i for i, e in enumerate(elements)}
+    decomposition = [(i,) for i in range(len(elements))]
+    queue = deque(((i,), fp) for i, fp in enumerate(footprints))
+    while queue:
+        picked, union = queue.popleft()
+        if len(picked) >= 2:
+            total = join([parts[i] for i in picked])
+            if total not in index:
+                index[total] = len(elements)
+                elements.append(total)
+                decomposition.append(picked)
+                if len(elements) > cap:
+                    raise InfeasibleError(len(elements), cap)
+        if len(picked) < m:
+            for j in range(picked[-1] + 1, len(footprints)):
+                if not (union & footprints[j]):
+                    queue.append((picked + (j,), union | footprints[j]))
+    return elements, index, decomposition
+
+
 class GroupoidSource:
     """Ball of bisections of a finite groupoid plus its truncated sum closure."""
 
@@ -136,30 +165,12 @@ class GroupoidSource:
         self.ball_elements = tuple(elements)
         self.n_ball = len(elements)
         self.m = m if m is not None else self.n_ball
-        index = {b: i for i, b in enumerate(elements)}
-        universe = list(elements)
-        decomposition = [(i,) for i in range(self.n_ball)]
-        # orthogonal sums of up to m distinct ball elements, smallest
-        # decomposition found first; sums equal to a ball element are merged
-        doms = [b.dom_units() for b in elements]
-        rans = [b.ran_units() for b in elements]
-        if self.m >= 2:
-            stack = deque(((i,), doms[i], rans[i]) for i in range(self.n_ball))
-            while stack:
-                picked, dom, ran = stack.popleft()
-                if len(picked) >= 2:
-                    arrows = frozenset().union(*(elements[i].arrows for i in picked))
-                    bis = PartialBisection(g, arrows)
-                    if bis not in index:
-                        index[bis] = len(universe)
-                        universe.append(bis)
-                        decomposition.append(picked)
-                        if len(universe) > sum_cap:
-                            raise InfeasibleError(len(universe), sum_cap)
-                if len(picked) < self.m:
-                    for j in range(picked[-1] + 1, self.n_ball):
-                        if not (dom & doms[j]) and not (ran & rans[j]):
-                            stack.append((picked + (j,), dom | doms[j], ran | rans[j]))
+        # a footprint holds the domain units e and the range units as n_units + e
+        universe, index, decomposition = sum_closure(
+            elements, [b.dom_units() | {g.n_units + e for e in b.ran_units()}
+                       for b in elements], self.m,
+            lambda bs: PartialBisection(g, frozenset().union(*(b.arrows for b in bs))),
+            sum_cap)
         self.universe = tuple(universe)
         self.n_universe = len(universe)
         self.decomposition = tuple(decomposition)
@@ -356,87 +367,90 @@ def search_space_size(params: SAParams) -> int:
     return pool_size(params.d, params.mode) ** params.source.n_ball
 
 
-def _check_plan(source):
-    """Sum resolutions and triple checks, grouped by the ball position
-    that completes them (the largest in the decompositions involved).
+def trace_windows(pool, d: int, centres, below):
+    """Per position, the candidates of trace k/d with ``below(|k/d - centre|)``.
 
-    Sums follow the ball in the universe.  Each takes part in the triple
-    (identity, sum, sum), so rejecting an overlap as soon as the sum
-    resolves drops exactly the candidates that triple would.
+    A centre of None keeps every candidate.  Each list keeps pool order
+    and pairs a candidate with its images padded with a leading 0, so
+    that ``a[b[x]]`` composes two padded maps.
     """
-    need = [max(parts) for parts in source.decomposition]
-    triple_at = [[] for _ in range(source.n_ball)]
-    sums_at = [[] for _ in range(source.n_ball)]
-    for (i, j, k) in source.triples:
-        triple_at[max(need[i], need[j], need[k])].append((i, j, k))
-    for k in range(source.n_ball, source.n_universe):
-        sums_at[need[k]].append(k)
-    return triple_at, sums_at
-
-
-def _position_pools(params: SAParams, pool, first):
-    """Per ball position, the candidates that pass its trace condition.
-
-    Each keeps pool order and carries its images padded with a leading
-    0, so that ``a[b[x]]`` composes two padded maps.  ``first``, when
-    given, replaces the pool at position 0.
-    """
-    d, delta = params.d, params.delta
     shared = {}
     pools = []
-    for t, tau in enumerate(params.source.taus):
-        cands = first if t == 0 and first is not None else pool
-        fixed = frozenset(k for k in range(d + 1) if abs(Fraction(k, d) - tau) < delta)
-        key = (fixed, cands is pool)
-        if key not in shared:
-            shared[key] = [(c, (0,) + c.images) for c in cands if c.nfix in fixed]
-        pools.append(shared[key])
+    for centre in centres:
+        fixed = frozenset(k for k in range(d + 1)
+                          if centre is None or below(abs(Fraction(k, d) - centre)))
+        if fixed not in shared:
+            shared[fixed] = [(c, (0,) + c.images) for c in pool if c.nfix in fixed]
+        pools.append(shared[fixed])
     return pools
 
 
-def _search(params: SAParams, pool, first=None):
-    """Yield the image list at every member, depth first in pool order.
+def search(pools, derived, triples, limit, values, slots, derive):
+    """Yield ``values`` at every assignment that passes its checks,
+    depth first in pool order; the list is reused, so copy it.
 
-    Every test is on integers: the trace condition is the fixed-point
-    window of :func:`_position_pools`, and a product is within delta
-    when it disagrees with its target on fewer than ceil(delta*d)
-    points (distances are multiples of 1/d).  A sum whose summands'
-    images overlap rejects.  The yielded list is reused; copy it.
+    Position t takes a (value, padded images) pair of ``pools[t]`` into
+    ``values[t]`` and ``slots[t]``.  Each (k, arg) in ``derived[t]``
+    then sets ``slots[k] = derive(arg)``, an OverlapError rejecting,
+    and each (i, j, k) in ``triples[t]`` rejects when ``slots[k]``
+    disagrees with ``slots[i]`` after ``slots[j]`` on ``limit`` or more
+    points.  The caller sets any constant slots.
     """
-    source = params.source
-    nball = source.n_ball
-    limit = math.ceil(params.delta * params.d)
-    pools = _position_pools(params, pool, first)
-    triple_at, sums_at = _check_plan(source)
-    dec = source.decomposition
-    images: list = [None] * nball
-    padded: list = [None] * source.n_universe
+    n = len(pools)
 
     def admissible(t):
-        for k in sums_at[t]:
+        for k, arg in derived[t]:
             try:
-                total = pperm.orthogonal_sum([images[i] for i in dec[k]])
+                slots[k] = derive(arg)
             except OverlapError:
                 return False
-            padded[k] = (0,) + total.images
-        for (i, j, k) in triple_at[t]:
-            a = padded[i]
-            if sum(map(ne, map(a.__getitem__, padded[j]), padded[k])) >= limit:
+        for (i, j, k) in triples[t]:
+            a = slots[i]
+            if sum(map(ne, map(a.__getitem__, slots[j]), slots[k])) >= limit:
                 return False
         return True
 
     def walk(t):
-        if t == nball:
-            yield images
+        if t == n:
+            yield values
             return
-        for cand, pad in pools[t]:
-            images[t] = cand
-            padded[t] = pad
+        for value, pad in pools[t]:
+            values[t] = value
+            slots[t] = pad
             if admissible(t):
                 yield from walk(t + 1)
 
     yield from walk(0)
     del walk  # walk refers to itself; dropping it frees the pools at once
+
+
+def _search(params: SAParams, pool, first=None):
+    """Yield the image list at every member, depth first in pool order.
+
+    ``first``, when given, holds the (candidate, padded images) pairs
+    of position 0.  A sum resolves at the ball position that completes
+    it, and an overlap of its summands' images rejects there: the sum
+    takes part in the triple (identity, sum, sum), so this drops
+    exactly the candidates that triple would.
+    """
+    source = params.source
+    pools = trace_windows(pool, params.d, source.taus, params.delta.__gt__)
+    if first is not None:
+        pools[0] = first
+    need = [max(parts) for parts in source.decomposition]
+    sums = [[] for _ in range(source.n_ball)]
+    triples = [[] for _ in range(source.n_ball)]
+    for k in range(source.n_ball, source.n_universe):
+        sums[need[k]].append((k, source.decomposition[k]))
+    for (i, j, k) in source.triples:
+        triples[max(need[i], need[j], need[k])].append((i, j, k))
+    images: list = [None] * source.n_ball
+
+    def orthogonal_sum(parts):
+        return (0,) + pperm.orthogonal_sum([images[i] for i in parts]).images
+
+    return search(pools, sums, triples, math.ceil(params.delta * params.d),
+                  images, [None] * source.n_universe, orthogonal_sum)
 
 
 def iter_SA_members(params: SAParams, pool=None):
@@ -467,9 +481,10 @@ def _enumerate_counts(params: SAParams, positions, cap: int, workers: int):
     if space > cap:
         raise InfeasibleError(space, cap)
     pool = candidate_pool(params.d, params.mode)
-    # workers share out the candidates admitted at position 0 (the empty pool
-    # skips the rest); with under two each, often the identity alone, one counts
-    firsts = [c for c, _ in _position_pools(params, (), pool)[0]] if workers > 1 else []
+    # workers share out the candidates admitted at position 0; with under
+    # two each, often the identity alone, one counts
+    firsts = (trace_windows(pool, params.d, params.source.taus[:1],
+                            params.delta.__gt__)[0] if workers > 1 else [])
     if workers <= 1 or len(firsts) < 2 * workers:
         return _count_chunk(params, pool, None, positions)
     import multiprocessing as mp

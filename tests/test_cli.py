@@ -163,6 +163,18 @@ COUNT_SHA256 = [
      "3e559d7a8749e96bdd056bc2b7feac22658cd57b8b6809126196b09086b89ef4"),
 ]
 
+# stdout sha256 of the certificate jobs that build the projection universe
+# (build_phi) and the 146-delta pairs (verify --suite lin146)
+CERTIFY_SHA256 = [
+    ("construct-phi",
+     ("construct", "--what", "phi", "--d", "4", "--delta", "1/10"),
+     "4162cc67e5c49fbe17379852a989a01851cc907fd7b6812c92dc22741d8b462a"),
+    ("verify-ha-lin146",
+     ("verify", "--suite", "ha,lin146", "--source", "r2.gpd", "--d", "4",
+      "--delta", "1/10", "--partitions", "2", "--seed", "0"),
+     "e852d27003587427b60c4420245181f67006fdc842a36b69f8643d329de359ca"),
+]
+
 
 class TestRecordedOutputs:
     @pytest.mark.parametrize("argv,want", [case[1:] for case in COUNT_SHA256],
@@ -173,6 +185,16 @@ class TestRecordedOutputs:
         monkeypatch.chdir(tmp_path)
         transitive_groupoid(2).save("r2.gpd")
         code, out, _ = run(capsys, "count", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("argv,want", [case[1:] for case in CERTIFY_SHA256],
+                             ids=[case[0] for case in CERTIFY_SHA256])
+    def test_certify_stdout_is_byte_identical(self, capsys, tmp_path, monkeypatch,
+                                              argv, want):
+        monkeypatch.chdir(tmp_path)
+        transitive_groupoid(2).save("r2.gpd")
+        code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want
 
