@@ -9,13 +9,15 @@ strict inequalities at the working tolerance).
 
 The constructive route starts from a candidate sigma and a partition
 of {1..d}: the linear map phi0 sends each basis cylinder projection to
-the indicator of its image-side cylinder and extends linearly; its four
-properties are certified against
+the indicator of its image-side cylinder and extends linearly.  Its
+table, partitions.Phi0Table, lives beside the span basis, since the c3
+bound reads the same residuals; here its four properties are certified
+against
 
     delta0 = 3 (1/gamma) kappa^2 ell^2 q c3^2 sqrt(delta).
 
-Restricting phi0 to the set V of points where every cylinder value is
-already 0/1 and disjointness is exact yields a genuine partial
+Restricting phi0 to the set V of points where every cylinder residual
+vanishes and disjointness is exact yields a genuine partial
 permutation valued map phi, certified as a member at the displayed
 tolerance 9 |P|^2 (1/gamma^2) kappa^5 ell^2 q c3^2 sqrt(delta), with
 
@@ -36,6 +38,7 @@ from . import pperm, sofic
 from .partitions import (
     CylinderModel,
     HypothesisError,
+    Phi0Table,
     RandomPartition,
     SpanBasis,
     lemma_constants,
@@ -66,20 +69,19 @@ class ProjectionUniverse:
 
     Elements are subsets of the model point set; ``p_count`` distinct
     cylinder projections come first (order of first appearance over
-    the canonical psi order), followed by disjoint unions of up to m of
-    them.  ``triples`` lists (i, j, k) with elements[i] & elements[j]
-    == elements[k].
+    the canonical psi order), followed by their disjoint unions; more
+    than 20000 elements raise InfeasibleError.  ``triples`` lists
+    (i, j, k) with elements[i] & elements[j] == elements[k].  A model
+    builds its universe once (``CylinderModel.universe``).
     """
 
-    def __init__(self, model: CylinderModel, m: int | None = None,
-                 sum_cap: int = 20000):
+    def __init__(self, model: CylinderModel):
         self.model = model
-        self.p_projections = [frozenset(c) for c in model.distinct_projections()]
+        self.p_projections = model.distinct_projections
         self.p_count = len(self.p_projections)
-        self.m = m if m is not None else self.p_count
         elements, index, decomposition = sofic.sum_closure(
-            self.p_projections, self.p_projections, self.m,
-            lambda sets: frozenset().union(*sets), sum_cap)
+            self.p_projections, self.p_projections, self.p_count,
+            lambda sets: frozenset().union(*sets), 20000)
         self.elements = tuple(elements)
         self.index = index
         self.decomposition = tuple(decomposition)
@@ -101,22 +103,21 @@ class ProjectionUniverse:
 class HAParams:
     """One pair-verification problem over a cylinder model.
 
-    ``delta`` is a Fraction or a SqrtTol; ``m`` truncates the sum
-    closure of the cylinder projections (default: their number).
+    ``delta`` is a Fraction or a SqrtTol.  The projection universe and
+    the sigma source belong to the model and its context, so every
+    problem over one model shares them.
     """
 
-    def __init__(self, model: CylinderModel, delta, d: int, m: int | None = None):
+    def __init__(self, model: CylinderModel, delta, d: int):
         self.model = model
         self.delta = delta if isinstance(delta, SqrtTol) else Fraction(delta)
         self.d = d
-        self.universe = ProjectionUniverse(model, m)
-        self.m = self.universe.m
+        self.universe = model.universe
 
     def sigma_params(self, delta=None) -> sofic.SAParams:
         """Membership parameters for the sigma half over the model ball."""
-        src = sofic.GroupoidSource(self.model.groupoid, self.model.F, self.model.n)
-        return sofic.SAParams(src, self.model.n, Fraction(delta if delta is not None
-                                                          else 1), self.d)
+        return sofic.SAParams(self.model.context.sigma_source, self.model.n,
+                              Fraction(delta if delta is not None else 1), self.d)
 
 
 class HACandidate:
@@ -298,49 +299,6 @@ def disjoint_pairs(params: HAParams):
 # -- the linear map phi0 --------------------------------------------------------
 
 
-class Phi0Table:
-    """Linear extension of basis-cylinder images, with its evaluations.
-
-    Holds the image-side sets of the basis cylinders and evaluates the
-    signed indicator of any span vector on {1..d}.
-    """
-
-    def __init__(self, basis: SpanBasis, sigma: SoficCandidate,
-                 partition: RandomPartition):
-        self.basis = basis
-        self.model = basis.model
-        self.sigma = sigma
-        self.partition = partition
-        self.d = partition.d
-        self.images = self.model.context.align(sigma, self.model.ball)
-        self.a_sets = tuple(
-            self.model.image_cylinder(self.model.psis[i], self.images, partition)
-            for i in basis.basis_psi_indices)
-        self._coeff_cache = {}
-
-    def coefficients(self, subset) -> tuple:
-        key = frozenset(subset)
-        if key not in self._coeff_cache:
-            vec = tuple(Fraction(1) if x in key else Fraction(0)
-                        for x in range(self.model.action.n_points))
-            self._coeff_cache[key] = self.basis.expand_vector(vec)
-        return self._coeff_cache[key]
-
-    def value_vector(self, subset) -> tuple:
-        """phi0 of the projection onto ``subset``, as a rational vector."""
-        coeff = self.coefficients(subset)
-        vals = [Fraction(0)] * self.d
-        for c, s in zip(coeff, self.a_sets):
-            if c:
-                for x in s:
-                    vals[x - 1] += c
-        return tuple(vals)
-
-    def psi_value_vector(self, psi) -> tuple:
-        """phi0 of the cylinder projection of psi (by its own subset)."""
-        return self.value_vector(self.model.cylinder(psi))
-
-
 @dataclass(frozen=True)
 class PropertyReport:
     """The four linear-map properties, compared through squared gaps."""
@@ -391,7 +349,7 @@ def build_phi0(sigma: SoficCandidate, partition: RandomPartition,
     table = Phi0Table(basis, sigma, partition)
     d = table.d
     d0_sq = delta0_squared(basis, model.q, delta)
-    projections = model.distinct_projections()
+    projections = model.distinct_projections
 
     trace_sq, trace_wit = Fraction(0), ""
     for i, p in enumerate(projections):
@@ -470,28 +428,23 @@ def build_phi(phi0: Phi0Table, sigma: SoficCandidate, basis: SpanBasis,
     """
     delta = Fraction(delta)
     model = basis.model
-    partition = phi0.partition
     d = phi0.d
-    psi_vals = [phi0.psi_value_vector(psi) for psi in model.psis]
-    a_sets = [model.image_cylinder(psi, phi0.images, partition)
-              for psi in model.psis]
+    V = set(range(1, d + 1))
+    a_sets = []
+    for i in range(len(model.psis)):
+        a_psi, residual = phi0.residual(i)
+        V -= {x for x, r in enumerate(residual, start=1) if r}
+        a_sets.append(a_psi)
     cylinders = [model.cylinder(psi) for psi in model.psis]
-    V = set()
-    for x in range(1, d + 1):
-        ok = all(v[x - 1] == (1 if x in a else 0)
-                 for v, a in zip(psi_vals, a_sets))
-        if ok:
-            ok = all(psi_vals[i][x - 1] * psi_vals[j][x - 1] == 0
-                     for i in range(len(psi_vals))
-                     for j in range(i + 1, len(psi_vals))
-                     if not (cylinders[i] & cylinders[j]))
-        if ok:
-            V.add(x)
+    for i, a in enumerate(a_sets):
+        for j in range(i + 1, len(a_sets)):
+            if not cylinders[i] & cylinders[j]:
+                V -= a & a_sets[j]
     if not V:
         raise HypothesisError("the exactness set V is empty; the linear map "
                               "certification hypotheses must have failed")
     consts = lemma_constants(model.f_pm_size, model.n, basis)
-    p_size = len(model.distinct_projections())
+    p_size = len(model.distinct_projections)
     params = HAParams(model,
                       SqrtTol(ha_tolerance_squared(basis, model.q, p_size, delta)),
                       d)

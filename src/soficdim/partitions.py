@@ -15,7 +15,11 @@ to the alphabet weights, and the cylinder bound compares exact
 cylinder measures with intersection counts at c2 * delta, where
 c2 = 2 * c1 * Bell(|F+-|^n).  A basis of cylinder projections for the
 span of the cylinder algebra yields the coefficient statistics kappa
-and gamma and the equivariance bound at c3 * sqrt(delta) with
+and gamma; the basis expands each subset of its span once.  The
+linear map phi0 lives here too, as the image-side table Phi0Table: it
+sends each basis cylinder to its image-side cylinder and gives every
+psi the residual 1_{A_psi} - phi0(cyl psi).  The equivariance bound
+compares that residual with c3 * sqrt(delta), where
 
     c3 = (1 + (3 + kappa*ell) * Bell(ell) * N_ell) * c2,  N_ell = ell * 2^ell.
 
@@ -25,9 +29,9 @@ decided by comparing squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 from . import sofic
@@ -89,34 +93,30 @@ DEFAULT_PROFILE_CAP = 8
 # -- profiles -------------------------------------------------------------------
 
 
-def _range_arrow_tables(F0):
-    """Per element, the map range-unit -> its unique arrow."""
-    tables = []
-    for s in F0:
-        g = s.host
-        tables.append({g.range_[a]: a for a in s.arrows})
-    return tables
-
-
-def profile_h_measure(F0, blocks) -> Fraction:
-    """Exact measure of the units classified by the given block pattern.
+def profile_units(g: FiniteGroupoid, F0, blocks) -> list:
+    """Units classified by the block pattern of F0, in increasing order.
 
     A unit e qualifies when every element of F0 has an arrow with range
     e and two elements share that arrow exactly when they share a block.
     """
+    tables = [{g.range_[a]: a for a in s.arrows} for s in F0]
+    out = []
+    for e in range(g.n_units):
+        arrows = [t.get(e) for t in tables]
+        if None not in arrows and all(
+                (arrows[i] == arrows[j]) == (blocks[i] == blocks[j])
+                for i in range(len(F0)) for j in range(i + 1, len(F0))):
+            out.append(e)
+    return out
+
+
+def profile_h_measure(F0, blocks) -> Fraction:
+    """Exact measure of the units classified by the given block pattern."""
     if not F0:
         raise ValueError("F0 must be nonempty")
     g = F0[0].host
-    tables = _range_arrow_tables(F0)
-    total = Fraction(0)
-    for e in range(g.n_units):
-        arrows = [t.get(e) for t in tables]
-        if any(a is None for a in arrows):
-            continue
-        if all((arrows[i] == arrows[j]) == (blocks[i] == blocks[j])
-               for i in range(len(F0)) for j in range(i + 1, len(F0))):
-            total += g.unit_weights[e]
-    return total
+    return sum((g.unit_weights[e] for e in profile_units(g, F0, blocks)),
+               Fraction(0))
 
 
 def profile_sigma_points(images, blocks, d: int) -> frozenset:
@@ -165,6 +165,22 @@ def profile_measures(F0, pi, context) -> ProfileMeasures:
         pts = profile_sigma_points(context["images"], blocks, d)
         frac = Fraction(len(pts), d)
     return ProfileMeasures(h, frac)
+
+
+def _block_weight(alphabet, letters, blocks) -> Fraction:
+    """Product of the letter weights over the blocks of a profile partition.
+
+    Item i carries ``letters[i]`` and lies in block ``blocks[i]``; the
+    weight is 0 when a block holds two different letters.
+    """
+    letter_of = {}
+    for letter, b in zip(letters, blocks):
+        if letter_of.setdefault(b, letter) != letter:
+            return Fraction(0)
+    w = Fraction(1)
+    for letter in letter_of.values():
+        w *= alphabet[letter]
+    return w
 
 
 # -- lemma constants -------------------------------------------------------------
@@ -223,12 +239,7 @@ def augment_generators(F, n: int, g: FiniteGroupoid,
         for combo in _combinations(len(ball), r):
             F0 = [ball[i] for i in combo]
             for blocks in set_partitions(len(F0)):
-                if F0:
-                    units = [e for e in range(g.n_units)
-                             if _unit_in_profile(F0, blocks, e)]
-                else:
-                    units = list(range(g.n_units))
-                p = projection_bisection(g, units)
+                p = projection_bisection(g, profile_units(g, F0, blocks))
                 if p not in seen:
                     seen.add(p)
                     out.append(p)
@@ -238,15 +249,6 @@ def augment_generators(F, n: int, g: FiniteGroupoid,
 def _combinations(n, r):
     from itertools import combinations as comb
     return comb(range(n), r)
-
-
-def _unit_in_profile(F0, blocks, e) -> bool:
-    tables = _range_arrow_tables(F0)
-    arrows = [t.get(e) for t in tables]
-    if any(a is None for a in arrows):
-        return False
-    return all((arrows[i] == arrows[j]) == (blocks[i] == blocks[j])
-               for i in range(len(F0)) for j in range(i + 1, len(F0)))
 
 
 # -- random partitions -------------------------------------------------------------
@@ -377,19 +379,9 @@ class CylinderModel:
             return Fraction(1)
         total = Fraction(0)
         for blocks in set_partitions(len(support)):
-            compatible = all(
-                letters[i] == letters[j]
-                for i in range(len(support)) for j in range(i + 1, len(support))
-                if blocks[i] == blocks[j])
-            if not compatible:
-                continue
-            h = profile_h_measure(support, blocks)
-            if h == 0:
-                continue
-            w = Fraction(1)
-            for b in sorted(set(blocks)):
-                w *= self.alphabet[letters[blocks.index(b)]]
-            total += h * w
+            w = _block_weight(self.alphabet, letters, blocks)
+            if w:
+                total += profile_h_measure(support, blocks) * w
         return total
 
     def image_cylinder(self, psi, sigma_images, partition: RandomPartition) -> frozenset:
@@ -401,14 +393,17 @@ class CylinderModel:
             pts &= {s.images[x - 1] for x in block if s.images[x - 1]}
         return frozenset(pts)
 
-    def distinct_projections(self):
+    @cached_property
+    def distinct_projections(self) -> tuple:
         """Distinct cylinder subsets in first-appearance order."""
-        seen = []
-        for psi in self.psis:
-            c = self.cylinder(psi)
-            if c not in seen:
-                seen.append(c)
-        return seen
+        return tuple(dict.fromkeys(map(self.cylinder, self.psis)))
+
+    @cached_property
+    def universe(self):
+        """The sum closure of the distinct projections, built on first use
+        (``crossed.ProjectionUniverse``)."""
+        from .crossed import ProjectionUniverse
+        return ProjectionUniverse(self)
 
 
 class LemmaContext:
@@ -432,6 +427,11 @@ class LemmaContext:
         self.hypothesis_source = GroupoidSource(g, self.F_n, self.radius)
         self._pos = {b: i for i, b in
                      enumerate(self.hypothesis_source.ball_elements)}
+
+    @cached_property
+    def sigma_source(self) -> GroupoidSource:
+        """The membership source at radius n, built on first use."""
+        return GroupoidSource(self.groupoid, self.F, self.n)
 
     def hypothesis_params(self, delta, d: int):
         from .sofic import SAParams
@@ -620,25 +620,15 @@ def c2_partition_frequency(sigma: SoficCandidate, delta,
             a_psi = model.image_cylinder(psi, images, partition)
             for blocks in set_partitions(len(support)):
                 trials += 1
-                compatible = all(
-                    letters[i] == letters[j]
-                    for i in range(len(support))
-                    for j in range(i + 1, len(support)) if blocks[i] == blocks[j])
+                w = _block_weight(model.alphabet, letters, blocks)
                 if support:
-                    h = profile_h_measure(support, blocks) if compatible else Fraction(0)
+                    h = profile_h_measure(support, blocks) if w else Fraction(0)
                     pts = profile_sigma_points(imgs, blocks, d)
                 else:
                     h = Fraction(1)
                     pts = frozenset(range(1, d + 1))
-                if compatible:
-                    w = Fraction(1)
-                    for b in sorted(set(blocks)):
-                        w *= model.alphabet[letters[blocks.index(b)]]
-                    lhs = h * w
-                else:
-                    lhs = Fraction(0)
                 rhs = Fraction(len(a_psi & pts), d)
-                if abs(lhs - rhs) >= threshold:
+                if abs(h * w - rhs) >= threshold:
                     violations += 1
     rate_bound = float(Fraction(len(model.ball) ** 2) / ((c1 * delta) ** 2 * d))
     return {
@@ -659,7 +649,9 @@ class SpanBasis:
     ``coeffs[i]`` expands psi number i over the basis; kappa is the
     largest coefficient magnitude, gamma the smallest nonzero value
     among subset sums, subset sums minus one, and products of two
-    subset sums.
+    subset sums.  The basis rows are linearly independent, so each
+    subset in the span has exactly one expansion; ``expansions`` keeps
+    every one computed so far, starting with the model cylinders.
     """
 
     model: CylinderModel
@@ -668,24 +660,28 @@ class SpanBasis:
     kappa: Fraction
     gamma: Fraction
     gamma_parts: tuple
+    rows: tuple  # indicator vectors of the basis cylinders
+    expansions: dict = field(repr=False, compare=False)  # subset -> coefficients
 
     @property
     def ell(self) -> int:
         return len(self.basis_psi_indices)
 
-    def expand_vector(self, vec) -> tuple:
-        """Coefficients of an arbitrary span vector over the basis."""
-        return _solve_against(self._matrix(), vec)
+    def expand_vector(self, subset) -> tuple:
+        """Coefficients of the indicator of a point subset over the basis.
 
-    def _matrix(self):
-        return [_cyl_vector(self.model, self.model.psis[i])
-                for i in self.basis_psi_indices]
+        Each distinct subset is solved once; raises when it lies outside
+        the span.
+        """
+        subset = frozenset(subset)
+        if subset not in self.expansions:
+            self.expansions[subset] = _solve_against(
+                self.rows, _indicator(subset, self.model.action.n_points))
+        return self.expansions[subset]
 
 
-def _cyl_vector(model, psi):
-    pts = model.cylinder(psi)
-    return tuple(Fraction(1) if x in pts else Fraction(0)
-                 for x in range(model.action.n_points))
+def _indicator(points, n: int) -> tuple:
+    return tuple(Fraction(1) if x in points else Fraction(0) for x in range(n))
 
 
 def _solve_against(basis_rows, vec):
@@ -729,7 +725,8 @@ def _solve_against(basis_rows, vec):
 
 def span_basis(model: CylinderModel) -> SpanBasis:
     """Greedy basis over the canonical cylinder order plus kappa and gamma."""
-    vectors = [_cyl_vector(model, psi) for psi in model.psis]
+    cylinders = [model.cylinder(psi) for psi in model.psis]
+    vectors = [_indicator(c, model.action.n_points) for c in cylinders]
     if not any(any(v) for v in vectors):
         raise ValueError("degenerate cylinder system: all cylinders are null")
     basis_idx = []
@@ -755,7 +752,8 @@ def span_basis(model: CylinderModel) -> SpanBasis:
     gamma3 = gamma1 * gamma1
     gamma = min(gamma1, gamma2, gamma3)
     return SpanBasis(model, tuple(basis_idx), coeffs, kappa, gamma,
-                     (gamma1, gamma2, gamma3))
+                     (gamma1, gamma2, gamma3), tuple(basis_rows),
+                     dict(zip(cylinders, coeffs)))
 
 
 def two_norm_sq_vector(values, d: int) -> Fraction:
@@ -763,54 +761,77 @@ def two_norm_sq_vector(values, d: int) -> Fraction:
     return sum((v * v for v in values), Fraction(0)) / d
 
 
+class Phi0Table:
+    """The linear map phi0 of one (sigma, partition), on the image side.
+
+    phi0 sends each basis cylinder projection to the indicator of its
+    image-side cylinder and extends linearly over the span basis.  The
+    table holds those image sets once: ``value_vector`` evaluates phi0
+    on any span subset, and ``residual`` gives a cylinder indexing psi
+    its image cylinder A_psi and the residual 1_{A_psi} - phi0(cyl psi).
+    The c3 bound certifies that residual, and ``crossed.build_phi``
+    keeps the points where every residual vanishes.
+    """
+
+    def __init__(self, basis: SpanBasis, sigma: SoficCandidate,
+                 partition: RandomPartition):
+        model = basis.model
+        self.basis = basis
+        self.partition = partition
+        self.d = partition.d
+        self.images = model.context.align(sigma, model.ball)
+        self.a_sets = tuple(
+            model.image_cylinder(model.psis[i], self.images, partition)
+            for i in basis.basis_psi_indices)
+
+    def value_vector(self, subset) -> tuple:
+        """phi0 of the projection onto ``subset``, as a rational vector."""
+        vals = [Fraction(0)] * self.d
+        for c, s in zip(self.basis.expand_vector(subset), self.a_sets):
+            if c:
+                for x in s:
+                    vals[x - 1] += c
+        return tuple(vals)
+
+    def residual(self, i: int) -> tuple:
+        """(A_psi, 1_{A_psi} - phi0(cyl psi) on {1..d}) for psi number i."""
+        model = self.basis.model
+        psi = model.psis[i]
+        a_psi = model.image_cylinder(psi, self.images, self.partition)
+        phi0 = self.value_vector(model.cylinder(psi))
+        return a_psi, tuple((x in a_psi) - v for x, v in enumerate(phi0, start=1))
+
+
 def verify_lemma_c3(sigma: SoficCandidate, partition: RandomPartition,
                     basis: SpanBasis, psi, delta,
-                    precheck: bool = True,
-                    _images=None) -> BoundReport:
+                    precheck: bool = True) -> BoundReport:
     """Certify the equivariance bound for one cylinder indexing.
 
-    Expands the cylinder of psi over the basis, transports each basis
-    cylinder to its image-side set, and compares the signed indicator
-    combination (squared 2-norm) against (c3)^2 * delta.
+    Compares the squared 2-norm of the residual 1_{A_psi} - phi0(cyl psi)
+    (see Phi0Table) against (c3)^2 * delta.
     """
-    delta = Fraction(delta)
-    model = basis.model
-    if precheck:
-        model.context.check_hypothesis(sigma, delta)
-    images = (_images if _images is not None
-              else model.context.align(sigma, model.ball))
-    consts = lemma_constants(model.f_pm_size, model.n, basis)
-    bound_sq = consts.c3 ** 2 * delta
-    psi_idx = model.psis.index(psi)
-    coeff = basis.coeffs[psi_idx]
-    d = partition.d
-    a_target = model.image_cylinder(psi, images, partition)
-    basis_sets = [model.image_cylinder(model.psis[i], images, partition)
-                  for i in basis.basis_psi_indices]
-    values = []
-    for x in range(1, d + 1):
-        v = Fraction(1) if x in a_target else Fraction(0)
-        for c, s in zip(coeff, basis_sets):
-            if c and x in s:
-                v -= c
-        values.append(v)
-    lhs_sq = two_norm_sq_vector(values, d)
-    return BoundReport(bound_sq, lhs_sq, f"psi={psi}", lhs_sq < bound_sq,
-                       squared=True)
+    return _c3_worst(sigma, partition, basis, delta, precheck,
+                     [basis.model.psis.index(psi)])
 
 
 def verify_lemma_c3_sweep(sigma, partition, basis, delta,
                           precheck: bool = True) -> BoundReport:
     """Worst equivariance discrepancy over every cylinder indexing."""
+    return _c3_worst(sigma, partition, basis, delta, precheck,
+                     range(len(basis.model.psis)))
+
+
+def _c3_worst(sigma, partition, basis, delta, precheck, indices) -> BoundReport:
+    """The equivariance bound at the first of ``indices`` whose residual
+    has the largest squared 2-norm."""
     delta = Fraction(delta)
     model = basis.model
     if precheck:
         model.context.check_hypothesis(sigma, delta)
-    images = model.context.align(sigma, model.ball)
-    worst = None
-    for psi in model.psis:
-        rep = verify_lemma_c3(sigma, partition, basis, psi, delta,
-                              precheck=False, _images=images)
-        if worst is None or rep.worst > worst.worst:
-            worst = rep
-    return worst
+    table = Phi0Table(basis, sigma, partition)
+    norms = {i: two_norm_sq_vector(table.residual(i)[1], partition.d)
+             for i in indices}
+    worst = max(norms, key=norms.get)
+    bound_sq = lemma_constants(model.f_pm_size, model.n, basis).c3 ** 2 * delta
+    return BoundReport(bound_sq, norms[worst], f"psi={model.psis[worst]}",
+                       norms[worst] < bound_sq, squared=True)

@@ -164,8 +164,13 @@ COUNT_SHA256 = [
 ]
 
 # stdout sha256 of the certificate jobs that build the projection universe
-# (build_phi) and the 146-delta pairs (verify --suite lin146)
+# (build_phi), the 146-delta pairs (verify --suite lin146), and every suite
+# at once (the c1/c2/c3 sweeps and scaling)
 CERTIFY_SHA256 = [
+    ("verify-all-r2",
+     ("verify", "--suite", "all", "--source", "r2.gpd", "--d", "4",
+      "--delta", "1/20", "--partitions", "3", "--seed", "1"),
+     "e7f3078e892043349091a2c017bb92fd03307d66c654aa9f5fab360c1e5665ec"),
     ("construct-phi",
      ("construct", "--what", "phi", "--d", "4", "--delta", "1/10"),
      "4162cc67e5c49fbe17379852a989a01851cc907fd7b6812c92dc22741d8b462a"),

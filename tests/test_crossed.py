@@ -81,6 +81,17 @@ class TestVerifyHA:
         with pytest.raises(ValueError):
             verify_HA(HACandidate(sigma, []), params)
 
+    def test_problems_on_one_model_share_universe_and_sigma_source(self, r2):
+        _, _, _, model, basis = r2
+        a = HAParams(model, Fraction(1, 10), 4)
+        b = HAParams(model, SqrtTol(Fraction(1, 9)), 3)
+        assert a.universe is b.universe is model.universe
+        assert a.sigma_params().source is b.sigma_params(Fraction(1, 3)).source
+        sigma, part = regular_model_candidate(model)
+        table, _ = build_phi0(sigma, part, basis, Fraction(1, 10), precheck=False)
+        res = build_phi(table, sigma, basis, Fraction(1, 10))
+        assert res.params.universe is a.universe
+
 
 class TestPushForward:
     def test_projection_pushforward(self):

@@ -13,6 +13,7 @@ from soficdim.groupoid import (
     tau,
     transitive_groupoid,
 )
+from soficdim import partitions
 from soficdim.partitions import (
     BoundReport,
     CylinderModel,
@@ -35,6 +36,8 @@ from soficdim.partitions import (
     verify_lemma_c3,
     verify_lemma_c3_sweep,
 )
+from soficdim.partitions import _indicator as indicator
+from soficdim.partitions import _solve_against
 from soficdim.rng import SplitMix64
 from soficdim.sofic import SoficCandidate, iter_SA_members
 
@@ -265,6 +268,48 @@ class TestBoundChecks:
             rep = verify_lemma_c3(sigma, part, basis, model.psis[i],
                                   Fraction(1, 10), precheck=False)
             assert rep.worst == 0
+
+    @pytest.mark.parametrize("delta,stride",
+                             [(Fraction(1, 10), 1), (Fraction(1, 3), 50)])
+    def test_c3_sweep_is_the_first_worst_single_psi(self, r2_setup, delta, stride):
+        # at 1/10 every residual of the 3 members vanishes; at 1/3 every
+        # 50th of the 507 members leaves nonzero residuals
+        _, _, ctx, model, basis, _ = r2_setup
+        members = list(iter_SA_members(ctx.hypothesis_params(delta, 4)))[::stride]
+        for m in members:
+            for seed in range(5):
+                part = random_partition(4, FAIR, seed)
+                worst = None
+                for psi in model.psis:
+                    rep = verify_lemma_c3(m, part, basis, psi, delta, precheck=False)
+                    if worst is None or rep.worst > worst.worst:
+                        worst = rep
+                assert verify_lemma_c3_sweep(m, part, basis, delta,
+                                             precheck=False) == worst
+
+    def test_expansions_solve_each_subset_once(self, r2_setup, monkeypatch):
+        _, _, _, model, _, _ = r2_setup
+        basis = span_basis(model)
+        solved = []
+        monkeypatch.setattr(partitions, "_solve_against",
+                            lambda rows, vec: solved.append(vec)
+                            or _solve_against(rows, vec))
+        n = model.action.n_points
+        subsets = ([model.cylinder(psi) for psi in model.psis]
+                   + [model.translate(b, letter) for b in range(len(model.ball))
+                      for letter in range(model.q)]
+                   + list(model.universe.elements))
+        for subset in subsets + subsets:
+            coeffs = basis.expand_vector(subset)
+            assert coeffs == _solve_against(basis.rows, indicator(subset, n))
+            assert indicator(subset, n) == tuple(
+                sum((c * row[x] for c, row in zip(coeffs, basis.rows)), Fraction(0))
+                for x in range(n))
+        for i, psi in enumerate(model.psis):
+            assert basis.expand_vector(model.cylinder(psi)) == basis.coeffs[i]
+        assert len(solved) == len(set(solved))
+        cylinders = {model.cylinder(psi) for psi in model.psis}
+        assert len(solved) == len(set(subsets) - cylinders)
 
     def test_chebyshev_frequency_report(self, r2_setup):
         g, swap, ctx, model, _, members = r2_setup
