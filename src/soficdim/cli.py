@@ -308,6 +308,8 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
     cd = scaling.standard_corner(g, [0])
     F = scaling.corner_generating_set(cd)
     src = sofic.GroupoidSource(cd.corner, F, 4 * 5 + 5)
+    small = sofic.GroupoidSource(cd.corner, F, 1)
+    pos0 = {b: j for j, b in enumerate(src.ball_elements)}
     all_pass = True
     worst_round = 0.0
     # the compression step needs floor(h d') > 1/delta; the round trip
@@ -327,8 +329,6 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
                                    gamma_choice="seeded", seed=seed + i)
         rr = scaling.restrict_sigma(res.candidate, cd, F, n=1, delta=delta)
         all_pass &= res.report.is_member and rr.report.is_member
-        pos0 = {b: j for j, b in enumerate(src.ball_elements)}
-        small = sofic.GroupoidSource(cd.corner, F, 1)
         worst = max(pperm.uniform_distance(sigma.images[pos0[b]],
                                            rr.candidate.images[j])
                     for j, b in enumerate(small.ball_elements))

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_TWO64 = 1 << 64
 
 
 def mix64(x: int) -> int:
@@ -32,8 +33,10 @@ class SplitMix64:
     """SplitMix64 generator with 64-bit state.
 
     ``next64`` steps the counter by the golden-ratio increment and
-    scrambles it.  All derived draws (``below``, ``shuffle``,
-    ``weighted_index``) are built only from ``next64``.
+    scrambles it.  Every derived draw consumes the same stream of
+    ``next64`` outputs; ``below``, ``shuffle`` and ``choose_sorted``
+    inline that step on a local copy of the state and store it back once,
+    which saves a method call per draw in the Monte Carlo hot path.
     """
 
     __slots__ = ("seed", "_state")
@@ -57,26 +60,56 @@ class SplitMix64:
         """Uniform integer in [0, n) by rejection; exact, no modulo bias."""
         if n <= 0:
             raise ValueError("below() needs a positive bound")
-        limit = ((1 << 64) // n) * n
+        limit = _TWO64 - _TWO64 % n
+        s = self._state
         while True:
-            u = self.next64()
-            if u < limit:
-                return u % n
+            s = (s + _GOLDEN) & _MASK
+            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            z ^= z >> 31
+            if z < limit:
+                self._state = s
+                return z % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
+        """In-place Fisher-Yates shuffle: ``below(i + 1)`` for i = len-1 .. 1."""
+        s = self._state
         for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+            n = i + 1
+            limit = _TWO64 - _TWO64 % n
+            while True:
+                s = (s + _GOLDEN) & _MASK
+                z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                z ^= z >> 31
+                if z < limit:
+                    break
+            j = z % n
             items[i], items[j] = items[j], items[i]
+        self._state = s
 
     def choose_sorted(self, n: int, k: int) -> list[int]:
-        """A uniform k-subset of range(n), returned sorted."""
+        """A uniform k-subset of range(n), returned sorted.
+
+        Partial Fisher-Yates: position i swaps with ``i + below(n - i)``.
+        """
         if not 0 <= k <= n:
             raise ValueError("invalid subset size")
         pool = list(range(n))
+        s = self._state
         for i in range(k):
-            j = i + self.below(n - i)
+            m = n - i
+            limit = _TWO64 - _TWO64 % m
+            while True:
+                s = (s + _GOLDEN) & _MASK
+                z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+                z ^= z >> 31
+                if z < limit:
+                    break
+            j = i + z % m
             pool[i], pool[j] = pool[j], pool[i]
+        self._state = s
         return sorted(pool[:k])
 
     def weighted_index(self, weights) -> int:

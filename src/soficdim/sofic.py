@@ -569,52 +569,60 @@ def monte_carlo_count(params: SAParams, trials: int, seed: int) -> tuple[float, 
 # -- closed form for cyclic groups ----------------------------------------------
 
 
-def _divisors(m: int):
-    return [c for c in range(1, m + 1) if m % c == 0]
-
-
 def closed_form_count(m: int, d: int, delta) -> int:
     """Exact count of the strict candidates for the cyclic group of order m.
 
     A strict candidate is a total permutation pi with pi^m = identity
     whose every nontrivial power has at most delta*d fixed points (the
     trace conditions of the group made exact).  Such pi have cycle
-    lengths dividing m, and Fix(pi^j) collects the cycles whose length
-    divides j, so the count is a sum of d! / prod_c (c^{f_c} f_c!) over
-    admissible cycle-type vectors (f_c)_{c | m}.  Agrees with exhaustive
+    lengths dividing m, and Fix(pi^j) = sum over c | j of c*f_c, so the
+    count is a sum of d! / prod_c (c^{f_c} f_c!) over admissible
+    cycle-type vectors (f_c)_{c | m}.  Agrees with exhaustive
     enumeration of the same set and extends the statistic far beyond
     enumeration range.
+
+    The enumeration prunes as it goes.  Each Fix(pi^j), j < m, never
+    decreases as cycles are added, so once raising f_c puts one of them
+    above floor(delta*d), every larger f_c fails too and that loop stops.
+    The last level is closed: m divides no j < m, so f_m = remaining/m
+    is forced (or no type exists) and adds to no fixed count.  The
+    quotient d! / prod is carried down the path, one small exact
+    division per cycle added.
     """
     if m < 1 or d < 1:
         raise ValueError("m and d must be >= 1")
-    delta = Fraction(delta)
-    max_fixed = math.floor(delta * d)
-    divs = _divisors(m)
-
+    max_fixed = math.floor(Fraction(delta) * d)
+    if m > 1 and max_fixed < 0:
+        return 0
+    divs = [c for c in range(1, m) if m % c == 0]  # c = m: the closed last level
+    fixed = [0] * m  # fixed[j] = Fix(pi^j) of the partial type, 0 < j < m
     total = 0
-    counts = [0] * len(divs)
 
-    def admissible_type():
-        for j in range(1, m):
-            fixed = sum(c * f for c, f in zip(divs, counts) if j % c == 0)
-            if fixed > max_fixed:
-                return False
-        return True
-
-    def assign(idx, remaining, ways_denominator):
+    def assign(idx, remaining, ways):
         nonlocal total
         if idx == len(divs):
-            if remaining == 0 and admissible_type():
-                total += factorial(d) // ways_denominator
+            f, rest = divmod(remaining, m)
+            if rest == 0:
+                total += ways // (m ** f * factorial(f))
             return
         c = divs[idx]
-        for f in range(remaining // c + 1):
-            counts[idx] = f
-            assign(idx + 1, remaining - c * f,
-                   ways_denominator * (c ** f) * factorial(f))
-        counts[idx] = 0
+        powers = range(c, m, c)
+        f = 0
+        while True:
+            assign(idx + 1, remaining, ways)
+            if remaining < c:
+                break
+            f += 1
+            remaining -= c
+            ways //= c * f
+            for j in powers:
+                fixed[j] += c
+            if any(fixed[j] > max_fixed for j in powers):
+                break
+        for j in powers:
+            fixed[j] -= c * f
 
-    assign(0, d, 1)
+    assign(0, d, factorial(d))
     return total
 
 

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
 from soficdim.cli import main, parse_drange, parse_fraction
+from soficdim.sofic import closed_form_count
 from soficdim.groupoid import transitive_groupoid
 
 
@@ -180,6 +184,17 @@ CERTIFY_SHA256 = [
      "e852d27003587427b60c4420245181f67006fdc842a36b69f8643d329de359ca"),
 ]
 
+# stdout sha256 of closed-form curves, recorded from the enumerate-then-filter
+# closed_form_count (the m=6 job took about 30 s there)
+CURVE_SHA256 = [
+    ("m6-d50-200",
+     ("--m", "6", "--d", "50,100,200", "--delta", "1/100", "--seed", "1"),
+     "b8fac1cf96dfaf4c8a0953cdab02118cba652ab174619f0b3281c695526144fc"),
+    ("m3-d100-800",
+     ("--m", "3", "--d", "100,200,400,800", "--delta", "1/100", "--seed", "1"),
+     "8beeac0131dafe71254ec28a1e95fc6e2ec4757cd279fb024070d57ffde8a973"),
+]
+
 
 class TestRecordedOutputs:
     @pytest.mark.parametrize("argv,want", [case[1:] for case in COUNT_SHA256],
@@ -202,6 +217,34 @@ class TestRecordedOutputs:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("argv,want", [case[1:] for case in CURVE_SHA256],
+                             ids=[case[0] for case in CURVE_SHA256])
+    def test_curve_stdout_is_byte_identical(self, capsys, argv, want):
+        code, out, _ = run(capsys, "curve", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
+class TestScripts:
+    @pytest.mark.parametrize("argv", [
+        (),
+        ("--d", "50..1000..50", "--m", "4", "--delta", "1/100"),
+    ], ids=["defaults", "docstring-example"])
+    def test_involution_curve_rows_match_closed_form(self, capsys, monkeypatch,
+                                                     argv):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "involution_curve.py"
+        monkeypatch.setattr(sys, "argv", [str(script), *argv])
+        with pytest.raises(SystemExit) as stop:
+            runpy.run_path(str(script), run_name="__main__")
+        assert stop.value.code == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()
+                if not ln.startswith(("#", "m,"))]
+        want_d = parse_drange(argv[1]) if argv else [50, 100, 200, 400, 800]
+        assert [int(r[1]) for r in rows] == want_d
+        for m, d, delta, count, _ in rows:
+            assert int(m) == (4 if argv else 2)
+            assert int(count) == closed_form_count(int(m), int(d), parse_fraction(delta))
 
 
 class TestHelpers:

@@ -165,6 +165,45 @@ class TestMonteCarlo:
         assert abs(est - 3) <= 3 * err
 
 
+def unpruned_closed_form(m, d, delta):
+    """Every cycle-type vector (f_c)_{c | m} with sum c*f_c = d, filtered after."""
+    max_fixed = math.floor(Fraction(delta) * d)
+    divs = [c for c in range(1, m + 1) if m % c == 0]
+    total = 0
+
+    def assign(idx, remaining, counts, denominator):
+        nonlocal total
+        if idx == len(divs):
+            if remaining == 0 and all(
+                    sum(c * f for c, f in zip(divs, counts) if j % c == 0) <= max_fixed
+                    for j in range(1, m)):
+                total += math.factorial(d) // denominator
+            return
+        c = divs[idx]
+        for f in range(remaining // c + 1):
+            assign(idx + 1, remaining - c * f, counts + [f],
+                   denominator * c ** f * math.factorial(f))
+
+    assign(0, d, [], 1)
+    return total
+
+
+CF_6_400 = int(
+    "3869178147436809481761065829047250210482613704117970484461938898"
+    "2233890707487365226790491861880679509895572719036339443711079110"
+    "2844952463582288364610632878662574740540813816566541102599067403"
+    "2420502392708565193393450012104127826653633958771004204590460978"
+    "3331134671469114846875658596992510354917726899840819614107375833"
+    "0969907877377445153638373202457502525940176566437140089317569251"
+    "4189976573139633493189639800624187321297382226044023165147295673"
+    "1160247847183765135163463842316276465019531164914697259575584586"
+    "6951275197420831503922596912658127222524616463911906184787014979"
+    "3305316209539698940766052551752197907899627612730447508541118873"
+    "6000000000000000000000000000000000000000000000000000000000000000"
+    "000000000000000000000"
+)
+
+
 class TestClosedForm:
     def test_examples(self):
         assert closed_form_count(2, 4, 0) == 3
@@ -184,6 +223,33 @@ class TestClosedForm:
                 if all(Fraction(p.nfix, d) <= delta for p in powers[:-1]):
                     expected += 1
             assert closed_form_count(m, d, delta) == expected
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_enumerate_then_filter(self, m):
+        deltas = [Fraction(0), Fraction(1, 100), Fraction(1, 10), Fraction(1, 4),
+                  Fraction(1, 2), Fraction(1), Fraction(-1, 3)]
+        for d in range(1, 41):
+            for delta in deltas:
+                assert closed_form_count(m, d, delta) == unpruned_closed_form(m, d, delta)
+
+    @pytest.mark.parametrize("m,d", [(2, 400), (3, 300), (4, 200), (6, 120), (12, 60)])
+    def test_delta_one_counts_solutions_of_pi_m_identity(self, m, d):
+        # a(n) = sum over c | m, c <= n of (n-1)!/(n-c)! a(n-c): the cycle
+        # through point n has length c and (n-1)!/(n-c)! ways to be filled
+        a = [1]
+        for n in range(1, d + 1):
+            a.append(sum(math.factorial(n - 1) // math.factorial(n - c) * a[n - c]
+                         for c in range(1, min(m, n) + 1) if m % c == 0))
+        assert closed_form_count(m, d, 1) == a[d]
+
+    def test_recorded_value_m6_d400(self):
+        # recorded once from the enumerate-then-filter form (about 34 s)
+        assert closed_form_count(6, 400, Fraction(1, 100)) == CF_6_400
+
+    def test_rejects_bad_sizes(self):
+        for m, d in ((0, 5), (2, 0), (-1, 3)):
+            with pytest.raises(ValueError):
+                closed_form_count(m, d, Fraction(1, 10))
 
     def test_statistic_trend_to_half(self):
         stats = [closed_form_statistic(2, d, 0)[1] for d in (50, 100, 200, 400)]
