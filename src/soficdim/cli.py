@@ -200,9 +200,25 @@ def cmd_curve(args) -> int:
              "m,d,delta,count,statistic"]
     for d in parse_drange(args.d):
         count, stat = sofic.closed_form_statistic(args.m, d, delta)
-        lines.append(f"{args.m},{d},{delta},{count},{repr(stat)}")
+        lines.append(f"{args.m},{d},{delta},{int_text(count)},{repr(stat)}")
     emit(args.out, "\n".join(lines) + "\n")
     return 0
+
+
+def int_text(n: int) -> str:
+    """Decimal text of an integer of any length.
+
+    Lifts Python's int-to-str digit limit (4300 digits by default) for
+    this one conversion and restores it afterwards.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return str(n)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- verify -----------------------------------------------------------------------
@@ -307,8 +323,8 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
                       instances: int) -> dict:
     cd = scaling.standard_corner(g, [0])
     F = scaling.corner_generating_set(cd)
-    src = sofic.GroupoidSource(cd.corner, F, 4 * 5 + 5)
-    small = sofic.GroupoidSource(cd.corner, F, 1)
+    src = cd.source(cd.corner, F, 4 * 5 + 5)
+    small = cd.source(cd.corner, F, 1)
     pos0 = {b: j for j, b in enumerate(src.ball_elements)}
     all_pass = True
     worst_round = 0.0
@@ -378,7 +394,7 @@ def cmd_construct(args) -> int:
     if args.what in ("expand", "restrict"):
         cd = scaling.standard_corner(g, [0])
         F = scaling.corner_generating_set(cd)
-        src = sofic.GroupoidSource(cd.corner, F, 25)
+        src = cd.source(cd.corner, F, 25)
         images = [PartialPermutation.identity(args.d) if b.arrows
                   else PartialPermutation.empty(args.d) for b in src.ball_elements]
         sigma = SoficCandidate(args.d, images)

@@ -42,7 +42,6 @@ from .partitions import (
     RandomPartition,
     SpanBasis,
     lemma_constants,
-    two_norm_sq_vector,
 )
 from .pperm import PartialPermutation
 from .sofic import InfeasibleError, SoficCandidate
@@ -194,6 +193,8 @@ def verify_HA(cand: HACandidate, params: HAParams,
     d = params.d
     if len(cand.phi) != len(uni):
         raise ValueError(f"phi covers {len(cand.phi)} of {len(uni)} projections")
+    if any(p.degree != d for p in cand.phi):
+        raise ValueError(f"phi images must have degree {d}")
     images = model.context.align(cand.sigma, model.ball)
     sigma_ok = True
     if check_sigma:
@@ -210,22 +211,26 @@ def verify_HA(cand: HACandidate, params: HAParams,
         if gap > trace_gap:
             trace_gap, trace_wit = gap, f"projection {i}"
 
-    equi_gap, equi_wit = Fraction(0), ""
+    # (ii) and (iii) compare disagreement counts; the gap is count / d
+    equi_count, equi_wit = 0, ""
     for letter, pos in enumerate(uni.letter_index):
         for bidx in range(len(model.ball)):
             translated = uni.index[model.translate(bidx, letter)]
-            lhs = cand.phi[translated]
-            rhs = push_forward(images[bidx], cand.phi[pos])
-            gap = pperm.uniform_distance(lhs, rhs)
-            if gap > equi_gap:
-                equi_gap, equi_wit = gap, f"letter {letter}, ball {bidx}"
+            count = pperm.disagreement_count(
+                cand.phi[translated], push_forward(images[bidx], cand.phi[pos]))
+            if count > equi_count:
+                equi_count, equi_wit = count, f"letter {letter}, ball {bidx}"
+    equi_gap = Fraction(equi_count, d)
 
-    mult_gap, mult_wit = Fraction(0), ""
+    # phi(i) phi(j) against phi(k), point by point, without building the product
+    phi = [p.images for p in cand.phi]
+    mult_count, mult_wit = 0, ""
     for (i, j, k) in uni.triples:
-        gap = pperm.uniform_distance(cand.phi[k],
-                                     pperm.compose(cand.phi[i], cand.phi[j]))
-        if gap > mult_gap:
-            mult_gap, mult_wit = gap, f"pair ({i}, {j})"
+        left = phi[i]
+        count = sum(1 for y, z in zip(phi[j], phi[k]) if z != (left[y - 1] if y else 0))
+        if count > mult_count:
+            mult_count, mult_wit = count, f"pair ({i}, {j})"
+    mult_gap = Fraction(mult_count, d)
 
     unit_gap = pperm.uniform_distance(cand.phi[uni.x_index],
                                       PartialPermutation.identity(d))
@@ -335,6 +340,15 @@ def delta0_squared(basis: SpanBasis, q: int, delta) -> Fraction:
             * q ** 2 * consts.c3 ** 4 * Fraction(delta))
 
 
+def _square_gap(u, v, d: int) -> Fraction:
+    """Normalized squared 2-norm of u - v, both given as (denominator,
+    integer numerators over {1..d})."""
+    (du, nu), (dv, nv) = u, v
+    D = math.lcm(du, dv)
+    a, b = D // du, D // dv
+    return Fraction(sum((a * x - b * y) ** 2 for x, y in zip(nu, nv)), D * D * d)
+
+
 def build_phi0(sigma: SoficCandidate, partition: RandomPartition,
                basis: SpanBasis, delta, precheck: bool = True):
     """The linear map table and its four-property certification.
@@ -353,42 +367,45 @@ def build_phi0(sigma: SoficCandidate, partition: RandomPartition,
 
     trace_sq, trace_wit = Fraction(0), ""
     for i, p in enumerate(projections):
-        vals = table.value_vector(p)
-        tr = sum(vals, Fraction(0)) / d
-        gap = abs(tr - model.mu_points(p))
+        den, nums = table.numerators(p)
+        gap = abs(Fraction(sum(nums), den * d) - model.mu_points(p))
         if gap * gap > trace_sq:
             trace_sq, trace_wit = gap * gap, f"projection {i}"
 
     equi_sq, equi_wit = Fraction(0), ""
     for letter, bset in enumerate(model.letter_sets):
-        g_vec = table.value_vector(bset)
+        g_den, g_nums = table.numerators(bset)
         for bidx in range(len(model.ball)):
-            f_vec = table.value_vector(model.translate(bidx, letter))
             s = table.images[bidx]
             # push the diagonal of g forward along s: (s g s^-1)(y) = g(s^-1 y)
-            pushed = [Fraction(0)] * d
-            for x in range(1, d + 1):
-                y = s.images[x - 1]
+            pushed = [0] * d
+            for x, y in enumerate(s.images):
                 if y:
-                    pushed[y - 1] = g_vec[x - 1]
-            gap_sq = two_norm_sq_vector(
-                [a - b for a, b in zip(f_vec, pushed)], d)
+                    pushed[y - 1] = g_nums[x]
+            gap_sq = _square_gap(table.numerators(model.translate(bidx, letter)),
+                                 (g_den, pushed), d)
             if gap_sq > equi_sq:
                 equi_sq, equi_wit = gap_sq, f"letter {letter}, ball {bidx}"
 
-    mult_sq, mult_wit = Fraction(0), ""
-    for i, p1 in enumerate(projections):
-        v1 = table.value_vector(p1)
-        for j, p2 in enumerate(projections):
-            v2 = table.value_vector(p2)
-            v12 = table.value_vector(p1 & p2)
-            gap_sq = two_norm_sq_vector(
-                [a - b * c for a, b, c in zip(v12, v1, v2)], d)
-            if gap_sq > mult_sq:
-                mult_sq, mult_wit = gap_sq, f"pair ({i}, {j})"
+    # |phi0(p1 & p2) - phi0(p1) phi0(p2)|^2 on integer numerators over one
+    # common denominator D is sum (D n12 - n1 n2)^2 / (D^4 d).  The gap is
+    # symmetric in the pair, so its first largest value in (i, j) order
+    # has i <= j, and only that half is visited.
+    meets = {(i, j): projections[i] & projections[j]
+             for i in range(len(projections)) for j in range(i, len(projections))}
+    values = {p: table.numerators(p) for p in (*projections, *meets.values())}
+    D = math.lcm(*(den for den, _ in values.values()))
+    scaled = {p: tuple(x * (D // den) for x in v) for p, (den, v) in values.items()}
+    mult_num, mult_wit = 0, ""
+    for (i, j), meet in meets.items():
+        gap = sum((D * c - a * b) ** 2 for a, b, c in
+                  zip(scaled[projections[i]], scaled[projections[j]], scaled[meet]))
+        if gap > mult_num:
+            mult_num, mult_wit = gap, f"pair ({i}, {j})"
+    mult_sq = Fraction(mult_num, D ** 4 * d)
 
-    x_vals = table.value_vector(frozenset(range(model.action.n_points)))
-    unit_sq = two_norm_sq_vector([v - 1 for v in x_vals], d)
+    unit_sq = _square_gap(table.numerators(frozenset(range(model.action.n_points))),
+                          (1, (1,) * d), d)
 
     report = PropertyReport(d0_sq, trace_sq, equi_sq, mult_sq, unit_sq,
                             (trace_wit, equi_wit, mult_wit))
@@ -432,7 +449,7 @@ def build_phi(phi0: Phi0Table, sigma: SoficCandidate, basis: SpanBasis,
     V = set(range(1, d + 1))
     a_sets = []
     for i in range(len(model.psis)):
-        a_psi, residual = phi0.residual(i)
+        a_psi, _, residual = phi0.residual(i)
         V -= {x for x, r in enumerate(residual, start=1) if r}
         a_sets.append(a_psi)
     cylinders = [model.cylinder(psi) for psi in model.psis]
@@ -452,15 +469,15 @@ def build_phi(phi0: Phi0Table, sigma: SoficCandidate, basis: SpanBasis,
                              * basis.kappa ** 4 * delta / basis.gamma ** 2)
     phi_values = []
     for subset in params.universe.elements:
-        vals = phi0.value_vector(subset)
+        den, nums = phi0.numerators(subset)
         support = set()
         for x in V:
-            v = vals[x - 1]
-            if v == 1:
+            v = nums[x - 1]
+            if v == den:
                 support.add(x)
-            elif v != 0:
-                raise HypothesisError(
-                    f"phi0 is not 0/1 on V at point {x} (value {v})")
+            elif v:
+                raise HypothesisError(f"phi0 is not 0/1 on V at point {x} "
+                                      f"(value {Fraction(v, den)})")
         phi_values.append(PartialPermutation.projection(d, support))
     cand = HACandidate(sigma, phi_values)
     report = verify_HA(cand, params)

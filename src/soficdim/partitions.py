@@ -29,6 +29,7 @@ decided by comparing squares.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -281,7 +282,7 @@ def random_partition(d: int, mu0, seed: int) -> RandomPartition:
         raise ValueError("block weights must sum to 1")
     rng = SplitMix64(seed)
     return RandomPartition(d, len(weights), seed,
-                           tuple(rng.weighted_index(weights) for _ in range(d)))
+                           tuple(rng.weighted_indices(weights, d)))
 
 
 def exact_partition(blocks) -> RandomPartition:
@@ -756,21 +757,18 @@ def span_basis(model: CylinderModel) -> SpanBasis:
                      dict(zip(cylinders, coeffs)))
 
 
-def two_norm_sq_vector(values, d: int) -> Fraction:
-    """Normalized squared 2-norm of a rational vector over {1..d}."""
-    return sum((v * v for v in values), Fraction(0)) / d
-
-
 class Phi0Table:
     """The linear map phi0 of one (sigma, partition), on the image side.
 
     phi0 sends each basis cylinder projection to the indicator of its
     image-side cylinder and extends linearly over the span basis.  The
-    table holds those image sets once: ``value_vector`` evaluates phi0
-    on any span subset, and ``residual`` gives a cylinder indexing psi
-    its image cylinder A_psi and the residual 1_{A_psi} - phi0(cyl psi).
-    The c3 bound certifies that residual, and ``crossed.build_phi``
-    keeps the points where every residual vanishes.
+    table holds those image sets once and evaluates each distinct span
+    subset once, on integers: ``numerators`` gives phi0 of a subset as
+    integer numerators over one denominator, and ``value_vector`` as
+    Fractions.  ``residual`` gives a cylinder indexing psi its image
+    cylinder A_psi and the residual 1_{A_psi} - phi0(cyl psi).  The c3
+    bound certifies that residual, and ``crossed.build_phi`` keeps the
+    points where every residual vanishes.
     """
 
     def __init__(self, basis: SpanBasis, sigma: SoficCandidate,
@@ -783,23 +781,43 @@ class Phi0Table:
         self.a_sets = tuple(
             model.image_cylinder(model.psis[i], self.images, partition)
             for i in basis.basis_psi_indices)
+        self._values = {}  # subset -> (denominator, numerators over {1..d})
+
+    def numerators(self, subset) -> tuple:
+        """(D, n): phi0 of the projection onto ``subset`` is n / D.
+
+        D is the least common denominator of the subset's coefficients
+        and n a tuple of integers over {1..d}; each distinct subset is
+        evaluated once per table.
+        """
+        subset = frozenset(subset)
+        out = self._values.get(subset)
+        if out is None:
+            coeffs = self.basis.expand_vector(subset)
+            den = math.lcm(*(c.denominator for c in coeffs))
+            nums = [0] * self.d
+            for c, s in zip(coeffs, self.a_sets):
+                if c:
+                    k = c.numerator * (den // c.denominator)
+                    for x in s:
+                        nums[x - 1] += k
+            out = self._values[subset] = (den, tuple(nums))
+        return out
 
     def value_vector(self, subset) -> tuple:
         """phi0 of the projection onto ``subset``, as a rational vector."""
-        vals = [Fraction(0)] * self.d
-        for c, s in zip(self.basis.expand_vector(subset), self.a_sets):
-            if c:
-                for x in s:
-                    vals[x - 1] += c
-        return tuple(vals)
+        den, nums = self.numerators(subset)
+        return tuple(Fraction(n, den) for n in nums)
 
     def residual(self, i: int) -> tuple:
-        """(A_psi, 1_{A_psi} - phi0(cyl psi) on {1..d}) for psi number i."""
+        """(A_psi, D, r) for psi number i: the residual
+        1_{A_psi} - phi0(cyl psi) on {1..d} is r / D, r integers."""
         model = self.basis.model
         psi = model.psis[i]
         a_psi = model.image_cylinder(psi, self.images, self.partition)
-        phi0 = self.value_vector(model.cylinder(psi))
-        return a_psi, tuple((x in a_psi) - v for x, v in enumerate(phi0, start=1))
+        den, nums = self.numerators(model.cylinder(psi))
+        return a_psi, den, tuple((x in a_psi) * den - n
+                                 for x, n in enumerate(nums, start=1))
 
 
 def verify_lemma_c3(sigma: SoficCandidate, partition: RandomPartition,
@@ -829,8 +847,10 @@ def _c3_worst(sigma, partition, basis, delta, precheck, indices) -> BoundReport:
     if precheck:
         model.context.check_hypothesis(sigma, delta)
     table = Phi0Table(basis, sigma, partition)
-    norms = {i: two_norm_sq_vector(table.residual(i)[1], partition.d)
-             for i in indices}
+    norms = {}
+    for i in indices:
+        _, den, res = table.residual(i)
+        norms[i] = Fraction(sum(r * r for r in res), den * den * partition.d)
     worst = max(norms, key=norms.get)
     bound_sq = lemma_constants(model.f_pm_size, model.n, basis).c3 ** 2 * delta
     return BoundReport(bound_sq, norms[worst], f"psi={model.psis[worst]}",

@@ -14,7 +14,9 @@ cross-multiplication, so the sampling itself introduces no rounding.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -34,9 +36,10 @@ class SplitMix64:
 
     ``next64`` steps the counter by the golden-ratio increment and
     scrambles it.  Every derived draw consumes the same stream of
-    ``next64`` outputs; ``below``, ``shuffle`` and ``choose_sorted``
-    inline that step on a local copy of the state and store it back once,
-    which saves a method call per draw in the Monte Carlo hot path.
+    ``next64`` outputs; ``below``, ``shuffle``, ``choose_sorted`` and
+    ``weighted_indices`` inline that step on a local copy of the state
+    and store it back once, which saves a method call per draw in the
+    Monte Carlo hot path.
     """
 
     __slots__ = ("seed", "_state")
@@ -113,18 +116,31 @@ class SplitMix64:
         return sorted(pool[:k])
 
     def weighted_index(self, weights) -> int:
-        """Index i with exact probability weights[i] (Fractions summing to 1).
+        """Index i with exact probability weights[i] (Fractions summing to 1)."""
+        return self.weighted_indices(weights, 1)[0]
 
-        The draw u/2^64 is compared against cumulative sums by integer
-        cross-multiplication, so the thresholds are honoured exactly.
+    def weighted_indices(self, weights, count: int) -> list[int]:
+        """``count`` weighted draws, one ``next64`` output each.
+
+        A draw u picks the first i with u / 2^64 < acc_i, the cumulative
+        weight through i.  For integer u that is u < ceil(acc_i * 2^64),
+        so the thresholds are computed once, and the first threshold
+        above u is the first running maximum above it (bisection).  When
+        none lies above u, the last index is returned.
         """
-        u = self.next64()
+        thresholds = []
         acc = Fraction(0)
-        last = 0
-        for i, w in enumerate(weights):
+        for w in weights:
             acc += w
-            # u / 2^64 < acc  <=>  u * acc.den < acc.num << 64
-            if u * acc.denominator < acc.numerator << 64:
-                return i
-            last = i
-        return last
+            thresholds.append(-(-(acc.numerator << 64) // acc.denominator))
+        bounds = list(accumulate(thresholds, max))
+        last = max(len(bounds) - 1, 0)
+        out = []
+        s = self._state
+        for _ in range(count):
+            s = (s + _GOLDEN) & _MASK
+            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            out.append(min(bisect_right(bounds, z ^ (z >> 31)), last))
+        self._state = s
+        return out

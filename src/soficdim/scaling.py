@@ -20,7 +20,7 @@ as exact arithmetic in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import pperm, sofic
@@ -50,7 +50,8 @@ class CornerData:
     """Ambient groupoid, unit projection of mass (N-k)/N, and the k movers.
 
     Conditions validated exactly: dom(s_i) inside p with mass 1/N, and
-    the ranges of the s_i tile the complement of p.
+    the ranges of the s_i tile the complement of p.  ``source`` builds
+    each membership source over the ambient or the corner once.
     """
 
     ambient: FiniteGroupoid
@@ -59,6 +60,7 @@ class CornerData:
     N: int
     k: int
     embedding: CornerEmbedding
+    sources: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def h_p(self) -> Fraction:
@@ -70,6 +72,14 @@ class CornerData:
 
     def p_ambient(self) -> PartialBisection:
         return projection_bisection(self.ambient, self.p_units)
+
+    def source(self, g: FiniteGroupoid, F, n: int) -> GroupoidSource:
+        """The radius-n source over F of ``g``, the ambient or the corner
+        groupoid, built on first use."""
+        key = (g is self.ambient, tuple(F), n)
+        if key not in self.sources:
+            self.sources[key] = GroupoidSource(g, F, n)
+        return self.sources[key]
 
     def dom_projections_corner(self):
         """dom(s_i) s_i^-1 s_i as corner projections."""
@@ -207,7 +217,7 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
     for p in cd.dom_projections_corner():
         if p not in F_corner:
             raise ValueError("F_corner must contain every mover domain projection")
-    corner_src = GroupoidSource(corner_g, F_corner, 4 * n + 5)
+    corner_src = cd.source(corner_g, F_corner, 4 * n + 5)
     corner_params = SAParams(corner_src, 4 * n + 5, delta, d)
     if precheck:
         rep = sofic.verify_membership(sigma, corner_params)
@@ -261,7 +271,7 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
     movers = [cd.p_ambient()] + list(cd.S)
 
     F_amb = ambient_generating_set(cd, F_corner)
-    amb_src = GroupoidSource(g, F_amb, n)
+    amb_src = cd.source(g, F_amb, n)
     delta_prime = expansion_delta(cd, F_corner, n, delta)
     amb_params = SAParams(amb_src, n, delta_prime, d_prime)
 
@@ -323,7 +333,7 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
         raise ValueError(f"d' = {d_prime} must exceed 1/delta = {1 / delta}")
     g = cd.ambient
     F_amb = ambient_generating_set(cd, F_corner)
-    amb_src = GroupoidSource(g, F_amb, n + 4)
+    amb_src = cd.source(g, F_amb, n + 4)
     amb_params = SAParams(amb_src, n + 4, delta, d)
     if precheck:
         rep = sofic.verify_membership(sigma, amb_params)
@@ -347,7 +357,7 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
     p_b = PartialPermutation.projection(d, B)
     p_distance = pperm.uniform_distance(sig_p, p_b)
 
-    corner_src = GroupoidSource(cd.corner, F_corner, n)
+    corner_src = cd.source(cd.corner, F_corner, n)
     delta_prime = 20 * delta / h_p
     corner_params = SAParams(corner_src, n, delta_prime, d_prime)
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import runpy
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -82,6 +83,22 @@ class TestCurve:
         rows = [ln for ln in out.splitlines() if not ln.startswith(("#", "m,"))]
         stats = [float(r.split(",")[-1]) for r in rows]
         assert stats[0] < stats[1]
+
+    def test_counts_past_the_int_to_str_digit_limit(self, capsys):
+        code, out, _ = run(capsys, "curve", "--m", "6", "--d", "2000",
+                           "--delta", "1/100")
+        assert code == 0
+        row = out.splitlines()[-1].split(",")
+        want = closed_form_count(6, 2000, Fraction(1, 100))
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = str(want)
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert len(text) > old
+        assert row[:3] == ["6", "2000", "1/100"] and row[3] == text
+        assert sys.get_int_max_str_digits() == old
 
 
 class TestVerify:

@@ -1,15 +1,23 @@
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from soficdim import pperm
+from soficdim.cli import full_group_generators
 from soficdim.crossed import (
     HACandidate,
     HAParams,
+    HAReport,
+    PropertyReport,
     SqrtTol,
     approx_sum_check,
     build_phi,
     build_phi0,
     corrected_sum,
+    delta0_squared,
     disjoint_pairs,
     gap_below,
     ha_statistic,
@@ -17,17 +25,27 @@ from soficdim.crossed import (
     push_forward,
     verify_HA,
 )
-from soficdim.groupoid import PartialBisection, cyclic_groupoid, full_identity, transitive_groupoid
+from soficdim.groupoid import (
+    PartialBisection,
+    cyclic_groupoid,
+    full_identity,
+    projection_bisection,
+    transitive_groupoid,
+)
 from soficdim.partitions import (
     CylinderModel,
     HypothesisError,
     LemmaContext,
+    Phi0Table,
+    SpanBasis,
     random_partition,
     regular_model_candidate,
     span_basis,
+    verify_lemma_c3_sweep,
 )
-from soficdim.pperm import PartialPermutation, parse_pperm
-from soficdim.sofic import count_SA, iter_SA_members
+from soficdim.pperm import PartialPermutation, parse_pperm, random_pperm
+from soficdim.rng import SplitMix64
+from soficdim.sofic import SoficCandidate, count_SA, iter_SA_members, verify_membership
 
 FAIR = (Fraction(1, 2), Fraction(1, 2))
 
@@ -266,3 +284,282 @@ class TestHAStatistic:
         params2 = HAParams(model2, Fraction(1, 100), 3)
         count, stat = ha_statistic(params2, E=[0], Q=[0])
         assert count == 0 and stat == float("-inf")
+
+
+# -- the integer sweeps against the Fraction sweeps they replace -----------------
+#
+# The reference functions below are the rational loops of build_phi0,
+# verify_HA and the c3 residual norm as they were before those sweeps ran
+# on integers: every phi0 value is rebuilt from the basis expansion, every
+# gap is a Fraction, and the product property visits all ordered pairs.
+
+
+def reference_value_vector(table, subset):
+    vals = [Fraction(0)] * table.d
+    for c, s in zip(table.basis.expand_vector(subset), table.a_sets):
+        if c:
+            for x in s:
+                vals[x - 1] += c
+    return tuple(vals)
+
+
+def reference_norm_sq(values, d):
+    return sum((v * v for v in values), Fraction(0)) / d
+
+
+def reference_mult_gaps(table):
+    projections = table.basis.model.distinct_projections
+    vec = [reference_value_vector(table, p) for p in projections]
+    return {(i, j): reference_norm_sq(
+                [a - b * c for a, b, c in zip(
+                    reference_value_vector(table, p1 & p2), vec[i], vec[j])],
+                table.d)
+            for i, p1 in enumerate(projections)
+            for j, p2 in enumerate(projections)}
+
+
+def reference_build_phi0(sigma, partition, basis, delta):
+    delta = Fraction(delta)
+    model = basis.model
+    table = Phi0Table(basis, sigma, partition)
+    d = table.d
+    trace_sq, trace_wit = Fraction(0), ""
+    for i, p in enumerate(model.distinct_projections):
+        tr = sum(reference_value_vector(table, p), Fraction(0)) / d
+        gap = abs(tr - model.mu_points(p))
+        if gap * gap > trace_sq:
+            trace_sq, trace_wit = gap * gap, f"projection {i}"
+    equi_sq, equi_wit = Fraction(0), ""
+    for letter, bset in enumerate(model.letter_sets):
+        g_vec = reference_value_vector(table, bset)
+        for bidx in range(len(model.ball)):
+            f_vec = reference_value_vector(table, model.translate(bidx, letter))
+            s = table.images[bidx]
+            pushed = [Fraction(0)] * d
+            for x in range(1, d + 1):
+                y = s.images[x - 1]
+                if y:
+                    pushed[y - 1] = g_vec[x - 1]
+            gap_sq = reference_norm_sq([a - b for a, b in zip(f_vec, pushed)], d)
+            if gap_sq > equi_sq:
+                equi_sq, equi_wit = gap_sq, f"letter {letter}, ball {bidx}"
+    mult_sq, mult_wit = Fraction(0), ""
+    for (i, j), gap_sq in reference_mult_gaps(table).items():
+        if gap_sq > mult_sq:
+            mult_sq, mult_wit = gap_sq, f"pair ({i}, {j})"
+    x_vals = reference_value_vector(table, frozenset(range(model.action.n_points)))
+    unit_sq = reference_norm_sq([v - 1 for v in x_vals], d)
+    return PropertyReport(delta0_squared(basis, model.q, delta), trace_sq, equi_sq,
+                          mult_sq, unit_sq, (trace_wit, equi_wit, mult_wit))
+
+
+def reference_c3_norm(table, i):
+    model = table.basis.model
+    psi = model.psis[i]
+    a_psi = model.image_cylinder(psi, table.images, table.partition)
+    vals = reference_value_vector(table, model.cylinder(psi))
+    return reference_norm_sq([(x in a_psi) - v for x, v in enumerate(vals, start=1)],
+                             table.d)
+
+
+def reference_V(table):
+    model = table.basis.model
+    V = set(range(1, table.d + 1))
+    a_sets = []
+    for psi in model.psis:
+        a_psi = model.image_cylinder(psi, table.images, table.partition)
+        vals = reference_value_vector(table, model.cylinder(psi))
+        V -= {x for x, v in enumerate(vals, start=1) if (x in a_psi) != v}
+        a_sets.append(a_psi)
+    cylinders = [model.cylinder(psi) for psi in model.psis]
+    for i in range(len(a_sets)):
+        for j in range(i + 1, len(a_sets)):
+            if not cylinders[i] & cylinders[j]:
+                V -= a_sets[i] & a_sets[j]
+    return frozenset(V)
+
+
+def reference_verify_HA(cand, params, check_sigma=True):
+    model = params.model
+    uni = params.universe
+    tol = params.delta
+    d = params.d
+    images = model.context.align(cand.sigma, model.ball)
+    sigma_ok = True
+    if check_sigma:
+        sp = params.sigma_params()
+        aligned = SoficCandidate(d, model.context.align(
+            cand.sigma, sp.source.ball_elements))
+        rep = verify_membership(aligned, sp)
+        sigma_ok = (gap_below(rep.mult_gap, tol) and gap_below(rep.trace_gap, tol)
+                    and not any("unresolvable" in n for n in rep.notes))
+    trace_gap, trace_wit = Fraction(0), ""
+    for i in range(uni.p_count):
+        gap = abs(pperm.trace(cand.phi[i]) - model.mu_points(uni.elements[i]))
+        if gap > trace_gap:
+            trace_gap, trace_wit = gap, f"projection {i}"
+    equi_gap, equi_wit = Fraction(0), ""
+    for letter, pos in enumerate(uni.letter_index):
+        for bidx in range(len(model.ball)):
+            translated = uni.index[model.translate(bidx, letter)]
+            gap = pperm.uniform_distance(cand.phi[translated],
+                                         push_forward(images[bidx], cand.phi[pos]))
+            if gap > equi_gap:
+                equi_gap, equi_wit = gap, f"letter {letter}, ball {bidx}"
+    mult_gap, mult_wit = Fraction(0), ""
+    for (i, j, k) in uni.triples:
+        gap = pperm.uniform_distance(cand.phi[k],
+                                     pperm.compose(cand.phi[i], cand.phi[j]))
+        if gap > mult_gap:
+            mult_gap, mult_wit = gap, f"pair ({i}, {j})"
+    unit_gap = pperm.uniform_distance(cand.phi[uni.x_index],
+                                      PartialPermutation.identity(d))
+    member = (sigma_ok and gap_below(trace_gap, tol) and gap_below(equi_gap, tol)
+              and gap_below(mult_gap, tol) and gap_below(unit_gap, tol))
+    return HAReport(member, trace_gap, trace_wit, equi_gap, equi_wit,
+                    mult_gap, mult_wit, unit_gap, sigma_ok, float(tol))
+
+
+ALPHABETS = {"fair": FAIR, "thirds": (Fraction(1, 3), Fraction(2, 3)),
+             "one": (Fraction(1),)}
+DELTAS = (Fraction(1, 10), Fraction(1, 3), Fraction(1, 2))
+
+
+@lru_cache(maxsize=None)
+def context(source):
+    if source == "r2":
+        g = transitive_groupoid(2)
+        swap = PartialBisection(g, frozenset(a for a in range(4)
+                                             if g.source[a] != g.range_[a]))
+        F = [swap]
+    elif source == "r2-corner":  # a unit projection makes the ball partial
+        g = transitive_groupoid(2)
+        swap = PartialBisection(g, frozenset(a for a in range(4)
+                                             if g.source[a] != g.range_[a]))
+        F = [swap, projection_bisection(g, {0})]
+    elif source == "r3-pairs":  # three overlapping unit projections
+        g = transitive_groupoid(3)
+        F = [projection_bisection(g, s) for s in ({0, 1}, {1, 2}, {0, 2})]
+    elif source == "r3-two":  # two of them; their meet is the last projection
+        g = transitive_groupoid(3)
+        F = [projection_bisection(g, s) for s in ({0, 1}, {1, 2})]
+    elif source == "r4-pairs":  # the same three on four units, then unit 0,
+        g = transitive_groupoid(4)  # whose expansion has halves
+        F = [projection_bisection(g, s) for s in ({0, 1}, {1, 2}, {0, 2}, {0})]
+    else:  # zmod(2), with the generating set `verify --source zmod(2)` uses
+        g = cyclic_groupoid(2)
+        F = full_group_generators(g)
+    return LemmaContext(g, F, 1)
+
+
+@lru_cache(maxsize=None)
+def model_basis(source, alphabet):
+    model = CylinderModel(context(source), ALPHABETS[alphabet])
+    return model, span_basis(model)
+
+
+@lru_cache(maxsize=None)
+def sampled_members(source, delta, d):
+    members = list(iter_SA_members(context(source).hypothesis_params(delta, d)))
+    return tuple(members[::max(1, len(members) // 3)])
+
+
+def random_sigma(ctx, d, rng):
+    n = len(ctx.hypothesis_source.ball_elements)
+    return SoficCandidate(d, [random_pperm(d, rng) for _ in range(n)])
+
+
+@pytest.mark.parametrize("source", ["r2", "zmod2"])
+@pytest.mark.parametrize("alphabet", list(ALPHABETS))
+@pytest.mark.parametrize("delta", DELTAS, ids=["1over10", "1over3", "1over2"])
+def test_integer_sweeps_match_fraction_sweeps_on_members(source, alphabet, delta):
+    model, basis = model_basis(source, alphabet)
+    checked = 0
+    for d in (3, 4):
+        for m in sampled_members(source, delta, d):
+            for seed in (0, 1):
+                part = random_partition(d, model.alphabet, seed)
+                table, rep = build_phi0(m, part, basis, delta, precheck=False)
+                assert rep == reference_build_phi0(m, part, basis, delta)
+                c3 = verify_lemma_c3_sweep(m, part, basis, delta, precheck=False)
+                norms = [reference_c3_norm(table, i) for i in range(len(model.psis))]
+                assert c3.worst == max(norms)
+                assert c3.witness == f"psi={model.psis[norms.index(max(norms))]}"
+                res = build_phi(table, m, basis, delta)
+                assert res.V == reference_V(table)
+                assert res.report == reference_verify_HA(res.candidate, res.params)
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("source,alphabet,ties", [("r2-corner", "fair", True),
+                                                  ("r2-corner", "thirds", True),
+                                                  ("r3-pairs", "one", True),
+                                                  ("r3-two", "one", False),
+                                                  ("r4-pairs", "one", False)])
+def test_build_phi0_matches_on_nonzero_tied_product_gaps(source, alphabet, ties):
+    # random sigma over a ball of partial bisections: phi0 takes values
+    # off 0/1 and products miss meets.  On the first three models the
+    # largest gap is often shared; on r3-two it sits alone on the last
+    # projection against itself.  On r4-pairs, phi0 has denominator 2.
+    model, basis = model_basis(source, alphabet)
+    nonzero = tied = 0
+    for seed in range(16):
+        rng = SplitMix64(seed)
+        d = 3 + seed % 2
+        sigma = random_sigma(model.context, d, rng)
+        part = random_partition(d, model.alphabet, seed)
+        want = reference_build_phi0(sigma, part, basis, DELTAS[0])
+        for delta in DELTAS:
+            _, rep = build_phi0(sigma, part, basis, delta, precheck=False)
+            assert rep == replace(want, delta0_sq=delta0_squared(basis, model.q, delta))
+        gaps = reference_mult_gaps(Phi0Table(basis, sigma, part))
+        worst = max(gaps.values())
+        nonzero += worst > 0
+        tied += worst > 0 and sum(g == worst for (i, j), g in gaps.items()
+                                  if i <= j) > 1
+    assert nonzero and (tied or not ties)
+
+
+@pytest.mark.parametrize("source", ["r2", "zmod2"])
+@pytest.mark.parametrize("alphabet", list(ALPHABETS))
+def test_verify_HA_matches_on_random_pairs(source, alphabet):
+    # random phi values over the universe: every scan has nonzero, often
+    # tied gaps, and sigma passes or fails its own check
+    model, _ = model_basis(source, alphabet)
+    ctx = model.context
+    gaps = set()
+    for seed in range(6):
+        rng = SplitMix64(100 + seed)
+        d = 3 + seed % 2
+        cand = HACandidate(random_sigma(ctx, d, rng),
+                           [random_pperm(d, rng) for _ in model.universe.elements])
+        for delta in (*DELTAS, SqrtTol(Fraction(1, 5))):
+            params = HAParams(model, delta, d)
+            for check_sigma in (True, False):
+                rep = verify_HA(cand, params, check_sigma)
+                assert rep == reference_verify_HA(cand, params, check_sigma)
+                gaps.add((rep.equivariance_gap, rep.mult_gap))
+    assert any(e > 0 for e, _ in gaps) and any(m > 0 for _, m in gaps)
+
+
+def test_each_subset_evaluated_once_per_table(monkeypatch, r2):
+    _, _, ctx, model, basis = r2
+    delta = Fraction(1, 3)
+    sigma = next(iter_SA_members(ctx.hypothesis_params(delta, 4)))
+    part = random_partition(4, FAIR, 5)
+    calls = Counter()
+    expand = SpanBasis.expand_vector
+
+    def counted(self, subset):
+        calls[frozenset(subset)] += 1
+        return expand(self, subset)
+
+    monkeypatch.setattr(SpanBasis, "expand_vector", counted)
+    table, _ = build_phi0(sigma, part, basis, delta, precheck=False)
+    build_phi(table, sigma, basis, delta)
+    for i in range(len(model.psis)):
+        table.residual(i)
+    for subset in model.universe.elements:
+        table.value_vector(subset)
+    assert calls and max(calls.values()) == 1

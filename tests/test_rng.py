@@ -1,8 +1,10 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 
 from soficdim import pperm
+from soficdim.partitions import random_partition
 from soficdim.rng import SplitMix64
 
 # bounds near 2^64 reject about half of the raw draws
@@ -78,3 +80,79 @@ def test_invalid_bounds():
         rng.below(0)
     with pytest.raises(ValueError):
         rng.choose_sorted(3, 4)
+
+
+def reference_weighted_index(rng, weights):
+    # the draw against Fraction cumulative sums, one next64 per draw
+    u = rng.next64()
+    acc = Fraction(0)
+    last = 0
+    for i, w in enumerate(weights):
+        acc += w
+        if u * acc.denominator < acc.numerator << 64:
+            return i
+        last = i
+    return last
+
+
+WEIGHTS = [
+    (Fraction(1, 2), Fraction(1, 2)),
+    (Fraction(1, 3), Fraction(2, 3)),
+    (Fraction(1, 4), Fraction(3, 4)),
+    (Fraction(1),),
+    (Fraction(0), Fraction(1, 7), Fraction(0), Fraction(6, 7)),
+    tuple(Fraction(1, 5) for _ in range(5)),
+    (Fraction(1, 3), Fraction(1, 3)),  # short of 1: the last index catches the rest
+    (Fraction(1, 2), Fraction(-1, 4), Fraction(3, 4)),  # a falling running sum
+    (Fraction(1, 2 ** 64), Fraction(2 ** 64 - 1, 2 ** 64)),  # thresholds 1 and 2^64
+    (),
+]
+
+
+def test_weighted_draws_match_the_fraction_comparison():
+    for k, weights in enumerate(WEIGHTS):
+        fast, ref = SplitMix64(k), SplitMix64(k)
+        got = fast.weighted_indices(weights, 400) + [fast.weighted_index(weights)]
+        want = [reference_weighted_index(ref, weights) for _ in range(401)]
+        assert got == want
+        assert fast.next64() == ref.next64()
+
+
+def state_before(u):
+    # the state whose next64 output is u: SplitMix64's scramble inverted
+    mask = (1 << 64) - 1
+    z = u ^ (u >> 31) ^ (u >> 62)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
+    z ^= (z >> 27) ^ (z >> 54)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
+    z ^= (z >> 30) ^ (z >> 60)
+    return (z - 0x9E3779B97F4A7C15) & mask
+
+
+def test_draws_on_the_threshold_boundaries():
+    # u just below, at and above floor(acc * 2^64) for every running sum
+    for weights in WEIGHTS:
+        acc = Fraction(0)
+        for w in weights:
+            acc += w
+            edge = (acc.numerator << 64) // acc.denominator
+            for u in (edge - 1, edge, edge + 1):
+                if not 0 <= u < 1 << 64:
+                    continue
+                fast, ref = SplitMix64(0), SplitMix64(0)
+                fast._state = ref._state = state_before(u)
+                assert ref.next64() == u
+                ref._state = fast._state
+                assert fast.weighted_index(weights) == \
+                    reference_weighted_index(ref, weights)
+
+
+def test_recorded_partitions():
+    # recorded from the per-draw Fraction comparison; the stream never changes
+    out = []
+    for mu in WEIGHTS[:3]:
+        for seed in range(300):
+            out.extend(random_partition(40, mu, seed).block_of)
+    assert len(out) == 36000
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "9b157591930b857cf55fdc2f8d9308cb9615f43420d885561c32187aba79710f")

@@ -215,6 +215,36 @@ class TestRestrict:
         assert rr.p_distance < 3 * delta
 
 
+    def test_round_trips_share_their_sources(self, monkeypatch):
+        cd = r2_corner()
+        delta = Fraction(1, 10)
+        sigma, F, src = corner_projection_candidate(cd, 20, missing=(3,))
+        builds = []
+        init = GroupoidSource.__init__
+
+        def counted(self, g, F, n, *args, **kwargs):
+            builds.append((g is cd.ambient, n))
+            init(self, g, F, n, *args, **kwargs)
+
+        monkeypatch.setattr(GroupoidSource, "__init__", counted)
+        results = []
+        for seed in range(3):
+            res = expand_sigma(sigma, cd, F, n=5, delta=delta,
+                               gamma_choice="seeded", seed=seed)
+            rr = restrict_sigma(res.candidate, cd, F, n=1, delta=delta)
+            results.append((res.report, rr.report, rr.candidate))
+        # corner at 4n+5 = 25, ambient at 5 (both steps), corner at 1
+        assert sorted(builds) == [(False, 1), (False, 25), (True, 5)]
+        assert cd.source(cd.corner, F, 25).ball_elements == src.ball_elements
+        for seed, want in enumerate(results):  # each on a datum of its own
+            fresh = r2_corner()
+            sigma, F, _ = corner_projection_candidate(fresh, 20, missing=(3,))
+            res = expand_sigma(sigma, fresh, F, n=5, delta=delta,
+                               gamma_choice="seeded", seed=seed)
+            rr = restrict_sigma(res.candidate, fresh, F, n=1, delta=delta)
+            assert (res.report, rr.report, rr.candidate) == want
+
+
 class TestScalingValue:
     def test_examples(self):
         assert scaling_value(Fraction(0), Fraction(1, 2)) == Fraction(1, 2)
