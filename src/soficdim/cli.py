@@ -259,10 +259,15 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
             "passed": worst is None or worst.passed,
             "worst": worst.to_json_dict() if worst else None,
         }
-    if "c2" in suites or "c3" in suites:
+    if {"c2", "c3", "ha", "lin146"} & set(suites):
         mdl, bss = get_model()
         worst2 = worst3 = None
         checked = 0
+        ha_pass = lin_pass = True
+        lin_count = 0
+        worst_gap = -1.0
+        params = crossed.HAParams(mdl, delta, d) if "lin146" in suites else None
+        pairs = crossed.disjoint_pairs(params) if params else []
         for m in get_members():
             for i in range(n_partitions):
                 part = partitions.random_partition(d, alphabet, seed + i)
@@ -277,6 +282,18 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
                                                            precheck=False)
                     if worst3 is None or rep.slack_ratio > worst3.slack_ratio:
                         worst3 = rep
+                if "ha" not in suites and "lin146" not in suites:
+                    continue
+                table, prep = crossed.build_phi0(m, part, bss, delta,
+                                                 precheck=False)
+                res = crossed.build_phi(table, m, bss, delta)
+                ha_pass &= (prep.passed and res.v_ok and res.report.is_member)
+                for p1, p2 in pairs:
+                    check = crossed.approx_sum_check(res.candidate, params,
+                                                     p1, p2, precheck=False)
+                    lin_count += 1
+                    lin_pass &= check.passed
+                    worst_gap = max(worst_gap, float(check.gap))
         if "c2" in suites:
             out["c2"] = {"instances": checked,
                          "passed": worst2 is None or worst2.passed,
@@ -285,31 +302,8 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
             out["c3"] = {"instances": checked,
                          "passed": worst3 is None or worst3.passed,
                          "worst": worst3.to_json_dict() if worst3 else None}
-    if "ha" in suites or "lin146" in suites:
-        mdl, bss = get_model()
-        ha_pass = lin_pass = True
-        ha_count = lin_count = 0
-        worst_gap = -1.0
-        params = crossed.HAParams(mdl, delta, d) if "lin146" in suites else None
-        pairs = crossed.disjoint_pairs(params) if params else []
-        for m in get_members():
-            for i in range(n_partitions):
-                part = partitions.random_partition(d, alphabet, seed + i)
-                table, prep = crossed.build_phi0(m, part, bss, delta,
-                                                 precheck=False)
-                res = crossed.build_phi(table, m, bss, delta)
-                if "ha" in suites:
-                    ha_count += 1
-                    ha_pass &= (prep.passed and res.v_ok and res.report.is_member)
-                if "lin146" in suites:
-                    for p1, p2 in pairs:
-                        check = crossed.approx_sum_check(res.candidate, params,
-                                                         p1, p2, precheck=False)
-                        lin_count += 1
-                        lin_pass &= check.passed
-                        worst_gap = max(worst_gap, float(check.gap))
         if "ha" in suites:
-            out["ha"] = {"instances": ha_count, "passed": ha_pass}
+            out["ha"] = {"instances": checked, "passed": ha_pass}
         if "lin146" in suites:
             out["lin146"] = {"pairs": lin_count, "passed": lin_pass,
                              "worst_gap": worst_gap,
@@ -402,14 +396,18 @@ def cmd_construct(args) -> int:
                                    gamma_choice="seeded", seed=args.seed)
         amb_ident = full_identity(cd.ambient)
         pos = {b: i for i, b in enumerate(res.params.source.ball_elements)}
+        # every gap is at most 1 and membership is strict, so a
+        # tolerance above 1 admits every candidate
         doc["expand"] = {"d_prime": res.d_prime,
                          "delta_prime": float(res.delta_prime),
+                         "vacuous": res.delta_prime > 1,
                          "identity_image": res.candidate.images[pos[amb_ident]].to_text(),
                          "certificate": res.report.to_json_dict()}
         if args.what == "restrict":
             rr = scaling.restrict_sigma(res.candidate, cd, F, n=1, delta=delta)
             doc["restrict"] = {"d_prime": rr.d_prime,
                                "delta_prime": float(rr.delta_prime),
+                               "vacuous": rr.delta_prime > 1,
                                "certificate": rr.report.to_json_dict()}
     else:  # phi
         swap = [a for a in range(4) if g.source[a] != g.range_[a]]

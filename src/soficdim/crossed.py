@@ -69,9 +69,9 @@ class ProjectionUniverse:
     Elements are subsets of the model point set; ``p_count`` distinct
     cylinder projections come first (order of first appearance over
     the canonical psi order), followed by their disjoint unions; more
-    than 20000 elements raise InfeasibleError.  ``triples`` lists
-    (i, j, k) with elements[i] & elements[j] == elements[k].  A model
-    builds its universe once (``CylinderModel.universe``).
+    than ``sofic.SUM_CAP`` elements raise InfeasibleError.  ``triples``
+    lists (i, j, k) with elements[i] & elements[j] == elements[k].  A
+    model builds its universe once (``CylinderModel.universe``).
     """
 
     def __init__(self, model: CylinderModel):
@@ -80,7 +80,7 @@ class ProjectionUniverse:
         self.p_count = len(self.p_projections)
         elements, index, decomposition = sofic.sum_closure(
             self.p_projections, self.p_projections, self.p_count,
-            lambda sets: frozenset().union(*sets), 20000)
+            lambda sets: frozenset().union(*sets))
         self.elements = tuple(elements)
         self.index = index
         self.decomposition = tuple(decomposition)
@@ -245,10 +245,8 @@ def verify_HA(cand: HACandidate, params: HAParams,
 
 def corrected_sum(a: PartialPermutation, b: PartialPermutation) -> PartialPermutation:
     """Sum of two near-orthogonal maps: b is cut off a's domain and range."""
-    trimmed = [0] * b.degree
-    for x0, y in enumerate(b.images):
-        if y and not (a.dom_mask >> x0) & 1 and not (a.ran_mask >> (y - 1)) & 1:
-            trimmed[x0] = y
+    taken = set(a.images)
+    trimmed = [0 if x or y in taken else y for x, y in zip(a.images, b.images)]
     return pperm.orthogonal_sum([a, PartialPermutation(b.degree, trimmed)])
 
 

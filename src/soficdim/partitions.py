@@ -43,7 +43,7 @@ from .groupoid import (
     b_inverse,
     projection_bisection,
 )
-from .pperm import PartialPermutation
+from .pperm import PartialPermutation, inverse
 from .rng import SplitMix64
 from .sofic import GroupoidSource, SoficCandidate, groupoid_params, verify_membership
 
@@ -122,17 +122,11 @@ def profile_h_measure(F0, blocks) -> Fraction:
 
 def profile_sigma_points(images, blocks, d: int) -> frozenset:
     """Points of {1..d} classified by the preimage pattern of the images."""
+    preimages = [inverse(s).images for s in images]
     out = set()
     for e in range(1, d + 1):
-        pres = [None] * len(images)
-        ok = True
-        for i, s in enumerate(images):
-            if not (s.ran_mask >> (e - 1)) & 1:
-                ok = False
-                break
-            # unique preimage of e
-            pres[i] = s.images.index(e) + 1
-        if not ok:
+        pres = [inv[e - 1] for inv in preimages]
+        if 0 in pres:
             continue
         if all((pres[i] == pres[j]) == (blocks[i] == blocks[j])
                for i in range(len(images)) for j in range(i + 1, len(images))):

@@ -20,6 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
+from operator import eq
 
 from .rng import SplitMix64
 
@@ -28,39 +29,38 @@ class OverlapError(ValueError):
     """Summands of a strict orthogonal sum share a domain or range point."""
 
 
+@lru_cache(maxsize=64)
+def _points(d: int) -> frozenset:
+    """{0..d}: the undefined marker and the points of {1..d}."""
+    return frozenset(range(d + 1))
+
+
 class PartialPermutation:
-    """Partial injection on {1..d}; ``images[x-1]`` is s(x), 0 = undefined."""
+    """Partial injection on {1..d}; ``images[x-1]`` is s(x), 0 = undefined.
 
-    __slots__ = ("degree", "images", "dom_mask", "ran_mask", "nfix", "_hash")
+    The constructor checks the range and injectivity of every map.
+    """
 
-    def __init__(self, degree: int, images, *, _trusted: bool = False):
-        # _trusted skips the range and injectivity checks; only for
-        # images that are a partial injection of {1..degree} by construction
+    __slots__ = ("degree", "images", "dom_size", "nfix", "_hash")
+
+    def __init__(self, degree: int, images):
         images = tuple(images)
-        if not _trusted:
-            if degree < 1:
-                raise ValueError("degree must be >= 1")
-            if len(images) != degree:
-                raise ValueError("images length must equal degree")
-            if min(images) < 0 or max(images) > degree:
-                y = next(y for y in images if not 0 <= y <= degree)
-                raise ValueError(f"image {y} out of range 1..{degree}")
-        dom = 0
-        ran = 0
-        nfix = 0
-        for x0, y in enumerate(images):
-            if y:
-                ran |= 1 << (y - 1)
-                dom |= 1 << x0
-                if y == x0 + 1:
-                    nfix += 1
-        if not _trusted and ran.bit_count() != dom.bit_count():
+        if degree < 1:
+            raise ValueError("degree must be >= 1")
+        if len(images) != degree:
+            raise ValueError("images length must equal degree")
+        values = set(images)
+        points = _points(degree)
+        if not values <= points:
+            y = next(y for y in images if y not in points)
+            raise ValueError(f"image {y} out of range 1..{degree}")
+        dom_size = degree - images.count(0)
+        if len(values) - (0 in values) != dom_size:
             raise ValueError("not injective")
         self.degree = degree
         self.images = images
-        self.dom_mask = dom
-        self.ran_mask = ran
-        self.nfix = nfix
+        self.dom_size = dom_size
+        self.nfix = sum(map(eq, images, range(1, degree + 1)))
         self._hash = hash((degree, images))
 
     # -- constructors ------------------------------------------------------
@@ -98,10 +98,6 @@ class PartialPermutation:
 
     def dom_points(self) -> tuple[int, ...]:
         return tuple(x for x in range(1, self.degree + 1) if self.images[x - 1])
-
-    @property
-    def dom_size(self) -> int:
-        return self.dom_mask.bit_count()
 
     def is_total(self) -> bool:
         return self.dom_size == self.degree
@@ -163,7 +159,7 @@ def compose(s: PartialPermutation, t: PartialPermutation) -> PartialPermutation:
     _check_degrees(s, t)
     si = s.images
     return PartialPermutation(
-        s.degree, tuple(si[y - 1] if y else 0 for y in t.images), _trusted=True)
+        s.degree, tuple(si[y - 1] if y else 0 for y in t.images))
 
 
 def inverse(s: PartialPermutation) -> PartialPermutation:
@@ -171,7 +167,7 @@ def inverse(s: PartialPermutation) -> PartialPermutation:
     for x0, y in enumerate(s.images):
         if y:
             images[y - 1] = x0 + 1
-    return PartialPermutation(s.degree, images, _trusted=True)
+    return PartialPermutation(s.degree, images)
 
 
 def trace(s: PartialPermutation) -> Fraction:
@@ -219,20 +215,18 @@ def orthogonal_sum(parts, degree: int | None = None) -> PartialPermutation:
             raise ValueError("empty sum needs an explicit degree")
         return PartialPermutation.empty(degree)
     d = parts[0].degree
-    dom = 0
-    ran = 0
     images = [0] * d
+    taken = set()
     for p in parts:
         if p.degree != d:
             raise ValueError("degree mismatch in orthogonal sum")
-        if dom & p.dom_mask or ran & p.ran_mask:
-            raise OverlapError("summands overlap in domain or range")
-        dom |= p.dom_mask
-        ran |= p.ran_mask
         for x0, y in enumerate(p.images):
             if y:
+                if images[x0] or y in taken:
+                    raise OverlapError("summands overlap in domain or range")
                 images[x0] = y
-    return PartialPermutation(d, images, _trusted=True)
+                taken.add(y)
+    return PartialPermutation(d, images)
 
 
 def conjugate(s: PartialPermutation, g: PartialPermutation) -> PartialPermutation:
@@ -275,13 +269,13 @@ def iter_all(d: int):
                     images = [0] * d
                     for x, y in zip(dom, img):
                         images[x - 1] = y
-                    yield PartialPermutation(d, images, _trusted=True)
+                    yield PartialPermutation(d, images)
 
 
 def iter_permutations(d: int):
     """All total permutations of degree d in lexicographic order."""
     for img in permutations(range(1, d + 1)):
-        yield PartialPermutation(d, img, _trusted=True)
+        yield PartialPermutation(d, img)
 
 
 def monoid_size(d: int) -> int:
@@ -292,7 +286,7 @@ def monoid_size(d: int) -> int:
 def random_permutation(d: int, rng: SplitMix64) -> PartialPermutation:
     img = list(range(1, d + 1))
     rng.shuffle(img)
-    return PartialPermutation(d, img, _trusted=True)
+    return PartialPermutation(d, img)
 
 
 @lru_cache(maxsize=64)
@@ -323,4 +317,4 @@ def random_pperm(d: int, rng: SplitMix64) -> PartialPermutation:
     images = [0] * d
     for x, y in zip(dom, ran):
         images[x - 1] = y
-    return PartialPermutation(d, images, _trusted=True)
+    return PartialPermutation(d, images)

@@ -50,6 +50,11 @@ from .rng import SplitMix64
 from .wordball import Ball, word_str
 
 
+# caps on the bisection ball and on its (or a projection set's) sum closure
+BALL_CAP = 4096
+SUM_CAP = 20000
+
+
 class InfeasibleError(RuntimeError):
     """Search space exceeds the configured cap."""
 
@@ -83,7 +88,7 @@ class BallSource:
         return f"{self.ball.system.descriptor()} ball n={self.ball.radius}"
 
 
-def bisection_ball(g: FiniteGroupoid, F, n: int, cap: int = 4096):
+def bisection_ball(g: FiniteGroupoid, F, n: int):
     """Products of at most n elements of F, their inverses and the identity.
 
     Returns the list of distinct bisections in discovery order (the
@@ -103,8 +108,8 @@ def bisection_ball(g: FiniteGroupoid, F, n: int, cap: int = 4096):
                     seen.add(w)
                     elements.append(w)
                     nxt.append(w)
-                    if len(elements) > cap:
-                        raise InfeasibleError(len(elements), cap)
+                    if len(elements) > BALL_CAP:
+                        raise InfeasibleError(len(elements), BALL_CAP)
         frontier = nxt
         if not frontier:
             break
@@ -123,7 +128,7 @@ def plus_minus_set(g: FiniteGroupoid, F):
     return out
 
 
-def sum_closure(parts, footprints, m: int, join, cap: int):
+def sum_closure(parts, footprints, m: int, join):
     """The parts, then every new ``join`` of 2..m parts whose footprints
     (sets) are pairwise disjoint: (elements, index, decomposition).
 
@@ -142,8 +147,8 @@ def sum_closure(parts, footprints, m: int, join, cap: int):
                 index[total] = len(elements)
                 elements.append(total)
                 decomposition.append(picked)
-                if len(elements) > cap:
-                    raise InfeasibleError(len(elements), cap)
+                if len(elements) > SUM_CAP:
+                    raise InfeasibleError(len(elements), SUM_CAP)
         if len(picked) < m:
             for j in range(picked[-1] + 1, len(footprints)):
                 if not (union & footprints[j]):
@@ -156,12 +161,11 @@ class GroupoidSource:
 
     is_group = False
 
-    def __init__(self, g: FiniteGroupoid, F, n: int, m: int | None = None,
-                 ball_cap: int = 4096, sum_cap: int = 20000):
+    def __init__(self, g: FiniteGroupoid, F, n: int, m: int | None = None):
         self.groupoid = g
         self.F = tuple(F)
         self.n = n
-        elements = bisection_ball(g, F, n, ball_cap)
+        elements = bisection_ball(g, F, n)
         self.ball_elements = tuple(elements)
         self.n_ball = len(elements)
         self.m = m if m is not None else self.n_ball
@@ -169,8 +173,7 @@ class GroupoidSource:
         universe, index, decomposition = sum_closure(
             elements, [b.dom_units() | {g.n_units + e for e in b.ran_units()}
                        for b in elements], self.m,
-            lambda bs: PartialBisection(g, frozenset().union(*(b.arrows for b in bs))),
-            sum_cap)
+            lambda bs: PartialBisection(g, frozenset().union(*(b.arrows for b in bs))))
         self.universe = tuple(universe)
         self.n_universe = len(universe)
         self.decomposition = tuple(decomposition)
@@ -285,9 +288,8 @@ def ball_params(ball: Ball, delta, d: int, mode: str = "") -> SAParams:
 
 
 def groupoid_params(g: FiniteGroupoid, F, n: int, delta, d: int,
-                    m: int | None = None, mode: str = "",
-                    ball_cap: int = 4096, sum_cap: int = 20000) -> SAParams:
-    src = GroupoidSource(g, F, n, m=m, ball_cap=ball_cap, sum_cap=sum_cap)
+                    m: int | None = None, mode: str = "") -> SAParams:
+    src = GroupoidSource(g, F, n, m=m)
     return SAParams(src, n, Fraction(delta), d, m=src.m, mode=mode)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import runpy
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -132,6 +133,22 @@ class TestConstruct:
         doc = json.loads(out)
         assert doc["expand"]["certificate"]["is_member"]
         assert doc["expand"]["d_prime"] == 16
+        # delta' = 5.6e22 admits every candidate
+        assert doc["expand"]["vacuous"] is True
+
+    # delta' = 40 delta here; a gap of exactly 1 still fails delta' = 1
+    @pytest.mark.parametrize("delta,delta_prime,vacuous", [
+        ("1/100", 0.4, False), ("1/40", 1.0, False), ("1/39", 40 / 39, True),
+    ])
+    def test_restrict_reports_whether_tolerance_binds(self, capsys, delta,
+                                                      delta_prime, vacuous):
+        code, out, _ = run(capsys, "construct", "--what", "restrict",
+                           "--d", "250", "--delta", delta)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["restrict"]["delta_prime"] == delta_prime
+        assert doc["restrict"]["vacuous"] is vacuous
+        assert doc["expand"]["vacuous"] is True
 
     def test_phi_certificate(self, capsys):
         code, out, _ = run(capsys, "construct", "--what", "phi",
@@ -250,18 +267,44 @@ class TestScripts:
     ], ids=["defaults", "docstring-example"])
     def test_involution_curve_rows_match_closed_form(self, capsys, monkeypatch,
                                                      argv):
-        script = Path(__file__).resolve().parent.parent / "scripts" / "involution_curve.py"
-        monkeypatch.setattr(sys, "argv", [str(script), *argv])
-        with pytest.raises(SystemExit) as stop:
-            runpy.run_path(str(script), run_name="__main__")
-        assert stop.value.code == 0
-        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()
+        code, out = run_script(capsys, monkeypatch, "involution_curve.py", *argv)
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines()
                 if not ln.startswith(("#", "m,"))]
         want_d = parse_drange(argv[1]) if argv else [50, 100, 200, 400, 800]
         assert [int(r[1]) for r in rows] == want_d
         for m, d, delta, count, _ in rows:
             assert int(m) == (4 if argv else 2)
             assert int(count) == closed_form_count(int(m), int(d), parse_fraction(delta))
+
+    def test_lemma_sweep_passes(self, capsys, monkeypatch, tmp_path):
+        # the script writes its groupoid file into the temporary directory
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        code, out = run_script(capsys, monkeypatch, "lemma_sweep.py", "4", "1/10", "0")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["all_pass"]
+        assert set(doc["suites"]) == {"c1", "c2", "c3", "lin146", "ha", "scaling"}
+        assert (tmp_path / "r2.gpd").exists()
+
+    def test_scaling_demo_defaults_are_vacuous(self, capsys, monkeypatch):
+        code, out = run_script(capsys, monkeypatch, "scaling_demo.py")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["d"] == "30" and doc["config"]["delta"] == "1/10"
+        for block in ("expand", "restrict"):
+            assert doc[block]["certificate"]["is_member"]
+            assert doc[block]["delta_prime"] > 1
+            assert doc[block]["vacuous"] is True
+
+
+def run_script(capsys, monkeypatch, name, *argv):
+    """Run scripts/<name> in this process; (exit code, stdout)."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / name
+    monkeypatch.setattr(sys, "argv", [str(script), *argv])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(script), run_name="__main__")
+    return stop.value.code, capsys.readouterr().out
 
 
 class TestHelpers:

@@ -136,6 +136,30 @@ class TestCorrectedSum:
         assert corrected_sum(a, b) == parse_pperm("4:[1->2, 3->4]")
 
 
+def reference_corrected_sum(a, b):
+    """corrected_sum on bit masks of a's domain and range, as it was
+    computed before maps dropped their mask fields."""
+    dom = sum(1 << x0 for x0, y in enumerate(a.images) if y)
+    ran = sum(1 << (y - 1) for y in a.images if y)
+    images = list(a.images)
+    for x0, y in enumerate(b.images):
+        if y and not (dom >> x0) & 1 and not (ran >> (y - 1)) & 1:
+            images[x0] = y
+    return PartialPermutation(a.degree, images)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13])
+def test_corrected_sum_matches_mask_version_on_random_pairs(d):
+    rng = SplitMix64(100 + d)
+    for _ in range(300):
+        a, b = random_pperm(d, rng), random_pperm(d, rng)
+        for x, y in ((a, b), (b, a), (a, pperm.compose(a, b))):
+            got, want = corrected_sum(x, y), reference_corrected_sum(x, y)
+            assert got == want
+            assert (got.nfix, got.dom_size, hash(got)) == \
+                (want.nfix, want.dom_size, hash(want))
+
+
 class TestApproxSum:
     def test_exact_phi_gap_zero(self, r2):
         _, _, _, model, basis = r2

@@ -27,6 +27,7 @@ from soficdim.partitions import (
     lemma_constants,
     profile_h_measure,
     profile_measures,
+    profile_sigma_points,
     random_partition,
     regular_model_candidate,
     set_partitions,
@@ -38,6 +39,7 @@ from soficdim.partitions import (
 )
 from soficdim.partitions import _indicator as indicator
 from soficdim.partitions import _solve_against
+from soficdim.pperm import random_pperm
 from soficdim.rng import SplitMix64
 from soficdim.sofic import SoficCandidate, iter_SA_members
 
@@ -99,6 +101,29 @@ class TestProfiles:
             total = sum((profile_h_measure(F0, blocks)
                          for blocks in set_partitions(len(F0))), Fraction(0))
             assert total == tau(common)
+
+    def test_sigma_points_match_range_scan(self):
+        # reference: a point counts when every map has it in its range and
+        # its preimages agree exactly where the blocks do
+        def reference(images, blocks, d):
+            out = set()
+            for e in range(1, d + 1):
+                if any(e not in s.images for s in images):
+                    continue
+                pres = [s.images.index(e) for s in images]
+                if all((pres[i] == pres[j]) == (blocks[i] == blocks[j])
+                       for i in range(len(images)) for j in range(i)):
+                    out.add(e)
+            return frozenset(out)
+
+        rng = SplitMix64(12)
+        for d in (1, 3, 6):
+            for k in range(4):
+                for _ in range(30):
+                    images = [random_pperm(d, rng) for _ in range(k)]
+                    for blocks in set_partitions(k):
+                        assert profile_sigma_points(images, blocks, d) == \
+                            reference(images, blocks, d)
 
 
 class TestLemmaConstants:

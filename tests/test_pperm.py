@@ -47,6 +47,37 @@ def pperm_pairs(draw, max_degree=12):
     return draw(pperms(degree=d)), draw(pperms(degree=d))
 
 
+def is_partial_injection(degree, images):
+    """Reference predicate: a degree >= 1 and one image in 0..degree per
+    point, no nonzero image twice."""
+    if degree < 1 or len(images) != degree:
+        return False
+    seen = []
+    for y in images:
+        if not 0 <= y <= degree or (y and y in seen):
+            return False
+        if y:
+            seen.append(y)
+    return True
+
+
+@st.composite
+def raw_images(draw):
+    d = draw(st.integers(0, 7))
+    size = draw(st.sampled_from([d, d, d, max(d - 1, 0), d + 1]))
+    return d, draw(st.lists(st.integers(-1, d + 1), min_size=size, max_size=size))
+
+
+@st.composite
+def near_pperm_images(draw):
+    """A valid image tuple with at most one entry overwritten."""
+    images = list(draw(pperms(max_degree=7)).images)
+    d = len(images)
+    if draw(st.booleans()):
+        images[draw(st.integers(0, d - 1))] = draw(st.integers(-1, d + 1))
+    return d, images
+
+
 class TestBasics:
     def test_compose_example(self):
         s = P("2:[1->2]")
@@ -88,16 +119,38 @@ class TestBasics:
         with pytest.raises(ValueError, match=message):
             PartialPermutation(degree, images)
 
-    def test_trusted_results_match_validated_construction(self):
+    def test_derived_maps_match_a_from_pairs_rebuild(self):
         rng = SplitMix64(3)
         for d in (1, 4, 9):
-            maps = list(iter_all(min(d, 3))) + [pperm.random_pperm(d, rng)
-                                                for _ in range(20)]
+            maps = (list(iter_all(min(d, 3))) + [random_pperm(d, rng) for _ in range(20)]
+                    + [pperm.random_permutation(d, rng) for _ in range(5)])
             for s in maps:
-                for got in (s, inverse(s), compose(s, inverse(s))):
-                    want = PartialPermutation(got.degree, got.images)
-                    assert (got.dom_mask, got.ran_mask, got.nfix, hash(got)) == \
-                        (want.dom_mask, want.ran_mask, want.nfix, hash(want))
+                n = s.degree
+                low = compose(s, PartialPermutation.projection(n, range(1, n // 2 + 1)))
+                high = PartialPermutation.from_pairs(
+                    n, [(x, s(x)) for x in s.dom_points() if x > n // 2])
+                for got in (s, inverse(s), compose(s, inverse(s)),
+                            orthogonal_sum([low, high])):
+                    want = PartialPermutation.from_pairs(
+                        n, [(x, got(x)) for x in got.dom_points()])
+                    assert got == want
+                    assert (got.nfix, got.dom_size, hash(got)) == \
+                        (want.nfix, want.dom_size, hash(want))
+                assert orthogonal_sum([low, high]) == s
+
+    @settings(max_examples=400)
+    @given(st.one_of(raw_images(), near_pperm_images()))
+    def test_constructor_accepts_exactly_partial_injections(self, case):
+        degree, images = case
+        try:
+            s = PartialPermutation(degree, images)
+        except ValueError:
+            assert not is_partial_injection(degree, images)
+        else:
+            assert is_partial_injection(degree, images)
+            assert s.images == tuple(images)
+            assert s.dom_size == sum(1 for y in images if y)
+            assert s.nfix == sum(1 for x, y in enumerate(images, 1) if y == x)
 
     def test_trace(self):
         assert trace(PartialPermutation.identity(5)) == 1
@@ -176,6 +229,32 @@ class TestOrthogonalSum:
     def test_range_overlap_raises(self):
         with pytest.raises(OverlapError):
             orthogonal_sum([P("4:[1->2]"), P("4:[3->2]")])
+
+    @pytest.mark.parametrize("texts", [
+        ("5:[1->2, 2->3]", "5:[3->1]", "5:[2->4]"),
+        ("5:[1->2, 2->3]", "5:[3->1]", "5:[4->3]"),
+    ], ids=["domain-only", "range-only"])
+    def test_overlap_with_an_earlier_summand_raises(self, texts):
+        with pytest.raises(OverlapError):
+            orthogonal_sum([P(t) for t in texts])
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 8).flatmap(
+        lambda d: st.lists(pperms(degree=d), min_size=1, max_size=3)))
+    def test_raises_exactly_when_domains_or_ranges_meet(self, parts):
+        doms = [set(p.dom_points()) for p in parts]
+        rans = [set(p.images) - {0} for p in parts]
+        overlap = any(doms[i] & doms[j] or rans[i] & rans[j]
+                      for i in range(len(parts)) for j in range(i))
+        try:
+            total = orthogonal_sum(parts)
+        except OverlapError:
+            assert overlap
+        else:
+            assert not overlap
+            assert set(total.images) - {0} == set().union(*rans)
+            for p in parts:
+                assert all(total(x) == p(x) for x in p.dom_points())
 
 
 class TestEnumeration:
