@@ -59,7 +59,7 @@ from .partitions import (
     span_basis,
     verify_lemma_c1,
     verify_lemma_c2,
-    verify_lemma_c3,
+    verify_lemma_c3_sweep,
 )
 from .crossed import (
     HACandidate,
@@ -95,7 +95,7 @@ __all__ = [
     "BoundReport", "CylinderModel", "LemmaContext", "RandomPartition",
     "SpanBasis", "augment_generators", "lemma_constants", "profile_measures",
     "random_partition", "span_basis", "verify_lemma_c1", "verify_lemma_c2",
-    "verify_lemma_c3",
+    "verify_lemma_c3_sweep",
     "HACandidate", "HAParams", "approx_sum_check", "build_phi", "build_phi0",
     "ha_statistic", "verify_HA",
     "CornerData", "expand_sigma", "make_corner_data", "restrict_sigma",

@@ -227,6 +227,13 @@ def int_text(n: int) -> str:
 def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
                n: int, n_partitions: int, alphabet_size: int,
                instances: int) -> dict:
+    """Run the requested suites; refuses a suite that would check nothing."""
+    if n_partitions < 1 and {"c2", "c3", "ha", "lin146"} & set(suites):
+        raise CliError(f"--partitions {n_partitions}: c2, c3, lin146 and ha "
+                       "need at least one partition")
+    if instances < 1 and "scaling" in suites:
+        raise CliError(f"--instances {instances}: the scaling suite needs "
+                       "at least one instance")
     F = full_group_generators(g)
     ctx = partitions.LemmaContext(g, F, n)
     out = {}
@@ -236,6 +243,8 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
         nonlocal members
         if members is None:
             members = list(sofic.iter_SA_members(ctx.hypothesis_params(delta, d)))
+            if not members:
+                raise CliError(f"no members at d={d}, delta={delta}")
         return members
 
     alphabet = [Fraction(1, alphabet_size)] * alphabet_size
@@ -271,22 +280,21 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
         for m in get_members():
             for i in range(n_partitions):
                 part = partitions.random_partition(d, alphabet, seed + i)
+                table = partitions.Phi0Table(bss, m, part)
                 checked += 1
                 if "c2" in suites:
-                    rep = partitions.verify_lemma_c2(m, part, F, n, delta, mdl,
-                                                     precheck=False)
+                    rep = partitions.verify_lemma_c2(table, delta, precheck=False)
                     if worst2 is None or rep.slack_ratio > worst2.slack_ratio:
                         worst2 = rep
                 if "c3" in suites:
-                    rep = partitions.verify_lemma_c3_sweep(m, part, bss, delta,
+                    rep = partitions.verify_lemma_c3_sweep(table, delta,
                                                            precheck=False)
                     if worst3 is None or rep.slack_ratio > worst3.slack_ratio:
                         worst3 = rep
                 if "ha" not in suites and "lin146" not in suites:
                     continue
-                table, prep = crossed.build_phi0(m, part, bss, delta,
-                                                 precheck=False)
-                res = crossed.build_phi(table, m, bss, delta)
+                prep = crossed.build_phi0(table, delta, precheck=False)
+                res = crossed.build_phi(table, delta)
                 ha_pass &= (prep.passed and res.v_ok and res.report.is_member)
                 for p1, p2 in pairs:
                     check = crossed.approx_sum_check(res.candidate, params,
@@ -419,9 +427,9 @@ def cmd_construct(args) -> int:
         if not members:
             raise CliError(f"no members at d={args.d}, delta={delta}")
         part = partitions.random_partition(args.d, model.alphabet, args.seed)
-        table, prep = crossed.build_phi0(members[0], part, basis, delta,
-                                         precheck=False)
-        res = crossed.build_phi(table, members[0], basis, delta)
+        table = partitions.Phi0Table(basis, members[0], part)
+        prep = crossed.build_phi0(table, delta, precheck=False)
+        res = crossed.build_phi(table, delta)
         letters = [res.candidate.phi[i].to_text()
                    for i in res.params.universe.letter_index]
         doc["phi"] = {"phi0_properties": prep.to_json_dict(),

@@ -9,10 +9,10 @@ strict inequalities at the working tolerance).
 
 The constructive route starts from a candidate sigma and a partition
 of {1..d}: the linear map phi0 sends each basis cylinder projection to
-the indicator of its image-side cylinder and extends linearly.  Its
-table, partitions.Phi0Table, lives beside the span basis, since the c3
-bound reads the same residuals; here its four properties are certified
-against
+the indicator of its image-side cylinder and extends linearly.  The
+caller builds one partitions.Phi0Table for the pair, and the c2 and c3
+bounds, build_phi0 and build_phi all read that table; build_phi0
+certifies phi0's four properties against
 
     delta0 = 3 (1/gamma) kappa^2 ell^2 q c3^2 sqrt(delta).
 
@@ -39,7 +39,6 @@ from .partitions import (
     CylinderModel,
     HypothesisError,
     Phi0Table,
-    RandomPartition,
     SpanBasis,
     lemma_constants,
 )
@@ -347,18 +346,17 @@ def _square_gap(u, v, d: int) -> Fraction:
     return Fraction(sum((a * x - b * y) ** 2 for x, y in zip(nu, nv)), D * D * d)
 
 
-def build_phi0(sigma: SoficCandidate, partition: RandomPartition,
-               basis: SpanBasis, delta, precheck: bool = True):
-    """The linear map table and its four-property certification.
+def build_phi0(table: Phi0Table, delta, precheck: bool = True) -> PropertyReport:
+    """The four-property certification of the table's linear map phi0.
 
-    Requires sigma to satisfy the membership hypothesis at the inflated
-    radius and sweeps the four properties against delta0.
+    Requires the table's sigma to satisfy the membership hypothesis at
+    the inflated radius and sweeps the four properties against delta0.
     """
     delta = Fraction(delta)
+    basis = table.basis
     model = basis.model
     if precheck:
-        model.context.check_hypothesis(sigma, delta)
-    table = Phi0Table(basis, sigma, partition)
+        model.context.check_hypothesis(table.sigma, delta)
     d = table.d
     d0_sq = delta0_squared(basis, model.q, delta)
     projections = model.distinct_projections
@@ -405,9 +403,8 @@ def build_phi0(sigma: SoficCandidate, partition: RandomPartition,
     unit_sq = _square_gap(table.numerators(frozenset(range(model.action.n_points))),
                           (1, (1,) * d), d)
 
-    report = PropertyReport(d0_sq, trace_sq, equi_sq, mult_sq, unit_sq,
-                            (trace_wit, equi_wit, mult_wit))
-    return table, report
+    return PropertyReport(d0_sq, trace_sq, equi_sq, mult_sq, unit_sq,
+                          (trace_wit, equi_wit, mult_wit))
 
 
 # -- the restriction phi ---------------------------------------------------------
@@ -431,9 +428,9 @@ def ha_tolerance_squared(basis: SpanBasis, q: int, p_size: int, delta) -> Fracti
             * ell ** 4 * q ** 2 * consts.c3 ** 4 * Fraction(delta))
 
 
-def build_phi(phi0: Phi0Table, sigma: SoficCandidate, basis: SpanBasis,
-              delta) -> BuildPhiResult:
-    """Restrict phi0 to its exactness set V and certify the resulting pair.
+def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
+    """Restrict the table's phi0 to its exactness set V and certify the
+    resulting pair with the table's sigma.
 
     V keeps the points where phi0 of every cylinder already equals the
     image-side indicator and where disjoint cylinders have disjoint
@@ -442,19 +439,19 @@ def build_phi(phi0: Phi0Table, sigma: SoficCandidate, basis: SpanBasis,
     checked against its lower bound.
     """
     delta = Fraction(delta)
+    basis = table.basis
     model = basis.model
-    d = phi0.d
+    d = table.d
     V = set(range(1, d + 1))
-    a_sets = []
     for i in range(len(model.psis)):
-        a_psi, _, residual = phi0.residual(i)
+        _, _, residual = table.residual(i)
         V -= {x for x, r in enumerate(residual, start=1) if r}
-        a_sets.append(a_psi)
+    a_psis = table.a_psis
     cylinders = [model.cylinder(psi) for psi in model.psis]
-    for i, a in enumerate(a_sets):
-        for j in range(i + 1, len(a_sets)):
+    for i, a in enumerate(a_psis):
+        for j in range(i + 1, len(a_psis)):
             if not cylinders[i] & cylinders[j]:
-                V -= a & a_sets[j]
+                V -= a & a_psis[j]
     if not V:
         raise HypothesisError("the exactness set V is empty; the linear map "
                               "certification hypotheses must have failed")
@@ -467,7 +464,7 @@ def build_phi(phi0: Phi0Table, sigma: SoficCandidate, basis: SpanBasis,
                              * basis.kappa ** 4 * delta / basis.gamma ** 2)
     phi_values = []
     for subset in params.universe.elements:
-        den, nums = phi0.numerators(subset)
+        den, nums = table.numerators(subset)
         support = set()
         for x in V:
             v = nums[x - 1]
@@ -477,7 +474,7 @@ def build_phi(phi0: Phi0Table, sigma: SoficCandidate, basis: SpanBasis,
                 raise HypothesisError(f"phi0 is not 0/1 on V at point {x} "
                                       f"(value {Fraction(v, den)})")
         phi_values.append(PartialPermutation.projection(d, support))
-    cand = HACandidate(sigma, phi_values)
+    cand = HACandidate(table.sigma, phi_values)
     report = verify_HA(cand, params)
     return BuildPhiResult(cand, params, frozenset(V), Fraction(len(V), d),
                           v_bound, Fraction(len(V)) >= v_bound, report)

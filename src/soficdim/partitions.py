@@ -15,11 +15,14 @@ to the alphabet weights, and the cylinder bound compares exact
 cylinder measures with intersection counts at c2 * delta, where
 c2 = 2 * c1 * Bell(|F+-|^n).  A basis of cylinder projections for the
 span of the cylinder algebra yields the coefficient statistics kappa
-and gamma; the basis expands each subset of its span once.  The
-linear map phi0 lives here too, as the image-side table Phi0Table: it
-sends each basis cylinder to its image-side cylinder and gives every
-psi the residual 1_{A_psi} - phi0(cyl psi).  The equivariance bound
-compares that residual with c3 * sqrt(delta), where
+and gamma; the basis expands each subset of its span once.
+
+One Phi0Table per (sigma, partition) is the whole image side of that
+pair: it holds the image cylinder A_psi of every psi, computed once,
+and the linear map phi0, which sends each basis cylinder to its
+image-side cylinder.  The cylinder bound reads the A_psi, and the
+equivariance bound compares each residual 1_{A_psi} - phi0(cyl psi)
+with c3 * sqrt(delta), where
 
     c3 = (1 + (3 + kappa*ell) * Bell(ell) * N_ell) * c2,  N_ell = ell * 2^ell.
 
@@ -265,9 +268,6 @@ class RandomPartition:
             out[b].add(x)
         return tuple(frozenset(b) for b in out)
 
-    def block(self, i: int) -> frozenset:
-        return frozenset(x for x, b in enumerate(self.block_of, start=1) if b == i)
-
 
 def random_partition(d: int, mu0, seed: int) -> RandomPartition:
     """Place each point independently in block i with probability mu0[i]."""
@@ -338,6 +338,7 @@ class CylinderModel:
                     self.psis.append(tuple(zip(combo, values)))
         self._cyl_cache = {}
         self._translate_cache = {}
+        self._mu_cache = {}
 
     def translate(self, ball_idx: int, letter: int) -> frozenset:
         key = (ball_idx, letter)
@@ -356,7 +357,12 @@ class CylinderModel:
         return self._cyl_cache[psi]
 
     def mu_points(self, points) -> Fraction:
-        return sum((self.action.weight[x] for x in points), Fraction(0))
+        """Exact measure of a point subset, summed once per subset."""
+        points = frozenset(points)
+        if points not in self._mu_cache:
+            self._mu_cache[points] = sum((self.action.weight[x] for x in points),
+                                         Fraction(0))
+        return self._mu_cache[points]
 
     def mu_cylinder(self, psi) -> Fraction:
         return self.mu_points(self.cylinder(psi))
@@ -379,13 +385,15 @@ class CylinderModel:
                 total += profile_h_measure(support, blocks) * w
         return total
 
-    def image_cylinder(self, psi, sigma_images, partition: RandomPartition) -> frozenset:
-        """Intersection of candidate-map translates of the partition blocks."""
-        pts = set(range(1, partition.d + 1))
+    def image_cylinder(self, psi, sigma_images, blocks) -> frozenset:
+        """Intersection of candidate-map translates of the partition blocks.
+
+        ``blocks`` is ``RandomPartition.blocks`` of a partition of {1..d}.
+        """
+        pts = set().union(*blocks)
         for ball_idx, letter in psi:
-            s = sigma_images[ball_idx]
-            block = partition.block(letter)
-            pts &= {s.images[x - 1] for x in block if s.images[x - 1]}
+            s = sigma_images[ball_idx].images
+            pts &= {s[x - 1] for x in blocks[letter] if s[x - 1]}
         return frozenset(pts)
 
     @cached_property
@@ -488,7 +496,6 @@ class BoundReport:
     witness: str
     passed: bool
     squared: bool = False
-    extras: dict | None = None
 
     @property
     def slack_ratio(self) -> float:
@@ -497,7 +504,7 @@ class BoundReport:
         return float(Fraction(self.worst) / self.bound)
 
     def to_json_dict(self):
-        out = {
+        return {
             "bound": float(self.bound),
             "worst": float(self.worst),
             "witness": self.witness,
@@ -505,9 +512,6 @@ class BoundReport:
             "passed": self.passed,
             "squared": self.squared,
         }
-        if self.extras:
-            out["extras"] = self.extras
-        return out
 
 
 def verify_lemma_c1(sigma: SoficCandidate, F, n: int, delta,
@@ -549,41 +553,26 @@ def verify_lemma_c1(sigma: SoficCandidate, F, n: int, delta,
     return BoundReport(bound, worst, witness, worst < bound)
 
 
-def verify_lemma_c2(sigma: SoficCandidate, partition: RandomPartition,
-                    F, n: int, delta, model: CylinderModel,
-                    precheck: bool = True, chebyshev_seeds=None) -> BoundReport:
-    """Certify the cylinder counting bound for one partition.
+def verify_lemma_c2(table: Phi0Table, delta, precheck: bool = True) -> BoundReport:
+    """Certify the cylinder counting bound for one (sigma, partition).
 
     Sweeps every cylinder indexing psi and compares the exact measure
-    with the image-side intersection fraction at c2 * delta.  When
-    ``chebyshev_seeds`` is given, the report extras also carry the
-    empirical per-term violation frequency over those seeds next to
-    the predicted concentration rate.
+    with the image-side intersection fraction |A_psi| / d of the table
+    at c2 * delta.
     """
     delta = Fraction(delta)
-    ctx = model.context
+    model = table.basis.model
     if precheck:
-        ctx.check_hypothesis(sigma, delta)
-    if partition.q != model.q:
-        raise ValueError("partition and model disagree on the alphabet size")
-    images = ctx.align(sigma, model.ball)
-    c2 = lemma_constants(model.f_pm_size, n).c2
-    bound = c2 * delta
+        model.context.check_hypothesis(table.sigma, delta)
+    bound = lemma_constants(model.f_pm_size, model.n).c2 * delta
     worst = Fraction(0)
     witness = "empty cylinder sweep"
-    d = partition.d
-    for psi in model.psis:
-        mu = model.mu_points(model.cylinder(psi))
-        frac = Fraction(len(model.image_cylinder(psi, images, partition)), d)
-        disc = abs(mu - frac)
+    for psi, a_psi in zip(model.psis, table.a_psis):
+        disc = abs(model.mu_cylinder(psi) - Fraction(len(a_psi), table.d))
         if disc > worst:
             worst = disc
             witness = f"psi={psi}"
-    extras = None
-    if chebyshev_seeds is not None:
-        extras = c2_partition_frequency(sigma, delta, model, chebyshev_seeds,
-                                        precheck=False)
-    return BoundReport(bound, worst, witness, worst < bound, extras=extras)
+    return BoundReport(bound, worst, witness, worst < bound)
 
 
 def c2_partition_frequency(sigma: SoficCandidate, delta,
@@ -607,12 +596,12 @@ def c2_partition_frequency(sigma: SoficCandidate, delta,
     trials = 0
     violations = 0
     for seed in seeds:
-        partition = random_partition(d, model.alphabet, seed)
+        letter_blocks = random_partition(d, model.alphabet, seed).blocks
         for psi in model.psis:
             support = [model.ball[i] for i, _ in psi]
             letters = [v for _, v in psi]
             imgs = [images[i] for i, _ in psi]
-            a_psi = model.image_cylinder(psi, images, partition)
+            a_psi = model.image_cylinder(psi, images, letter_blocks)
             for blocks in set_partitions(len(support)):
                 trials += 1
                 w = _block_weight(model.alphabet, letters, blocks)
@@ -752,29 +741,33 @@ def span_basis(model: CylinderModel) -> SpanBasis:
 
 
 class Phi0Table:
-    """The linear map phi0 of one (sigma, partition), on the image side.
+    """The image side of one (sigma, partition), with the linear map phi0.
 
-    phi0 sends each basis cylinder projection to the indicator of its
-    image-side cylinder and extends linearly over the span basis.  The
-    table holds those image sets once and evaluates each distinct span
-    subset once, on integers: ``numerators`` gives phi0 of a subset as
-    integer numerators over one denominator, and ``value_vector`` as
-    Fractions.  ``residual`` gives a cylinder indexing psi its image
-    cylinder A_psi and the residual 1_{A_psi} - phi0(cyl psi).  The c3
-    bound certifies that residual, and ``crossed.build_phi`` keeps the
-    points where every residual vanishes.
+    The table aligns sigma to the model ball, takes the partition blocks
+    once and computes the image cylinder A_psi of every cylinder
+    indexing psi once; the c2 and c3 bounds, ``crossed.build_phi0`` and
+    ``crossed.build_phi`` all read it.  phi0 sends each basis cylinder
+    projection to the indicator of its image-side cylinder and extends
+    linearly over the span basis; each distinct span subset is evaluated
+    once, on integers: ``numerators`` gives phi0 of a subset as integer
+    numerators over one denominator, and ``value_vector`` as Fractions.
+    ``residual`` gives psi its residual 1_{A_psi} - phi0(cyl psi).
     """
 
     def __init__(self, basis: SpanBasis, sigma: SoficCandidate,
                  partition: RandomPartition):
         model = basis.model
+        if partition.q != model.q:
+            raise ValueError("partition and model disagree on the alphabet size")
         self.basis = basis
+        self.sigma = sigma
         self.partition = partition
         self.d = partition.d
         self.images = model.context.align(sigma, model.ball)
-        self.a_sets = tuple(
-            model.image_cylinder(model.psis[i], self.images, partition)
-            for i in basis.basis_psi_indices)
+        blocks = partition.blocks
+        self.a_psis = tuple(model.image_cylinder(psi, self.images, blocks)
+                            for psi in model.psis)
+        self.a_sets = tuple(self.a_psis[i] for i in basis.basis_psi_indices)
         self._values = {}  # subset -> (denominator, numerators over {1..d})
 
     def numerators(self, subset) -> tuple:
@@ -807,45 +800,29 @@ class Phi0Table:
         """(A_psi, D, r) for psi number i: the residual
         1_{A_psi} - phi0(cyl psi) on {1..d} is r / D, r integers."""
         model = self.basis.model
-        psi = model.psis[i]
-        a_psi = model.image_cylinder(psi, self.images, self.partition)
-        den, nums = self.numerators(model.cylinder(psi))
+        a_psi = self.a_psis[i]
+        den, nums = self.numerators(model.cylinder(model.psis[i]))
         return a_psi, den, tuple((x in a_psi) * den - n
                                  for x, n in enumerate(nums, start=1))
 
 
-def verify_lemma_c3(sigma: SoficCandidate, partition: RandomPartition,
-                    basis: SpanBasis, psi, delta,
-                    precheck: bool = True) -> BoundReport:
-    """Certify the equivariance bound for one cylinder indexing.
-
-    Compares the squared 2-norm of the residual 1_{A_psi} - phi0(cyl psi)
-    (see Phi0Table) against (c3)^2 * delta.
-    """
-    return _c3_worst(sigma, partition, basis, delta, precheck,
-                     [basis.model.psis.index(psi)])
-
-
-def verify_lemma_c3_sweep(sigma, partition, basis, delta,
+def verify_lemma_c3_sweep(table: Phi0Table, delta,
                           precheck: bool = True) -> BoundReport:
-    """Worst equivariance discrepancy over every cylinder indexing."""
-    return _c3_worst(sigma, partition, basis, delta, precheck,
-                     range(len(basis.model.psis)))
+    """Certify the equivariance bound over every cylinder indexing.
 
-
-def _c3_worst(sigma, partition, basis, delta, precheck, indices) -> BoundReport:
-    """The equivariance bound at the first of ``indices`` whose residual
-    has the largest squared 2-norm."""
+    Compares the squared 2-norm of each residual 1_{A_psi} - phi0(cyl psi)
+    of the table against (c3)^2 * delta and reports the first psi with
+    the largest one.
+    """
     delta = Fraction(delta)
-    model = basis.model
+    model = table.basis.model
     if precheck:
-        model.context.check_hypothesis(sigma, delta)
-    table = Phi0Table(basis, sigma, partition)
-    norms = {}
-    for i in indices:
+        model.context.check_hypothesis(table.sigma, delta)
+    norms = []
+    for i in range(len(model.psis)):
         _, den, res = table.residual(i)
-        norms[i] = Fraction(sum(r * r for r in res), den * den * partition.d)
-    worst = max(norms, key=norms.get)
-    bound_sq = lemma_constants(model.f_pm_size, model.n, basis).c3 ** 2 * delta
-    return BoundReport(bound_sq, norms[worst], f"psi={model.psis[worst]}",
-                       norms[worst] < bound_sq, squared=True)
+        norms.append(Fraction(sum(r * r for r in res), den * den * table.d))
+    worst = max(norms)
+    bound_sq = lemma_constants(model.f_pm_size, model.n, table.basis).c3 ** 2 * delta
+    return BoundReport(bound_sq, worst, f"psi={model.psis[norms.index(worst)]}",
+                       worst < bound_sq, squared=True)

@@ -23,6 +23,7 @@ from soficdim.groupoid import PartialBisection, transitive_groupoid
 from soficdim.partitions import (
     CylinderModel,
     LemmaContext,
+    Phi0Table,
     lemma_constants,
     random_partition,
     span_basis,
@@ -158,11 +159,9 @@ def test_criterion_6_lemma_certification_sweep(r2_members):
                 rep = verify_lemma_c1(m, [swap], 1, delta, ctx, precheck=False)
                 violations += not rep.passed
                 for seed in range(100):
-                    part = random_partition(d, FAIR, seed)
-                    rep2 = verify_lemma_c2(m, part, [swap], 1, delta, model,
-                                           precheck=False)
-                    rep3 = verify_lemma_c3_sweep(m, part, basis, delta,
-                                                 precheck=False)
+                    table = Phi0Table(basis, m, random_partition(d, FAIR, seed))
+                    rep2 = verify_lemma_c2(table, delta, precheck=False)
+                    rep3 = verify_lemma_c3_sweep(table, delta, precheck=False)
                     violations += (not rep2.passed) + (not rep3.passed)
         assert violations == 0
     report(6, f"c1/c2/c3 bounds certified on {total} members x 100 partitions")
@@ -178,11 +177,9 @@ def test_criterion_7_ha_construction(r2_members):
             pairs = disjoint_pairs(lin_params)
             for m in ms:
                 for seed in range(100):
-                    part = random_partition(d, FAIR, seed)
-                    table, prep = build_phi0(m, part, basis, delta,
-                                             precheck=False)
-                    assert prep.passed
-                    res = build_phi(table, m, basis, delta)
+                    table = Phi0Table(basis, m, random_partition(d, FAIR, seed))
+                    assert build_phi0(table, delta, precheck=False).passed
+                    res = build_phi(table, delta)
                     assert res.report.is_member
                     p_size = res.params.universe.p_count
                     bound = Fraction(d) * (

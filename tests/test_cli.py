@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from soficdim import partitions
 from soficdim.cli import main, parse_drange, parse_fraction
 from soficdim.sofic import closed_form_count
 from soficdim.groupoid import transitive_groupoid
@@ -124,6 +125,89 @@ class TestVerify:
                            r2_file, "--d", "4", "--delta", "0.1")
         assert code == 2
 
+    @pytest.mark.parametrize("d", ["1", "3", "5"])
+    def test_no_members_refused(self, capsys, r2_file, d):
+        # r2 has no member at d=1 or at odd degree, so every member suite
+        # would check nothing
+        code, out, err = run(capsys, "verify", "--suite", "c1,c2,c3,ha,lin146",
+                             "--source", r2_file, "--d", d, "--delta", "1/20")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": f"no members at d={d}, delta=1/20"}
+
+    @pytest.mark.parametrize("suite", ["c2", "c3", "ha", "lin146", "all"])
+    def test_no_partitions_refused(self, capsys, r2_file, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--source",
+                             r2_file, "--d", "4", "--delta", "1/20",
+                             "--partitions", "0")
+        assert code == 2 and out == ""
+        assert "--partitions 0" in json.loads(err)["error"]
+
+    def test_c1_needs_no_partitions(self, capsys, r2_file):
+        code, out, _ = run(capsys, "verify", "--suite", "c1", "--source",
+                           r2_file, "--d", "4", "--delta", "1/20",
+                           "--partitions", "0")
+        assert code == 0 and json.loads(out)["suites"]["c1"]["instances"] == 3
+
+    @pytest.mark.parametrize("suite", ["scaling", "all"])
+    def test_no_scaling_instances_refused(self, capsys, r2_file, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--source",
+                             r2_file, "--d", "4", "--delta", "1/20",
+                             "--instances", "0")
+        assert code == 2 and out == ""
+        assert "--instances 0" in json.loads(err)["error"]
+
+    def test_scaling_alone_needs_no_members(self, capsys, r2_file):
+        code, out, _ = run(capsys, "verify", "--suite", "scaling", "--source",
+                           r2_file, "--d", "1", "--delta", "1/20",
+                           "--instances", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["all_pass"] and doc["suites"]["scaling"]["instances"] == 2
+
+    def test_one_table_per_member_and_partition(self, capsys, monkeypatch,
+                                                tmp_path):
+        # 3 members x 12 partitions: each pair builds one Phi0Table, which
+        # computes every A_psi once and evaluates 16 distinct subsets
+        monkeypatch.chdir(tmp_path)
+        transitive_groupoid(2).save("r2.gpd")
+        tables = []  # the psis of each table's image cylinders
+        building = []
+        expansions = []
+        init = partitions.Phi0Table.__init__
+        image_cylinder = partitions.CylinderModel.image_cylinder
+        expand = partitions.SpanBasis.expand_vector
+
+        def counted_init(self, *args):
+            tables.append([])
+            building.append(True)
+            init(self, *args)
+            building.pop()
+
+        def counted_image_cylinder(self, psi, *args):
+            assert building, "an image cylinder computed outside a table"
+            tables[-1].append(psi)
+            return image_cylinder(self, psi, *args)
+
+        def counted_expand(self, subset):
+            expansions.append(subset)
+            return expand(self, subset)
+
+        monkeypatch.setattr(partitions.Phi0Table, "__init__", counted_init)
+        monkeypatch.setattr(partitions.CylinderModel, "image_cylinder",
+                            counted_image_cylinder)
+        monkeypatch.setattr(partitions.SpanBasis, "expand_vector", counted_expand)
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--source", "r2.gpd",
+                           "--d", "4", "--delta", "1/20", "--partitions", "12",
+                           "--seed", "1")
+        assert code == 0
+        # recorded when every pair built two tables
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b346651b6a7708ae11d807a570040f02e744f5e6d8d407728492ffb7e09c76cb")
+        assert len(tables) == 36
+        assert len(tables[0]) == len(set(tables[0])) == 9
+        assert all(psis == tables[0] for psis in tables)
+        assert len(expansions) == 36 * 16
+
 
 class TestConstruct:
     def test_expand_certificate(self, capsys):
@@ -202,8 +286,9 @@ COUNT_SHA256 = [
 ]
 
 # stdout sha256 of the certificate jobs that build the projection universe
-# (build_phi), the 146-delta pairs (verify --suite lin146), and every suite
-# at once (the c1/c2/c3 sweeps and scaling)
+# (build_phi), the 146-delta pairs (verify --suite lin146), every suite at
+# once (the c1/c2/c3 sweeps and scaling) on both benchmark sources, and c2
+# with c3 alone
 CERTIFY_SHA256 = [
     ("verify-all-r2",
      ("verify", "--suite", "all", "--source", "r2.gpd", "--d", "4",
@@ -216,6 +301,14 @@ CERTIFY_SHA256 = [
      ("verify", "--suite", "ha,lin146", "--source", "r2.gpd", "--d", "4",
       "--delta", "1/10", "--partitions", "2", "--seed", "0"),
      "e852d27003587427b60c4420245181f67006fdc842a36b69f8643d329de359ca"),
+    ("verify-all-zmod2",
+     ("verify", "--suite", "all", "--source", "zmod(2)", "--d", "4",
+      "--delta", "1/20", "--partitions", "12", "--seed", "1"),
+     "3f78d78ff6c17ba9c7d457ef281bf31ae6518cdf51b48eac0ea0964968dbbc71"),
+    ("verify-c2-c3",
+     ("verify", "--suite", "c2,c3", "--source", "r2.gpd", "--d", "4",
+      "--delta", "1/10", "--partitions", "4", "--seed", "2"),
+     "78a476079679d4c7586c3061bab3ba1b0025a0476eeb7b532e1e6a767b537a43"),
 ]
 
 # stdout sha256 of closed-form curves, recorded from the enumerate-then-filter
@@ -286,6 +379,33 @@ class TestScripts:
         assert doc["all_pass"]
         assert set(doc["suites"]) == {"c1", "c2", "c3", "lin146", "ha", "scaling"}
         assert (tmp_path / "r2.gpd").exists()
+
+    def test_code_lines_counts_a_fixture_directory(self, capsys, monkeypatch,
+                                                   tmp_path):
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "a.py").write_text(
+            '"""Module docstring,\n\nover three lines."""\n'
+            "\n"
+            "# a comment\n"
+            "import os  # trailing comment\n"
+            "\n"
+            "\n"
+            "def f(x):\n"
+            "    '''One-line docstring.'''\n"
+            "    text = '''a string,\n"
+            "not a docstring'''\n"
+            "    return (x +\n"
+            "            1)\n")
+        (tmp_path / "pkg" / "b.py").write_text(
+            "class C:\n"
+            '    """Doc."""\n'
+            "\n"
+            "    y = 1\n")
+        (tmp_path / "pkg" / "notes.txt").write_text("x = 1\n")
+        code, out = run_script(capsys, monkeypatch, "code_lines.py", str(tmp_path))
+        assert code == 0
+        assert [line.split() for line in out.splitlines()] == [
+            ["6", "a.py"], ["2", "pkg/b.py"], ["8", "total"]]
 
     def test_scaling_demo_defaults_are_vacuous(self, capsys, monkeypatch):
         code, out = run_script(capsys, monkeypatch, "scaling_demo.py")

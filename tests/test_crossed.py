@@ -33,14 +33,17 @@ from soficdim.groupoid import (
     transitive_groupoid,
 )
 from soficdim.partitions import (
+    BoundReport,
     CylinderModel,
     HypothesisError,
     LemmaContext,
     Phi0Table,
     SpanBasis,
+    lemma_constants,
     random_partition,
     regular_model_candidate,
     span_basis,
+    verify_lemma_c2,
     verify_lemma_c3_sweep,
 )
 from soficdim.pperm import PartialPermutation, parse_pperm, random_pperm
@@ -65,8 +68,8 @@ class TestVerifyHA:
     def test_exact_model_all_gaps_zero(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        table, _ = build_phi0(sigma, part, basis, Fraction(1, 10), precheck=False)
-        res = build_phi(table, sigma, basis, Fraction(1, 10))
+        table = Phi0Table(basis, sigma, part)
+        res = build_phi(table, Fraction(1, 10))
         rep = res.report
         assert rep.is_member
         assert rep.trace_gap == rep.equivariance_gap == rep.mult_gap == 0
@@ -75,8 +78,8 @@ class TestVerifyHA:
     def test_one_point_corruption_breaks_equivariance(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        table, _ = build_phi0(sigma, part, basis, Fraction(1, 10), precheck=False)
-        res = build_phi(table, sigma, basis, Fraction(1, 10))
+        table = Phi0Table(basis, sigma, part)
+        res = build_phi(table, Fraction(1, 10))
         d = sigma.degree
         uni = res.params.universe
         # corrupt phi at the first letter block: drop one support point
@@ -106,8 +109,8 @@ class TestVerifyHA:
         assert a.universe is b.universe is model.universe
         assert a.sigma_params().source is b.sigma_params(Fraction(1, 3)).source
         sigma, part = regular_model_candidate(model)
-        table, _ = build_phi0(sigma, part, basis, Fraction(1, 10), precheck=False)
-        res = build_phi(table, sigma, basis, Fraction(1, 10))
+        table = Phi0Table(basis, sigma, part)
+        res = build_phi(table, Fraction(1, 10))
         assert res.params.universe is a.universe
 
 
@@ -164,8 +167,8 @@ class TestApproxSum:
     def test_exact_phi_gap_zero(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        table, _ = build_phi0(sigma, part, basis, Fraction(1, 10), precheck=False)
-        res = build_phi(table, sigma, basis, Fraction(1, 10))
+        table = Phi0Table(basis, sigma, part)
+        res = build_phi(table, Fraction(1, 10))
         params = HAParams(model, Fraction(1, 10), sigma.degree)
         for p1, p2 in disjoint_pairs(params):
             check = approx_sum_check(res.candidate, params, p1, p2, precheck=False)
@@ -174,8 +177,8 @@ class TestApproxSum:
     def test_disjointness_precondition(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        table, _ = build_phi0(sigma, part, basis, Fraction(1, 10), precheck=False)
-        res = build_phi(table, sigma, basis, Fraction(1, 10))
+        table = Phi0Table(basis, sigma, part)
+        res = build_phi(table, Fraction(1, 10))
         params = HAParams(model, Fraction(1, 10), sigma.degree)
         full = params.universe.elements[params.universe.x_index]
         with pytest.raises(ValueError):
@@ -188,8 +191,8 @@ class TestApproxSum:
         params = HAParams(model, delta, 4)
         for m in members:
             part = random_partition(4, FAIR, seed=17)
-            table, _ = build_phi0(m, part, basis, delta, precheck=False)
-            res = build_phi(table, m, basis, delta)
+            table = Phi0Table(basis, m, part)
+            res = build_phi(table, delta)
             for p1, p2 in disjoint_pairs(params):
                 assert approx_sum_check(res.candidate, params, p1, p2,
                                         precheck=False).passed
@@ -199,7 +202,8 @@ class TestBuildPhi0:
     def test_exact_properties_zero(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        _, rep = build_phi0(sigma, part, basis, Fraction(1, 10), precheck=False)
+        rep = build_phi0(Phi0Table(basis, sigma, part), Fraction(1, 10),
+                         precheck=False)
         assert rep.passed
         assert rep.trace_gap_sq == rep.equivariance_gap_sq == 0
         assert rep.mult_gap_sq == rep.unit_gap_sq == 0
@@ -213,7 +217,7 @@ class TestBuildPhi0:
             for m in it(ctx.hypothesis_params(delta, d)):
                 for seed in (0, 1):
                     part = random_partition(d, FAIR, seed)
-                    _, rep = build_phi0(m, part, basis, delta, precheck=False)
+                    rep = build_phi0(Phi0Table(basis, m, part), delta, precheck=False)
                     assert rep.passed
 
     def test_q1_unit_property(self):
@@ -224,7 +228,8 @@ class TestBuildPhi0:
         model = CylinderModel(ctx, [Fraction(1)])
         basis = span_basis(model)
         sigma, part = regular_model_candidate(model)
-        table, rep = build_phi0(sigma, part, basis, Fraction(1, 10), precheck=False)
+        table = Phi0Table(basis, sigma, part)
+        rep = build_phi0(table, Fraction(1, 10), precheck=False)
         # a single letter: the full-space value is built from the lone block
         assert rep.unit_gap_sq == 0
 
@@ -235,15 +240,16 @@ class TestBuildPhi0:
         n = len(ctx.hypothesis_source.ball_elements)
         bad = SoficCandidate(4, [PartialPermutation.empty(4)] * n)
         with pytest.raises(HypothesisError):
-            build_phi0(bad, random_partition(4, FAIR, 0), basis, Fraction(1, 10))
+            build_phi0(Phi0Table(basis, bad, random_partition(4, FAIR, 0)),
+                       Fraction(1, 10))
 
 
 class TestBuildPhi:
     def test_exact_instance_keeps_everything(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        table, _ = build_phi0(sigma, part, basis, Fraction(1, 10), precheck=False)
-        res = build_phi(table, sigma, basis, Fraction(1, 10))
+        table = Phi0Table(basis, sigma, part)
+        res = build_phi(table, Fraction(1, 10))
         assert res.v_fraction == 1 and res.v_ok
         assert res.report.is_member
 
@@ -252,9 +258,10 @@ class TestBuildPhi:
         delta = Fraction(1, 10)
         for m in iter_SA_members(ctx.hypothesis_params(delta, 6), None):
             part = random_partition(6, FAIR, seed=23)
-            table, rep0 = build_phi0(m, part, basis, delta, precheck=False)
+            table = Phi0Table(basis, m, part)
+            rep0 = build_phi0(table, delta, precheck=False)
             assert rep0.passed
-            res = build_phi(table, m, basis, delta)
+            res = build_phi(table, delta)
             assert res.v_ok
             assert Fraction(len(res.V)) >= res.v_bound
             assert res.report.is_member
@@ -316,11 +323,26 @@ class TestHAStatistic:
 # verify_HA and the c3 residual norm as they were before those sweeps ran
 # on integers: every phi0 value is rebuilt from the basis expansion, every
 # gap is a Fraction, and the product property visits all ordered pairs.
+# Every image cylinder A_psi is recomputed per psi from one block scan
+# per letter, as the checks did before they shared one Phi0Table.
+
+
+def reference_image_cylinder(psi, images, partition):
+    pts = set(range(1, partition.d + 1))
+    for ball_idx, letter in psi:
+        s = images[ball_idx]
+        block = frozenset(x for x, b in enumerate(partition.block_of, start=1)
+                          if b == letter)
+        pts &= {s.images[x - 1] for x in block if s.images[x - 1]}
+    return frozenset(pts)
 
 
 def reference_value_vector(table, subset):
+    psis = table.basis.model.psis
+    a_sets = [reference_image_cylinder(psis[i], table.images, table.partition)
+              for i in table.basis.basis_psi_indices]
     vals = [Fraction(0)] * table.d
-    for c, s in zip(table.basis.expand_vector(subset), table.a_sets):
+    for c, s in zip(table.basis.expand_vector(subset), a_sets):
         if c:
             for x in s:
                 vals[x - 1] += c
@@ -380,10 +402,32 @@ def reference_build_phi0(sigma, partition, basis, delta):
 def reference_c3_norm(table, i):
     model = table.basis.model
     psi = model.psis[i]
-    a_psi = model.image_cylinder(psi, table.images, table.partition)
+    a_psi = reference_image_cylinder(psi, table.images, table.partition)
     vals = reference_value_vector(table, model.cylinder(psi))
     return reference_norm_sq([(x in a_psi) - v for x, v in enumerate(vals, start=1)],
                              table.d)
+
+
+def reference_c2(table, delta):
+    model = table.basis.model
+    bound = lemma_constants(model.f_pm_size, model.n).c2 * delta
+    worst, witness = Fraction(0), "empty cylinder sweep"
+    for psi in model.psis:
+        mu = sum((model.action.weight[x] for x in model.cylinder(psi)), Fraction(0))
+        a_psi = reference_image_cylinder(psi, table.images, table.partition)
+        disc = abs(mu - Fraction(len(a_psi), table.d))
+        if disc > worst:
+            worst, witness = disc, f"psi={psi}"
+    return BoundReport(bound, worst, witness, worst < bound)
+
+
+def reference_c3_sweep(table, delta):
+    model = table.basis.model
+    norms = [reference_c3_norm(table, i) for i in range(len(model.psis))]
+    worst = max(norms)
+    bound_sq = lemma_constants(model.f_pm_size, model.n, table.basis).c3 ** 2 * delta
+    return BoundReport(bound_sq, worst, f"psi={model.psis[norms.index(worst)]}",
+                       worst < bound_sq, squared=True)
 
 
 def reference_V(table):
@@ -391,7 +435,7 @@ def reference_V(table):
     V = set(range(1, table.d + 1))
     a_sets = []
     for psi in model.psis:
-        a_psi = model.image_cylinder(psi, table.images, table.partition)
+        a_psi = reference_image_cylinder(psi, table.images, table.partition)
         vals = reference_value_vector(table, model.cylinder(psi))
         V -= {x for x, v in enumerate(vals, start=1) if (x in a_psi) != v}
         a_sets.append(a_psi)
@@ -503,17 +547,41 @@ def test_integer_sweeps_match_fraction_sweeps_on_members(source, alphabet, delta
         for m in sampled_members(source, delta, d):
             for seed in (0, 1):
                 part = random_partition(d, model.alphabet, seed)
-                table, rep = build_phi0(m, part, basis, delta, precheck=False)
+                table = Phi0Table(basis, m, part)
+                rep = build_phi0(table, delta, precheck=False)
                 assert rep == reference_build_phi0(m, part, basis, delta)
-                c3 = verify_lemma_c3_sweep(m, part, basis, delta, precheck=False)
+                c3 = verify_lemma_c3_sweep(table, delta, precheck=False)
                 norms = [reference_c3_norm(table, i) for i in range(len(model.psis))]
                 assert c3.worst == max(norms)
                 assert c3.witness == f"psi={model.psis[norms.index(max(norms))]}"
-                res = build_phi(table, m, basis, delta)
+                res = build_phi(table, delta)
                 assert res.V == reference_V(table)
                 assert res.report == reference_verify_HA(res.candidate, res.params)
                 checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("source", ["r2", "zmod2"])
+@pytest.mark.parametrize("alphabet", ["fair", "thirds"])
+def test_c2_and_c3_read_the_table_like_per_psi_loops(source, alphabet):
+    # members and random sigma at d = 2 and 4, several partitions each:
+    # the shared table's A_psi give the reports of the per-psi loops
+    model, basis = model_basis(source, alphabet)
+    delta = Fraction(1, 3)
+    worst2 = worst3 = Fraction(0)
+    for d in (2, 4):
+        rng = SplitMix64(200 + d)
+        sigmas = [*sampled_members(source, delta, d),
+                  *(random_sigma(model.context, d, rng) for _ in range(4))]
+        for sigma in sigmas:
+            for seed in range(3):
+                table = Phi0Table(basis, sigma, random_partition(d, model.alphabet, seed))
+                c2 = verify_lemma_c2(table, delta, precheck=False)
+                c3 = verify_lemma_c3_sweep(table, delta, precheck=False)
+                assert c2 == reference_c2(table, delta)
+                assert c3 == reference_c3_sweep(table, delta)
+                worst2, worst3 = max(worst2, c2.worst), max(worst3, c3.worst)
+    assert worst2 > 0 and worst3 > 0
 
 
 @pytest.mark.parametrize("source,alphabet,ties", [("r2-corner", "fair", True),
@@ -535,7 +603,7 @@ def test_build_phi0_matches_on_nonzero_tied_product_gaps(source, alphabet, ties)
         part = random_partition(d, model.alphabet, seed)
         want = reference_build_phi0(sigma, part, basis, DELTAS[0])
         for delta in DELTAS:
-            _, rep = build_phi0(sigma, part, basis, delta, precheck=False)
+            rep = build_phi0(Phi0Table(basis, sigma, part), delta, precheck=False)
             assert rep == replace(want, delta0_sq=delta0_squared(basis, model.q, delta))
         gaps = reference_mult_gaps(Phi0Table(basis, sigma, part))
         worst = max(gaps.values())
@@ -580,8 +648,11 @@ def test_each_subset_evaluated_once_per_table(monkeypatch, r2):
         return expand(self, subset)
 
     monkeypatch.setattr(SpanBasis, "expand_vector", counted)
-    table, _ = build_phi0(sigma, part, basis, delta, precheck=False)
-    build_phi(table, sigma, basis, delta)
+    table = Phi0Table(basis, sigma, part)
+    verify_lemma_c2(table, delta, precheck=False)
+    verify_lemma_c3_sweep(table, delta, precheck=False)
+    build_phi0(table, delta, precheck=False)
+    build_phi(table, delta)
     for i in range(len(model.psis)):
         table.residual(i)
     for subset in model.universe.elements:

@@ -19,6 +19,7 @@ from soficdim.partitions import (
     CylinderModel,
     HypothesisError,
     LemmaContext,
+    Phi0Table,
     RandomPartition,
     bell_number,
     c2_partition_frequency,
@@ -34,7 +35,6 @@ from soficdim.partitions import (
     span_basis,
     verify_lemma_c1,
     verify_lemma_c2,
-    verify_lemma_c3,
     verify_lemma_c3_sweep,
 )
 from soficdim.partitions import _indicator as indicator
@@ -185,7 +185,7 @@ class TestAugment:
 class TestRandomPartition:
     def test_single_block(self):
         p = random_partition(5, [Fraction(1)], seed=1)
-        assert p.block(0) == frozenset(range(1, 6))
+        assert p.blocks == (frozenset(range(1, 6)),)
 
     def test_determinism(self):
         a = random_partition(40, FAIR, seed=9)
@@ -199,8 +199,8 @@ class TestRandomPartition:
         mean = [Fraction(0), Fraction(0)]
         for s in seeds:
             p = random_partition(d, mu, seed=s)
-            for i in range(2):
-                mean[i] += Fraction(len(p.block(i)), d)
+            for i, block in enumerate(p.blocks):
+                mean[i] += Fraction(len(block), d)
         n = len(seeds)
         for i in range(2):
             tol = 3 * math.sqrt(float(mu[i] * (1 - mu[i])) / d)
@@ -208,7 +208,7 @@ class TestRandomPartition:
 
     def test_exact_partition_round_trip(self):
         p = exact_partition([frozenset({1, 3}), frozenset({2, 4})])
-        assert p.block(0) == {1, 3} and p.block(1) == {2, 4}
+        assert p.blocks == ({1, 3}, {2, 4})
 
 
 @pytest.fixture(scope="module")
@@ -257,8 +257,9 @@ class TestBoundChecks:
         g, swap, ctx, model, basis, _ = r2_setup
         sigma, part = regular_model_candidate(model)
         assert verify_lemma_c1(sigma, [swap], 1, Fraction(1, 10), ctx).worst == 0
-        assert verify_lemma_c2(sigma, part, [swap], 1, Fraction(1, 10), model).worst == 0
-        assert verify_lemma_c3_sweep(sigma, part, basis, Fraction(1, 10)).worst == 0
+        table = Phi0Table(basis, sigma, part)
+        assert verify_lemma_c2(table, Fraction(1, 10)).worst == 0
+        assert verify_lemma_c3_sweep(table, Fraction(1, 10)).worst == 0
 
     def test_enumerated_members_pass_c1(self, r2_setup):
         g, swap, ctx, _, _, members = r2_setup
@@ -279,38 +280,38 @@ class TestBoundChecks:
         delta = Fraction(1, 10)
         for m in members[:2]:
             for seed in range(5):
-                part = random_partition(4, FAIR, seed)
-                assert verify_lemma_c2(m, part, [swap], 1, delta, model,
-                                       precheck=False).passed
-                assert verify_lemma_c3_sweep(m, part, basis, delta,
-                                             precheck=False).passed
+                table = Phi0Table(basis, m, random_partition(4, FAIR, seed))
+                assert verify_lemma_c2(table, delta, precheck=False).passed
+                assert verify_lemma_c3_sweep(table, delta, precheck=False).passed
 
     def test_c3_zero_on_basis_elements(self, r2_setup):
         g, swap, ctx, model, basis, members = r2_setup
-        sigma = members[0]
-        part = random_partition(4, FAIR, seed=0)
+        table = Phi0Table(basis, members[0], random_partition(4, FAIR, seed=0))
         for i in basis.basis_psi_indices:
-            rep = verify_lemma_c3(sigma, part, basis, model.psis[i],
-                                  Fraction(1, 10), precheck=False)
-            assert rep.worst == 0
+            a_psi, den, res = table.residual(i)
+            assert a_psi == table.a_psis[i] and not any(res)
 
     @pytest.mark.parametrize("delta,stride",
                              [(Fraction(1, 10), 1), (Fraction(1, 3), 50)])
     def test_c3_sweep_is_the_first_worst_single_psi(self, r2_setup, delta, stride):
         # at 1/10 every residual of the 3 members vanishes; at 1/3 every
-        # 50th of the 507 members leaves nonzero residuals
+        # 50th of the 507 members leaves nonzero residuals, often tied
         _, _, ctx, model, basis, _ = r2_setup
         members = list(iter_SA_members(ctx.hypothesis_params(delta, 4)))[::stride]
+        ties = 0
         for m in members:
             for seed in range(5):
-                part = random_partition(4, FAIR, seed)
-                worst = None
-                for psi in model.psis:
-                    rep = verify_lemma_c3(m, part, basis, psi, delta, precheck=False)
-                    if worst is None or rep.worst > worst.worst:
-                        worst = rep
-                assert verify_lemma_c3_sweep(m, part, basis, delta,
-                                             precheck=False) == worst
+                table = Phi0Table(basis, m, random_partition(4, FAIR, seed))
+                norms = []
+                for i in range(len(model.psis)):
+                    _, den, res = table.residual(i)
+                    norms.append(Fraction(sum(r * r for r in res), den * den * 4))
+                first = max(range(len(norms)), key=norms.__getitem__)
+                rep = verify_lemma_c3_sweep(table, delta, precheck=False)
+                assert rep.worst == norms[first]
+                assert rep.witness == f"psi={model.psis[first]}"
+                ties += norms.count(norms[first]) > 1
+        assert ties
 
     def test_expansions_solve_each_subset_once(self, r2_setup, monkeypatch):
         _, _, _, model, _, _ = r2_setup
@@ -343,11 +344,10 @@ class TestBoundChecks:
         assert out["violations"] == 0
         assert out["trials"] > 0
         assert out["violation_frequency"] <= out["chebyshev_rate"]
-        # the same data rides along in the bound report extras
-        part = random_partition(4, FAIR, seed=0)
-        rep = verify_lemma_c2(members[0], part, [swap], 1, Fraction(1, 10),
-                              model, precheck=False, chebyshev_seeds=range(3))
-        assert rep.extras and rep.extras["violations"] == 0
+        # fewer seeds: the trials scale with the seed count
+        few = c2_partition_frequency(members[0], Fraction(1, 10), model,
+                                     seeds=range(3), precheck=False)
+        assert few["violations"] == 0 and 10 * few["trials"] == 3 * out["trials"]
 
     def test_q1_discrepancy_is_common_range_defect(self, r2_setup):
         # a single letter degenerates the cylinder bound to the counting
@@ -357,8 +357,8 @@ class TestBoundChecks:
         sigma = members[0]
         part = random_partition(4, [Fraction(1)], seed=0)
         images = ctx.align(sigma, model1.ball)
-        rep = verify_lemma_c2(sigma, part, [swap], 1, Fraction(1, 10), model1,
-                              precheck=False)
+        rep = verify_lemma_c2(Phi0Table(span_basis(model1), sigma, part),
+                              Fraction(1, 10), precheck=False)
         worst_direct = Fraction(0)
         from soficdim.groupoid import b_compose, b_inverse, full_identity, tau
         for psi in model1.psis:
@@ -380,12 +380,12 @@ class TestBoundChecks:
         model = CylinderModel(ctx, [Fraction(1), Fraction(0)])
         sigma = members[0]
         part = random_partition(4, [Fraction(1), Fraction(0)], seed=1)
-        assert part.block(1) == frozenset()
+        assert part.blocks[1] == frozenset()
         images = ctx.align(sigma, model.ball)
         for psi in model.psis:
             if any(v == 1 for _, v in psi):
                 assert model.mu_cylinder(psi) == 0
-                assert model.image_cylinder(psi, images, part) == frozenset()
+                assert model.image_cylinder(psi, images, part.blocks) == frozenset()
 
 
 class TestBoundReport:
