@@ -542,7 +542,7 @@ def ha_statistic_with_sa(params: HAParams, E, Q, sa_delta=None,
     # (i): a trace window on each cylinder projection
     centres = [model.mu_points(s) if i < uni.p_count else None
                for i, s in enumerate(uni.elements)]
-    pools = sofic.trace_windows(pool, d, centres, below)
+    pools = sofic.trace_windows(pool, sofic.fixed_windows(d, centres, below))
     limit = next((c for c in range(d + 1) if not below(Fraction(c, d))), d + 1)
 
     def compose(ij):

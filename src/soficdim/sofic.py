@@ -20,11 +20,20 @@ assigned, so the count equals the brute-force one.  The search, which
 also enumerates the maps phi of ``crossed.ha_statistic_with_sa``,
 compares integers only: distances are multiples of 1/d, so each
 position keeps the candidates whose fixed-point count meets its trace
-condition, and a product fails at ceil(delta*d) disagreements.
-``count_SA(..., E=E)`` also counts the distinct restrictions to the
-positions E in the same enumeration.  A seeded Monte Carlo estimator
-and a cycle-type closed form for cyclic groups extend the statistic
-beyond enumeration range.
+condition, and a product fails at ceil(delta*d) disagreements.  A
+``SearchPlan`` holds those windows, the limit and the checks of each
+position, built once per ``SAParams``.  ``count_SA(..., E=E)`` also
+counts the distinct restrictions to the positions E in the same
+enumeration.
+
+A seeded Monte Carlo estimator and a cycle-type closed form for cyclic
+groups extend the statistic beyond enumeration range.  The estimator
+decides each trial with the same integer test: a trial stops drawing at
+its first image outside its trace window, and otherwise searches the
+drawn images alone.  Each trial draws from its own substream of the
+seed, so stopping early changes no other trial's draws and the hits are
+those of the full ``verify_membership`` check, which stays the
+reference checker.
 """
 
 from __future__ import annotations
@@ -369,18 +378,25 @@ def search_space_size(params: SAParams) -> int:
     return pool_size(params.d, params.mode) ** params.source.n_ball
 
 
-def trace_windows(pool, d: int, centres, below):
-    """Per position, the candidates of trace k/d with ``below(|k/d - centre|)``.
+def fixed_windows(d: int, centres, below) -> list[frozenset]:
+    """Per position, the fixed-point counts k in 0..d with
+    ``below(|k/d - centre|)``; a centre of None keeps every count."""
+    return [frozenset(k for k in range(d + 1)
+                      if centre is None or below(abs(Fraction(k, d) - centre)))
+            for centre in centres]
 
-    A centre of None keeps every candidate.  Each list keeps pool order
-    and pairs a candidate with its images padded with a leading 0, so
-    that ``a[b[x]]`` composes two padded maps.
+
+def trace_windows(pool, windows):
+    """Per position, the candidates of ``pool`` whose ``nfix`` is in
+    that position's window (see ``fixed_windows``).
+
+    Each list keeps pool order and pairs a candidate with its images
+    padded with a leading 0, so that ``a[b[x]]`` composes two padded
+    maps.
     """
     shared = {}
     pools = []
-    for centre in centres:
-        fixed = frozenset(k for k in range(d + 1)
-                          if centre is None or below(abs(Fraction(k, d) - centre)))
+    for fixed in windows:
         if fixed not in shared:
             shared[fixed] = [(c, (0,) + c.images) for c in pool if c.nfix in fixed]
         pools.append(shared[fixed])
@@ -426,33 +442,42 @@ def search(pools, derived, triples, limit, values, slots, derive):
     del walk  # walk refers to itself; dropping it frees the pools at once
 
 
-def _search(params: SAParams, pool, first=None):
-    """Yield the image list at every member, depth first in pool order.
+class SearchPlan:
+    """The membership search of one SAParams, planned once.
 
-    ``first``, when given, holds the (candidate, padded images) pairs
-    of position 0.  A sum resolves at the ball position that completes
-    it, and an overlap of its summands' images rejects there: the sum
-    takes part in the triple (identity, sum, sum), so this drops
-    exactly the candidates that triple would.
+    ``windows`` holds each ball position's fixed-point window (its
+    trace condition), ``limit`` = ceil(delta*d) the disagreements that
+    reject a triple, and ``sums`` and ``triples`` what each ball
+    position completes.  A sum resolves at the ball position that
+    completes it, and an overlap of its summands' images rejects there:
+    the sum takes part in the triple (identity, sum, sum), so this
+    drops exactly the candidates that triple would.
     """
-    source = params.source
-    pools = trace_windows(pool, params.d, source.taus, params.delta.__gt__)
-    if first is not None:
-        pools[0] = first
-    need = [max(parts) for parts in source.decomposition]
-    sums = [[] for _ in range(source.n_ball)]
-    triples = [[] for _ in range(source.n_ball)]
-    for k in range(source.n_ball, source.n_universe):
-        sums[need[k]].append((k, source.decomposition[k]))
-    for (i, j, k) in source.triples:
-        triples[max(need[i], need[j], need[k])].append((i, j, k))
-    images: list = [None] * source.n_ball
 
-    def orthogonal_sum(parts):
-        return (0,) + pperm.orthogonal_sum([images[i] for i in parts]).images
+    def __init__(self, params: SAParams):
+        source = params.source
+        self.n_universe = source.n_universe
+        self.windows = fixed_windows(params.d, source.taus, params.delta.__gt__)
+        self.limit = math.ceil(params.delta * params.d)
+        need = [max(parts) for parts in source.decomposition]
+        self.sums = [[] for _ in range(source.n_ball)]
+        self.triples = [[] for _ in range(source.n_ball)]
+        for k in range(source.n_ball, source.n_universe):
+            self.sums[need[k]].append((k, source.decomposition[k]))
+        for (i, j, k) in source.triples:
+            self.triples[max(need[i], need[j], need[k])].append((i, j, k))
 
-    return search(pools, sums, triples, math.ceil(params.delta * params.d),
-                  images, [None] * source.n_universe, orthogonal_sum)
+    def search(self, pools):
+        """Yield the image list at every member whose image at each ball
+        position comes from that position's pool (as ``trace_windows``
+        makes them), depth first in pool order."""
+        images: list = [None] * len(self.windows)
+
+        def orthogonal_sum(parts):
+            return (0,) + pperm.orthogonal_sum([images[i] for i in parts]).images
+
+        return search(pools, self.sums, self.triples, self.limit, images,
+                      [None] * self.n_universe, orthogonal_sum)
 
 
 def iter_SA_members(params: SAParams, pool=None):
@@ -463,15 +488,20 @@ def iter_SA_members(params: SAParams, pool=None):
     """
     if pool is None:
         pool = candidate_pool(params.d, params.mode)
-    for images in _search(params, pool):
+    plan = SearchPlan(params)
+    for images in plan.search(trace_windows(pool, plan.windows)):
         yield SoficCandidate(params.d, images)
 
 
-def _count_chunk(params: SAParams, pool, first, positions):
-    """Member count and E-restriction set, position 0 drawn from ``first``."""
+def _count_chunk(plan: SearchPlan, pool, first, positions):
+    """Member count and E-restriction set; position 0 draws from
+    ``first``, (candidate, padded images) pairs, when it is given."""
+    pools = trace_windows(pool, plan.windows)
+    if first is not None:
+        pools[0] = first
     count = 0
     restrictions = set()
-    for images in _search(params, pool, first):
+    for images in plan.search(pools):
         count += 1
         if positions is not None:
             restrictions.add(tuple(images[i] for i in positions))
@@ -483,17 +513,17 @@ def _enumerate_counts(params: SAParams, positions, cap: int, workers: int):
     if space > cap:
         raise InfeasibleError(space, cap)
     pool = candidate_pool(params.d, params.mode)
+    plan = SearchPlan(params)
     # workers share out the candidates admitted at position 0; with under
     # two each, often the identity alone, one counts
-    firsts = (trace_windows(pool, params.d, params.source.taus[:1],
-                            params.delta.__gt__)[0] if workers > 1 else [])
+    firsts = trace_windows(pool, plan.windows[:1])[0] if workers > 1 else []
     if workers <= 1 or len(firsts) < 2 * workers:
-        return _count_chunk(params, pool, None, positions)
+        return _count_chunk(plan, pool, None, positions)
     import multiprocessing as mp
     step = (len(firsts) + workers - 1) // workers
     chunks = [firsts[lo:lo + step] for lo in range(0, len(firsts), step)]
     with mp.Pool(workers) as ex:
-        parts = ex.starmap(_count_chunk, [(params, pool, f, positions) for f in chunks])
+        parts = ex.starmap(_count_chunk, [(plan, pool, f, positions) for f in chunks])
     return sum(c for c, _ in parts), set().union(*(r for _, r in parts))
 
 
@@ -545,26 +575,46 @@ def restricted_statistic(params: SAParams, E, cap: int = DEFAULT_COUNT_CAP,
 def monte_carlo_count(params: SAParams, trials: int, seed: int) -> tuple[float, float]:
     """Uniform-sampling estimate of the member count with binomial stderr.
 
-    Each trial draws one image per ball element uniformly from the
-    candidate pool via an independent substream of the seed, so results
-    are reproducible and independent of evaluation order.
+    Trial t draws one image per ball position, in position order and
+    uniformly from the candidate pool, from the substream
+    ``SplitMix64(seed).spawn(t)``.  It decides membership with the
+    integer test of ``count_SA``: it stops at the first image whose
+    fixed-point count is outside its position's trace window, and
+    otherwise runs the search over the drawn images alone, one
+    candidate per position.  As each trial owns its substream, the
+    draws a stopped trial skips change no other trial, so the hits
+    equal those of drawing every image and running
+    ``verify_membership``.
+
+    Raises ValueError when the search space is too large for the float
+    estimate.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    source = params.source
-    base = SplitMix64(seed)
+    space = search_space_size(params)
+    try:
+        scale = float(space)
+    except OverflowError:
+        raise ValueError(f"search space of about 10^{math.log10(space):.1f} "
+                         "candidates is beyond the float range of the estimate") from None
+    d = params.d
+    plan = SearchPlan(params)
     draw = (pperm.random_permutation if params.mode == "perms" else pperm.random_pperm)
+    base = SplitMix64(seed)
     hits = 0
     for t in range(trials):
         rng = base.spawn(t)
-        cand = SoficCandidate(params.d,
-                              [draw(params.d, rng) for _ in range(source.n_ball)])
-        if verify_membership(cand, params).is_member:
-            hits += 1
-    space = pool_size(params.d, params.mode) ** source.n_ball
+        pools = []
+        for fixed in plan.windows:
+            c = draw(d, rng)
+            if c.nfix not in fixed:
+                break
+            pools.append([(c, (0,) + c.images)])
+        else:  # one candidate per pool: at most one assignment
+            hits += sum(1 for _ in plan.search(pools))
     rate = Fraction(hits, trials)
     estimate = float(rate * space)
-    stderr = float(space) * math.sqrt(rate * (1 - rate) / trials)
+    stderr = scale * math.sqrt(rate * (1 - rate) / trials)
     return estimate, stderr
 
 

@@ -71,6 +71,21 @@ class TestCount:
         row = [ln for ln in out.splitlines() if not ln.startswith(("#", "d,"))][0]
         assert float(row.split(",")[3]) == 7.0
 
+    @pytest.mark.parametrize("d,want", [("99", "311.9"), ("100", "315.9")])
+    def test_monte_carlo_space_beyond_float_range(self, capsys, d, want):
+        # the 2-element ball in perms mode has d!^2 candidates; 98!^2 is
+        # the last that fits a float
+        code, out, err = run(capsys, "count", "--family", "zmod(2)", "--d", d,
+                             "--delta", "1/10", "--mc", "10")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": f"search space of about 10^{want} "
+                                   "candidates is beyond the float range of the estimate"}
+
+    def test_monte_carlo_space_at_float_range(self, capsys):
+        code, out, _ = run(capsys, "count", "--family", "zmod(2)", "--d", "98",
+                           "--delta", "1/10", "--mc", "10")
+        assert code == 0 and out.splitlines()[-1] == "98,1/10,1,0.0,0.0,"
+
     def test_infeasible_is_an_error(self, capsys):
         code, _, err = run(capsys, "count", "--family", "zmod(1)", "--d", "9",
                            "--delta", "1/10", "--mode", "all", "--cap", "10")
@@ -285,6 +300,50 @@ COUNT_SHA256 = [
      "3e559d7a8749e96bdd056bc2b7feac22658cd57b8b6809126196b09086b89ef4"),
 ]
 
+# stdout sha256 of `count --mc` jobs at --seed 1: the seven Monte Carlo
+# configurations of the benchmark's sample workload, one z job and one
+# free-product job; recorded when every trial drew every image and ran
+# verify_membership, so the integer test with early stopping must give
+# the same hits
+MC_SHA256 = [
+    ("zmod1-all-d2",
+     ("--family", "zmod(1)", "--mode", "all", "--d", "2", "--delta", "3/5",
+      "--mc", "3000"),
+     "b1d96985e5300b7add2435907883c949ddb2f9cc6e95700fb175955e0c95b9a5"),
+    ("zmod1-perms-d5",
+     ("--family", "zmod(1)", "--mode", "perms", "--d", "5", "--delta", "1/10",
+      "--mc", "3000"),
+     "1fb12324534b7aa399e84dfde3dbbdf4996dfd538d0d639414180face3f920e2"),
+    ("zmod2-perms-d6",
+     ("--family", "zmod(2)", "--mode", "perms", "--d", "6", "--delta", "1/10",
+      "--mc", "3000"),
+     "06a6b4936304b3ed9687ab42c0eec01288ea18ef9313105b64c2e076f5f05a63"),
+    ("zmod2-all-d4",
+     ("--family", "zmod(2)", "--mode", "all", "--d", "4", "--delta", "3/10",
+      "--mc", "3000"),
+     "e882b5f3faa3dd18ad2821c5847f4d628bb65ef6589ebd09f6c47067be19f6b9"),
+    ("r2-all-d2",
+     ("--source", "r2.gpd", "--mode", "all", "--d", "2", "--delta", "3/5",
+      "--mc", "1500"),
+     "ed65c1e18e13a8f60f5cb6911ccc96264daf16217182e48ef40c48d6a9794d4b"),
+    ("r2-perms-d4",
+     ("--source", "r2.gpd", "--mode", "perms", "--d", "4", "--delta", "1/10",
+      "--mc", "1500"),
+     "3e65d0000537a692609dd09998e891ce11653a67f1dbe89d30dac691b00d9219"),
+    ("r2-all-d4",
+     ("--source", "r2.gpd", "--mode", "all", "--d", "4", "--delta", "1/10",
+      "--mc", "1500"),
+     "ba2d21f3f4eb45fa2324d2d53e1691a1a005afd1876114e24a841589fd558226"),
+    ("z-perms-d3",
+     ("--family", "z", "--mode", "perms", "--d", "3", "--delta", "1/2",
+      "--mc", "1000"),
+     "3412497b0cc06569ab33f3235c65b4b5e12ed0254c815e254f92c07ee2c1e0bd"),
+    ("freeprod-all-d2",
+     ("--family", "freeprod(zmod(2),zmod(3))", "--mode", "all", "--d", "2",
+      "--delta", "3/5", "--mc", "1000"),
+     "50132bbb8e05974cefaed4b73d351679fde86febecd6360397b169e199c73671"),
+]
+
 # stdout sha256 of the certificate jobs that build the projection universe
 # (build_phi), the 146-delta pairs (verify --suite lin146), every suite at
 # once (the c1/c2/c3 sweeps and scaling) on both benchmark sources, and c2
@@ -332,6 +391,17 @@ class TestRecordedOutputs:
         monkeypatch.chdir(tmp_path)
         transitive_groupoid(2).save("r2.gpd")
         code, out, _ = run(capsys, "count", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("argv,want", [case[1:] for case in MC_SHA256],
+                             ids=[case[0] for case in MC_SHA256])
+    def test_mc_stdout_is_byte_identical(self, capsys, tmp_path, monkeypatch,
+                                         argv, want):
+        monkeypatch.chdir(tmp_path)
+        transitive_groupoid(2).save("r2.gpd")
+        code, out, _ = run(capsys, "count", *argv, "--seed", "1",
+                           "--cap", "10000000000")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want
 

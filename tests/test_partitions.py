@@ -22,7 +22,6 @@ from soficdim.partitions import (
     Phi0Table,
     RandomPartition,
     bell_number,
-    c2_partition_frequency,
     augment_generators,
     exact_partition,
     lemma_constants,
@@ -250,6 +249,52 @@ class TestCylinderModel:
         # the model has 4 points, so the cylinder algebra has at most 4 atoms
         assert basis.ell <= 4
         assert basis.ell >= 1
+
+
+def c2_partition_frequency(sigma, delta, model, seeds, precheck=True):
+    """Empirical frequency of per-term violations against the Chebyshev rate.
+
+    For each seeded partition and each (psi, profile partition) pair,
+    compares the summand |h(profile) * prod(weights) - |intersection|/d|
+    with 2 * c1 * delta; returns the violating fraction next to the
+    predicted rate |ball|^2 / ((c1 delta)^2 d).
+    """
+    delta = Fraction(delta)
+    ctx = model.context
+    if precheck:
+        ctx.check_hypothesis(sigma, delta)
+    images = ctx.align(sigma, model.ball)
+    c1 = lemma_constants(model.f_pm_size, model.n).c1
+    threshold = 2 * c1 * delta
+    d = sigma.degree
+    trials = 0
+    violations = 0
+    for seed in seeds:
+        letter_blocks = random_partition(d, model.alphabet, seed).blocks
+        for psi in model.psis:
+            support = [model.ball[i] for i, _ in psi]
+            letters = [v for _, v in psi]
+            imgs = [images[i] for i, _ in psi]
+            a_psi = model.image_cylinder(psi, images, letter_blocks)
+            for blocks in set_partitions(len(support)):
+                trials += 1
+                w = partitions._block_weight(model.alphabet, letters, blocks)
+                if support:
+                    h = profile_h_measure(support, blocks) if w else Fraction(0)
+                    pts = profile_sigma_points(imgs, blocks, d)
+                else:
+                    h = Fraction(1)
+                    pts = frozenset(range(1, d + 1))
+                rhs = Fraction(len(a_psi & pts), d)
+                if abs(h * w - rhs) >= threshold:
+                    violations += 1
+    rate_bound = float(Fraction(len(model.ball) ** 2) / ((c1 * delta) ** 2 * d))
+    return {
+        "trials": trials,
+        "violations": violations,
+        "violation_frequency": violations / trials if trials else 0.0,
+        "chebyshev_rate": rate_bound,
+    }
 
 
 class TestBoundChecks:

@@ -1,15 +1,17 @@
 """The pruned integer search against plain enumeration of every candidate.
 
 On instances small enough to enumerate in full, the members of
-``_search`` (and of its two callers) must be exactly the candidates of
+``SearchPlan.search`` (and of its callers) must be exactly the candidates of
 ``itertools.product(pool, repeat=n_ball)`` that ``verify_membership``
-accepts, in the same order; and ``ha_statistic_with_sa`` must count
+accepts, in the same order; ``ha_statistic_with_sa`` must count
 exactly the (sigma|_E, phi|_Q) pairs of the maps phi in
 ``itertools.product(pool, repeat=len(universe))`` that ``verify_HA``
-accepts.
+accepts; and every Monte Carlo trial must decide membership as
+``verify_membership`` does on the images drawn from its substream.
 """
 
 import itertools
+import math
 import multiprocessing
 from fractions import Fraction
 
@@ -30,17 +32,22 @@ from soficdim.groupoid import (
     full_identity,
     transitive_groupoid,
 )
+from soficdim import pperm
 from soficdim.partitions import CylinderModel, LemmaContext
+from soficdim.rng import SplitMix64
 from soficdim.sofic import (
     GroupoidSource,
+    SearchPlan,
     SoficCandidate,
     _count_chunk,
-    _search,
     ball_params,
     candidate_pool,
     count_SA,
     groupoid_params,
     iter_SA_members,
+    monte_carlo_count,
+    search_space_size,
+    trace_windows,
     verify_membership,
 )
 from soficdim.wordball import ball, parse_descriptor
@@ -48,11 +55,12 @@ from soficdim.wordball import ball, parse_descriptor
 FAIR = (Fraction(1, 2), Fraction(1, 2))
 
 
-def family(descriptor, delta, d):
-    return ball_params(ball(parse_descriptor(descriptor), None, 1), Fraction(delta), d)
+def family(descriptor, delta, d, mode=""):
+    return ball_params(ball(parse_descriptor(descriptor), None, 1), Fraction(delta),
+                       d, mode)
 
 
-def r2(F_kind, delta, d):
+def r2(F_kind, delta, d, mode="all"):
     g = transitive_groupoid(2)
     if F_kind == "full":
         F = full_group_generators(g)  # the swap, as `count --source` uses
@@ -63,7 +71,7 @@ def r2(F_kind, delta, d):
         want = (0, 0) if F_kind == "unit" else (0, 1)
         F = [PartialBisection(g, frozenset(
             a for a in range(g.n_arrows) if (g.source[a], g.range_[a]) == want))]
-    return groupoid_params(g, F, 1, Fraction(delta), d, mode="all")
+    return groupoid_params(g, F, 1, Fraction(delta), d, mode=mode)
 
 
 INSTANCES = (
@@ -95,12 +103,14 @@ def test_search_matches_brute_force(make):
     params = make()
     pool = candidate_pool(params.d, params.mode)
     want = brute_force(params, pool)
-    assert [tuple(images) for images in _search(params, pool)] == want
+    plan = SearchPlan(params)
+    assert [tuple(images) for images in
+            plan.search(trace_windows(pool, plan.windows))] == want
     assert [m.images for m in iter_SA_members(params)] == want
     nball = params.source.n_ball
     for E in ((), (nball - 1,), tuple(range(nball))):
         restrictions = {tuple(images[i] for i in E) for images in want}
-        assert _count_chunk(params, pool, None, E) == (len(want), restrictions)
+        assert _count_chunk(plan, pool, None, E) == (len(want), restrictions)
         assert count_SA(params, E=E) == (len(want), len(restrictions))
     assert count_SA(params) == len(want)
 
@@ -125,6 +135,97 @@ def test_worker_split_matches_one_worker(make, forked, monkeypatch):
                         lambda proc: started.append(proc) or start(proc))
     assert count_SA(params, workers=2, E=E) == count_SA(params, workers=1, E=E)
     assert len(started) == forked
+
+
+# -- Monte Carlo trials ----------------------------------------------------------
+
+def three_units(delta, d, mode):
+    # the arrows 0 -> 1 and 1 -> 2 of the 3-point relation: their ball has
+    # orthogonal sums, whose overlapping images reject
+    g = transitive_groupoid(3)
+    F = [PartialBisection(g, frozenset(a for a in range(g.n_arrows)
+                                       if (g.source[a], g.range_[a]) == pair))
+         for pair in ((0, 1), (1, 2))]
+    return groupoid_params(g, F, 1, delta, d, mode=mode)
+
+
+# (name, d, make, the outcomes its trials show): a trivial-group trial
+# that passes its window is a member, and no three-units trial here is one
+ALL_OUTCOMES = {"stopped", "rejected", "member"}
+MC_SOURCES = (
+    [("zmod(1)", 3, lambda delta, d, mode: family("zmod(1)", delta, d, mode),
+      {"stopped", "member"})]
+    + [(name, 3, lambda delta, d, mode, name=name: family(name, delta, d, mode),
+        ALL_OUTCOMES)
+       for name in ("zmod(2)", "zmod(3)", "zmod(4)", "z", "freeprod(zmod(2),zmod(3))")]
+    + [("r2", 4, lambda delta, d, mode: r2("full", delta, d, mode), ALL_OUTCOMES),
+       ("three-units", 3, three_units, {"stopped", "rejected"})]
+)
+MC_CASES = [(make, d, mode, outcomes) for _, d, make, outcomes in MC_SOURCES
+            for mode in ("perms", "all")]
+MC_IDS = [f"{name}-{mode}" for name, *_ in MC_SOURCES for mode in ("perms", "all")]
+
+
+def mc_deltas(d):
+    """Just below, at and just above delta*d = 1 and 2, and one delta > 1."""
+    return [Fraction(c, 10 * d) for c in (9, 10, 11, 19, 20, 21)] + [Fraction(3, 2)]
+
+
+def mc_draw(mode):
+    return pperm.random_permutation if mode == "perms" else pperm.random_pperm
+
+
+@pytest.mark.parametrize("make,d,mode,outcomes", MC_CASES, ids=MC_IDS)
+def test_mc_trials_decide_like_verify_membership(make, d, mode, outcomes,
+                                                 monkeypatch):
+    # a one-trial run with seed s is the trial SplitMix64(s).spawn(0);
+    # drawing every image from that substream gives the reference verdict
+    draw = mc_draw(mode)
+    drawn = []
+    monkeypatch.setattr(pperm, draw.__name__,
+                        lambda d, rng: drawn.append(d) or draw(d, rng))
+    seen = set()
+    for delta in mc_deltas(d):
+        params = make(delta, d, mode)
+        source = params.source
+        space = float(search_space_size(params))
+        for seed in range(100):
+            rng = SplitMix64(seed).spawn(0)
+            images = [draw(d, rng) for _ in range(source.n_ball)]
+            member = verify_membership(SoficCandidate(d, images), params).is_member
+            outside = [t for t, s in enumerate(images)
+                       if abs(pperm.trace(s) - source.taus[t]) >= delta]
+            drawn.clear()
+            estimate, _ = monte_carlo_count(params, 1, seed)
+            assert estimate == (space if member else 0.0)
+            # the trial stops at its first image outside the trace window
+            assert len(drawn) == (outside[0] + 1 if outside else source.n_ball)
+            seen.add("stopped" if outside else "member" if member else "rejected")
+    assert seen == outcomes
+
+
+def full_draw_estimate(params, trials, seed):
+    """The estimator before trials stopped early: every trial draws every
+    image and asks verify_membership."""
+    base = SplitMix64(seed)
+    draw = mc_draw(params.mode)
+    hits = 0
+    for t in range(trials):
+        rng = base.spawn(t)
+        cand = SoficCandidate(params.d, [draw(params.d, rng)
+                                         for _ in range(params.source.n_ball)])
+        if verify_membership(cand, params).is_member:
+            hits += 1
+    space = search_space_size(params)
+    rate = Fraction(hits, trials)
+    return float(rate * space), float(space) * math.sqrt(rate * (1 - rate) / trials)
+
+
+@pytest.mark.parametrize("make,d,mode", [case[:3] for case in MC_CASES], ids=MC_IDS)
+def test_mc_estimate_matches_the_full_draw_loop(make, d, mode):
+    for delta in mc_deltas(d):
+        params = make(delta, d, mode)
+        assert monte_carlo_count(params, 150, 11) == full_draw_estimate(params, 150, 11)
 
 
 # -- the joint (sigma, phi) enumeration -----------------------------------------
