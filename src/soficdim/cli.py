@@ -80,7 +80,11 @@ def load_source_groupoid(text: str) -> FiniteGroupoid:
     raise CliError(f"source {text!r} has no finite groupoid model")
 
 
-def full_group_generators(g: FiniteGroupoid, cap: int = 64):
+# most full-group generators a source may have
+GENERATOR_CAP = 64
+
+
+def full_group_generators(g: FiniteGroupoid):
     """Non-identity everywhere-defined bisections, the default verify set."""
     import itertools
     gens = []
@@ -95,8 +99,8 @@ def full_group_generators(g: FiniteGroupoid, cap: int = 64):
         bis = PartialBisection(g, frozenset(combo))
         if bis != full_identity(g):
             gens.append(bis)
-        if len(gens) > cap:
-            raise CliError(f"more than {cap} full-group generators; "
+        if len(gens) > GENERATOR_CAP:
+            raise CliError(f"more than {GENERATOR_CAP} full-group generators; "
                            "pass an explicit generating set file")
     return gens
 
@@ -136,20 +140,20 @@ def cmd_calc(args) -> int:
 # -- count ------------------------------------------------------------------------
 
 
-def make_params(args, d: int) -> SAParams:
-    delta = parse_fraction(args.delta)
+def make_source(args):
+    """The radius ``--n`` ball of ``--family`` or ``--source``, built once
+    for every degree of the command."""
+    if args.n < 1:
+        raise CliError(f"--n {args.n}: the ball radius must be >= 1")
     if args.family:
         system = wordball.parse_descriptor(args.family)
-        ball = wordball.ball(system, None, args.n)
-        return sofic.ball_params(ball, delta, d, mode=args.mode or "")
+        return sofic.BallSource(wordball.ball(system, None, args.n))
     g = load_source_groupoid(args.source)
-    F = full_group_generators(g)
-    return sofic.groupoid_params(g, F, args.n, delta, d, mode=args.mode or "")
+    return sofic.GroupoidSource(g, full_group_generators(g), args.n)
 
 
-def restriction_positions(params: SAParams) -> list[int]:
+def restriction_positions(src) -> list[int]:
     """Positions of the generating set inside the ball (the default E)."""
-    src = params.source
     if src.is_group:
         ball = src.ball
         out = []
@@ -167,9 +171,11 @@ def restriction_positions(params: SAParams) -> list[int]:
 def cmd_count(args) -> int:
     rows = []
     delta = parse_fraction(args.delta)
-    for d in parse_drange(args.d):
-        params = make_params(args, d)
-        E = restriction_positions(params)
+    degrees = parse_drange(args.d)
+    source = make_source(args)
+    E = restriction_positions(source)
+    for d in degrees:
+        params = SAParams(source, delta, d, mode=args.mode or "")
         if args.mc:
             est, err = sofic.monte_carlo_count(params, args.mc, args.seed)
             rows.append((d, delta, args.n, repr(est), repr(err), ""))
@@ -260,7 +266,7 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
     if "c1" in suites:
         worst = None
         for m in get_members():
-            rep = partitions.verify_lemma_c1(m, F, n, delta, ctx, precheck=False)
+            rep = partitions.verify_lemma_c1(m, ctx, delta, precheck=False)
             if worst is None or rep.slack_ratio > worst.slack_ratio:
                 worst = rep
         out["c1"] = {
@@ -297,8 +303,7 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
                 res = crossed.build_phi(table, delta)
                 ha_pass &= (prep.passed and res.v_ok and res.report.is_member)
                 for p1, p2 in pairs:
-                    check = crossed.approx_sum_check(res.candidate, params,
-                                                     p1, p2, precheck=False)
+                    check = crossed.approx_sum_check(res.candidate, params, p1, p2)
                     lin_count += 1
                     lin_pass &= check.passed
                     worst_gap = max(worst_gap, float(check.gap))
@@ -506,9 +511,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, InfeasibleError, calculator.ParseError,
-            calculator.EvalError, partitions.HypothesisError,
-            ValueError, OSError) as exc:
+    except (CliError, InfeasibleError, wordball.BallSizeError,
+            calculator.ParseError, calculator.EvalError,
+            partitions.HypothesisError, ValueError, OSError) as exc:
         sys.stderr.write(error_json(str(exc)))
         return 2
 

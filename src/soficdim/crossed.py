@@ -63,7 +63,7 @@ def gap_below(gap: Fraction, tol) -> bool:
 
 
 class ProjectionUniverse:
-    """Distinct cylinder projections plus their truncated disjoint sums.
+    """Distinct cylinder projections plus their disjoint sums.
 
     Elements are subsets of the model point set; ``p_count`` distinct
     cylinder projections come first (order of first appearance over
@@ -78,7 +78,7 @@ class ProjectionUniverse:
         self.p_projections = model.distinct_projections
         self.p_count = len(self.p_projections)
         elements, index, decomposition = sofic.sum_closure(
-            self.p_projections, self.p_projections, self.p_count,
+            self.p_projections, self.p_projections,
             lambda sets: frozenset().union(*sets))
         self.elements = tuple(elements)
         self.index = index
@@ -114,7 +114,7 @@ class HAParams:
 
     def sigma_params(self, delta=None) -> sofic.SAParams:
         """Membership parameters for the sigma half over the model ball."""
-        return sofic.SAParams(self.model.context.sigma_source, self.model.n,
+        return sofic.SAParams(self.model.context.sigma_source,
                               Fraction(delta if delta is not None else 1), self.d)
 
 
@@ -257,13 +257,14 @@ class SumCheck:
     witness: str
 
 
-def approx_sum_check(cand: HACandidate, params: HAParams, p1, p2,
-                     precheck: bool = True) -> SumCheck:
+def approx_sum_check(cand: HACandidate, params: HAParams, p1, p2) -> SumCheck:
     """Approximate linearity of phi on a disjoint pair at bound 146 delta.
 
     ``params`` must be built at four times the working radius (its
     model ball is the quadrupled one); ``p1`` and ``p2`` are disjoint
-    sum-closure subsets whose union lies in the closure.
+    sum-closure subsets whose union lies in the closure.  That the pair
+    is a member is the caller's to establish (``verify --suite ha``
+    reports it through ``build_phi``); this check reads phi alone.
     """
     uni = params.universe
     p1, p2 = frozenset(p1), frozenset(p2)
@@ -271,10 +272,6 @@ def approx_sum_check(cand: HACandidate, params: HAParams, p1, p2,
         raise ValueError("projections are not disjoint")
     if p1 not in uni.index or p2 not in uni.index or (p1 | p2) not in uni.index:
         raise ValueError("pair leaves the sum closure")
-    if precheck:
-        rep = verify_HA(cand, params)
-        if not rep.is_member:
-            raise HypothesisError("pair fails the membership hypothesis")
     delta = params.delta
     if isinstance(delta, SqrtTol):
         raise ValueError("the linearity bound needs a rational tolerance")

@@ -528,16 +528,19 @@ def is_free_action(action: FibredAction) -> bool:
     return True
 
 
-def bernoulli_crossed_product(g: FiniteGroupoid, alphabet_weights,
-                              cap: int = 10 ** 6):
+# most points a Bernoulli fiber may hold
+FIBER_CAP = 10 ** 6
+
+
+def bernoulli_crossed_product(g: FiniteGroupoid, alphabet_weights):
     """Finite-alphabet Bernoulli action of g and its crossed product.
 
     The fiber over a unit e is alphabet^{G^e} (configurations indexed
     by the arrows with range e) with the product measure; an arrow s
     sends the configuration x to (x_{s^-1 t})_t.  Returns the action
     together with the crossed-product groupoid, whose unit k is point k
-    of the action.  Refuses to materialize more than ``cap`` points per
-    fiber.
+    of the action.  Refuses to materialize more than ``FIBER_CAP``
+    points per fiber.
     """
     alphabet = tuple(Fraction(w) for w in alphabet_weights)
     if sum(alphabet) != 1:
@@ -545,9 +548,9 @@ def bernoulli_crossed_product(g: FiniteGroupoid, alphabet_weights,
     q = len(alphabet)
     fibers_arrows = [tuple(sorted(g.arrows_with_range(e))) for e in range(g.n_units)]
     for e, fa in enumerate(fibers_arrows):
-        if q ** len(fa) > cap:
-            raise GroupoidError(
-                f"fiber over unit {e} would have {q ** len(fa)} points (cap {cap})")
+        if q ** len(fa) > FIBER_CAP:
+            raise GroupoidError(f"fiber over unit {e} would have {q ** len(fa)} "
+                                f"points (cap {FIBER_CAP})")
     unit_of = []
     cond_weight = []
     labels = []

@@ -48,7 +48,7 @@ from .groupoid import (
 )
 from .pperm import PartialPermutation, inverse
 from .rng import SplitMix64
-from .sofic import GroupoidSource, SoficCandidate, groupoid_params, verify_membership
+from .sofic import GroupoidSource, SoficCandidate, verify_membership
 
 
 class HypothesisError(RuntimeError):
@@ -91,7 +91,9 @@ def bell_number(k: int) -> int:
     return row[-1]
 
 
-DEFAULT_PROFILE_CAP = 8
+# largest radius-n ball whose profiles are swept (the Bell loops grow
+# superexponentially)
+PROFILE_CAP = 8
 
 
 # -- profiles -------------------------------------------------------------------
@@ -218,19 +220,17 @@ def lemma_constants(f_pm_size: int, n: int, basis=None) -> LemmaConstants:
 # -- augmented generating sets ----------------------------------------------------
 
 
-def augment_generators(F, n: int, g: FiniteGroupoid,
-                       pm_cap: int = DEFAULT_PROFILE_CAP):
+def augment_generators(F, n: int, g: FiniteGroupoid):
     """F together with the projections onto every profile set of the ball.
 
     Every added element is an idempotent projection; duplicates are
-    merged.  Refuses when the ball is larger than ``pm_cap`` (the Bell
-    loops grow superexponentially).
+    merged.  Refuses when the ball is larger than ``PROFILE_CAP``.
     """
     ball = sofic.bisection_ball(g, F, n)
-    if len(ball) > pm_cap:
+    if len(ball) > PROFILE_CAP:
         raise HypothesisError(
             f"profile augmentation over a ball of {len(ball)} elements "
-            f"exceeds the cap {pm_cap}")
+            f"exceeds the cap {PROFILE_CAP}")
     out = list(F)
     seen = set(out)
     for r in range(len(ball) + 1):
@@ -306,7 +306,7 @@ class CylinderModel:
     candidate map.
     """
 
-    def __init__(self, context: "LemmaContext", alphabet, cap: int = 10 ** 6):
+    def __init__(self, context: "LemmaContext", alphabet):
         self.context = context
         g = context.groupoid
         self.groupoid = g
@@ -314,7 +314,7 @@ class CylinderModel:
         self.q = len(self.alphabet)
         self.F = context.F
         self.n = context.n
-        self.action, self.crossed = bernoulli_crossed_product(g, self.alphabet, cap)
+        self.action, self.crossed = bernoulli_crossed_product(g, self.alphabet)
         self.ball = context.ball
         self.f_pm_size = context.f_pm_size
         # letter sets: points whose coordinate at their own unit arrow is i
@@ -418,15 +418,14 @@ class LemmaContext:
     been assigned over the augmented-set ball it exposes.
     """
 
-    def __init__(self, g: FiniteGroupoid, F, n: int,
-                 pm_cap: int = DEFAULT_PROFILE_CAP):
+    def __init__(self, g: FiniteGroupoid, F, n: int):
         self.groupoid = g
         self.F = tuple(F)
         self.n = n
         self.ball = tuple(sofic.bisection_ball(g, F, n))
         self.f_pm_size = len(sofic.plus_minus_set(g, F))
         self.radius = 4 * n * len(self.ball) + 1
-        self.F_n = tuple(augment_generators(F, n, g, pm_cap))
+        self.F_n = tuple(augment_generators(F, n, g))
         self.hypothesis_source = GroupoidSource(g, self.F_n, self.radius)
         self._pos = {b: i for i, b in
                      enumerate(self.hypothesis_source.ball_elements)}
@@ -437,8 +436,7 @@ class LemmaContext:
         return GroupoidSource(self.groupoid, self.F, self.n)
 
     def hypothesis_params(self, delta, d: int):
-        from .sofic import SAParams
-        return SAParams(self.hypothesis_source, self.radius, Fraction(delta), d)
+        return sofic.SAParams(self.hypothesis_source, Fraction(delta), d)
 
     def check_hypothesis(self, sigma: SoficCandidate, delta):
         report = verify_membership(sigma, self.hypothesis_params(delta, sigma.degree))
@@ -514,23 +512,21 @@ class BoundReport:
         }
 
 
-def verify_lemma_c1(sigma: SoficCandidate, F, n: int, delta,
-                    context, precheck: bool = True) -> BoundReport:
+def verify_lemma_c1(sigma: SoficCandidate, ctx: LemmaContext, delta,
+                    precheck: bool = True) -> BoundReport:
     """Certify the profile counting bound over every subset and partition.
 
-    ``context`` is a LemmaContext (or a FiniteGroupoid, from which one
-    is built).  The candidate must be a member over the
-    profile-augmented generating set at the inflated radius; the report
-    carries the worst discrepancy |h(profile) - |image profile|/d|
-    against c1 * delta.
+    Sweeps the radius-n ball of the context.  The candidate must be a
+    member over the profile-augmented generating set at the inflated
+    radius; the report carries the worst discrepancy
+    |h(profile) - |image profile|/d| against c1 * delta.
     """
     delta = Fraction(delta)
-    ctx = context if isinstance(context, LemmaContext) else LemmaContext(context, F, n)
     if precheck:
         ctx.check_hypothesis(sigma, delta)
     ball = ctx.ball
     images_all = ctx.align(sigma, ball)
-    c1 = lemma_constants(ctx.f_pm_size, n).c1
+    c1 = lemma_constants(ctx.f_pm_size, ctx.n).c1
     bound = c1 * delta
     worst = Fraction(0)
     witness = "empty profile sweep"

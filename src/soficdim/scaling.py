@@ -194,8 +194,7 @@ class ExpandResult:
 
 
 def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
-                 delta, gamma_choice: str = "lex", seed: int = 0,
-                 precheck: bool = True) -> ExpandResult:
+                 delta, gamma_choice: str = "lex", seed: int = 0) -> ExpandResult:
     """Dilate a corner candidate to the ambient groupoid and verify it.
 
     The corner candidate must cover the radius 4n+5 ball over F_corner
@@ -218,13 +217,11 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
         if p not in F_corner:
             raise ValueError("F_corner must contain every mover domain projection")
     corner_src = cd.source(corner_g, F_corner, 4 * n + 5)
-    corner_params = SAParams(corner_src, 4 * n + 5, delta, d)
-    if precheck:
-        rep = sofic.verify_membership(sigma, corner_params)
-        if not rep.is_member:
-            raise ValueError(
-                f"corner candidate is not a member at radius {4 * n + 5}: "
-                f"mult gap {rep.mult_gap}, trace gap {rep.trace_gap}")
+    rep = sofic.verify_membership(sigma, SAParams(corner_src, delta, d))
+    if not rep.is_member:
+        raise ValueError(
+            f"corner candidate is not a member at radius {4 * n + 5}: "
+            f"mult gap {rep.mult_gap}, trace gap {rep.trace_gap}")
     corner_pos = {b: i for i, b in enumerate(corner_src.ball_elements)}
 
     d_prime = d * N // (N - k)
@@ -273,7 +270,7 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
     F_amb = ambient_generating_set(cd, F_corner)
     amb_src = cd.source(g, F_amb, n)
     delta_prime = expansion_delta(cd, F_corner, n, delta)
-    amb_params = SAParams(amb_src, n, delta_prime, d_prime)
+    amb_params = SAParams(amb_src, delta_prime, d_prime)
 
     def corner_image(f_amb: PartialBisection) -> PartialPermutation:
         f_c = cd.embedding.pull_back_bisection(f_amb)
@@ -316,7 +313,7 @@ class RestrictResult:
 
 
 def restrict_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
-                   delta, precheck: bool = True) -> RestrictResult:
+                   delta) -> RestrictResult:
     """Cut an ambient candidate down to the corner and verify it.
 
     The candidate must cover the radius n+4 ball over the ambient set
@@ -334,13 +331,11 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
     g = cd.ambient
     F_amb = ambient_generating_set(cd, F_corner)
     amb_src = cd.source(g, F_amb, n + 4)
-    amb_params = SAParams(amb_src, n + 4, delta, d)
-    if precheck:
-        rep = sofic.verify_membership(sigma, amb_params)
-        if not rep.is_member:
-            raise ValueError(
-                f"ambient candidate is not a member at radius {n + 4}: "
-                f"mult gap {rep.mult_gap}, trace gap {rep.trace_gap}")
+    rep = sofic.verify_membership(sigma, SAParams(amb_src, delta, d))
+    if not rep.is_member:
+        raise ValueError(
+            f"ambient candidate is not a member at radius {n + 4}: "
+            f"mult gap {rep.mult_gap}, trace gap {rep.trace_gap}")
     amb_pos = {b: i for i, b in enumerate(amb_src.ball_elements)}
 
     p_amb = cd.p_ambient()
@@ -359,7 +354,7 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
 
     corner_src = cd.source(cd.corner, F_corner, n)
     delta_prime = 20 * delta / h_p
-    corner_params = SAParams(corner_src, n, delta_prime, d_prime)
+    corner_params = SAParams(corner_src, delta_prime, d_prime)
 
     def restrict_element(f_c: PartialBisection) -> PartialPermutation:
         f_amb = cd.embedding.embed_bisection(f_c)

@@ -10,9 +10,9 @@ Two source kinds feed the machinery: symbolic group balls
 (:mod:`soficdim.wordball`) where the sum closure adds nothing because
 group elements are everywhere defined, and balls of partial bisections
 of a finite groupoid, where sums with pairwise orthogonal domains and
-ranges genuinely enlarge the universe.  The sum closure is truncated at
-``m`` summands (default d) and the truncation is recorded in every
-membership report.
+ranges genuinely enlarge the universe.  The sum closure takes every
+such sum, so it has at most as many summands as the ball has elements;
+the membership report of a groupoid source notes that bound.
 
 Counting is exact: candidates are enumerated depth first with pruning
 by every multiplicativity constraint whose participants are already
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from operator import ne
@@ -93,9 +93,6 @@ class BallSource:
     def key_label(self, i):
         return word_str(self.ball.elements[i])
 
-    def descriptor(self):
-        return f"{self.ball.system.descriptor()} ball n={self.ball.radius}"
-
 
 def bisection_ball(g: FiniteGroupoid, F, n: int):
     """Products of at most n elements of F, their inverses and the identity.
@@ -137,9 +134,10 @@ def plus_minus_set(g: FiniteGroupoid, F):
     return out
 
 
-def sum_closure(parts, footprints, m: int, join):
-    """The parts, then every new ``join`` of 2..m parts whose footprints
-    (sets) are pairwise disjoint: (elements, index, decomposition).
+def sum_closure(parts, footprints, join):
+    """The parts, then every new ``join`` of two or more parts whose
+    footprints (sets) are pairwise disjoint: (elements, index,
+    decomposition).
 
     Families come breadth first, by size and then in the order of their
     prefixes, so each sum keeps a decomposition with the fewest parts.
@@ -158,30 +156,27 @@ def sum_closure(parts, footprints, m: int, join):
                 decomposition.append(picked)
                 if len(elements) > SUM_CAP:
                     raise InfeasibleError(len(elements), SUM_CAP)
-        if len(picked) < m:
-            for j in range(picked[-1] + 1, len(footprints)):
-                if not (union & footprints[j]):
-                    queue.append((picked + (j,), union | footprints[j]))
+        for j in range(picked[-1] + 1, len(footprints)):
+            if not (union & footprints[j]):
+                queue.append((picked + (j,), union | footprints[j]))
     return elements, index, decomposition
 
 
 class GroupoidSource:
-    """Ball of bisections of a finite groupoid plus its truncated sum closure."""
+    """Ball of bisections of a finite groupoid plus its sum closure."""
 
     is_group = False
 
-    def __init__(self, g: FiniteGroupoid, F, n: int, m: int | None = None):
+    def __init__(self, g: FiniteGroupoid, F, n: int):
         self.groupoid = g
         self.F = tuple(F)
-        self.n = n
         elements = bisection_ball(g, F, n)
         self.ball_elements = tuple(elements)
         self.n_ball = len(elements)
-        self.m = m if m is not None else self.n_ball
         # a footprint holds the domain units e and the range units as n_units + e
         universe, index, decomposition = sum_closure(
             elements, [b.dom_units() | {g.n_units + e for e in b.ran_units()}
-                       for b in elements], self.m,
+                       for b in elements],
             lambda bs: PartialBisection(g, frozenset().union(*(b.arrows for b in bs))))
         self.universe = tuple(universe)
         self.n_universe = len(universe)
@@ -197,9 +192,6 @@ class GroupoidSource:
 
     def key_label(self, i):
         return repr(self.universe[i])
-
-    def descriptor(self):
-        return f"groupoid({self.groupoid.n_units} units) ball n={self.n}"
 
 
 # -- candidates and membership ------------------------------------------------
@@ -263,7 +255,7 @@ class MembershipReport:
 
 @dataclass(frozen=True)
 class SAParams:
-    """One finite counting problem: source ball, tolerance, degree.
+    """One finite counting problem: source, tolerance, degree.
 
     ``mode`` selects the candidate pool: "perms" enumerates total
     permutations only (the sensible default for group sources, where a
@@ -272,19 +264,15 @@ class SAParams:
     """
 
     source: object
-    n: int
     delta: Fraction
     d: int
-    m: int | None = None
-    mode: str = field(default="")
+    mode: str = ""
 
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("delta must be positive")
-        if self.d < 1 or self.n < 1:
-            raise ValueError("d and n must be >= 1")
-        if self.m is not None and self.m < 1:
-            raise ValueError("the sum bound m must be >= 1")
+        if self.d < 1:
+            raise ValueError("d must be >= 1")
         if not self.mode:
             object.__setattr__(self, "mode",
                                "perms" if self.source.is_group else "all")
@@ -293,13 +281,12 @@ class SAParams:
 
 
 def ball_params(ball: Ball, delta, d: int, mode: str = "") -> SAParams:
-    return SAParams(BallSource(ball), max(ball.radius, 1), Fraction(delta), d, mode=mode)
+    return SAParams(BallSource(ball), Fraction(delta), d, mode=mode)
 
 
 def groupoid_params(g: FiniteGroupoid, F, n: int, delta, d: int,
-                    m: int | None = None, mode: str = "") -> SAParams:
-    src = GroupoidSource(g, F, n, m=m)
-    return SAParams(src, n, Fraction(delta), d, m=src.m, mode=mode)
+                    mode: str = "") -> SAParams:
+    return SAParams(GroupoidSource(g, F, n), Fraction(delta), d, mode=mode)
 
 
 _OVERLAP = object()
@@ -327,7 +314,8 @@ def verify_membership(sigma: SoficCandidate, params: SAParams) -> MembershipRepo
     images = sigma.images
     notes = []
     if not source.is_group:
-        notes.append(f"sum closure truncated at m={getattr(source, 'm', 1)} summands;"
+        # no sum has more summands than the ball has elements
+        notes.append(f"sum closure truncated at m={source.n_ball} summands;"
                      " images extended additively")
     trace_gap = Fraction(0)
     trace_witness = ""

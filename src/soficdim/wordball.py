@@ -25,6 +25,9 @@ from .groupoid import group_groupoid, singleton_bisection, tau as groupoid_tau
 
 Word = tuple  # tuple of (name, exponent) syllables
 
+# most elements a ball may hold
+BALL_CAP = 200000
+
 
 class BallSizeError(RuntimeError):
     """The requested ball exceeds the configured size cap."""
@@ -253,8 +256,9 @@ class Ball:
         return self.system.tau_word(self.elements[i])
 
 
-def ball(system: GeneratingSystem, gens=None, n: int = 1, cap: int = 200000) -> Ball:
-    """Ball of radius n over the chosen generator subset (default all)."""
+def ball(system: GeneratingSystem, gens=None, n: int = 1) -> Ball:
+    """Ball of radius n over the chosen generator subset (default all);
+    refuses more than ``BALL_CAP`` elements."""
     if n < 0:
         raise ValueError("radius must be >= 0")
     gens = tuple(gens) if gens is not None else system.generators
@@ -277,8 +281,8 @@ def ball(system: GeneratingSystem, gens=None, n: int = 1, cap: int = 200000) -> 
                     witness[w] = witness[u] + s
                     elements.append(w)
                     nxt.append(w)
-                    if len(elements) > cap:
-                        raise BallSizeError(f"ball exceeds cap {cap}")
+                    if len(elements) > BALL_CAP:
+                        raise BallSizeError(f"ball exceeds cap {BALL_CAP}")
         frontier = nxt
         if not frontier:
             break

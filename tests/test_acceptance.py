@@ -156,7 +156,7 @@ def test_criterion_6_lemma_certification_sweep(r2_members):
         violations = 0
         for d, ms in members.items():
             for m in ms:
-                rep = verify_lemma_c1(m, [swap], 1, delta, ctx, precheck=False)
+                rep = verify_lemma_c1(m, ctx, delta, precheck=False)
                 violations += not rep.passed
                 for seed in range(100):
                     table = Phi0Table(basis, m, random_partition(d, FAIR, seed))
@@ -188,8 +188,7 @@ def test_criterion_7_ha_construction(r2_members):
                     assert Fraction(len(res.V)) >= bound
                     checked += 1
                     for p1, p2 in pairs:
-                        check = approx_sum_check(res.candidate, lin_params,
-                                                 p1, p2, precheck=False)
+                        check = approx_sum_check(res.candidate, lin_params, p1, p2)
                         assert check.passed
     report(7, f"phi0 properties, HA tolerance, V bound and 146-delta "
               f"linearity on {checked} instances")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from soficdim import partitions
+from soficdim import cli, groupoid, partitions, sofic, wordball
 from soficdim.cli import main, parse_drange, parse_fraction
 from soficdim.sofic import closed_form_count
 from soficdim.groupoid import transitive_groupoid
@@ -90,6 +90,60 @@ class TestCount:
         code, _, err = run(capsys, "count", "--family", "zmod(1)", "--d", "9",
                            "--delta", "1/10", "--mode", "all", "--cap", "10")
         assert code == 2 and "error" in json.loads(err)
+
+    @pytest.mark.parametrize("source", [("--family", "z"), ("--source", "r2.gpd")],
+                             ids=["family", "source"])
+    def test_radius_zero_refused(self, capsys, tmp_path, monkeypatch, source):
+        # a radius-0 ball misses the generators that the restricted count
+        # looks up; both source kinds refuse it where --n arrives
+        monkeypatch.chdir(tmp_path)
+        transitive_groupoid(2).save("r2.gpd")
+        code, out, err = run(capsys, "count", *source, "--n", "0", "--d", "2",
+                             "--delta", "1/2")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "--n 0: the ball radius must be >= 1"}
+
+
+# every size cap, each lowered so that a small job meets it: (id, module,
+# constant, lowered value, argv, error message)
+SIZE_CAPS = [
+    ("count-cap", sofic, "DEFAULT_COUNT_CAP", 10,
+     ("count", "--family", "zmod(1)", "--d", "3", "--delta", "1/10", "--mode", "all"),
+     "search space of 34 candidates exceeds cap 10"),
+    # at the shipped cap this job gives up after about 30 s
+    ("word-ball", wordball, "BALL_CAP", 1000,
+     ("count", "--family", "freeprod(zmod(2),zmod(3))", "--n", "60", "--d", "2",
+      "--delta", "1/2"),
+     "ball exceeds cap 1000"),
+    ("bisection-ball", sofic, "BALL_CAP", 1,
+     ("count", "--source", "r2.gpd", "--d", "2", "--delta", "1/2"),
+     "search space of 2 candidates exceeds cap 1"),
+    ("sum-closure", sofic, "SUM_CAP", 1,
+     ("verify", "--suite", "lin146", "--source", "r2.gpd", "--d", "2", "--delta", "1/10"),
+     "search space of 10 candidates exceeds cap 1"),
+    ("bernoulli-fiber", groupoid, "FIBER_CAP", 1,
+     ("verify", "--suite", "c2", "--source", "r2.gpd", "--d", "2", "--delta", "1/10"),
+     "fiber over unit 0 would have 4 points (cap 1)"),
+    ("profile-cap", partitions, "PROFILE_CAP", 1,
+     ("verify", "--suite", "c1", "--source", "r2.gpd", "--d", "2", "--delta", "1/10"),
+     "profile augmentation over a ball of 2 elements exceeds the cap 1"),
+    ("generator-cap", cli, "GENERATOR_CAP", 0,
+     ("count", "--source", "r2.gpd", "--d", "2", "--delta", "1/2"),
+     "more than 0 full-group generators; pass an explicit generating set file"),
+]
+
+
+@pytest.mark.parametrize("module,name,value,argv,message",
+                         [case[1:] for case in SIZE_CAPS],
+                         ids=[case[0] for case in SIZE_CAPS])
+def test_size_cap_refusal(capsys, tmp_path, monkeypatch, module, name, value,
+                          argv, message):
+    monkeypatch.chdir(tmp_path)
+    transitive_groupoid(2).save("r2.gpd")
+    monkeypatch.setattr(module, name, value)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": message}
 
 
 class TestCurve:
@@ -368,6 +422,14 @@ CERTIFY_SHA256 = [
      ("verify", "--suite", "c2,c3", "--source", "r2.gpd", "--d", "4",
       "--delta", "1/10", "--partitions", "4", "--seed", "2"),
      "78a476079679d4c7586c3061bab3ba1b0025a0476eeb7b532e1e6a767b537a43"),
+    # the scaling demos: both membership prechecks and the sum-closure note,
+    # recorded while SAParams still carried the radius and the sum bound
+    ("construct-expand",
+     ("construct", "--what", "expand", "--d", "8", "--delta", "1/10"),
+     "e5c0d6ea4a725ccbe74a10484b31669c38492137930d04535eba085abfe224a8"),
+    ("construct-restrict",
+     ("construct", "--what", "restrict", "--d", "250", "--delta", "1/100"),
+     "6932d0fe6aec6b8c2fcc4fb524cf0d427b68aab81b99b81379af180053d6752f"),
 ]
 
 # stdout sha256 of closed-form curves, recorded from the enumerate-then-filter
@@ -393,6 +455,28 @@ class TestRecordedOutputs:
         code, out, _ = run(capsys, "count", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("case", ["readme-trivial", "r2-d4-5"])
+    def test_count_builds_one_source(self, capsys, tmp_path, monkeypatch, case):
+        # every degree of a count command shares one ball and one source
+        monkeypatch.chdir(tmp_path)
+        transitive_groupoid(2).save("r2.gpd")
+        calls = []
+        for owner, name, label in (
+                (wordball, "ball", "ball"),
+                (cli, "full_group_generators", "generators"),
+                (sofic.BallSource, "__init__", "BallSource"),
+                (sofic.GroupoidSource, "__init__", "GroupoidSource")):
+            def counted(*args, _original=getattr(owner, name), _label=label):
+                calls.append(_label)
+                return _original(*args)
+            monkeypatch.setattr(owner, name, counted)
+        argv, want = {c[0]: c[1:] for c in COUNT_SHA256}[case]
+        code, out, _ = run(capsys, "count", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+        assert calls == (["ball", "BallSource"] if case == "readme-trivial"
+                         else ["generators", "GroupoidSource"])
 
     @pytest.mark.parametrize("argv,want", [case[1:] for case in MC_SHA256],
                              ids=[case[0] for case in MC_SHA256])
@@ -476,6 +560,66 @@ class TestScripts:
         assert code == 0
         assert [line.split() for line in out.splitlines()] == [
             ["6", "a.py"], ["2", "pkg/b.py"], ["8", "total"]]
+
+    def test_settable_values_lists_a_fixture_directory(self, capsys, monkeypatch,
+                                                       tmp_path):
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "a.py").write_text(
+            "import argparse\n"
+            "from dataclasses import dataclass\n"
+            "\n"
+            "\n"
+            "def f(x, y=2, *args, z, w=None):\n"
+            "    def g(v=(1, 2)):\n"
+            "        return v\n"
+            "    return g\n"
+            "\n"
+            "\n"
+            "@dataclass(frozen=True)\n"
+            "class P:\n"
+            "    a: int\n"
+            "    b: str = ''\n"
+            "\n"
+            "    def m(self, k=3):\n"
+            "        return k\n"
+            "\n"
+            "\n"
+            "class Q:\n"
+            "    c: int = 1\n"
+            "\n"
+            "\n"
+            "def parser():\n"
+            "    ap = argparse.ArgumentParser()\n"
+            "    ap.add_argument('--top')\n"
+            "    sub = ap.add_subparsers()\n"
+            "    p = sub.add_parser('run')\n"
+            "    group = p.add_mutually_exclusive_group()\n"
+            "    group.add_argument('--fast')\n"
+            "    p.add_argument('target')\n"
+            "    return ap\n")
+        (tmp_path / "pkg" / "b.py").write_text(
+            "import dataclasses\n"
+            "\n"
+            "\n"
+            "@dataclasses.dataclass\n"
+            "class R:\n"
+            "    r: float = 0.5\n")
+        (tmp_path / "pkg" / "notes.txt").write_text("def h(x=1): pass\n")
+        code, out = run_script(capsys, monkeypatch, "settable_values.py",
+                               str(tmp_path))
+        assert code == 0
+        assert out.splitlines() == [
+            "a.py:5  param  f(y=2)",
+            "a.py:5  param  f(w=None)",
+            "a.py:6  param  f.g(v=(1, 2))",
+            "a.py:13  field  P.a",
+            "a.py:14  field  P.b = ''",
+            "a.py:16  param  P.m(k=3)",
+            "a.py:26  option  --top",
+            "a.py:30  option  run --fast",
+            "a.py:31  option  run target",
+            "pkg/b.py:6  field  R.r = 0.5",
+            "    10  total"]
 
     def test_scaling_demo_defaults_are_vacuous(self, capsys, monkeypatch):
         code, out = run_script(capsys, monkeypatch, "scaling_demo.py")

@@ -171,7 +171,7 @@ class TestApproxSum:
         res = build_phi(table, Fraction(1, 10))
         params = HAParams(model, Fraction(1, 10), sigma.degree)
         for p1, p2 in disjoint_pairs(params):
-            check = approx_sum_check(res.candidate, params, p1, p2, precheck=False)
+            check = approx_sum_check(res.candidate, params, p1, p2)
             assert check.passed and check.gap == 0
 
     def test_disjointness_precondition(self, r2):
@@ -182,7 +182,7 @@ class TestApproxSum:
         params = HAParams(model, Fraction(1, 10), sigma.degree)
         full = params.universe.elements[params.universe.x_index]
         with pytest.raises(ValueError):
-            approx_sum_check(res.candidate, params, full, full, precheck=False)
+            approx_sum_check(res.candidate, params, full, full)
 
     def test_constructed_members_obey_146_delta(self, r2):
         _, _, ctx, model, basis = r2
@@ -194,8 +194,7 @@ class TestApproxSum:
             table = Phi0Table(basis, m, part)
             res = build_phi(table, delta)
             for p1, p2 in disjoint_pairs(params):
-                assert approx_sum_check(res.candidate, params, p1, p2,
-                                        precheck=False).passed
+                assert approx_sum_check(res.candidate, params, p1, p2).passed
 
 
 class TestBuildPhi0:

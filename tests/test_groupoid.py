@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soficdim import groupoid
 from soficdim.groupoid import (
     FiniteGroupoid,
     GroupoidError,
@@ -157,9 +158,10 @@ class TestBernoulli:
         with pytest.raises(GroupoidError):
             bernoulli_crossed_product(cyclic_groupoid(2), [Fraction(1, 2), Fraction(1, 3)])
 
-    def test_cap_refuses_blowup(self):
+    def test_cap_refuses_blowup(self, monkeypatch):
+        monkeypatch.setattr(groupoid, "FIBER_CAP", 4)
         with pytest.raises(GroupoidError):
-            bernoulli_crossed_product(transitive_groupoid(3), [Fraction(1, 2)] * 2, cap=4)
+            bernoulli_crossed_product(transitive_groupoid(3), [Fraction(1, 2)] * 2)
 
 
 class TestFinitePart:

@@ -173,12 +173,13 @@ class TestAugment:
                         for k in range(ball_size + 1))
         assert len(F1) <= bound
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         g = transitive_groupoid(3)
         gens = [PartialBisection(g, frozenset([1])), PartialBisection(g, frozenset([2])),
                 PartialBisection(g, frozenset([5]))]
+        monkeypatch.setattr(partitions, "PROFILE_CAP", 3)
         with pytest.raises(HypothesisError):
-            augment_generators(gens, 2, g, pm_cap=3)
+            augment_generators(gens, 2, g)
 
 
 class TestRandomPartition:
@@ -301,7 +302,7 @@ class TestBoundChecks:
     def test_exact_instance_is_exactly_zero(self, r2_setup):
         g, swap, ctx, model, basis, _ = r2_setup
         sigma, part = regular_model_candidate(model)
-        assert verify_lemma_c1(sigma, [swap], 1, Fraction(1, 10), ctx).worst == 0
+        assert verify_lemma_c1(sigma, ctx, Fraction(1, 10)).worst == 0
         table = Phi0Table(basis, sigma, part)
         assert verify_lemma_c2(table, Fraction(1, 10)).worst == 0
         assert verify_lemma_c3_sweep(table, Fraction(1, 10)).worst == 0
@@ -310,7 +311,7 @@ class TestBoundChecks:
         g, swap, ctx, _, _, members = r2_setup
         assert len(members) == 3
         for m in members:
-            rep = verify_lemma_c1(m, [swap], 1, Fraction(1, 10), ctx)
+            rep = verify_lemma_c1(m, ctx, Fraction(1, 10))
             assert rep.passed
 
     def test_non_member_rejected_before_checking(self, r2_setup):
@@ -318,7 +319,7 @@ class TestBoundChecks:
         from soficdim.pperm import PartialPermutation
         bad = SoficCandidate(4, [PartialPermutation.empty(4)] * 3)
         with pytest.raises(HypothesisError):
-            verify_lemma_c1(bad, [swap], 1, Fraction(1, 10), ctx)
+            verify_lemma_c1(bad, ctx, Fraction(1, 10))
 
     def test_members_pass_c2_c3_random_partitions(self, r2_setup):
         g, swap, ctx, model, basis, members = r2_setup

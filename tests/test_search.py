@@ -316,10 +316,9 @@ def test_groupoid_source_order():
              (3, 7), (3, 8), (4, 7), (4, 9), (6, 7), (6, 8), (6, 9), (6, 10),
              (7, 10), (8, 9)]
     triples = [(1, 2, 10), (1, 3, 8), (2, 4, 9), (3, 4, 7), (6, 8, 9)]
-    for m, sums in ((None, pairs + triples), (2, pairs)):
-        src = GroupoidSource(g, F, 2, m=m)
-        assert src.n_ball == 11 and src.n_universe == 11 + len(sums)
-        assert list(src.decomposition[11:]) == sums
-        for parts, bis in zip(src.decomposition[11:], src.universe[11:]):
-            assert bis.arrows == frozenset().union(
-                *(src.universe[i].arrows for i in parts))
+    src = GroupoidSource(g, F, 2)
+    assert src.n_ball == 11 and src.n_universe == 11 + len(pairs + triples)
+    assert list(src.decomposition[11:]) == pairs + triples
+    for parts, bis in zip(src.decomposition[11:], src.universe[11:]):
+        assert bis.arrows == frozenset().union(
+            *(src.universe[i].arrows for i in parts))

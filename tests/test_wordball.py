@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soficdim import wordball
 from soficdim.wordball import (
     BallSizeError,
     CyclicGroup,
@@ -130,9 +131,10 @@ class TestBall:
         for (i, j), k in b.mult.items():
             assert b.system.reduce_product(b.elements[i], b.elements[j]) == b.elements[k]
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(wordball, "BALL_CAP", 10)
         with pytest.raises(BallSizeError):
-            ball(IntegerLine(), None, 50, cap=10)
+            ball(IntegerLine(), None, 50)
 
 
 class TestDescriptors:
