@@ -140,11 +140,15 @@ def cmd_calc(args) -> int:
 # -- count ------------------------------------------------------------------------
 
 
+def check_radius(n: int):
+    if n < 1:
+        raise CliError(f"--n {n}: the ball radius must be >= 1")
+
+
 def make_source(args):
     """The radius ``--n`` ball of ``--family`` or ``--source``, built once
     for every degree of the command."""
-    if args.n < 1:
-        raise CliError(f"--n {args.n}: the ball radius must be >= 1")
+    check_radius(args.n)
     if args.family:
         system = wordball.parse_descriptor(args.family)
         return sofic.BallSource(wordball.ball(system, None, args.n))
@@ -367,6 +371,7 @@ ALL_SUITES = ("c1", "c2", "c3", "lin146", "ha", "scaling")
 
 
 def cmd_verify(args) -> int:
+    check_radius(args.n)
     g = load_source_groupoid(args.source)
     suites = ALL_SUITES if args.suite == "all" else tuple(args.suite.split(","))
     for s in suites:

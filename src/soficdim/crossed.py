@@ -511,12 +511,20 @@ def ha_statistic_with_sa(params: HAParams, E, Q, sa_delta=None,
     sa_params = params.sigma_params(sa_delta if sa_delta is not None
                                     else (delta if not isinstance(delta, SqrtTol)
                                           else 1))
-    pool = sofic.candidate_pool(d, "all")
-    space = len(pool) ** len(uni)
-    sigma_members = list(sofic.iter_SA_members(sa_params))
-    if space * max(len(sigma_members), 1) > cap:
-        raise InfeasibleError(space * max(len(sigma_members), 1), cap)
     below = partial(gap_below, tol=delta)
+    # (i): a trace window on each cylinder projection
+    centres = [model.mu_points(s) if i < uni.p_count else None
+               for i, s in enumerate(uni.elements)]
+    windows = sofic.fixed_windows(d, centres, below)
+    # sigma ranges over a groupoid source, in all mode like phi: one pass
+    # over the maps fills the pools of both searches
+    pools = sofic.candidate_pool(d, "all",
+                                 windows + sofic.SearchPlan(sa_params).windows)
+    pools, sigma_pools = pools[:len(windows)], pools[len(windows):]
+    sigma_members = list(sofic.iter_SA_members(sa_params, sigma_pools))
+    space = sofic.pool_size(d, "all") ** len(uni) * max(len(sigma_members), 1)
+    if space > cap:
+        raise InfeasibleError(f"search space of {space} candidates", cap)
     n, n_ball = len(uni), len(model.ball)
     # slots: the positions, then phi(letter) sigma(b)^-1 for every letter
     # and ball element b, then sigma(b), sigma(b)^-1 and the identity
@@ -536,10 +544,6 @@ def ha_statistic_with_sa(params: HAParams, E, Q, sa_delta=None,
             derived[pos].append((k, (pos, sig_inv + b)))
             triples[max(pos, tpos)].append((sig + b, k, tpos))
     triples[uni.x_index].append((ident, uni.x_index, ident))  # (iv)
-    # (i): a trace window on each cylinder projection
-    centres = [model.mu_points(s) if i < uni.p_count else None
-               for i, s in enumerate(uni.elements)]
-    pools = sofic.trace_windows(pool, sofic.fixed_windows(d, centres, below))
     limit = next((c for c in range(d + 1) if not below(Fraction(c, d))), d + 1)
 
     def compose(ij):
@@ -554,8 +558,7 @@ def ha_statistic_with_sa(params: HAParams, E, Q, sa_delta=None,
             slots[sig_inv + b] = (0,) + pperm.inverse(s).images
         sigma_e = sigma.restriction(E)
         sa_restrictions.add(sigma_e)
-        for phi in sofic.search(pools, derived, triples, limit, [None] * n, slots,
-                                compose):
+        for phi in sofic.search(pools, derived, triples, limit, slots, compose):
             restrictions.add((sigma_e, tuple(phi[p] for p in letter_pos)))
     count = len(restrictions)
     return count, sofic.statistic_from_count(count, d), len(sa_restrictions)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
-from operator import eq
+from operator import eq, itemgetter
 
 from .rng import SplitMix64
 
@@ -259,23 +259,40 @@ def embed(s: PartialPermutation, degree: int) -> PartialPermutation:
 # -- enumeration and sampling ------------------------------------------------
 
 
-def iter_all(d: int):
-    """All partial permutations of degree d in a fixed canonical order."""
+def iter_images(d: int, total: bool = False):
+    """Image tuples (s(1), ..., s(d)) of every partial permutation of
+    degree d in the canonical order: by domain size, then domain, then
+    range, both in ``combinations`` order, then the images in
+    ``permutations`` order.  With ``total``, only the permutations,
+    which are the last block of that order (lexicographic)."""
     points = range(1, d + 1)
+    if total:
+        yield from permutations(points)
+        return
     for k in range(d + 1):
         for dom in combinations(points, k):
+            # the i-th point of dom reads img[i], any other point the 0
+            # appended to img; one index would read an item, not a tuple
+            where = [k] * d
+            for i, x in enumerate(dom):
+                where[x - 1] = i
+            read = itemgetter(*where) if d > 1 else itemgetter(slice(0, 1))
             for ran in combinations(points, k):
                 for img in permutations(ran):
-                    images = [0] * d
-                    for x, y in zip(dom, img):
-                        images[x - 1] = y
-                    yield PartialPermutation(d, images)
+                    yield read(img + (0,))
+
+
+def iter_all(d: int):
+    """All partial permutations of degree d in the canonical order of
+    ``iter_images``."""
+    for images in iter_images(d):
+        yield PartialPermutation(d, images)
 
 
 def iter_permutations(d: int):
     """All total permutations of degree d in lexicographic order."""
-    for img in permutations(range(1, d + 1)):
-        yield PartialPermutation(d, img)
+    for images in iter_images(d, total=True):
+        yield PartialPermutation(d, images)
 
 
 def monoid_size(d: int) -> int:

@@ -22,8 +22,14 @@ compares integers only: distances are multiples of 1/d, so each
 position keeps the candidates whose fixed-point count meets its trace
 condition, and a product fails at ceil(delta*d) disagreements.  A
 ``SearchPlan`` holds those windows, the limit and the checks of each
-position, built once per ``SAParams``.  ``count_SA(..., E=E)`` also
-counts the distinct restrictions to the positions E in the same
+position, built once per ``SAParams``; it leaves out the triples that
+compose with a position whose window admits the identity alone, which
+cannot fail.  The pools the search draws from are bare image tuples
+padded with a leading 0, made in one pass over ``pperm.iter_images``
+that keeps only the tuples some window admits (``candidate_pool``).
+``PartialPermutation`` objects are built for members only: the images
+``iter_SA_members`` yields and the restrictions ``count_SA(..., E=E)``
+counts, the distinct restrictions to the positions E in the same
 enumeration.
 
 A seeded Monte Carlo estimator and a cycle-type closed form for cyclic
@@ -43,7 +49,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from operator import ne
+from operator import eq, ne
 
 from . import pperm
 from .groupoid import (
@@ -65,12 +71,11 @@ SUM_CAP = 20000
 
 
 class InfeasibleError(RuntimeError):
-    """Search space exceeds the configured cap."""
+    """A search space, ball or sum closure exceeds its cap; ``what``
+    names it with its size."""
 
-    def __init__(self, space_size, cap):
-        super().__init__(f"search space of {space_size} candidates exceeds cap {cap}")
-        self.space_size = space_size
-        self.cap = cap
+    def __init__(self, what: str, cap):
+        super().__init__(f"{what} exceeds cap {cap}")
 
 
 # -- sources ------------------------------------------------------------------
@@ -115,7 +120,8 @@ def bisection_ball(g: FiniteGroupoid, F, n: int):
                     elements.append(w)
                     nxt.append(w)
                     if len(elements) > BALL_CAP:
-                        raise InfeasibleError(len(elements), BALL_CAP)
+                        raise InfeasibleError(
+                            f"bisection ball of {len(elements)} elements", BALL_CAP)
         frontier = nxt
         if not frontier:
             break
@@ -155,7 +161,8 @@ def sum_closure(parts, footprints, join):
                 elements.append(total)
                 decomposition.append(picked)
                 if len(elements) > SUM_CAP:
-                    raise InfeasibleError(len(elements), SUM_CAP)
+                    raise InfeasibleError(
+                        f"sum closure of {len(elements)} elements", SUM_CAP)
         for j in range(picked[-1] + 1, len(footprints)):
             if not (union & footprints[j]):
                 queue.append((picked + (j,), union | footprints[j]))
@@ -352,10 +359,30 @@ def verify_membership(sigma: SoficCandidate, params: SAParams) -> MembershipRepo
 # -- enumeration ---------------------------------------------------------------
 
 
-def candidate_pool(d: int, mode: str) -> list[PartialPermutation]:
-    if mode == "perms":
-        return list(pperm.iter_permutations(d))
-    return list(pperm.iter_all(d))
+def candidate_pool(d: int, mode: str, windows) -> list[list[tuple]]:
+    """Per position, the maps of ``mode`` whose fixed-point count is in
+    that position's window (see ``fixed_windows``), in the order of
+    ``pperm.iter_images``.
+
+    Each map is its image tuple padded with a leading 0, so that
+    ``a[b[x]]`` composes two padded maps.  One pass over the images
+    sends each tuple to the lists whose window holds its fixed-point
+    count; equal windows share one list, and a tuple that no window
+    admits is dropped unpadded.
+    """
+    shared = {fixed: [] for fixed in windows}
+    into = [[] for _ in range(d + 1)]  # into[k]: the lists admitting k
+    for fixed, kept in shared.items():
+        for k in fixed:
+            into[k].append(kept)
+    points = range(1, d + 1)
+    for images in pperm.iter_images(d, total=(mode == "perms")):
+        targets = into[sum(map(eq, images, points))]
+        if targets:
+            pad = (0,) + images
+            for kept in targets:
+                kept.append(pad)
+    return [shared[fixed] for fixed in windows]
 
 
 def pool_size(d: int, mode: str) -> int:
@@ -374,33 +401,16 @@ def fixed_windows(d: int, centres, below) -> list[frozenset]:
             for centre in centres]
 
 
-def trace_windows(pool, windows):
-    """Per position, the candidates of ``pool`` whose ``nfix`` is in
-    that position's window (see ``fixed_windows``).
+def search(pools, derived, triples, limit, slots, derive):
+    """Yield ``slots`` at every assignment that passes its checks,
+    depth first in pool order; the list is reused, so copy from it.
 
-    Each list keeps pool order and pairs a candidate with its images
-    padded with a leading 0, so that ``a[b[x]]`` composes two padded
-    maps.
-    """
-    shared = {}
-    pools = []
-    for fixed in windows:
-        if fixed not in shared:
-            shared[fixed] = [(c, (0,) + c.images) for c in pool if c.nfix in fixed]
-        pools.append(shared[fixed])
-    return pools
-
-
-def search(pools, derived, triples, limit, values, slots, derive):
-    """Yield ``values`` at every assignment that passes its checks,
-    depth first in pool order; the list is reused, so copy it.
-
-    Position t takes a (value, padded images) pair of ``pools[t]`` into
-    ``values[t]`` and ``slots[t]``.  Each (k, arg) in ``derived[t]``
-    then sets ``slots[k] = derive(arg)``, an OverlapError rejecting,
-    and each (i, j, k) in ``triples[t]`` rejects when ``slots[k]``
-    disagrees with ``slots[i]`` after ``slots[j]`` on ``limit`` or more
-    points.  The caller sets any constant slots.
+    Position t takes a padded image tuple of ``pools[t]`` into
+    ``slots[t]``.  Each (k, arg) in ``derived[t]`` then sets
+    ``slots[k] = derive(arg)``, an OverlapError rejecting, and each
+    (i, j, k) in ``triples[t]`` rejects when ``slots[k]`` disagrees
+    with ``slots[i]`` after ``slots[j]`` on ``limit`` or more points.
+    The caller sets any constant slots.
     """
     n = len(pools)
 
@@ -418,16 +428,31 @@ def search(pools, derived, triples, limit, values, slots, derive):
 
     def walk(t):
         if t == n:
-            yield values
+            yield slots
             return
-        for value, pad in pools[t]:
-            values[t] = value
+        for pad in pools[t]:
             slots[t] = pad
             if admissible(t):
                 yield from walk(t + 1)
 
     yield from walk(0)
     del walk  # walk refers to itself; dropping it frees the pools at once
+
+
+def _orthogonal_sum(pads) -> tuple:
+    """``pperm.orthogonal_sum`` of padded image tuples: the union of
+    their graphs, an OverlapError where two share a domain or a range
+    point."""
+    out = list(pads[0])
+    taken = set(out)
+    for pad in pads[1:]:
+        for x, y in enumerate(pad):
+            if y:
+                if out[x] or y in taken:
+                    raise OverlapError("summands overlap in domain or range")
+                out[x] = y
+                taken.add(y)
+    return tuple(out)
 
 
 class SearchPlan:
@@ -440,10 +465,16 @@ class SearchPlan:
     completes it, and an overlap of its summands' images rejects there:
     the sum takes part in the triple (identity, sum, sum), so this
     drops exactly the candidates that triple would.
+
+    A position e whose window is {d} admits the identity alone, which
+    composes with any map to give that map back: no disagreement, and
+    the limit is at least 1 as delta > 0.  So the plan leaves out every
+    triple (e, j, j) and (j, e, j), which cannot reject.
     """
 
     def __init__(self, params: SAParams):
         source = params.source
+        self.d = params.d
         self.n_universe = source.n_universe
         self.windows = fixed_windows(params.d, source.taus, params.delta.__gt__)
         self.limit = math.ceil(params.delta * params.d)
@@ -452,66 +483,76 @@ class SearchPlan:
         self.triples = [[] for _ in range(source.n_ball)]
         for k in range(source.n_ball, source.n_universe):
             self.sums[need[k]].append((k, source.decomposition[k]))
+        identity = {e for e, fixed in enumerate(self.windows) if fixed == {params.d}}
         for (i, j, k) in source.triples:
+            if (k == j and i in identity) or (k == i and j in identity):
+                continue
             self.triples[max(need[i], need[j], need[k])].append((i, j, k))
 
     def search(self, pools):
-        """Yield the image list at every member whose image at each ball
-        position comes from that position's pool (as ``trace_windows``
-        makes them), depth first in pool order."""
-        images: list = [None] * len(self.windows)
+        """Yield the slot list at every member whose image at each ball
+        position comes from that position's pool (as ``candidate_pool``
+        makes them), depth first in pool order: its first
+        ``len(pools)`` entries are the members' padded images."""
+        slots: list = [None] * self.n_universe
 
         def orthogonal_sum(parts):
-            return (0,) + pperm.orthogonal_sum([images[i] for i in parts]).images
+            return _orthogonal_sum([slots[i] for i in parts])
 
-        return search(pools, self.sums, self.triples, self.limit, images,
-                      [None] * self.n_universe, orthogonal_sum)
+        return search(pools, self.sums, self.triples, self.limit, slots,
+                      orthogonal_sum)
 
 
-def iter_SA_members(params: SAParams, pool=None):
+def _maps(d: int, pads) -> tuple:
+    """Validated maps of padded image tuples."""
+    return tuple(PartialPermutation(d, pad[1:]) for pad in pads)
+
+
+def iter_SA_members(params: SAParams, pools=None):
     """Depth-first enumeration of all members, deterministic order.
 
     Constraints are applied as soon as every participant is assigned,
     so the pruned search yields exactly the brute-force member set.
+    ``pools``, when given, are ``candidate_pool(d, mode, windows)`` for
+    the windows of ``SearchPlan(params)``.  Only the members' images
+    are built as ``PartialPermutation`` objects.
     """
-    if pool is None:
-        pool = candidate_pool(params.d, params.mode)
     plan = SearchPlan(params)
-    for images in plan.search(trace_windows(pool, plan.windows)):
-        yield SoficCandidate(params.d, images)
+    if pools is None:
+        pools = candidate_pool(params.d, params.mode, plan.windows)
+    n = len(pools)
+    for slots in plan.search(pools):
+        yield SoficCandidate(params.d, _maps(params.d, slots[:n]))
 
 
-def _count_chunk(plan: SearchPlan, pool, first, positions):
-    """Member count and E-restriction set; position 0 draws from
-    ``first``, (candidate, padded images) pairs, when it is given."""
-    pools = trace_windows(pool, plan.windows)
-    if first is not None:
-        pools[0] = first
+def _count_chunk(plan: SearchPlan, pools, positions):
+    """Member count and the set of members' restrictions to
+    ``positions`` (tuples of maps)."""
     count = 0
     restrictions = set()
-    for images in plan.search(pools):
+    for slots in plan.search(pools):
         count += 1
         if positions is not None:
-            restrictions.add(tuple(images[i] for i in positions))
-    return count, restrictions
+            restrictions.add(tuple(slots[i] for i in positions))
+    return count, {_maps(plan.d, pads) for pads in restrictions}
 
 
 def _enumerate_counts(params: SAParams, positions, cap: int, workers: int):
     space = search_space_size(params)
     if space > cap:
-        raise InfeasibleError(space, cap)
-    pool = candidate_pool(params.d, params.mode)
+        raise InfeasibleError(f"search space of {space} candidates", cap)
     plan = SearchPlan(params)
+    pools = candidate_pool(params.d, params.mode, plan.windows)
     # workers share out the candidates admitted at position 0; with under
     # two each, often the identity alone, one counts
-    firsts = trace_windows(pool, plan.windows[:1])[0] if workers > 1 else []
+    firsts = pools[0]
     if workers <= 1 or len(firsts) < 2 * workers:
-        return _count_chunk(plan, pool, None, positions)
+        return _count_chunk(plan, pools, positions)
     import multiprocessing as mp
     step = (len(firsts) + workers - 1) // workers
-    chunks = [firsts[lo:lo + step] for lo in range(0, len(firsts), step)]
+    chunks = [[firsts[lo:lo + step], *pools[1:]] for lo in range(0, len(firsts), step)]
     with mp.Pool(workers) as ex:
-        parts = ex.starmap(_count_chunk, [(plan, pool, f, positions) for f in chunks])
+        parts = ex.starmap(_count_chunk, [(plan, c, positions) for c in chunks])
     return sum(c for c, _ in parts), set().union(*(r for _, r in parts))
 
 
@@ -597,7 +638,7 @@ def monte_carlo_count(params: SAParams, trials: int, seed: int) -> tuple[float, 
             c = draw(d, rng)
             if c.nfix not in fixed:
                 break
-            pools.append([(c, (0,) + c.images)])
+            pools.append([(0,) + c.images])
         else:  # one candidate per pool: at most one assignment
             hits += sum(1 for _ in plan.search(pools))
     rate = Fraction(hits, trials)

@@ -117,10 +117,10 @@ SIZE_CAPS = [
      "ball exceeds cap 1000"),
     ("bisection-ball", sofic, "BALL_CAP", 1,
      ("count", "--source", "r2.gpd", "--d", "2", "--delta", "1/2"),
-     "search space of 2 candidates exceeds cap 1"),
+     "bisection ball of 2 elements exceeds cap 1"),
     ("sum-closure", sofic, "SUM_CAP", 1,
      ("verify", "--suite", "lin146", "--source", "r2.gpd", "--d", "2", "--delta", "1/10"),
-     "search space of 10 candidates exceeds cap 1"),
+     "sum closure of 10 elements exceeds cap 1"),
     ("bernoulli-fiber", groupoid, "FIBER_CAP", 1,
      ("verify", "--suite", "c2", "--source", "r2.gpd", "--d", "2", "--delta", "1/10"),
      "fiber over unit 0 would have 4 points (cap 1)"),
@@ -224,6 +224,16 @@ class TestVerify:
                              "--instances", "0")
         assert code == 2 and out == ""
         assert "--instances 0" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("suite", ["scaling", "c1"])
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_radius_below_one_refused(self, capsys, monkeypatch, suite, n):
+        # refused where --n arrives, before any source or member is built
+        monkeypatch.setattr(cli, "load_source_groupoid", None)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--source",
+                             "zmod(2)", "--d", "4", "--delta", "1/10", "--n", n)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": f"--n {n}: the ball radius must be >= 1"}
 
     def test_scaling_alone_needs_no_members(self, capsys, r2_file):
         code, out, _ = run(capsys, "verify", "--suite", "scaling", "--source",

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -264,6 +265,26 @@ class TestEnumeration:
         oracle = sum(math.comb(d, k) ** 2 * math.factorial(k) for k in range(d + 1))
         elems = list(iter_all(d))
         assert len(elems) == len(set(elems)) == oracle == monoid_size(d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_canonical_order(self, d):
+        # the order every search, count and member list follows: domain
+        # size, domain, range, then images, each map in a list of its own
+        points = range(1, d + 1)
+        want = []
+        for k in range(d + 1):
+            for dom in itertools.combinations(points, k):
+                for ran in itertools.combinations(points, k):
+                    for img in itertools.permutations(ran):
+                        images = [0] * d
+                        for x, y in zip(dom, img):
+                            images[x - 1] = y
+                        want.append(tuple(images))
+        assert list(pperm.iter_images(d)) == want
+        assert [s.images for s in iter_all(d)] == want
+        perms = list(itertools.permutations(points))
+        assert list(pperm.iter_images(d, total=True)) == perms == want[-len(perms):]
+        assert [s.images for s in pperm.iter_permutations(d)] == perms
 
     def test_uniform_sampler_is_seeded(self):
         a = [random_pperm(6, SplitMix64(9)) for _ in range(20)]

@@ -47,7 +47,6 @@ from soficdim.sofic import (
     iter_SA_members,
     monte_carlo_count,
     search_space_size,
-    trace_windows,
     verify_membership,
 )
 from soficdim.wordball import ball, parse_descriptor
@@ -82,14 +81,23 @@ INSTANCES = (
     + [(f"freeprod-d{d}-{delta}",
         lambda d=d, delta=delta: family("freeprod(zmod(2),zmod(2))", delta, d))
        for d in range(1, 4) for delta in ("1/10", "1/2")]
-    # odd d: a trace of 1/2 is not a multiple of 1/d
+    # odd d: a trace of 1/2 is not a multiple of 1/d; delta 3/5: the
+    # window of the unit projection (trace 1/2) holds d too
     + [(f"r2-{kind}-d{d}-{delta}",
         lambda kind=kind, d=d, delta=delta: r2(kind, delta, d))
        for kind in ("full", "unit") for d in range(1, 4)
-       for delta in ("1/10", "1/5", "1/2")]
+       for delta in ("1/10", "1/5", "1/2", "3/5")]
     + [(f"r2-arrow-d{d}-{delta}", lambda d=d, delta=delta: r2("arrow", delta, d))
        for d in range(1, 3) for delta in ("1/10", "1")]
+    # identity windows wider than {d}, {3, 4}: the plan keeps the triples
+    # that compose with the identity position
+    + [("zmod2-all-d4-3/10", lambda: family("zmod(2)", "3/10", 4, "all")),
+       ("zmod3-d4-3/10", lambda: family("zmod(3)", "3/10", 4))]
 )
+
+
+def object_pool(d, mode):
+    return list(pperm.iter_permutations(d) if mode == "perms" else pperm.iter_all(d))
 
 
 def brute_force(params, pool):
@@ -101,18 +109,72 @@ def brute_force(params, pool):
                          ids=[name.replace("/", "over") for name, _ in INSTANCES])
 def test_search_matches_brute_force(make):
     params = make()
-    pool = candidate_pool(params.d, params.mode)
-    want = brute_force(params, pool)
+    d, nball = params.d, params.source.n_ball
+    want = brute_force(params, object_pool(d, params.mode))
     plan = SearchPlan(params)
-    assert [tuple(images) for images in
-            plan.search(trace_windows(pool, plan.windows))] == want
+    pools = candidate_pool(d, params.mode, plan.windows)
+    assert [tuple(pperm.PartialPermutation(d, pad[1:]) for pad in slots[:nball])
+            for slots in plan.search(pools)] == want
     assert [m.images for m in iter_SA_members(params)] == want
-    nball = params.source.n_ball
     for E in ((), (nball - 1,), tuple(range(nball))):
         restrictions = {tuple(images[i] for i in E) for images in want}
-        assert _count_chunk(plan, pool, None, E) == (len(want), restrictions)
+        assert _count_chunk(plan, pools, E) == (len(want), restrictions)
         assert count_SA(params, E=E) == (len(want), len(restrictions))
     assert count_SA(params) == len(want)
+
+
+@pytest.mark.parametrize("mode", ["perms", "all"])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_tuple_pools_filter_the_object_enumeration(d, mode):
+    maps = object_pool(d, mode)
+    windows = [frozenset({d}), frozenset({0}), frozenset(range(d + 1)),
+               frozenset({0, d // 2}), frozenset(), frozenset({d})]
+    pools = candidate_pool(d, mode, windows)
+    assert pools == [[(0,) + s.images for s in maps if s.nfix in fixed]
+                     for fixed in windows]
+    assert pools[0] is pools[-1]  # equal windows share one list
+
+
+# the triples left out compose with a position whose window is {d}
+@pytest.mark.parametrize("make,dropped", [
+    (lambda: family("zmod(2)", "1/10", 8), {(0, 0, 0), (0, 1, 1), (1, 0, 1)}),
+    (lambda: family("z", "1/4", 4),
+     {(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 1), (2, 0, 2)}),
+    # the swap, position 3, is the sum of the arrows at positions 1 and 2
+    (lambda: r2("arrow", "1/10", 2),
+     {(0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 0, 1), (2, 0, 2), (3, 0, 3)}),
+    # identity windows {3, 4} and {4, 5}
+    (lambda: family("zmod(2)", "3/10", 4, "all"), set()),
+    (lambda: family("z", "1/4", 5), set()),
+], ids=["zmod2-d8", "z-d4", "r2-arrow-d2", "zmod2-all-d4-wide", "z-d5-wide"])
+def test_plan_drops_the_identity_triples(make, dropped):
+    params = make()
+    plan = SearchPlan(params)
+    kept = [t for position in plan.triples for t in position]
+    assert sorted(kept) == sorted(set(params.source.triples) - dropped)
+    assert len(kept) + len(dropped) == len(params.source.triples)
+
+
+# validated maps are built for members only: count_SA builds those of the
+# distinct restrictions, iter_SA_members every image of every member
+@pytest.mark.parametrize("make", [lambda: family("zmod(2)", "1/10", 6),
+                                  lambda: family("freeprod(zmod(2),zmod(2))", "1/2", 3),
+                                  lambda: r2("full", "1/10", 4)],
+                         ids=["zmod2-d6", "freeprod-d3", "r2-full-d4"])
+def test_maps_are_built_for_members_only(make, monkeypatch):
+    params = make()
+    built = []
+    init = pperm.PartialPermutation.__init__
+    monkeypatch.setattr(pperm.PartialPermutation, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    count = count_SA(params)
+    assert count > 0 and built == []
+    E = tuple(range(params.source.n_ball))
+    assert count_SA(params, E=E)[0] == count
+    assert 0 < len(built) <= count * len(E)
+    built.clear()
+    assert sum(1 for _ in iter_SA_members(params)) == count
+    assert len(built) == count * len(E)
 
 
 # the split hands out the candidates that pass the trace condition at
@@ -262,7 +324,7 @@ HA_INSTANCES = (
 def test_ha_statistic_matches_brute_force(make, alphabet, d, delta):
     params = HAParams(make(alphabet), delta, d)
     uni = params.universe
-    pool = candidate_pool(d, "all")
+    pool = object_pool(d, "all")
     assert len(pool) ** len(uni) <= 5000
     E, Q = [0], list(range(len(alphabet)))
     sigmas = list(iter_SA_members(params.sigma_params(
@@ -276,6 +338,18 @@ def test_ha_statistic_matches_brute_force(make, alphabet, d, delta):
                            tuple(phi[uni.letter_index[q]] for q in Q)))
     count, _, sa_count = ha_statistic_with_sa(params, E, Q)
     assert (count, sa_count) == (len(pairs), len({s.restriction(E) for s in sigmas}))
+
+
+def test_ha_statistic_builds_one_pool(monkeypatch):
+    # the sigma members and the maps phi draw from one pass over the maps
+    from soficdim import sofic
+    calls = []
+    pool = sofic.candidate_pool
+    monkeypatch.setattr(sofic, "candidate_pool",
+                        lambda *args: calls.append(args[:2]) or pool(*args))
+    assert ha_statistic_with_sa(HAParams(swap_model(FAIR), Fraction(1, 2), 2),
+                                E=[0], Q=[0, 1], cap=10 ** 15)[::2] == (2, 1)
+    assert calls == [(2, "all")]
 
 
 # recorded from the enumeration the pruned search replaced, beyond brute force
