@@ -173,6 +173,8 @@ def restriction_positions(src) -> list[int]:
 
 
 def cmd_count(args) -> int:
+    if args.workers < 1:
+        raise CliError(f"--workers {args.workers}: the worker count must be >= 1")
     rows = []
     delta = parse_fraction(args.delta)
     degrees = parse_drange(args.d)

@@ -32,6 +32,20 @@ that keeps only the tuples some window admits (``candidate_pool``).
 counts, the distinct restrictions to the positions E in the same
 enumeration.
 
+Both membership conditions are unchanged when every image is conjugated
+by one permutation of the points, so ``count_SA`` counts up to
+conjugacy.  A window that admits a single map admits a map that every
+conjugation fixes (the identity, or the empty map).  At p, the first
+ball position whose window admits two or more maps, the search takes
+one representative r of each conjugacy class in that window
+(``conjugacy_classes``: cycle types, and in ``all`` mode cycle-and-chain
+types) and weighs the members it finds by the class size: the count is
+the sum over r of |class(r)| times the count with position p fixed to
+r.  With p in E the restricted count splits the same way; with p
+outside E it does not, and the plain search runs.  Positions after p
+draw from ``candidate_pool`` over their own windows, so no pass over the
+maps is made when p is the last position.
+
 A seeded Monte Carlo estimator and a cycle-type closed form for cyclic
 groups extend the statistic beyond enumeration range.  The estimator
 decides each trial with the same integer test: a trial stops drawing at
@@ -368,8 +382,10 @@ def candidate_pool(d: int, mode: str, windows) -> list[list[tuple]]:
     ``a[b[x]]`` composes two padded maps.  One pass over the images
     sends each tuple to the lists whose window holds its fixed-point
     count; equal windows share one list, and a tuple that no window
-    admits is dropped unpadded.
+    admits is dropped unpadded.  No window, no pass.
     """
+    if not windows:
+        return []
     shared = {fixed: [] for fixed in windows}
     into = [[] for _ in range(d + 1)]  # into[k]: the lists admitting k
     for fixed, kept in shared.items():
@@ -383,6 +399,58 @@ def candidate_pool(d: int, mode: str, windows) -> list[list[tuple]]:
             for kept in targets:
                 kept.append(pad)
     return [shared[fixed] for fixed in windows]
+
+
+def _partitions(n: int, smallest: int, largest: int):
+    """Partitions of n into parts from ``smallest`` to ``largest``, as
+    non-increasing tuples."""
+    if n == 0:
+        yield ()
+        return
+    for part in range(min(n, largest), smallest - 1, -1):
+        for rest in _partitions(n - part, smallest, part):
+            yield (part,) + rest
+
+
+def conjugacy_classes(d: int, mode: str, window) -> list[tuple[tuple, int]]:
+    """(representative, class size) for every class of maps of ``mode``
+    under conjugation by the permutations of {1..d} whose fixed-point
+    count lies in ``window``; a representative is padded as in
+    ``candidate_pool``.
+
+    A map splits its points into cycles and, for a partial map, chains
+    x1 -> ... -> xl with x1 outside the range and xl outside the
+    domain (a point outside both is a chain of one point).  Two maps
+    are conjugate exactly when they have the same number f_c of
+    c-cycles and g_l of chains of l points, and conjugating by g fixes
+    a map when g rotates its cycles and permutes its equal cycles and
+    equal chains, so a class holds
+    d! / (prod_c c^{f_c} f_c! * prod_l g_l!) maps.  The fixed-point
+    count is f_1.  In ``perms`` mode the classes are the cycle types.
+    """
+    classes = []
+    for nfix in sorted(window):
+        rest = d - nfix
+        for cycled in range(rest, -1, -1) if mode == "all" else (rest,):
+            for cycles in _partitions(cycled, 2, d):
+                for chains in _partitions(rest - cycled, 1, d):
+                    images = list(range(1, nfix + 1))
+                    for length in cycles:
+                        start = len(images) + 1
+                        images += range(start + 1, start + length)
+                        images.append(start)
+                    for length in chains:
+                        start = len(images) + 1
+                        images += range(start + 1, start + length)
+                        images.append(0)
+                    fixers = factorial(nfix)
+                    for length in set(cycles):
+                        f = cycles.count(length)
+                        fixers *= length ** f * factorial(f)
+                    for length in set(chains):
+                        fixers *= factorial(chains.count(length))
+                    classes.append(((0, *images), factorial(d) // fixers))
+    return classes
 
 
 def pool_size(d: int, mode: str) -> int:
@@ -466,10 +534,14 @@ class SearchPlan:
     the sum takes part in the triple (identity, sum, sum), so this
     drops exactly the candidates that triple would.
 
-    A position e whose window is {d} admits the identity alone, which
-    composes with any map to give that map back: no disagreement, and
-    the limit is at least 1 as delta > 0.  So the plan leaves out every
-    triple (e, j, j) and (j, e, j), which cannot reject.
+    The plan leaves out every triple (e, j, j) and (j, e, j) of a ball
+    position e of trace 1, which cannot reject.  The window of e holds
+    only fixed-point counts k with d - k < delta*d.  A map s with k
+    fixed points moves d - k points, so s after t and t after s differ
+    from t on at most d - k points for any map t (t is injective, and
+    t after s agrees with t at every fixed point of s).  As
+    d - k < delta*d <= ceil(delta*d), the limit, such a triple never
+    reaches it.
     """
 
     def __init__(self, params: SAParams):
@@ -483,7 +555,7 @@ class SearchPlan:
         self.triples = [[] for _ in range(source.n_ball)]
         for k in range(source.n_ball, source.n_universe):
             self.sums[need[k]].append((k, source.decomposition[k]))
-        identity = {e for e, fixed in enumerate(self.windows) if fixed == {params.d}}
+        identity = {e for e, tau in enumerate(source.taus) if tau == 1}
         for (i, j, k) in source.triples:
             if (k == j and i in identity) or (k == i and j in identity):
                 continue
@@ -537,23 +609,53 @@ def _count_chunk(plan: SearchPlan, pools, positions):
     return count, {_maps(plan.d, pads) for pads in restrictions}
 
 
+def _count_classes(params: SAParams, plan: SearchPlan, positions):
+    """``(count, restricted count)`` from one representative per
+    conjugacy class at p, the first position whose window admits two or
+    more maps, each search weighed by its class size; None when no
+    window admits two maps or p is not among ``positions``, where the
+    counts do not split.  The class sizes find p, so no map is
+    enumerated for it."""
+    before = []  # at most one map each, which every conjugation fixes
+    for p, fixed in enumerate(plan.windows):
+        classes = conjugacy_classes(params.d, params.mode, fixed)
+        if sum(size for _, size in classes) > 1:
+            break
+        before.append([pad for pad, _ in classes])
+    else:
+        return None
+    if positions is not None and p not in positions:
+        return None
+    after = candidate_pool(params.d, params.mode, plan.windows[p + 1:])
+    count = restricted = 0
+    for pad, size in classes:
+        c, r = _count_chunk(plan, [*before, [pad], *after], positions)
+        count += size * c
+        restricted += size * len(r)
+    return count, restricted
+
+
 def _enumerate_counts(params: SAParams, positions, cap: int, workers: int):
     space = search_space_size(params)
     if space > cap:
         raise InfeasibleError(f"search space of {space} candidates", cap)
     plan = SearchPlan(params)
+    counts = _count_classes(params, plan, positions)
+    if counts is not None:
+        return counts
     pools = candidate_pool(params.d, params.mode, plan.windows)
     # workers share out the candidates admitted at position 0; with under
     # two each, often the identity alone, one counts
     firsts = pools[0]
     if workers <= 1 or len(firsts) < 2 * workers:
-        return _count_chunk(plan, pools, positions)
+        count, restrictions = _count_chunk(plan, pools, positions)
+        return count, len(restrictions)
     import multiprocessing as mp
     step = (len(firsts) + workers - 1) // workers
     chunks = [[firsts[lo:lo + step], *pools[1:]] for lo in range(0, len(firsts), step)]
     with mp.Pool(workers) as ex:
         parts = ex.starmap(_count_chunk, [(plan, c, positions) for c in chunks])
-    return sum(c for c, _ in parts), set().union(*(r for _, r in parts))
+    return sum(c for c, _ in parts), len(set().union(*(r for _, r in parts)))
 
 
 DEFAULT_COUNT_CAP = 10 ** 8
@@ -569,10 +671,15 @@ def count_SA(params: SAParams, cap: int = DEFAULT_COUNT_CAP, workers: int = 1,
     With a collection E of ball positions, the same single enumeration
     returns ``(count, restricted_count)``, where the restricted count
     is the number of distinct restrictions of members to E.
+
+    Where E is None or holds the first position whose window admits
+    two or more maps, the search runs once per conjugacy class at that
+    position, in one process; otherwise ``workers`` processes share
+    out the candidates of position 0.
     """
     positions = None if E is None else tuple(E)
-    count, restrictions = _enumerate_counts(params, positions, cap, workers)
-    return count if E is None else (count, len(restrictions))
+    count, count_e = _enumerate_counts(params, positions, cap, workers)
+    return count if E is None else (count, count_e)
 
 
 NEG_INF = float("-inf")

@@ -103,6 +103,14 @@ class TestCount:
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": "--n 0: the ball radius must be >= 1"}
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_refused(self, capsys, workers):
+        code, out, err = run(capsys, "count", "--family", "zmod(2)", "--d", "3",
+                             "--delta", "1/10", "--workers", workers)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": f"--workers {workers}: the worker count must be >= 1"}
+
 
 # every size cap, each lowered so that a small job meets it: (id, module,
 # constant, lowered value, argv, error message)
@@ -362,6 +370,20 @@ COUNT_SHA256 = [
     ("r2-d4-5",
      ("--source", "r2.gpd", "--mode", "all", "--d", "4..5", "--delta", "1/10"),
      "3e559d7a8749e96bdd056bc2b7feac22658cd57b8b6809126196b09086b89ef4"),
+    # 15, 105 and 600 members; the cap tests pool^|ball|, which is
+    # 1441729^2 and 720^4 for the last two, above 1e10, so all three pass 1e13
+    ("zmod2-all-d6",
+     ("--family", "zmod(2)", "--d", "6", "--delta", "1/10", "--mode", "all",
+      "--cap", "10000000000000"),
+     "d33bcab746e7a31b7f3157e09d3ad53d4857dea253510e571370402627562b36"),
+    ("zmod2-all-d8",
+     ("--family", "zmod(2)", "--d", "8", "--delta", "1/10", "--mode", "all",
+      "--cap", "10000000000000"),
+     "7d45287690a56d5ef82dfb257153243a08c814e1f687cda0b3a7c0cbc1e15fbe"),
+    ("freeprod-z2-z3-d6",
+     ("--family", "freeprod(zmod(2),zmod(3))", "--d", "6", "--delta", "1/12",
+      "--mode", "perms", "--cap", "10000000000000"),
+     "be1f3c6ed5981c563b2c7d6f19553d997bc41b2ea2a88e5d0051e7b5b51870ac"),
 ]
 
 # stdout sha256 of `count --mc` jobs at --seed 1: the seven Monte Carlo

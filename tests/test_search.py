@@ -3,7 +3,9 @@
 On instances small enough to enumerate in full, the members of
 ``SearchPlan.search`` (and of its callers) must be exactly the candidates of
 ``itertools.product(pool, repeat=n_ball)`` that ``verify_membership``
-accepts, in the same order; ``ha_statistic_with_sa`` must count
+accepts, in the same order; the counts by conjugacy classes must equal
+those of the plain search, and the classes must partition the maps;
+``ha_statistic_with_sa`` must count
 exactly the (sigma|_E, phi|_Q) pairs of the maps phi in
 ``itertools.product(pool, repeat=len(universe))`` that ``verify_HA``
 accepts; and every Monte Carlo trial must decide membership as
@@ -13,6 +15,7 @@ accepts; and every Monte Carlo trial must decide membership as
 import itertools
 import math
 import multiprocessing
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -40,8 +43,11 @@ from soficdim.sofic import (
     SearchPlan,
     SoficCandidate,
     _count_chunk,
+    _count_classes,
     ball_params,
     candidate_pool,
+    closed_form_count,
+    conjugacy_classes,
     count_SA,
     groupoid_params,
     iter_SA_members,
@@ -116,11 +122,26 @@ def test_search_matches_brute_force(make):
     assert [tuple(pperm.PartialPermutation(d, pad[1:]) for pad in slots[:nball])
             for slots in plan.search(pools)] == want
     assert [m.images for m in iter_SA_members(params)] == want
-    for E in ((), (nball - 1,), tuple(range(nball))):
+    # the counts split over the classes at p only where E holds p
+    p = first_branching(pools)
+    everywhere = tuple(range(nball))
+    choices = [(), (nball - 1,), everywhere]
+    if p is not None:
+        choices += [(p,), tuple(t for t in everywhere if t != p)]
+    for E in choices:
         restrictions = {tuple(images[i] for i in E) for images in want}
         assert _count_chunk(plan, pools, E) == (len(want), restrictions)
+        assert _count_classes(params, plan, E) == (
+            (len(want), len(restrictions)) if p in E else None)
         assert count_SA(params, E=E) == (len(want), len(restrictions))
+    assert _count_classes(params, plan, None) == (
+        None if p is None else (len(want), 0))
     assert count_SA(params) == len(want)
+
+
+def first_branching(pools):
+    """The first position whose pool holds two or more maps, or None."""
+    return next((t for t, pool in enumerate(pools) if len(pool) > 1), None)
 
 
 @pytest.mark.parametrize("mode", ["perms", "all"])
@@ -135,7 +156,8 @@ def test_tuple_pools_filter_the_object_enumeration(d, mode):
     assert pools[0] is pools[-1]  # equal windows share one list
 
 
-# the triples left out compose with a position whose window is {d}
+# the triples left out compose with a position of trace 1, whatever its
+# window: {d}, or wider
 @pytest.mark.parametrize("make,dropped", [
     (lambda: family("zmod(2)", "1/10", 8), {(0, 0, 0), (0, 1, 1), (1, 0, 1)}),
     (lambda: family("z", "1/4", 4),
@@ -144,8 +166,9 @@ def test_tuple_pools_filter_the_object_enumeration(d, mode):
     (lambda: r2("arrow", "1/10", 2),
      {(0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3), (1, 0, 1), (2, 0, 2), (3, 0, 3)}),
     # identity windows {3, 4} and {4, 5}
-    (lambda: family("zmod(2)", "3/10", 4, "all"), set()),
-    (lambda: family("z", "1/4", 5), set()),
+    (lambda: family("zmod(2)", "3/10", 4, "all"), {(0, 0, 0), (0, 1, 1), (1, 0, 1)}),
+    (lambda: family("z", "1/4", 5),
+     {(0, 0, 0), (0, 1, 1), (0, 2, 2), (1, 0, 1), (2, 0, 2)}),
 ], ids=["zmod2-d8", "z-d4", "r2-arrow-d2", "zmod2-all-d4-wide", "z-d5-wide"])
 def test_plan_drops_the_identity_triples(make, dropped):
     params = make()
@@ -175,6 +198,87 @@ def test_maps_are_built_for_members_only(make, monkeypatch):
     built.clear()
     assert sum(1 for _ in iter_SA_members(params)) == count
     assert len(built) == count * len(E)
+
+
+# -- counting up to conjugacy -----------------------------------------------------
+
+def cycle_chain_type(images):
+    """(cycle lengths, chain lengths), each sorted, of an image tuple."""
+    d = len(images)
+    ranged = set(images)
+    seen = set()
+    chains = []
+    for x in range(1, d + 1):
+        if x not in ranged:  # the first point of a chain
+            length = 0
+            while x:
+                seen.add(x)
+                length += 1
+                x = images[x - 1]
+            chains.append(length)
+    cycles = []
+    for x in range(1, d + 1):
+        length = 0
+        while x not in seen:
+            seen.add(x)
+            length += 1
+            x = images[x - 1]
+        if length:
+            cycles.append(length)
+    return sorted(cycles), sorted(chains)
+
+
+def whole(d):
+    return frozenset(range(d + 1))
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_class_sizes_sum_to_the_maps(d):
+    perms = conjugacy_classes(d, "perms", whole(d))
+    maps = conjugacy_classes(d, "all", whole(d))
+    assert sum(size for _, size in perms) == math.factorial(d)
+    assert sum(size for _, size in maps) == pperm.monoid_size(d)
+    if d == 8:
+        assert (len(perms), len(maps)) == (22, 185)
+
+
+# each representative is a valid map of its mode, one per cycle(-and-chain)
+# type, and its class size is the number of maps of that type
+@pytest.mark.parametrize("mode", ["perms", "all"])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_representatives_have_their_class_type(d, mode):
+    sizes = Counter(tuple(map(tuple, cycle_chain_type(s.images)))
+                    for s in object_pool(d, mode))
+    classes = {}
+    for pad, size in conjugacy_classes(d, mode, whole(d)):
+        assert pad[0] == 0
+        rep = pperm.PartialPermutation(d, pad[1:])
+        assert mode == "all" or rep.is_total()
+        classes[tuple(map(tuple, cycle_chain_type(rep.images)))] = size
+    assert classes == sizes
+
+
+@pytest.mark.parametrize("mode", ["perms", "all"])
+@pytest.mark.parametrize("d", range(1, 8))
+def test_class_sizes_per_window_match_the_pools(d, mode):
+    windows = [frozenset({d}), frozenset({0}), whole(d), frozenset({0, d // 2}),
+               frozenset(), frozenset(range(d // 2, d + 1))]
+    for fixed, pool in zip(windows, candidate_pool(d, mode, windows)):
+        classes = conjugacy_classes(d, mode, fixed)
+        assert sum(size for _, size in classes) == len(pool)
+        assert all(sum(map(int.__eq__, pad[1:], range(1, d + 1))) in fixed
+                   for pad, _ in classes)
+
+
+# delta*d < 1: exact multiplicativity and no fixed point off the identity,
+# which is what the closed form counts; zmod(3) stops at d = 9, where its
+# last position already searches a pool of 133,496 derangements per class
+@pytest.mark.parametrize("m,d", [(2, d) for d in range(1, 11)]
+                         + [(3, d) for d in range(1, 10)])
+def test_class_count_matches_closed_form(m, d):
+    delta = Fraction(1, d + 1)
+    params = family(f"zmod({m})", delta, d)
+    assert count_SA(params, cap=10 ** 20) == closed_form_count(m, d, delta)
 
 
 # the split hands out the candidates that pass the trace condition at
