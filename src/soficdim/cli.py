@@ -175,6 +175,8 @@ def restriction_positions(src) -> list[int]:
 def cmd_count(args) -> int:
     if args.workers < 1:
         raise CliError(f"--workers {args.workers}: the worker count must be >= 1")
+    if args.mc < 0:
+        raise CliError(f"--mc {args.mc}: the trial count must be >= 1 (0 counts exactly)")
     rows = []
     delta = parse_fraction(args.delta)
     degrees = parse_drange(args.d)

@@ -16,13 +16,14 @@ safe to share across workers.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 from operator import eq, itemgetter
 
-from .rng import SplitMix64
+from .rng import _GOLDEN, _MASK, _TWO64, SplitMix64
 
 
 class OverlapError(ValueError):
@@ -300,38 +301,87 @@ def monoid_size(d: int) -> int:
     return sum(comb(d, k) ** 2 * factorial(k) for k in range(d + 1))
 
 
-def random_permutation(d: int, rng: SplitMix64) -> PartialPermutation:
-    img = list(range(1, d + 1))
-    rng.shuffle(img)
-    return PartialPermutation(d, img)
-
-
 @lru_cache(maxsize=64)
-def _domain_size_cumulative(d: int) -> tuple:
-    """Cumulative counts of partial permutations by domain size."""
+def _domain_size_bounds(d: int) -> tuple:
+    """Cumulative counts of partial permutations by domain size, each
+    times 2^64, and the total count."""
     acc = 0
     out = []
     for k in range(d + 1):
         acc += comb(d, k) ** 2 * factorial(k)
-        out.append(acc)
+        out.append(acc << 64)
     return tuple(out), acc
+
+
+def random_images(d: int, total: bool, lo: int, hi: int, rng: SplitMix64):
+    """Padded images (0, s(1), ..., s(d)) of a uniform random permutation
+    (``total``) or partial permutation of degree d, or None as soon as
+    its fixed-point count cannot lie in lo..hi.
+
+    A partial map takes one ``next64`` for its domain size k (exact
+    weights: u / 2^64 < cum_k / total), then ``choose_sorted(d, k)`` for
+    its domain and for its range; a permutation has domain and range
+    1..d.  A Fisher-Yates shuffle of the range, run from the end as
+    ``SplitMix64.shuffle`` runs it, pairs the i-th domain point with the
+    i-th range point.  Step i settles position i, so the fixed points
+    settled so far plus the i positions left bound the count, as do k
+    and |dom & ran|.  A draw that returns a tuple consumes exactly the
+    stream of the full draw; a None draw stops part-way.
+    """
+    if hi < lo:
+        return None
+    if total:
+        k = d
+        dom = range(d)
+        ran = list(dom)
+    else:
+        bounds, size = _domain_size_bounds(d)
+        k = bisect_right(bounds, rng.next64() * size)
+        if k < lo:
+            return None
+        dom = rng.choose_sorted(d, k)
+        ran = rng.choose_sorted(d, k)
+        if lo and len(set(dom).intersection(ran)) < lo:
+            return None
+    fixed = 0
+    s = rng._state
+    for i in range(k - 1, 0, -1):
+        n = i + 1
+        limit = _TWO64 - _TWO64 % n
+        while True:
+            s = (s + _GOLDEN) & _MASK
+            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            z ^= z >> 31
+            if z < limit:
+                break
+        j = z % n
+        y = ran[j]
+        ran[j] = ran[i]
+        ran[i] = y
+        if y == dom[i]:
+            fixed += 1
+            if fixed > hi:
+                break
+        elif fixed + i < lo:
+            break
+    rng._state = s
+    # after a break, position 0 cannot bring the count back into lo..hi
+    if ran and ran[0] == dom[0]:
+        fixed += 1
+    if not lo <= fixed <= hi:
+        return None
+    images = [0] * (d + 1)
+    for x, y in zip(dom, ran):  # points 0..d-1 of the shuffle are 1..d
+        images[x + 1] = y + 1
+    return tuple(images)
+
+
+def random_permutation(d: int, rng: SplitMix64) -> PartialPermutation:
+    """Uniform over the permutations of degree d."""
+    return PartialPermutation(d, random_images(d, True, 0, d, rng)[1:])
 
 
 def random_pperm(d: int, rng: SplitMix64) -> PartialPermutation:
     """Uniform over all partial permutations of degree d (exact weights)."""
-    cumulative, total = _domain_size_cumulative(d)
-    u = rng.next64()
-    # u / 2^64 < cum_k / total  <=>  u * total < cum_k << 64
-    lhs = u * total
-    k = d
-    for i, c in enumerate(cumulative):
-        if lhs < c << 64:
-            k = i
-            break
-    dom = [x + 1 for x in rng.choose_sorted(d, k)]
-    ran = [x + 1 for x in rng.choose_sorted(d, k)]
-    rng.shuffle(ran)
-    images = [0] * d
-    for x, y in zip(dom, ran):
-        images[x - 1] = y
-    return PartialPermutation(d, images)
+    return PartialPermutation(d, random_images(d, False, 0, d, rng)[1:])

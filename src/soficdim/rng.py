@@ -38,8 +38,9 @@ class SplitMix64:
     scrambles it.  Every derived draw consumes the same stream of
     ``next64`` outputs; ``below``, ``shuffle``, ``choose_sorted`` and
     ``weighted_indices`` inline that step on a local copy of the state
-    and store it back once, which saves a method call per draw in the
-    Monte Carlo hot path.
+    and store it back once, which saves a method call per draw.  So does
+    the shuffle in ``pperm.random_images``, the Monte Carlo draw, which
+    stops part-way once a map's fixed-point count is decided.
     """
 
     __slots__ = ("seed", "_state")

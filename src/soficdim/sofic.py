@@ -48,12 +48,12 @@ maps is made when p is the last position.
 
 A seeded Monte Carlo estimator and a cycle-type closed form for cyclic
 groups extend the statistic beyond enumeration range.  The estimator
-decides each trial with the same integer test: a trial stops drawing at
-its first image outside its trace window, and otherwise searches the
-drawn images alone.  Each trial draws from its own substream of the
-seed, so stopping early changes no other trial's draws and the hits are
-those of the full ``verify_membership`` check, which stays the
-reference checker.
+decides each trial with the same integer test: a trial stops part-way
+through its first draw whose fixed-point count cannot lie in its trace
+window, and otherwise searches the drawn images alone.  Each trial
+draws from its own substream of the seed, so stopping early changes no
+other trial's draws and the hits are those of the full
+``verify_membership`` check, which stays the reference checker.
 """
 
 from __future__ import annotations
@@ -714,13 +714,14 @@ def monte_carlo_count(params: SAParams, trials: int, seed: int) -> tuple[float, 
     Trial t draws one image per ball position, in position order and
     uniformly from the candidate pool, from the substream
     ``SplitMix64(seed).spawn(t)``.  It decides membership with the
-    integer test of ``count_SA``: it stops at the first image whose
-    fixed-point count is outside its position's trace window, and
-    otherwise runs the search over the drawn images alone, one
-    candidate per position.  As each trial owns its substream, the
-    draws a stopped trial skips change no other trial, so the hits
-    equal those of drawing every image and running
-    ``verify_membership``.
+    integer test of ``count_SA``: ``pperm.random_images`` stops a draw,
+    part-way, as soon as its fixed-point count cannot lie in its
+    position's trace window, which ends the trial; otherwise the trial
+    runs the search over the drawn images alone, one candidate per
+    position.  As each trial owns its substream, the draws a stopped
+    trial skips change no other trial, and a draw that lands in its
+    window equals the full draw, so the hits equal those of drawing
+    every image in full and running ``verify_membership``.
 
     Raises ValueError when the search space is too large for the float
     estimate.
@@ -734,18 +735,21 @@ def monte_carlo_count(params: SAParams, trials: int, seed: int) -> tuple[float, 
         raise ValueError(f"search space of about 10^{math.log10(space):.1f} "
                          "candidates is beyond the float range of the estimate") from None
     d = params.d
+    total = params.mode == "perms"
     plan = SearchPlan(params)
-    draw = (pperm.random_permutation if params.mode == "perms" else pperm.random_pperm)
+    # |k/d - tau| < delta holds on an interval of counts k, maybe empty
+    windows = [(min(fixed, default=1), max(fixed, default=0)) for fixed in plan.windows]
+    draw = pperm.random_images
     base = SplitMix64(seed)
     hits = 0
     for t in range(trials):
         rng = base.spawn(t)
         pools = []
-        for fixed in plan.windows:
-            c = draw(d, rng)
-            if c.nfix not in fixed:
+        for lo, hi in windows:
+            images = draw(d, total, lo, hi, rng)
+            if images is None:
                 break
-            pools.append([(0,) + c.images])
+            pools.append([images])
         else:  # one candidate per pool: at most one assignment
             hits += sum(1 for _ in plan.search(pools))
     rate = Fraction(hits, trials)

@@ -111,6 +111,16 @@ class TestCount:
         assert json.loads(err) == {
             "error": f"--workers {workers}: the worker count must be >= 1"}
 
+    @pytest.mark.parametrize("trials", ["-1", "-5"])
+    def test_negative_trials_refused(self, capsys, monkeypatch, trials):
+        # refused before the source is built
+        monkeypatch.setattr(cli, "make_source", None)
+        code, out, err = run(capsys, "count", "--family", "zmod(2)", "--d", "3",
+                             "--delta", "1/10", "--mc", trials)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": f"--mc {trials}: the trial count must be >= 1 (0 counts exactly)"}
+
 
 # every size cap, each lowered so that a small job meets it: (id, module,
 # constant, lowered value, argv, error message)

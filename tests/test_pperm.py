@@ -292,6 +292,60 @@ class TestEnumeration:
         assert a == b
 
 
+def full_permutation(d, rng):
+    """The permutation draw before windows: shuffle 1..d."""
+    img = list(range(1, d + 1))
+    rng.shuffle(img)
+    return PartialPermutation(d, img)
+
+
+def full_pperm(d, rng):
+    """The partial draw before windows: a domain size by exact weights,
+    a sorted domain, a sorted range, and a shuffle of the range."""
+    cumulative = list(itertools.accumulate(math.comb(d, k) ** 2 * math.factorial(k)
+                                           for k in range(d + 1)))
+    lhs = rng.next64() * cumulative[-1]
+    k = next(i for i, c in enumerate(cumulative) if lhs < c << 64)
+    dom = [x + 1 for x in rng.choose_sorted(d, k)]
+    ran = [x + 1 for x in rng.choose_sorted(d, k)]
+    rng.shuffle(ran)
+    images = [0] * d
+    for x, y in zip(dom, ran):
+        images[x - 1] = y
+    return PartialPermutation(d, images)
+
+
+FULL_DRAWS = [(True, full_permutation), (False, full_pperm)]
+
+
+class TestSampling:
+    @pytest.mark.parametrize("total,full", FULL_DRAWS, ids=["perms", "all"])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_windowed_draw_is_the_full_draw_or_none(self, d, total, full):
+        # every window lo..hi, empty ones (lo > hi) included
+        windows = [(lo, hi) for lo in range(d + 1) for hi in range(d + 1)]
+        for seed in range(200):
+            rng = SplitMix64(seed)
+            s = full(d, rng)
+            for lo, hi in windows:
+                windowed = SplitMix64(seed)
+                images = pperm.random_images(d, total, lo, hi, windowed)
+                if lo <= s.nfix <= hi:
+                    assert images == (0,) + s.images
+                    assert windowed._state == rng._state
+                else:
+                    assert images is None
+
+    @pytest.mark.parametrize("total,full", FULL_DRAWS, ids=["perms", "all"])
+    def test_wrappers_reproduce_the_full_draws(self, total, full):
+        draw = pperm.random_permutation if total else random_pperm
+        for d in (1, 2, 3, 5, 7, 16, 33):
+            rng, ref = SplitMix64(d), SplitMix64(d)
+            for _ in range(100):
+                assert draw(d, rng) == full(d, ref)
+            assert rng.next64() == ref.next64()
+
+
 class TestConjugation:
     def test_conjugation_preserves_trace_and_shape(self):
         rng = SplitMix64(4)

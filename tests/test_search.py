@@ -345,11 +345,13 @@ def mc_draw(mode):
 def test_mc_trials_decide_like_verify_membership(make, d, mode, outcomes,
                                                  monkeypatch):
     # a one-trial run with seed s is the trial SplitMix64(s).spawn(0);
-    # drawing every image from that substream gives the reference verdict
+    # drawing every image from that substream gives the reference verdict;
+    # the trial calls the windowed draw once per ball position it reaches
     draw = mc_draw(mode)
+    windowed = pperm.random_images
     drawn = []
-    monkeypatch.setattr(pperm, draw.__name__,
-                        lambda d, rng: drawn.append(d) or draw(d, rng))
+    monkeypatch.setattr(pperm, "random_images",
+                        lambda d, *rest: drawn.append(d) or windowed(d, *rest))
     seen = set()
     for delta in mc_deltas(d):
         params = make(delta, d, mode)
