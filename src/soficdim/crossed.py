@@ -10,9 +10,11 @@ strict inequalities at the working tolerance).
 The constructive route starts from a candidate sigma and a partition
 of {1..d}: the linear map phi0 sends each basis cylinder projection to
 the indicator of its image-side cylinder and extends linearly.  The
-caller builds one partitions.Phi0Table for the pair, and the c2 and c3
-bounds, build_phi0 and build_phi all read that table; build_phi0
-certifies phi0's four properties against
+caller builds one partitions.ModelMember per sigma, which aligns sigma
+to the model ball and checks sigma's membership once for all of its
+partitions, and one partitions.Phi0Table per (sigma, partition); the
+c2 and c3 bounds, build_phi0 and build_phi all read that table.
+build_phi0 certifies phi0's four properties against
 
     delta0 = 3 (1/gamma) kappa^2 ell^2 q c3^2 sqrt(delta).
 
@@ -23,8 +25,12 @@ tolerance 9 |P|^2 (1/gamma^2) kappa^5 ell^2 q c3^2 sqrt(delta), with
 
     |V| >= d (1 - 2 |P|^2 c3^2 kappa^4 delta / gamma^2).
 
-Square roots never enter the arithmetic: bounds against sqrt(delta)
-are decided by comparing squares of exact rationals.
+The checks of a pair count disagreements on padded image tuples: sigma
+transports phi by s p s^-1 without building maps, and the 146 delta
+linearity runs over the disjoint pairs that the projection universe
+lists once as index triples.  Square roots never enter the arithmetic:
+bounds against sqrt(delta) are decided by comparing squares of exact
+rationals.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from . import pperm, sofic
 from .partitions import (
     CylinderModel,
     HypothesisError,
+    ModelMember,
     Phi0Table,
     SpanBasis,
     lemma_constants,
@@ -69,8 +76,10 @@ class ProjectionUniverse:
     cylinder projections come first (order of first appearance over
     the canonical psi order), followed by their disjoint unions; more
     than ``sofic.SUM_CAP`` elements raise InfeasibleError.  ``triples``
-    lists (i, j, k) with elements[i] & elements[j] == elements[k].  A
-    model builds its universe once (``CylinderModel.universe``).
+    lists (i, j, k) with elements[i] & elements[j] == elements[k], and
+    ``sum_pairs`` the (i, j, k) with i <= j whose elements i and j are
+    disjoint with union elements[k].  A model builds its universe once
+    (``CylinderModel.universe``).
     """
 
     def __init__(self, model: CylinderModel):
@@ -93,6 +102,17 @@ class ProjectionUniverse:
                 if k is not None:
                     triples.append((i, j, k))
         self.triples = tuple(triples)
+        # (i, j, k) with i <= j, elements[i] and elements[j] disjoint and
+        # their union elements[k]: the pairs of the 146 delta linearity
+        pairs = []
+        for i, a in enumerate(self.elements):
+            for j in range(i, len(self.elements)):
+                b = self.elements[j]
+                if not (a & b):
+                    k = index.get(a | b)
+                    if k is not None:
+                        pairs.append((i, j, k))
+        self.sum_pairs = tuple(pairs)
 
     def __len__(self):
         return len(self.elements)
@@ -119,13 +139,19 @@ class HAParams:
 
 
 class HACandidate:
-    """A sigma candidate plus images of every sum-closure element."""
+    """A sigma candidate, held through its ModelMember, plus images of
+    every sum-closure element.  Candidates that share a member share its
+    alignment to the model ball and its membership check."""
 
-    __slots__ = ("sigma", "phi")
+    __slots__ = ("member", "phi")
 
-    def __init__(self, sigma: SoficCandidate, phi):
-        self.sigma = sigma
+    def __init__(self, member: ModelMember, phi):
+        self.member = member
         self.phi = tuple(phi)
+
+    @property
+    def sigma(self) -> SoficCandidate:
+        return self.member.sigma
 
 
 @dataclass(frozen=True)
@@ -166,15 +192,6 @@ class HAReport:
         return out
 
 
-def push_forward(s: PartialPermutation, p: PartialPermutation) -> PartialPermutation:
-    """p transported by s, the conjugation s p s^-1.
-
-    On a projection onto A this is the projection onto the image of A
-    under s, which is how a candidate map carries a set across.
-    """
-    return pperm.compose(pperm.compose(s, p), pperm.inverse(s))
-
-
 def verify_HA(cand: HACandidate, params: HAParams,
               check_sigma: bool = True) -> HAReport:
     """Exact worst gaps of (sigma, phi) against conditions (i)-(iv).
@@ -184,23 +201,24 @@ def verify_HA(cand: HACandidate, params: HAParams,
     against the phi-image transported by sigma), (iii) over sum-closure
     pairs whose product stays in the closure, and (iv) against the full
     space.  ``check_sigma`` also requires sigma to be a member at the
-    same tolerance.
+    same tolerance.  Sigma's images on the model ball and its membership
+    report are read from the candidate's ModelMember, which computes
+    each once.
     """
     model = params.model
     uni = params.universe
     tol = params.delta
     d = params.d
+    member = cand.member
+    if member.model is not model:
+        raise ValueError("sigma's member belongs to another cylinder model")
     if len(cand.phi) != len(uni):
         raise ValueError(f"phi covers {len(cand.phi)} of {len(uni)} projections")
-    if any(p.degree != d for p in cand.phi):
-        raise ValueError(f"phi images must have degree {d}")
-    images = model.context.align(cand.sigma, model.ball)
+    if any(p.degree != d for p in cand.phi) or member.sigma.degree != d:
+        raise ValueError(f"sigma and phi images must have degree {d}")
     sigma_ok = True
     if check_sigma:
-        sp = params.sigma_params()
-        aligned = SoficCandidate(d, model.context.align(
-            cand.sigma, sp.source.ball_elements))
-        rep = sofic.verify_membership(aligned, sp)
+        rep = member.sigma_report
         sigma_ok = (gap_below(rep.mult_gap, tol) and gap_below(rep.trace_gap, tol)
                     and not any("unresolvable" in n for n in rep.notes))
 
@@ -210,19 +228,27 @@ def verify_HA(cand: HACandidate, params: HAParams,
         if gap > trace_gap:
             trace_gap, trace_wit = gap, f"projection {i}"
 
-    # (ii) and (iii) compare disagreement counts; the gap is count / d
+    # (ii) and (iii) compare disagreement counts on padded image tuples;
+    # the gap is count / d.  s p s^-1 sends x to s(p(s^-1(x))).
+    phi = [p.images for p in cand.phi]
+    sigma_pads = []
+    for s in member.images:
+        inv = [0] * d
+        for x, y in enumerate(s.images, start=1):
+            if y:
+                inv[y - 1] = x
+        sigma_pads.append(((0,) + s.images, inv))
     equi_count, equi_wit = 0, ""
     for letter, pos in enumerate(uni.letter_index):
-        for bidx in range(len(model.ball)):
-            translated = uni.index[model.translate(bidx, letter)]
-            count = pperm.disagreement_count(
-                cand.phi[translated], push_forward(images[bidx], cand.phi[pos]))
+        p = (0,) + phi[pos]
+        for bidx, (s, inv) in enumerate(sigma_pads):
+            target = phi[uni.index[model.translate(bidx, letter)]]
+            count = sum(1 for w, y in zip(target, inv) if w != s[p[y]])
             if count > equi_count:
                 equi_count, equi_wit = count, f"letter {letter}, ball {bidx}"
     equi_gap = Fraction(equi_count, d)
 
     # phi(i) phi(j) against phi(k), point by point, without building the product
-    phi = [p.images for p in cand.phi]
     mult_count, mult_wit = 0, ""
     for (i, j, k) in uni.triples:
         left = phi[i]
@@ -233,66 +259,69 @@ def verify_HA(cand: HACandidate, params: HAParams,
 
     unit_gap = pperm.uniform_distance(cand.phi[uni.x_index],
                                       PartialPermutation.identity(d))
-    member = (sigma_ok and gap_below(trace_gap, tol) and gap_below(equi_gap, tol)
-              and gap_below(mult_gap, tol) and gap_below(unit_gap, tol))
-    return HAReport(member, trace_gap, trace_wit, equi_gap, equi_wit,
+    member_ok = (sigma_ok and gap_below(trace_gap, tol) and gap_below(equi_gap, tol)
+                 and gap_below(mult_gap, tol) and gap_below(unit_gap, tol))
+    return HAReport(member_ok, trace_gap, trace_wit, equi_gap, equi_wit,
                     mult_gap, mult_wit, unit_gap, sigma_ok, float(tol))
 
 
 # -- approximate linearity ------------------------------------------------------
 
 
-def corrected_sum(a: PartialPermutation, b: PartialPermutation) -> PartialPermutation:
-    """Sum of two near-orthogonal maps: b is cut off a's domain and range."""
-    taken = set(a.images)
-    trimmed = [0 if x or y in taken else y for x, y in zip(a.images, b.images)]
-    return pperm.orthogonal_sum([a, PartialPermutation(b.degree, trimmed)])
-
-
 @dataclass(frozen=True)
 class SumCheck:
-    gap: Fraction
+    """Approximate linearity of phi over every sum pair of its universe.
+
+    ``counts[n]`` counts the points where phi of the union of pair n of
+    ``universe.sum_pairs`` disagrees with the corrected sum of phi of its
+    parts; the pair's gap is that count over ``degree``, and it passes
+    below ``bound``.
+    """
+
+    universe: ProjectionUniverse
+    counts: tuple
+    degree: int
     bound: Fraction
-    passed: bool
-    witness: str
+
+    def gap(self, n: int) -> Fraction:
+        return Fraction(self.counts[n], self.degree)
+
+    def witness(self, n: int) -> str:
+        i, j, _ = self.universe.sum_pairs[n]
+        elements = self.universe.elements
+        return f"|p1|={len(elements[i])}, |p2|={len(elements[j])}"
+
+    @property
+    def worst_gap(self) -> Fraction:
+        return Fraction(max(self.counts, default=0), self.degree)
+
+    @property
+    def passed(self) -> bool:
+        return self.worst_gap < self.bound
 
 
-def approx_sum_check(cand: HACandidate, params: HAParams, p1, p2) -> SumCheck:
-    """Approximate linearity of phi on a disjoint pair at bound 146 delta.
+def approx_sum_check(cand: HACandidate, params: HAParams) -> SumCheck:
+    """Approximate linearity of phi on every disjoint pair at bound 146 delta.
 
     ``params`` must be built at four times the working radius (its
-    model ball is the quadrupled one); ``p1`` and ``p2`` are disjoint
-    sum-closure subsets whose union lies in the closure.  That the pair
-    is a member is the caller's to establish (``verify --suite ha``
-    reports it through ``build_phi``); this check reads phi alone.
+    model ball is the quadrupled one).  For a pair (a, b) with union w
+    the corrected sum takes a where a is defined and otherwise b, cut
+    off a's range; the gap counts the points where phi(w) differs from
+    it.  That the pair (sigma, phi) is a member is the caller's to
+    establish (``verify --suite ha`` reports it through ``build_phi``);
+    this check reads phi alone.
     """
-    uni = params.universe
-    p1, p2 = frozenset(p1), frozenset(p2)
-    if p1 & p2:
-        raise ValueError("projections are not disjoint")
-    if p1 not in uni.index or p2 not in uni.index or (p1 | p2) not in uni.index:
-        raise ValueError("pair leaves the sum closure")
-    delta = params.delta
-    if isinstance(delta, SqrtTol):
+    if isinstance(params.delta, SqrtTol):
         raise ValueError("the linearity bound needs a rational tolerance")
-    a = cand.phi[uni.index[p1]]
-    b = cand.phi[uni.index[p2]]
-    whole = cand.phi[uni.index[p1 | p2]]
-    gap = pperm.uniform_distance(whole, corrected_sum(a, b))
-    bound = 146 * delta
-    return SumCheck(gap, bound, gap < bound, f"|p1|={len(p1)}, |p2|={len(p2)}")
-
-
-def disjoint_pairs(params: HAParams):
-    """All unordered disjoint pairs whose union stays in the closure."""
     uni = params.universe
-    out = []
-    for i in range(len(uni)):
-        for j in range(i, len(uni)):
-            a, b = uni.elements[i], uni.elements[j]
-            if not (a & b) and (a | b) in uni.index:
-                out.append((a, b))
-    return out
+    phi = [p.images for p in cand.phi]
+    counts = []
+    for i, j, k in uni.sum_pairs:
+        a = phi[i]
+        taken = set(a)
+        counts.append(sum(1 for x, y, w in zip(a, phi[j], phi[k])
+                          if w != (x or (0 if y in taken else y))))
+    return SumCheck(uni, tuple(counts), params.d, 146 * params.delta)
 
 
 # -- the linear map phi0 --------------------------------------------------------
@@ -471,7 +500,7 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
                 raise HypothesisError(f"phi0 is not 0/1 on V at point {x} "
                                       f"(value {Fraction(v, den)})")
         phi_values.append(PartialPermutation.projection(d, support))
-    cand = HACandidate(table.sigma, phi_values)
+    cand = HACandidate(table.member, phi_values)
     report = verify_HA(cand, params)
     return BuildPhiResult(cand, params, frozenset(V), Fraction(len(V), d),
                           v_bound, Fraction(len(V)) >= v_bound, report)

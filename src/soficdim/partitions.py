@@ -15,14 +15,16 @@ to the alphabet weights, and the cylinder bound compares exact
 cylinder measures with intersection counts at c2 * delta, where
 c2 = 2 * c1 * Bell(|F+-|^n).  A basis of cylinder projections for the
 span of the cylinder algebra yields the coefficient statistics kappa
-and gamma; the basis expands each subset of its span once.
+and gamma; the basis expands each subset of its span once, by
+eliminating on integers.
 
-One Phi0Table per (sigma, partition) is the whole image side of that
-pair: it holds the image cylinder A_psi of every psi, computed once,
-and the linear map phi0, which sends each basis cylinder to its
-image-side cylinder.  The cylinder bound reads the A_psi, and the
-equivariance bound compares each residual 1_{A_psi} - phi0(cyl psi)
-with c3 * sqrt(delta), where
+One ModelMember per sigma holds what its partitions share: sigma's
+images on the model ball and its membership check.  One Phi0Table per
+(sigma, partition) is the whole image side of that pair: it holds the
+image cylinder A_psi of every psi, computed once, and the linear map
+phi0, which sends each basis cylinder to its image-side cylinder.  The
+cylinder bound reads the A_psi, and the equivariance bound compares
+each residual 1_{A_psi} - phi0(cyl psi) with c3 * sqrt(delta), where
 
     c3 = (1 + (3 + kappa*ell) * Bell(ell) * N_ell) * c2,  N_ell = ell * 2^ell.
 
@@ -613,45 +615,54 @@ class SpanBasis:
 
 
 def _indicator(points, n: int) -> tuple:
-    return tuple(Fraction(1) if x in points else Fraction(0) for x in range(n))
+    return tuple(int(x in points) for x in range(n))
 
 
 def _solve_against(basis_rows, vec):
-    """Solve sum c_i row_i = vec exactly; raises when out of span."""
+    """Solve sum c_i row_i = vec exactly; raises when out of span.
+
+    Gauss-Jordan elimination on integers: each equation (one per
+    coordinate) is scaled by the common denominator of its entries, a
+    row update is pv * row - f * pivot row, and every updated row is
+    divided by the gcd of its entries.  Each row stays a nonzero
+    multiple of the row that rational elimination would hold, so the
+    pivots, the coefficients and the refusals are the same; Fractions
+    are built only for the coefficients.
+    """
     if not basis_rows:
         if any(vec):
             raise ValueError("vector outside span")
         return ()
-    ncols = len(vec)
     nrows = len(basis_rows)
-    aug = [[basis_rows[r][c] for r in range(nrows)] + [vec[c]]
-           for c in range(ncols)]
+    aug = []
+    for c, v in enumerate(vec):
+        eq = [row[c] for row in basis_rows]
+        eq.append(v)
+        den = math.lcm(*(x.denominator for x in eq))
+        aug.append([x.numerator * (den // x.denominator) for x in eq])
     pivots = []
     row = 0
     for col in range(nrows):
-        sel = None
-        for r in range(row, ncols):
-            if aug[r][col] != 0:
-                sel = r
-                break
+        sel = next((r for r in range(row, len(aug)) if aug[r][col]), None)
         if sel is None:
             continue
         aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [v / pv for v in aug[row]]
-        for r in range(ncols):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+        top = aug[row]
+        pv = top[col]
+        for r, other in enumerate(aug):
+            f = other[col]
+            if f and r != row:
+                new = [pv * a - f * b for a, b in zip(other, top)]
+                g = math.gcd(*new)
+                aug[r] = [x // g for x in new] if g > 1 else new
         pivots.append(col)
         row += 1
+    # consistency: rows beyond the pivots must be zero
+    if any(aug[r][-1] for r in range(row, len(aug))):
+        raise ValueError("vector outside span")
     coeffs = [Fraction(0)] * nrows
     for r, col in enumerate(pivots):
-        coeffs[col] = aug[r][-1]
-    # consistency: rows beyond the pivots must be zero
-    for r in range(row, ncols):
-        if aug[r][-1] != 0:
-            raise ValueError("vector outside span")
+        coeffs[col] = Fraction(aug[r][-1], aug[r][col])
     return tuple(coeffs)
 
 
@@ -688,30 +699,59 @@ def span_basis(model: CylinderModel) -> SpanBasis:
                      dict(zip(cylinders, coeffs)))
 
 
+class ModelMember:
+    """A candidate sigma over one cylinder model, with the work that
+    every partition of it shares.
+
+    ``images`` aligns sigma to the model ball.  ``sigma_report``, built
+    on first use, is the membership report of sigma over the radius-n
+    sigma source, the check behind the ``sigma_ok`` of
+    ``crossed.verify_HA``.  A sweep over the partitions of one sigma
+    builds one ModelMember and hands it to each of its Phi0Tables.
+    """
+
+    def __init__(self, model: CylinderModel, sigma: SoficCandidate):
+        self.model = model
+        self.sigma = sigma
+        self.images = model.context.align(sigma, model.ball)
+
+    @cached_property
+    def sigma_report(self) -> sofic.MembershipReport:
+        source = self.model.context.sigma_source
+        d = self.sigma.degree
+        aligned = SoficCandidate(d, self.model.context.align(
+            self.sigma, source.ball_elements))
+        return verify_membership(aligned, sofic.SAParams(source, Fraction(1), d))
+
+
 class Phi0Table:
     """The image side of one (sigma, partition), with the linear map phi0.
 
-    The table aligns sigma to the model ball, takes the partition blocks
-    once and computes the image cylinder A_psi of every cylinder
-    indexing psi once; the c2 and c3 bounds, ``crossed.build_phi0`` and
-    ``crossed.build_phi`` all read it.  phi0 sends each basis cylinder
-    projection to the indicator of its image-side cylinder and extends
-    linearly over the span basis; each distinct span subset is evaluated
-    once, on integers: ``numerators`` gives phi0 of a subset as integer
-    numerators over one denominator, and ``value_vector`` as Fractions.
-    ``residual`` gives psi its residual 1_{A_psi} - phi0(cyl psi).
+    The table reads sigma's images on the model ball from its
+    ModelMember, takes the partition blocks once and computes the image
+    cylinder A_psi of every cylinder indexing psi once; the c2 and c3
+    bounds, ``crossed.build_phi0`` and ``crossed.build_phi`` all read
+    it.  phi0 sends each basis cylinder projection to the indicator of
+    its image-side cylinder and extends linearly over the span basis;
+    each distinct span subset is evaluated once, on integers:
+    ``numerators`` gives phi0 of a subset as integer numerators over one
+    denominator, and ``value_vector`` as Fractions.  ``residual`` gives
+    psi its residual 1_{A_psi} - phi0(cyl psi).
     """
 
-    def __init__(self, basis: SpanBasis, sigma: SoficCandidate,
+    def __init__(self, basis: SpanBasis, member: ModelMember,
                  partition: RandomPartition):
         model = basis.model
+        if member.model is not model:
+            raise ValueError("member and basis belong to different models")
         if partition.q != model.q:
             raise ValueError("partition and model disagree on the alphabet size")
         self.basis = basis
-        self.sigma = sigma
+        self.member = member
+        self.sigma = member.sigma
         self.partition = partition
         self.d = partition.d
-        self.images = model.context.align(sigma, model.ball)
+        self.images = member.images
         blocks = partition.blocks
         self.a_psis = tuple(model.image_cylinder(psi, self.images, blocks)
                             for psi in model.psis)

@@ -1,4 +1,5 @@
-"""The jobs of the benchmark's enumerate menus, run as the benchmark runs them.
+"""The jobs of the benchmark's enumerate and certify menus, run as the
+benchmark runs them.
 
 ``perfbench/run.py`` runs each job through ``cli.main`` from the checkout
 root, where the r2 source sits at ``perfbench/.work/r2.gpd``, and compares
@@ -6,7 +7,8 @@ the sha256 of its stdout with ``perfbench/golden.json``.  The 2-worker
 menu is the one-worker menu with ``--workers 2`` appended, so the first
 test checks the stdout of both, and that none of these jobs starts a
 process.  The second counts every configuration of the menu by
-conjugacy classes and by the plain search over the full pools.
+conjugacy classes and by the plain search over the full pools.  The
+last checks the stdout of every job of the certify menu.
 """
 
 import contextlib
@@ -90,3 +92,18 @@ def test_enumerate_configurations_count_by_classes(slot, tmp_path, monkeypatch):
         count, restrictions = _count_chunk(plan, pools, E)
         assert _count_classes(params, plan, E) == (count, len(restrictions))
         assert _count_classes(params, plan, None) == (count, 0)
+
+
+def test_certify_jobs_match_golden(tmp_path, monkeypatch):
+    workloads = load_workloads(monkeypatch)
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["certify"]
+    jobs = workloads.menu(workloads.WORKLOADS["certify"])
+    assert len(jobs) == len(golden) == 32
+    in_work_dir(workloads, tmp_path, monkeypatch)
+    for argv in jobs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(argv))
+        want = golden[" ".join(argv)]
+        assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == (
+            want["exit"], want["sha256"]), argv

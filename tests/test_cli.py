@@ -229,6 +229,37 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "--partitions 0" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_alphabet_below_one_refused(self, capsys, r2_file, size):
+        code, out, err = run(capsys, "verify", "--suite", "all", "--source",
+                             r2_file, "--d", "4", "--delta", "1/20",
+                             "--alphabet", size)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": f"--alphabet {size}: c2, c3, lin146 "
+                                            "and ha need at least one letter"}
+
+    @pytest.mark.parametrize("size", ["0", "-1"])
+    def test_c1_ignores_the_alphabet(self, capsys, r2_file, size):
+        code, out, _ = run(capsys, "verify", "--suite", "c1", "--source",
+                           r2_file, "--d", "4", "--delta", "1/20",
+                           "--alphabet", size)
+        assert code == 0 and json.loads(out)["suites"]["c1"]["passed"]
+
+    def test_sigma_checked_once_per_member(self, capsys, monkeypatch, r2_file):
+        # 3 members x 12 partitions: one sigma membership check per member
+        checked = []
+        verify = partitions.verify_membership
+
+        def counted(sigma, params):
+            checked.append(sigma)
+            return verify(sigma, params)
+
+        monkeypatch.setattr(partitions, "verify_membership", counted)
+        code, out, _ = run(capsys, "verify", "--suite", "ha", "--source", r2_file,
+                           "--d", "4", "--delta", "1/20", "--partitions", "12")
+        assert code == 0 and json.loads(out)["suites"]["ha"]["instances"] == 36
+        assert len(checked) == len(set(checked)) == 3
+
     def test_c1_needs_no_partitions(self, capsys, r2_file):
         code, out, _ = run(capsys, "verify", "--suite", "c1", "--source",
                            r2_file, "--d", "4", "--delta", "1/20",

@@ -13,16 +13,14 @@ from soficdim.crossed import (
     HAReport,
     PropertyReport,
     SqrtTol,
+    SumCheck,
     approx_sum_check,
     build_phi,
     build_phi0,
-    corrected_sum,
     delta0_squared,
-    disjoint_pairs,
     gap_below,
     ha_statistic,
     ha_statistic_with_sa,
-    push_forward,
     verify_HA,
 )
 from soficdim.groupoid import (
@@ -37,6 +35,7 @@ from soficdim.partitions import (
     CylinderModel,
     HypothesisError,
     LemmaContext,
+    ModelMember,
     Phi0Table,
     SpanBasis,
     lemma_constants,
@@ -68,7 +67,7 @@ class TestVerifyHA:
     def test_exact_model_all_gaps_zero(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        table = Phi0Table(basis, sigma, part)
+        table = Phi0Table(basis, ModelMember(model, sigma), part)
         res = build_phi(table, Fraction(1, 10))
         rep = res.report
         assert rep.is_member
@@ -78,7 +77,7 @@ class TestVerifyHA:
     def test_one_point_corruption_breaks_equivariance(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        table = Phi0Table(basis, sigma, part)
+        table = Phi0Table(basis, ModelMember(model, sigma), part)
         res = build_phi(table, Fraction(1, 10))
         d = sigma.degree
         uni = res.params.universe
@@ -89,7 +88,7 @@ class TestVerifyHA:
         corrupted = PartialPermutation.projection(d, support[1:])
         phi = list(res.candidate.phi)
         phi[pos] = corrupted
-        bad = HACandidate(sigma, phi)
+        bad = HACandidate(ModelMember(model, sigma), phi)
         params = HAParams(model, Fraction(1, d + 1), d)
         rep = verify_HA(bad, params, check_sigma=False)
         assert rep.equivariance_gap >= Fraction(1, d)
@@ -100,7 +99,7 @@ class TestVerifyHA:
         sigma, part = regular_model_candidate(model)
         params = HAParams(model, Fraction(1, 10), sigma.degree)
         with pytest.raises(ValueError):
-            verify_HA(HACandidate(sigma, []), params)
+            verify_HA(HACandidate(ModelMember(model, sigma), []), params)
 
     def test_problems_on_one_model_share_universe_and_sigma_source(self, r2):
         _, _, _, model, basis = r2
@@ -109,9 +108,49 @@ class TestVerifyHA:
         assert a.universe is b.universe is model.universe
         assert a.sigma_params().source is b.sigma_params(Fraction(1, 3)).source
         sigma, part = regular_model_candidate(model)
-        table = Phi0Table(basis, sigma, part)
+        table = Phi0Table(basis, ModelMember(model, sigma), part)
         res = build_phi(table, Fraction(1, 10))
         assert res.params.universe is a.universe
+
+
+# -- object-level oracles for the tuple sweeps of verify_HA and the 146 delta
+# linearity: s p s^-1 and the corrected sum as composed and summed maps
+
+
+def push_forward(s, p):
+    """p transported by s, the conjugation s p s^-1."""
+    return pperm.compose(pperm.compose(s, p), pperm.inverse(s))
+
+
+def corrected_sum(a, b):
+    """Sum of two near-orthogonal maps: b is cut off a's domain and range."""
+    taken = set(a.images)
+    trimmed = [0 if x or y in taken else y for x, y in zip(a.images, b.images)]
+    return pperm.orthogonal_sum([a, PartialPermutation(b.degree, trimmed)])
+
+
+def reference_disjoint_pairs(uni):
+    out = []
+    for i in range(len(uni)):
+        for j in range(i, len(uni)):
+            a, b = uni.elements[i], uni.elements[j]
+            if not (a & b) and (a | b) in uni.index:
+                out.append((a, b))
+    return out
+
+
+def reference_approx_sum_check(cand, params, p1, p2):
+    """(gap, bound, passed, witness) of one disjoint pair of subsets."""
+    uni = params.universe
+    p1, p2 = frozenset(p1), frozenset(p2)
+    if p1 & p2:
+        raise ValueError("projections are not disjoint")
+    a = cand.phi[uni.index[p1]]
+    b = cand.phi[uni.index[p2]]
+    whole = cand.phi[uni.index[p1 | p2]]
+    gap = pperm.uniform_distance(whole, corrected_sum(a, b))
+    bound = 146 * params.delta
+    return gap, bound, gap < bound, f"|p1|={len(p1)}, |p2|={len(p2)}"
 
 
 class TestPushForward:
@@ -167,22 +206,30 @@ class TestApproxSum:
     def test_exact_phi_gap_zero(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        table = Phi0Table(basis, sigma, part)
+        table = Phi0Table(basis, ModelMember(model, sigma), part)
         res = build_phi(table, Fraction(1, 10))
         params = HAParams(model, Fraction(1, 10), sigma.degree)
-        for p1, p2 in disjoint_pairs(params):
-            check = approx_sum_check(res.candidate, params, p1, p2)
-            assert check.passed and check.gap == 0
+        check = approx_sum_check(res.candidate, params)
+        assert check.counts and check.passed
+        assert set(check.counts) == {0} and check.worst_gap == 0
 
     def test_disjointness_precondition(self, r2):
-        _, _, _, model, basis = r2
-        sigma, part = regular_model_candidate(model)
-        table = Phi0Table(basis, sigma, part)
-        res = build_phi(table, Fraction(1, 10))
-        params = HAParams(model, Fraction(1, 10), sigma.degree)
-        full = params.universe.elements[params.universe.x_index]
+        # the pairs come from the universe: disjoint, with the union's index
+        _, _, _, model, _ = r2
+        uni = model.universe
+        full = uni.elements[uni.x_index]
+        assert uni.sum_pairs
+        for i, j, k in uni.sum_pairs:
+            a, b = uni.elements[i], uni.elements[j]
+            assert i <= j and not (a & b) and uni.elements[k] == a | b
+        assert [(uni.elements[i], uni.elements[j]) for i, j, _ in uni.sum_pairs] \
+            == reference_disjoint_pairs(uni)
+        assert (full, full) not in reference_disjoint_pairs(uni)
+        sigma, _ = regular_model_candidate(model)
+        cand = HACandidate(ModelMember(model, sigma),
+                           [PartialPermutation.identity(sigma.degree)] * len(uni))
         with pytest.raises(ValueError):
-            approx_sum_check(res.candidate, params, full, full)
+            approx_sum_check(cand, HAParams(model, SqrtTol(Fraction(1, 9)), sigma.degree))
 
     def test_constructed_members_obey_146_delta(self, r2):
         _, _, ctx, model, basis = r2
@@ -191,17 +238,16 @@ class TestApproxSum:
         params = HAParams(model, delta, 4)
         for m in members:
             part = random_partition(4, FAIR, seed=17)
-            table = Phi0Table(basis, m, part)
+            table = Phi0Table(basis, ModelMember(model, m), part)
             res = build_phi(table, delta)
-            for p1, p2 in disjoint_pairs(params):
-                assert approx_sum_check(res.candidate, params, p1, p2).passed
+            assert approx_sum_check(res.candidate, params).passed
 
 
 class TestBuildPhi0:
     def test_exact_properties_zero(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        rep = build_phi0(Phi0Table(basis, sigma, part), Fraction(1, 10),
+        rep = build_phi0(Phi0Table(basis, ModelMember(model, sigma), part), Fraction(1, 10),
                          precheck=False)
         assert rep.passed
         assert rep.trace_gap_sq == rep.equivariance_gap_sq == 0
@@ -216,7 +262,8 @@ class TestBuildPhi0:
             for m in it(ctx.hypothesis_params(delta, d)):
                 for seed in (0, 1):
                     part = random_partition(d, FAIR, seed)
-                    rep = build_phi0(Phi0Table(basis, m, part), delta, precheck=False)
+                    table = Phi0Table(basis, ModelMember(model, m), part)
+                    rep = build_phi0(table, delta, precheck=False)
                     assert rep.passed
 
     def test_q1_unit_property(self):
@@ -227,7 +274,7 @@ class TestBuildPhi0:
         model = CylinderModel(ctx, [Fraction(1)])
         basis = span_basis(model)
         sigma, part = regular_model_candidate(model)
-        table = Phi0Table(basis, sigma, part)
+        table = Phi0Table(basis, ModelMember(model, sigma), part)
         rep = build_phi0(table, Fraction(1, 10), precheck=False)
         # a single letter: the full-space value is built from the lone block
         assert rep.unit_gap_sq == 0
@@ -239,7 +286,8 @@ class TestBuildPhi0:
         n = len(ctx.hypothesis_source.ball_elements)
         bad = SoficCandidate(4, [PartialPermutation.empty(4)] * n)
         with pytest.raises(HypothesisError):
-            build_phi0(Phi0Table(basis, bad, random_partition(4, FAIR, 0)),
+            build_phi0(Phi0Table(basis, ModelMember(model, bad),
+                                 random_partition(4, FAIR, 0)),
                        Fraction(1, 10))
 
 
@@ -247,7 +295,7 @@ class TestBuildPhi:
     def test_exact_instance_keeps_everything(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        table = Phi0Table(basis, sigma, part)
+        table = Phi0Table(basis, ModelMember(model, sigma), part)
         res = build_phi(table, Fraction(1, 10))
         assert res.v_fraction == 1 and res.v_ok
         assert res.report.is_member
@@ -257,7 +305,7 @@ class TestBuildPhi:
         delta = Fraction(1, 10)
         for m in iter_SA_members(ctx.hypothesis_params(delta, 6), None):
             part = random_partition(6, FAIR, seed=23)
-            table = Phi0Table(basis, m, part)
+            table = Phi0Table(basis, ModelMember(model, m), part)
             rep0 = build_phi0(table, delta, precheck=False)
             assert rep0.passed
             res = build_phi(table, delta)
@@ -366,7 +414,7 @@ def reference_mult_gaps(table):
 def reference_build_phi0(sigma, partition, basis, delta):
     delta = Fraction(delta)
     model = basis.model
-    table = Phi0Table(basis, sigma, partition)
+    table = Phi0Table(basis, ModelMember(model, sigma), partition)
     d = table.d
     trace_sq, trace_wit = Fraction(0), ""
     for i, p in enumerate(model.distinct_projections):
@@ -546,7 +594,7 @@ def test_integer_sweeps_match_fraction_sweeps_on_members(source, alphabet, delta
         for m in sampled_members(source, delta, d):
             for seed in (0, 1):
                 part = random_partition(d, model.alphabet, seed)
-                table = Phi0Table(basis, m, part)
+                table = Phi0Table(basis, ModelMember(model, m), part)
                 rep = build_phi0(table, delta, precheck=False)
                 assert rep == reference_build_phi0(m, part, basis, delta)
                 c3 = verify_lemma_c3_sweep(table, delta, precheck=False)
@@ -574,7 +622,8 @@ def test_c2_and_c3_read_the_table_like_per_psi_loops(source, alphabet):
                   *(random_sigma(model.context, d, rng) for _ in range(4))]
         for sigma in sigmas:
             for seed in range(3):
-                table = Phi0Table(basis, sigma, random_partition(d, model.alphabet, seed))
+                table = Phi0Table(basis, ModelMember(model, sigma),
+                                  random_partition(d, model.alphabet, seed))
                 c2 = verify_lemma_c2(table, delta, precheck=False)
                 c3 = verify_lemma_c3_sweep(table, delta, precheck=False)
                 assert c2 == reference_c2(table, delta)
@@ -602,9 +651,10 @@ def test_build_phi0_matches_on_nonzero_tied_product_gaps(source, alphabet, ties)
         part = random_partition(d, model.alphabet, seed)
         want = reference_build_phi0(sigma, part, basis, DELTAS[0])
         for delta in DELTAS:
-            rep = build_phi0(Phi0Table(basis, sigma, part), delta, precheck=False)
+            rep = build_phi0(Phi0Table(basis, ModelMember(model, sigma), part), delta,
+                             precheck=False)
             assert rep == replace(want, delta0_sq=delta0_squared(basis, model.q, delta))
-        gaps = reference_mult_gaps(Phi0Table(basis, sigma, part))
+        gaps = reference_mult_gaps(Phi0Table(basis, ModelMember(model, sigma), part))
         worst = max(gaps.values())
         nonzero += worst > 0
         tied += worst > 0 and sum(g == worst for (i, j), g in gaps.items()
@@ -623,7 +673,7 @@ def test_verify_HA_matches_on_random_pairs(source, alphabet):
     for seed in range(6):
         rng = SplitMix64(100 + seed)
         d = 3 + seed % 2
-        cand = HACandidate(random_sigma(ctx, d, rng),
+        cand = HACandidate(ModelMember(model, random_sigma(ctx, d, rng)),
                            [random_pperm(d, rng) for _ in model.universe.elements])
         for delta in (*DELTAS, SqrtTol(Fraction(1, 5))):
             params = HAParams(model, delta, d)
@@ -647,7 +697,7 @@ def test_each_subset_evaluated_once_per_table(monkeypatch, r2):
         return expand(self, subset)
 
     monkeypatch.setattr(SpanBasis, "expand_vector", counted)
-    table = Phi0Table(basis, sigma, part)
+    table = Phi0Table(basis, ModelMember(model, sigma), part)
     verify_lemma_c2(table, delta, precheck=False)
     verify_lemma_c3_sweep(table, delta, precheck=False)
     build_phi0(table, delta, precheck=False)
@@ -657,3 +707,64 @@ def test_each_subset_evaluated_once_per_table(monkeypatch, r2):
     for subset in model.universe.elements:
         table.value_vector(subset)
     assert calls and max(calls.values()) == 1
+
+
+# -- the tuple sweeps against the object-level oracles ---------------------------
+#
+# On the benchmark's two models at d = 2 and 4: the build_phi candidates of
+# sampled members, and random phi (neither projections nor orthogonal, so
+# images overlap and corrected sums cut), each against a member and a random
+# sigma.  At delta = 1/300 the 146 delta bound is below 1/2, so pairs fail.
+
+
+def assert_sum_check_matches(cand, params):
+    check = approx_sum_check(cand, params)
+    uni = params.universe
+    assert len(check.counts) == len(uni.sum_pairs)
+    refs = []
+    for n, (i, j, _) in enumerate(uni.sum_pairs):
+        ref = reference_approx_sum_check(cand, params, uni.elements[i], uni.elements[j])
+        assert (check.gap(n), check.bound, check.gap(n) < check.bound,
+                check.witness(n)) == ref
+        refs.append(ref)
+    assert check.worst_gap == max(ref[0] for ref in refs)
+    assert check.passed == all(ref[2] for ref in refs)
+    return check
+
+
+@pytest.mark.parametrize("source", ["r2", "zmod2"])
+@pytest.mark.parametrize("d", [2, 4])
+def test_tuple_sweeps_match_object_oracles(source, d):
+    model, basis = model_basis(source, "fair")
+    ctx = model.context
+    uni = model.universe
+    assert [(uni.elements[i], uni.elements[j]) for i, j, _ in uni.sum_pairs] \
+        == reference_disjoint_pairs(uni)
+    delta = Fraction(1, 10)
+    members = sampled_members(source, delta, d)
+    rng = SplitMix64(300 + d)
+    cands = []
+    for m in members:
+        member = ModelMember(model, m)
+        for seed in range(3):
+            res = build_phi(Phi0Table(basis, member, random_partition(d, FAIR, seed)),
+                            delta)
+            assert res.report == reference_verify_HA(res.candidate, res.params)
+            cands.append((res.candidate, res.params.delta))
+    for sigma in (members[0], random_sigma(ctx, d, rng)):
+        for _ in range(4):
+            cands.append((HACandidate(ModelMember(model, sigma),
+                                      [random_pperm(d, rng) for _ in uni.elements]),
+                          delta))
+    gaps = set()
+    verdicts = set()
+    for cand, tol in cands:
+        for params in (HAParams(model, tol, d), HAParams(model, delta, d)):
+            for check_sigma in (True, False):
+                assert verify_HA(cand, params, check_sigma) == \
+                    reference_verify_HA(cand, params, check_sigma)
+        for lin_delta in (delta, Fraction(1, 300)):
+            check = assert_sum_check_matches(cand, HAParams(model, lin_delta, d))
+            gaps |= set(check.counts)
+            verdicts.add(check.passed)
+    assert max(gaps) > 0 and verdicts == {True, False}

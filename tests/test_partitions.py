@@ -14,11 +14,13 @@ from soficdim.groupoid import (
     transitive_groupoid,
 )
 from soficdim import partitions
+from soficdim.cli import full_group_generators
 from soficdim.partitions import (
     BoundReport,
     CylinderModel,
     HypothesisError,
     LemmaContext,
+    ModelMember,
     Phi0Table,
     RandomPartition,
     bell_number,
@@ -303,7 +305,7 @@ class TestBoundChecks:
         g, swap, ctx, model, basis, _ = r2_setup
         sigma, part = regular_model_candidate(model)
         assert verify_lemma_c1(sigma, ctx, Fraction(1, 10)).worst == 0
-        table = Phi0Table(basis, sigma, part)
+        table = Phi0Table(basis, ModelMember(model, sigma), part)
         assert verify_lemma_c2(table, Fraction(1, 10)).worst == 0
         assert verify_lemma_c3_sweep(table, Fraction(1, 10)).worst == 0
 
@@ -326,13 +328,15 @@ class TestBoundChecks:
         delta = Fraction(1, 10)
         for m in members[:2]:
             for seed in range(5):
-                table = Phi0Table(basis, m, random_partition(4, FAIR, seed))
+                table = Phi0Table(basis, ModelMember(model, m),
+                                  random_partition(4, FAIR, seed))
                 assert verify_lemma_c2(table, delta, precheck=False).passed
                 assert verify_lemma_c3_sweep(table, delta, precheck=False).passed
 
     def test_c3_zero_on_basis_elements(self, r2_setup):
         g, swap, ctx, model, basis, members = r2_setup
-        table = Phi0Table(basis, members[0], random_partition(4, FAIR, seed=0))
+        table = Phi0Table(basis, ModelMember(model, members[0]),
+                          random_partition(4, FAIR, seed=0))
         for i in basis.basis_psi_indices:
             a_psi, den, res = table.residual(i)
             assert a_psi == table.a_psis[i] and not any(res)
@@ -347,7 +351,8 @@ class TestBoundChecks:
         ties = 0
         for m in members:
             for seed in range(5):
-                table = Phi0Table(basis, m, random_partition(4, FAIR, seed))
+                table = Phi0Table(basis, ModelMember(model, m),
+                                  random_partition(4, FAIR, seed))
                 norms = []
                 for i in range(len(model.psis)):
                     _, den, res = table.residual(i)
@@ -403,7 +408,8 @@ class TestBoundChecks:
         sigma = members[0]
         part = random_partition(4, [Fraction(1)], seed=0)
         images = ctx.align(sigma, model1.ball)
-        rep = verify_lemma_c2(Phi0Table(span_basis(model1), sigma, part),
+        basis1 = span_basis(model1)
+        rep = verify_lemma_c2(Phi0Table(basis1, ModelMember(model1, sigma), part),
                               Fraction(1, 10), precheck=False)
         worst_direct = Fraction(0)
         from soficdim.groupoid import b_compose, b_inverse, full_identity, tau
@@ -440,3 +446,125 @@ class TestBoundReport:
         d = rep.to_json_dict()
         assert set(d) >= {"bound", "worst", "witness", "slack_ratio", "passed"}
         assert d["slack_ratio"] == 0.1
+
+
+# -- the integer basis solve against the rational one it replaces ---------------
+
+
+def reference_solve_against(basis_rows, vec):
+    """Gauss-Jordan elimination on Fractions, as _solve_against ran before
+    it eliminated on integers."""
+    if not basis_rows:
+        if any(vec):
+            raise ValueError("vector outside span")
+        return ()
+    ncols = len(vec)
+    nrows = len(basis_rows)
+    aug = [[Fraction(basis_rows[r][c]) for r in range(nrows)] + [Fraction(vec[c])]
+           for c in range(ncols)]
+    pivots = []
+    row = 0
+    for col in range(nrows):
+        sel = None
+        for r in range(row, ncols):
+            if aug[r][col] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        pv = aug[row][col]
+        aug[row] = [v / pv for v in aug[row]]
+        for r in range(ncols):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+    coeffs = [Fraction(0)] * nrows
+    for r, col in enumerate(pivots):
+        coeffs[col] = aug[r][-1]
+    for r in range(row, ncols):
+        if aug[r][-1] != 0:
+            raise ValueError("vector outside span")
+    return tuple(coeffs)
+
+
+def solve_outcome(solve, rows, vec):
+    try:
+        return solve(rows, vec)
+    except ValueError as exc:
+        return str(exc)
+
+
+def random_rational(rng):
+    return Fraction(rng.below(9) - 4, 1 + rng.below(6))
+
+
+@pytest.mark.parametrize("kind", ["01", "rational"])
+def test_integer_solve_matches_rational_solve(kind):
+    rng = SplitMix64(71 if kind == "01" else 72)
+    draw = (lambda: rng.below(2)) if kind == "01" else (lambda: random_rational(rng))
+    inside = outside = 0
+    for _ in range(150):
+        n = 2 + rng.below(8)
+        rows = []
+        for _ in range(1 + rng.below(n)):  # keep the independent draws
+            row = tuple(draw() for _ in range(n))
+            if not isinstance(solve_outcome(reference_solve_against, rows, row), tuple):
+                rows.append(row)
+        coeffs = [random_rational(rng) for _ in rows]
+        in_span = tuple(sum((c * r[x] for c, r in zip(coeffs, rows)), Fraction(0))
+                        for x in range(n))
+        free = tuple(draw() for _ in range(n))
+        for vec in (in_span, free):
+            want = solve_outcome(reference_solve_against, rows, vec)
+            assert solve_outcome(_solve_against, rows, vec) == want
+            inside += isinstance(want, tuple)
+            outside += want == "vector outside span"
+        assert _solve_against(rows, in_span) == tuple(coeffs)
+    assert inside > 150 and outside > 10
+
+
+def test_integer_solve_on_an_empty_basis():
+    assert _solve_against((), (0, 0, 0)) == reference_solve_against((), (0, 0, 0)) == ()
+    for vec in ((0, 1, 0), (Fraction(1, 2),)):
+        with pytest.raises(ValueError, match="outside span"):
+            _solve_against((), vec)
+
+
+def reference_span_basis(model):
+    """basis indices, coefficients, kappa, gamma and its parts by the
+    rational solve on Fraction indicator vectors."""
+    n = model.action.n_points
+    vectors = [tuple(Fraction(x in model.cylinder(psi)) for x in range(n))
+               for psi in model.psis]
+    rows, idx = [], []
+    for i, v in enumerate(vectors):
+        if not isinstance(solve_outcome(reference_solve_against, rows, v), tuple):
+            idx.append(i)
+            rows.append(v)
+    coeffs = tuple(reference_solve_against(rows, v) for v in vectors)
+    kappa = max(Fraction(1), *(abs(c) for row in coeffs for c in row))
+    sums = set()
+    for row in coeffs:
+        part = {Fraction(0)}
+        for c in row:
+            if c:
+                part |= {s + c for s in part}
+        sums |= part
+    gamma1 = min((abs(s) for s in sums if s), default=Fraction(1))
+    gamma2 = min((abs(s - 1) for s in sums if s != 1), default=Fraction(1))
+    parts = (gamma1, gamma2, gamma1 * gamma1)
+    return tuple(idx), coeffs, kappa, min(parts), parts
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("source", ["r2", "zmod2"])
+def test_span_basis_matches_rational_solve(source, q):
+    g = transitive_groupoid(2) if source == "r2" else cyclic_groupoid(2)
+    model = CylinderModel(LemmaContext(g, full_group_generators(g), 1),
+                          [Fraction(1, q)] * q)
+    basis = span_basis(model)
+    assert (basis.basis_psi_indices, basis.coeffs, basis.kappa, basis.gamma,
+            basis.gamma_parts) == reference_span_basis(model)

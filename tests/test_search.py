@@ -36,7 +36,7 @@ from soficdim.groupoid import (
     transitive_groupoid,
 )
 from soficdim import pperm
-from soficdim.partitions import CylinderModel, LemmaContext
+from soficdim.partitions import CylinderModel, LemmaContext, ModelMember
 from soficdim.rng import SplitMix64
 from soficdim.sofic import (
     GroupoidSource,
@@ -437,8 +437,9 @@ def test_ha_statistic_matches_brute_force(make, alphabet, d, delta):
         delta if isinstance(delta, Fraction) else 1)))
     pairs = set()
     for sigma in sigmas:
+        member = ModelMember(params.model, sigma)
         for phi in itertools.product(pool, repeat=len(uni)):
-            cand = HACandidate(sigma, phi)
+            cand = HACandidate(member, phi)
             if verify_HA(cand, params, check_sigma=False).is_member:
                 pairs.add((sigma.restriction(E),
                            tuple(phi[uni.letter_index[q]] for q in Q)))
