@@ -177,6 +177,8 @@ def cmd_count(args) -> int:
         raise CliError(f"--workers {args.workers}: the worker count must be >= 1")
     if args.mc < 0:
         raise CliError(f"--mc {args.mc}: the trial count must be >= 1 (0 counts exactly)")
+    if args.cap is None:  # per job: the parser is built once per process
+        args.cap = sofic.DEFAULT_COUNT_CAP
     rows = []
     delta = parse_fraction(args.delta)
     degrees = parse_drange(args.d)
@@ -207,6 +209,10 @@ def cmd_count(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    """``closed_form_count`` rows for each degree.  Its windows keep at
+    most floor(delta*d) fixed points, while ``count`` keeps
+    |k/d - tau| < delta strictly: ``zmod(2)`` at d = 5, delta = 1/5 prints
+    15 here and 0 under ``count``."""
     delta = parse_fraction(args.delta)
     lines = ["# soficdim-csv 1",
              f"# seed={args.seed}",
@@ -294,6 +300,9 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
         lin_count = 0
         worst_gap = -1.0
         params = crossed.HAParams(mdl, delta, d)
+        if "lin146" in suites and not params.universe.sum_pairs:
+            raise CliError(f"--alphabet {alphabet_size}: the projection universe "
+                           "holds no disjoint pair for lin146 to check")
         for m in get_members():
             member = partitions.ModelMember(mdl, m)
             for i in range(n_partitions):
@@ -485,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mc", type=int, default=0, help="Monte Carlo trials")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--cap", type=int, default=sofic.DEFAULT_COUNT_CAP)
+    p.add_argument("--cap", type=int, default=None)  # see cmd_count
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_count)
 
@@ -522,8 +531,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built by the first ``main`` call, not at import, and reused after it
+_parser = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (CliError, InfeasibleError, wordball.BallSizeError,

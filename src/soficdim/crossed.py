@@ -47,7 +47,6 @@ from .partitions import (
     ModelMember,
     Phi0Table,
     SpanBasis,
-    lemma_constants,
 )
 from .pperm import PartialPermutation
 from .sofic import InfeasibleError, SoficCandidate
@@ -357,10 +356,9 @@ class PropertyReport:
 
 
 def delta0_squared(basis: SpanBasis, q: int, delta) -> Fraction:
-    consts = lemma_constants(basis.model.f_pm_size, basis.model.n, basis)
     ell = Fraction(basis.ell)
     return (Fraction(9) / basis.gamma ** 2 * basis.kappa ** 4 * ell ** 4
-            * q ** 2 * consts.c3 ** 4 * Fraction(delta))
+            * q ** 2 * basis.constants.c3 ** 4 * Fraction(delta))
 
 
 def _square_gap(u, v, d: int) -> Fraction:
@@ -448,10 +446,9 @@ class BuildPhiResult:
 
 
 def ha_tolerance_squared(basis: SpanBasis, q: int, p_size: int, delta) -> Fraction:
-    consts = lemma_constants(basis.model.f_pm_size, basis.model.n, basis)
     ell = Fraction(basis.ell)
     return (Fraction(81) * p_size ** 4 / basis.gamma ** 4 * basis.kappa ** 10
-            * ell ** 4 * q ** 2 * consts.c3 ** 4 * Fraction(delta))
+            * ell ** 4 * q ** 2 * basis.constants.c3 ** 4 * Fraction(delta))
 
 
 def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
@@ -481,12 +478,11 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
     if not V:
         raise HypothesisError("the exactness set V is empty; the linear map "
                               "certification hypotheses must have failed")
-    consts = lemma_constants(model.f_pm_size, model.n, basis)
     p_size = len(model.distinct_projections)
     params = HAParams(model,
                       SqrtTol(ha_tolerance_squared(basis, model.q, p_size, delta)),
                       d)
-    v_bound = Fraction(d) * (1 - 2 * p_size ** 2 * consts.c3 ** 2
+    v_bound = Fraction(d) * (1 - 2 * p_size ** 2 * basis.constants.c3 ** 2
                              * basis.kappa ** 4 * delta / basis.gamma ** 2)
     phi_values = []
     for subset in params.universe.elements:

@@ -562,7 +562,7 @@ def verify_lemma_c2(table: Phi0Table, delta, precheck: bool = True) -> BoundRepo
     model = table.basis.model
     if precheck:
         model.context.check_hypothesis(table.sigma, delta)
-    bound = lemma_constants(model.f_pm_size, model.n).c2 * delta
+    bound = table.basis.constants.c2 * delta
     worst = Fraction(0)
     witness = "empty cylinder sweep"
     for psi, a_psi in zip(model.psis, table.a_psis):
@@ -600,6 +600,12 @@ class SpanBasis:
     @property
     def ell(self) -> int:
         return len(self.basis_psi_indices)
+
+    @cached_property
+    def constants(self) -> LemmaConstants:
+        """``lemma_constants`` of the model with this basis, computed once
+        for every table over it."""
+        return lemma_constants(self.model.f_pm_size, self.model.n, self)
 
     def expand_vector(self, subset) -> tuple:
         """Coefficients of the indicator of a point subset over the basis.
@@ -811,6 +817,6 @@ def verify_lemma_c3_sweep(table: Phi0Table, delta,
         _, den, res = table.residual(i)
         norms.append(Fraction(sum(r * r for r in res), den * den * table.d))
     worst = max(norms)
-    bound_sq = lemma_constants(model.f_pm_size, model.n, table.basis).c3 ** 2 * delta
+    bound_sq = table.basis.constants.c3 ** 2 * delta
     return BoundReport(bound_sq, worst, f"psi={model.psis[norms.index(worst)]}",
                        worst < bound_sq, squared=True)

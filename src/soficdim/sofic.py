@@ -463,10 +463,31 @@ def search_space_size(params: SAParams) -> int:
 
 def fixed_windows(d: int, centres, below) -> list[frozenset]:
     """Per position, the fixed-point counts k in 0..d with
-    ``below(|k/d - centre|)``; a centre of None keeps every count."""
-    return [frozenset(k for k in range(d + 1)
-                      if centre is None or below(abs(Fraction(k, d) - centre)))
-            for centre in centres]
+    ``below(|k/d - centre|)``; a centre of None keeps every count.
+
+    ``below`` must hold for every gap under some bound and for none
+    above it (a tolerance test), so each window is an interval around
+    d*centre.  It is found from its two ends: from the count nearest
+    d*centre within 0..d, which has the smallest gap (the window is
+    empty when it fails), outward while the test holds.
+    """
+    every = frozenset(range(d + 1))
+    windows = []
+    for centre in centres:
+        if centre is None:
+            windows.append(every)
+            continue
+        mid = min(max(round(centre * d), 0), d)
+        if not below(abs(Fraction(mid, d) - centre)):
+            windows.append(frozenset())
+            continue
+        lo = hi = mid
+        while lo > 0 and below(abs(Fraction(lo - 1, d) - centre)):
+            lo -= 1
+        while hi < d and below(abs(Fraction(hi + 1, d) - centre)):
+            hi += 1
+        windows.append(frozenset(range(lo, hi + 1)))
+    return windows
 
 
 def search(pools, derived, triples, limit, slots, derive):
@@ -772,6 +793,13 @@ def closed_form_count(m: int, d: int, delta) -> int:
     cycle-type vectors (f_c)_{c | m}.  Agrees with exhaustive
     enumeration of the same set and extends the statistic far beyond
     enumeration range.
+
+    The trace window here keeps fixed-point counts *at most*
+    floor(delta*d), where ``count_SA`` keeps k with |k/d - tau| < delta
+    *strictly*.  The two differ when delta*d is an integer: for
+    ``zmod(2)`` at d = 5, delta = 1/5 this counts 15 involutions with
+    one fixed point, and ``count`` prints 0.  ``curve --delta 0`` needs
+    the "at most" form.
 
     The enumeration prunes as it goes.  Each Fix(pi^j), j < m, never
     decreases as cycles are added, so once raising f_c puts one of them

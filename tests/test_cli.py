@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import runpy
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -335,6 +337,41 @@ class TestVerify:
         assert len(tables[0]) == len(set(tables[0])) == 9
         assert all(psis == tables[0] for psis in tables)
         assert len(expansions) == 36 * 16
+
+    def test_lemma_constants_once_per_basis(self, capsys, monkeypatch, r2_file):
+        # 3 members x 12 partitions over one span basis: c2, c3, delta0,
+        # the ha tolerance and build_phi read one set of constants
+        calls = []
+        constants = partitions.lemma_constants
+
+        def counted(*args):
+            calls.append(args)
+            return constants(*args)
+
+        monkeypatch.setattr(partitions, "lemma_constants", counted)
+        code, out, _ = run(capsys, "verify", "--suite", "c2,c3,ha,lin146",
+                           "--source", r2_file, "--d", "4", "--delta", "1/20",
+                           "--partitions", "12")
+        assert code == 0 and json.loads(out)["suites"]["ha"]["instances"] == 36
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("suite", ["lin146", "all"])
+    def test_lin146_without_pairs_refused(self, capsys, r2_file, suite):
+        # one letter leaves no disjoint pair of projections, so lin146
+        # would report "pairs": 0 and pass
+        code, out, err = run(capsys, "verify", "--suite", suite, "--source",
+                             r2_file, "--d", "4", "--delta", "1/20",
+                             "--alphabet", "1", "--partitions", "2")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "--alphabet 1: the projection "
+                                            "universe holds no disjoint pair "
+                                            "for lin146 to check"}
+
+    def test_ha_runs_on_one_letter(self, capsys, r2_file):
+        code, out, _ = run(capsys, "verify", "--suite", "ha", "--source", r2_file,
+                           "--d", "4", "--delta", "1/20", "--alphabet", "1",
+                           "--partitions", "2")
+        assert code == 0 and json.loads(out)["suites"]["ha"]["instances"] == 6
 
 
 class TestConstruct:
@@ -712,6 +749,61 @@ def run_script(capsys, monkeypatch, name, *argv):
     with pytest.raises(SystemExit) as stop:
         runpy.run_path(str(script), run_name="__main__")
     return stop.value.code, capsys.readouterr().out
+
+
+# a script that runs one job in a fresh interpreter, with the count cap
+# given on the command line (or the shipped one for "-")
+FRESH = """
+import sys
+from soficdim import cli, sofic
+if sys.argv[1] != "-":
+    sofic.DEFAULT_COUNT_CAP = int(sys.argv[1])
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def fresh_process(cap, *argv):
+    """(exit code, stdout, stderr) of one job in a new interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", FRESH, str(cap), *argv],
+                          capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_parser_reused_across_jobs(capsys, monkeypatch):
+    # one parser serves every job of a process; each job prints what it
+    # prints in a fresh process, and --cap echoes the default of its time
+    monkeypatch.setattr(cli, "_parser", None)
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(True)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    first = ("count", "--family", "zmod(2)", "--d", "4", "--delta", "1/10")
+    job = run(capsys, *first)
+    assert job == fresh_process("-", *first)
+    assert job[0] == 0 and '"cap":"100000000"' in job[1]
+
+    refused = ("count", "--family", "zmod(2)", "--d", "4")  # no --delta
+    with pytest.raises(SystemExit) as exc:
+        main(list(refused))
+    assert exc.value.code == 2
+    assert ("", capsys.readouterr().err) == fresh_process("-", *refused)[1:]
+
+    lowered = ("count", "--family", "zmod(1)", "--d", "3", "--delta", "1/10",
+               "--mode", "all")
+    with monkeypatch.context() as patch:
+        patch.setattr(sofic, "DEFAULT_COUNT_CAP", 1000)
+        job = run(capsys, *lowered)
+    assert job == fresh_process(1000, *lowered)
+    assert job[0] == 0 and '"cap":"1000"' in job[1]
+
+    assert run(capsys, *first) == fresh_process("-", *first)
+    assert len(built) == 1
 
 
 class TestHelpers:

@@ -17,6 +17,7 @@ import math
 import multiprocessing
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -26,6 +27,7 @@ from soficdim.crossed import (
     HAParams,
     ProjectionUniverse,
     SqrtTol,
+    gap_below,
     ha_statistic_with_sa,
     verify_HA,
 )
@@ -49,6 +51,7 @@ from soficdim.sofic import (
     closed_form_count,
     conjugacy_classes,
     count_SA,
+    fixed_windows,
     groupoid_params,
     iter_SA_members,
     monte_carlo_count,
@@ -137,6 +140,50 @@ def test_search_matches_brute_force(make):
     assert _count_classes(params, plan, None) == (
         None if p is None else (len(want), 0))
     assert count_SA(params) == len(want)
+
+
+# -- trace windows ----------------------------------------------------------------
+
+CENTRES = [0, Fraction(0), Fraction(1, 3), Fraction(1, 2), 1, Fraction(1), None]
+# rational tolerances, and square roots compared through squares (sqrt 1/8
+# is irrational); 1/4, 1/5 and sqrt 1/25 put a window end on k/d exactly
+TOLERANCES = [Fraction(1, 100), Fraction(1, 12), Fraction(1, 5), Fraction(1, 4),
+              Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2),
+              SqrtTol(Fraction(1, 10000)), SqrtTol(Fraction(1, 25)),
+              SqrtTol(Fraction(1, 16)), SqrtTol(Fraction(1, 8)),
+              SqrtTol(Fraction(1, 4)), SqrtTol(Fraction(4))]
+
+
+def windows_per_count(d, centres, below):
+    """Each k in 0..d tested on its own."""
+    return [frozenset(k for k in range(d + 1)
+                      if centre is None or below(abs(Fraction(k, d) - centre)))
+            for centre in centres]
+
+
+@pytest.mark.parametrize("tol", TOLERANCES, ids=str)
+def test_windows_match_the_per_count_test(tol):
+    below = partial(gap_below, tol=tol)
+    for d in range(1, 13):
+        windows = fixed_windows(d, CENTRES, below)
+        assert windows == windows_per_count(d, CENTRES, below)
+        assert all(type(w) is frozenset for w in windows)
+
+
+def test_windows_at_their_edges():
+    fifth = Fraction(1, 5).__gt__
+    # d = 5, delta = 1/5: every end on k/d is left out, strictly
+    assert fixed_windows(5, [0, Fraction(1, 3), Fraction(1, 2), 1, None], fifth) == [
+        {0}, {1, 2}, {2, 3}, {5}, set(range(6))]
+    assert fixed_windows(5, [Fraction(1, 5)], partial(
+        gap_below, tol=SqrtTol(Fraction(1, 25)))) == [{1}]
+    # no count within 1/100 of 1/3 at d = 4, nor of 1/2 at odd d
+    hundredth = Fraction(1, 100).__gt__
+    assert fixed_windows(4, [Fraction(1, 3), 1], hundredth) == [frozenset(), {4}]
+    assert fixed_windows(7, [Fraction(1, 2)], hundredth) == [frozenset()]
+    # zmod(3) at d = 4, delta = 1/4: the identity keeps 4 and a, a^-1 keep 0
+    plan = SearchPlan(family("zmod(3)", "1/4", 4))
+    assert sorted(plan.windows, key=min) == [{0}, {0}, {4}]
 
 
 def first_branching(pools):
