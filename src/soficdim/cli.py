@@ -364,7 +364,8 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
         base += (cd.N - cd.k) - base % (cd.N - cd.k)
     for i in range(instances):
         rng = SplitMix64(seed).spawn(i)
-        drop = rng.below(max(1, int(delta * base)))
+        # at most base points to drop, whatever delta
+        drop = rng.below(max(1, min(int(delta * base), base + 1)))
         keep = sorted(set(range(1, base + 1)) - set(
             x + 1 for x in rng.choose_sorted(base, drop)))
         images = [PartialPermutation.projection(base, keep) if b.arrows
@@ -396,6 +397,8 @@ def cmd_verify(args) -> int:
         if s not in ALL_SUITES:
             raise CliError(f"unknown suite {s!r}")
     delta = parse_fraction(args.delta)
+    if delta <= 0:
+        raise CliError("delta must be positive")
     results = run_suites(g, suites, args.d, delta, args.seed, args.n,
                          args.partitions, args.alphabet, args.instances)
     all_pass = all(v.get("passed", False) for v in results.values())

@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
+from itertools import combinations, product
 
 from . import sofic
 from .groupoid import (
@@ -236,7 +236,7 @@ def augment_generators(F, n: int, g: FiniteGroupoid):
     out = list(F)
     seen = set(out)
     for r in range(len(ball) + 1):
-        for combo in _combinations(len(ball), r):
+        for combo in combinations(range(len(ball)), r):
             F0 = [ball[i] for i in combo]
             for blocks in set_partitions(len(F0)):
                 p = projection_bisection(g, profile_units(g, F0, blocks))
@@ -244,11 +244,6 @@ def augment_generators(F, n: int, g: FiniteGroupoid):
                     seen.add(p)
                     out.append(p)
     return out
-
-
-def _combinations(n, r):
-    from itertools import combinations as comb
-    return comb(range(n), r)
 
 
 # -- random partitions -------------------------------------------------------------
@@ -333,9 +328,8 @@ class CylinderModel:
             for i in range(self.q))
         # all cylinder indexings in a canonical order
         self.psis = []
-        idxs = range(len(self.ball))
         for r in range(len(self.ball) + 1):
-            for combo in _combinations(len(self.ball), r):
+            for combo in combinations(range(len(self.ball)), r):
                 for values in product(range(self.q), repeat=r):
                     self.psis.append(tuple(zip(combo, values)))
         self._cyl_cache = {}
@@ -534,7 +528,7 @@ def verify_lemma_c1(sigma: SoficCandidate, ctx: LemmaContext, delta,
     witness = "empty profile sweep"
     d = sigma.degree
     for r in range(len(ball) + 1):
-        for combo in _combinations(len(ball), r):
+        for combo in combinations(range(len(ball)), r):
             F0 = [ball[i] for i in combo]
             imgs = [images_all[i] for i in combo]
             for blocks in set_partitions(len(F0)):

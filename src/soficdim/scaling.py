@@ -348,7 +348,6 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
     else:
         absent = [x for x in range(1, d + 1) if x not in set(b0)]
         B = sorted(b0 + absent[:d_prime - len(b0)])
-    B = sorted(B)
     p_b = PartialPermutation.projection(d, B)
     p_distance = pperm.uniform_distance(sig_p, p_b)
 

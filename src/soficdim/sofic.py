@@ -30,7 +30,8 @@ that keeps only the tuples some window admits (``candidate_pool``).
 ``PartialPermutation`` objects are built for members only: the images
 ``iter_SA_members`` yields and the restrictions ``count_SA(..., E=E)``
 counts, the distinct restrictions to the positions E in the same
-enumeration.
+enumeration.  ``verify_membership`` checks one candidate on padded
+tuples too, with the search's orthogonal sum and disagreement count.
 
 Both membership conditions are unchanged when every image is conjugated
 by one permutation of the points, so ``count_SA`` counts up to
@@ -52,8 +53,8 @@ decides each trial with the same integer test: a trial stops part-way
 through its first draw whose fixed-point count cannot lie in its trace
 window, and otherwise searches the drawn images alone.  Each trial
 draws from its own substream of the seed, so stopping early changes no
-other trial's draws and the hits are those of the full
-``verify_membership`` check, which stays the reference checker.
+other trial's draws and the hits are those of drawing every image and
+asking ``verify_membership``.
 """
 
 from __future__ import annotations
@@ -310,29 +311,25 @@ def groupoid_params(g: FiniteGroupoid, F, n: int, delta, d: int,
     return SAParams(GroupoidSource(g, F, n), Fraction(delta), d, mode=mode)
 
 
-_OVERLAP = object()
-
-
-def _resolve(source, images, key: int):
-    """Image of universe element ``key`` under the additive extension."""
-    dec = source.decomposition[key]
-    if len(dec) == 1:
-        return images[dec[0]]
-    try:
-        return pperm.orthogonal_sum([images[i] for i in dec])
-    except OverlapError:
-        return _OVERLAP
-
-
 def verify_membership(sigma: SoficCandidate, params: SAParams) -> MembershipReport:
-    """Exact worst-case gaps of sigma against the two conditions."""
+    """Exact worst-case gaps of sigma against the two conditions; each
+    witness is the first position, or triple, of the largest gap.
+
+    It counts on padded image tuples as the search does: each sum of
+    the closure is the ``_orthogonal_sum`` of its summands' images, an
+    OverlapError flagging it, and a triple's gap is its disagreement
+    count over d.  A triple that reads a flagged sum is skipped and a
+    flag rejects the candidate.  Every sum is resolved up front; the
+    ball holds the identity, so the triple (identity, k, k) reads every
+    sum k and a flag is raised exactly when some triple meets one.
+    """
     source = params.source
     if len(sigma.images) != source.n_ball:
         raise KeyError(f"assignment covers {len(sigma.images)} of "
                        f"{source.n_ball} ball elements")
     if sigma.degree != params.d:
         raise ValueError("candidate degree disagrees with params")
-    images = sigma.images
+    d = params.d
     notes = []
     if not source.is_group:
         # no sum has more summands than the ball has elements
@@ -340,28 +337,27 @@ def verify_membership(sigma: SoficCandidate, params: SAParams) -> MembershipRepo
                      " images extended additively")
     trace_gap = Fraction(0)
     trace_witness = ""
-    for i in range(source.n_ball):
-        gap = abs(pperm.trace(images[i]) - source.taus[i])
+    for i, s in enumerate(sigma.images):
+        gap = abs(Fraction(s.nfix, d) - source.taus[i])
         if gap > trace_gap:
             trace_gap, trace_witness = gap, source.key_label(i)
-    mult_gap = Fraction(0)
+    slots = [(0,) + s.images for s in sigma.images]
+    for parts in source.decomposition[source.n_ball:]:
+        try:
+            slots.append(_orthogonal_sum([slots[i] for i in parts]))
+        except OverlapError:
+            slots.append(None)
+    flagged = None in slots
+    worst = 0
     mult_witness = ("", "")
-    flagged = False
-    cache = {}
-
-    def val(k):
-        if k not in cache:
-            cache[k] = _resolve(source, images, k)
-        return cache[k]
-
     for (i, j, k) in source.triples:
-        a, b, c = val(i), val(j), val(k)
-        if a is _OVERLAP or b is _OVERLAP or c is _OVERLAP:
-            flagged = True
+        a, b, c = slots[i], slots[j], slots[k]
+        if a is None or b is None or c is None:
             continue
-        gap = pperm.uniform_distance(c, pperm.compose(a, b))
-        if gap > mult_gap:
-            mult_gap, mult_witness = gap, (source.key_label(i), source.key_label(j))
+        gap = sum(map(ne, map(a.__getitem__, b), c))
+        if gap > worst:
+            worst, mult_witness = gap, (source.key_label(i), source.key_label(j))
+    mult_gap = Fraction(worst, d)
     if flagged:
         notes.append("additive extension unresolvable on some sums"
                      " (overlapping images); candidate rejected")
@@ -742,7 +738,8 @@ def monte_carlo_count(params: SAParams, trials: int, seed: int) -> tuple[float, 
     position.  As each trial owns its substream, the draws a stopped
     trial skips change no other trial, and a draw that lands in its
     window equals the full draw, so the hits equal those of drawing
-    every image in full and running ``verify_membership``.
+    every image in full and asking ``verify_membership``, which checks
+    one candidate with the same orthogonal sum and disagreement count.
 
     Raises ValueError when the search space is too large for the float
     estimate.

@@ -294,6 +294,37 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["all_pass"] and doc["suites"]["scaling"]["instances"] == 2
 
+    @pytest.mark.parametrize("suite", ["scaling", "c1", "ha", "all"])
+    @pytest.mark.parametrize("delta", ["0", "-1/2"])
+    def test_nonpositive_delta_refused(self, capsys, suite, delta):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--source",
+                             "zmod(2)", "--d", "2", f"--delta={delta}")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "delta must be positive"}
+
+    # a tolerance above 1 used to draw more points to drop than the base
+    # degree holds.  The output pinned here is vacuous: the round-trip
+    # bound 60 delta exceeds 1, the most a uniform distance can be, so the
+    # suite cannot fail, and it does not yet say so as construct's
+    # "vacuous" does (ROADMAP item 8)
+    @pytest.mark.parametrize("delta,bound", [("2", 120.0), ("7", 420.0)])
+    def test_scaling_beyond_delta_one(self, capsys, monkeypatch, delta, bound):
+        drops = []
+        choose = cli.SplitMix64.choose_sorted
+        monkeypatch.setattr(cli.SplitMix64, "choose_sorted",
+                            lambda rng, n, k: drops.append((n, k)) or choose(rng, n, k))
+        code, out, _ = run(capsys, "verify", "--suite", "scaling", "--source",
+                           "zmod(2)", "--d", "2", "--delta", delta,
+                           "--instances", "3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["all_pass"] is True
+        assert doc["suites"] == {"scaling": {
+            "instances": 3, "passed": True, "round_trip_bound": bound,
+            "worst_round_trip": 0.0}}
+        assert bound >= 1
+        assert len(drops) == 3 and all(0 <= k <= n for n, k in drops)
+
     def test_one_table_per_member_and_partition(self, capsys, monkeypatch,
                                                 tmp_path):
         # 3 members x 12 partitions: each pair builds one Phi0Table, which

@@ -1,15 +1,19 @@
 """The pruned integer search against plain enumeration of every candidate.
 
+The oracle is ``reference_verify_membership``, which checks a candidate on
+``PartialPermutation`` objects (orthogonal sums, composition and uniform
+distance of maps), independently of the integer code; ``verify_membership``
+must give its report field for field on every candidate checked here.
 On instances small enough to enumerate in full, the members of
 ``SearchPlan.search`` (and of its callers) must be exactly the candidates of
-``itertools.product(pool, repeat=n_ball)`` that ``verify_membership``
+``itertools.product(pool, repeat=n_ball)`` that the oracle
 accepts, in the same order; the counts by conjugacy classes must equal
 those of the plain search, and the classes must partition the maps;
 ``ha_statistic_with_sa`` must count
 exactly the (sigma|_E, phi|_Q) pairs of the maps phi in
 ``itertools.product(pool, repeat=len(universe))`` that ``verify_HA``
-accepts; and every Monte Carlo trial must decide membership as
-``verify_membership`` does on the images drawn from its substream.
+accepts; and every Monte Carlo trial must decide membership as the
+oracle does on the images drawn from its substream.
 """
 
 import itertools
@@ -37,11 +41,13 @@ from soficdim.groupoid import (
     full_identity,
     transitive_groupoid,
 )
-from soficdim import pperm
+from soficdim import cli, partitions, pperm, sofic
 from soficdim.partitions import CylinderModel, LemmaContext, ModelMember
 from soficdim.rng import SplitMix64
 from soficdim.sofic import (
     GroupoidSource,
+    MembershipReport,
+    OverlapError,
     SearchPlan,
     SoficCandidate,
     _count_chunk,
@@ -109,9 +115,81 @@ def object_pool(d, mode):
     return list(pperm.iter_permutations(d) if mode == "perms" else pperm.iter_all(d))
 
 
+# -- the object-level membership oracle ----------------------------------------
+
+OVERLAP = object()
+
+
+def reference_resolve(source, images, key: int):
+    """Image of universe element ``key`` under the additive extension."""
+    dec = source.decomposition[key]
+    if len(dec) == 1:
+        return images[dec[0]]
+    try:
+        return pperm.orthogonal_sum([images[i] for i in dec])
+    except OverlapError:
+        return OVERLAP
+
+
+def reference_verify_membership(sigma, params):
+    """Exact worst-case gaps of sigma against the two conditions."""
+    source = params.source
+    if len(sigma.images) != source.n_ball:
+        raise KeyError(f"assignment covers {len(sigma.images)} of "
+                       f"{source.n_ball} ball elements")
+    if sigma.degree != params.d:
+        raise ValueError("candidate degree disagrees with params")
+    images = sigma.images
+    notes = []
+    if not source.is_group:
+        # no sum has more summands than the ball has elements
+        notes.append(f"sum closure truncated at m={source.n_ball} summands;"
+                     " images extended additively")
+    trace_gap = Fraction(0)
+    trace_witness = ""
+    for i in range(source.n_ball):
+        gap = abs(pperm.trace(images[i]) - source.taus[i])
+        if gap > trace_gap:
+            trace_gap, trace_witness = gap, source.key_label(i)
+    mult_gap = Fraction(0)
+    mult_witness = ("", "")
+    flagged = False
+    cache = {}
+
+    def val(k):
+        if k not in cache:
+            cache[k] = reference_resolve(source, images, k)
+        return cache[k]
+
+    for (i, j, k) in source.triples:
+        a, b, c = val(i), val(j), val(k)
+        if a is OVERLAP or b is OVERLAP or c is OVERLAP:
+            flagged = True
+            continue
+        gap = pperm.uniform_distance(c, pperm.compose(a, b))
+        if gap > mult_gap:
+            mult_gap, mult_witness = gap, (source.key_label(i), source.key_label(j))
+    if flagged:
+        notes.append("additive extension unresolvable on some sums"
+                     " (overlapping images); candidate rejected")
+    member = (not flagged) and mult_gap < params.delta and trace_gap < params.delta
+    return MembershipReport(member, mult_gap, mult_witness, trace_gap,
+                            trace_witness, params.delta, params.d, tuple(notes))
+
+
+def same_report(sigma, params):
+    """The oracle's report, after asserting that ``verify_membership``
+    gives it field for field."""
+    want = reference_verify_membership(sigma, params)
+    got = verify_membership(sigma, params)
+    assert got == want
+    assert (type(got.mult_gap), type(got.trace_gap)) == (Fraction, Fraction)
+    return want
+
+
 def brute_force(params, pool):
     return [images for images in itertools.product(pool, repeat=params.source.n_ball)
-            if verify_membership(SoficCandidate(params.d, images), params).is_member]
+            if same_report(SoficCandidate(params.d, images), params).is_member]
 
 
 @pytest.mark.parametrize("make", [m for _, m in INSTANCES],
@@ -140,6 +218,77 @@ def test_search_matches_brute_force(make):
     assert _count_classes(params, plan, None) == (
         None if p is None else (len(want), 0))
     assert count_SA(params) == len(want)
+
+
+# -- the membership report --------------------------------------------------------
+
+FLAGGED_NOTES = (
+    "sum closure truncated at m=3 summands; images extended additively",
+    "additive extension unresolvable on some sums (overlapping images);"
+    " candidate rejected")
+
+
+def test_flagged_report():
+    # the images of the arrows 0 -> 1 and 1 -> 0 (positions 1 and 2) are
+    # both defined at point 1, so their sum, the swap at position 3, is
+    # flagged; the identity goes to a partial identity missing point 3,
+    # which among the unflagged triples only (identity, 1 -> 0, 1 -> 0)
+    # sees; a swap resolved to either arrow's image would put 2/3 on the
+    # flagged triple (swap, swap, identity)
+    params = r2("arrow", "1/2", 3)
+    source = params.source
+    images = [pperm.PartialPermutation(3, im)
+              for im in ((1, 2, 0), (2, 0, 0), (3, 0, 0))]
+    rep = same_report(SoficCandidate(3, images), params)
+    label = source.key_label
+    assert rep == MembershipReport(
+        False, Fraction(1, 3), (label(0), label(2)), Fraction(1, 3), label(0),
+        Fraction(1, 2), 3, FLAGGED_NOTES)
+    # both gaps are below delta: the flag alone rejects
+    assert source.decomposition[3] == (1, 2)
+    assert {(i, j) for i, j, k in source.triples if 3 in (i, j, k)} == {
+        (0, 3), (3, 0), (3, 3)}
+
+
+# beyond the brute-force instances: larger d, and sums of three parts
+@pytest.mark.parametrize("make", [
+    lambda: r2("arrow", "1/2", 3), lambda: r2("arrow", "1", 4),
+    lambda: three_units("1/2", 3, "all"), lambda: three_units("2/3", 3, "all", 2)],
+    ids=["r2-arrow-d3", "r2-arrow-d4", "three-units-n1", "three-units-n2"])
+def test_reports_on_random_groupoid_candidates(make):
+    params = make()
+    rng = SplitMix64(17)
+    flagged = 0
+    for _ in range(300):
+        images = [pperm.random_pperm(params.d, rng)
+                  for _ in range(params.source.n_ball)]
+        flagged += len(same_report(SoficCandidate(params.d, images), params).notes) == 2
+    assert flagged > 0
+
+
+# every candidate the certification suites check: c1 and ha through
+# partitions, the scaling round trips through sofic
+@pytest.mark.parametrize("argv", [
+    ("--source", "zmod(2)", "--d", "2", "--delta", "1/10", "--suite", "scaling"),
+    ("--source", "zmod(2)", "--d", "3", "--delta", "1/2", "--suite", "scaling"),
+    ("--source", "zmod(2)", "--d", "2", "--delta", "7", "--suite", "scaling"),
+    ("--source", "r2.gpd", "--d", "4", "--delta", "1/20", "--suite", "all"),
+    ("--source", "r2.gpd", "--d", "6", "--delta", "1/10", "--suite", "c1,ha"),
+], ids=["zmod2-d2", "zmod2-d3-half", "zmod2-d2-delta7", "r2-all", "r2-c1-ha"])
+def test_reports_on_suite_candidates(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    transitive_groupoid(2).save("r2.gpd")
+    checked = []
+
+    def checked_report(sigma, params):
+        checked.append(sigma)
+        return same_report(sigma, params)
+
+    monkeypatch.setattr(sofic, "verify_membership", checked_report)
+    monkeypatch.setattr(partitions, "verify_membership", checked_report)
+    assert cli.main(["verify", *argv, "--instances", "3"]) in (0, 1)
+    capsys.readouterr()
+    assert checked
 
 
 # -- trace windows ----------------------------------------------------------------
@@ -352,14 +501,14 @@ def test_worker_split_matches_one_worker(make, forked, monkeypatch):
 
 # -- Monte Carlo trials ----------------------------------------------------------
 
-def three_units(delta, d, mode):
+def three_units(delta, d, mode, radius=1):
     # the arrows 0 -> 1 and 1 -> 2 of the 3-point relation: their ball has
     # orthogonal sums, whose overlapping images reject
     g = transitive_groupoid(3)
     F = [PartialBisection(g, frozenset(a for a in range(g.n_arrows)
                                        if (g.source[a], g.range_[a]) == pair))
          for pair in ((0, 1), (1, 2))]
-    return groupoid_params(g, F, 1, delta, d, mode=mode)
+    return groupoid_params(g, F, radius, delta, d, mode=mode)
 
 
 # (name, d, make, the outcomes its trials show): a trivial-group trial
@@ -407,7 +556,7 @@ def test_mc_trials_decide_like_verify_membership(make, d, mode, outcomes,
         for seed in range(100):
             rng = SplitMix64(seed).spawn(0)
             images = [draw(d, rng) for _ in range(source.n_ball)]
-            member = verify_membership(SoficCandidate(d, images), params).is_member
+            member = same_report(SoficCandidate(d, images), params).is_member
             outside = [t for t, s in enumerate(images)
                        if abs(pperm.trace(s) - source.taus[t]) >= delta]
             drawn.clear()
@@ -421,7 +570,7 @@ def test_mc_trials_decide_like_verify_membership(make, d, mode, outcomes,
 
 def full_draw_estimate(params, trials, seed):
     """The estimator before trials stopped early: every trial draws every
-    image and asks verify_membership."""
+    image and asks the object-level oracle."""
     base = SplitMix64(seed)
     draw = mc_draw(params.mode)
     hits = 0
@@ -429,7 +578,7 @@ def full_draw_estimate(params, trials, seed):
         rng = base.spawn(t)
         cand = SoficCandidate(params.d, [draw(params.d, rng)
                                          for _ in range(params.source.n_ball)])
-        if verify_membership(cand, params).is_member:
+        if reference_verify_membership(cand, params).is_member:
             hits += 1
     space = search_space_size(params)
     rate = Fraction(hits, trials)
