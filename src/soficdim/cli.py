@@ -11,8 +11,9 @@ Subcommands:
 * ``construct``          dilation/compression/pair demos with certificates
 
 All randomness flows through one seed, echoed into every output header;
-identical configuration and seed reproduce outputs byte for byte,
-independent of the worker count.
+identical configuration and seed reproduce outputs byte for byte.
+``count --workers`` is still parsed and checked, but every count runs
+in one process.
 """
 
 from __future__ import annotations
@@ -50,18 +51,16 @@ def parse_drange(text: str) -> list[int]:
     """Degree lists: ``4``, ``2..6``, ``2..10..2`` or ``50,100,200``."""
     out = []
     for chunk in text.split(","):
-        chunk = chunk.strip()
-        if ".." in chunk:
-            parts = chunk.split("..")
-            if len(parts) == 2:
-                lo, hi, step = int(parts[0]), int(parts[1]), 1
-            elif len(parts) == 3:
-                lo, hi, step = int(parts[0]), int(parts[1]), int(parts[2])
+        try:
+            ends = [int(end) for end in chunk.split("..")]
+            if len(ends) == 1:
+                out.append(ends[0])
+            elif len(ends) <= 3:  # range refuses a zero step with ValueError
+                out.extend(range(ends[0], ends[1] + 1, *ends[2:]))
             else:
-                raise CliError(f"bad degree range {text!r}")
-            out.extend(range(lo, hi + 1, step))
-        else:
-            out.append(int(chunk))
+                raise ValueError
+        except ValueError:
+            raise CliError(f"bad degree range {text!r}") from None
     if not out:
         raise CliError("empty degree range")
     return out
@@ -190,8 +189,7 @@ def cmd_count(args) -> int:
             est, err = sofic.monte_carlo_count(params, args.mc, args.seed)
             rows.append((d, delta, args.n, repr(est), repr(err), ""))
         else:
-            count, count_e = sofic.count_SA(params, cap=args.cap,
-                                            workers=args.workers, E=E)
+            count, count_e = sofic.count_SA(params, cap=args.cap, E=E)
             stat = sofic.statistic_from_count(count_e, d)
             rows.append((d, delta, args.n, count, count_e, repr(stat)))
     header = "estimate,stderr" if args.mc else "count,restricted_count"
@@ -371,8 +369,7 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
         images = [PartialPermutation.projection(base, keep) if b.arrows
                   else PartialPermutation.empty(base) for b in src.ball_elements]
         sigma = SoficCandidate(base, images)
-        res = scaling.expand_sigma(sigma, cd, F, n=5, delta=delta,
-                                   gamma_choice="seeded", seed=seed + i)
+        res = scaling.expand_sigma(sigma, cd, F, n=5, delta=delta, seed=seed + i)
         rr = scaling.restrict_sigma(res.candidate, cd, F, n=1, delta=delta)
         all_pass &= res.report.is_member and rr.report.is_member
         worst = max(pperm.uniform_distance(sigma.images[pos0[b]],
@@ -431,8 +428,7 @@ def cmd_construct(args) -> int:
         images = [PartialPermutation.identity(args.d) if b.arrows
                   else PartialPermutation.empty(args.d) for b in src.ball_elements]
         sigma = SoficCandidate(args.d, images)
-        res = scaling.expand_sigma(sigma, cd, F, n=5, delta=delta,
-                                   gamma_choice="seeded", seed=args.seed)
+        res = scaling.expand_sigma(sigma, cd, F, n=5, delta=delta, seed=args.seed)
         amb_ident = full_identity(cd.ambient)
         pos = {b: i for i, b in enumerate(res.params.source.ball_elements)}
         # every gap is at most 1 and membership is strict, so a
@@ -496,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("perms", "all"), default=None)
     p.add_argument("--mc", type=int, default=0, help="Monte Carlo trials")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored: every count runs in one process")
     p.add_argument("--cap", type=int, default=None)  # see cmd_count
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_count)

@@ -9,8 +9,7 @@ module supplies the composition/inverse algebra, the normalized trace
 
 All traces, measures and distances are exact ``fractions.Fraction``
 values; composition order is functional (in ``compose(s, t)`` the map
-``t`` applies first).  Instances are immutable after construction and
-safe to share across workers.
+``t`` applies first).  Instances are immutable after construction.
 """
 
 from __future__ import annotations

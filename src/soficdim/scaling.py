@@ -194,15 +194,15 @@ class ExpandResult:
 
 
 def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
-                 delta, gamma_choice: str = "lex", seed: int = 0) -> ExpandResult:
+                 delta, seed: int = 0) -> ExpandResult:
     """Dilate a corner candidate to the ambient groupoid and verify it.
 
     The corner candidate must cover the radius 4n+5 ball over F_corner
     (which must contain the corner identity and the mover domain
     projections) and be a member there at delta; the degree d must be
     divisible by N-k.  New blocks A_1..A_k are glued to A_0 = {1..d}
-    through bijections gamma_i from near-fixed sets B_i, chosen
-    order-preservingly ("lex") or by seeded shuffle ("seeded").
+    through bijections gamma_i from near-fixed sets B_i, each onto its
+    block in an order shuffled by ``seed``.
     """
     delta = Fraction(delta)
     d = sigma.degree
@@ -251,10 +251,7 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
                 f"near-fixed set of mover {i} misses its block by {sym_diff} points")
         b_sets.append(tuple(b_i))
         targets = list(blocks[i])
-        if gamma_choice == "seeded":
-            rng.shuffle(targets)
-        elif gamma_choice != "lex":
-            raise ValueError("gamma_choice must be 'lex' or 'seeded'")
+        rng.shuffle(targets)
         images = [0] * d_prime
         for x, y in zip(sorted(b_i), targets):
             images[x - 1] = y

@@ -35,17 +35,19 @@ tuples too, with the search's orthogonal sum and disagreement count.
 
 Both membership conditions are unchanged when every image is conjugated
 by one permutation of the points, so ``count_SA`` counts up to
-conjugacy.  A window that admits a single map admits a map that every
-conjugation fixes (the identity, or the empty map).  At p, the first
-ball position whose window admits two or more maps, the search takes
-one representative r of each conjugacy class in that window
-(``conjugacy_classes``: cycle types, and in ``all`` mode cycle-and-chain
-types) and weighs the members it finds by the class size: the count is
-the sum over r of |class(r)| times the count with position p fixed to
-r.  With p in E the restricted count splits the same way; with p
-outside E it does not, and the plain search runs.  Positions after p
-draw from ``candidate_pool`` over their own windows, so no pass over the
-maps is made when p is the last position.
+conjugacy.  At any position q the search takes one representative r of
+each conjugacy class in q's window (``conjugacy_classes``: cycle types,
+and in ``all`` mode cycle-and-chain types) and weighs the members it
+finds by the class size: the count is the sum over r of |class(r)|
+times the count with position q fixed to r, and with q in E the
+restricted count splits the same way.  q is the first position of E
+whose window admits two or more maps.  Where E is None, q is p, the
+first such position of the ball; where E has no such position, q is p
+too, and every member restricts to E alike.  A window that admits a
+single map admits a map that every conjugation fixes (the identity, or
+the empty map), so the positions before p take that map alone.  The
+others, q excepted, draw from one ``candidate_pool`` pass over their own
+windows, so no pass over the maps is made when p is the last position.
 
 A seeded Monte Carlo estimator and a cycle-type closed form for cyclic
 groups extend the statistic beyond enumeration range.  The estimator
@@ -627,75 +629,73 @@ def _count_chunk(plan: SearchPlan, pools, positions):
 
 
 def _count_classes(params: SAParams, plan: SearchPlan, positions):
-    """``(count, restricted count)`` from one representative per
-    conjugacy class at p, the first position whose window admits two or
-    more maps, each search weighed by its class size; None when no
-    window admits two maps or p is not among ``positions``, where the
-    counts do not split.  The class sizes find p, so no map is
-    enumerated for it."""
-    before = []  # at most one map each, which every conjugation fixes
-    for p, fixed in enumerate(plan.windows):
-        classes = conjugacy_classes(params.d, params.mode, fixed)
-        if sum(size for _, size in classes) > 1:
+    """``(count, restricted count)`` by one search per conjugacy class
+    at q, each weighed by its class size; the restricted count is 0
+    where ``positions`` is None.
+
+    p is the first position whose window admits two or more maps, and q
+    the first such position among ``positions``, or p where there is
+    none (or no ``positions``).  The positions before p take their one
+    map each, which every conjugation fixes, and the others, q
+    excepted, draw from one ``candidate_pool`` pass.  Where no position
+    of ``positions`` branches, every member has the same restriction,
+    so the restricted count is 1 if there are members.  The class
+    sizes find p and q, so no map is enumerated for either.
+    """
+    d, mode, windows = params.d, params.mode, plan.windows
+    before = []
+    for p, fixed in enumerate(windows):
+        split = conjugacy_classes(d, mode, fixed)
+        if sum(size for _, size in split) > 1:
             break
-        before.append([pad for pad, _ in classes])
-    else:
-        return None
+        before.append([pad for pad, _ in split])
+    else:  # no position branches
+        count, restrictions = _count_chunk(plan, before, positions)
+        return count, len(restrictions)
+    q, by = p, positions
     if positions is not None and p not in positions:
-        return None
-    after = candidate_pool(params.d, params.mode, plan.windows[p + 1:])
+        by = None
+        for t in range(p + 1, len(windows)):
+            if t in positions:
+                classes = conjugacy_classes(d, mode, windows[t])
+                if sum(size for _, size in classes) > 1:
+                    q, split, by = t, classes, positions
+                    break
+    rest = candidate_pool(d, mode, windows[p:q] + windows[q + 1:])
+    head, tail = [*before, *rest[:q - p]], rest[q - p:]
     count = restricted = 0
-    for pad, size in classes:
-        c, r = _count_chunk(plan, [*before, [pad], *after], positions)
+    for pad, size in split:
+        c, r = _count_chunk(plan, [*head, [pad], *tail], by)
         count += size * c
         restricted += size * len(r)
+    if by is None and positions is not None:
+        restricted = min(count, 1)
     return count, restricted
-
-
-def _enumerate_counts(params: SAParams, positions, cap: int, workers: int):
-    space = search_space_size(params)
-    if space > cap:
-        raise InfeasibleError(f"search space of {space} candidates", cap)
-    plan = SearchPlan(params)
-    counts = _count_classes(params, plan, positions)
-    if counts is not None:
-        return counts
-    pools = candidate_pool(params.d, params.mode, plan.windows)
-    # workers share out the candidates admitted at position 0; with under
-    # two each, often the identity alone, one counts
-    firsts = pools[0]
-    if workers <= 1 or len(firsts) < 2 * workers:
-        count, restrictions = _count_chunk(plan, pools, positions)
-        return count, len(restrictions)
-    import multiprocessing as mp
-    step = (len(firsts) + workers - 1) // workers
-    chunks = [[firsts[lo:lo + step], *pools[1:]] for lo in range(0, len(firsts), step)]
-    with mp.Pool(workers) as ex:
-        parts = ex.starmap(_count_chunk, [(plan, c, positions) for c in chunks])
-    return sum(c for c, _ in parts), len(set().union(*(r for _, r in parts)))
 
 
 DEFAULT_COUNT_CAP = 10 ** 8
 
 
-def count_SA(params: SAParams, cap: int = DEFAULT_COUNT_CAP, workers: int = 1,
-             E=None):
+def count_SA(params: SAParams, cap: int = DEFAULT_COUNT_CAP, E=None):
     """Exact number of members, by pruned exhaustive enumeration.
 
     The search keeps, per ball position, only the candidates whose
     fixed-point count meets the trace condition, and rejects a triple
     at ceil(delta*d) disagreements, so it compares integers only.
-    With a collection E of ball positions, the same single enumeration
+    With a collection E of ball positions, the same enumeration
     returns ``(count, restricted_count)``, where the restricted count
-    is the number of distinct restrictions of members to E.
-
-    Where E is None or holds the first position whose window admits
-    two or more maps, the search runs once per conjugacy class at that
-    position, in one process; otherwise ``workers`` processes share
-    out the candidates of position 0.
+    is the number of distinct restrictions of members to E.  Both are
+    sums over the conjugacy classes at one position
+    (``_count_classes``).  A position of E outside the ball, such as a
+    sum of the closure, raises ValueError.
     """
+    space = search_space_size(params)
+    if space > cap:
+        raise InfeasibleError(f"search space of {space} candidates", cap)
     positions = None if E is None else tuple(E)
-    count, count_e = _enumerate_counts(params, positions, cap, workers)
+    if positions and not all(0 <= t < params.source.n_ball for t in positions):
+        raise ValueError(f"E {positions} holds positions outside the ball")
+    count, count_e = _count_classes(params, SearchPlan(params), positions)
     return count if E is None else (count, count_e)
 
 
@@ -711,14 +711,14 @@ def statistic_from_count(count: int, d: int) -> float:
     return math.log(count) / (d * math.log(d))
 
 
-def restricted_statistic(params: SAParams, E, cap: int = DEFAULT_COUNT_CAP,
-                         workers: int = 1) -> tuple[int, float]:
+def restricted_statistic(params: SAParams, E,
+                         cap: int = DEFAULT_COUNT_CAP) -> tuple[int, float]:
     """Distinct restrictions to E among members, and the log statistic.
 
     E is a collection of ball positions (indices into the source ball).
     The empty E yields one restriction whenever any member exists.
     """
-    _, count_e = count_SA(params, cap, workers, E=E)
+    _, count_e = count_SA(params, cap, E=E)
     return count_e, statistic_from_count(count_e, params.d)
 
 

@@ -212,8 +212,7 @@ def test_criterion_8_scaling_round_trip():
                       else PartialPermutation.empty(d)
                       for b in src.ball_elements]
             sigma = SoficCandidate(d, images)
-            res = expand_sigma(sigma, cd, F, n=5, delta=delta,
-                               gamma_choice="seeded", seed=i)
+            res = expand_sigma(sigma, cd, F, n=5, delta=delta, seed=i)
             assert res.report.is_member  # at delta' by construction of params
             rr = restrict_sigma(res.candidate, cd, F, n=1, delta=delta)
             assert rr.report.is_member

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import runpy
 import subprocess
@@ -112,6 +113,27 @@ class TestCount:
         assert code == 2 and out == ""
         assert json.loads(err) == {
             "error": f"--workers {workers}: the worker count must be >= 1"}
+
+    @pytest.mark.parametrize("text", ["2..", "..6", "a..b", "2..6..0", "2..4..6..8"])
+    def test_bad_degree_range_refused(self, capsys, text):
+        code, out, err = run(capsys, "count", "--family", "zmod(2)", "--d", text,
+                             "--delta", "1/10")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": f"bad degree range {text!r}"}
+
+    def test_workers_flag_starts_no_process(self, capsys, monkeypatch):
+        # the flag is parsed and checked, but every count runs in one
+        # process: position 0 branches here, where --workers 2 used to fork
+        argv, want = {c[0]: c[1:] for c in COUNT_SHA256}["zmod3-perms-d6-wide"]
+
+        def refuse(proc):
+            raise AssertionError(f"count started {proc}")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        for workers in ((), ("--workers", "2")):
+            code, out, _ = run(capsys, "count", *argv, *workers)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == want
 
     @pytest.mark.parametrize("trials", ["-1", "-5"])
     def test_negative_trials_refused(self, capsys, monkeypatch, trials):
@@ -493,6 +515,17 @@ COUNT_SHA256 = [
      ("--family", "freeprod(zmod(2),zmod(3))", "--d", "6", "--delta", "1/12",
       "--mode", "perms", "--cap", "10000000000000"),
      "be1f3c6ed5981c563b2c7d6f19553d997bc41b2ea2a88e5d0051e7b5b51870ac"),
+    # the identity's window admits more than one map (132405 and 4000
+    # members), so position 0, outside E, branches; recorded when these
+    # ran the plain search, in about 9 s and 5 s
+    ("zmod2-all-d7-wide",
+     ("--family", "zmod(2)", "--d", "7", "--delta", "1/3", "--mode", "all",
+      "--cap", "10000000000000"),
+     "261cddfe44f617c3f17ce040709e281e26381b6205b23e2f17fed36e911cea8a"),
+    ("zmod3-perms-d6-wide",
+     ("--family", "zmod(3)", "--d", "6", "--delta", "1/2", "--mode", "perms",
+      "--cap", "10000000000000"),
+     "4bbae58463ac6f6b64981eadf2b5f5ed6dff0ded4388ae7d55c88343e45ce1a9"),
 ]
 
 # stdout sha256 of `count --mc` jobs at --seed 1: the seven Monte Carlo
@@ -842,6 +875,10 @@ class TestHelpers:
         assert parse_drange("2..6") == [2, 3, 4, 5, 6]
         assert parse_drange("2..10..4") == [2, 6, 10]
         assert parse_drange("50,100") == [50, 100]
+        assert parse_drange(" 4, 2 .. 3 ") == [4, 2, 3]
+        for text in ("2..", "..6", "a..b", "2..6..0", "2..4..6..8", "4,", "x"):
+            with pytest.raises(cli.CliError, match=r"^bad degree range "):
+                parse_drange(text)
 
     def test_parse_fraction(self):
         from fractions import Fraction

@@ -117,12 +117,10 @@ class TestExpand:
         cd = r2_corner()
         d = 8
         sigma, F, _ = corner_projection_candidate(cd, d)
-        lex = expand_sigma(sigma, cd, F, n=1, delta=Fraction(1, 10),
-                           gamma_choice="lex")
-        seeded = expand_sigma(sigma, cd, F, n=1, delta=Fraction(1, 10),
-                              gamma_choice="seeded", seed=12)
-        assert lex.gammas != seeded.gammas
-        assert lex.candidate.images != seeded.candidate.images
+        one, other = (expand_sigma(sigma, cd, F, n=1, delta=Fraction(1, 10), seed=seed)
+                      for seed in (0, 12))
+        assert one.gammas != other.gammas
+        assert one.candidate.images != other.candidate.images
 
     def test_well_defined_on_all_factorizations(self):
         # two corner elements gluing to the same ambient element must get
@@ -229,8 +227,7 @@ class TestRestrict:
         monkeypatch.setattr(GroupoidSource, "__init__", counted)
         results = []
         for seed in range(3):
-            res = expand_sigma(sigma, cd, F, n=5, delta=delta,
-                               gamma_choice="seeded", seed=seed)
+            res = expand_sigma(sigma, cd, F, n=5, delta=delta, seed=seed)
             rr = restrict_sigma(res.candidate, cd, F, n=1, delta=delta)
             results.append((res.report, rr.report, rr.candidate))
         # corner at 4n+5 = 25, ambient at 5 (both steps), corner at 1
@@ -239,8 +236,7 @@ class TestRestrict:
         for seed, want in enumerate(results):  # each on a datum of its own
             fresh = r2_corner()
             sigma, F, _ = corner_projection_candidate(fresh, 20, missing=(3,))
-            res = expand_sigma(sigma, fresh, F, n=5, delta=delta,
-                               gamma_choice="seeded", seed=seed)
+            res = expand_sigma(sigma, fresh, F, n=5, delta=delta, seed=seed)
             rr = restrict_sigma(res.candidate, fresh, F, n=1, delta=delta)
             assert (res.report, rr.report, rr.candidate) == want
 

@@ -18,7 +18,6 @@ oracle does on the images drawn from its substream.
 
 import itertools
 import math
-import multiprocessing
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -203,20 +202,20 @@ def test_search_matches_brute_force(make):
     assert [tuple(pperm.PartialPermutation(d, pad[1:]) for pad in slots[:nball])
             for slots in plan.search(pools)] == want
     assert [m.images for m in iter_SA_members(params)] == want
-    # the counts split over the classes at p only where E holds p
+    # the counts split over the classes at the first branching position
+    # of E, or at p where E has none
     p = first_branching(pools)
     everywhere = tuple(range(nball))
-    choices = [(), (nball - 1,), everywhere]
+    choices = [(), (nball - 1,), everywhere,
+               tuple(t for t in everywhere if len(pools[t]) == 1)]
     if p is not None:
         choices += [(p,), tuple(t for t in everywhere if t != p)]
     for E in choices:
         restrictions = {tuple(images[i] for i in E) for images in want}
         assert _count_chunk(plan, pools, E) == (len(want), restrictions)
-        assert _count_classes(params, plan, E) == (
-            (len(want), len(restrictions)) if p in E else None)
+        assert _count_classes(params, plan, E) == (len(want), len(restrictions))
         assert count_SA(params, E=E) == (len(want), len(restrictions))
-    assert _count_classes(params, plan, None) == (
-        None if p is None else (len(want), 0))
+    assert _count_classes(params, plan, None) == (len(want), 0)
     assert count_SA(params) == len(want)
 
 
@@ -477,26 +476,64 @@ def test_class_count_matches_closed_form(m, d):
     assert count_SA(params, cap=10 ** 20) == closed_form_count(m, d, delta)
 
 
-# the split hands out the candidates that pass the trace condition at
-# position 0; with fewer than two per worker it runs in one process
-@pytest.mark.parametrize("make,forked",
-                         [(lambda: family("zmod(2)", "1/3", 4), 0),
-                          (lambda: r2("arrow", "1/2", 2), 0),
-                          # identity and the six transpositions
-                          (lambda: family("zmod(2)", "3/4", 4), 2),
-                          # identity and the three rank-2 partial identities
-                          (lambda: r2("unit", "1/2", 3), 2)],
-                         ids=["zmod2-d4", "r2-arrow-d2", "zmod2-d4-wide",
-                              "r2-unit-d3-wide"])
-def test_worker_split_matches_one_worker(make, forked, monkeypatch):
+# count_SA splits at q, the first position of E whose window admits two or
+# more maps, or at p, the first such position of the ball, where E has none;
+# a wide window at position 0 puts p outside every E that leaves 0 out.
+# (name, make, p); brute force checks the instances of few candidates
+SPLIT_INSTANCES = [
+    ("zmod2-d4", lambda: family("zmod(2)", "1/3", 4), 1),
+    ("r2-arrow-d2", lambda: r2("arrow", "1/2", 2), 1),
+    # identity and the six transpositions
+    ("zmod2-d4-wide", lambda: family("zmod(2)", "3/4", 4), 0),
+    # identity and the three rank-2 partial identities
+    ("r2-unit-d3-wide", lambda: r2("unit", "1/2", 3), 0),
+    ("zmod2-all-d5-wide", lambda: family("zmod(2)", "1/2", 5, "all"), 0),
+    ("zmod3-d5-wide", lambda: family("zmod(3)", "1/2", 5), 0),
+    ("freeprod-d4", lambda: family("freeprod(zmod(2),zmod(2))", "1/2", 4), 1),
+    ("r2-full-d4-wide", lambda: r2("full", "1/2", 4), 0),
+    ("r2-arrow-d3-wide", lambda: r2("arrow", "1", 3), 0),
+    ("three-units-d2-wide", lambda: three_units("2/3", 2, "all"), 0),
+    ("three-units-d3", lambda: three_units("1/3", 3, "all"), 1),
+]
+
+
+@pytest.mark.parametrize("make,p", [case[1:] for case in SPLIT_INSTANCES],
+                         ids=[case[0] for case in SPLIT_INSTANCES])
+def test_split_matches_plain_search(make, p, monkeypatch):
     params = make()
-    E = (params.source.n_ball - 1,)
-    started = []
-    start = multiprocessing.process.BaseProcess.start
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
-                        lambda proc: started.append(proc) or start(proc))
-    assert count_SA(params, workers=2, E=E) == count_SA(params, workers=1, E=E)
-    assert len(started) == forked
+    d, nball = params.d, params.source.n_ball
+    plan = SearchPlan(params)
+    pools = candidate_pool(d, params.mode, plan.windows)
+    assert first_branching(pools) == p
+    members = [tuple(slots[:nball]) for slots in plan.search(pools)]
+    if len(object_pool(d, params.mode)) ** nball <= 2000:
+        assert [tuple((0,) + s.images for s in images) for images in
+                brute_force(params, object_pool(d, params.mode))] == members
+    # every search count_SA runs fixes one branching position to one map
+    searched = []
+    chunk = sofic._count_chunk
+
+    def recorded(plan, split, positions):
+        searched.append([len(pool) for pool in split])
+        return chunk(plan, split, positions)
+
+    monkeypatch.setattr(sofic, "_count_chunk", recorded)
+    everywhere = tuple(range(nball))
+    choices = [everywhere, tuple(t for t in everywhere if len(pools[t]) == 1)]
+    for size in range(3):
+        choices += itertools.combinations(everywhere, size)
+    for E in choices:
+        restricted = len({tuple(images[i] for i in E) for images in members})
+        assert count_SA(params, E=E) == (len(members), restricted), E
+    assert count_SA(params) == len(members)
+    # the first index past the ball (a sum of a groupoid's closure), or a
+    # negative index, is no ball position
+    for E in ((nball,), (0, -1)):
+        with pytest.raises(ValueError, match="outside the ball"):
+            count_SA(params, E=E)
+    assert searched and all(
+        any(len(pool) > 1 and got == 1 for pool, got in zip(pools, sizes))
+        for sizes in searched)
 
 
 # -- Monte Carlo trials ----------------------------------------------------------

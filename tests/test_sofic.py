@@ -120,10 +120,6 @@ class TestCountSA:
         with pytest.raises(InfeasibleError):
             count_SA(trivial_params(Fraction(1, 10), 6), cap=10)
 
-    def test_worker_count_does_not_change_result(self):
-        p = zmod2_params(Fraction(1, 10), 4)
-        assert count_SA(p, workers=1) == count_SA(p, workers=2)
-
 
 class TestRestrictedStatistic:
     def test_trivial_group_restriction(self):
