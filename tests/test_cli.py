@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from soficdim import cli, groupoid, partitions, sofic, wordball
+from soficdim import cli, crossed, groupoid, partitions, sofic, wordball
 from soficdim.cli import main, parse_drange, parse_fraction
 from soficdim.sofic import closed_form_count
 from soficdim.groupoid import transitive_groupoid
@@ -349,7 +349,8 @@ class TestVerify:
 
     def test_one_table_per_member_and_partition(self, capsys, monkeypatch,
                                                 tmp_path):
-        # 3 members x 12 partitions: each pair builds one Phi0Table, which
+        # 3 members x 12 drawn partitions, of which 8 are distinct: each
+        # member builds one Phi0Table per distinct partition, which
         # computes every A_psi once and evaluates 16 distinct subsets
         monkeypatch.chdir(tmp_path)
         transitive_groupoid(2).save("r2.gpd")
@@ -386,10 +387,11 @@ class TestVerify:
         # recorded when every pair built two tables
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "b346651b6a7708ae11d807a570040f02e744f5e6d8d407728492ffb7e09c76cb")
-        assert len(tables) == 36
+        assert len(tables) == 24
         assert len(tables[0]) == len(set(tables[0])) == 9
         assert all(psis == tables[0] for psis in tables)
-        assert len(expansions) == 36 * 16
+        assert len(expansions) == 24 * 16
+        assert json.loads(out)["suites"]["c2"]["instances"] == 36
 
     def test_lemma_constants_once_per_basis(self, capsys, monkeypatch, r2_file):
         # 3 members x 12 partitions over one span basis: c2, c3, delta0,
@@ -425,6 +427,115 @@ class TestVerify:
                            "--d", "4", "--delta", "1/20", "--alphabet", "1",
                            "--partitions", "2")
         assert code == 0 and json.loads(out)["suites"]["ha"]["instances"] == 6
+
+
+class PerDrawOracle:
+    """The tabled suites as run_suites computed them before it checked
+    each distinct partition once: a member x partition loop that builds
+    one Phi0Table per drawn partition.  The reports of a draw are
+    computed once per (source, d, delta) and looked up by the draw's
+    seed, not by its blocks; the fold over members and draws is the
+    loop's own."""
+
+    def __init__(self, g, d, delta):
+        ctx = partitions.LemmaContext(g, cli.full_group_generators(g), 1)
+        self.model = partitions.CylinderModel(ctx, [Fraction(1, 2)] * 2)
+        self.basis = partitions.span_basis(self.model)
+        self.params = crossed.HAParams(self.model, delta, d)
+        self.members = [partitions.ModelMember(self.model, m) for m in
+                        sofic.iter_SA_members(ctx.hypothesis_params(delta, d))]
+        self.d, self.delta = d, delta
+        self.draws = {}  # seed -> one report row per member
+
+    def reports(self, seed):
+        if seed not in self.draws:
+            part = partitions.random_partition(self.d, self.model.alphabet, seed)
+            rows = []
+            for member in self.members:
+                table = partitions.Phi0Table(self.basis, member, part)
+                prep = crossed.build_phi0(table, self.delta, precheck=False)
+                res = crossed.build_phi(table, self.delta)
+                rows.append((
+                    partitions.verify_lemma_c2(table, self.delta, precheck=False),
+                    partitions.verify_lemma_c3_sweep(table, self.delta,
+                                                     precheck=False),
+                    prep.passed and res.v_ok and res.report.is_member,
+                    crossed.approx_sum_check(res.candidate, self.params)))
+            self.draws[seed] = rows
+        return self.draws[seed]
+
+    def tabled(self, suites, seed, n_partitions) -> dict:
+        worst2 = worst3 = None
+        checked = 0
+        ha_pass = lin_pass = True
+        lin_count = 0
+        worst_gap = -1.0
+        for k in range(len(self.members)):
+            for i in range(n_partitions):
+                rep2, rep3, ha_ok, check = self.reports(seed + i)[k]
+                checked += 1
+                if "c2" in suites:
+                    if worst2 is None or rep2.slack_ratio > worst2.slack_ratio:
+                        worst2 = rep2
+                if "c3" in suites:
+                    if worst3 is None or rep3.slack_ratio > worst3.slack_ratio:
+                        worst3 = rep3
+                if "ha" not in suites and "lin146" not in suites:
+                    continue
+                ha_pass &= ha_ok
+                if "lin146" in suites:
+                    lin_count += len(check.counts)
+                    lin_pass &= check.passed
+                    if check.counts:
+                        worst_gap = max(worst_gap, float(check.worst_gap))
+        out = {}
+        if "c2" in suites:
+            out["c2"] = {"instances": checked,
+                         "passed": worst2 is None or worst2.passed,
+                         "worst": worst2.to_json_dict() if worst2 else None}
+        if "c3" in suites:
+            out["c3"] = {"instances": checked,
+                         "passed": worst3 is None or worst3.passed,
+                         "worst": worst3.to_json_dict() if worst3 else None}
+        if "ha" in suites:
+            out["ha"] = {"instances": checked, "passed": ha_pass}
+        if "lin146" in suites:
+            out["lin146"] = {"pairs": lin_count, "passed": lin_pass,
+                             "worst_gap": worst_gap,
+                             "bound": float(146 * self.delta)}
+        return out
+
+
+CROSS_SUITES = {"all": cli.ALL_SUITES, "c2": ("c2",), "c3": ("c3",),
+                "ha": ("ha",), "lin146": ("lin146",),
+                "c2,lin146": ("c2", "lin146")}
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 10), Fraction(1, 20)],
+                         ids=["1/10", "1/20"])
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("source", ["r2", "zmod(2)"])
+def test_distinct_partitions_match_one_table_per_draw(source, d, delta):
+    # run_suites checks each distinct partition once; its dict must be
+    # the one a table per drawn partition gives, byte for byte
+    g = (transitive_groupoid(2) if source == "r2"
+         else cli.load_source_groupoid(source))
+    oracle = PerDrawOracle(g, d, delta)
+    for name, suites in CROSS_SUITES.items():
+        for n_partitions in (1, 5, 16, 40):
+            for seed in range(4):
+                args = (g, suites, d, delta, seed, 1, n_partitions, 2, 1)
+                if not oracle.members:  # r2 and zmod(2) at odd degree
+                    with pytest.raises(cli.CliError, match="^no members at"):
+                        cli.run_suites(*args)
+                    continue
+                untabled = tuple(s for s in suites if s not in ("c2", "c3", "ha",
+                                                                "lin146"))
+                want = cli.run_suites(g, untabled, *args[2:]) if untabled else {}
+                want.update(oracle.tabled(suites, seed, n_partitions))
+                assert cli.json_doc(cli.run_suites(*args)) == cli.json_doc(want), (
+                    name, n_partitions, seed)
+    assert oracle.members or d == 3
 
 
 class TestConstruct:
@@ -596,6 +707,12 @@ CERTIFY_SHA256 = [
      ("verify", "--suite", "c2,c3", "--source", "r2.gpd", "--d", "4",
       "--delta", "1/10", "--partitions", "4", "--seed", "2"),
      "78a476079679d4c7586c3061bab3ba1b0025a0476eeb7b532e1e6a767b537a43"),
+    # 2000 drawn partitions of which 4 are distinct; recorded when every
+    # draw built its own table (about 2 s)
+    ("verify-all-zmod2-d2-2000",
+     ("verify", "--suite", "all", "--source", "zmod(2)", "--d", "2",
+      "--delta", "1/10", "--partitions", "2000"),
+     "2d5a8b8cce63998e4c90145521627c0ddfc0e9f2d6e64b39fbaf486793ba1e94"),
     # the scaling demos: both membership prechecks and the sum-closure note,
     # recorded while SAParams still carried the radius and the sum bound
     ("construct-expand",
@@ -876,8 +993,16 @@ class TestHelpers:
         assert parse_drange("2..10..4") == [2, 6, 10]
         assert parse_drange("50,100") == [50, 100]
         assert parse_drange(" 4, 2 .. 3 ") == [4, 2, 3]
+        assert parse_drange("2..6..2") == [2, 4, 6]
+        # a descending range includes its end too
+        assert parse_drange("6..2..-2") == [6, 4, 2]
+        assert parse_drange("10..2..-4") == [10, 6, 2]
+        assert parse_drange("5..4..-1") == [5, 4]
         for text in ("2..", "..6", "a..b", "2..6..0", "2..4..6..8", "4,", "x"):
             with pytest.raises(cli.CliError, match=r"^bad degree range "):
+                parse_drange(text)
+        for text in ("2..6..-1", "6..2"):
+            with pytest.raises(cli.CliError, match=r"^empty degree range$"):
                 parse_drange(text)
 
     def test_parse_fraction(self):
