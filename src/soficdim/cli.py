@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 from . import calculator, crossed, partitions, pperm, scaling, sofic, wordball
@@ -244,22 +245,48 @@ def int_text(n: int) -> str:
 # -- verify -----------------------------------------------------------------------
 
 
+def hypothesis_members(ctx, delta: Fraction, d: int) -> list:
+    """The members at the context's hypothesis radius; refuses a run
+    that has none."""
+    members = list(sofic.iter_SA_members(ctx.hypothesis_params(delta, d)))
+    if not members:
+        raise CliError(f"no members at d={d}, delta={delta}")
+    return members
+
+
+def worst_entry(instances: int, reports) -> dict:
+    """The JSON entry of a c1, c2 or c3 suite, decided by the first of
+    its reports with the largest slack ratio."""
+    worst = max(reports, key=attrgetter("slack_ratio"))
+    return {"instances": instances, "passed": worst.passed,
+            "worst": worst.to_json_dict()}
+
+
 def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
                n: int, n_partitions: int, alphabet_size: int,
                instances: int) -> dict:
     """Run the requested suites; refuses a suite that would check nothing.
 
-    The c2, c3, ha and lin146 suites check one ``Phi0Table`` per member
-    and drawn partition.  A table and every report built from it read
-    the partition only through ``block_of``, and at small d the seeded
+    Whatever the order of ``suites``, the run goes: the refusals of a
+    ``--partitions``, ``--alphabet`` or ``--instances`` count below 1
+    that a requested suite needs; c1; the tabled suites c2, c3, ha and
+    lin146; scaling.  The members are enumerated once, by c1 or else by
+    the tabled suites after lin146 refuses a projection universe with
+    no disjoint pair.  So where a run has neither members nor a
+    disjoint pair, lin146 without c1 is refused for its pairs and every
+    other run for its members.
+
+    The tabled suites check one ``Phi0Table`` per member and drawn
+    partition.  A table and every report built from it read the
+    partition only through ``block_of``, and at small d the seeded
     draws repeat, so each member is checked once per distinct
     ``block_of``, the first of its draws in seed order.  The output is
     what checking every draw gives: a repeat's reports equal its first
-    copy's, the worst c2/c3 report is replaced only by a strictly worse
-    one, the pass flags and the worst gap do not change under a second
-    copy, and a ``HypothesisError`` is raised at the first copy.
-    ``instances`` still counts every drawn partition, and lin146's
-    ``pairs`` every disjoint pair of each.
+    copy's, the worst c2/c3 report is the first largest, the pass flags
+    and the worst gap do not change under a second copy, and a
+    ``HypothesisError`` is raised at the first copy.  ``instances``
+    still counts every drawn partition, and lin146's ``pairs`` every
+    disjoint pair of each.
     """
     tabled = {"c2", "c3", "ha", "lin146"} & set(suites)
     if n_partitions < 1 and tabled:
@@ -271,85 +298,52 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
     if instances < 1 and "scaling" in suites:
         raise CliError(f"--instances {instances}: the scaling suite needs "
                        "at least one instance")
-    F = full_group_generators(g)
-    ctx = partitions.LemmaContext(g, F, n)
+    ctx = partitions.LemmaContext(g, full_group_generators(g), n)
     out = {}
     members = None
-
-    def get_members():
-        nonlocal members
-        if members is None:
-            members = list(sofic.iter_SA_members(ctx.hypothesis_params(delta, d)))
-            if not members:
-                raise CliError(f"no members at d={d}, delta={delta}")
-        return members
-
-    model = basis = None
-
-    def get_model():
-        nonlocal model, basis
-        if model is None:
-            model = partitions.CylinderModel(
-                ctx, [Fraction(1, alphabet_size)] * alphabet_size)
-            basis = partitions.span_basis(model)
-        return model, basis
-
     if "c1" in suites:
-        worst = None
-        for m in get_members():
-            rep = partitions.verify_lemma_c1(m, ctx, delta, precheck=False)
-            if worst is None or rep.slack_ratio > worst.slack_ratio:
-                worst = rep
-        out["c1"] = {
-            "instances": len(get_members()),
-            "passed": worst is None or worst.passed,
-            "worst": worst.to_json_dict() if worst else None,
-        }
+        members = hypothesis_members(ctx, delta, d)
+        out["c1"] = worst_entry(len(members), [
+            partitions.verify_lemma_c1(m, ctx, delta, precheck=False)
+            for m in members])
     if tabled:
-        mdl, bss = get_model()
-        worst2 = worst3 = None
-        ha_pass = lin_pass = True
-        worst_gap = -1.0
-        params = crossed.HAParams(mdl, delta, d)
+        model = partitions.CylinderModel(
+            ctx, [Fraction(1, alphabet_size)] * alphabet_size)
+        basis = partitions.span_basis(model)
+        params = crossed.HAParams(model, delta, d)
         if "lin146" in suites and not params.universe.sum_pairs:
             raise CliError(f"--alphabet {alphabet_size}: the projection universe "
                            "holds no disjoint pair for lin146 to check")
         distinct = {}  # block_of -> its first draw
         for i in range(n_partitions):
-            part = partitions.random_partition(d, mdl.alphabet, seed + i)
+            part = partitions.random_partition(d, model.alphabet, seed + i)
             distinct.setdefault(part.block_of, part)
-        checked = len(get_members()) * n_partitions
-        for m in get_members():
-            member = partitions.ModelMember(mdl, m)
+        members = members or hypothesis_members(ctx, delta, d)
+        checked = len(members) * n_partitions
+        c2, c3 = [], []
+        ha_pass = lin_pass = True
+        worst_gap = -1.0
+        for m in members:
+            member = partitions.ModelMember(model, m)
             for part in distinct.values():
-                table = partitions.Phi0Table(bss, member, part)
+                table = partitions.Phi0Table(basis, member, part)
                 if "c2" in suites:
-                    rep = partitions.verify_lemma_c2(table, delta, precheck=False)
-                    if worst2 is None or rep.slack_ratio > worst2.slack_ratio:
-                        worst2 = rep
+                    c2.append(partitions.verify_lemma_c2(table, delta, precheck=False))
                 if "c3" in suites:
-                    rep = partitions.verify_lemma_c3_sweep(table, delta,
-                                                           precheck=False)
-                    if worst3 is None or rep.slack_ratio > worst3.slack_ratio:
-                        worst3 = rep
-                if "ha" not in suites and "lin146" not in suites:
-                    continue
-                prep = crossed.build_phi0(table, delta, precheck=False)
-                res = crossed.build_phi(table, delta)
-                ha_pass &= (prep.passed and res.v_ok and res.report.is_member)
-                if "lin146" in suites:
-                    check = crossed.approx_sum_check(res.candidate, params)
-                    lin_pass &= check.passed
-                    if check.counts:
+                    c3.append(partitions.verify_lemma_c3_sweep(table, delta,
+                                                               precheck=False))
+                if "ha" in suites or "lin146" in suites:
+                    prep = crossed.build_phi0(table, delta, precheck=False)
+                    res = crossed.build_phi(table, delta)
+                    ha_pass &= (prep.passed and res.v_ok and res.report.is_member)
+                    if "lin146" in suites:
+                        check = crossed.approx_sum_check(res.candidate, params)
+                        lin_pass &= check.passed
                         worst_gap = max(worst_gap, float(check.worst_gap))
         if "c2" in suites:
-            out["c2"] = {"instances": checked,
-                         "passed": worst2 is None or worst2.passed,
-                         "worst": worst2.to_json_dict() if worst2 else None}
+            out["c2"] = worst_entry(checked, c2)
         if "c3" in suites:
-            out["c3"] = {"instances": checked,
-                         "passed": worst3 is None or worst3.passed,
-                         "worst": worst3.to_json_dict() if worst3 else None}
+            out["c3"] = worst_entry(checked, c3)
         if "ha" in suites:
             out["ha"] = {"instances": checked, "passed": ha_pass}
         if "lin146" in suites:
@@ -466,9 +460,7 @@ def cmd_construct(args) -> int:
         ctx = partitions.LemmaContext(g, F, 1)
         model = partitions.CylinderModel(ctx, [Fraction(1, 2)] * 2)
         basis = partitions.span_basis(model)
-        members = list(sofic.iter_SA_members(ctx.hypothesis_params(delta, args.d)))
-        if not members:
-            raise CliError(f"no members at d={args.d}, delta={delta}")
+        members = hypothesis_members(ctx, delta, args.d)
         part = partitions.random_partition(args.d, model.alphabet, args.seed)
         table = partitions.Phi0Table(
             basis, partitions.ModelMember(model, members[0]), part)

@@ -506,7 +506,7 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
 # -- joint enumeration -----------------------------------------------------------
 
 
-def ha_statistic(params: HAParams, E, Q, sa_delta=None,
+def ha_statistic(params: HAParams, E, Q,
                  cap: int = 10 ** 7) -> tuple[int, float]:
     """Distinct (sigma|_E, phi|_Q) pairs over all members, with the
     log statistic.
@@ -514,15 +514,15 @@ def ha_statistic(params: HAParams, E, Q, sa_delta=None,
     E indexes ball elements of the sigma source, Q letter blocks.
     Enumeration is exhaustive over both halves; tiny instances only.
     """
-    count, stat, _ = ha_statistic_with_sa(params, E, Q, sa_delta, cap)
+    count, stat, _ = ha_statistic_with_sa(params, E, Q, cap)
     return count, stat
 
 
-def ha_statistic_with_sa(params: HAParams, E, Q, sa_delta=None,
-                         cap: int = 10 ** 7):
+def ha_statistic_with_sa(params: HAParams, E, Q, cap: int = 10 ** 7):
     """(count, statistic, sa_count): the distinct (sigma|_E, phi|_Q) over
-    members sigma at ``sa_delta`` and maps phi passing (i)-(iv) with
-    them, the log statistic of their count, and the distinct sigma|_E.
+    members sigma at delta (at 1 for a ``SqrtTol``) and maps phi passing
+    (i)-(iv) with them, the log statistic of their count, and the
+    distinct sigma|_E.
 
     phi runs on ``sofic.search``, a closure element per position.  As
     traces and distances are multiples of 1/d, (i) is the window of
@@ -534,9 +534,7 @@ def ha_statistic_with_sa(params: HAParams, E, Q, sa_delta=None,
     uni = params.universe
     d = params.d
     delta = params.delta
-    sa_params = params.sigma_params(sa_delta if sa_delta is not None
-                                    else (delta if not isinstance(delta, SqrtTol)
-                                          else 1))
+    sa_params = params.sigma_params(delta if not isinstance(delta, SqrtTol) else 1)
     below = partial(gap_below, tol=delta)
     # (i): a trace window on each cylinder projection
     centres = [model.mu_points(s) if i < uni.p_count else None

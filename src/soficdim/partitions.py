@@ -717,11 +717,11 @@ class ModelMember:
 
     @cached_property
     def sigma_report(self) -> sofic.MembershipReport:
-        source = self.model.context.sigma_source
+        # the sigma source's ball is the model ball: both are
+        # bisection_ball(g, F, n) of the context
         d = self.sigma.degree
-        aligned = SoficCandidate(d, self.model.context.align(
-            self.sigma, source.ball_elements))
-        return verify_membership(aligned, sofic.SAParams(source, Fraction(1), d))
+        return verify_membership(SoficCandidate(d, self.images), sofic.SAParams(
+            self.model.context.sigma_source, Fraction(1), d))
 
 
 class Phi0Table:

@@ -215,18 +215,26 @@ def orthogonal_sum(parts, degree: int | None = None) -> PartialPermutation:
             raise ValueError("empty sum needs an explicit degree")
         return PartialPermutation.empty(degree)
     d = parts[0].degree
-    images = [0] * d
-    taken = set()
-    for p in parts:
-        if p.degree != d:
-            raise ValueError("degree mismatch in orthogonal sum")
-        for x0, y in enumerate(p.images):
+    if any(p.degree != d for p in parts):
+        raise ValueError("degree mismatch in orthogonal sum")
+    return PartialPermutation(d, _orthogonal_sum([p.images for p in parts]))
+
+
+def _orthogonal_sum(tuples) -> tuple:
+    """The orthogonal sum of image tuples of one length, 0 marking an
+    undefined point: the union of their graphs, an OverlapError where
+    two share a domain or a range point.  The search sums padded
+    tuples, whose leading 0 stays 0."""
+    out = list(tuples[0])
+    taken = set(out)
+    for images in tuples[1:]:
+        for x, y in enumerate(images):
             if y:
-                if images[x0] or y in taken:
+                if out[x] or y in taken:
                     raise OverlapError("summands overlap in domain or range")
-                images[x0] = y
+                out[x] = y
                 taken.add(y)
-    return PartialPermutation(d, images)
+    return tuple(out)
 
 
 def conjugate(s: PartialPermutation, g: PartialPermutation) -> PartialPermutation:

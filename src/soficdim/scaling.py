@@ -147,7 +147,7 @@ def standard_corner(g: FiniteGroupoid, p_units) -> CornerData:
     return make_corner_data(g, p_units, S)
 
 
-def corner_generating_set(cd: CornerData, extra=()):
+def corner_generating_set(cd: CornerData):
     """A corner generating set containing the corner identity and every
     mover domain projection, as the constructions require."""
     corner_g = cd.corner
@@ -155,9 +155,6 @@ def corner_generating_set(cd: CornerData, extra=()):
     for p in cd.dom_projections_corner():
         if p not in out:
             out.append(p)
-    for s in extra:
-        if s not in out:
-            out.append(s)
     return out
 
 

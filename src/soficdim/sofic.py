@@ -77,7 +77,7 @@ from .groupoid import (
     full_identity,
     tau as b_tau,
 )
-from .pperm import PartialPermutation, OverlapError
+from .pperm import PartialPermutation, OverlapError, _orthogonal_sum
 from .rng import SplitMix64
 from .wordball import Ball, word_str
 
@@ -524,22 +524,6 @@ def search(pools, derived, triples, limit, slots, derive):
 
     yield from walk(0)
     del walk  # walk refers to itself; dropping it frees the pools at once
-
-
-def _orthogonal_sum(pads) -> tuple:
-    """``pperm.orthogonal_sum`` of padded image tuples: the union of
-    their graphs, an OverlapError where two share a domain or a range
-    point."""
-    out = list(pads[0])
-    taken = set(out)
-    for pad in pads[1:]:
-        for x, y in enumerate(pad):
-            if y:
-                if out[x] or y in taken:
-                    raise OverlapError("summands overlap in domain or range")
-                out[x] = y
-                taken.add(y)
-    return tuple(out)
 
 
 class SearchPlan:

@@ -428,6 +428,41 @@ class TestVerify:
                            "--partitions", "2")
         assert code == 0 and json.loads(out)["suites"]["ha"]["instances"] == 6
 
+    @pytest.mark.parametrize("suite, error", [
+        ("lin146", "--alphabet 1: the projection universe holds no disjoint "
+                   "pair for lin146 to check"),
+        ("all", "no members at d=3, delta=1/10"),
+        ("c1,lin146", "no members at d=3, delta=1/10"),
+        ("ha", "no members at d=3, delta=1/10"),
+        ("c2", "no members at d=3, delta=1/10"),
+    ])
+    def test_refusal_order(self, capsys, r2_file, suite, error):
+        # r2 at odd degree has no members and one letter no disjoint
+        # pair: c1 reads the members before lin146 reads the pairs,
+        # and the other tabled suites read the members after them
+        code, out, err = run(capsys, "verify", "--suite", suite, "--source",
+                             r2_file, "--d", "3", "--delta", "1/10",
+                             "--alphabet", "1")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": error}
+
+    @pytest.mark.parametrize("suite, calls", [("all", 1), ("scaling", 0)])
+    def test_members_enumerated_once(self, capsys, monkeypatch, r2_file,
+                                     suite, calls):
+        seen = []
+        enumerate_members = sofic.iter_SA_members
+
+        def counted(*args, **kwargs):
+            seen.append(args)
+            return enumerate_members(*args, **kwargs)
+
+        monkeypatch.setattr(sofic, "iter_SA_members", counted)
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--source",
+                           r2_file, "--d", "4", "--delta", "1/20",
+                           "--partitions", "2", "--instances", "1")
+        assert code == 0 and json.loads(out)["all_pass"]
+        assert len(seen) == calls
+
 
 class PerDrawOracle:
     """The tabled suites as run_suites computed them before it checked

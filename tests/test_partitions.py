@@ -568,3 +568,15 @@ def test_span_basis_matches_rational_solve(source, q):
     basis = span_basis(model)
     assert (basis.basis_psi_indices, basis.coeffs, basis.kappa, basis.gamma,
             basis.gamma_parts) == reference_span_basis(model)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("m", [None, 2, 3], ids=["r2", "zmod2", "zmod3"])
+def test_sigma_source_ball_is_the_model_ball(m, n):
+    # ModelMember.sigma_report checks the model-ball images over the
+    # sigma source, so the two balls must list the same bisections in
+    # the same order
+    g = transitive_groupoid(2) if m is None else cyclic_groupoid(m)
+    ctx = LemmaContext(g, full_group_generators(g), n)
+    assert ctx.ball == ctx.sigma_source.ball_elements
+
