@@ -51,6 +51,7 @@ from .partitions import (
 )
 from .pperm import PartialPermutation
 from .sofic import InfeasibleError, SoficCandidate
+from .wordball import product_triples
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,7 @@ class ProjectionUniverse:
         self.x_index = index[frozenset(range(model.action.n_points))]
         # letter blocks as universe positions (translates by the identity)
         self.letter_index = tuple(index[s] for s in model.letter_sets)
-        triples = []
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                k = index.get(a & b)
-                if k is not None:
-                    triples.append((i, j, k))
-        self.triples = tuple(triples)
+        self.triples = product_triples(self.elements, index, frozenset.__and__)
         # (i, j, k) with i <= j, elements[i] and elements[j] disjoint and
         # their union elements[k]: the pairs of the 146 delta linearity
         pairs = []

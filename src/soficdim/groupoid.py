@@ -125,13 +125,6 @@ class FiniteGroupoid:
     def _arrows_into(self, unit):
         return [k for k in range(self.n_arrows) if self.range_[k] == unit]
 
-    def mult(self, g: int, h: int):
-        """Product g.h, or None when not composable."""
-        return self.comp.get((g, h))
-
-    def weight(self, unit: int) -> Fraction:
-        return self.unit_weights[unit]
-
     def arrows_with_range(self, unit: int) -> tuple[int, ...]:
         return self._by_range[unit]
 

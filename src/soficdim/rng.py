@@ -36,10 +36,14 @@ class SplitMix64:
 
     ``next64`` steps the counter by the golden-ratio increment and
     scrambles it.  Every derived draw consumes the same stream of
-    ``next64`` outputs; ``below``, ``shuffle``, ``choose_sorted`` and
-    ``weighted_indices`` inline that step on a local copy of the state
-    and store it back once, which saves a method call per draw.  So does
-    the shuffle in ``pperm.random_images``, the Monte Carlo draw, which
+    ``next64`` outputs.  ``below``, ``shuffle`` and ``weighted_indices``
+    call ``next64``; they draw partitions, block bijections and
+    ``construct`` corners, which no hot loop repeats.  Monte Carlo
+    counting is bound by this module (``perfbench``'s ``sample``
+    workload; see the profile of ``spawn`` and ``choose_sorted`` in
+    CHANGES.md), so its two draws inline the step on a local copy of the
+    state and store it back once, saving a method call per draw:
+    ``choose_sorted`` and the shuffle in ``pperm.random_images``, which
     stops part-way once a map's fixed-point count is decided.
     """
 
@@ -65,32 +69,16 @@ class SplitMix64:
         if n <= 0:
             raise ValueError("below() needs a positive bound")
         limit = _TWO64 - _TWO64 % n
-        s = self._state
         while True:
-            s = (s + _GOLDEN) & _MASK
-            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-            z ^= z >> 31
+            z = self.next64()
             if z < limit:
-                self._state = s
                 return z % n
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle: ``below(i + 1)`` for i = len-1 .. 1."""
-        s = self._state
         for i in range(len(items) - 1, 0, -1):
-            n = i + 1
-            limit = _TWO64 - _TWO64 % n
-            while True:
-                s = (s + _GOLDEN) & _MASK
-                z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-                z ^= z >> 31
-                if z < limit:
-                    break
-            j = z % n
+            j = self.below(i + 1)
             items[i], items[j] = items[j], items[i]
-        self._state = s
 
     def choose_sorted(self, n: int, k: int) -> list[int]:
         """A uniform k-subset of range(n), returned sorted.
@@ -136,12 +124,5 @@ class SplitMix64:
             thresholds.append(-(-(acc.numerator << 64) // acc.denominator))
         bounds = list(accumulate(thresholds, max))
         last = max(len(bounds) - 1, 0)
-        out = []
-        s = self._state
-        for _ in range(count):
-            s = (s + _GOLDEN) & _MASK
-            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-            out.append(min(bisect_right(bounds, z ^ (z >> 31)), last))
-        self._state = s
-        return out
+        return [min(bisect_right(bounds, self.next64()), last)
+                for _ in range(count)]

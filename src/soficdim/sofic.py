@@ -79,7 +79,7 @@ from .groupoid import (
 )
 from .pperm import PartialPermutation, OverlapError, _orthogonal_sum
 from .rng import SplitMix64
-from .wordball import Ball, word_str
+from .wordball import Ball, breadth_first, product_triples, word_str
 
 
 # caps on the bisection ball and on its (or a projection set's) sum closure
@@ -123,25 +123,9 @@ def bisection_ball(g: FiniteGroupoid, F, n: int):
     identity first).  The empty bisection appears whenever some product
     vanishes.
     """
-    steps = plus_minus_set(g, F)
-    elements = [full_identity(g)]
-    seen = {elements[0]}
-    frontier = list(elements)
-    for _ in range(n):
-        nxt = []
-        for u in frontier:
-            for s in steps:
-                w = b_compose(u, s)
-                if w not in seen:
-                    seen.add(w)
-                    elements.append(w)
-                    nxt.append(w)
-                    if len(elements) > BALL_CAP:
-                        raise InfeasibleError(
-                            f"bisection ball of {len(elements)} elements", BALL_CAP)
-        frontier = nxt
-        if not frontier:
-            break
+    elements, _ = breadth_first(
+        full_identity(g), plus_minus_set(g, F), b_compose, n, BALL_CAP,
+        lambda size: InfeasibleError(f"bisection ball of {size} elements", BALL_CAP))
     return elements
 
 
@@ -206,13 +190,7 @@ class GroupoidSource:
         self.n_universe = len(universe)
         self.decomposition = tuple(decomposition)
         self.taus = tuple(b_tau(b) for b in self.ball_elements)
-        triples = []
-        for i in range(self.n_universe):
-            for j in range(self.n_universe):
-                k = index.get(b_compose(universe[i], universe[j]))
-                if k is not None:
-                    triples.append((i, j, k))
-        self.triples = tuple(triples)
+        self.triples = product_triples(universe, index, b_compose)
 
     def key_label(self, i):
         return repr(self.universe[i])

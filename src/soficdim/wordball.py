@@ -3,11 +3,16 @@
 For sources with no finite concrete groupoid (the integers, free
 products of finite cyclic groups) the counting machinery works on the
 ball of all products of at most n generators and their inverses.  A
-generating system couples a normal-form reducer with an exact trace
-oracle; only families whose word problem is trivially decidable are
-built in (integers, cyclic groups, finite groups given by a
-multiplication table, and free products of finite factors).  A
-user-supplied system just needs the same two callables.
+generating system is a normal-form reducer; the exact group trace
+(1 at the identity, 0 elsewhere) follows from it.  Only families whose
+word problem is trivially decidable are built in (integers, cyclic
+groups, finite groups given by a multiplication table, and free
+products of finite factors).  A user-supplied system needs only
+``reduce_word``.
+
+``breadth_first`` and ``product_triples`` are the ball and product
+table loops shared with the groupoid sources of :mod:`soficdim.sofic`
+and the projection universes of :mod:`soficdim.crossed`.
 
 Words are tuples of syllables (generator name, nonzero exponent); the
 empty tuple is the identity.  Reducers are idempotent and
@@ -17,11 +22,10 @@ reduce(w . w^-1) is always the empty word.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .groupoid import group_groupoid, singleton_bisection, tau as groupoid_tau
+from .groupoid import group_groupoid
 
 Word = tuple  # tuple of (name, exponent) syllables
 
@@ -47,7 +51,7 @@ def word_str(word: Word) -> str:
 
 
 class GeneratingSystem:
-    """Base class: a generator list plus reduce/trace callables."""
+    """Base class: a generator list plus a normal-form reducer."""
 
     family = "abstract"
 
@@ -58,7 +62,8 @@ class GeneratingSystem:
         raise NotImplementedError
 
     def tau_word(self, word: Word) -> Fraction:
-        raise NotImplementedError
+        """The group trace: 1 at the identity (the empty reduced word)."""
+        return Fraction(1) if not self.reduce_word(word) else Fraction(0)
 
     def reduce_product(self, u: Word, v: Word) -> Word:
         for g, _ in tuple(u) + tuple(v):
@@ -82,9 +87,6 @@ class IntegerLine(GeneratingSystem):
         k = sum(e for _, e in word)
         return ((("a", k),) if k else ())
 
-    def tau_word(self, word):
-        return Fraction(1) if not self.reduce_word(word) else Fraction(0)
-
     def descriptor(self):
         return "z"
 
@@ -104,9 +106,6 @@ class CyclicGroup(GeneratingSystem):
         k = sum(e for _, e in word) % self.order
         return (((self.generators[0], k),) if k else ())
 
-    def tau_word(self, word):
-        return Fraction(1) if not self.reduce_word(word) else Fraction(0)
-
     def descriptor(self):
         return f"zmod({self.order})"
 
@@ -115,8 +114,8 @@ class TableGroup(GeneratingSystem):
     """Finite group given by a multiplication table.
 
     The canonical word of a non-identity element g is ((name_g, 1),).
-    The trace oracle routes through the one-unit groupoid built from
-    the same table.
+    The one-unit groupoid built from the same table checks the group
+    laws and gives the identity and the inverses.
     """
 
     family = "finite-group-by-table"
@@ -128,9 +127,9 @@ class TableGroup(GeneratingSystem):
         if len(set(self.names)) != m:
             raise ValueError("element names must be distinct")
         self._index = {n: i for i, n in enumerate(self.names)}
-        self._groupoid = group_groupoid(self.table)
-        self.identity_index = self._groupoid.unit_arrow[0]
-        self._inv = self._groupoid.inverse
+        groupoid = group_groupoid(self.table)
+        self.identity_index = groupoid.unit_arrow[0]
+        self._inv = groupoid.inverse
         self._source = source
         gen_names = tuple(gens) if gens else tuple(
             n for i, n in enumerate(self.names) if i != self.identity_index)
@@ -153,11 +152,6 @@ class TableGroup(GeneratingSystem):
         if acc == self.identity_index:
             return ()
         return ((self.names[acc], 1),)
-
-    def tau_word(self, word):
-        w = self.reduce_word(word)
-        idx = self.identity_index if not w else self._index[w[0][0]]
-        return groupoid_tau(singleton_bisection(self._groupoid, idx))
 
     def descriptor(self):
         return f"table({self._source})" if self._source else "table(<inline>)"
@@ -206,9 +200,6 @@ class FreeProductOfFinite(GeneratingSystem):
             out.extend(syl)
         return tuple(out)
 
-    def tau_word(self, word):
-        return Fraction(1) if not self.reduce_word(word) else Fraction(0)
-
     def descriptor(self):
         return "freeprod(" + ", ".join(f.descriptor() for f in self.factors) + ")"
 
@@ -234,14 +225,8 @@ class Ball:
         self.elements = tuple(elements)
         self.index = {w: i for i, w in enumerate(self.elements)}
         self.witness = tuple(witness)
-        mult = {}
-        for i, u in enumerate(self.elements):
-            for j, v in enumerate(self.elements):
-                w = system.reduce_product(u, v)
-                k = self.index.get(w)
-                if k is not None:
-                    mult[(i, j)] = k
-        self.mult = mult
+        self.mult = {(i, j): k for i, j, k in product_triples(
+            self.elements, self.index, system.reduce_product)}
 
     def __len__(self):
         return len(self.elements)
@@ -265,28 +250,57 @@ def ball(system: GeneratingSystem, gens=None, n: int = 1) -> Ball:
     for g in gens:
         if g not in system.generators:
             raise ValueError(f"unknown generator {g!r}")
-    steps: list[Word] = [()]
-    for g in gens:
-        steps.append(((g, 1),))
-        steps.append(((g, -1),))
-    elements = [()]
-    witness = {(): ()}
-    frontier = [()]
+    steps = [()] + [((g, e),) for g in gens for e in (1, -1)]
+    elements, parents = breadth_first(
+        (), steps, system.reduce_product, n, BALL_CAP,
+        lambda size: BallSizeError(f"ball exceeds cap {BALL_CAP}"))
+    witness = [()]
+    for p, s in parents[1:]:
+        witness.append(witness[p] + s)
+    return Ball(system, gens, n, elements, witness)
+
+
+def breadth_first(start, steps, product, n: int, cap: int, too_big):
+    """Everything ``product`` reaches from ``start`` by at most n right
+    multiplications with ``steps``: (elements, parents).
+
+    Elements come in discovery order (by distance, then by parent and
+    step), ``start`` first.  ``parents[i]`` is (index of the element
+    that first reached element i, the step it took); it is None for
+    ``start``.  Passing ``cap`` elements raises ``too_big(size)``.
+    """
+    elements = [start]
+    parents = [None]
+    seen = {start}
+    lo = 0
     for _ in range(n):
-        nxt = []
-        for u in frontier:
+        hi = len(elements)
+        for p in range(lo, hi):
+            u = elements[p]
             for s in steps:
-                w = system.reduce_product(u, s)
-                if w not in witness:
-                    witness[w] = witness[u] + s
+                w = product(u, s)
+                if w not in seen:
+                    seen.add(w)
                     elements.append(w)
-                    nxt.append(w)
-                    if len(elements) > BALL_CAP:
-                        raise BallSizeError(f"ball exceeds cap {BALL_CAP}")
-        frontier = nxt
-        if not frontier:
+                    parents.append((p, s))
+                    if len(elements) > cap:
+                        raise too_big(len(elements))
+        if len(elements) == hi:
             break
-    return Ball(system, gens, n, elements, [witness[w] for w in elements])
+        lo = hi
+    return elements, parents
+
+
+def product_triples(elements, index, product) -> tuple:
+    """(i, j, k) for every pair whose ``product`` is elements[k] under
+    ``index``, in (i, j) order; products outside ``index`` are left out."""
+    triples = []
+    for i, u in enumerate(elements):
+        for j, v in enumerate(elements):
+            k = index.get(product(u, v))
+            if k is not None:
+                triples.append((i, j, k))
+    return tuple(triples)
 
 
 def reduce_product(system: GeneratingSystem, u: Word, v: Word) -> Word:
@@ -339,8 +353,11 @@ def parse_descriptor(text: str) -> GeneratingSystem:
         return CyclicGroup(int(body.strip()))
     if head == "table":
         return load_cayley_table(body.strip())
+    args = _split_args(body)
+    if len(args) > len(_FACTOR_NAMES):
+        raise ValueError(f"freeprod takes at most {len(_FACTOR_NAMES)} factors")
     factors = []
-    for i, arg in enumerate(_split_args(body)):
+    for i, arg in enumerate(args):
         sub = parse_descriptor(arg)
         if not isinstance(sub, CyclicGroup):
             raise ValueError("freeprod factors must be zmod(m) in descriptors")
@@ -369,8 +386,11 @@ def load_cayley_table(path) -> TableGroup:
     if next(it, "") != "table":
         raise ValueError("expected 'table' line")
     rows = []
-    for _ in range(n):
-        row = [int(x) for x in next(it).split()]
+    for i in range(n):
+        line = next(it, None)
+        if line is None:
+            raise ValueError(f"cayley table ends before row {i} of {n}")
+        row = [int(x) for x in line.split()]
         if len(row) != n:
             raise ValueError("table row has wrong length")
         rows.append(row)

@@ -146,6 +146,25 @@ class TestCount:
             "error": f"--mc {trials}: the trial count must be >= 1 (0 counts exactly)"}
 
 
+    def test_truncated_cayley_table_refused(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("t.tbl").write_text("order 2\ntable\n0 1\n")
+        code, out, err = run(capsys, "count", "--family", "table(t.tbl)",
+                             "--d", "2", "--delta", "1/2")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "cayley table ends before row 1 of 2"}
+
+    @pytest.mark.parametrize("k,code", [(8, 0), (9, 2)])
+    def test_freeprod_factor_limit(self, capsys, k, code):
+        family = "freeprod(" + ",".join(["zmod(2)"] * k) + ")"
+        got, out, err = run(capsys, "count", "--family", family, "--d", "2",
+                            "--delta", "1/2")
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert json.loads(err) == {"error": "freeprod takes at most 8 factors"}
+
+
 # every size cap, each lowered so that a small job meets it: (id, module,
 # constant, lowered value, argv, error message)
 SIZE_CAPS = [

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficdim import wordball
+from soficdim.groupoid import group_groupoid, singleton_bisection, tau as groupoid_tau
 from soficdim.wordball import (
     BallSizeError,
     CyclicGroup,
@@ -13,6 +15,7 @@ from soficdim.wordball import (
     TableGroup,
     ball,
     invert_word,
+    load_cayley_table,
     parse_descriptor,
     reduce_product,
     tau_word,
@@ -88,6 +91,25 @@ class TestTau:
         assert tg.tau_word((("g1", 3),)) == 1
 
 
+def s3_table_file(path):
+    perms = list(permutations(range(3)))
+    rows = [" ".join(str(perms.index(tuple(p[q[x]] for x in range(3)))) for q in perms)
+            for p in perms]
+    path.write_text("order 6\ntable\n" + "\n".join(rows) + "\n")
+    return path
+
+
+def test_table_trace_matches_the_groupoid_trace(tmp_path):
+    # the groupoid route: the trace of the singleton bisection at the element
+    z4 = TableGroup([[(i + j) % 4 for j in range(4)] for i in range(4)])
+    s3 = load_cayley_table(s3_table_file(tmp_path / "s3.cay"))
+    assert s3.table[1][3] != s3.table[3][1]
+    for tg in (z4, s3):
+        g = group_groupoid(tg.table)
+        for idx, name in enumerate(tg.names):
+            assert tg.tau_word(((name, 1),)) == groupoid_tau(singleton_bisection(g, idx))
+
+
 class TestBall:
     def test_integer_line_sizes(self):
         for n in range(11):
@@ -130,6 +152,15 @@ class TestBall:
         b = ball(CyclicGroup(4), None, 2)
         for (i, j), k in b.mult.items():
             assert b.system.reduce_product(b.elements[i], b.elements[j]) == b.elements[k]
+
+    def test_breadth_first_order_and_parents(self):
+        def add(u, s):
+            return (u + s) % 7
+        elements, parents = wordball.breadth_first(0, (1, -1), add, 2, 10, None)
+        assert elements == [0, 1, 6, 2, 5]
+        assert parents == [None, (0, 1), (0, -1), (1, 1), (2, -1)]
+        with pytest.raises(OverflowError, match="^5$"):
+            wordball.breadth_first(0, (1, -1), add, 3, 4, lambda n: OverflowError(n))
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(wordball, "BALL_CAP", 10)
