@@ -1,11 +1,14 @@
 """Closed-form calculator for the dimension value of groupoid expressions.
 
-Grammar:
+Grammar (``FORMS`` lists each form that takes arguments, in order):
 
-    expr     := atom | amalgam(expr, expr, expr)
-              | corner(expr, rational) | bernoulli(expr, int)
-    atom     := trivial | z | cyclic(int) | transitive(int)
-              | amenable(rational) | finite_groupoid("path")
+    expr     := trivial | z
+              | cyclic(order) | transitive(order)   order: integer >= 1
+              | amenable(part)                      part: rational in [0, 1]
+              | finite_groupoid("path")
+              | corner(expr, mass)                  mass: rational in (0, 1]
+              | bernoulli(expr, q)                  q: integer >= 1
+              | amalgam(expr, expr, expr)
     rational := int | int/int
 
 Evaluation rules, all exact rationals:
@@ -27,7 +30,7 @@ assumption ledger of the returned value.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .groupoid import FiniteGroupoid, finite_part_measure, validate_pmp
@@ -46,23 +49,38 @@ class EvalError(ValueError):
 
 
 ATOMS = ("trivial", "z", "cyclic", "transitive", "amenable", "finite_groupoid")
-COMBINATORS = ("amalgam", "corner", "bernoulli")
+
+# the argument kinds of each form that takes arguments, in order: "expr",
+# "path", or a number as (read as a rational, range test, message outside it)
+_ORDER = (False, lambda m: m >= 1, "{} needs a positive order")
+FORMS = {
+    "cyclic": (_ORDER,),
+    "transitive": (_ORDER,),
+    "amenable": ((True, lambda a: 0 <= a <= 1, "finite part must lie in [0, 1]"),),
+    "finite_groupoid": ("path",),
+    "corner": ("expr", (True, lambda h: 0 < h <= 1, "corner mass must lie in (0, 1]")),
+    "bernoulli": ("expr", (False, lambda q: q >= 1, "alphabet size must be >= 1")),
+    "amalgam": ("expr", "expr", "expr"),
+}
 
 
 @dataclass(frozen=True)
 class SExpression:
-    """Expression tree node with source span and base weight attribute."""
+    """Expression tree node with its base weight attribute.
+
+    ``children`` holds the node's expression arguments in order,
+    ``number`` its number argument and ``text`` its path, as ``FORMS``
+    lists them for the node's kind."""
 
     kind: str
     children: tuple = ()
     number: Fraction | int | None = None
     text: str | None = None
-    span: tuple = (0, 0)
     base_weight: Fraction = Fraction(1)
 
     def with_weight(self, w) -> "SExpression":
         return SExpression(self.kind, self.children, self.number, self.text,
-                           self.span, Fraction(w))
+                           Fraction(w))
 
     def is_amenable(self) -> bool:
         """Amenability as carried by the tree tags.
@@ -77,22 +95,9 @@ class SExpression:
         return False
 
     def describe(self) -> str:
-        if self.kind == "cyclic":
-            return f"cyclic({self.number})"
-        if self.kind == "transitive":
-            return f"transitive({self.number})"
-        if self.kind == "amenable":
-            return f"amenable({self.number})"
-        if self.kind == "finite_groupoid":
-            return f"finite_groupoid({self.text})"
-        if self.kind in ("trivial", "z"):
-            return self.kind
-        inner = ", ".join(c.describe() for c in self.children)
-        if self.kind == "corner":
-            return f"corner({inner}, {self.number})"
-        if self.kind == "bernoulli":
-            return f"bernoulli({inner}, {self.number})"
-        return f"{self.kind}({inner})"
+        args = [c.describe() for c in self.children]
+        args += [str(v) for v in (self.number, self.text) if v is not None]
+        return f"{self.kind}({', '.join(args)})" if args else self.kind
 
 
 @dataclass(frozen=True)
@@ -130,14 +135,12 @@ class _Parser:
             return None, None, self.pos
         return m.lastgroup, m.group(m.lastgroup), m.end()
 
-    def next(self, expect=None):
+    def next(self):
         kind, val, end = self.peek()
         if kind is None:
             self.error("unexpected end of input")
         if kind == "bad":
             self.error(f"unexpected character {val!r}")
-        if expect and (kind, val) != expect and kind != expect:
-            self.error(f"expected {expect}, got {val!r}")
         self.pos = end
         return kind, val
 
@@ -164,61 +167,32 @@ class _Parser:
         return Fraction(num)
 
     def parse_expr(self) -> SExpression:
-        start = self.pos
-        kind, val = self.next()
+        kind, name = self.next()
         if kind != "name":
-            self.error(f"expected an expression, got {val!r}")
-        name = val
-        if name == "trivial":
-            return SExpression("trivial", span=(start, self.pos))
-        if name == "z":
-            return SExpression("z", span=(start, self.pos))
-        if name in ("cyclic", "transitive", "bernoulli", "corner",
-                    "amalgam", "amenable", "finite_groupoid"):
-            self.expect_punct("(")
-            if name == "cyclic" or name == "transitive":
-                m = self.parse_int()
-                if m < 1:
-                    self.error(f"{name} needs a positive order")
-                self.expect_punct(")")
-                return SExpression(name, number=m, span=(start, self.pos))
-            if name == "amenable":
-                a = self.parse_rational()
-                if not 0 <= a <= 1:
-                    self.error("finite part must lie in [0, 1]")
-                self.expect_punct(")")
-                return SExpression(name, number=a, span=(start, self.pos))
-            if name == "finite_groupoid":
+            self.error(f"expected an expression, got {name!r}")
+        if name in ("trivial", "z"):
+            return SExpression(name)
+        if name not in FORMS:
+            self.error(f"unknown form {name!r}")
+        self.expect_punct("(")
+        children, number, text = [], None, None
+        for i, arg in enumerate(FORMS[name]):
+            if i:
+                self.expect_punct(",")
+            if arg == "expr":
+                children.append(self.parse_expr())
+            elif arg == "path":
                 kind, val = self.next()
                 if kind != "str":
-                    self.error("finite_groupoid needs a quoted path")
-                self.expect_punct(")")
-                return SExpression(name, text=val[1:-1], span=(start, self.pos))
-            if name == "corner":
-                inner = self.parse_expr()
-                self.expect_punct(",")
-                h = self.parse_rational()
-                if not 0 < h <= 1:
-                    self.error("corner mass must lie in (0, 1]")
-                self.expect_punct(")")
-                return SExpression(name, (inner,), number=h, span=(start, self.pos))
-            if name == "bernoulli":
-                inner = self.parse_expr()
-                self.expect_punct(",")
-                q = self.parse_int()
-                if q < 1:
-                    self.error("alphabet size must be >= 1")
-                self.expect_punct(")")
-                return SExpression(name, (inner,), number=q, span=(start, self.pos))
-            # amalgam
-            e1 = self.parse_expr()
-            self.expect_punct(",")
-            e2 = self.parse_expr()
-            self.expect_punct(",")
-            e3 = self.parse_expr()
-            self.expect_punct(")")
-            return SExpression("amalgam", (e1, e2, e3), span=(start, self.pos))
-        self.error(f"unknown form {name!r}")
+                    self.error(f"{name} needs a quoted path")
+                text = val[1:-1]
+            else:
+                rational, in_range, message = arg
+                number = self.parse_rational() if rational else self.parse_int()
+                if not in_range(number):
+                    self.error(message.format(name))
+        self.expect_punct(")")
+        return SExpression(name, tuple(children), number, text)
 
 
 def parse_expr(text: str) -> SExpression:
@@ -238,9 +212,7 @@ def _finite_part(e: SExpression) -> Fraction:
         return Fraction(1)
     if e.kind == "z":
         return Fraction(0)
-    if e.kind == "cyclic":
-        return Fraction(1, e.number)
-    if e.kind == "transitive":
+    if e.kind in ("cyclic", "transitive"):
         return Fraction(1, e.number)
     if e.kind == "amenable":
         return Fraction(e.number)

@@ -376,14 +376,13 @@ def is_principal(g: FiniteGroupoid) -> bool:
 
 
 class CornerEmbedding:
-    """Corner groupoid plus the unit/arrow correspondences into the ambient."""
+    """Corner groupoid plus its arrow correspondence into the ambient."""
 
-    __slots__ = ("ambient", "groupoid", "unit_map", "arrow_map", "_arrow_back")
+    __slots__ = ("ambient", "groupoid", "arrow_map", "_arrow_back")
 
-    def __init__(self, ambient, groupoid, unit_map, arrow_map):
+    def __init__(self, ambient, groupoid, arrow_map):
         self.ambient = ambient
         self.groupoid = groupoid
-        self.unit_map = tuple(unit_map)   # corner unit -> ambient unit
         self.arrow_map = tuple(arrow_map)  # corner arrow -> ambient arrow
         self._arrow_back = {a: i for i, a in enumerate(self.arrow_map)}
 
@@ -425,7 +424,7 @@ def corner_embedding(g: FiniteGroupoid, units) -> CornerEmbedding:
                 comp[(arrow_pos[a], arrow_pos[b])] = arrow_pos[g.comp[(a, b)]]
     weights = [g.unit_weights[e] / mass for e in units]
     corner_g = FiniteGroupoid(weights, source, range_, inverse, unit_arrow, comp)
-    return CornerEmbedding(g, corner_g, tuple(units), tuple(keep))
+    return CornerEmbedding(g, corner_g, tuple(keep))
 
 
 def corner(g: FiniteGroupoid, units) -> FiniteGroupoid:
@@ -525,15 +524,13 @@ def is_free_action(action: FibredAction) -> bool:
 FIBER_CAP = 10 ** 6
 
 
-def bernoulli_crossed_product(g: FiniteGroupoid, alphabet_weights):
-    """Finite-alphabet Bernoulli action of g and its crossed product.
+def bernoulli_action(g: FiniteGroupoid, alphabet_weights) -> FibredAction:
+    """Finite-alphabet Bernoulli action of g.
 
     The fiber over a unit e is alphabet^{G^e} (configurations indexed
     by the arrows with range e) with the product measure; an arrow s
-    sends the configuration x to (x_{s^-1 t})_t.  Returns the action
-    together with the crossed-product groupoid, whose unit k is point k
-    of the action.  Refuses to materialize more than ``FIBER_CAP``
-    points per fiber.
+    sends the configuration x to (x_{s^-1 t})_t.  Refuses to
+    materialize more than ``FIBER_CAP`` points per fiber.
     """
     alphabet = tuple(Fraction(w) for w in alphabet_weights)
     if sum(alphabet) != 1:
@@ -570,9 +567,14 @@ def bernoulli_crossed_product(g: FiniteGroupoid, alphabet_weights):
             x = index[(e1, cfg)]
             ycfg = tuple(cfg[i] for i in pull)
             act[(a, x)] = index[(e2, ycfg)]
-    action = FibredAction(g, unit_of, cond_weight, act, labels)
+    return FibredAction(g, unit_of, cond_weight, act, labels)
 
-    # crossed product: arrows are pairs (arrow of g, point over its source)
+
+def bernoulli_crossed_product(g: FiniteGroupoid, alphabet_weights):
+    """The Bernoulli action of g (``bernoulli_action``) together with its
+    crossed-product groupoid, whose unit k is point k of the action."""
+    action = bernoulli_action(g, alphabet_weights)
+    # arrows are pairs (arrow of g, point over its source)
     pairs = [(a, x) for a in range(g.n_arrows) for x in action.fibers[g.source[a]]]
     pair_pos = {p: i for i, p in enumerate(pairs)}
     src = [x for (_, x) in pairs]

@@ -44,8 +44,8 @@ from . import sofic
 from .groupoid import (
     FiniteGroupoid,
     PartialBisection,
-    bernoulli_crossed_product,
     b_inverse,
+    bernoulli_action,
     projection_bisection,
 )
 from .pperm import PartialPermutation, inverse
@@ -311,7 +311,7 @@ class CylinderModel:
         self.q = len(self.alphabet)
         self.F = context.F
         self.n = context.n
-        self.action, self.crossed = bernoulli_crossed_product(g, self.alphabet)
+        self.action = bernoulli_action(g, self.alphabet)
         self.ball = context.ball
         self.f_pm_size = context.f_pm_size
         # letter sets: points whose coordinate at their own unit arrow is i

@@ -53,8 +53,6 @@ def word_str(word: Word) -> str:
 class GeneratingSystem:
     """Base class: a generator list plus a normal-form reducer."""
 
-    family = "abstract"
-
     def __init__(self, generators):
         self.generators = tuple(generators)
 
@@ -78,8 +76,6 @@ class GeneratingSystem:
 class IntegerLine(GeneratingSystem):
     """The infinite cyclic group; canonical form is a single power of a."""
 
-    family = "cyclic-infinite"
-
     def __init__(self):
         super().__init__(("a",))
 
@@ -93,8 +89,6 @@ class IntegerLine(GeneratingSystem):
 
 class CyclicGroup(GeneratingSystem):
     """Cyclic group of order m, exponents reduced into 1..m-1."""
-
-    family = "finite-group-by-table"
 
     def __init__(self, m: int, name: str = "a"):
         if m < 1:
@@ -118,12 +112,12 @@ class TableGroup(GeneratingSystem):
     laws and gives the identity and the inverses.
     """
 
-    family = "finite-group-by-table"
-
     def __init__(self, table, names=None, gens=None, source: str = ""):
         self.table = tuple(tuple(row) for row in table)
         m = len(self.table)
         self.names = tuple(names) if names else tuple(f"g{i}" for i in range(m))
+        if len(self.names) != m:
+            raise ValueError(f"names line gives {len(self.names)} names for {m} elements")
         if len(set(self.names)) != m:
             raise ValueError("element names must be distinct")
         self._index = {n: i for i, n in enumerate(self.names)}
@@ -164,8 +158,6 @@ class FreeProductOfFinite(GeneratingSystem):
     namespace; canonical words never have two consecutive syllables
     from the same factor and never contain a factor identity.
     """
-
-    family = "free-product-of-finite-groups"
 
     def __init__(self, factors):
         self.factors = tuple(factors)
@@ -216,12 +208,11 @@ class Ball:
     element i.
     """
 
-    __slots__ = ("system", "gens", "radius", "elements", "index", "witness", "mult")
+    __slots__ = ("system", "gens", "elements", "index", "witness", "mult")
 
-    def __init__(self, system, gens, radius, elements, witness):
+    def __init__(self, system, gens, elements, witness):
         self.system = system
         self.gens = tuple(gens)
-        self.radius = radius
         self.elements = tuple(elements)
         self.index = {w: i for i, w in enumerate(self.elements)}
         self.witness = tuple(witness)
@@ -257,7 +248,7 @@ def ball(system: GeneratingSystem, gens=None, n: int = 1) -> Ball:
     witness = [()]
     for p, s in parents[1:]:
         witness.append(witness[p] + s)
-    return Ball(system, gens, n, elements, witness)
+    return Ball(system, gens, elements, witness)
 
 
 def breadth_first(start, steps, product, n: int, cap: int, too_big):

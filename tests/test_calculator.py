@@ -43,6 +43,29 @@ class TestParse:
     def test_whitespace_tolerated(self):
         assert ev(" amalgam( cyclic( 2 ) , cyclic( 3 ) , trivial ) ") == Fraction(7, 6)
 
+    @pytest.mark.parametrize("text,message,position", [
+        ("cyclic(0)", "cyclic needs a positive order", 8),
+        ("transitive(0)", "transitive needs a positive order", 12),
+        ("amenable(3/2)", "finite part must lie in [0, 1]", 12),
+        ("corner(z, 0)", "corner mass must lie in (0, 1]", 11),
+        ("bernoulli(z, 0)", "alphabet size must be >= 1", 14),
+        ("finite_groupoid(x)", "finite_groupoid needs a quoted path", 17),
+        ("foo(1)", "unknown form 'foo'", 3),
+        ("trivial extra", "trailing input 'extra'", 7),
+        ("trivial()", "trailing input '('", 7),
+        ("", "unexpected end of input", 0),
+        ("cyclic(2", "unexpected end of input", 8),
+        ("cyclic()", "expected an integer, got ')'", 8),
+        ("corner(z 1/2)", "expected ',', got '1'", 10),
+        ("amenable(1/0)", "zero denominator", 12),
+    ])
+    def test_error_message_and_position(self, text, message, position):
+        # the position is where the parser stood: after the offending token
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
 
 class TestEvaluate:
     def test_trivial_group(self):
@@ -154,6 +177,14 @@ class TestAlgebraicIdentities:
             flat = ev(f"corner({text}, {a * b})")
             assert nested == flat
             checked += 1
+
+    def test_describe_is_a_parse_fixed_point(self):
+        rng = SplitMix64(7)
+        for _ in range(200):
+            e = parse_expr(random_expression(rng))
+            again = parse_expr(e.describe())
+            assert again.describe() == e.describe()
+            assert evaluate_s(again) == evaluate_s(e)
 
     def test_values_nonnegative_on_atoms(self):
         for text in ("trivial", "z", "cyclic(3)", "transitive(5)", "amenable(1/7)"):

@@ -154,6 +154,20 @@ class TestCount:
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": "cayley table ends before row 1 of 2"}
 
+    @pytest.mark.parametrize("names,error", [
+        ("a", "names line gives 1 names for 2 elements"),
+        ("a b c", "names line gives 3 names for 2 elements"),
+        ("a a", "element names must be distinct"),
+    ], ids=["short", "long", "repeated"])
+    def test_cayley_names_line_refused(self, capsys, tmp_path, monkeypatch,
+                                       names, error):
+        monkeypatch.chdir(tmp_path)
+        Path("t.tbl").write_text(f"order 2\ntable\n0 1\n1 0\nnames {names}\n")
+        code, out, err = run(capsys, "count", "--family", "table(t.tbl)",
+                             "--d", "2", "--delta", "1/2")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": error}
+
     @pytest.mark.parametrize("k,code", [(8, 0), (9, 2)])
     def test_freeprod_factor_limit(self, capsys, k, code):
         family = "freeprod(" + ",".join(["zmod(2)"] * k) + ")"
@@ -788,6 +802,18 @@ CURVE_SHA256 = [
      "8beeac0131dafe71254ec28a1e95fc6e2ec4757cd279fb024070d57ffde8a973"),
 ]
 
+# sha256 of the `calc --json` document (value and assumption ledger) of a
+# free product, nested corners (whose value is below 0) and a Bernoulli
+# extension of an amalgam
+CALC_SHA256 = [
+    ("amalgam-z2-z3", "amalgam(cyclic(2), cyclic(3), trivial)",
+     "5bfc9950788be228ee78bbe17922d57344c0a3517d411fbd205e02bda16521d0"),
+    ("corner-corner-z5", "corner(corner(cyclic(5), 1/2), 1/3)",
+     "4ddd61aab0fa66f7bdb67652b7ff880519e940325866f952ea13152fe6733232"),
+    ("bernoulli-amalgam", "bernoulli(amalgam(cyclic(2), cyclic(2), trivial), 2)",
+     "c52ed9880b6bdae6d9218762c269f0605a4473beb1919128056073c1518b7d61"),
+]
+
 
 class TestRecordedOutputs:
     @pytest.mark.parametrize("argv,want", [case[1:] for case in COUNT_SHA256],
@@ -843,6 +869,14 @@ class TestRecordedOutputs:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("expr,want", [case[1:] for case in CALC_SHA256],
+                             ids=[case[0] for case in CALC_SHA256])
+    def test_calc_json_is_byte_identical(self, capsys, tmp_path, expr, want):
+        path = tmp_path / "v.json"
+        code, _, _ = run(capsys, "calc", expr, "--json", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want
 
     @pytest.mark.parametrize("argv,want", [case[1:] for case in CURVE_SHA256],
                              ids=[case[0] for case in CURVE_SHA256])

@@ -14,6 +14,7 @@ from soficdim.groupoid import (
     b_inverse,
     b_two_norm_sq,
     b_uniform,
+    bernoulli_action,
     bernoulli_crossed_product,
     corner,
     corner_embedding,
@@ -157,6 +158,17 @@ class TestBernoulli:
     def test_alphabet_must_be_probability(self):
         with pytest.raises(GroupoidError):
             bernoulli_crossed_product(cyclic_groupoid(2), [Fraction(1, 2), Fraction(1, 3)])
+
+    @pytest.mark.parametrize("g", [cyclic_groupoid(1), cyclic_groupoid(3),
+                                   transitive_groupoid(2), transitive_groupoid(3)],
+                             ids=["z1", "z3", "r2", "r3"])
+    def test_action_alone_equals_the_crossed_product_action(self, g):
+        weights = [Fraction(1, 3), Fraction(2, 3)]
+        alone = bernoulli_action(g, weights)
+        action, _ = bernoulli_crossed_product(g, weights)
+        assert alone.groupoid is action.groupoid
+        for slot in ("unit_of", "cond_weight", "weight", "fibers", "act", "labels"):
+            assert getattr(alone, slot) == getattr(action, slot)
 
     def test_cap_refuses_blowup(self, monkeypatch):
         monkeypatch.setattr(groupoid, "FIBER_CAP", 4)
