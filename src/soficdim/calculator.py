@@ -96,7 +96,8 @@ class SExpression:
 
     def describe(self) -> str:
         args = [c.describe() for c in self.children]
-        args += [str(v) for v in (self.number, self.text) if v is not None]
+        args += [str(self.number)] if self.number is not None else []
+        args += [f'"{self.text}"'] if self.text is not None else []
         return f"{self.kind}({', '.join(args)})" if args else self.kind
 
 

@@ -167,11 +167,7 @@ def restriction_positions(src) -> list[int]:
             word = ball.system.reduce_word(((gname, 1),))
             out.append(ball.index[word])
         return sorted(set(out)) or [ball.identity_index()]
-    positions = []
-    index = {b: i for i, b in enumerate(src.ball_elements)}
-    for f in src.F:
-        positions.append(index[f])
-    return sorted(set(positions)) or [0]
+    return sorted({src.position[f] for f in src.F}) or [0]
 
 
 def cmd_count(args) -> int:
@@ -362,7 +358,6 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
     F = scaling.corner_generating_set(cd)
     src = cd.source(cd.corner, F, 4 * 5 + 5)
     small = cd.source(cd.corner, F, 1)
-    pos0 = {b: j for j, b in enumerate(src.ball_elements)}
     all_pass = True
     worst_round = 0.0
     # the compression step needs floor(h d') > 1/delta; the round trip
@@ -382,7 +377,7 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
         res = scaling.expand_sigma(sigma, cd, F, n=5, delta=delta, seed=seed + i)
         rr = scaling.restrict_sigma(res.candidate, cd, F, n=1, delta=delta)
         all_pass &= res.report.is_member and rr.report.is_member
-        worst = max(pperm.uniform_distance(sigma.images[pos0[b]],
+        worst = max(pperm.uniform_distance(sigma.images[src.position[b]],
                                            rr.candidate.images[j])
                     for j, b in enumerate(small.ball_elements))
         allowed = 3 * rr.delta_prime
@@ -439,14 +434,13 @@ def cmd_construct(args) -> int:
                   else PartialPermutation.empty(args.d) for b in src.ball_elements]
         sigma = SoficCandidate(args.d, images)
         res = scaling.expand_sigma(sigma, cd, F, n=5, delta=delta, seed=args.seed)
-        amb_ident = full_identity(cd.ambient)
-        pos = {b: i for i, b in enumerate(res.params.source.ball_elements)}
+        ident = res.params.source.position[full_identity(cd.ambient)]
         # every gap is at most 1 and membership is strict, so a
         # tolerance above 1 admits every candidate
         doc["expand"] = {"d_prime": res.d_prime,
                          "delta_prime": float(res.delta_prime),
                          "vacuous": res.delta_prime > 1,
-                         "identity_image": res.candidate.images[pos[amb_ident]].to_text(),
+                         "identity_image": res.candidate.images[ident].to_text(),
                          "certificate": res.report.to_json_dict()}
         if args.what == "restrict":
             rr = scaling.restrict_sigma(res.candidate, cd, F, n=1, delta=delta)

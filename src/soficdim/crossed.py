@@ -27,7 +27,9 @@ tolerance 9 |P|^2 (1/gamma^2) kappa^5 ell^2 q c3^2 sqrt(delta), with
     |V| >= d (1 - 2 |P|^2 c3^2 kappa^4 delta / gamma^2).
 
 The checks of a pair count disagreements on padded image tuples: sigma
-transports phi by s p s^-1 without building maps, and the 146 delta
+transports phi by s p s^-1 without building maps, reading the padded
+images and the inverse image tuples of sigma that its ModelMember
+builds once for all of its partitions, and the 146 delta
 linearity runs over the disjoint pairs that the projection universe
 lists once as index triples.  Square roots never enter the arithmetic:
 bounds against sqrt(delta) are decided by comparing squares of exact
@@ -196,9 +198,9 @@ def verify_HA(cand: HACandidate, params: HAParams,
     against the phi-image transported by sigma), (iii) over sum-closure
     pairs whose product stays in the closure, and (iv) against the full
     space.  ``check_sigma`` also requires sigma to be a member at the
-    same tolerance.  Sigma's images on the model ball and its membership
-    report are read from the candidate's ModelMember, which computes
-    each once.
+    same tolerance.  Sigma's padded and inverse images on the model ball
+    and its membership report are read from the candidate's ModelMember,
+    which computes each once.
     """
     model = params.model
     uni = params.universe
@@ -226,17 +228,10 @@ def verify_HA(cand: HACandidate, params: HAParams,
     # (ii) and (iii) compare disagreement counts on padded image tuples;
     # the gap is count / d.  s p s^-1 sends x to s(p(s^-1(x))).
     phi = [p.images for p in cand.phi]
-    sigma_pads = []
-    for s in member.images:
-        inv = [0] * d
-        for x, y in enumerate(s.images, start=1):
-            if y:
-                inv[y - 1] = x
-        sigma_pads.append(((0,) + s.images, inv))
     equi_count, equi_wit = 0, ""
     for letter, pos in enumerate(uni.letter_index):
         p = (0,) + phi[pos]
-        for bidx, (s, inv) in enumerate(sigma_pads):
+        for bidx, (s, inv) in enumerate(zip(member.pads, member.inverses)):
             target = phi[uni.index[model.translate(bidx, letter)]]
             count = sum(1 for w, y in zip(target, inv) if w != s[p[y]])
             if count > equi_count:
@@ -391,13 +386,9 @@ def build_phi0(table: Phi0Table, delta, precheck: bool = True) -> PropertyReport
     equi_sq, equi_wit = Fraction(0), ""
     for letter, bset in enumerate(model.letter_sets):
         g_den, g_nums = table.numerators(bset)
-        for bidx in range(len(model.ball)):
-            s = table.images[bidx]
+        for bidx, inv in enumerate(table.member.inverses):
             # push the diagonal of g forward along s: (s g s^-1)(y) = g(s^-1 y)
-            pushed = [0] * d
-            for x, y in enumerate(s.images):
-                if y:
-                    pushed[y - 1] = g_nums[x]
+            pushed = [g_nums[x - 1] if x else 0 for x in inv]
             gap_sq = _square_gap(table.numerators(model.translate(bidx, letter)),
                                  (g_den, pushed), d)
             if gap_sq > equi_sq:
@@ -572,9 +563,9 @@ def ha_statistic_with_sa(params: HAParams, E, Q, cap: int = 10 ** 7):
     restrictions = set()
     sa_restrictions = set()
     for sigma in sigma_members:
-        for b, s in enumerate(model.context.align(sigma, model.ball)):
-            slots[sig + b] = (0,) + s.images
-            slots[sig_inv + b] = (0,) + pperm.inverse(s).images
+        member = ModelMember(model, sigma)
+        slots[sig:sig_inv] = member.pads
+        slots[sig_inv:ident] = [(0,) + inv for inv in member.inverses]
         sigma_e = sigma.restriction(E)
         sa_restrictions.add(sigma_e)
         for phi in sofic.search(pools, derived, triples, limit, slots, compose):

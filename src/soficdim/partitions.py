@@ -19,12 +19,13 @@ and gamma; the basis expands each subset of its span once, by
 eliminating on integers.
 
 One ModelMember per sigma holds what its partitions share: sigma's
-images on the model ball and its membership check.  One Phi0Table per
-(sigma, partition) is the whole image side of that pair: it holds the
-image cylinder A_psi of every psi, computed once, and the linear map
-phi0, which sends each basis cylinder to its image-side cylinder.  The
-cylinder bound reads the A_psi, and the equivariance bound compares
-each residual 1_{A_psi} - phi0(cyl psi) with c3 * sqrt(delta), where
+images on the model ball, their padded and inverse image tuples, and
+its membership check.  One Phi0Table per (sigma, partition) is the
+whole image side of that pair: it holds the image cylinder A_psi of
+every psi, computed once, and the linear map phi0, which sends each
+basis cylinder to its image-side cylinder.  The cylinder bound reads
+the A_psi, and the equivariance bound compares each residual
+1_{A_psi} - phi0(cyl psi) with c3 * sqrt(delta), where
 
     c3 = (1 + (3 + kappa*ell) * Bell(ell) * N_ell) * c2,  N_ell = ell * 2^ell.
 
@@ -48,7 +49,7 @@ from .groupoid import (
     bernoulli_action,
     projection_bisection,
 )
-from .pperm import PartialPermutation, inverse
+from .pperm import PartialPermutation, _inverse_images
 from .rng import SplitMix64
 from .sofic import GroupoidSource, SoficCandidate, verify_membership
 
@@ -129,7 +130,7 @@ def profile_h_measure(F0, blocks) -> Fraction:
 
 def profile_sigma_points(images, blocks, d: int) -> frozenset:
     """Points of {1..d} classified by the preimage pattern of the images."""
-    preimages = [inverse(s).images for s in images]
+    preimages = [_inverse_images(s.images) for s in images]
     out = set()
     for e in range(1, d + 1):
         pres = [inv[e - 1] for inv in preimages]
@@ -193,30 +194,23 @@ class LemmaConstants:
     c1: Fraction
     c2: Fraction
     c3: Fraction | None
-    kappa: Fraction | None
-    gamma: Fraction | None
-    ell: int | None
-    n_ell: int | None
-    bell_ell: int | None
 
 
 def lemma_constants(f_pm_size: int, n: int, basis=None) -> LemmaConstants:
     """The three bound constants for a generating set with |F+-| elements.
 
-    kappa, gamma, ell (and hence c3) are present only when a span basis
-    is supplied.
+    c3, which reads kappa and ell, is present only when a span basis is
+    supplied.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     c1 = Fraction(176 * 3 ** (2 * n) * f_pm_size ** (2 * n))
     c2 = 2 * c1 * bell_number(f_pm_size ** n)
     if basis is None:
-        return LemmaConstants(c1, c2, None, None, None, None, None, None)
+        return LemmaConstants(c1, c2, None)
     ell = basis.ell
-    n_ell = ell * 2 ** ell
-    b_ell = bell_number(ell)
-    c3 = (1 + (3 + basis.kappa * ell) * b_ell * n_ell) * c2
-    return LemmaConstants(c1, c2, c3, basis.kappa, basis.gamma, ell, n_ell, b_ell)
+    c3 = (1 + (3 + basis.kappa * ell) * bell_number(ell) * (ell * 2 ** ell)) * c2
+    return LemmaConstants(c1, c2, c3)
 
 
 # -- augmented generating sets ----------------------------------------------------
@@ -423,8 +417,6 @@ class LemmaContext:
         self.radius = 4 * n * len(self.ball) + 1
         self.F_n = tuple(augment_generators(F, n, g))
         self.hypothesis_source = GroupoidSource(g, self.F_n, self.radius)
-        self._pos = {b: i for i, b in
-                     enumerate(self.hypothesis_source.ball_elements)}
 
     @cached_property
     def sigma_source(self) -> GroupoidSource:
@@ -447,7 +439,7 @@ class LemmaContext:
         """Candidate images matched to an arbitrary sub-ball by bisection."""
         out = []
         for b in ball:
-            i = self._pos.get(b)
+            i = self.hypothesis_source.position.get(b)
             if i is None:
                 raise KeyError(f"candidate does not cover {b!r}")
             out.append(sigma.images[i])
@@ -703,17 +695,24 @@ class ModelMember:
     """A candidate sigma over one cylinder model, with the work that
     every partition of it shares.
 
-    ``images`` aligns sigma to the model ball.  ``sigma_report``, built
-    on first use, is the membership report of sigma over the radius-n
-    sigma source, the check behind the ``sigma_ok`` of
-    ``crossed.verify_HA``.  A sweep over the partitions of one sigma
-    builds one ModelMember and hands it to each of its Phi0Tables.
+    ``images`` aligns sigma to the model ball.  ``pads`` holds each
+    image as a padded tuple (0, s(1), ..., s(d)) and ``inverses`` the
+    image tuple of its inverse (``pperm._inverse_images``): sigma's
+    transport s p s^-1, which ``crossed.verify_HA``, ``crossed.build_phi0``
+    and ``crossed.ha_statistic_with_sa`` read for every partition of the
+    member, is built here once.  ``sigma_report``, built on first use, is
+    the membership report of sigma over the radius-n sigma source, the
+    check behind the ``sigma_ok`` of ``crossed.verify_HA``.  A sweep over
+    the partitions of one sigma builds one ModelMember and hands it to
+    each of its Phi0Tables.
     """
 
     def __init__(self, model: CylinderModel, sigma: SoficCandidate):
         self.model = model
         self.sigma = sigma
         self.images = model.context.align(sigma, model.ball)
+        self.pads = tuple((0,) + s.images for s in self.images)
+        self.inverses = tuple(_inverse_images(s.images) for s in self.images)
 
     @cached_property
     def sigma_report(self) -> sofic.MembershipReport:

@@ -163,11 +163,7 @@ def compose(s: PartialPermutation, t: PartialPermutation) -> PartialPermutation:
 
 
 def inverse(s: PartialPermutation) -> PartialPermutation:
-    images = [0] * s.degree
-    for x0, y in enumerate(s.images):
-        if y:
-            images[y - 1] = x0 + 1
-    return PartialPermutation(s.degree, images)
+    return PartialPermutation(s.degree, _inverse_images(s.images))
 
 
 def trace(s: PartialPermutation) -> Fraction:
@@ -234,6 +230,15 @@ def _orthogonal_sum(tuples) -> tuple:
                     raise OverlapError("summands overlap in domain or range")
                 out[x] = y
                 taken.add(y)
+    return tuple(out)
+
+
+def _inverse_images(images) -> tuple:
+    """The image tuple of the inverse map, 0 marking an undefined point."""
+    out = [0] * len(images)
+    for x, y in enumerate(images, start=1):
+        if y:
+            out[y - 1] = x
     return tuple(out)
 
 

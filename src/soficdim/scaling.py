@@ -186,7 +186,6 @@ class ExpandResult:
     delta_prime: Fraction
     d_prime: int
     blocks: tuple  # A_0..A_k as sorted tuples
-    b_sets: tuple  # B_1..B_k
     gammas: tuple  # the block bijections as partial permutations
 
 
@@ -210,16 +209,15 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
     ident_c = full_identity(corner_g)
     if ident_c not in F_corner:
         raise ValueError("F_corner must contain the corner identity")
-    for p in cd.dom_projections_corner():
-        if p not in F_corner:
-            raise ValueError("F_corner must contain every mover domain projection")
+    dom_projections = cd.dom_projections_corner()
+    if any(p not in F_corner for p in dom_projections):
+        raise ValueError("F_corner must contain every mover domain projection")
     corner_src = cd.source(corner_g, F_corner, 4 * n + 5)
     rep = sofic.verify_membership(sigma, SAParams(corner_src, delta, d))
     if not rep.is_member:
         raise ValueError(
             f"corner candidate is not a member at radius {4 * n + 5}: "
             f"mult gap {rep.mult_gap}, trace gap {rep.trace_gap}")
-    corner_pos = {b: i for i, b in enumerate(corner_src.ball_elements)}
 
     d_prime = d * N // (N - k)
     block = d_prime // N
@@ -230,13 +228,11 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
         nxt += block
 
     # near-fixed sets B_i from the images of the domain projections
-    b_sets = []
     gammas = [PartialPermutation.projection(d_prime, range(1, d + 1))]
     rng = SplitMix64(seed)
-    for i, s in enumerate(cd.S, start=1):
-        dom_proj = cd.embedding.pull_back_bisection(b_compose(b_inverse(s), s))
+    for i, dom_proj in enumerate(dom_projections, start=1):
         fix = [x for x in range(1, d + 1)
-               if sigma.images[corner_pos[dom_proj]].images[x - 1] == x]
+               if sigma.images[corner_src.position[dom_proj]].images[x - 1] == x]
         if len(fix) >= block:
             b_i = fix[:block]
         else:
@@ -246,7 +242,6 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
         if Fraction(sym_diff) >= delta * d_prime:
             raise ValueError(
                 f"near-fixed set of mover {i} misses its block by {sym_diff} points")
-        b_sets.append(tuple(b_i))
         targets = list(blocks[i])
         rng.shuffle(targets)
         images = [0] * d_prime
@@ -268,7 +263,7 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
 
     def corner_image(f_amb: PartialBisection) -> PartialPermutation:
         f_c = cd.embedding.pull_back_bisection(f_amb)
-        pos = corner_pos.get(f_c)
+        pos = corner_src.position.get(f_c)
         if pos is None:
             raise ValueError(f"corner element {f_c!r} outside the candidate ball")
         return pperm.embed(sigma.images[pos], d_prime)
@@ -292,7 +287,7 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
     cand = SoficCandidate(d_prime, images)
     report = sofic.verify_membership(cand, amb_params)
     return ExpandResult(cand, amb_params, report, delta_prime, d_prime,
-                        tuple(blocks), tuple(b_sets), tuple(gammas))
+                        tuple(blocks), tuple(gammas))
 
 
 @dataclass(frozen=True)
@@ -330,12 +325,11 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
         raise ValueError(
             f"ambient candidate is not a member at radius {n + 4}: "
             f"mult gap {rep.mult_gap}, trace gap {rep.trace_gap}")
-    amb_pos = {b: i for i, b in enumerate(amb_src.ball_elements)}
 
     p_amb = cd.p_ambient()
-    if p_amb not in amb_pos:
+    if p_amb not in amb_src.position:
         raise ValueError("the image of p is not covered by the candidate")
-    sig_p = sigma.images[amb_pos[p_amb]]
+    sig_p = sigma.images[amb_src.position[p_amb]]
     b0 = [x for x in range(1, d + 1) if sig_p.images[x - 1] == x]
     if len(b0) >= d_prime:
         B = sorted(b0)[len(b0) - d_prime:]  # shrink by removing smallest
@@ -351,7 +345,7 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
 
     def restrict_element(f_c: PartialBisection) -> PartialPermutation:
         f_amb = cd.embedding.embed_bisection(f_c)
-        pos = amb_pos.get(f_amb)
+        pos = amb_src.position.get(f_amb)
         if pos is None:
             raise ValueError(f"ambient element {f_amb!r} outside the candidate ball")
         return pperm.reindex(sigma.images[pos], B)

@@ -171,7 +171,12 @@ def sum_closure(parts, footprints, join):
 
 
 class GroupoidSource:
-    """Ball of bisections of a finite groupoid plus its sum closure."""
+    """Ball of bisections of a finite groupoid plus its sum closure.
+
+    ``position`` maps each ball element to its index in ``ball_elements``.
+    It holds the ball only, never a sum of the closure, so a lookup of a
+    bisection outside the ball finds nothing.
+    """
 
     is_group = False
 
@@ -181,6 +186,7 @@ class GroupoidSource:
         elements = bisection_ball(g, F, n)
         self.ball_elements = tuple(elements)
         self.n_ball = len(elements)
+        self.position = {b: i for i, b in enumerate(elements)}
         # a footprint holds the domain units e and the range units as n_units + e
         universe, index, decomposition = sum_closure(
             elements, [b.dom_units() | {g.n_units + e for e in b.ran_units()}

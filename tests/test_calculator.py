@@ -186,6 +186,13 @@ class TestAlgebraicIdentities:
             assert again.describe() == e.describe()
             assert evaluate_s(again) == evaluate_s(e)
 
+    @pytest.mark.parametrize("text", ['finite_groupoid("r3.gpd")',
+                                      'corner(finite_groupoid("a b.gpd"), 1/2)'])
+    def test_groupoid_file_description_parses_back(self, text):
+        e = parse_expr(text)
+        assert e.describe() == text
+        assert parse_expr(e.describe()) == e
+
     def test_values_nonnegative_on_atoms(self):
         for text in ("trivial", "z", "cyclic(3)", "transitive(5)", "amenable(1/7)"):
             assert ev(text) >= 0

@@ -43,6 +43,16 @@ class TestCalc:
         assert (doc["value_num"], doc["value_den"]) == (3, 4)
         assert doc["assumptions"]
 
+    def test_json_ledger_quotes_the_groupoid_path(self, capsys, tmp_path):
+        gpd = tmp_path / "r3.gpd"
+        transitive_groupoid(3).save(gpd)
+        path = tmp_path / "v.json"
+        code, _, _ = run(capsys, "calc", f'finite_groupoid("{gpd}")',
+                         "--json", str(path))
+        assert code == 0
+        ledger = json.loads(path.read_text())["assumptions"]
+        assert ledger[0].startswith(f'amenable: finite_groupoid("{gpd}") ')
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "calc", "corner(z, 0)")
         assert code == 2

@@ -40,7 +40,7 @@ from soficdim.partitions import (
 )
 from soficdim.partitions import _indicator as indicator
 from soficdim.partitions import _solve_against
-from soficdim.pperm import random_pperm
+from soficdim.pperm import inverse, random_pperm
 from soficdim.rng import SplitMix64
 from soficdim.sofic import SoficCandidate, iter_SA_members
 
@@ -580,3 +580,19 @@ def test_sigma_source_ball_is_the_model_ball(m, n):
     ctx = LemmaContext(g, full_group_generators(g), n)
     assert ctx.ball == ctx.sigma_source.ball_elements
 
+
+
+@pytest.mark.parametrize("m", [None, 2], ids=["r2", "zmod2"])
+def test_member_pads_and_inverses(m):
+    # the transport s p s^-1 that crossed reads from the member
+    g = transitive_groupoid(2) if m is None else cyclic_groupoid(m)
+    ctx = LemmaContext(g, full_group_generators(g), 1)
+    model = CylinderModel(ctx, FAIR)
+    members = list(iter_SA_members(ctx.hypothesis_params(Fraction(1, 10), 4)))
+    assert members
+    for sigma in members:
+        member = ModelMember(model, sigma)
+        assert len(member.pads) == len(member.inverses) == len(model.ball)
+        for b, s in enumerate(member.images):
+            assert member.pads[b] == (0,) + s.images
+            assert member.inverses[b] == inverse(s).images

@@ -163,6 +163,16 @@ class TestBasics:
             assert parse_pperm(s.to_text()) == s
 
 
+@pytest.mark.parametrize("d", range(1, 5))
+def test_inverse_images_match_inverse(d):
+    for s in iter_all(d):
+        inv = pperm._inverse_images(s.images)
+        assert inv == inverse(s).images
+        # s^-1 undoes s on its domain and is undefined off its range
+        assert all(inv[s(x) - 1] == x for x in s.dom_points())
+        assert inv.count(0) == d - s.dom_size
+
+
 class TestDistances:
     def test_equal_maps(self):
         s = P("4:[1->2, 3->3]")

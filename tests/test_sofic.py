@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from soficdim import pperm
-from soficdim.groupoid import transitive_groupoid
+from soficdim.cli import full_group_generators
+from soficdim.groupoid import PartialBisection, transitive_groupoid
 from soficdim.pperm import PartialPermutation, parse_pperm
 from soficdim.rng import SplitMix64
 from soficdim.sofic import (
+    GroupoidSource,
     InfeasibleError,
     SoficCandidate,
     ball_params,
@@ -274,6 +276,24 @@ class TestGroupoidSource:
         cand = block_candidate(p.source, 6)
         rep = verify_membership(cand, p)
         assert rep.is_member and rep.mult_gap == 0 and rep.trace_gap == 0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("order", [2, 3], ids=["r2", "transitive3"])
+    def test_position_maps_exactly_the_ball(self, order, n):
+        g = transitive_groupoid(order)
+        src = GroupoidSource(g, full_group_generators(g), n)
+        assert list(src.position) == list(src.ball_elements)
+        assert all(src.position[b] == i for i, b in enumerate(src.ball_elements))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_position_leaves_out_the_sums(self, n):
+        # one arrow 0 -> 1 of transitive(3): its ball is not closed under sums
+        g = transitive_groupoid(3)
+        arrow = next(a for a in range(g.n_arrows)
+                     if (g.source[a], g.range_[a]) == (0, 1))
+        src = GroupoidSource(g, [PartialBisection(g, frozenset([arrow]))], n)
+        assert src.n_universe > src.n_ball == len(src.position)
+        assert not any(u in src.position for u in src.universe[src.n_ball:])
 
 
 class TestStatistic:
