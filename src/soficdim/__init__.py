@@ -52,9 +52,7 @@ from .partitions import (
     LemmaContext,
     RandomPartition,
     SpanBasis,
-    augment_generators,
     lemma_constants,
-    profile_measures,
     random_partition,
     span_basis,
     verify_lemma_c1,
@@ -93,9 +91,8 @@ __all__ = [
     "closed_form_count", "count_SA", "monte_carlo_count",
     "restricted_statistic", "verify_membership",
     "BoundReport", "CylinderModel", "LemmaContext", "RandomPartition",
-    "SpanBasis", "augment_generators", "lemma_constants", "profile_measures",
-    "random_partition", "span_basis", "verify_lemma_c1", "verify_lemma_c2",
-    "verify_lemma_c3_sweep",
+    "SpanBasis", "lemma_constants", "random_partition", "span_basis",
+    "verify_lemma_c1", "verify_lemma_c2", "verify_lemma_c3_sweep",
     "HACandidate", "HAParams", "approx_sum_check", "build_phi", "build_phi0",
     "ha_statistic", "verify_HA",
     "CornerData", "expand_sigma", "make_corner_data", "restrict_sigma",

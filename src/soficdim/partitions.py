@@ -42,13 +42,7 @@ from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 from . import sofic
-from .groupoid import (
-    FiniteGroupoid,
-    PartialBisection,
-    b_inverse,
-    bernoulli_action,
-    projection_bisection,
-)
+from .groupoid import FiniteGroupoid, bernoulli_action, projection_bisection
 from .pperm import PartialPermutation, _inverse_images
 from .rng import SplitMix64
 from .sofic import GroupoidSource, SoficCandidate, verify_membership
@@ -142,34 +136,6 @@ def profile_sigma_points(images, blocks, d: int) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class ProfileMeasures:
-    h_measure: Fraction | None
-    sigma_fraction: Fraction | None
-
-
-def profile_measures(F0, pi, context) -> ProfileMeasures:
-    """Both sides of the profile comparison, where the context allows.
-
-    ``pi`` maps each element of F0 to its block; ``context`` is a dict
-    that may carry ``images`` (image maps aligned with F0, plus ``d``)
-    and implicitly the groupoid through the bisections themselves.
-    """
-    F0 = list(F0)
-    if not F0:
-        raise ValueError("F0 must be nonempty")
-    blocks = [pi[s] if isinstance(pi, dict) else pi[i] for i, s in enumerate(F0)]
-    h = None
-    frac = None
-    if all(isinstance(s, PartialBisection) for s in F0):
-        h = profile_h_measure(F0, blocks)
-    if context and "images" in context:
-        d = context["d"]
-        pts = profile_sigma_points(context["images"], blocks, d)
-        frac = Fraction(len(pts), d)
-    return ProfileMeasures(h, frac)
-
-
 def _block_weight(alphabet, letters, blocks) -> Fraction:
     """Product of the letter weights over the blocks of a profile partition.
 
@@ -211,33 +177,6 @@ def lemma_constants(f_pm_size: int, n: int, basis=None) -> LemmaConstants:
     ell = basis.ell
     c3 = (1 + (3 + basis.kappa * ell) * bell_number(ell) * (ell * 2 ** ell)) * c2
     return LemmaConstants(c1, c2, c3)
-
-
-# -- augmented generating sets ----------------------------------------------------
-
-
-def augment_generators(F, n: int, g: FiniteGroupoid):
-    """F together with the projections onto every profile set of the ball.
-
-    Every added element is an idempotent projection; duplicates are
-    merged.  Refuses when the ball is larger than ``PROFILE_CAP``.
-    """
-    ball = sofic.bisection_ball(g, F, n)
-    if len(ball) > PROFILE_CAP:
-        raise HypothesisError(
-            f"profile augmentation over a ball of {len(ball)} elements "
-            f"exceeds the cap {PROFILE_CAP}")
-    out = list(F)
-    seen = set(out)
-    for r in range(len(ball) + 1):
-        for combo in combinations(range(len(ball)), r):
-            F0 = [ball[i] for i in combo]
-            for blocks in set_partitions(len(F0)):
-                p = projection_bisection(g, profile_units(g, F0, blocks))
-                if p not in seen:
-                    seen.add(p)
-                    out.append(p)
-    return out
 
 
 # -- random partitions -------------------------------------------------------------
@@ -300,10 +239,8 @@ class CylinderModel:
     def __init__(self, context: "LemmaContext", alphabet):
         self.context = context
         g = context.groupoid
-        self.groupoid = g
         self.alphabet = tuple(Fraction(w) for w in alphabet)
         self.q = len(self.alphabet)
-        self.F = context.F
         self.n = context.n
         self.action = bernoulli_action(g, self.alphabet)
         self.ball = context.ball
@@ -402,20 +339,37 @@ class CylinderModel:
 class LemmaContext:
     """Shared caches for the bound checks over one (groupoid, F, n).
 
-    Builds once: the radius-n ball, the profile-augmented generating
-    set, and the membership source at the inflated hypothesis radius
-    4 n |ball| + 1.  Candidates checked through one context must have
-    been assigned over the augmented-set ball it exposes.
+    Builds once: the radius-n ball; ``profiles``, the one profile sweep
+    of that ball, a triple (combo, blocks, units) for each subset combo
+    of ball positions (by size, then in ``combinations`` order) and each
+    partition blocks of it, where units is ``profile_units`` of the
+    pair; ``F_n``, F followed by the distinct projections onto those
+    unit sets that are not already in F, in order of first appearance;
+    and the membership source over F_n at the inflated hypothesis
+    radius 4 n |ball| + 1.  The c1 bound reads ``profiles``.  Refuses a
+    ball larger than ``PROFILE_CAP``.  Candidates checked through one
+    context must have been assigned over the F_n ball it exposes.
     """
 
     def __init__(self, g: FiniteGroupoid, F, n: int):
         self.groupoid = g
         self.F = tuple(F)
         self.n = n
-        self.ball = tuple(sofic.bisection_ball(g, F, n))
+        ball = self.ball = tuple(sofic.bisection_ball(g, F, n))
+        if len(ball) > PROFILE_CAP:
+            raise HypothesisError(
+                f"profile augmentation over a ball of {len(ball)} elements "
+                f"exceeds the cap {PROFILE_CAP}")
         self.f_pm_size = len(sofic.plus_minus_set(g, F))
-        self.radius = 4 * n * len(self.ball) + 1
-        self.F_n = tuple(augment_generators(F, n, g))
+        self.radius = 4 * n * len(ball) + 1
+        self.profiles = tuple(
+            (combo, blocks, profile_units(g, [ball[i] for i in combo], blocks))
+            for r in range(len(ball) + 1)
+            for combo in combinations(range(len(ball)), r)
+            for blocks in set_partitions(r))
+        projections = dict.fromkeys(
+            projection_bisection(g, units) for _, _, units in self.profiles)
+        self.F_n = self.F + tuple(p for p in projections if p not in self.F)
         self.hypothesis_source = GroupoidSource(g, self.F_n, self.radius)
 
     @cached_property
@@ -504,36 +458,27 @@ def verify_lemma_c1(sigma: SoficCandidate, ctx: LemmaContext, delta,
                     precheck: bool = True) -> BoundReport:
     """Certify the profile counting bound over every subset and partition.
 
-    Sweeps the radius-n ball of the context.  The candidate must be a
-    member over the profile-augmented generating set at the inflated
-    radius; the report carries the worst discrepancy
+    Reads the context's profile sweep of its radius-n ball.  The
+    candidate must be a member over the profile-augmented generating
+    set at the inflated radius; the report carries the worst discrepancy
     |h(profile) - |image profile|/d| against c1 * delta.
     """
     delta = Fraction(delta)
     if precheck:
         ctx.check_hypothesis(sigma, delta)
-    ball = ctx.ball
-    images_all = ctx.align(sigma, ball)
-    c1 = lemma_constants(ctx.f_pm_size, ctx.n).c1
-    bound = c1 * delta
+    images_all = ctx.align(sigma, ctx.ball)
+    weights = ctx.groupoid.unit_weights
+    bound = lemma_constants(ctx.f_pm_size, ctx.n).c1 * delta
     worst = Fraction(0)
     witness = "empty profile sweep"
     d = sigma.degree
-    for r in range(len(ball) + 1):
-        for combo in combinations(range(len(ball)), r):
-            F0 = [ball[i] for i in combo]
-            imgs = [images_all[i] for i in combo]
-            for blocks in set_partitions(len(F0)):
-                if F0:
-                    h = profile_h_measure(F0, blocks)
-                    frac = Fraction(len(profile_sigma_points(imgs, blocks, d)), d)
-                else:
-                    h = Fraction(1)
-                    frac = Fraction(1)
-                disc = abs(h - frac)
-                if disc > worst:
-                    worst = disc
-                    witness = f"F0={list(combo)} blocks={blocks}"
+    for combo, blocks, units in ctx.profiles:
+        h = sum((weights[e] for e in units), Fraction(0))
+        pts = profile_sigma_points([images_all[i] for i in combo], blocks, d)
+        disc = abs(h - Fraction(len(pts), d))
+        if disc > worst:
+            worst = disc
+            witness = f"F0={list(combo)} blocks={blocks}"
     return BoundReport(bound, worst, witness, worst < bound)
 
 

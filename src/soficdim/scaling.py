@@ -297,7 +297,6 @@ class RestrictResult:
     report: MembershipReport
     delta_prime: Fraction
     d_prime: int
-    B: tuple
     p_distance: Fraction  # |sigma(p) - p_B|
 
 
@@ -354,7 +353,7 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
     cand = SoficCandidate(d_prime, images)
     report = sofic.verify_membership(cand, corner_params)
     return RestrictResult(cand, corner_params, report, delta_prime, d_prime,
-                          tuple(B), p_distance)
+                          p_distance)
 
 
 # -- the closed identity ----------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,7 @@ from soficdim.groupoid import (
     tau,
     transitive_groupoid,
 )
-from soficdim import partitions
+from soficdim import partitions, sofic
 from soficdim.cli import full_group_generators
 from soficdim.partitions import (
     BoundReport,
@@ -24,12 +25,11 @@ from soficdim.partitions import (
     Phi0Table,
     RandomPartition,
     bell_number,
-    augment_generators,
     exact_partition,
     lemma_constants,
     profile_h_measure,
-    profile_measures,
     profile_sigma_points,
+    profile_units,
     random_partition,
     regular_model_candidate,
     set_partitions,
@@ -80,9 +80,9 @@ class TestProfiles:
         ident = full_identity(g)
         assert profile_h_measure([ident, swap], (0, 0)) == 0
 
-    def test_profile_measures_requires_nonempty(self):
+    def test_profile_h_measure_requires_nonempty(self):
         with pytest.raises(ValueError):
-            profile_measures([], (), None)
+            profile_h_measure([], ())
 
     def test_profiles_partition_common_range(self):
         # the profile sets over all partitions tile the common range set
@@ -154,13 +154,12 @@ class TestAugment:
     def test_identity_only(self):
         g, _ = r2_swap()
         ident = full_identity(g)
-        F1 = augment_generators([ident], 1, g)
         # the only profile projection is the full unit projection = identity
-        assert F1 == [ident]
+        assert LemmaContext(g, [ident], 1).F_n == (ident,)
 
     def test_augments_are_projections(self):
         g, swap = r2_swap()
-        for p in augment_generators([swap], 1, g):
+        for p in LemmaContext(g, [swap], 1).F_n:
             if p == swap:
                 continue
             assert p.is_projection()
@@ -169,7 +168,7 @@ class TestAugment:
 
     def test_size_bounded_by_bell_sum(self):
         g, swap = r2_swap()
-        F1 = augment_generators([swap], 1, g)
+        F1 = LemmaContext(g, [swap], 1).F_n
         ball_size = 2  # identity and swap
         bound = 1 + sum(math.comb(ball_size, k) * bell_number(k)
                         for k in range(ball_size + 1))
@@ -180,8 +179,8 @@ class TestAugment:
         gens = [PartialBisection(g, frozenset([1])), PartialBisection(g, frozenset([2])),
                 PartialBisection(g, frozenset([5]))]
         monkeypatch.setattr(partitions, "PROFILE_CAP", 3)
-        with pytest.raises(HypothesisError):
-            augment_generators(gens, 2, g)
+        with pytest.raises(HypothesisError, match="exceeds the cap 3"):
+            LemmaContext(g, gens, 2)
 
 
 class TestRandomPartition:
@@ -596,3 +595,112 @@ def test_member_pads_and_inverses(m):
         for b, s in enumerate(member.images):
             assert member.pads[b] == (0,) + s.images
             assert member.inverses[b] == inverse(s).images
+
+
+# -- the context's one profile sweep against the two routes it replaced ------------
+
+
+def oracle_augment(F, n, g):
+    """F with every profile projection of its own radius-n ball, as the
+    standalone augmentation built it."""
+    ball = sofic.bisection_ball(g, F, n)
+    out = list(F)
+    seen = set(out)
+    for r in range(len(ball) + 1):
+        for combo in combinations(range(len(ball)), r):
+            F0 = [ball[i] for i in combo]
+            for blocks in set_partitions(len(F0)):
+                p = projection_bisection(g, profile_units(g, F0, blocks))
+                if p not in seen:
+                    seen.add(p)
+                    out.append(p)
+    return out
+
+
+def oracle_c1(sigma, ctx, delta, precheck=True):
+    """The c1 sweep with both sides computed per subset and partition."""
+    delta = Fraction(delta)
+    if precheck:
+        ctx.check_hypothesis(sigma, delta)
+    ball = ctx.ball
+    images_all = ctx.align(sigma, ball)
+    bound = lemma_constants(ctx.f_pm_size, ctx.n).c1 * delta
+    worst = Fraction(0)
+    witness = "empty profile sweep"
+    d = sigma.degree
+    for r in range(len(ball) + 1):
+        for combo in combinations(range(len(ball)), r):
+            F0 = [ball[i] for i in combo]
+            imgs = [images_all[i] for i in combo]
+            for blocks in set_partitions(len(F0)):
+                if F0:
+                    h = profile_h_measure(F0, blocks)
+                    frac = Fraction(len(profile_sigma_points(imgs, blocks, d)), d)
+                else:
+                    h = frac = Fraction(1)
+                disc = abs(h - frac)
+                if disc > worst:
+                    worst = disc
+                    witness = f"F0={list(combo)} blocks={blocks}"
+    return BoundReport(bound, worst, witness, worst < bound)
+
+
+SWEEP_SOURCES = {
+    "r2": lambda: transitive_groupoid(2),
+    "zmod2": lambda: cyclic_groupoid(2),
+    "zmod3": lambda: cyclic_groupoid(3),
+    "r3": lambda: transitive_groupoid(3),
+}
+
+
+@pytest.mark.parametrize("source,n", [("r2", 1), ("zmod2", 1), ("zmod3", 1),
+                                      ("r3", 1), ("r2", 2)])
+def test_context_sweep_matches_the_standalone_routes(source, n):
+    g = SWEEP_SOURCES[source]()
+    F = full_group_generators(g)
+    ctx = LemmaContext(g, F, n)
+    assert ctx.F_n == tuple(oracle_augment(F, n, g))
+    ball = sofic.bisection_ball(g, F, n)
+    expected = [(combo, blocks, profile_units(g, [ball[i] for i in combo], blocks))
+                for r in range(len(ball) + 1)
+                for combo in combinations(range(len(ball)), r)
+                for blocks in set_partitions(r)]
+    assert list(ctx.profiles) == expected
+
+
+def test_context_builds_its_ball_once(monkeypatch):
+    calls = []
+    original = sofic.bisection_ball
+
+    def counting(g, F, n):
+        calls.append((tuple(F), n))
+        return original(g, F, n)
+
+    monkeypatch.setattr(sofic, "bisection_ball", counting)
+    g, swap = r2_swap()
+    ctx = LemmaContext(g, [swap], 1)
+    # the radius-n ball, then the hypothesis source's ball over F_n
+    assert calls == [((swap,), 1), (ctx.F_n, ctx.radius)]
+
+
+@pytest.mark.parametrize("source,d", [("r2", 4), ("zmod2", 4), ("r3", 3)])
+def test_c1_matches_the_per_member_sweep(source, d):
+    g = SWEEP_SOURCES[source]()
+    ctx = LemmaContext(g, full_group_generators(g), 1)
+    delta = Fraction(1, 10)
+    members = list(iter_SA_members(ctx.hypothesis_params(delta, d)))
+    assert members
+    for sigma in members:
+        assert verify_lemma_c1(sigma, ctx, delta) == oracle_c1(sigma, ctx, delta)
+    # every member is exact (worst 0); random maps give nonzero worsts
+    # and witnesses
+    rng = SplitMix64(d)
+    size = len(ctx.hypothesis_source.ball_elements)
+    worsts = set()
+    for _ in range(20):
+        sigma = SoficCandidate(d, [random_pperm(d, rng) for _ in range(size)])
+        report = verify_lemma_c1(sigma, ctx, delta, precheck=False)
+        assert report == oracle_c1(sigma, ctx, delta, precheck=False)
+        worsts.add(report.worst)
+    assert len(worsts) > 1
+
