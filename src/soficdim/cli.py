@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 
@@ -241,13 +242,14 @@ def int_text(n: int) -> str:
 # -- verify -----------------------------------------------------------------------
 
 
-def hypothesis_members(ctx, delta: Fraction, d: int) -> list:
-    """The members at the context's hypothesis radius; refuses a run
-    that has none."""
-    members = list(sofic.iter_SA_members(ctx.hypothesis_params(delta, d)))
-    if not members:
+def hypothesis_members(ctx, delta: Fraction, d: int):
+    """An iterator over the members at the context's hypothesis radius,
+    each searched for when read; refuses a run that has none."""
+    members = sofic.iter_SA_members(ctx.hypothesis_params(delta, d))
+    first = next(members, None)
+    if first is None:
         raise CliError(f"no members at d={d}, delta={delta}")
-    return members
+    return chain((first,), members)
 
 
 def worst_entry(instances: int, reports) -> dict:
@@ -298,7 +300,7 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
     out = {}
     members = None
     if "c1" in suites:
-        members = hypothesis_members(ctx, delta, d)
+        members = list(hypothesis_members(ctx, delta, d))
         out["c1"] = worst_entry(len(members), [
             partitions.verify_lemma_c1(m, ctx, delta, precheck=False)
             for m in members])
@@ -314,7 +316,7 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
         for i in range(n_partitions):
             part = partitions.random_partition(d, model.alphabet, seed + i)
             distinct.setdefault(part.block_of, part)
-        members = members or hypothesis_members(ctx, delta, d)
+        members = members or list(hypothesis_members(ctx, delta, d))
         checked = len(members) * n_partitions
         c2, c3 = [], []
         ha_pass = lin_pass = True
@@ -355,9 +357,7 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
 def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
                       instances: int) -> dict:
     cd = scaling.standard_corner(g, [0])
-    F = scaling.corner_generating_set(cd)
-    src = cd.source(cd.corner, F, 4 * 5 + 5)
-    small = cd.source(cd.corner, F, 1)
+    src = cd.corner_source(4 * 5 + 5)
     all_pass = True
     worst_round = 0.0
     # the compression step needs floor(h d') > 1/delta; the round trip
@@ -374,12 +374,12 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
         images = [PartialPermutation.projection(base, keep) if b.arrows
                   else PartialPermutation.empty(base) for b in src.ball_elements]
         sigma = SoficCandidate(base, images)
-        res = scaling.expand_sigma(sigma, cd, F, n=5, delta=delta, seed=seed + i)
-        rr = scaling.restrict_sigma(res.candidate, cd, F, n=1, delta=delta)
+        res = scaling.expand_sigma(sigma, cd, n=5, delta=delta, seed=seed + i)
+        rr = scaling.restrict_sigma(res.candidate, cd, n=1, delta=delta)
         all_pass &= res.report.is_member and rr.report.is_member
         worst = max(pperm.uniform_distance(sigma.images[src.position[b]],
                                            rr.candidate.images[j])
-                    for j, b in enumerate(small.ball_elements))
+                    for j, b in enumerate(rr.params.source.ball_elements))
         allowed = 3 * rr.delta_prime
         all_pass &= worst <= allowed
         worst_round = max(worst_round, float(worst))
@@ -428,12 +428,11 @@ def cmd_construct(args) -> int:
            "config": json.loads(config_echo(args, ("what", "d", "delta")))}
     if args.what in ("expand", "restrict"):
         cd = scaling.standard_corner(g, [0])
-        F = scaling.corner_generating_set(cd)
-        src = cd.source(cd.corner, F, 25)
+        src = cd.corner_source(25)
         images = [PartialPermutation.identity(args.d) if b.arrows
                   else PartialPermutation.empty(args.d) for b in src.ball_elements]
         sigma = SoficCandidate(args.d, images)
-        res = scaling.expand_sigma(sigma, cd, F, n=5, delta=delta, seed=args.seed)
+        res = scaling.expand_sigma(sigma, cd, n=5, delta=delta, seed=args.seed)
         ident = res.params.source.position[full_identity(cd.ambient)]
         # every gap is at most 1 and membership is strict, so a
         # tolerance above 1 admits every candidate
@@ -443,7 +442,7 @@ def cmd_construct(args) -> int:
                          "identity_image": res.candidate.images[ident].to_text(),
                          "certificate": res.report.to_json_dict()}
         if args.what == "restrict":
-            rr = scaling.restrict_sigma(res.candidate, cd, F, n=1, delta=delta)
+            rr = scaling.restrict_sigma(res.candidate, cd, n=1, delta=delta)
             doc["restrict"] = {"d_prime": rr.d_prime,
                                "delta_prime": float(rr.delta_prime),
                                "vacuous": rr.delta_prime > 1,
@@ -454,10 +453,10 @@ def cmd_construct(args) -> int:
         ctx = partitions.LemmaContext(g, F, 1)
         model = partitions.CylinderModel(ctx, [Fraction(1, 2)] * 2)
         basis = partitions.span_basis(model)
-        members = hypothesis_members(ctx, delta, args.d)
+        member = next(hypothesis_members(ctx, delta, args.d))
         part = partitions.random_partition(args.d, model.alphabet, args.seed)
         table = partitions.Phi0Table(
-            basis, partitions.ModelMember(model, members[0]), part)
+            basis, partitions.ModelMember(model, member), part)
         prep = crossed.build_phi0(table, delta, precheck=False)
         res = crossed.build_phi(table, delta)
         letters = [res.candidate.phi[i].to_text()

@@ -453,8 +453,7 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
     model = basis.model
     d = table.d
     V = set(range(1, d + 1))
-    for i in range(len(model.psis)):
-        _, _, residual = table.residual(i)
+    for _, residual in table.residuals:
         V -= {x for x, r in enumerate(residual, start=1) if r}
     a_psis = table.a_psis
     cylinders = [model.cylinder(psi) for psi in model.psis]

@@ -679,8 +679,9 @@ class Phi0Table:
     its image-side cylinder and extends linearly over the span basis;
     each distinct span subset is evaluated once, on integers:
     ``numerators`` gives phi0 of a subset as integer numerators over one
-    denominator, and ``value_vector`` as Fractions.  ``residual`` gives
-    psi its residual 1_{A_psi} - phi0(cyl psi).
+    denominator, and ``value_vector`` as Fractions.  ``residuals`` gives
+    every psi its residual 1_{A_psi} - phi0(cyl psi), computed once on
+    first read for the c3 sweep and ``crossed.build_phi``.
     """
 
     def __init__(self, basis: SpanBasis, member: ModelMember,
@@ -728,14 +729,17 @@ class Phi0Table:
         den, nums = self.numerators(subset)
         return tuple(Fraction(n, den) for n in nums)
 
-    def residual(self, i: int) -> tuple:
-        """(A_psi, D, r) for psi number i: the residual
+    @cached_property
+    def residuals(self) -> tuple:
+        """(D, r) for each psi in order: the residual
         1_{A_psi} - phi0(cyl psi) on {1..d} is r / D, r integers."""
         model = self.basis.model
-        a_psi = self.a_psis[i]
-        den, nums = self.numerators(model.cylinder(model.psis[i]))
-        return a_psi, den, tuple((x in a_psi) * den - n
-                                 for x, n in enumerate(nums, start=1))
+        out = []
+        for psi, a_psi in zip(model.psis, self.a_psis):
+            den, nums = self.numerators(model.cylinder(psi))
+            out.append((den, tuple((x in a_psi) * den - n
+                                   for x, n in enumerate(nums, start=1))))
+        return tuple(out)
 
 
 def verify_lemma_c3_sweep(table: Phi0Table, delta,
@@ -750,10 +754,8 @@ def verify_lemma_c3_sweep(table: Phi0Table, delta,
     model = table.basis.model
     if precheck:
         model.context.check_hypothesis(table.sigma, delta)
-    norms = []
-    for i in range(len(model.psis)):
-        _, den, res = table.residual(i)
-        norms.append(Fraction(sum(r * r for r in res), den * den * table.d))
+    norms = [Fraction(sum(r * r for r in res), den * den * table.d)
+             for den, res in table.residuals]
     worst = max(norms)
     bound_sq = table.basis.constants.c3 ** 2 * delta
     return BoundReport(bound_sq, worst, f"psi={model.psis[norms.index(worst)]}",

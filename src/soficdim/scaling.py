@@ -14,6 +14,11 @@ travel both ways:
   set of the image of p, adjusted to exactly floor(h(p) d) points, and
   is verified at 20 delta / h(p).
 
+The datum fixes the generating sets both steps use: F_corner is the
+corner identity and the mover domain projections, and F_ambient is
+F_corner pushed into the ambient joined with the movers.  It works
+them out once and builds each radius-n source over them once.
+
 The closed identity s(ambient) - 1 = h(p) (s(corner) - 1) is exposed
 as exact arithmetic in both directions.
 """
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import pperm, sofic
 from .groupoid import (
@@ -50,8 +56,13 @@ class CornerData:
     """Ambient groupoid, unit projection of mass (N-k)/N, and the k movers.
 
     Conditions validated exactly: dom(s_i) inside p with mass 1/N, and
-    the ranges of the s_i tile the complement of p.  ``source`` builds
-    each membership source over the ambient or the corner once.
+    the ranges of the s_i tile the complement of p.  The datum derives,
+    each on first use and then kept: ``dom_projections``, the mover
+    domains as corner projections; ``F_corner``, the corner identity
+    followed by those domains; ``F_ambient``, F_corner embedded in the
+    ambient followed by the movers (so it holds the image of p); and,
+    through ``corner_source(n)`` and ``ambient_source(n)``, the radius-n
+    membership source over each set.
     """
 
     ambient: FiniteGroupoid
@@ -73,21 +84,37 @@ class CornerData:
     def p_ambient(self) -> PartialBisection:
         return projection_bisection(self.ambient, self.p_units)
 
-    def source(self, g: FiniteGroupoid, F, n: int) -> GroupoidSource:
-        """The radius-n source over F of ``g``, the ambient or the corner
-        groupoid, built on first use."""
-        key = (g is self.ambient, tuple(F), n)
+    @cached_property
+    def dom_projections(self) -> tuple:
+        """dom(s_i) = s_i^-1 s_i of each mover, as corner projections."""
+        return tuple(self.embedding.pull_back_bisection(b_compose(b_inverse(s), s))
+                     for s in self.S)
+
+    @cached_property
+    def F_corner(self) -> tuple:
+        """The corner identity, then each distinct mover domain projection."""
+        return tuple(dict.fromkeys(
+            (full_identity(self.corner),) + self.dom_projections))
+
+    @cached_property
+    def F_ambient(self) -> tuple:
+        """F_corner embedded in the ambient, then each mover not yet in it."""
+        return tuple(dict.fromkeys(
+            [self.embedding.embed_bisection(f) for f in self.F_corner] + list(self.S)))
+
+    def corner_source(self, n: int) -> GroupoidSource:
+        """The radius-n source over F_corner, built on first use."""
+        return self._source(self.corner, self.F_corner, n)
+
+    def ambient_source(self, n: int) -> GroupoidSource:
+        """The radius-n source over F_ambient, built on first use."""
+        return self._source(self.ambient, self.F_ambient, n)
+
+    def _source(self, g: FiniteGroupoid, F, n: int) -> GroupoidSource:
+        key = (g is self.ambient, n)
         if key not in self.sources:
             self.sources[key] = GroupoidSource(g, F, n)
         return self.sources[key]
-
-    def dom_projections_corner(self):
-        """dom(s_i) s_i^-1 s_i as corner projections."""
-        out = []
-        for s in self.S:
-            dom = b_compose(b_inverse(s), s)
-            out.append(self.embedding.pull_back_bisection(dom))
-        return out
 
 
 def make_corner_data(g: FiniteGroupoid, p_units, S) -> CornerData:
@@ -147,33 +174,8 @@ def standard_corner(g: FiniteGroupoid, p_units) -> CornerData:
     return make_corner_data(g, p_units, S)
 
 
-def corner_generating_set(cd: CornerData):
-    """A corner generating set containing the corner identity and every
-    mover domain projection, as the constructions require."""
-    corner_g = cd.corner
-    out = [full_identity(corner_g)]
-    for p in cd.dom_projections_corner():
-        if p not in out:
-            out.append(p)
-    return out
-
-
-def ambient_generating_set(cd: CornerData, F_corner):
-    """The corner set pushed into the ambient groupoid, joined with the movers."""
-    out = []
-    for f in F_corner:
-        amb = cd.embedding.embed_bisection(f)
-        if amb not in out:
-            out.append(amb)
-    for s in cd.S:
-        if s not in out:
-            out.append(s)
-    return out
-
-
-def expansion_delta(cd: CornerData, F_corner, n: int, delta) -> Fraction:
-    size = len(ambient_generating_set(cd, F_corner))
-    N = cd.N
+def expansion_delta(cd: CornerData, n: int, delta) -> Fraction:
+    size, N = len(cd.F_ambient), cd.N
     return (5 * N ** 2 + 150 * N ** 2 * (2 * size + 1) ** (2 * (2 * n + 5))) \
         * Fraction(delta)
 
@@ -189,13 +191,12 @@ class ExpandResult:
     gammas: tuple  # the block bijections as partial permutations
 
 
-def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
+def expand_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
                  delta, seed: int = 0) -> ExpandResult:
     """Dilate a corner candidate to the ambient groupoid and verify it.
 
-    The corner candidate must cover the radius 4n+5 ball over F_corner
-    (which must contain the corner identity and the mover domain
-    projections) and be a member there at delta; the degree d must be
+    The corner candidate must cover the radius 4n+5 ball over the
+    datum's F_corner and be a member there at delta; the degree d must be
     divisible by N-k.  New blocks A_1..A_k are glued to A_0 = {1..d}
     through bijections gamma_i from near-fixed sets B_i, each onto its
     block in an order shuffled by ``seed``.
@@ -205,14 +206,7 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
     N, k = cd.N, cd.k
     if (N - k) == 0 or d % (N - k):
         raise ValueError(f"degree {d} is not divisible by N-k = {N - k}")
-    corner_g = cd.corner
-    ident_c = full_identity(corner_g)
-    if ident_c not in F_corner:
-        raise ValueError("F_corner must contain the corner identity")
-    dom_projections = cd.dom_projections_corner()
-    if any(p not in F_corner for p in dom_projections):
-        raise ValueError("F_corner must contain every mover domain projection")
-    corner_src = cd.source(corner_g, F_corner, 4 * n + 5)
+    corner_src = cd.corner_source(4 * n + 5)
     rep = sofic.verify_membership(sigma, SAParams(corner_src, delta, d))
     if not rep.is_member:
         raise ValueError(
@@ -230,7 +224,7 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
     # near-fixed sets B_i from the images of the domain projections
     gammas = [PartialPermutation.projection(d_prime, range(1, d + 1))]
     rng = SplitMix64(seed)
-    for i, dom_proj in enumerate(dom_projections, start=1):
+    for i, dom_proj in enumerate(cd.dom_projections, start=1):
         fix = [x for x in range(1, d + 1)
                if sigma.images[corner_src.position[dom_proj]].images[x - 1] == x]
         if len(fix) >= block:
@@ -250,15 +244,13 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
         gammas.append(PartialPermutation(d_prime, images))
 
     # projections r_0 = p, r_i = ran(s_i) cutting the ambient into blocks
-    g = cd.ambient
     cut = [cd.p_ambient()]
     for s in cd.S:
         cut.append(b_compose(s, b_inverse(s)))
     movers = [cd.p_ambient()] + list(cd.S)
 
-    F_amb = ambient_generating_set(cd, F_corner)
-    amb_src = cd.source(g, F_amb, n)
-    delta_prime = expansion_delta(cd, F_corner, n, delta)
+    amb_src = cd.ambient_source(n)
+    delta_prime = expansion_delta(cd, n, delta)
     amb_params = SAParams(amb_src, delta_prime, d_prime)
 
     def corner_image(f_amb: PartialBisection) -> PartialPermutation:
@@ -300,12 +292,12 @@ class RestrictResult:
     p_distance: Fraction  # |sigma(p) - p_B|
 
 
-def restrict_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
+def restrict_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
                    delta) -> RestrictResult:
     """Cut an ambient candidate down to the corner and verify it.
 
-    The candidate must cover the radius n+4 ball over the ambient set
-    (corner set plus movers) and be a member there at delta, with
+    The candidate must cover the radius n+4 ball over the datum's
+    F_ambient and be a member there at delta, with
     d' = floor(h(p) d) > 1/delta.  The base set B starts from the fixed
     points of the image of p and is extended by the smallest absent
     indices or shrunk by its smallest members to exactly d' points.
@@ -316,19 +308,14 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
     d_prime = int(h_p * d)
     if d_prime * delta <= 1:
         raise ValueError(f"d' = {d_prime} must exceed 1/delta = {1 / delta}")
-    g = cd.ambient
-    F_amb = ambient_generating_set(cd, F_corner)
-    amb_src = cd.source(g, F_amb, n + 4)
+    amb_src = cd.ambient_source(n + 4)
     rep = sofic.verify_membership(sigma, SAParams(amb_src, delta, d))
     if not rep.is_member:
         raise ValueError(
             f"ambient candidate is not a member at radius {n + 4}: "
             f"mult gap {rep.mult_gap}, trace gap {rep.trace_gap}")
 
-    p_amb = cd.p_ambient()
-    if p_amb not in amb_src.position:
-        raise ValueError("the image of p is not covered by the candidate")
-    sig_p = sigma.images[amb_src.position[p_amb]]
+    sig_p = sigma.images[amb_src.position[cd.p_ambient()]]
     b0 = [x for x in range(1, d + 1) if sig_p.images[x - 1] == x]
     if len(b0) >= d_prime:
         B = sorted(b0)[len(b0) - d_prime:]  # shrink by removing smallest
@@ -338,7 +325,7 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, F_corner, n: int,
     p_b = PartialPermutation.projection(d, B)
     p_distance = pperm.uniform_distance(sig_p, p_b)
 
-    corner_src = cd.source(cd.corner, F_corner, n)
+    corner_src = cd.corner_source(n)
     delta_prime = 20 * delta / h_p
     corner_params = SAParams(corner_src, delta_prime, d_prime)
 

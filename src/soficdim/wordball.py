@@ -294,14 +294,6 @@ def product_triples(elements, index, product) -> tuple:
     return tuple(triples)
 
 
-def reduce_product(system: GeneratingSystem, u: Word, v: Word) -> Word:
-    return system.reduce_product(u, v)
-
-
-def tau_word(system: GeneratingSystem, w: Word) -> Fraction:
-    return system.tau_word(w)
-
-
 # -- descriptors and table files ----------------------------------------------
 
 _DESC_RE = re.compile(r"^\s*(z|zmod|freeprod|table)\s*(\((.*)\))?\s*$", re.S)

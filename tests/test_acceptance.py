@@ -34,7 +34,6 @@ from soficdim.partitions import (
 from soficdim.pperm import PartialPermutation
 from soficdim.rng import SplitMix64
 from soficdim.scaling import (
-    corner_generating_set,
     expand_sigma,
     restrict_sigma,
     standard_corner,
@@ -198,8 +197,7 @@ def test_criterion_8_scaling_round_trip():
     with Timer(120):
         g = transitive_groupoid(2)
         cd = standard_corner(g, [0])
-        F = corner_generating_set(cd)
-        src = GroupoidSource(cd.corner, F, 25)
+        src = GroupoidSource(cd.corner, cd.F_corner, 25)
         delta = Fraction(1, 10)
         d = 24
         base_rng = SplitMix64(812)
@@ -212,13 +210,13 @@ def test_criterion_8_scaling_round_trip():
                       else PartialPermutation.empty(d)
                       for b in src.ball_elements]
             sigma = SoficCandidate(d, images)
-            res = expand_sigma(sigma, cd, F, n=5, delta=delta, seed=i)
+            res = expand_sigma(sigma, cd, n=5, delta=delta, seed=i)
             assert res.report.is_member  # at delta' by construction of params
-            rr = restrict_sigma(res.candidate, cd, F, n=1, delta=delta)
+            rr = restrict_sigma(res.candidate, cd, n=1, delta=delta)
             assert rr.report.is_member
             assert rr.delta_prime == 20 * delta / cd.h_p
             pos0 = {b: j for j, b in enumerate(src.ball_elements)}
-            small = GroupoidSource(cd.corner, F, 1)
+            small = GroupoidSource(cd.corner, cd.F_corner, 1)
             worst = max(pperm.uniform_distance(sigma.images[pos0[b]],
                                                rr.candidate.images[j])
                         for j, b in enumerate(small.ball_elements))

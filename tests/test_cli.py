@@ -649,6 +649,28 @@ class TestConstruct:
         assert doc["phi"]["certificate"]["is_member"]
         assert doc["phi"]["v_fraction"] == 1.0
 
+    def test_phi_draws_one_member(self, capsys, monkeypatch):
+        # r2 at d = 4, delta = 1/10 has 3 members; phi reads the first
+        drawn = []
+        enumerate_members = sofic.iter_SA_members
+
+        def counted(*args, **kwargs):
+            for m in enumerate_members(*args, **kwargs):
+                drawn.append(m)
+                yield m
+
+        monkeypatch.setattr(sofic, "iter_SA_members", counted)
+        code, out, _ = run(capsys, "construct", "--what", "phi",
+                           "--d", "4", "--delta", "1/10")
+        assert code == 0 and json.loads(out)["phi"]["certificate"]["is_member"]
+        assert len(drawn) == 1
+
+    def test_phi_without_members_refused(self, capsys):
+        code, out, err = run(capsys, "construct", "--what", "phi",
+                             "--d", "3", "--delta", "1/10")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "no members at d=3, delta=1/10"}
+
 
 class TestDeterminism:
     def test_count_reruns_byte_identical(self, capsys):

@@ -702,11 +702,31 @@ def test_each_subset_evaluated_once_per_table(monkeypatch, r2):
     verify_lemma_c3_sweep(table, delta, precheck=False)
     build_phi0(table, delta, precheck=False)
     build_phi(table, delta)
-    for i in range(len(model.psis)):
-        table.residual(i)
+    assert len(table.residuals) == len(model.psis)
     for subset in model.universe.elements:
         table.value_vector(subset)
     assert calls and max(calls.values()) == 1
+
+
+def test_residuals_are_computed_once_per_table(r2):
+    # c3 computes the residuals and build_phi reads the same tuple; each
+    # is 1_{A_psi} - phi0(cyl psi) over {1..d}
+    _, _, ctx, model, basis = r2
+    delta = Fraction(1, 3)
+    nonzero = 0
+    for sigma in list(iter_SA_members(ctx.hypothesis_params(delta, 4)))[::50]:
+        table = Phi0Table(basis, ModelMember(model, sigma),
+                          random_partition(4, FAIR, 5))
+        verify_lemma_c3_sweep(table, delta, precheck=False)
+        first = vars(table)["residuals"]
+        build_phi(table, delta)
+        assert table.residuals is first and len(first) == len(model.psis)
+        for (den, res), psi, a_psi in zip(first, model.psis, table.a_psis):
+            phi0 = table.value_vector(model.cylinder(psi))
+            assert [Fraction(r, den) for r in res] == [
+                (x in a_psi) - v for x, v in enumerate(phi0, start=1)]
+            nonzero += any(res)
+    assert nonzero
 
 
 # -- the tuple sweeps against the object-level oracles ---------------------------

@@ -337,8 +337,8 @@ class TestBoundChecks:
         table = Phi0Table(basis, ModelMember(model, members[0]),
                           random_partition(4, FAIR, seed=0))
         for i in basis.basis_psi_indices:
-            a_psi, den, res = table.residual(i)
-            assert a_psi == table.a_psis[i] and not any(res)
+            _, res = table.residuals[i]
+            assert not any(res)
 
     @pytest.mark.parametrize("delta,stride",
                              [(Fraction(1, 10), 1), (Fraction(1, 3), 50)])
@@ -352,10 +352,8 @@ class TestBoundChecks:
             for seed in range(5):
                 table = Phi0Table(basis, ModelMember(model, m),
                                   random_partition(4, FAIR, seed))
-                norms = []
-                for i in range(len(model.psis)):
-                    _, den, res = table.residual(i)
-                    norms.append(Fraction(sum(r * r for r in res), den * den * 4))
+                norms = [Fraction(sum(r * r for r in res), den * den * 4)
+                         for den, res in table.residuals]
                 first = max(range(len(norms)), key=norms.__getitem__)
                 rep = verify_lemma_c3_sweep(table, delta, precheck=False)
                 assert rep.worst == norms[first]

@@ -14,8 +14,6 @@ from soficdim.pperm import PartialPermutation
 from soficdim.rng import SplitMix64
 from soficdim.scaling import (
     CornerDataError,
-    ambient_generating_set,
-    corner_generating_set,
     expand_sigma,
     expansion_delta,
     make_corner_data,
@@ -35,12 +33,19 @@ def r2_corner():
 def corner_projection_candidate(cd, d, missing=()):
     """Trivial-corner candidate: every nonempty ball element maps to the
     projection keeping all points except ``missing``."""
-    F = corner_generating_set(cd)
-    src = GroupoidSource(cd.corner, F, 25)
+    src = GroupoidSource(cd.corner, cd.F_corner, 25)
     keep = sorted(set(range(1, d + 1)) - set(missing))
     images = [PartialPermutation.projection(d, keep) if b.arrows
               else PartialPermutation.empty(d) for b in src.ball_elements]
-    return SoficCandidate(d, images), F, src
+    return SoficCandidate(d, images), src
+
+
+CORNERS = {
+    "r2-p0": lambda: standard_corner(transitive_groupoid(2), [0]),
+    "r3-p0": lambda: standard_corner(transitive_groupoid(3), [0]),
+    "r4-p01": lambda: standard_corner(transitive_groupoid(4), [0, 1]),
+    "r2-k0": lambda: make_corner_data(transitive_groupoid(2), [0, 1], []),
+}
 
 
 class TestCornerData:
@@ -59,6 +64,29 @@ class TestCornerData:
         cd = make_corner_data(g, [0, 1], [])
         assert cd.k == 0 and cd.h_p == 1
 
+    @pytest.mark.parametrize("make", CORNERS.values(), ids=CORNERS)
+    def test_generating_sets_hold_what_the_steps_read(self, make):
+        # expand reads the corner identity and each mover domain in the
+        # corner ball, restrict reads p in the ambient ball
+        cd = make()
+        assert cd.F_corner[0] == full_identity(cd.corner)
+        assert all(p in cd.F_corner for p in cd.dom_projections)
+        assert len(cd.dom_projections) == cd.k
+        assert len(set(cd.F_corner)) == len(cd.F_corner)
+        embedded = tuple(cd.embedding.embed_bisection(f) for f in cd.F_corner)
+        assert cd.F_ambient == embedded + cd.S
+        assert cd.p_ambient() in cd.F_ambient
+        assert cd.p_ambient() in cd.ambient_source(1).position
+        assert cd.F_corner is cd.F_corner and cd.F_ambient is cd.F_ambient
+
+    def test_sources_are_built_once_over_the_datum_sets(self):
+        cd = r2_corner()
+        corner, ambient = cd.corner_source(2), cd.ambient_source(2)
+        assert (corner.groupoid, corner.F) == (cd.corner, cd.F_corner)
+        assert (ambient.groupoid, ambient.F) == (cd.ambient, cd.F_ambient)
+        assert cd.corner_source(2) is corner and cd.ambient_source(2) is ambient
+        assert cd.corner_source(1) is not corner
+
     def test_bad_movers_rejected(self):
         g = transitive_groupoid(2)
         swap = PartialBisection(g, frozenset(a for a in range(4)
@@ -71,13 +99,12 @@ class TestExpand:
     def test_degenerate_corner_is_identity(self):
         g = transitive_groupoid(2)
         cd = make_corner_data(g, [0, 1], [])
-        F = corner_generating_set(cd)
-        src = GroupoidSource(cd.corner, F, 25)
+        src = GroupoidSource(cd.corner, cd.F_corner, 25)
         d = 6
         images = [PartialPermutation.projection(d, range(1, d + 1)) if b.arrows
                   else PartialPermutation.empty(d) for b in src.ball_elements]
         sigma = SoficCandidate(d, images)
-        res = expand_sigma(sigma, cd, F, n=1, delta=Fraction(1, 10))
+        res = expand_sigma(sigma, cd, n=1, delta=Fraction(1, 10))
         assert res.d_prime == d
         assert res.report.is_member
         # with p = 1 the dilation changes nothing
@@ -88,8 +115,8 @@ class TestExpand:
     def test_r2_expansion_verifies(self):
         cd = r2_corner()
         d = 12
-        sigma, F, _ = corner_projection_candidate(cd, d, missing=(5,))
-        res = expand_sigma(sigma, cd, F, n=1, delta=Fraction(1, 10))
+        sigma, _ = corner_projection_candidate(cd, d, missing=(5,))
+        res = expand_sigma(sigma, cd, n=1, delta=Fraction(1, 10))
         assert res.d_prime == 2 * d
         assert res.report.is_member
         assert res.report.mult_gap < res.delta_prime
@@ -100,24 +127,22 @@ class TestExpand:
     def test_divisibility_enforced(self):
         g = transitive_groupoid(3)
         cd = standard_corner(g, [0])
-        F = corner_generating_set(cd)
-        src = GroupoidSource(cd.corner, F, 25)
+        src = GroupoidSource(cd.corner, cd.F_corner, 25)
         images = [PartialPermutation.identity(5) for _ in src.ball_elements]
         sigma = SoficCandidate(5, images)
         # N - k = 1 divides everything; shrink the corner to force failure
         cd2 = standard_corner(transitive_groupoid(4), [0, 1])
-        F2 = corner_generating_set(cd2)
-        src2 = GroupoidSource(cd2.corner, F2, 25)
+        src2 = GroupoidSource(cd2.corner, cd2.F_corner, 25)
         imgs = [PartialPermutation.identity(5) if b.arrows
                 else PartialPermutation.empty(5) for b in src2.ball_elements]
         with pytest.raises(ValueError):
-            expand_sigma(SoficCandidate(5, imgs), cd2, F2, 1, Fraction(1, 10))
+            expand_sigma(SoficCandidate(5, imgs), cd2, 1, Fraction(1, 10))
 
     def test_distinct_gammas_give_distinct_candidates(self):
         cd = r2_corner()
         d = 8
-        sigma, F, _ = corner_projection_candidate(cd, d)
-        one, other = (expand_sigma(sigma, cd, F, n=1, delta=Fraction(1, 10), seed=seed)
+        sigma, _ = corner_projection_candidate(cd, d)
+        one, other = (expand_sigma(sigma, cd, n=1, delta=Fraction(1, 10), seed=seed)
                       for seed in (0, 12))
         assert one.gammas != other.gammas
         assert one.candidate.images != other.candidate.images
@@ -128,15 +153,14 @@ class TestExpand:
         # the half corner of the 4-point relation has genuine collisions
         g4 = transitive_groupoid(4)
         cd = standard_corner(g4, [0, 1])
-        F = corner_generating_set(cd)
         from soficdim.sofic import block_candidate
-        src = GroupoidSource(cd.corner, F, 4 * 1 + 5)
+        src = GroupoidSource(cd.corner, cd.F_corner, 4 * 1 + 5)
         d = 6
         sigma = block_candidate(src, d)
-        res = expand_sigma(sigma, cd, F, n=1, delta=Fraction(1, 4))
+        res = expand_sigma(sigma, cd, n=1, delta=Fraction(1, 4))
         assert res.report.is_member
         movers = [cd.p_ambient()] + list(cd.S)
-        doms = [full_identity(cd.corner)] + cd.dom_projections_corner()
+        doms = [full_identity(cd.corner), *cd.dom_projections]
         pos = {b: i for i, b in enumerate(src.ball_elements)}
         d_prime = res.d_prime
         collisions = 0
@@ -160,52 +184,45 @@ class TestExpand:
 
     def test_expansion_delta_formula(self):
         cd = r2_corner()
-        F = corner_generating_set(cd)
-        size = len(ambient_generating_set(cd, F))
+        size = len(cd.F_ambient)
         n = 1
         expected = (5 * 4 + 150 * 4 * (2 * size + 1) ** (2 * (2 * n + 5))) \
             * Fraction(1, 10)
-        assert expansion_delta(cd, F, n, Fraction(1, 10)) == expected
+        assert expansion_delta(cd, n, Fraction(1, 10)) == expected
 
 
 class TestRestrict:
     def test_exact_block_candidate_restricts_exactly(self):
         cd = r2_corner()
-        g = cd.ambient
-        F = corner_generating_set(cd)
-        F_amb = ambient_generating_set(cd, F)
-        src = GroupoidSource(g, F_amb, 5)
+        src = GroupoidSource(cd.ambient, cd.F_ambient, 5)
         from soficdim.sofic import block_candidate
         d = 10
         sigma = block_candidate(src, d)
-        rr = restrict_sigma(sigma, cd, F, n=1, delta=Fraction(1, 4))
+        rr = restrict_sigma(sigma, cd, n=1, delta=Fraction(1, 4))
         assert rr.report.is_member
         assert rr.report.mult_gap == 0 and rr.report.trace_gap == 0
         assert rr.d_prime == 5
 
     def test_largeness_condition(self):
         cd = r2_corner()
-        g = cd.ambient
-        F = corner_generating_set(cd)
-        F_amb = ambient_generating_set(cd, F)
-        src = GroupoidSource(g, F_amb, 5)
+        src = GroupoidSource(cd.ambient, cd.F_ambient, 5)
         from soficdim.sofic import block_candidate
         sigma = block_candidate(src, 4)
         with pytest.raises(ValueError):
-            restrict_sigma(sigma, cd, F, n=1, delta=Fraction(1, 10))
+            restrict_sigma(sigma, cd, n=1, delta=Fraction(1, 10))
 
     def test_round_trip_recovers_near_exact_input(self):
         cd = r2_corner()
         d = 20
         delta = Fraction(1, 10)
-        sigma, F, src = corner_projection_candidate(cd, d, missing=(3,))
-        res = expand_sigma(sigma, cd, F, n=5, delta=delta)
+        sigma, src = corner_projection_candidate(cd, d, missing=(3,))
+        res = expand_sigma(sigma, cd, n=5, delta=delta)
         assert res.report.is_member
-        rr = restrict_sigma(res.candidate, cd, F, n=1, delta=delta)
+        rr = restrict_sigma(res.candidate, cd, n=1, delta=delta)
         assert rr.report.is_member
         assert rr.delta_prime == 20 * delta / cd.h_p
         pos0 = {b: i for i, b in enumerate(src.ball_elements)}
-        small = GroupoidSource(cd.corner, F, 1)
+        small = GroupoidSource(cd.corner, cd.F_corner, 1)
         worst = max(pperm.uniform_distance(sigma.images[pos0[b]],
                                            rr.candidate.images[i])
                     for i, b in enumerate(small.ball_elements))
@@ -216,7 +233,7 @@ class TestRestrict:
     def test_round_trips_share_their_sources(self, monkeypatch):
         cd = r2_corner()
         delta = Fraction(1, 10)
-        sigma, F, src = corner_projection_candidate(cd, 20, missing=(3,))
+        sigma, src = corner_projection_candidate(cd, 20, missing=(3,))
         builds = []
         init = GroupoidSource.__init__
 
@@ -227,17 +244,17 @@ class TestRestrict:
         monkeypatch.setattr(GroupoidSource, "__init__", counted)
         results = []
         for seed in range(3):
-            res = expand_sigma(sigma, cd, F, n=5, delta=delta, seed=seed)
-            rr = restrict_sigma(res.candidate, cd, F, n=1, delta=delta)
+            res = expand_sigma(sigma, cd, n=5, delta=delta, seed=seed)
+            rr = restrict_sigma(res.candidate, cd, n=1, delta=delta)
             results.append((res.report, rr.report, rr.candidate))
         # corner at 4n+5 = 25, ambient at 5 (both steps), corner at 1
         assert sorted(builds) == [(False, 1), (False, 25), (True, 5)]
-        assert cd.source(cd.corner, F, 25).ball_elements == src.ball_elements
+        assert cd.corner_source(25).ball_elements == src.ball_elements
         for seed, want in enumerate(results):  # each on a datum of its own
             fresh = r2_corner()
-            sigma, F, _ = corner_projection_candidate(fresh, 20, missing=(3,))
-            res = expand_sigma(sigma, fresh, F, n=5, delta=delta, seed=seed)
-            rr = restrict_sigma(res.candidate, fresh, F, n=1, delta=delta)
+            sigma, _ = corner_projection_candidate(fresh, 20, missing=(3,))
+            res = expand_sigma(sigma, fresh, n=5, delta=delta, seed=seed)
+            rr = restrict_sigma(res.candidate, fresh, n=1, delta=delta)
             assert (res.report, rr.report, rr.candidate) == want
 
 
