@@ -49,6 +49,13 @@ def parse_fraction(text: str) -> Fraction:
         raise CliError(f"bad rational {text!r}: {exc}") from exc
 
 
+def parse_tolerance(text: str) -> Fraction:
+    delta = parse_fraction(text)
+    if delta <= 0:
+        raise CliError("delta must be positive")
+    return delta
+
+
 def parse_drange(text: str) -> list[int]:
     """Degree lists: ``4``, ``2..6``, ``2..10..2``, ``6..2..-2`` or
     ``50,100,200``; a range includes its end whichever way it steps."""
@@ -274,17 +281,23 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
     disjoint pair, lin146 without c1 is refused for its pairs and every
     other run for its members.
 
-    The tabled suites check one ``Phi0Table`` per member and drawn
-    partition.  A table and every report built from it read the
-    partition only through ``block_of``, and at small d the seeded
-    draws repeat, so each member is checked once per distinct
-    ``block_of``, the first of its draws in seed order.  The output is
-    what checking every draw gives: a repeat's reports equal its first
-    copy's, the worst c2/c3 report is the first largest, the pass flags
-    and the worst gap do not change under a second copy, and a
-    ``HypothesisError`` is raised at the first copy.  ``instances``
-    still counts every drawn partition, and lin146's ``pairs`` every
-    disjoint pair of each.
+    The tabled suites check one ``Phi0Table`` per relabeling orbit of
+    (member, drawn partition).  A table reads the pair only through the
+    member's images on the model ball and the partition's ``block_of``,
+    and every report built from it is a count or a sum over the points
+    1..d whose witness names a psi, a projection, a pair, a letter or a
+    ball index, never a point.  So two pairs that a permutation of the
+    points carries onto each other give the same reports, and the pairs
+    are visited member by member, draws in seed order, with a table
+    built only for the first pair of each orbit
+    (``ModelMember.relabeling_key``); repeated draws fall in one orbit.
+    The output is what checking every pair gives: a later pair's reports
+    equal its orbit's first, the worst c2/c3 report is the first largest,
+    the pass flags and the worst gap do not change under a second copy,
+    and a ``HypothesisError``, whose text may name a point, is raised at
+    the first pair of its orbit, where checking every pair raises it.
+    ``instances`` still counts every drawn partition of every member, and
+    lin146's ``pairs`` every disjoint pair of each.
     """
     tabled = {"c2", "c3", "ha", "lin146"} & set(suites)
     if n_partitions < 1 and tabled:
@@ -312,18 +325,21 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
         if "lin146" in suites and not params.universe.sum_pairs:
             raise CliError(f"--alphabet {alphabet_size}: the projection universe "
                            "holds no disjoint pair for lin146 to check")
-        distinct = {}  # block_of -> its first draw
-        for i in range(n_partitions):
-            part = partitions.random_partition(d, model.alphabet, seed + i)
-            distinct.setdefault(part.block_of, part)
+        draws = [partitions.random_partition(d, model.alphabet, seed + i)
+                 for i in range(n_partitions)]
         members = members or list(hypothesis_members(ctx, delta, d))
         checked = len(members) * n_partitions
         c2, c3 = [], []
         ha_pass = lin_pass = True
         worst_gap = -1.0
+        orbits = set()
         for m in members:
             member = partitions.ModelMember(model, m)
-            for part in distinct.values():
+            for part in draws:
+                key = member.relabeling_key(part.block_of)
+                if key in orbits:
+                    continue
+                orbits.add(key)
                 table = partitions.Phi0Table(basis, member, part)
                 if "c2" in suites:
                     c2.append(partitions.verify_lemma_c2(table, delta, precheck=False))
@@ -354,17 +370,26 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
     return out
 
 
+def binding_degree(cd: scaling.CornerData, delta: Fraction, d: int) -> int:
+    """The least base degree from d on for a round trip through the datum.
+
+    Expansion needs a degree that N - k divides, and the compression
+    step back, which restricts to the base degree, needs it above
+    1/delta.
+    """
+    base = max(d, int(1 / delta) + 1)
+    if base % (cd.N - cd.k):
+        base += (cd.N - cd.k) - base % (cd.N - cd.k)
+    return base
+
+
 def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
                       instances: int) -> dict:
     cd = scaling.standard_corner(g, [0])
     src = cd.corner_source(4 * 5 + 5)
     all_pass = True
     worst_round = 0.0
-    # the compression step needs floor(h d') > 1/delta; the round trip
-    # restricts back to the base degree, so grow the base accordingly
-    base = max(d, int(1 / delta) + 1)
-    if base % (cd.N - cd.k):
-        base += (cd.N - cd.k) - base % (cd.N - cd.k)
+    base = binding_degree(cd, delta, d)
     for i in range(instances):
         rng = SplitMix64(seed).spawn(i)
         # at most base points to drop, whatever delta
@@ -398,9 +423,7 @@ def cmd_verify(args) -> int:
     for s in suites:
         if s not in ALL_SUITES:
             raise CliError(f"unknown suite {s!r}")
-    delta = parse_fraction(args.delta)
-    if delta <= 0:
-        raise CliError("delta must be positive")
+    delta = parse_tolerance(args.delta)
     results = run_suites(g, suites, args.d, delta, args.seed, args.n,
                          args.partitions, args.alphabet, args.instances)
     all_pass = all(v.get("passed", False) for v in results.values())
@@ -422,12 +445,14 @@ def cmd_verify(args) -> int:
 
 def cmd_construct(args) -> int:
     from .groupoid import transitive_groupoid
-    delta = parse_fraction(args.delta)
+    delta = parse_tolerance(args.delta)
     g = transitive_groupoid(2)
+    cd = scaling.standard_corner(g, [0])
+    if args.d is None:
+        args.d = binding_degree(cd, delta, 1) if args.what == "restrict" else 8
     doc = {"tool": "soficdim construct", "what": args.what, "seed": args.seed,
            "config": json.loads(config_echo(args, ("what", "d", "delta")))}
     if args.what in ("expand", "restrict"):
-        cd = scaling.standard_corner(g, [0])
         src = cd.corner_source(25)
         images = [PartialPermutation.identity(args.d) if b.arrows
                   else PartialPermutation.empty(args.d) for b in src.ball_elements]
@@ -524,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="construction demos with certificates")
     p.add_argument("--what", choices=("expand", "restrict", "phi"), required=True)
-    p.add_argument("--d", type=int, default=8)
+    p.add_argument("--d", type=int, default=None,
+                   help="degree; default 8, and for restrict the least that binds")
     p.add_argument("--delta", default="1/10")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")

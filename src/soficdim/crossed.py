@@ -12,9 +12,10 @@ of {1..d}: the linear map phi0 sends each basis cylinder projection to
 the indicator of its image-side cylinder and extends linearly.  The
 caller builds one partitions.ModelMember per sigma, which aligns sigma
 to the model ball and checks sigma's membership once for all of its
-partitions, and one partitions.Phi0Table per sigma and distinct
-partition (a table reads the partition only through its blocks); the
-c2 and c3 bounds, build_phi0 and build_phi all read that table.
+partitions, and one partitions.Phi0Table per (sigma, partition) that
+it certifies (``verify`` certifies one pair per relabeling orbit of the
+points); the c2 and c3 bounds, build_phi0 and build_phi all read that
+table.
 build_phi0 certifies phi0's four properties against
 
     delta0 = 3 (1/gamma) kappa^2 ell^2 q c3^2 sqrt(delta).

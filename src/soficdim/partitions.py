@@ -19,8 +19,9 @@ and gamma; the basis expands each subset of its span once, by
 eliminating on integers.
 
 One ModelMember per sigma holds what its partitions share: sigma's
-images on the model ball, their padded and inverse image tuples, and
-its membership check.  One Phi0Table per (sigma, partition) is the
+images on the model ball, their padded and inverse image tuples, its
+membership check, and the key of each (sigma, partition) under
+relabeling of the points.  One Phi0Table per (sigma, partition) is the
 whole image side of that pair: it holds the image cylinder A_psi of
 every psi, computed once, and the linear map phi0, which sends each
 basis cylinder to its image-side cylinder.  The cylinder bound reads
@@ -658,6 +659,56 @@ class ModelMember:
         self.images = model.context.align(sigma, model.ball)
         self.pads = tuple((0,) + s.images for s in self.images)
         self.inverses = tuple(_inverse_images(s.images) for s in self.images)
+
+    def relabeling_key(self, block_of) -> tuple:
+        """One key per orbit of (sigma's images on the model ball,
+        ``block_of``) under relabeling of the points 1..d: two pairs get
+        equal keys exactly when some permutation of the points carries
+        one onto the other.
+
+        A root fixes the labeling of its component (``_rootings``), so
+        a rooted code, the letters of the points in label order followed
+        by their shape, determines the pair on that component up to
+        isomorphism.  The key is the sorted tuple of the smallest rooted
+        code of each component.
+        """
+        return tuple(sorted(
+            min((tuple(block_of[x - 1] for x in order), shape)
+                for order, shape in rootings)
+            for rootings in self._rootings))
+
+    @cached_property
+    def _rootings(self) -> tuple:
+        """For each component of the points along the ball maps and their
+        inverses, one (order, shape) per root: order labels the points
+        breadth first from the root, following each ball map forward and
+        then backward in ball order, and shape gives each point in that
+        order the label of its image under each ball map (-1 where
+        undefined)."""
+        steps = [m for s, inv in zip(self.pads, self.inverses)
+                 for m in (s, (0,) + inv)]
+
+        def walk(root):
+            label = {root: 0}
+            order = [root]
+            for x in order:
+                for step in steps:
+                    y = step[x]
+                    if y and y not in label:
+                        label[y] = len(order)
+                        order.append(y)
+            shape = tuple(tuple(label.get(s[x], -1) for s in self.pads)
+                          for x in order)
+            return tuple(order), shape
+
+        out = []
+        seen = set()
+        for x in range(1, self.sigma.degree + 1):
+            if x not in seen:
+                component = walk(x)[0]
+                seen.update(component)
+                out.append(tuple(map(walk, component)))
+        return tuple(out)
 
     @cached_property
     def sigma_report(self) -> sofic.MembershipReport:

@@ -60,9 +60,10 @@ class CornerData:
     each on first use and then kept: ``dom_projections``, the mover
     domains as corner projections; ``F_corner``, the corner identity
     followed by those domains; ``F_ambient``, F_corner embedded in the
-    ambient followed by the movers (so it holds the image of p); and,
+    ambient followed by the movers (so it holds the image of p);
     through ``corner_source(n)`` and ``ambient_source(n)``, the radius-n
-    membership source over each set.
+    membership source over each set; and through ``expansion_plan(n)``,
+    the bisection algebra of an expansion at radius n.
     """
 
     ambient: FiniteGroupoid
@@ -71,7 +72,7 @@ class CornerData:
     N: int
     k: int
     embedding: CornerEmbedding
-    sources: dict = field(default_factory=dict, compare=False, repr=False)
+    derived: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def h_p(self) -> Fraction:
@@ -104,17 +105,45 @@ class CornerData:
 
     def corner_source(self, n: int) -> GroupoidSource:
         """The radius-n source over F_corner, built on first use."""
-        return self._source(self.corner, self.F_corner, n)
+        return self._once(("corner", n),
+                          lambda: GroupoidSource(self.corner, self.F_corner, n))
 
     def ambient_source(self, n: int) -> GroupoidSource:
         """The radius-n source over F_ambient, built on first use."""
-        return self._source(self.ambient, self.F_ambient, n)
+        return self._once(("ambient", n),
+                          lambda: GroupoidSource(self.ambient, self.F_ambient, n))
 
-    def _source(self, g: FiniteGroupoid, F, n: int) -> GroupoidSource:
-        key = (g is self.ambient, n)
-        if key not in self.sources:
-            self.sources[key] = GroupoidSource(g, F, n)
-        return self.sources[key]
+    def expansion_plan(self, n: int) -> tuple:
+        """What ``expand_sigma`` at radius n reads of the datum, built on
+        first use: for each element u of ``ambient_source(n)``, in ball
+        order, one (i, j, f, pos) per nonempty piece r_i u r_j, where
+        r_0 = p and r_i = ran(s_i) cut the ambient into blocks.  f is the
+        piece moved into the corner, m_i^-1 (r_i u r_j) m_j pulled back
+        (m_0 = p, m_i = s_i), and pos its position in
+        ``corner_source(4 n + 5)``, None where that ball misses it."""
+        def build():
+            position = self.corner_source(4 * n + 5).position
+            movers = [self.p_ambient(), *self.S]
+            cut = [b_compose(m, b_inverse(m)) for m in movers]
+            plan = []
+            for u in self.ambient_source(n).ball_elements:
+                pieces = []
+                for i, (r_i, m_i) in enumerate(zip(cut, movers)):
+                    row = b_compose(r_i, u)
+                    for j, (r_j, m_j) in enumerate(zip(cut, movers)):
+                        piece = b_compose(row, r_j)
+                        if piece.arrows:
+                            f = self.embedding.pull_back_bisection(
+                                b_compose(b_compose(b_inverse(m_i), piece), m_j))
+                            pieces.append((i, j, f, position.get(f)))
+                plan.append(tuple(pieces))
+            return tuple(plan)
+        return self._once(("plan", n), build)
+
+    def _once(self, key, build):
+        if key not in self.derived:
+            self.derived[key] = build()
+        return self.derived[key]
 
 
 def make_corner_data(g: FiniteGroupoid, p_units, S) -> CornerData:
@@ -243,39 +272,22 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
             images[x - 1] = y
         gammas.append(PartialPermutation(d_prime, images))
 
-    # projections r_0 = p, r_i = ran(s_i) cutting the ambient into blocks
-    cut = [cd.p_ambient()]
-    for s in cd.S:
-        cut.append(b_compose(s, b_inverse(s)))
-    movers = [cd.p_ambient()] + list(cd.S)
-
     amb_src = cd.ambient_source(n)
     delta_prime = expansion_delta(cd, n, delta)
     amb_params = SAParams(amb_src, delta_prime, d_prime)
+    gamma_inverses = [pperm.inverse(gamma) for gamma in gammas]
 
-    def corner_image(f_amb: PartialBisection) -> PartialPermutation:
-        f_c = cd.embedding.pull_back_bisection(f_amb)
-        pos = corner_src.position.get(f_c)
-        if pos is None:
-            raise ValueError(f"corner element {f_c!r} outside the candidate ball")
-        return pperm.embed(sigma.images[pos], d_prime)
-
-    def expand_element(u: PartialBisection) -> PartialPermutation:
+    def expand_element(pieces) -> PartialPermutation:
         parts = []
-        for i in range(k + 1):
-            row = b_compose(cut[i], u)
-            for j in range(k + 1):
-                piece = b_compose(row, cut[j])
-                if not piece.arrows:
-                    continue
-                f_amb = b_compose(b_compose(b_inverse(movers[i]), piece), movers[j])
-                inner = corner_image(f_amb)
-                part = pperm.compose(gammas[i],
-                                     pperm.compose(inner, pperm.inverse(gammas[j])))
-                parts.append(part)
+        for i, j, f_c, pos in pieces:
+            if pos is None:
+                raise ValueError(f"corner element {f_c!r} outside the candidate ball")
+            inner = pperm.embed(sigma.images[pos], d_prime)
+            parts.append(pperm.compose(gammas[i],
+                                       pperm.compose(inner, gamma_inverses[j])))
         return pperm.orthogonal_sum(parts, degree=d_prime)
 
-    images = [expand_element(u) for u in amb_src.ball_elements]
+    images = [expand_element(pieces) for pieces in cd.expansion_plan(n)]
     cand = SoficCandidate(d_prime, images)
     report = sofic.verify_membership(cand, amb_params)
     return ExpandResult(cand, amb_params, report, delta_prime, d_prime,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from soficdim import cli, crossed, groupoid, partitions, sofic, wordball
+from soficdim import cli, crossed, groupoid, partitions, scaling, sofic, wordball
 from soficdim.cli import main, parse_drange, parse_fraction
 from soficdim.sofic import closed_form_count
 from soficdim.groupoid import transitive_groupoid
@@ -313,7 +313,11 @@ class TestVerify:
         assert code == 0 and json.loads(out)["suites"]["c1"]["passed"]
 
     def test_sigma_checked_once_per_member(self, capsys, monkeypatch, r2_file):
-        # 3 members x 12 partitions: one sigma membership check per member
+        # 3 members x 12 partitions.  The members are the three
+        # fixed-point-free involutions of {1..4}, conjugate to one another,
+        # so every relabeling orbit of (member, partition) has its first
+        # pair at the first member: only it builds tables, and only its
+        # sigma is checked, once
         checked = []
         verify = partitions.verify_membership
 
@@ -325,7 +329,7 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "ha", "--source", r2_file,
                            "--d", "4", "--delta", "1/20", "--partitions", "12")
         assert code == 0 and json.loads(out)["suites"]["ha"]["instances"] == 36
-        assert len(checked) == len(set(checked)) == 3
+        assert len(checked) == len(set(checked)) == 1
 
     def test_c1_needs_no_partitions(self, capsys, r2_file):
         code, out, _ = run(capsys, "verify", "--suite", "c1", "--source",
@@ -392,9 +396,14 @@ class TestVerify:
 
     def test_one_table_per_member_and_partition(self, capsys, monkeypatch,
                                                 tmp_path):
-        # 3 members x 12 drawn partitions, of which 8 are distinct: each
-        # member builds one Phi0Table per distinct partition, which
-        # computes every A_psi once and evaluates 16 distinct subsets
+        # 3 members x 12 drawn partitions, of which 8 are distinct.  The
+        # members are conjugate (the fixed-point-free involutions of
+        # {1..4}), so a pair's orbit under relabeling is fixed by how its
+        # partition colours the two swapped pairs of the first member:
+        # each pair is all 0, all 1 or mixed.  The draws reach 5 of the 6
+        # multisets of two such pair colourings (not "both all 0"), and
+        # one Phi0Table is built per orbit, which computes every A_psi
+        # once and evaluates 16 distinct subsets
         monkeypatch.chdir(tmp_path)
         transitive_groupoid(2).save("r2.gpd")
         tables = []  # the psis of each table's image cylinders
@@ -430,10 +439,10 @@ class TestVerify:
         # recorded when every pair built two tables
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "b346651b6a7708ae11d807a570040f02e744f5e6d8d407728492ffb7e09c76cb")
-        assert len(tables) == 24
+        assert len(tables) == 5
         assert len(tables[0]) == len(set(tables[0])) == 9
         assert all(psis == tables[0] for psis in tables)
-        assert len(expansions) == 24 * 16
+        assert len(expansions) == 5 * 16
         assert json.loads(out)["suites"]["c2"]["instances"] == 36
 
     def test_lemma_constants_once_per_basis(self, capsys, monkeypatch, r2_file):
@@ -616,6 +625,21 @@ def test_distinct_partitions_match_one_table_per_draw(source, d, delta):
     assert oracle.members or d == 3
 
 
+@pytest.mark.parametrize("n_partitions", [5, 16])
+def test_relabeling_orbits_match_one_table_per_draw(n_partitions):
+    # at d = 6 the 15 members of zmod(2) share their tables across
+    # relabeling orbits of (member, partition): run_suites must still
+    # print what a table per member and drawn partition gives
+    g = cli.load_source_groupoid("zmod(2)")
+    delta = Fraction(1, 10)
+    oracle = PerDrawOracle(g, 6, delta)
+    assert len(oracle.members) == 15
+    args = (g, cli.ALL_SUITES, 6, delta, 0, 1, n_partitions, 2, 1)
+    want = cli.run_suites(g, ("c1", "scaling"), *args[2:])
+    want.update(oracle.tabled(cli.ALL_SUITES, 0, n_partitions))
+    assert cli.json_doc(cli.run_suites(*args)) == cli.json_doc(want)
+
+
 class TestConstruct:
     def test_expand_certificate(self, capsys):
         code, out, _ = run(capsys, "construct", "--what", "expand",
@@ -670,6 +694,48 @@ class TestConstruct:
                              "--d", "3", "--delta", "1/10")
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": "no members at d=3, delta=1/10"}
+
+    @pytest.mark.parametrize("delta,d", [("1/10", 11), ("1/20", 21), ("2", 1)])
+    def test_restrict_defaults_to_the_least_binding_degree(self, capsys,
+                                                           delta, d):
+        # compression needs d' > 1/delta, and r2's corner has N - k = 1
+        args = ("construct", "--what", "restrict", "--delta", delta)
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["d"] == str(d)
+        assert doc["restrict"]["d_prime"] == d
+        assert doc["restrict"]["certificate"]["is_member"]
+        assert run(capsys, *args, "--d", str(d)) == (0, out, "")
+
+    def test_expand_and_phi_default_to_degree_eight(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "construct", "--what", "expand", "--d", "8")
+        assert code == 0
+        assert run(capsys, "construct", "--what", "expand") == (0, out, "")
+
+        def stop(ctx, delta, d):  # phi at d = 8 searches for about 1.5 s
+            raise cli.CliError(f"members drawn at d={d}")
+
+        monkeypatch.setattr(cli, "hypothesis_members", stop)
+        code, out, err = run(capsys, "construct", "--what", "phi")
+        assert code == 2 and json.loads(err) == {"error": "members drawn at d=8"}
+
+    @pytest.mark.parametrize("what", ["expand", "restrict", "phi"])
+    @pytest.mark.parametrize("delta", ["0", "-1/2"])
+    def test_nonpositive_delta_refused(self, capsys, what, delta):
+        code, out, err = run(capsys, "construct", "--what", what,
+                             f"--delta={delta}")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "delta must be positive"}
+
+    @pytest.mark.parametrize("delta,d,base", [
+        ("1/10", 4, 11), ("1/10", 30, 30), ("1/20", 1, 21), ("2", 1, 1)])
+    def test_binding_degree(self, delta, d, base):
+        cd = scaling.standard_corner(transitive_groupoid(2), [0])
+        assert cli.binding_degree(cd, Fraction(delta), d) == base
+        # two units of r4 leave N - k = 2: the base rounds up to even
+        cd4 = scaling.standard_corner(transitive_groupoid(4), [0, 1])
+        assert cli.binding_degree(cd4, Fraction(delta), d) == base + base % 2
 
 
 class TestDeterminism:

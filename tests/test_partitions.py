@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -40,7 +40,13 @@ from soficdim.partitions import (
 )
 from soficdim.partitions import _indicator as indicator
 from soficdim.partitions import _solve_against
-from soficdim.pperm import inverse, random_pperm
+from soficdim.pperm import (
+    PartialPermutation,
+    conjugate,
+    inverse,
+    random_permutation,
+    random_pperm,
+)
 from soficdim.rng import SplitMix64
 from soficdim.sofic import SoficCandidate, iter_SA_members
 
@@ -702,3 +708,87 @@ def test_c1_matches_the_per_member_sweep(source, d):
         worsts.add(report.worst)
     assert len(worsts) > 1
 
+
+
+# -- the relabeling key of (member, partition) ------------------------------------
+
+
+def relabeled(member, block_of, perm):
+    """The member and colouring carried along the permutation of the
+    points, given as its image tuple (perm[x - 1] is the image of x)."""
+    g = PartialPermutation(len(perm), tuple(perm))
+    sigma = SoficCandidate(member.sigma.degree,
+                           [conjugate(s, g) for s in member.sigma.images])
+    moved = [None] * len(perm)
+    for x, y in enumerate(perm):
+        moved[y - 1] = block_of[x]
+    return ModelMember(member.model, sigma), tuple(moved)
+
+
+@pytest.mark.parametrize("m", [None, 2], ids=["r2", "zmod2"])
+def test_relabeling_key_is_invariant(m):
+    # random partial maps (members or not) and 3-letter colourings keep
+    # their key under seeded random relabelings of the points
+    g = transitive_groupoid(2) if m is None else cyclic_groupoid(m)
+    model = CylinderModel(LemmaContext(g, full_group_generators(g), 1), FAIR)
+    size = len(model.context.hypothesis_source.ball_elements)
+    rng = SplitMix64(7)
+    for _ in range(40):
+        d = 1 + rng.below(8)
+        member = ModelMember(model, SoficCandidate(
+            d, [random_pperm(d, rng) for _ in range(size)]))
+        block_of = tuple(rng.below(3) for _ in range(d))
+        key = member.relabeling_key(block_of)
+        for _ in range(3):
+            perm = random_permutation(d, rng).images
+            other, moved = relabeled(member, block_of, perm)
+            assert other.relabeling_key(moved) == key
+
+
+def least_relabeling(pads, block_of, perms):
+    """The least copy of (padded images, colouring) over every
+    relabeling of the points: one value per orbit, by brute force."""
+    out = None
+    for perm in perms:
+        images = []
+        for s in pads:
+            t = [0] * len(perm)
+            for x, y in enumerate(s[1:]):
+                if y:
+                    t[perm[x] - 1] = perm[y - 1]
+            images.append(tuple(t))
+        moved = [None] * len(perm)
+        for x, y in enumerate(perm):
+            moved[y - 1] = block_of[x]
+        copy = (tuple(images), tuple(moved))
+        if out is None or copy < out:
+            out = copy
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [None, 2], ids=["r2", "zmod2"])
+def test_relabeling_key_separates_exactly_the_orbits(m, d):
+    # members of distinct model-ball images, a seeded few of them, with
+    # every 2- and 3-letter colouring: equal keys exactly when some
+    # permutation of {1..d} carries one pair onto the other
+    g = transitive_groupoid(2) if m is None else cyclic_groupoid(m)
+    ctx = LemmaContext(g, full_group_generators(g), 1)
+    model = CylinderModel(ctx, FAIR)
+    delta = Fraction(1, 2) if d < 5 else Fraction(1, 4)
+    members = {}
+    for sigma in iter_SA_members(ctx.hypothesis_params(delta, d)):
+        member = ModelMember(model, sigma)
+        members.setdefault(member.pads, member)
+    members = list(members.values())
+    rng = SplitMix64(d)
+    rng.shuffle(members)
+    members = members[:6]
+    perms = list(permutations(range(1, d + 1)))
+    keys, orbits = [], []
+    for member in members:
+        for block_of in product(range(3), repeat=d):
+            keys.append(member.relabeling_key(block_of))
+            orbits.append(least_relabeling(member.pads, block_of, perms))
+    assert len(set(keys)) == len(set(orbits)) == len(set(zip(keys, orbits)))
+    assert 1 < len(set(keys)) < len(keys)
