@@ -1,7 +1,7 @@
 """Exact workbench for sofic approximation counting over finite pmp groupoids.
 
 Layers, bottom up: partial permutation algebra (:mod:`soficdim.pperm`),
-finite groupoids with Bernoulli crossed products
+finite groupoids with Bernoulli actions
 (:mod:`soficdim.groupoid`), symbolic word balls
 (:mod:`soficdim.wordball`), membership/counting of approximation sets
 (:mod:`soficdim.sofic`), profile/cylinder bound certification
@@ -26,10 +26,8 @@ from .groupoid import (
     FibredAction,
     FiniteGroupoid,
     PartialBisection,
-    bernoulli_crossed_product,
     corner,
     finite_part_measure,
-    is_principal,
     tau,
     transitive_groupoid,
     validate_pmp,
@@ -83,9 +81,8 @@ __version__ = "0.1.0"
 __all__ = [
     "OverlapError", "PartialPermutation", "compose", "distances", "inverse",
     "orthogonal_sum", "parse_pperm", "trace", "uniform_distance",
-    "FibredAction", "FiniteGroupoid", "PartialBisection",
-    "bernoulli_crossed_product", "corner", "finite_part_measure",
-    "is_principal", "tau", "transitive_groupoid", "validate_pmp",
+    "FibredAction", "FiniteGroupoid", "PartialBisection", "corner",
+    "finite_part_measure", "tau", "transitive_groupoid", "validate_pmp",
     "Ball", "GeneratingSystem", "ball", "parse_descriptor",
     "InfeasibleError", "MembershipReport", "SAParams", "SoficCandidate",
     "closed_form_count", "count_SA", "monte_carlo_count",

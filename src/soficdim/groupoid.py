@@ -10,10 +10,9 @@ for every arrow.
 
 Partial bisections (arrow subsets on which source and range are
 injective) form the full pseudogroup; this module gives their
-composition, inverse, trace and uniform distance, corners with
-renormalized weights, finite-alphabet Bernoulli actions with their
-crossed products, and a canonical text file format with bit-exact
-round trips.
+composition, inverse and trace, corners with renormalized weights,
+finite-alphabet Bernoulli actions, and a canonical text file format
+with bit-exact round trips.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ class FiniteGroupoid:
     """
 
     __slots__ = ("unit_weights", "source", "range_", "inverse", "unit_arrow",
-                 "comp", "is_unit", "_by_source", "_by_range")
+                 "comp", "is_unit", "_by_range")
 
     def __init__(self, unit_weights, source, range_, inverse, unit_arrow, comp):
         self.unit_weights = tuple(Fraction(w) for w in unit_weights)
@@ -59,14 +58,8 @@ class FiniteGroupoid:
         self.unit_arrow = tuple(unit_arrow)
         self.comp = dict(comp)
         self._validate()
-        self.is_unit = tuple(g in set(self.unit_arrow) for g in range(self.n_arrows))
-        by_source = [[] for _ in range(self.n_units)]
-        by_range = [[] for _ in range(self.n_units)]
-        for g in range(self.n_arrows):
-            by_source[self.source[g]].append(g)
-            by_range[self.range_[g]].append(g)
-        self._by_source = tuple(map(tuple, by_source))
-        self._by_range = tuple(map(tuple, by_range))
+        units = set(self.unit_arrow)
+        self.is_unit = tuple(g in units for g in range(self.n_arrows))
 
     @property
     def n_units(self) -> int:
@@ -96,6 +89,10 @@ class FiniteGroupoid:
                 raise GroupoidError(f"inverse is not an involution at {g}")
             if self.source[gi] != self.range_[g] or self.range_[gi] != self.source[g]:
                 raise GroupoidError(f"inverse of {g} has wrong endpoints")
+        by_range = [[] for _ in range(n)]
+        for g in range(m):
+            by_range[self.range_[g]].append(g)
+        self._by_range = tuple(map(tuple, by_range))
         for e, u in enumerate(self.unit_arrow):
             if not (0 <= u < len(self.source)) or self.source[u] != e or self.range_[u] != e:
                 raise GroupoidError(f"unit arrow of {e} is not an endomorphism at {e}")
@@ -118,18 +115,12 @@ class FiniteGroupoid:
                 raise GroupoidError(f"g^-1 g is not the source unit at {g}")
         for (g, h) in composable:
             gh = self.comp[(g, h)]
-            for k in self._arrows_into(self.source[h]):
+            for k in self._by_range[self.source[h]]:
                 if self.comp[(gh, k)] != self.comp[(g, self.comp[(h, k)])]:
                     raise GroupoidError("composition is not associative")
 
-    def _arrows_into(self, unit):
-        return [k for k in range(self.n_arrows) if self.range_[k] == unit]
-
     def arrows_with_range(self, unit: int) -> tuple[int, ...]:
         return self._by_range[unit]
-
-    def arrows_with_source(self, unit: int) -> tuple[int, ...]:
-        return self._by_source[unit]
 
     def __repr__(self):
         return f"FiniteGroupoid(units={self.n_units}, arrows={self.n_arrows})"
@@ -244,14 +235,6 @@ def cyclic_groupoid(m: int) -> FiniteGroupoid:
     return group_groupoid([[(i + j) % m for j in range(m)] for i in range(m)])
 
 
-def trivial_groupoid(weights) -> FiniteGroupoid:
-    """Only unit arrows over the given weighted base."""
-    n = len(weights)
-    ids = list(range(n))
-    comp = {(e, e): e for e in ids}
-    return FiniteGroupoid(weights, ids, ids, ids, ids, comp)
-
-
 # -- partial bisections -------------------------------------------------------
 
 
@@ -280,15 +263,8 @@ class PartialBisection:
     def ran_units(self) -> frozenset:
         return frozenset(self.host.range_[g] for g in self.arrows)
 
-    def is_projection(self) -> bool:
-        return all(self.host.is_unit[g] for g in self.arrows)
-
     def __repr__(self):
         return f"PartialBisection({sorted(self.arrows)})"
-
-
-def empty_bisection(g: FiniteGroupoid) -> PartialBisection:
-    return PartialBisection(g, frozenset())
 
 
 def full_identity(g: FiniteGroupoid) -> PartialBisection:
@@ -297,10 +273,6 @@ def full_identity(g: FiniteGroupoid) -> PartialBisection:
 
 def projection_bisection(g: FiniteGroupoid, units) -> PartialBisection:
     return PartialBisection(g, frozenset(g.unit_arrow[e] for e in units))
-
-
-def singleton_bisection(g: FiniteGroupoid, arrow: int) -> PartialBisection:
-    return PartialBisection(g, frozenset([arrow]))
 
 
 def b_compose(s: PartialBisection, t: PartialBisection) -> PartialBisection:
@@ -327,27 +299,6 @@ def tau(s: PartialBisection) -> Fraction:
                Fraction(0))
 
 
-def b_uniform(s: PartialBisection, t: PartialBisection) -> Fraction:
-    """Weight of the units where s and t act differently.
-
-    A unit where one map is defined and the other is not counts as a
-    disagreement; a unit where neither is defined does not.
-    """
-    if s.host is not t.host:
-        raise GroupoidError("bisections live in different groupoids")
-    g = s.host
-    total = Fraction(0)
-    for e in range(g.n_units):
-        if s.arrow_at_source(e) != t.arrow_at_source(e):
-            total += g.unit_weights[e]
-    return total
-
-
-def b_two_norm_sq(s: PartialBisection, t: PartialBisection) -> Fraction:
-    return (tau(b_compose(b_inverse(s), s)) + tau(b_compose(b_inverse(t), t))
-            - 2 * tau(b_compose(s, b_inverse(t))))
-
-
 def validate_pmp(g: FiniteGroupoid) -> ValidationReport:
     """List every arrow whose endpoints carry different weights."""
     bad = tuple(a for a in range(g.n_arrows)
@@ -359,17 +310,6 @@ def finite_part_measure(g: FiniteGroupoid) -> Fraction:
     """Sum over units of weight(e) / (number of arrows with range e)."""
     return sum((g.unit_weights[e] / len(g.arrows_with_range(e))
                 for e in range(g.n_units)), Fraction(0))
-
-
-def is_principal(g: FiniteGroupoid) -> bool:
-    """True when (source, range) determines the arrow."""
-    seen = set()
-    for a in range(g.n_arrows):
-        key = (g.source[a], g.range_[a])
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
 
 
 # -- corners ------------------------------------------------------------------
@@ -432,7 +372,7 @@ def corner(g: FiniteGroupoid, units) -> FiniteGroupoid:
     return corner_embedding(g, units).groupoid
 
 
-# -- fibred actions and Bernoulli crossed products ---------------------------
+# -- fibred actions and Bernoulli actions -------------------------------------
 
 
 class FibredAction:
@@ -442,18 +382,18 @@ class FibredAction:
     ``cond_weight[x]`` the conditional fiber measure (each fiber sums
     to 1) and ``weight[x] = h(unit) * cond_weight[x]`` the global one.
     ``act[(arrow, x)]`` is defined exactly when x lies over the arrow's
-    source unit.
+    source unit, and ``labels[x]`` is the builder's name for point x.
     """
 
     __slots__ = ("groupoid", "unit_of", "cond_weight", "weight", "fibers",
                  "act", "labels")
 
-    def __init__(self, groupoid, unit_of, cond_weight, act, labels=None):
+    def __init__(self, groupoid, unit_of, cond_weight, act, labels):
         self.groupoid = groupoid
         self.unit_of = tuple(unit_of)
         self.cond_weight = tuple(Fraction(w) for w in cond_weight)
         self.act = dict(act)
-        self.labels = tuple(labels) if labels is not None else tuple(range(len(unit_of)))
+        self.labels = tuple(labels)
         fibers = [[] for _ in range(groupoid.n_units)]
         for x, e in enumerate(self.unit_of):
             fibers[e].append(x)
@@ -491,15 +431,6 @@ class FibredAction:
                 if self.act[(ab, x)] != self.act[(a, self.act[(b, x)])]:
                     raise GroupoidError("action does not respect composition")
 
-    def bisection_map(self, s: PartialBisection) -> dict:
-        """The partial transformation of the point set induced by s."""
-        g = self.groupoid
-        out = {}
-        for a in s.arrows:
-            for x in self.fibers[g.source[a]]:
-                out[x] = self.act[(a, x)]
-        return out
-
     def bisection_image(self, s: PartialBisection, points) -> frozenset:
         g = self.groupoid
         out = set()
@@ -509,15 +440,6 @@ class FibredAction:
                 if self.unit_of[x] == src:
                     out.add(self.act[(a, x)])
         return frozenset(out)
-
-
-def is_free_action(action: FibredAction) -> bool:
-    """No non-unit arrow fixes a point of its source fiber."""
-    g = action.groupoid
-    for (a, x), y in action.act.items():
-        if not g.is_unit[a] and x == y:
-            return False
-    return True
 
 
 # most points a Bernoulli fiber may hold
@@ -568,54 +490,3 @@ def bernoulli_action(g: FiniteGroupoid, alphabet_weights) -> FibredAction:
             ycfg = tuple(cfg[i] for i in pull)
             act[(a, x)] = index[(e2, ycfg)]
     return FibredAction(g, unit_of, cond_weight, act, labels)
-
-
-def bernoulli_crossed_product(g: FiniteGroupoid, alphabet_weights):
-    """The Bernoulli action of g (``bernoulli_action``) together with its
-    crossed-product groupoid, whose unit k is point k of the action."""
-    action = bernoulli_action(g, alphabet_weights)
-    # arrows are pairs (arrow of g, point over its source)
-    pairs = [(a, x) for a in range(g.n_arrows) for x in action.fibers[g.source[a]]]
-    pair_pos = {p: i for i, p in enumerate(pairs)}
-    src = [x for (_, x) in pairs]
-    rng = [action.act[(a, x)] for (a, x) in pairs]
-    inv = [pair_pos[(g.inverse[a], action.act[(a, x)])] for (a, x) in pairs]
-    unit_arrow = [pair_pos[(g.unit_arrow[action.unit_of[x]], x)]
-                  for x in range(action.n_points)]
-    comp = {}
-    for i, (a, x) in enumerate(pairs):
-        for j, (b, y) in enumerate(pairs):
-            if x == action.act[(b, y)]:
-                comp[(i, j)] = pair_pos[(g.comp[(a, b)], y)]
-    crossed = FiniteGroupoid(action.weight, src, rng, inv, unit_arrow, comp)
-    return action, crossed
-
-
-def orbits(action: FibredAction) -> list[tuple[int, ...]]:
-    """Orbits of the point set under all arrows, as sorted tuples."""
-    parent = list(range(action.n_points))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (_, x), y in action.act.items():
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-    buckets = {}
-    for x in range(action.n_points):
-        buckets.setdefault(find(x), []).append(x)
-    return [tuple(sorted(v)) for _, v in sorted(buckets.items())]
-
-
-def fundamental_domain_measure(action: FibredAction, pick: str = "min") -> Fraction:
-    """Measure of a fundamental domain with one representative per orbit.
-
-    ``pick`` chooses the representative ("min" or "max" point index);
-    for free actions the value does not depend on the choice.
-    """
-    chooser = min if pick == "min" else max
-    return sum((action.weight[chooser(orb)] for orb in orbits(action)), Fraction(0))

@@ -44,7 +44,7 @@ from itertools import combinations, product
 
 from . import sofic
 from .groupoid import FiniteGroupoid, bernoulli_action, projection_bisection
-from .pperm import PartialPermutation, _inverse_images
+from .pperm import _inverse_images
 from .rng import SplitMix64
 from .sofic import GroupoidSource, SoficCandidate, verify_membership
 
@@ -114,15 +114,6 @@ def profile_units(g: FiniteGroupoid, F0, blocks) -> list:
     return out
 
 
-def profile_h_measure(F0, blocks) -> Fraction:
-    """Exact measure of the units classified by the given block pattern."""
-    if not F0:
-        raise ValueError("F0 must be nonempty")
-    g = F0[0].host
-    return sum((g.unit_weights[e] for e in profile_units(g, F0, blocks)),
-               Fraction(0))
-
-
 def profile_sigma_points(images, blocks, d: int) -> frozenset:
     """Points of {1..d} classified by the preimage pattern of the images."""
     preimages = [_inverse_images(s.images) for s in images]
@@ -135,22 +126,6 @@ def profile_sigma_points(images, blocks, d: int) -> frozenset:
                for i in range(len(images)) for j in range(i + 1, len(images))):
             out.add(e)
     return frozenset(out)
-
-
-def _block_weight(alphabet, letters, blocks) -> Fraction:
-    """Product of the letter weights over the blocks of a profile partition.
-
-    Item i carries ``letters[i]`` and lies in block ``blocks[i]``; the
-    weight is 0 when a block holds two different letters.
-    """
-    letter_of = {}
-    for letter, b in zip(letters, blocks):
-        if letter_of.setdefault(b, letter) != letter:
-            return Fraction(0)
-    w = Fraction(1)
-    for letter in letter_of.values():
-        w *= alphabet[letter]
-    return w
 
 
 # -- lemma constants -------------------------------------------------------------
@@ -210,18 +185,6 @@ def random_partition(d: int, mu0, seed: int) -> RandomPartition:
                            tuple(rng.weighted_indices(weights, d)))
 
 
-def exact_partition(blocks) -> RandomPartition:
-    """Partition of {1..d} given explicitly by blocks (seed recorded as -1)."""
-    d = sum(len(b) for b in blocks)
-    block_of = [None] * d
-    for i, b in enumerate(blocks):
-        for x in b:
-            block_of[x - 1] = i
-    if any(b is None for b in block_of):
-        raise ValueError("blocks do not cover {1..d}")
-    return RandomPartition(d, len(blocks), -1, tuple(block_of))
-
-
 # -- the cylinder model -------------------------------------------------------------
 
 
@@ -232,9 +195,8 @@ class CylinderModel:
     of bisections of the chosen generating set (through a shared
     LemmaContext): cylinder sets are intersections of translates of the
     letter sets, indexed by a map psi from a ball subset to letters.
-    Exposes two independent measure routes (point weights of the model
-    and the closed partition sum) and the image-side cylinder of a
-    candidate map.
+    Exposes the exact measure of a cylinder (point weights of the model)
+    and the image-side cylinder of a candidate map.
     """
 
     def __init__(self, context: "LemmaContext", alphabet):
@@ -294,24 +256,6 @@ class CylinderModel:
 
     def mu_cylinder(self, psi) -> Fraction:
         return self.mu_points(self.cylinder(psi))
-
-    def mu_cylinder_closed(self, psi) -> Fraction:
-        """Cylinder measure by the closed sum over profile partitions.
-
-        Sums, over partitions of the psi support compatible with the
-        letters, the profile measure times the product of letter
-        weights over the blocks.
-        """
-        support = [self.ball[i] for i, _ in psi]
-        letters = [v for _, v in psi]
-        if not support:
-            return Fraction(1)
-        total = Fraction(0)
-        for blocks in set_partitions(len(support)):
-            w = _block_weight(self.alphabet, letters, blocks)
-            if w:
-                total += profile_h_measure(support, blocks) * w
-        return total
 
     def image_cylinder(self, psi, sigma_images, blocks) -> frozenset:
         """Intersection of candidate-map translates of the partition blocks.
@@ -399,25 +343,6 @@ class LemmaContext:
                 raise KeyError(f"candidate does not cover {b!r}")
             out.append(sigma.images[i])
         return tuple(out)
-
-
-def regular_model_candidate(model: CylinderModel) -> tuple[SoficCandidate, RandomPartition]:
-    """The exact instance: the model acting on its own points.
-
-    The candidate maps each ball element of the hypothesis source to
-    its action on the point set, and the partition is the letter
-    partition itself.  For principal groupoids with equal fiber sizes
-    and a fair alphabet every gap vanishes.
-    """
-    d = model.action.n_points
-    ctx = model.context
-    images = []
-    for b in ctx.hypothesis_source.ball_elements:
-        amap = model.action.bisection_map(b)
-        images.append(PartialPermutation(
-            d, tuple(amap[x] + 1 if x in amap else 0 for x in range(d))))
-    blocks = [frozenset(x + 1 for x in s) for s in model.letter_sets]
-    return SoficCandidate(d, images), exact_partition(blocks)
 
 
 # -- bound reports -------------------------------------------------------------------
@@ -730,9 +655,9 @@ class Phi0Table:
     its image-side cylinder and extends linearly over the span basis;
     each distinct span subset is evaluated once, on integers:
     ``numerators`` gives phi0 of a subset as integer numerators over one
-    denominator, and ``value_vector`` as Fractions.  ``residuals`` gives
-    every psi its residual 1_{A_psi} - phi0(cyl psi), computed once on
-    first read for the c3 sweep and ``crossed.build_phi``.
+    denominator.  ``residuals`` gives every psi its residual
+    1_{A_psi} - phi0(cyl psi), computed once on first read for the c3
+    sweep and ``crossed.build_phi``.
     """
 
     def __init__(self, basis: SpanBasis, member: ModelMember,
@@ -774,11 +699,6 @@ class Phi0Table:
                         nums[x - 1] += k
             out = self._values[subset] = (den, tuple(nums))
         return out
-
-    def value_vector(self, subset) -> tuple:
-        """phi0 of the projection onto ``subset``, as a rational vector."""
-        den, nums = self.numerators(subset)
-        return tuple(Fraction(n, den) for n in nums)
 
     @cached_property
     def residuals(self) -> tuple:

@@ -96,16 +96,6 @@ class PartialPermutation:
         y = self.images[x - 1]
         return y if y else None
 
-    def dom_points(self) -> tuple[int, ...]:
-        return tuple(x for x in range(1, self.degree + 1) if self.images[x - 1])
-
-    def is_total(self) -> bool:
-        return self.dom_size == self.degree
-
-    def is_projection(self) -> bool:
-        """True when every defined point is fixed."""
-        return self.nfix == self.dom_size
-
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
@@ -240,13 +230,6 @@ def _inverse_images(images) -> tuple:
         if y:
             out[y - 1] = x
     return tuple(out)
-
-
-def conjugate(s: PartialPermutation, g: PartialPermutation) -> PartialPermutation:
-    """g s g^-1 for a total permutation g."""
-    if not g.is_total():
-        raise ValueError("conjugator must be a total permutation")
-    return compose(compose(g, s), inverse(g))
 
 
 def reindex(s: PartialPermutation, points) -> PartialPermutation:

@@ -104,10 +104,6 @@ class SplitMix64:
         self._state = s
         return sorted(pool[:k])
 
-    def weighted_index(self, weights) -> int:
-        """Index i with exact probability weights[i] (Fractions summing to 1)."""
-        return self.weighted_indices(weights, 1)[0]
-
     def weighted_indices(self, weights, count: int) -> list[int]:
         """``count`` weighted draws, one ``next64`` output each.
 

@@ -259,7 +259,8 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
         if len(fix) >= block:
             b_i = fix[:block]
         else:
-            fill = [x for x in range(1, d + 1) if x not in set(fix)]
+            fixed = set(fix)
+            fill = [x for x in range(1, d + 1) if x not in fixed]
             b_i = fix + fill[:block - len(fix)]
         sym_diff = len(set(fix) ^ set(b_i))
         if Fraction(sym_diff) >= delta * d_prime:
@@ -332,7 +333,8 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
     if len(b0) >= d_prime:
         B = sorted(b0)[len(b0) - d_prime:]  # shrink by removing smallest
     else:
-        absent = [x for x in range(1, d + 1) if x not in set(b0)]
+        kept = set(b0)
+        absent = [x for x in range(1, d + 1) if x not in kept]
         B = sorted(b0 + absent[:d_prime - len(b0)])
     p_b = PartialPermutation.projection(d, B)
     p_distance = pperm.uniform_distance(sig_p, p_b)

@@ -814,39 +814,3 @@ def closed_form_count(m: int, d: int, delta) -> int:
 def closed_form_statistic(m: int, d: int, delta) -> tuple[int, float]:
     count = closed_form_count(m, d, delta)
     return count, statistic_from_count(count, d)
-
-
-# -- exact block representations -------------------------------------------------
-
-
-def block_candidate(source: GroupoidSource, d: int) -> SoficCandidate:
-    """Exact member for a principal groupoid source by block dilation.
-
-    Unit e becomes a block of d * weight(e) consecutive points (the
-    products must be integers); a bisection maps blocks index-aligned.
-    For principal groupoids this candidate has zero gaps.
-    """
-    if source.is_group:
-        raise ValueError("block candidates need a groupoid source")
-    g = source.groupoid
-    starts = []
-    acc = 0
-    for e in range(g.n_units):
-        size = d * g.unit_weights[e]
-        if size.denominator != 1:
-            raise ValueError(f"degree {d} does not split unit {e} into a block")
-        starts.append(acc)
-        acc += int(size)
-    if acc != d:
-        raise ValueError("block sizes do not fill the degree")
-
-    def image(bis: PartialBisection) -> PartialPermutation:
-        images = [0] * d
-        for a in bis.arrows:
-            e, f = g.source[a], g.range_[a]
-            size = int(d * g.unit_weights[e])
-            for i in range(size):
-                images[starts[e] + i] = starts[f] + i + 1
-        return PartialPermutation(d, images)
-
-    return SoficCandidate(d, [image(b) for b in source.ball_elements])

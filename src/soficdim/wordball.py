@@ -37,10 +37,6 @@ class BallSizeError(RuntimeError):
     """The requested ball exceeds the configured size cap."""
 
 
-def invert_word(word: Word) -> Word:
-    return tuple((g, -e) for g, e in reversed(word))
-
-
 def word_str(word: Word) -> str:
     if not word:
         return "e"
@@ -224,9 +220,6 @@ class Ball:
 
     def identity_index(self) -> int:
         return self.index[()]
-
-    def inverse_index(self, i: int) -> int:
-        return self.index[self.system.reduce_word(invert_word(self.elements[i]))]
 
     def tau(self, i: int) -> Fraction:
         return self.system.tau_word(self.elements[i])

@@ -40,7 +40,6 @@ from soficdim.partitions import (
     SpanBasis,
     lemma_constants,
     random_partition,
-    regular_model_candidate,
     span_basis,
     verify_lemma_c2,
     verify_lemma_c3_sweep,
@@ -48,6 +47,8 @@ from soficdim.partitions import (
 from soficdim.pperm import PartialPermutation, parse_pperm, random_pperm
 from soficdim.rng import SplitMix64
 from soficdim.sofic import SoficCandidate, count_SA, iter_SA_members, verify_membership
+
+from references import regular_model_candidate
 
 FAIR = (Fraction(1, 2), Fraction(1, 2))
 
@@ -84,7 +85,7 @@ class TestVerifyHA:
         # corrupt phi at the first letter block: drop one support point
         pos = uni.letter_index[0]
         old = res.candidate.phi[pos]
-        support = list(old.dom_points())
+        support = [x for x, y in enumerate(old.images, start=1) if y]
         corrupted = PartialPermutation.projection(d, support[1:])
         phi = list(res.candidate.phi)
         phi[pos] = corrupted
@@ -704,7 +705,7 @@ def test_each_subset_evaluated_once_per_table(monkeypatch, r2):
     build_phi(table, delta)
     assert len(table.residuals) == len(model.psis)
     for subset in model.universe.elements:
-        table.value_vector(subset)
+        table.numerators(subset)
     assert calls and max(calls.values()) == 1
 
 
@@ -722,7 +723,7 @@ def test_residuals_are_computed_once_per_table(r2):
         build_phi(table, delta)
         assert table.residuals is first and len(first) == len(model.psis)
         for (den, res), psi, a_psi in zip(first, model.psis, table.a_psis):
-            phi0 = table.value_vector(model.cylinder(psi))
+            phi0 = reference_value_vector(table, model.cylinder(psi))
             assert [Fraction(r, den) for r in res] == [
                 (x in a_psi) - v for x, v in enumerate(phi0, start=1)]
             nonzero += any(res)

@@ -9,28 +9,18 @@ from soficdim.groupoid import (
     FiniteGroupoid,
     GroupoidError,
     PartialBisection,
-    FibredAction,
     b_compose,
     b_inverse,
-    b_two_norm_sq,
-    b_uniform,
     bernoulli_action,
-    bernoulli_crossed_product,
     corner,
     corner_embedding,
     cyclic_groupoid,
-    empty_bisection,
     finite_part_measure,
     full_identity,
-    fundamental_domain_measure,
     group_groupoid,
-    is_free_action,
-    is_principal,
     projection_bisection,
-    singleton_bisection,
     tau,
     transitive_groupoid,
-    trivial_groupoid,
     validate_pmp,
 )
 from soficdim.rng import SplitMix64
@@ -51,10 +41,21 @@ def random_bisection(g, rng):
     arrows = set()
     used_targets = perm[:k]
     for e, f in zip(range(k), used_targets):
-        options = sorted(set(g.arrows_with_source(e)) & set(g.arrows_with_range(f)))
+        options = sorted(a for a in g.arrows_with_range(f) if g.source[a] == e)
         if options:
             arrows.add(options[rng.below(len(options))])
     return PartialBisection(g, frozenset(arrows))
+
+
+def uniform_disagreement(s, t):
+    """Weight of the units where s and t act differently.
+
+    A unit where one map is defined and the other is not counts as a
+    disagreement; a unit where neither is defined does not.
+    """
+    g = s.host
+    return sum((g.unit_weights[e] for e in range(g.n_units)
+                if s.arrow_at_source(e) != t.arrow_at_source(e)), Fraction(0))
 
 
 class TestPmp:
@@ -90,12 +91,13 @@ class TestTrace:
         g = transitive_groupoid(d)
         rng = SplitMix64(seed)
         s, t = random_bisection(g, rng), random_bisection(g, rng)
-        lhs = b_uniform(s, t)
+        lhs = uniform_disagreement(s, t)
         rhs = (tau(b_compose(b_inverse(s), s)) + tau(b_compose(b_inverse(t), t))
                - tau(b_compose(b_compose(b_inverse(s), s), b_compose(b_inverse(t), t)))
                - tau(b_compose(s, b_inverse(t))))
         assert lhs == rhs
-        assert b_two_norm_sq(s, t) >= lhs
+        assert (tau(b_compose(b_inverse(s), s)) + tau(b_compose(b_inverse(t), t))
+                - 2 * tau(b_compose(s, b_inverse(t)))) >= lhs
 
     def test_inverse_involution(self):
         g = transitive_groupoid(3)
@@ -134,46 +136,23 @@ class TestCorner:
 class TestBernoulli:
     def test_trivial_group_base(self):
         g = cyclic_groupoid(1)
-        action, crossed = bernoulli_crossed_product(g, [Fraction(1, 3), Fraction(2, 3)])
+        action = bernoulli_action(g, [Fraction(1, 3), Fraction(2, 3)])
         assert action.n_points == 2
-        assert crossed.n_units == 2 and crossed.n_arrows == 2
-        assert crossed.unit_weights == (Fraction(1, 3), Fraction(2, 3))
+        assert action.weight == (Fraction(1, 3), Fraction(2, 3))
 
     def test_z2_fair_alphabet(self):
-        action, crossed = bernoulli_crossed_product(cyclic_groupoid(2),
-                                                    [Fraction(1, 2), Fraction(1, 2)])
+        action = bernoulli_action(cyclic_groupoid(2), [Fraction(1, 2), Fraction(1, 2)])
         assert action.n_points == 4
         assert all(w == Fraction(1, 4) for w in action.weight)
-        assert crossed.n_arrows == 8
-        assert validate_pmp(crossed).ok
-
-    def test_r2_crossed_product_is_pmp_equivalence_relation(self):
-        g = transitive_groupoid(2)
-        action, crossed = bernoulli_crossed_product(g, [Fraction(1, 2), Fraction(1, 2)])
-        # action table already validated composition exhaustively on construction
-        assert validate_pmp(crossed).ok
-        assert is_free_action(action)
-        assert is_principal(crossed)
 
     def test_alphabet_must_be_probability(self):
         with pytest.raises(GroupoidError):
-            bernoulli_crossed_product(cyclic_groupoid(2), [Fraction(1, 2), Fraction(1, 3)])
-
-    @pytest.mark.parametrize("g", [cyclic_groupoid(1), cyclic_groupoid(3),
-                                   transitive_groupoid(2), transitive_groupoid(3)],
-                             ids=["z1", "z3", "r2", "r3"])
-    def test_action_alone_equals_the_crossed_product_action(self, g):
-        weights = [Fraction(1, 3), Fraction(2, 3)]
-        alone = bernoulli_action(g, weights)
-        action, _ = bernoulli_crossed_product(g, weights)
-        assert alone.groupoid is action.groupoid
-        for slot in ("unit_of", "cond_weight", "weight", "fibers", "act", "labels"):
-            assert getattr(alone, slot) == getattr(action, slot)
+            bernoulli_action(cyclic_groupoid(2), [Fraction(1, 2), Fraction(1, 3)])
 
     def test_cap_refuses_blowup(self, monkeypatch):
         monkeypatch.setattr(groupoid, "FIBER_CAP", 4)
         with pytest.raises(GroupoidError):
-            bernoulli_crossed_product(transitive_groupoid(3), [Fraction(1, 2)] * 2)
+            bernoulli_action(transitive_groupoid(3), [Fraction(1, 2)] * 2)
 
 
 class TestFinitePart:
@@ -185,60 +164,18 @@ class TestFinitePart:
             assert finite_part_measure(transitive_groupoid(d)) == Fraction(1, d)
 
     def test_trivial_base(self):
-        g = trivial_groupoid([Fraction(1, 4), Fraction(3, 4)])
+        # only unit arrows over a two-point base
+        g = FiniteGroupoid([Fraction(1, 4), Fraction(3, 4)], [0, 1], [0, 1], [0, 1],
+                           [0, 1], {(0, 0): 0, (1, 1): 1})
         assert finite_part_measure(g) == 1
-
-
-class TestPrincipal:
-    def test_transitive_is_principal(self):
-        assert is_principal(transitive_groupoid(3))
-
-    def test_group_is_not(self):
-        assert not is_principal(cyclic_groupoid(2))
-
-    def test_crossed_product_of_free_action_is_principal(self):
-        # free two-point swap action of the order-2 group
-        g = cyclic_groupoid(2)
-        act = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
-        action = FibredAction(g, [0, 0], [Fraction(1, 2)] * 2, act)
-        assert is_free_action(action)
-        pairs = [(a, x) for a in range(2) for x in range(2)]
-        pos = {p: i for i, p in enumerate(pairs)}
-        src = [x for (_, x) in pairs]
-        rng_ = [act[p] for p in pairs]
-        inv = [pos[(a, act[(a, x)])] for (a, x) in pairs]
-        unit_arrow = [pos[(0, x)] for x in range(2)]
-        comp = {}
-        for i, (a, x) in enumerate(pairs):
-            for j, (b, y) in enumerate(pairs):
-                if act[(b, y)] == x:
-                    comp[(i, j)] = pos[((a + b) % 2, y)]
-        crossed = FiniteGroupoid(action.weight, src, rng_, inv, unit_arrow, comp)
-        assert is_principal(crossed)
-
-
-class TestFundamentalDomain:
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_bernoulli_orbit_domain_matches_finite_part(self, d):
-        g = transitive_groupoid(d)
-        action, _ = bernoulli_crossed_product(g, [Fraction(1, 2), Fraction(1, 2)])
-        assert is_free_action(action)
-        mu_min = fundamental_domain_measure(action, "min")
-        mu_max = fundamental_domain_measure(action, "max")
-        assert mu_min == mu_max == finite_part_measure(g)
-
-    def test_free_group_action_domain(self):
-        g = cyclic_groupoid(2)
-        act = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}
-        action = FibredAction(g, [0, 0], [Fraction(1, 2)] * 2, act)
-        assert fundamental_domain_measure(action) == finite_part_measure(g) == Fraction(1, 2)
 
 
 class TestFileFormat:
     @pytest.mark.parametrize("make", [
         lambda: transitive_groupoid(3),
         lambda: cyclic_groupoid(4),
-        lambda: trivial_groupoid([Fraction(2, 5), Fraction(3, 5)]),
+        lambda: FiniteGroupoid([Fraction(2, 5), Fraction(3, 5)], [0, 1], [0, 1], [0, 1],
+                               [0, 1], {(0, 0): 0, (1, 1): 1}),
     ])
     def test_bit_exact_round_trip(self, make):
         g = make()
@@ -251,6 +188,25 @@ class TestFileFormat:
     def test_malformed_file_rejected(self):
         with pytest.raises(GroupoidError):
             FiniteGroupoid.from_text("units 1\nunit 0 1\narrows 1\n")
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("arrow 1 1 0 2", "arrow 1 1 5 2", "arrow 1 has bad endpoints"),
+        ("arrow 1 1 0 2", "arrow 1 1 0 1", "inverse of 1 has wrong endpoints"),
+        ("compose 1 3 1\n", "", "composition table domain mismatch"),
+        ("compose 1 3 1", "compose 1 3 0", r"composite of \(1,3\) has wrong endpoints"),
+    ])
+    def test_each_axiom_refusal_names_its_axiom(self, old, new, message):
+        text = transitive_groupoid(2).to_text()
+        assert old in text
+        with pytest.raises(GroupoidError, match=message):
+            FiniteGroupoid.from_text(text.replace(old, new))
+
+    def test_non_associative_loop_rejected(self):
+        # a loop of order 5: identity 0 and two-sided inverses, no associativity
+        table = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                 [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+        with pytest.raises(GroupoidError, match="composition is not associative"):
+            group_groupoid(table)
 
 
 class TestCornerEmbedding:

@@ -25,13 +25,10 @@ from soficdim.partitions import (
     Phi0Table,
     RandomPartition,
     bell_number,
-    exact_partition,
     lemma_constants,
-    profile_h_measure,
     profile_sigma_points,
     profile_units,
     random_partition,
-    regular_model_candidate,
     set_partitions,
     span_basis,
     verify_lemma_c1,
@@ -42,13 +39,61 @@ from soficdim.partitions import _indicator as indicator
 from soficdim.partitions import _solve_against
 from soficdim.pperm import (
     PartialPermutation,
-    conjugate,
     inverse,
     random_permutation,
     random_pperm,
 )
 from soficdim.rng import SplitMix64
 from soficdim.sofic import SoficCandidate, iter_SA_members
+
+from references import conjugate, exact_partition, regular_model_candidate
+
+
+# -- the closed measure route: profile measures times letter weights ---------------
+
+
+def profile_h_measure(F0, blocks) -> Fraction:
+    """Exact measure of the units classified by the given block pattern."""
+    if not F0:
+        raise ValueError("F0 must be nonempty")
+    g = F0[0].host
+    return sum((g.unit_weights[e] for e in profile_units(g, F0, blocks)),
+               Fraction(0))
+
+
+def block_weight(alphabet, letters, blocks) -> Fraction:
+    """Product of the letter weights over the blocks of a profile partition.
+
+    Item i carries ``letters[i]`` and lies in block ``blocks[i]``; the
+    weight is 0 when a block holds two different letters.
+    """
+    letter_of = {}
+    for letter, b in zip(letters, blocks):
+        if letter_of.setdefault(b, letter) != letter:
+            return Fraction(0)
+    w = Fraction(1)
+    for letter in letter_of.values():
+        w *= alphabet[letter]
+    return w
+
+
+def mu_cylinder_closed(model, psi) -> Fraction:
+    """Cylinder measure by the closed sum over profile partitions.
+
+    Sums, over partitions of the psi support compatible with the
+    letters, the profile measure times the product of letter weights
+    over the blocks.
+    """
+    support = [model.ball[i] for i, _ in psi]
+    letters = [v for _, v in psi]
+    if not support:
+        return Fraction(1)
+    total = Fraction(0)
+    for blocks in set_partitions(len(support)):
+        w = block_weight(model.alphabet, letters, blocks)
+        if w:
+            total += profile_h_measure(support, blocks) * w
+    return total
 
 
 def r2_swap():
@@ -168,7 +213,7 @@ class TestAugment:
         for p in LemmaContext(g, [swap], 1).F_n:
             if p == swap:
                 continue
-            assert p.is_projection()
+            assert all(g.is_unit[a] for a in p.arrows)
             assert b_compose(p, p) == p
             assert b_inverse(p) == p
 
@@ -232,7 +277,7 @@ class TestCylinderModel:
     def test_measure_routes_agree(self, r2_setup):
         _, _, _, model, _, _ = r2_setup
         for psi in model.psis:
-            assert model.mu_cylinder(psi) == model.mu_cylinder_closed(psi)
+            assert model.mu_cylinder(psi) == mu_cylinder_closed(model, psi)
 
     def test_degenerate_q1(self):
         g, swap = r2_swap()
@@ -286,7 +331,7 @@ def c2_partition_frequency(sigma, delta, model, seeds, precheck=True):
             a_psi = model.image_cylinder(psi, images, letter_blocks)
             for blocks in set_partitions(len(support)):
                 trials += 1
-                w = partitions._block_weight(model.alphabet, letters, blocks)
+                w = block_weight(model.alphabet, letters, blocks)
                 if support:
                     h = profile_h_measure(support, blocks) if w else Fraction(0)
                     pts = profile_sigma_points(imgs, blocks, d)

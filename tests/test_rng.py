@@ -112,7 +112,7 @@ WEIGHTS = [
 def test_weighted_draws_match_the_fraction_comparison():
     for k, weights in enumerate(WEIGHTS):
         fast, ref = SplitMix64(k), SplitMix64(k)
-        got = fast.weighted_indices(weights, 400) + [fast.weighted_index(weights)]
+        got = fast.weighted_indices(weights, 400) + fast.weighted_indices(weights, 1)
         want = [reference_weighted_index(ref, weights) for _ in range(401)]
         assert got == want
         assert fast.next64() == ref.next64()
@@ -143,7 +143,7 @@ def test_draws_on_the_threshold_boundaries():
                 fast._state = ref._state = state_before(u)
                 assert ref.next64() == u
                 ref._state = fast._state
-                assert fast.weighted_index(weights) == \
+                assert fast.weighted_indices(weights, 1)[0] == \
                     reference_weighted_index(ref, weights)
 
 

@@ -24,6 +24,8 @@ from soficdim.scaling import (
 )
 from soficdim.sofic import GroupoidSource, SAParams, SoficCandidate, verify_membership
 
+from references import block_candidate
+
 
 def r2_corner():
     g = transitive_groupoid(2)
@@ -153,7 +155,6 @@ class TestExpand:
         # the half corner of the 4-point relation has genuine collisions
         g4 = transitive_groupoid(4)
         cd = standard_corner(g4, [0, 1])
-        from soficdim.sofic import block_candidate
         src = GroupoidSource(cd.corner, cd.F_corner, 4 * 1 + 5)
         d = 6
         sigma = block_candidate(src, d)
@@ -195,7 +196,6 @@ class TestRestrict:
     def test_exact_block_candidate_restricts_exactly(self):
         cd = r2_corner()
         src = GroupoidSource(cd.ambient, cd.F_ambient, 5)
-        from soficdim.sofic import block_candidate
         d = 10
         sigma = block_candidate(src, d)
         rr = restrict_sigma(sigma, cd, n=1, delta=Fraction(1, 4))
@@ -206,7 +206,6 @@ class TestRestrict:
     def test_largeness_condition(self):
         cd = r2_corner()
         src = GroupoidSource(cd.ambient, cd.F_ambient, 5)
-        from soficdim.sofic import block_candidate
         sigma = block_candidate(src, 4)
         with pytest.raises(ValueError):
             restrict_sigma(sigma, cd, n=1, delta=Fraction(1, 10))
