@@ -26,7 +26,6 @@ from .groupoid import (
     FibredAction,
     FiniteGroupoid,
     PartialBisection,
-    corner,
     finite_part_measure,
     tau,
     transitive_groupoid,
@@ -81,7 +80,7 @@ __version__ = "0.1.0"
 __all__ = [
     "OverlapError", "PartialPermutation", "compose", "distances", "inverse",
     "orthogonal_sum", "parse_pperm", "trace", "uniform_distance",
-    "FibredAction", "FiniteGroupoid", "PartialBisection", "corner",
+    "FibredAction", "FiniteGroupoid", "PartialBisection",
     "finite_part_measure", "tau", "transitive_groupoid", "validate_pmp",
     "Ball", "GeneratingSystem", "ball", "parse_descriptor",
     "InfeasibleError", "MembershipReport", "SAParams", "SoficCandidate",

@@ -309,7 +309,8 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
     if instances < 1 and "scaling" in suites:
         raise CliError(f"--instances {instances}: the scaling suite needs "
                        "at least one instance")
-    ctx = partitions.LemmaContext(g, full_group_generators(g), n)
+    if "c1" in suites or tabled:
+        ctx = partitions.LemmaContext(g, full_group_generators(g), n)
     out = {}
     members = None
     if "c1" in suites:

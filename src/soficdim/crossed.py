@@ -264,23 +264,14 @@ class SumCheck:
     """Approximate linearity of phi over every sum pair of its universe.
 
     ``counts[n]`` counts the points where phi of the union of pair n of
-    ``universe.sum_pairs`` disagrees with the corrected sum of phi of its
-    parts; the pair's gap is that count over ``degree``, and it passes
-    below ``bound``.
+    the universe's ``sum_pairs`` disagrees with the corrected sum of phi
+    of its parts; the pair's gap is that count over ``degree``, and it
+    passes below ``bound``.
     """
 
-    universe: ProjectionUniverse
     counts: tuple
     degree: int
     bound: Fraction
-
-    def gap(self, n: int) -> Fraction:
-        return Fraction(self.counts[n], self.degree)
-
-    def witness(self, n: int) -> str:
-        i, j, _ = self.universe.sum_pairs[n]
-        elements = self.universe.elements
-        return f"|p1|={len(elements[i])}, |p2|={len(elements[j])}"
 
     @property
     def worst_gap(self) -> Fraction:
@@ -294,13 +285,15 @@ class SumCheck:
 def approx_sum_check(cand: HACandidate, params: HAParams) -> SumCheck:
     """Approximate linearity of phi on every disjoint pair at bound 146 delta.
 
-    ``params`` must be built at four times the working radius (its
-    model ball is the quadrupled one).  For a pair (a, b) with union w
-    the corrected sum takes a where a is defined and otherwise b, cut
-    off a's range; the gap counts the points where phi(w) differs from
-    it.  That the pair (sigma, phi) is a member is the caller's to
-    establish (``verify --suite ha`` reports it through ``build_phi``);
-    this check reads phi alone.
+    The pairs are the ``sum_pairs`` of ``params.universe``, the
+    projection universe of the model at the radius it was built for;
+    ``verify --suite lin146`` passes the radius-n model, not the one at
+    four times the working radius that the lemma states the bound for.
+    For a pair (a, b) with union w the corrected sum takes a where a is
+    defined and otherwise b, cut off a's range; the gap counts the
+    points where phi(w) differs from it.  That the pair (sigma, phi) is
+    a member is the caller's to establish (``verify --suite ha`` reports
+    it through ``build_phi``); this check reads phi alone.
     """
     if isinstance(params.delta, SqrtTol):
         raise ValueError("the linearity bound needs a rational tolerance")
@@ -312,7 +305,7 @@ def approx_sum_check(cand: HACandidate, params: HAParams) -> SumCheck:
         taken = set(a)
         counts.append(sum(1 for x, y, w in zip(a, phi[j], phi[k])
                           if w != (x or (0 if y in taken else y))))
-    return SumCheck(uni, tuple(counts), params.d, 146 * params.delta)
+    return SumCheck(tuple(counts), params.d, 146 * params.delta)
 
 
 # -- the linear map phi0 --------------------------------------------------------

@@ -189,12 +189,11 @@ class FiniteGroupoid:
 # -- standard constructions ---------------------------------------------------
 
 
-def transitive_groupoid(d: int, weights=None) -> FiniteGroupoid:
-    """The transitive equivalence relation on d points (arrow (i,j): j -> i)."""
+def transitive_groupoid(d: int) -> FiniteGroupoid:
+    """The transitive equivalence relation on d uniformly weighted points
+    (arrow (i,j): j -> i)."""
     if d < 1:
         raise GroupoidError("d must be >= 1")
-    if weights is None:
-        weights = [Fraction(1, d)] * d
     aid = lambda i, j: i * d + j
     source = [j for i in range(d) for j in range(d)]
     range_ = [i for i in range(d) for _ in range(d)]
@@ -203,7 +202,7 @@ def transitive_groupoid(d: int, weights=None) -> FiniteGroupoid:
     comp = {}
     for i, j, k in product(range(d), repeat=3):
         comp[(aid(i, j), aid(j, k))] = aid(i, k)
-    return FiniteGroupoid(weights, source, range_, inverse, unit_arrow, comp)
+    return FiniteGroupoid([Fraction(1, d)] * d, source, range_, inverse, unit_arrow, comp)
 
 
 def group_groupoid(table) -> FiniteGroupoid:
@@ -343,6 +342,8 @@ class CornerEmbedding:
 
 
 def corner_embedding(g: FiniteGroupoid, units) -> CornerEmbedding:
+    """The restriction to a unit subset with weights renormalized to mass
+    1, with its arrows' places in the ambient."""
     units = sorted(set(units))
     if not units:
         raise GroupoidError("corner needs a nonempty unit set")
@@ -365,11 +366,6 @@ def corner_embedding(g: FiniteGroupoid, units) -> CornerEmbedding:
     weights = [g.unit_weights[e] / mass for e in units]
     corner_g = FiniteGroupoid(weights, source, range_, inverse, unit_arrow, comp)
     return CornerEmbedding(g, corner_g, tuple(keep))
-
-
-def corner(g: FiniteGroupoid, units) -> FiniteGroupoid:
-    """Restriction to a unit subset with weights renormalized to mass 1."""
-    return corner_embedding(g, units).groupoid
 
 
 # -- fibred actions and Bernoulli actions -------------------------------------

@@ -535,15 +535,19 @@ def span_basis(model: CylinderModel) -> SpanBasis:
     vectors = [_indicator(c, model.action.n_points) for c in cylinders]
     if not any(any(v) for v in vectors):
         raise ValueError("degenerate cylinder system: all cylinders are null")
+    # the rows are independent, so a psi's expansion against the rows
+    # chosen before it, padded with zeros, is its expansion in the basis
     basis_idx = []
     basis_rows = []
+    solved = []
     for i, v in enumerate(vectors):
         try:
-            _solve_against(basis_rows, v)
+            solved.append(_solve_against(basis_rows, v))
         except ValueError:
+            solved.append((Fraction(0),) * len(basis_rows) + (Fraction(1),))
             basis_idx.append(i)
             basis_rows.append(v)
-    coeffs = tuple(_solve_against(basis_rows, v) for v in vectors)
+    coeffs = tuple(c + (Fraction(0),) * (len(basis_rows) - len(c)) for c in solved)
     kappa = max((abs(c) for row in coeffs for c in row), default=Fraction(1))
     kappa = max(kappa, Fraction(1))
     subset_sums = set()

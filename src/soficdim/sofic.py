@@ -109,7 +109,7 @@ class BallSource:
         # universe == ball; every element decomposes as itself
         self.decomposition = tuple((i,) for i in range(self.n_ball))
         self.n_universe = self.n_ball
-        self.triples = tuple((i, j, k) for (i, j), k in sorted(ball.mult.items()))
+        self.triples = ball.triples
         self.taus = tuple(ball.tau(i) for i in range(self.n_ball))
 
     def key_label(self, i):
@@ -123,10 +123,9 @@ def bisection_ball(g: FiniteGroupoid, F, n: int):
     identity first).  The empty bisection appears whenever some product
     vanishes.
     """
-    elements, _ = breadth_first(
+    return breadth_first(
         full_identity(g), plus_minus_set(g, F), b_compose, n, BALL_CAP,
         lambda size: InfeasibleError(f"bisection ball of {size} elements", BALL_CAP))
-    return elements
 
 
 def plus_minus_set(g: FiniteGroupoid, F):

@@ -65,9 +65,6 @@ class GeneratingSystem:
                 raise ValueError(f"unknown generator {g!r}")
         return self.reduce_word(tuple(u) + tuple(v))
 
-    def descriptor(self) -> str:
-        raise NotImplementedError
-
 
 class IntegerLine(GeneratingSystem):
     """The infinite cyclic group; canonical form is a single power of a."""
@@ -78,9 +75,6 @@ class IntegerLine(GeneratingSystem):
     def reduce_word(self, word):
         k = sum(e for _, e in word)
         return ((("a", k),) if k else ())
-
-    def descriptor(self):
-        return "z"
 
 
 class CyclicGroup(GeneratingSystem):
@@ -96,19 +90,17 @@ class CyclicGroup(GeneratingSystem):
         k = sum(e for _, e in word) % self.order
         return (((self.generators[0], k),) if k else ())
 
-    def descriptor(self):
-        return f"zmod({self.order})"
-
 
 class TableGroup(GeneratingSystem):
     """Finite group given by a multiplication table.
 
     The canonical word of a non-identity element g is ((name_g, 1),).
     The one-unit groupoid built from the same table checks the group
-    laws and gives the identity and the inverses.
+    laws and gives the identity and the inverses.  ``names`` defaults
+    to g0, g1, ... and ``gens`` to every non-identity element.
     """
 
-    def __init__(self, table, names=None, gens=None, source: str = ""):
+    def __init__(self, table, names=None, gens=None):
         self.table = tuple(tuple(row) for row in table)
         m = len(self.table)
         self.names = tuple(names) if names else tuple(f"g{i}" for i in range(m))
@@ -120,7 +112,6 @@ class TableGroup(GeneratingSystem):
         groupoid = group_groupoid(self.table)
         self.identity_index = groupoid.unit_arrow[0]
         self._inv = groupoid.inverse
-        self._source = source
         gen_names = tuple(gens) if gens else tuple(
             n for i, n in enumerate(self.names) if i != self.identity_index)
         for n in gen_names:
@@ -142,9 +133,6 @@ class TableGroup(GeneratingSystem):
         if acc == self.identity_index:
             return ()
         return ((self.names[acc], 1),)
-
-    def descriptor(self):
-        return f"table({self._source})" if self._source else "table(<inline>)"
 
 
 class FreeProductOfFinite(GeneratingSystem):
@@ -188,9 +176,6 @@ class FreeProductOfFinite(GeneratingSystem):
             out.extend(syl)
         return tuple(out)
 
-    def descriptor(self):
-        return "freeprod(" + ", ".join(f.descriptor() for f in self.factors) + ")"
-
 
 # -- balls --------------------------------------------------------------------
 
@@ -199,21 +184,18 @@ class Ball:
     """All canonical forms of words of length <= n over F and inverses.
 
     ``elements`` are ordered by discovery (word length, then insertion);
-    ``mult[(i, j)]`` holds the index of the reduced product when it lies
-    in the ball.  ``witness[i]`` is a shortest generating word found for
-    element i.
+    ``triples`` holds (i, j, k) in (i, j) order for each pair whose
+    reduced product elements[k] lies in the ball.
     """
 
-    __slots__ = ("system", "gens", "elements", "index", "witness", "mult")
+    __slots__ = ("system", "gens", "elements", "index", "triples")
 
-    def __init__(self, system, gens, elements, witness):
+    def __init__(self, system, gens, elements):
         self.system = system
         self.gens = tuple(gens)
         self.elements = tuple(elements)
         self.index = {w: i for i, w in enumerate(self.elements)}
-        self.witness = tuple(witness)
-        self.mult = {(i, j): k for i, j, k in product_triples(
-            self.elements, self.index, system.reduce_product)}
+        self.triples = product_triples(self.elements, self.index, system.reduce_product)
 
     def __len__(self):
         return len(self.elements)
@@ -235,44 +217,37 @@ def ball(system: GeneratingSystem, gens=None, n: int = 1) -> Ball:
         if g not in system.generators:
             raise ValueError(f"unknown generator {g!r}")
     steps = [()] + [((g, e),) for g in gens for e in (1, -1)]
-    elements, parents = breadth_first(
+    elements = breadth_first(
         (), steps, system.reduce_product, n, BALL_CAP,
         lambda size: BallSizeError(f"ball exceeds cap {BALL_CAP}"))
-    witness = [()]
-    for p, s in parents[1:]:
-        witness.append(witness[p] + s)
-    return Ball(system, gens, elements, witness)
+    return Ball(system, gens, elements)
 
 
 def breadth_first(start, steps, product, n: int, cap: int, too_big):
     """Everything ``product`` reaches from ``start`` by at most n right
-    multiplications with ``steps``: (elements, parents).
+    multiplications with ``steps``, as a list.
 
-    Elements come in discovery order (by distance, then by parent and
-    step), ``start`` first.  ``parents[i]`` is (index of the element
-    that first reached element i, the step it took); it is None for
-    ``start``.  Passing ``cap`` elements raises ``too_big(size)``.
+    Elements come in discovery order (by distance, then by the element
+    that first reached them and the step it took), ``start`` first.
+    Passing ``cap`` elements raises ``too_big(size)``.
     """
     elements = [start]
-    parents = [None]
     seen = {start}
     lo = 0
     for _ in range(n):
         hi = len(elements)
-        for p in range(lo, hi):
-            u = elements[p]
+        for u in elements[lo:hi]:
             for s in steps:
                 w = product(u, s)
                 if w not in seen:
                     seen.add(w)
                     elements.append(w)
-                    parents.append((p, s))
                     if len(elements) > cap:
                         raise too_big(len(elements))
         if len(elements) == hi:
             break
         lo = hi
-    return elements, parents
+    return elements
 
 
 def product_triples(elements, index, product) -> tuple:
@@ -379,4 +354,4 @@ def load_cayley_table(path) -> TableGroup:
             gens = ln.split()[1:]
         else:
             raise ValueError(f"unexpected line {ln!r}")
-    return TableGroup(rows, names=names, gens=gens, source=str(path))
+    return TableGroup(rows, names=names, gens=gens)

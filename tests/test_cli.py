@@ -363,6 +363,26 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["all_pass"] and doc["suites"]["scaling"]["instances"] == 2
 
+    @pytest.mark.parametrize("suite", ["scaling", "c1,scaling"])
+    def test_profile_cap_binds_only_the_suites_that_read_profiles(
+            self, capsys, tmp_path, suite):
+        # the 24-element ball of r4 passes the profile cap, which only c1
+        # and the tabled suites read
+        path = tmp_path / "r4.gpd"
+        transitive_groupoid(4).save(path)
+        code, out, err = run(capsys, "verify", "--suite", suite, "--source",
+                             str(path), "--d", "4", "--delta", "1/10",
+                             "--instances", "1")
+        if suite == "scaling":
+            assert code == 0 and err == ""
+            assert json.loads(out)["suites"] == {"scaling": {
+                "instances": 1, "passed": True, "round_trip_bound": 24.0,
+                "worst_round_trip": 0.0}}
+        else:
+            assert code == 2 and out == ""
+            assert json.loads(err) == {"error": "profile augmentation over a "
+                                       "ball of 24 elements exceeds the cap 8"}
+
     @pytest.mark.parametrize("suite", ["scaling", "c1", "ha", "all"])
     @pytest.mark.parametrize("delta", ["0", "-1/2"])
     def test_nonpositive_delta_refused(self, capsys, suite, delta):

@@ -743,10 +743,12 @@ def assert_sum_check_matches(cand, params):
     uni = params.universe
     assert len(check.counts) == len(uni.sum_pairs)
     refs = []
-    for n, (i, j, _) in enumerate(uni.sum_pairs):
-        ref = reference_approx_sum_check(cand, params, uni.elements[i], uni.elements[j])
-        assert (check.gap(n), check.bound, check.gap(n) < check.bound,
-                check.witness(n)) == ref
+    for count, (i, j, _) in zip(check.counts, uni.sum_pairs):
+        p1, p2 = uni.elements[i], uni.elements[j]
+        ref = reference_approx_sum_check(cand, params, p1, p2)
+        gap = Fraction(count, check.degree)
+        assert (gap, check.bound, gap < check.bound,
+                f"|p1|={len(p1)}, |p2|={len(p2)}") == ref
         refs.append(ref)
     assert check.worst_gap == max(ref[0] for ref in refs)
     assert check.passed == all(ref[2] for ref in refs)

@@ -12,7 +12,6 @@ from soficdim.groupoid import (
     b_compose,
     b_inverse,
     bernoulli_action,
-    corner,
     corner_embedding,
     cyclic_groupoid,
     finite_part_measure,
@@ -63,7 +62,9 @@ class TestPmp:
         assert validate_pmp(transitive_groupoid(2)).ok
 
     def test_unbalanced_arrow_is_flagged(self):
-        g = transitive_groupoid(2, [Fraction(1, 3), Fraction(2, 3)])
+        r2 = transitive_groupoid(2)
+        g = FiniteGroupoid([Fraction(1, 3), Fraction(2, 3)], r2.source, r2.range_,
+                           r2.inverse, r2.unit_arrow, r2.comp)
         rep = validate_pmp(g)
         assert not rep.ok
         # exactly the two off-diagonal arrows violate the equality
@@ -112,7 +113,7 @@ class TestTrace:
 class TestCorner:
     def test_corner_of_r4_is_r2(self):
         g4 = transitive_groupoid(4)
-        c = corner(g4, [0, 1])
+        c = corner_embedding(g4, [0, 1]).groupoid
         r2 = transitive_groupoid(2)
         assert c.n_units == 2 and c.n_arrows == 4
         assert c.unit_weights == r2.unit_weights
@@ -120,17 +121,17 @@ class TestCorner:
 
     def test_corner_full_is_identity(self):
         g = transitive_groupoid(3)
-        c = corner(g, range(3))
+        c = corner_embedding(g, range(3)).groupoid
         assert c.n_arrows == g.n_arrows and c.unit_weights == g.unit_weights
 
     def test_corner_of_group_is_group(self):
         g = cyclic_groupoid(4)
-        c = corner(g, [0])
+        c = corner_embedding(g, [0]).groupoid
         assert c.n_arrows == 4 and validate_pmp(c).ok
 
     def test_empty_corner_rejected(self):
         with pytest.raises(GroupoidError):
-            corner(transitive_groupoid(2), [])
+            corner_embedding(transitive_groupoid(2), []).groupoid
 
 
 class TestBernoulli:

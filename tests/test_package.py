@@ -1,6 +1,4 @@
 import ast
-import re
-import tokenize
 from collections import defaultdict
 from pathlib import Path
 
@@ -43,44 +41,60 @@ KEEP = {
 }
 
 
-def _name_lines(path):
-    """(name, line) of every NAME token of a Python file.
+MODULES = frozenset({"soficdim"} | {p.stem for p in PACKAGE.glob("*.py")})
 
-    Comments and docstrings carry no NAME tokens.  Before Python 3.12 an
-    f-string is one STRING token, so the names of its replacement
-    fields are read from its syntax tree.
+
+def _reads(path):
+    """Where a Python file reads each name, by kind: ``attr`` for any
+    ``.name``, ``module_attr`` for ``<package module>.name``, ``bare`` for a
+    bare NAME and ``string`` for a ``"name"`` constant.  Each maps a name
+    to the lines that read it.
+
+    The name after ``def`` or ``class`` is no NAME node, so it reads
+    nothing.  f-string fields are parsed into the syntax tree.
     """
-    out = []
-    with path.open("rb") as fh:
-        for tok in tokenize.tokenize(fh.readline):
-            if tok.type == tokenize.NAME:
-                out.append((tok.string, tok.start[0]))
-            elif tok.type == tokenize.STRING and "f" in re.match(r"\w*", tok.string)[0].lower():
-                for node in ast.walk(ast.parse(tok.string, mode="eval")):
-                    name = getattr(node, "id", None) or getattr(node, "attr", None)
-                    if name:
-                        out.append((name, tok.start[0] + node.lineno - 1))
-    return out
+    reads = {kind: defaultdict(list) for kind in ("attr", "module_attr", "bare", "string")}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            reads["attr"][node.attr].append(node.lineno)
+            if isinstance(node.value, ast.Name) and node.value.id in MODULES:
+                reads["module_attr"][node.attr].append(node.lineno)
+        elif isinstance(node, ast.Name):
+            reads["bare"][node.id].append(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads["string"][node.value].append(node.lineno)
+    return reads
+
+
+def _targets(tree):
+    """(qualified name, kinds of read, node) of each module-level def or
+    class and each def placed directly in a class body."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, defs + (ast.ClassDef,)):
+            yield node.name, ("bare", "module_attr"), node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs):
+                    yield f"{node.name}.{item.name}", ("attr", "string"), item
 
 
 def test_every_library_definition_has_a_reader():
+    """A method is read by a ``.name`` access on anything or by a
+    ``"name"`` string; a module-level definition by a bare NAME or by
+    ``<package module>.name``.  Readers count in the other package
+    modules, outside the definition's own body, and in the scripts and
+    benchmark files."""
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    readers = defaultdict(list)  # name -> [(module, line)]
-    for path in modules:
-        for name, line in _name_lines(path):
-            readers[name].append((path, line))
-    outside = {name for p in sorted((ROOT / "scripts").glob("*.py"))
-               + sorted((ROOT / "perfbench").glob("*.py"))
-               for name, _ in _name_lines(p)}
+    outside = [p for d in ("scripts", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+    reads = {p: _reads(p) for p in modules + outside}
     unread = []
     for path in modules:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
+        for qualname, kinds, node in _targets(ast.parse(path.read_text())):
             name = node.name
-            if name.startswith("__") and name.endswith("__") or name in KEEP or name in outside:
+            if name.startswith("__") and name.endswith("__") or name in KEEP:
                 continue
             if not any(p != path or not node.lineno <= line <= node.end_lineno
-                       for p, line in readers[name]):
-                unread.append(f"{path.stem}.{name}")
+                       for p, r in reads.items() for kind in kinds for line in r[kind][name]):
+                unread.append(f"{path.stem}.{qualname}")
     assert unread == []

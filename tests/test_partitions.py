@@ -618,6 +618,20 @@ def test_span_basis_matches_rational_solve(source, q):
             basis.gamma_parts) == reference_span_basis(model)
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("source", ["r2", "zmod2"])
+def test_span_basis_solves_each_psi_once(source, q, monkeypatch):
+    g = transitive_groupoid(2) if source == "r2" else cyclic_groupoid(2)
+    model = CylinderModel(LemmaContext(g, full_group_generators(g), 1),
+                          [Fraction(1, q)] * q)
+    solved = []
+    monkeypatch.setattr(partitions, "_solve_against",
+                        lambda rows, vec: solved.append(vec)
+                        or _solve_against(rows, vec))
+    span_basis(model)
+    assert len(solved) == len(model.psis)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("m", [None, 2, 3], ids=["r2", "zmod2", "zmod3"])
 def test_sigma_source_ball_is_the_model_ball(m, n):

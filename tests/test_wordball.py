@@ -128,8 +128,10 @@ class TestBall:
         assert set(b.elements) == expected
 
     def test_ball_closure_under_short_products(self):
-        b = ball(z23(), None, 3)
-        wlen = {w: len(b.witness[i]) for i, w in enumerate(b.elements)}
+        balls = [ball(z23(), None, r) for r in range(4)]
+        b = balls[3]
+        wlen = {w: next(r for r, br in enumerate(balls) if w in br.index)
+                for w in b.elements}
         for u in b.elements:
             for v in b.elements:
                 if wlen[u] + wlen[v] <= 3:
@@ -151,15 +153,14 @@ class TestBall:
 
     def test_mult_table_matches_reducer(self):
         b = ball(CyclicGroup(4), None, 2)
-        for (i, j), k in b.mult.items():
+        for i, j, k in b.triples:
             assert b.system.reduce_product(b.elements[i], b.elements[j]) == b.elements[k]
 
     def test_breadth_first_order_and_parents(self):
         def add(u, s):
             return (u + s) % 7
-        elements, parents = wordball.breadth_first(0, (1, -1), add, 2, 10, None)
+        elements = wordball.breadth_first(0, (1, -1), add, 2, 10, None)
         assert elements == [0, 1, 6, 2, 5]
-        assert parents == [None, (0, 1), (0, -1), (1, 1), (2, -1)]
         with pytest.raises(OverflowError, match="^5$"):
             wordball.breadth_first(0, (1, -1), add, 3, 4, lambda n: OverflowError(n))
 
@@ -171,9 +172,13 @@ class TestBall:
 
 class TestDescriptors:
     def test_parse_round_trip(self):
-        for text in ("z", "zmod(5)", "freeprod(zmod(2), zmod(3))"):
-            sys = parse_descriptor(text)
-            assert parse_descriptor(sys.descriptor()).descriptor() == sys.descriptor()
+        z = parse_descriptor("z")
+        assert type(z) is IntegerLine and z.generators == ("a",)
+        c5 = parse_descriptor("zmod(5)")
+        assert type(c5) is CyclicGroup and (c5.order, c5.generators) == (5, ("a",))
+        fp = parse_descriptor("freeprod(zmod(2), zmod(3))")
+        assert type(fp) is FreeProductOfFinite and fp.generators == ("a", "b")
+        assert [(f.order, f.generators) for f in fp.factors] == [(2, ("a",)), (3, ("b",))]
 
     def test_bad_descriptor(self):
         with pytest.raises(ValueError):
