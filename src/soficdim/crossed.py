@@ -549,7 +549,7 @@ def ha_statistic_with_sa(params: HAParams, E, Q, cap: int = 10 ** 7):
     triples[uni.x_index].append((ident, uni.x_index, ident))  # (iv)
     limit = next((c for c in range(d + 1) if not below(Fraction(c, d))), d + 1)
 
-    def compose(ij):
+    def compose(slots, ij):
         return tuple(map(slots[ij[0]].__getitem__, slots[ij[1]]))
 
     letter_pos = [uni.letter_index[i] for i in Q]

@@ -22,7 +22,7 @@ from itertools import combinations, permutations
 from math import comb, factorial
 from operator import eq, itemgetter
 
-from .rng import _GOLDEN, _MASK, _TWO64, SplitMix64
+from .rng import _GOLDEN, _MASK, _TWO64, SplitMix64, choose_sorted, mix64
 
 
 class OverlapError(ValueError):
@@ -308,10 +308,12 @@ def _domain_size_bounds(d: int) -> tuple:
     return tuple(out), acc
 
 
-def random_images(d: int, total: bool, lo: int, hi: int, rng: SplitMix64):
-    """Padded images (0, s(1), ..., s(d)) of a uniform random permutation
-    (``total``) or partial permutation of degree d, or None as soon as
-    its fixed-point count cannot lie in lo..hi.
+def random_images(d: int, total: bool, lo: int, hi: int, state: int):
+    """``(images, state)``: the padded images (0, s(1), ..., s(d)) of a
+    uniform random permutation (``total``) or partial permutation of
+    degree d drawn from the SplitMix64 stream at ``state``, or None as
+    soon as its fixed-point count cannot lie in lo..hi, and the state
+    after the draws made.
 
     A partial map takes one ``next64`` for its domain size k (exact
     weights: u / 2^64 < cum_k / total), then ``choose_sorted(d, k)`` for
@@ -324,22 +326,23 @@ def random_images(d: int, total: bool, lo: int, hi: int, rng: SplitMix64):
     stream of the full draw; a None draw stops part-way.
     """
     if hi < lo:
-        return None
+        return None, state
     if total:
         k = d
         dom = range(d)
         ran = list(dom)
     else:
         bounds, size = _domain_size_bounds(d)
-        k = bisect_right(bounds, rng.next64() * size)
+        k = bisect_right(bounds, mix64(state) * size)  # next64's output
+        state = (state + _GOLDEN) & _MASK
         if k < lo:
-            return None
-        dom = rng.choose_sorted(d, k)
-        ran = rng.choose_sorted(d, k)
+            return None, state
+        dom, state = choose_sorted(d, k, state)
+        ran, state = choose_sorted(d, k, state)
         if lo and len(set(dom).intersection(ran)) < lo:
-            return None
+            return None, state
     fixed = 0
-    s = rng._state
+    s = state
     for i in range(k - 1, 0, -1):
         n = i + 1
         limit = _TWO64 - _TWO64 % n
@@ -360,23 +363,24 @@ def random_images(d: int, total: bool, lo: int, hi: int, rng: SplitMix64):
                 break
         elif fixed + i < lo:
             break
-    rng._state = s
     # after a break, position 0 cannot bring the count back into lo..hi
     if ran and ran[0] == dom[0]:
         fixed += 1
     if not lo <= fixed <= hi:
-        return None
+        return None, s
     images = [0] * (d + 1)
     for x, y in zip(dom, ran):  # points 0..d-1 of the shuffle are 1..d
         images[x + 1] = y + 1
-    return tuple(images)
+    return tuple(images), s
 
 
 def random_permutation(d: int, rng: SplitMix64) -> PartialPermutation:
     """Uniform over the permutations of degree d."""
-    return PartialPermutation(d, random_images(d, True, 0, d, rng)[1:])
+    images, rng._state = random_images(d, True, 0, d, rng._state)
+    return PartialPermutation(d, images[1:])
 
 
 def random_pperm(d: int, rng: SplitMix64) -> PartialPermutation:
     """Uniform over all partial permutations of degree d (exact weights)."""
-    return PartialPermutation(d, random_images(d, False, 0, d, rng)[1:])
+    images, rng._state = random_images(d, False, 0, d, rng._state)
+    return PartialPermutation(d, images[1:])

@@ -8,12 +8,23 @@ that results are reproducible bit for bit across platforms and Python
 versions, and so that independent substreams can be split off cheaply
 by index (one substream per Monte Carlo trial, per sweep instance, ...).
 
+A substream's start state is a pure function of (seed, index), so
+``SplitMix64.spawn_states`` computes the states of a block of
+consecutive indices at once, with a few operations on one large
+integer that holds each index in a lane of its own.  Monte Carlo
+counting, bound by this module (``perfbench``'s ``sample`` workload),
+runs each trial on such a bare state: ``choose_sorted`` here and
+``pperm.random_images`` take a state and return the state after their
+draws, the stream that the ``SplitMix64`` methods of the same draws
+consume.
+
 Weighted choices against exact rational weights are decided by integer
 cross-multiplication, so the sampling itself introduces no rounding.
 """
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -31,20 +42,57 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix64_lanes(x: int, golden: int, low: int) -> int:
+    """``mix64`` of every lane of x at once.
+
+    Lane i is bits 128i .. 128i+63 of x, and bits 128i+64 .. 128i+127
+    are 0.  ``golden`` holds the golden-ratio increment and ``low``
+    holds 2^64 - 1 in every lane.  A sum or a product by a 64-bit
+    constant then stays below 2^128 in its slot, and a right shift
+    spills the next lane's low bits only into the upper half, so
+    masking with ``low`` after each step leaves exactly the 64-bit
+    result of each lane.
+    """
+    z = (x + golden) & low
+    z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
+    z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
+    return (z ^ (z >> 31)) & low
+
+
+def choose_sorted(n: int, k: int, state: int) -> tuple[list[int], int]:
+    """A uniform k-subset of range(n), returned sorted, drawn from the
+    stream at ``state``, and the state after it.
+
+    Partial Fisher-Yates: position i swaps with ``i + below(n - i)``.
+    The step of ``next64`` runs inline on the bare state.
+    """
+    if not 0 <= k <= n:
+        raise ValueError("invalid subset size")
+    pool = list(range(n))
+    s = state
+    for i in range(k):
+        m = n - i
+        limit = _TWO64 - _TWO64 % m
+        while True:
+            s = (s + _GOLDEN) & _MASK
+            z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+            z ^= z >> 31
+            if z < limit:
+                break
+        j = i + z % m
+        pool[i], pool[j] = pool[j], pool[i]
+    return sorted(pool[:k]), s
+
+
 class SplitMix64:
     """SplitMix64 generator with 64-bit state.
 
     ``next64`` steps the counter by the golden-ratio increment and
     scrambles it.  Every derived draw consumes the same stream of
     ``next64`` outputs.  ``below``, ``shuffle`` and ``weighted_indices``
-    call ``next64``; they draw partitions, block bijections and
-    ``construct`` corners, which no hot loop repeats.  Monte Carlo
-    counting is bound by this module (``perfbench``'s ``sample``
-    workload; see the profile of ``spawn`` and ``choose_sorted`` in
-    CHANGES.md), so its two draws inline the step on a local copy of the
-    state and store it back once, saving a method call per draw:
-    ``choose_sorted`` and the shuffle in ``pperm.random_images``, which
-    stops part-way once a map's fixed-point count is decided.
+    call ``next64``; ``choose_sorted`` runs the module-level draw of the
+    same name on this generator's state.
     """
 
     __slots__ = ("seed", "_state")
@@ -64,6 +112,22 @@ class SplitMix64:
         """Independent substream determined by (seed, index) only."""
         return SplitMix64(mix64(self.seed ^ mix64(index & _MASK)))
 
+    def spawn_states(self, start: int, count: int) -> list[int]:
+        """``[self.spawn(t)._state for t in range(start, start + count)]``
+        for 0 <= start and start + count <= 2^64.
+
+        Each t takes one 64-bit lane in a 128-bit slot of a single
+        integer (``_mix64_lanes``), so both ``mix64`` rounds and the
+        seed's xor run once over the whole block.
+        """
+        lanes = "<" + "Q8x" * count
+        ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+        golden, low = _GOLDEN * ones, _MASK * ones
+        x = int.from_bytes(struct.pack(lanes, *range(start, start + count)), "little")
+        z = _mix64_lanes(x, golden, low) ^ self.seed * ones
+        z = _mix64_lanes(z, golden, low)
+        return list(struct.unpack(lanes, z.to_bytes(16 * count, "little")))
+
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection; exact, no modulo bias."""
         if n <= 0:
@@ -81,28 +145,10 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
     def choose_sorted(self, n: int, k: int) -> list[int]:
-        """A uniform k-subset of range(n), returned sorted.
-
-        Partial Fisher-Yates: position i swaps with ``i + below(n - i)``.
-        """
-        if not 0 <= k <= n:
-            raise ValueError("invalid subset size")
-        pool = list(range(n))
-        s = self._state
-        for i in range(k):
-            m = n - i
-            limit = _TWO64 - _TWO64 % m
-            while True:
-                s = (s + _GOLDEN) & _MASK
-                z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-                z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-                z ^= z >> 31
-                if z < limit:
-                    break
-            j = i + z % m
-            pool[i], pool[j] = pool[j], pool[i]
-        self._state = s
-        return sorted(pool[:k])
+        """A uniform k-subset of range(n), returned sorted (the
+        module-level ``choose_sorted`` on this generator's stream)."""
+        subset, self._state = choose_sorted(n, k, self._state)
+        return subset
 
     def weighted_indices(self, weights, count: int) -> list[int]:
         """``count`` weighted draws, one ``next64`` output each.

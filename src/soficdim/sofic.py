@@ -53,10 +53,11 @@ A seeded Monte Carlo estimator and a cycle-type closed form for cyclic
 groups extend the statistic beyond enumeration range.  The estimator
 decides each trial with the same integer test: a trial stops part-way
 through its first draw whose fixed-point count cannot lie in its trace
-window, and otherwise searches the drawn images alone.  Each trial
-draws from its own substream of the seed, so stopping early changes no
-other trial's draws and the hits are those of drawing every image and
-asking ``verify_membership``.
+window, and otherwise runs the search's checks (``_admissible``) as
+each image lands, stopping at the first that fails.  Each trial draws
+from its own substream of the seed, so stopping early changes no other
+trial's draws and the hits are those of drawing every image and asking
+``verify_membership``.
 """
 
 from __future__ import annotations
@@ -471,30 +472,36 @@ def fixed_windows(d: int, centres, below) -> list[frozenset]:
     return windows
 
 
+def _admissible(t, slots, derived, triples, limit, derive) -> bool:
+    """Whether the assignment in ``slots`` passes the checks that
+    position t completes.
+
+    Each (k, arg) in ``derived[t]`` sets ``slots[k] = derive(slots,
+    arg)``, an OverlapError rejecting, and each (i, j, k) in
+    ``triples[t]`` rejects when ``slots[k]`` disagrees with ``slots[i]``
+    after ``slots[j]`` on ``limit`` or more points.
+    """
+    for k, arg in derived[t]:
+        try:
+            slots[k] = derive(slots, arg)
+        except OverlapError:
+            return False
+    for (i, j, k) in triples[t]:
+        a = slots[i]
+        if sum(map(ne, map(a.__getitem__, slots[j]), slots[k])) >= limit:
+            return False
+    return True
+
+
 def search(pools, derived, triples, limit, slots, derive):
     """Yield ``slots`` at every assignment that passes its checks,
     depth first in pool order; the list is reused, so copy from it.
 
     Position t takes a padded image tuple of ``pools[t]`` into
-    ``slots[t]``.  Each (k, arg) in ``derived[t]`` then sets
-    ``slots[k] = derive(arg)``, an OverlapError rejecting, and each
-    (i, j, k) in ``triples[t]`` rejects when ``slots[k]`` disagrees
-    with ``slots[i]`` after ``slots[j]`` on ``limit`` or more points.
-    The caller sets any constant slots.
+    ``slots[t]`` and keeps it when ``_admissible`` passes t.  The caller
+    sets any constant slots.
     """
     n = len(pools)
-
-    def admissible(t):
-        for k, arg in derived[t]:
-            try:
-                slots[k] = derive(arg)
-            except OverlapError:
-                return False
-        for (i, j, k) in triples[t]:
-            a = slots[i]
-            if sum(map(ne, map(a.__getitem__, slots[j]), slots[k])) >= limit:
-                return False
-        return True
 
     def walk(t):
         if t == n:
@@ -502,11 +509,16 @@ def search(pools, derived, triples, limit, slots, derive):
             return
         for pad in pools[t]:
             slots[t] = pad
-            if admissible(t):
+            if _admissible(t, slots, derived, triples, limit, derive):
                 yield from walk(t + 1)
 
     yield from walk(0)
     del walk  # walk refers to itself; dropping it frees the pools at once
+
+
+def _slot_sum(slots, parts) -> tuple:
+    """The orthogonal sum of the padded images in ``slots`` at ``parts``."""
+    return _orthogonal_sum([slots[i] for i in parts])
 
 
 class SearchPlan:
@@ -552,13 +564,8 @@ class SearchPlan:
         position comes from that position's pool (as ``candidate_pool``
         makes them), depth first in pool order: its first
         ``len(pools)`` entries are the members' padded images."""
-        slots: list = [None] * self.n_universe
-
-        def orthogonal_sum(parts):
-            return _orthogonal_sum([slots[i] for i in parts])
-
-        return search(pools, self.sums, self.triples, self.limit, slots,
-                      orthogonal_sum)
+        return search(pools, self.sums, self.triples, self.limit,
+                      [None] * self.n_universe, _slot_sum)
 
 
 def _maps(d: int, pads) -> tuple:
@@ -692,21 +699,29 @@ def restricted_statistic(params: SAParams, E,
 # -- Monte Carlo ---------------------------------------------------------------
 
 
+# trials per block of substream states: a constant, so memory does not grow
+# with the trial count
+MC_BLOCK = 1024
+
+
 def monte_carlo_count(params: SAParams, trials: int, seed: int) -> tuple[float, float]:
     """Uniform-sampling estimate of the member count with binomial stderr.
 
     Trial t draws one image per ball position, in position order and
     uniformly from the candidate pool, from the substream
-    ``SplitMix64(seed).spawn(t)``.  It decides membership with the
+    ``SplitMix64(seed).spawn(t)``.  The trials run on bare integer
+    states, in blocks of ``MC_BLOCK`` whose start states
+    ``spawn_states`` computes at once.  A trial decides membership with the
     integer test of ``count_SA``: ``pperm.random_images`` stops a draw,
     part-way, as soon as its fixed-point count cannot lie in its
-    position's trace window, which ends the trial; otherwise the trial
-    runs the search over the drawn images alone, one candidate per
-    position.  As each trial owns its substream, the draws a stopped
-    trial skips change no other trial, and a draw that lands in its
-    window equals the full draw, so the hits equal those of drawing
-    every image in full and asking ``verify_membership``, which checks
-    one candidate with the same orthogonal sum and disagreement count.
+    position's trace window, and as each image lands the trial runs the
+    checks of the search plan that its position completes, the sums
+    (an overlap rejecting) and the triples.  The first failure ends the
+    trial.  As each trial owns its substream, the draws a stopped trial
+    skips change no other trial, and a draw that lands in its window
+    equals the full draw, so the hits equal those of drawing every
+    image in full and asking ``verify_membership``, which checks one
+    candidate with the same orthogonal sum and disagreement count.
 
     Raises ValueError when the search space is too large for the float
     estimate.
@@ -722,21 +737,23 @@ def monte_carlo_count(params: SAParams, trials: int, seed: int) -> tuple[float, 
     d = params.d
     total = params.mode == "perms"
     plan = SearchPlan(params)
+    sums, triples, limit = plan.sums, plan.triples, plan.limit
     # |k/d - tau| < delta holds on an interval of counts k, maybe empty
-    windows = [(min(fixed, default=1), max(fixed, default=0)) for fixed in plan.windows]
+    windows = list(enumerate((min(fixed, default=1), max(fixed, default=0))
+                             for fixed in plan.windows))
+    slots: list = [None] * plan.n_universe
     draw = pperm.random_images
     base = SplitMix64(seed)
     hits = 0
-    for t in range(trials):
-        rng = base.spawn(t)
-        pools = []
-        for lo, hi in windows:
-            images = draw(d, total, lo, hi, rng)
-            if images is None:
-                break
-            pools.append([images])
-        else:  # one candidate per pool: at most one assignment
-            hits += sum(1 for _ in plan.search(pools))
+    for start in range(0, trials, MC_BLOCK):
+        for state in base.spawn_states(start, min(MC_BLOCK, trials - start)):
+            for t, (lo, hi) in windows:
+                slots[t], state = draw(d, total, lo, hi, state)
+                if (slots[t] is None
+                        or not _admissible(t, slots, sums, triples, limit, _slot_sum)):
+                    break
+            else:
+                hits += 1
     rate = Fraction(hits, trials)
     estimate = float(rate * space)
     stderr = scale * math.sqrt(rate * (1 - rate) / trials)

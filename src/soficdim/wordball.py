@@ -47,10 +47,15 @@ def word_str(word: Word) -> str:
 
 
 class GeneratingSystem:
-    """Base class: a generator list plus a normal-form reducer."""
+    """Base class: a generator list plus a normal-form reducer.
+
+    ``letters`` holds the names a word may use: the generators, unless a
+    subclass writes its canonical words in other names.
+    """
 
     def __init__(self, generators):
         self.generators = tuple(generators)
+        self.letters = frozenset(self.generators)
 
     def reduce_word(self, word: Word) -> Word:
         raise NotImplementedError
@@ -61,7 +66,7 @@ class GeneratingSystem:
 
     def reduce_product(self, u: Word, v: Word) -> Word:
         for g, _ in tuple(u) + tuple(v):
-            if g not in self.generators:
+            if g not in self.letters:
                 raise ValueError(f"unknown generator {g!r}")
         return self.reduce_word(tuple(u) + tuple(v))
 
@@ -94,7 +99,8 @@ class CyclicGroup(GeneratingSystem):
 class TableGroup(GeneratingSystem):
     """Finite group given by a multiplication table.
 
-    The canonical word of a non-identity element g is ((name_g, 1),).
+    The canonical word of a non-identity element g is ((name_g, 1),),
+    so a word may use every element name, generator or not.
     The one-unit groupoid built from the same table checks the group
     laws and gives the identity and the inverses.  ``names`` defaults
     to g0, g1, ... and ``gens`` to every non-identity element.
@@ -118,6 +124,7 @@ class TableGroup(GeneratingSystem):
             if n not in self._index:
                 raise ValueError(f"unknown generator name {n!r}")
         super().__init__(gen_names)
+        self.letters = frozenset(self.names)
 
     def _mul(self, i, j):
         return self.table[i][j]

@@ -178,6 +178,21 @@ class TestCount:
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": error}
 
+    def test_cayley_gens_line_leaving_out_a_name(self, capsys, tmp_path, monkeypatch):
+        # with gens r alone, r^-1 is the word of s, which is no generator
+        monkeypatch.chdir(tmp_path)
+        c3 = "order 3\ntable\n0 1 2\n1 2 0\n2 0 1\nnames e r s\n"
+        Path("c3.cay").write_text(c3)
+        Path("c3r.cay").write_text(c3 + "gens r\n")
+        rows = []
+        for path in ("c3.cay", "c3r.cay"):
+            code, out, _ = run(capsys, "count", "--family", f"table({path})",
+                               "--d", "2..4", "--delta", "1/10")
+            assert code == 0
+            rows.append([ln for ln in out.splitlines() if not ln.startswith("#")])
+        assert rows[0] == rows[1]
+        assert len(rows[0]) == 4  # the header and one row per degree
+
     @pytest.mark.parametrize("k,code", [(8, 0), (9, 2)])
     def test_freeprod_factor_limit(self, capsys, k, code):
         family = "freeprod(" + ",".join(["zmod(2)"] * k) + ")"

@@ -343,11 +343,11 @@ class TestSampling:
             rng = SplitMix64(seed)
             s = full(d, rng)
             for lo, hi in windows:
-                windowed = SplitMix64(seed)
-                images = pperm.random_images(d, total, lo, hi, windowed)
+                images, state = pperm.random_images(d, total, lo, hi,
+                                                    SplitMix64(seed)._state)
                 if lo <= s.nfix <= hi:
                     assert images == (0,) + s.images
-                    assert windowed._state == rng._state
+                    assert state == rng._state
                 else:
                     assert images is None
 

@@ -74,6 +74,15 @@ def test_empty_draws_leave_the_state():
     assert rng.next64() == SplitMix64(7).next64()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 64 - 1, 2 ** 64 + 5, -3])
+def test_batched_states_are_the_spawned_states(seed):
+    rng = SplitMix64(seed)
+    for start in (0, 777):
+        for count in (1, 1023, 1024, 1025):
+            assert rng.spawn_states(start, count) == [
+                SplitMix64(seed).spawn(t)._state for t in range(start, start + count)]
+
+
 def test_invalid_bounds():
     rng = SplitMix64(1)
     with pytest.raises(ValueError):

@@ -574,12 +574,30 @@ def mc_draw(mode):
     return pperm.random_permutation if mode == "perms" else pperm.random_pperm
 
 
+def first_failing_position(source, images, delta):
+    """The first ball position at which a trial drawing ``images`` fails,
+    or None: an image outside its trace window, or a sum that overlaps or
+    a triple that disagrees on delta*d or more points, each at the ball
+    position that completes it (its largest summand)."""
+    need = [max(parts) for parts in source.decomposition]
+    value = [reference_resolve(source, images, k) for k in range(source.n_universe)]
+    fails = [t for t, s in enumerate(images)
+             if abs(pperm.trace(s) - source.taus[t]) >= delta]
+    fails += [need[k] for k, v in enumerate(value) if v is OVERLAP]
+    fails += [max(need[i], need[j], need[k]) for (i, j, k) in source.triples
+              if all(value[x] is not OVERLAP for x in (i, j, k))
+              and pperm.uniform_distance(value[k],
+                                         pperm.compose(value[i], value[j])) >= delta]
+    return min(fails, default=None)
+
+
 @pytest.mark.parametrize("make,d,mode,outcomes", MC_CASES, ids=MC_IDS)
 def test_mc_trials_decide_like_verify_membership(make, d, mode, outcomes,
                                                  monkeypatch):
     # a one-trial run with seed s is the trial SplitMix64(s).spawn(0);
     # drawing every image from that substream gives the reference verdict;
     # the trial calls the windowed draw once per ball position it reaches
+    # and stops at the first position whose window or completed check fails
     draw = mc_draw(mode)
     windowed = pperm.random_images
     drawn = []
@@ -596,11 +614,12 @@ def test_mc_trials_decide_like_verify_membership(make, d, mode, outcomes,
             member = same_report(SoficCandidate(d, images), params).is_member
             outside = [t for t, s in enumerate(images)
                        if abs(pperm.trace(s) - source.taus[t]) >= delta]
+            first = first_failing_position(source, images, delta)
+            assert member == (first is None)
             drawn.clear()
             estimate, _ = monte_carlo_count(params, 1, seed)
             assert estimate == (space if member else 0.0)
-            # the trial stops at its first image outside the trace window
-            assert len(drawn) == (outside[0] + 1 if outside else source.n_ball)
+            assert len(drawn) == (source.n_ball if first is None else first + 1)
             seen.add("stopped" if outside else "member" if member else "rejected")
     assert seen == outcomes
 
@@ -622,11 +641,18 @@ def full_draw_estimate(params, trials, seed):
     return float(rate * space), float(space) * math.sqrt(rate * (1 - rate) / trials)
 
 
-@pytest.mark.parametrize("make,d,mode", [case[:3] for case in MC_CASES], ids=MC_IDS)
-def test_mc_estimate_matches_the_full_draw_loop(make, d, mode):
+# 1025 trials cross a block of sofic.MC_BLOCK = 1024 substream states
+MC_TRIAL_CASES = ([(*case[:3], 150) for case in MC_CASES]
+                  + [(partial(family, "zmod(2)"), 3, "perms", 1025)])
+MC_TRIAL_IDS = MC_IDS + ["zmod(2)-perms-1025"]
+
+
+@pytest.mark.parametrize("make,d,mode,trials", MC_TRIAL_CASES, ids=MC_TRIAL_IDS)
+def test_mc_estimate_matches_the_full_draw_loop(make, d, mode, trials):
     for delta in mc_deltas(d):
         params = make(delta, d, mode)
-        assert monte_carlo_count(params, 150, 11) == full_draw_estimate(params, 150, 11)
+        assert (monte_carlo_count(params, trials, 11)
+                == full_draw_estimate(params, trials, 11))
 
 
 # -- the joint (sigma, phi) enumeration -----------------------------------------
