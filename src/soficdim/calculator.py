@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groupoid import FiniteGroupoid, finite_part_measure, validate_pmp
+from .scaling import scaling_value_inverse
 
 
 class ParseError(ValueError):
@@ -244,7 +245,7 @@ def evaluate_s(e: SExpression) -> SValue:
             inner = walk(node.children[0])
             ledger.append(f"ergodic: {node.children[0].describe()} (the "
                           "compression identity assumes an ergodic ambient)")
-            return (inner - 1) / Fraction(node.number) + 1
+            return scaling_value_inverse(inner, node.number)
         if node.kind == "bernoulli":
             inner = walk(node.children[0])
             ledger.append(f"bernoulli invariance: value unchanged under the "

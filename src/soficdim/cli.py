@@ -22,7 +22,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from operator import attrgetter
 from pathlib import Path
 
@@ -96,13 +96,10 @@ GENERATOR_CAP = 64
 
 def full_group_generators(g: FiniteGroupoid):
     """Non-identity everywhere-defined bisections, the default verify set."""
-    import itertools
     gens = []
-    units = range(g.n_units)
-    choices = []
-    for e in units:
-        choices.append([a for a in range(g.n_arrows) if g.source[a] == e])
-    for combo in itertools.product(*choices):
+    choices = [[a for a in range(g.n_arrows) if g.source[a] == e]
+               for e in range(g.n_units)]
+    for combo in product(*choices):
         rngs = [g.range_[a] for a in combo]
         if len(set(rngs)) != g.n_units:
             continue
@@ -110,8 +107,8 @@ def full_group_generators(g: FiniteGroupoid):
         if bis != full_identity(g):
             gens.append(bis)
         if len(gens) > GENERATOR_CAP:
-            raise CliError(f"more than {GENERATOR_CAP} full-group generators; "
-                           "pass an explicit generating set file")
+            raise InfeasibleError("full-group generating set", len(gens),
+                                  "bisections", GENERATOR_CAP)
     return gens
 
 
@@ -219,6 +216,8 @@ def cmd_curve(args) -> int:
     |k/d - tau| < delta strictly: ``zmod(2)`` at d = 5, delta = 1/5 prints
     15 here and 0 under ``count``."""
     delta = parse_fraction(args.delta)
+    if delta < 0:
+        raise CliError("delta must be nonnegative")
     lines = ["# soficdim-csv 1",
              f"# seed={args.seed}",
              f"# config={config_echo(args, ('m', 'd', 'delta'))}",
@@ -384,10 +383,14 @@ def binding_degree(cd: scaling.CornerData, delta: Fraction, d: int) -> int:
     return base
 
 
+# the radius n of the expansions that the scaling suite and construct run
+EXPAND_N = 5
+
+
 def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
                       instances: int) -> dict:
     cd = scaling.standard_corner(g, [0])
-    src = cd.corner_source(4 * 5 + 5)
+    src = cd.expansion_source(EXPAND_N)
     all_pass = True
     worst_round = 0.0
     base = binding_degree(cd, delta, d)
@@ -400,7 +403,7 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
         images = [PartialPermutation.projection(base, keep) if b.arrows
                   else PartialPermutation.empty(base) for b in src.ball_elements]
         sigma = SoficCandidate(base, images)
-        res = scaling.expand_sigma(sigma, cd, n=5, delta=delta, seed=seed + i)
+        res = scaling.expand_sigma(sigma, cd, n=EXPAND_N, delta=delta, seed=seed + i)
         rr = scaling.restrict_sigma(res.candidate, cd, n=1, delta=delta)
         all_pass &= res.report.is_member and rr.report.is_member
         worst = max(pperm.uniform_distance(sigma.images[src.position[b]],
@@ -454,11 +457,11 @@ def cmd_construct(args) -> int:
     doc = {"tool": "soficdim construct", "what": args.what, "seed": args.seed,
            "config": json.loads(config_echo(args, ("what", "d", "delta")))}
     if args.what in ("expand", "restrict"):
-        src = cd.corner_source(25)
+        src = cd.expansion_source(EXPAND_N)
         images = [PartialPermutation.identity(args.d) if b.arrows
                   else PartialPermutation.empty(args.d) for b in src.ball_elements]
         sigma = SoficCandidate(args.d, images)
-        res = scaling.expand_sigma(sigma, cd, n=5, delta=delta, seed=args.seed)
+        res = scaling.expand_sigma(sigma, cd, n=EXPAND_N, delta=delta, seed=args.seed)
         ident = res.params.source.position[full_identity(cd.ambient)]
         # every gap is at most 1 and membership is strict, so a
         # tolerance above 1 admits every candidate
@@ -570,9 +573,8 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, InfeasibleError, wordball.BallSizeError,
-            calculator.ParseError, calculator.EvalError,
-            partitions.HypothesisError, ValueError, OSError) as exc:
+    except (CliError, InfeasibleError, partitions.HypothesisError, ValueError,
+            OSError) as exc:
         sys.stderr.write(error_json(str(exc)))
         return 2
 

@@ -485,23 +485,30 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
 # -- joint enumeration -----------------------------------------------------------
 
 
-def ha_statistic(params: HAParams, E, Q,
-                 cap: int = 10 ** 7) -> tuple[int, float]:
+# most (phi, sigma) candidates the joint enumeration may search
+HA_CAP = 10 ** 7
+
+
+def ha_statistic(params: HAParams, E, Q) -> tuple[int, float]:
     """Distinct (sigma|_E, phi|_Q) pairs over all members, with the
     log statistic.
 
     E indexes ball elements of the sigma source, Q letter blocks.
-    Enumeration is exhaustive over both halves; tiny instances only.
+    Enumeration is exhaustive over both halves; tiny instances only, as
+    ``ha_statistic_with_sa`` caps it at ``HA_CAP``.
     """
-    count, stat, _ = ha_statistic_with_sa(params, E, Q, cap)
-    return count, stat
+    return ha_statistic_with_sa(params, E, Q)[:2]
 
 
-def ha_statistic_with_sa(params: HAParams, E, Q, cap: int = 10 ** 7):
+def ha_statistic_with_sa(params: HAParams, E, Q):
     """(count, statistic, sa_count): the distinct (sigma|_E, phi|_Q) over
     members sigma at delta (at 1 for a ``SqrtTol``) and maps phi passing
     (i)-(iv) with them, the log statistic of their count, and the
     distinct sigma|_E.
+
+    The members sigma are enumerated first; a search space of phi
+    candidates times their number above ``HA_CAP``, as it reads when the
+    call runs, then raises InfeasibleError.
 
     phi runs on ``sofic.search``, a closure element per position.  As
     traces and distances are multiples of 1/d, (i) is the window of
@@ -526,8 +533,8 @@ def ha_statistic_with_sa(params: HAParams, E, Q, cap: int = 10 ** 7):
     pools, sigma_pools = pools[:len(windows)], pools[len(windows):]
     sigma_members = list(sofic.iter_SA_members(sa_params, sigma_pools))
     space = sofic.pool_size(d, "all") ** len(uni) * max(len(sigma_members), 1)
-    if space > cap:
-        raise InfeasibleError(f"search space of {space} candidates", cap)
+    if space > HA_CAP:
+        raise InfeasibleError("search space", space, "candidates", HA_CAP)
     n, n_ball = len(uni), len(model.ball)
     # slots: the positions, then phi(letter) sigma(b)^-1 for every letter
     # and ball element b, then sigma(b), sigma(b)^-1 and the identity

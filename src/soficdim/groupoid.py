@@ -17,6 +17,7 @@ with bit-exact round trips.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -25,6 +26,22 @@ from pathlib import Path
 
 class GroupoidError(ValueError):
     """Malformed groupoid data or an operation precondition failure."""
+
+
+class InfeasibleError(RuntimeError):
+    """A job passes a work cap, the one way every cap of the package
+    refuses: "<what> of <size> <unit> exceeds cap <cap>".
+
+    A size whose digits pass the interpreter's int-to-str limit reads
+    ``about 10^X.Y``.
+    """
+
+    def __init__(self, what: str, size: int, unit: str, cap):
+        try:
+            text = str(size)
+        except ValueError:
+            text = f"about 10^{math.log10(size):.1f}"
+        super().__init__(f"{what} of {text} {unit} exceeds cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -447,8 +464,8 @@ def bernoulli_action(g: FiniteGroupoid, alphabet_weights) -> FibredAction:
 
     The fiber over a unit e is alphabet^{G^e} (configurations indexed
     by the arrows with range e) with the product measure; an arrow s
-    sends the configuration x to (x_{s^-1 t})_t.  Refuses to
-    materialize more than ``FIBER_CAP`` points per fiber.
+    sends the configuration x to (x_{s^-1 t})_t.  A fiber of more than
+    ``FIBER_CAP`` points raises InfeasibleError.
     """
     alphabet = tuple(Fraction(w) for w in alphabet_weights)
     if sum(alphabet) != 1:
@@ -457,8 +474,8 @@ def bernoulli_action(g: FiniteGroupoid, alphabet_weights) -> FibredAction:
     fibers_arrows = [tuple(sorted(g.arrows_with_range(e))) for e in range(g.n_units)]
     for e, fa in enumerate(fibers_arrows):
         if q ** len(fa) > FIBER_CAP:
-            raise GroupoidError(f"fiber over unit {e} would have {q ** len(fa)} "
-                                f"points (cap {FIBER_CAP})")
+            raise InfeasibleError(f"fiber over unit {e}", q ** len(fa), "points",
+                                  FIBER_CAP)
     unit_of = []
     cond_weight = []
     labels = []

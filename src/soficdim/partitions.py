@@ -46,7 +46,7 @@ from . import sofic
 from .groupoid import FiniteGroupoid, bernoulli_action, projection_bisection
 from .pperm import _inverse_images
 from .rng import SplitMix64
-from .sofic import GroupoidSource, SoficCandidate, verify_membership
+from .sofic import GroupoidSource, InfeasibleError, SoficCandidate, verify_membership
 
 
 class HypothesisError(RuntimeError):
@@ -291,9 +291,10 @@ class LemmaContext:
     pair; ``F_n``, F followed by the distinct projections onto those
     unit sets that are not already in F, in order of first appearance;
     and the membership source over F_n at the inflated hypothesis
-    radius 4 n |ball| + 1.  The c1 bound reads ``profiles``.  Refuses a
-    ball larger than ``PROFILE_CAP``.  Candidates checked through one
-    context must have been assigned over the F_n ball it exposes.
+    radius 4 n |ball| + 1.  The c1 bound reads ``profiles``.  A ball
+    larger than ``PROFILE_CAP`` raises InfeasibleError.  Candidates
+    checked through one context must have been assigned over the F_n
+    ball it exposes.
     """
 
     def __init__(self, g: FiniteGroupoid, F, n: int):
@@ -302,9 +303,8 @@ class LemmaContext:
         self.n = n
         ball = self.ball = tuple(sofic.bisection_ball(g, F, n))
         if len(ball) > PROFILE_CAP:
-            raise HypothesisError(
-                f"profile augmentation over a ball of {len(ball)} elements "
-                f"exceeds the cap {PROFILE_CAP}")
+            raise InfeasibleError("profile augmentation over a ball", len(ball),
+                                  "elements", PROFILE_CAP)
         self.f_pm_size = len(sofic.plus_minus_set(g, F))
         self.radius = 4 * n * len(ball) + 1
         self.profiles = tuple(

@@ -102,11 +102,11 @@ class SplitMix64:
         self._state = self.seed
 
     def next64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        """``mix64`` of the state it steps from, since ``mix64`` adds the
+        increment itself: the scramble of the stepped state."""
+        state = self._state
+        self._state = (state + _GOLDEN) & _MASK
+        return mix64(state)
 
     def spawn(self, index: int) -> "SplitMix64":
         """Independent substream determined by (seed, index) only."""

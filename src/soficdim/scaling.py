@@ -62,8 +62,9 @@ class CornerData:
     followed by those domains; ``F_ambient``, F_corner embedded in the
     ambient followed by the movers (so it holds the image of p);
     through ``corner_source(n)`` and ``ambient_source(n)``, the radius-n
-    membership source over each set; and through ``expansion_plan(n)``,
-    the bisection algebra of an expansion at radius n.
+    membership source over each set; through ``expansion_source(n)``,
+    the corner source an expansion at radius n reads; and through
+    ``expansion_plan(n)``, the bisection algebra of that expansion.
     """
 
     ambient: FiniteGroupoid
@@ -113,6 +114,11 @@ class CornerData:
         return self._once(("ambient", n),
                           lambda: GroupoidSource(self.ambient, self.F_ambient, n))
 
+    def expansion_source(self, n: int) -> GroupoidSource:
+        """The corner source an expansion at radius n reads its candidate
+        over: ``corner_source(4 n + 5)``."""
+        return self.corner_source(4 * n + 5)
+
     def expansion_plan(self, n: int) -> tuple:
         """What ``expand_sigma`` at radius n reads of the datum, built on
         first use: for each element u of ``ambient_source(n)``, in ball
@@ -120,9 +126,9 @@ class CornerData:
         r_0 = p and r_i = ran(s_i) cut the ambient into blocks.  f is the
         piece moved into the corner, m_i^-1 (r_i u r_j) m_j pulled back
         (m_0 = p, m_i = s_i), and pos its position in
-        ``corner_source(4 n + 5)``, None where that ball misses it."""
+        ``expansion_source(n)``, None where that ball misses it."""
         def build():
-            position = self.corner_source(4 * n + 5).position
+            position = self.expansion_source(n).position
             movers = [self.p_ambient(), *self.S]
             cut = [b_compose(m, b_inverse(m)) for m in movers]
             plan = []
@@ -235,7 +241,7 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
     N, k = cd.N, cd.k
     if (N - k) == 0 or d % (N - k):
         raise ValueError(f"degree {d} is not divisible by N-k = {N - k}")
-    corner_src = cd.corner_source(4 * n + 5)
+    corner_src = cd.expansion_source(n)
     rep = sofic.verify_membership(sigma, SAParams(corner_src, delta, d))
     if not rep.is_member:
         raise ValueError(

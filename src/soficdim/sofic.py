@@ -72,6 +72,7 @@ from operator import eq, ne
 from . import pperm
 from .groupoid import (
     FiniteGroupoid,
+    InfeasibleError,
     PartialBisection,
     b_compose,
     b_inverse,
@@ -86,14 +87,6 @@ from .wordball import Ball, breadth_first, product_triples, word_str
 # caps on the bisection ball and on its (or a projection set's) sum closure
 BALL_CAP = 4096
 SUM_CAP = 20000
-
-
-class InfeasibleError(RuntimeError):
-    """A search space, ball or sum closure exceeds its cap; ``what``
-    names it with its size."""
-
-    def __init__(self, what: str, cap):
-        super().__init__(f"{what} exceeds cap {cap}")
 
 
 # -- sources ------------------------------------------------------------------
@@ -124,9 +117,8 @@ def bisection_ball(g: FiniteGroupoid, F, n: int):
     identity first).  The empty bisection appears whenever some product
     vanishes.
     """
-    return breadth_first(
-        full_identity(g), plus_minus_set(g, F), b_compose, n, BALL_CAP,
-        lambda size: InfeasibleError(f"bisection ball of {size} elements", BALL_CAP))
+    return breadth_first(full_identity(g), plus_minus_set(g, F), b_compose, n,
+                         BALL_CAP, "bisection ball")
 
 
 def plus_minus_set(g: FiniteGroupoid, F):
@@ -162,8 +154,8 @@ def sum_closure(parts, footprints, join):
                 elements.append(total)
                 decomposition.append(picked)
                 if len(elements) > SUM_CAP:
-                    raise InfeasibleError(
-                        f"sum closure of {len(elements)} elements", SUM_CAP)
+                    raise InfeasibleError("sum closure", len(elements), "elements",
+                                          SUM_CAP)
         for j in range(picked[-1] + 1, len(footprints)):
             if not (union & footprints[j]):
                 queue.append((picked + (j,), union | footprints[j]))
@@ -647,10 +639,11 @@ def _count_classes(params: SAParams, plan: SearchPlan, positions):
     return count, restricted
 
 
+# most candidates an exact count may search; ``count --cap`` overrides it
 DEFAULT_COUNT_CAP = 10 ** 8
 
 
-def count_SA(params: SAParams, cap: int = DEFAULT_COUNT_CAP, E=None):
+def count_SA(params: SAParams, cap=None, E=None):
     """Exact number of members, by pruned exhaustive enumeration.
 
     The search keeps, per ball position, only the candidates whose
@@ -662,10 +655,15 @@ def count_SA(params: SAParams, cap: int = DEFAULT_COUNT_CAP, E=None):
     sums over the conjugacy classes at one position
     (``_count_classes``).  A position of E outside the ball, such as a
     sum of the closure, raises ValueError.
+
+    A search space above ``cap`` raises InfeasibleError.  With no
+    ``cap`` the cap is ``DEFAULT_COUNT_CAP`` as it reads when the call
+    runs; ``count --cap`` passes its value here.
     """
     space = search_space_size(params)
+    cap = DEFAULT_COUNT_CAP if cap is None else cap
     if space > cap:
-        raise InfeasibleError(f"search space of {space} candidates", cap)
+        raise InfeasibleError("search space", space, "candidates", cap)
     positions = None if E is None else tuple(E)
     if positions and not all(0 <= t < params.source.n_ball for t in positions):
         raise ValueError(f"E {positions} holds positions outside the ball")
@@ -685,14 +683,15 @@ def statistic_from_count(count: int, d: int) -> float:
     return math.log(count) / (d * math.log(d))
 
 
-def restricted_statistic(params: SAParams, E,
-                         cap: int = DEFAULT_COUNT_CAP) -> tuple[int, float]:
+def restricted_statistic(params: SAParams, E) -> tuple[int, float]:
     """Distinct restrictions to E among members, and the log statistic.
 
     E is a collection of ball positions (indices into the source ball).
-    The empty E yields one restriction whenever any member exists.
+    The empty E yields one restriction whenever any member exists.  A
+    search space above ``DEFAULT_COUNT_CAP`` raises InfeasibleError, as
+    in ``count_SA`` with no cap.
     """
-    _, count_e = count_SA(params, cap, E=E)
+    _, count_e = count_SA(params, E=E)
     return count_e, statistic_from_count(count_e, params.d)
 
 

@@ -25,16 +25,12 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .groupoid import group_groupoid
+from .groupoid import InfeasibleError, group_groupoid
 
 Word = tuple  # tuple of (name, exponent) syllables
 
 # most elements a ball may hold
 BALL_CAP = 200000
-
-
-class BallSizeError(RuntimeError):
-    """The requested ball exceeds the configured size cap."""
 
 
 def word_str(word: Word) -> str:
@@ -216,7 +212,7 @@ class Ball:
 
 def ball(system: GeneratingSystem, gens=None, n: int = 1) -> Ball:
     """Ball of radius n over the chosen generator subset (default all);
-    refuses more than ``BALL_CAP`` elements."""
+    more than ``BALL_CAP`` elements raise InfeasibleError."""
     if n < 0:
         raise ValueError("radius must be >= 0")
     gens = tuple(gens) if gens is not None else system.generators
@@ -224,19 +220,17 @@ def ball(system: GeneratingSystem, gens=None, n: int = 1) -> Ball:
         if g not in system.generators:
             raise ValueError(f"unknown generator {g!r}")
     steps = [()] + [((g, e),) for g in gens for e in (1, -1)]
-    elements = breadth_first(
-        (), steps, system.reduce_product, n, BALL_CAP,
-        lambda size: BallSizeError(f"ball exceeds cap {BALL_CAP}"))
+    elements = breadth_first((), steps, system.reduce_product, n, BALL_CAP, "word ball")
     return Ball(system, gens, elements)
 
 
-def breadth_first(start, steps, product, n: int, cap: int, too_big):
+def breadth_first(start, steps, product, n: int, cap: int, what: str):
     """Everything ``product`` reaches from ``start`` by at most n right
     multiplications with ``steps``, as a list.
 
     Elements come in discovery order (by distance, then by the element
     that first reached them and the step it took), ``start`` first.
-    Passing ``cap`` elements raises ``too_big(size)``.
+    Passing ``cap`` elements raises InfeasibleError naming ``what``.
     """
     elements = [start]
     seen = {start}
@@ -250,7 +244,7 @@ def breadth_first(start, steps, product, n: int, cap: int, too_big):
                     seen.add(w)
                     elements.append(w)
                     if len(elements) > cap:
-                        raise too_big(len(elements))
+                        raise InfeasibleError(what, len(elements), "elements", cap)
         if len(elements) == hi:
             break
         lo = hi

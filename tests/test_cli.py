@@ -214,7 +214,7 @@ SIZE_CAPS = [
     ("word-ball", wordball, "BALL_CAP", 1000,
      ("count", "--family", "freeprod(zmod(2),zmod(3))", "--n", "60", "--d", "2",
       "--delta", "1/2"),
-     "ball exceeds cap 1000"),
+     "word ball of 1001 elements exceeds cap 1000"),
     ("bisection-ball", sofic, "BALL_CAP", 1,
      ("count", "--source", "r2.gpd", "--d", "2", "--delta", "1/2"),
      "bisection ball of 2 elements exceeds cap 1"),
@@ -223,13 +223,13 @@ SIZE_CAPS = [
      "sum closure of 10 elements exceeds cap 1"),
     ("bernoulli-fiber", groupoid, "FIBER_CAP", 1,
      ("verify", "--suite", "c2", "--source", "r2.gpd", "--d", "2", "--delta", "1/10"),
-     "fiber over unit 0 would have 4 points (cap 1)"),
+     "fiber over unit 0 of 4 points exceeds cap 1"),
     ("profile-cap", partitions, "PROFILE_CAP", 1,
      ("verify", "--suite", "c1", "--source", "r2.gpd", "--d", "2", "--delta", "1/10"),
-     "profile augmentation over a ball of 2 elements exceeds the cap 1"),
+     "profile augmentation over a ball of 2 elements exceeds cap 1"),
     ("generator-cap", cli, "GENERATOR_CAP", 0,
      ("count", "--source", "r2.gpd", "--d", "2", "--delta", "1/2"),
-     "more than 0 full-group generators; pass an explicit generating set file"),
+     "full-group generating set of 1 bisections exceeds cap 0"),
 ]
 
 
@@ -244,6 +244,57 @@ def test_size_cap_refusal(capsys, tmp_path, monkeypatch, module, name, value,
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err) == {"error": message}
+
+
+def r2_context():
+    g = transitive_groupoid(2)
+    return partitions.LemmaContext(g, cli.full_group_generators(g), 1)
+
+
+def r2_ball():
+    g = transitive_groupoid(2)
+    return sofic.bisection_ball(g, cli.full_group_generators(g), 1)
+
+
+def r2_ha_params(letters):
+    model = partitions.CylinderModel(r2_context(), [Fraction(1, letters)] * letters)
+    return crossed.HAParams(model, Fraction(1, 2), 2)
+
+
+# each cap with a call that runs its check, which passes at the shipped cap
+CAP_CHECKS = [
+    (sofic, "DEFAULT_COUNT_CAP", lambda: sofic.count_SA(
+        sofic.SAParams(sofic.BallSource(wordball.ball(wordball.CyclicGroup(2))),
+                       Fraction(1, 2), 3))),
+    (wordball, "BALL_CAP", lambda: wordball.ball(wordball.IntegerLine(), None, 2)),
+    (sofic, "BALL_CAP", r2_ball),
+    (sofic, "SUM_CAP", lambda: r2_ha_params(2).universe),
+    (groupoid, "FIBER_CAP", lambda: groupoid.bernoulli_action(
+        transitive_groupoid(2), [Fraction(1, 2)] * 2)),
+    (partitions, "PROFILE_CAP", r2_context),
+    (cli, "GENERATOR_CAP", lambda: cli.full_group_generators(transitive_groupoid(2))),
+    (crossed, "HA_CAP", lambda: crossed.ha_statistic(r2_ha_params(1), [0], [0])),
+]
+
+
+@pytest.mark.parametrize("module,name,check", CAP_CHECKS,
+                         ids=[f"{m.__name__.rsplit('.', 1)[1]}.{name}"
+                              for m, name, _ in CAP_CHECKS])
+def test_each_cap_is_read_when_its_check_runs(monkeypatch, module, name, check):
+    check()
+    monkeypatch.setattr(module, name, 0)
+    with pytest.raises(sofic.InfeasibleError,
+                       match=r"^[^()]+ of \d+ [a-z]+ exceeds cap 0$"):
+        check()
+
+
+@pytest.mark.parametrize("d,size", [(860, "about 10^4304.1"), (5000, "about 10^32651.3")])
+def test_count_cap_names_a_size_past_the_digit_limit(capsys, d, size):
+    code, out, err = run(capsys, "count", "--family", "zmod(2)", "--d", str(d),
+                         "--delta", "1/2")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": f"search space of {size} candidates exceeds cap 100000000"}
 
 
 class TestCurve:
@@ -270,6 +321,15 @@ class TestCurve:
         assert len(text) > old
         assert row[:3] == ["6", "2000", "1/100"] and row[3] == text
         assert sys.get_int_max_str_digits() == old
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("delta", ["-1/2", "-1/1000000"])
+    def test_negative_delta_refused(self, capsys, m, delta):
+        # refused before the first row is printed
+        code, out, err = run(capsys, "curve", "--m", str(m), "--d", "4,6",
+                             f"--delta={delta}")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "delta must be nonnegative"}
 
 
 class TestVerify:
@@ -396,7 +456,7 @@ class TestVerify:
         else:
             assert code == 2 and out == ""
             assert json.loads(err) == {"error": "profile augmentation over a "
-                                       "ball of 24 elements exceeds the cap 8"}
+                                       "ball of 24 elements exceeds cap 8"}
 
     @pytest.mark.parametrize("suite", ["scaling", "c1", "ha", "all"])
     @pytest.mark.parametrize("delta", ["0", "-1/2"])

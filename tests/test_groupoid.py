@@ -8,6 +8,7 @@ from soficdim import groupoid
 from soficdim.groupoid import (
     FiniteGroupoid,
     GroupoidError,
+    InfeasibleError,
     PartialBisection,
     b_compose,
     b_inverse,
@@ -152,7 +153,7 @@ class TestBernoulli:
 
     def test_cap_refuses_blowup(self, monkeypatch):
         monkeypatch.setattr(groupoid, "FIBER_CAP", 4)
-        with pytest.raises(GroupoidError):
+        with pytest.raises(InfeasibleError):
             bernoulli_action(transitive_groupoid(3), [Fraction(1, 2)] * 2)
 
 

@@ -5,6 +5,7 @@ from itertools import combinations, permutations, product
 import pytest
 
 from soficdim.groupoid import (
+    InfeasibleError,
     PartialBisection,
     b_compose,
     b_inverse,
@@ -230,7 +231,7 @@ class TestAugment:
         gens = [PartialBisection(g, frozenset([1])), PartialBisection(g, frozenset([2])),
                 PartialBisection(g, frozenset([5]))]
         monkeypatch.setattr(partitions, "PROFILE_CAP", 3)
-        with pytest.raises(HypothesisError, match="exceeds the cap 3"):
+        with pytest.raises(InfeasibleError, match="exceeds cap 3"):
             LemmaContext(g, gens, 2)
 
 

@@ -40,7 +40,7 @@ from soficdim.groupoid import (
     full_identity,
     transitive_groupoid,
 )
-from soficdim import cli, partitions, pperm, sofic
+from soficdim import cli, crossed, partitions, pperm, sofic
 from soficdim.partitions import CylinderModel, LemmaContext, ModelMember
 from soficdim.rng import SplitMix64
 from soficdim.sofic import (
@@ -709,12 +709,13 @@ def test_ha_statistic_matches_brute_force(make, alphabet, d, delta):
 def test_ha_statistic_builds_one_pool(monkeypatch):
     # the sigma members and the maps phi draw from one pass over the maps
     from soficdim import sofic
+    monkeypatch.setattr(crossed, "HA_CAP", 10 ** 15)
     calls = []
     pool = sofic.candidate_pool
     monkeypatch.setattr(sofic, "candidate_pool",
                         lambda *args: calls.append(args[:2]) or pool(*args))
     assert ha_statistic_with_sa(HAParams(swap_model(FAIR), Fraction(1, 2), 2),
-                                E=[0], Q=[0, 1], cap=10 ** 15)[::2] == (2, 1)
+                                E=[0], Q=[0, 1])[::2] == (2, 1)
     assert calls == [(2, "all")]
 
 
@@ -730,9 +731,10 @@ def test_ha_statistic_builds_one_pool(monkeypatch):
 ], ids=["point-d3-1over2", "point-d3-sqrt1over5", "point-d3-1over3",
         "point-d3-1over100", "swap-d2-1over2", "swap-d2-sqrt1over5",
         "swap-d2-1over100"])
-def test_ha_statistic_recorded(make, d, delta, want):
+def test_ha_statistic_recorded(monkeypatch, make, d, delta, want):
+    monkeypatch.setattr(crossed, "HA_CAP", 10 ** 15)
     count, _, sa_count = ha_statistic_with_sa(HAParams(make(FAIR), delta, d),
-                                              E=[0], Q=[0, 1], cap=10 ** 15)
+                                              E=[0], Q=[0, 1])
     assert (count, sa_count) == want
 
 

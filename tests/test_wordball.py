@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficdim import wordball
-from soficdim.groupoid import PartialBisection, group_groupoid, tau as groupoid_tau
+from soficdim.groupoid import (
+    InfeasibleError,
+    PartialBisection,
+    group_groupoid,
+    tau as groupoid_tau,
+)
 from soficdim.wordball import (
-    BallSizeError,
     CyclicGroup,
     FreeProductOfFinite,
     IntegerLine,
@@ -159,14 +163,14 @@ class TestBall:
     def test_breadth_first_order_and_parents(self):
         def add(u, s):
             return (u + s) % 7
-        elements = wordball.breadth_first(0, (1, -1), add, 2, 10, None)
+        elements = wordball.breadth_first(0, (1, -1), add, 2, 10, "ring ball")
         assert elements == [0, 1, 6, 2, 5]
-        with pytest.raises(OverflowError, match="^5$"):
-            wordball.breadth_first(0, (1, -1), add, 3, 4, lambda n: OverflowError(n))
+        with pytest.raises(InfeasibleError, match="^ring ball of 5 elements exceeds cap 4$"):
+            wordball.breadth_first(0, (1, -1), add, 3, 4, "ring ball")
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(wordball, "BALL_CAP", 10)
-        with pytest.raises(BallSizeError):
+        with pytest.raises(InfeasibleError):
             ball(IntegerLine(), None, 50)
 
 
