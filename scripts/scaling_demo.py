@@ -11,6 +11,6 @@ from soficdim.cli import main
 
 if __name__ == "__main__":
     argv = sys.argv[1:]
-    if not any(a.startswith("--d") for a in argv):
+    if not any(a == "--d" or a.startswith("--d=") for a in argv):
         argv += ["--d", "30"]
     sys.exit(main(["construct", "--what", "restrict"] + argv))

@@ -389,17 +389,45 @@ EXPAND_N = 5
 
 def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
                       instances: int) -> dict:
+    """Round-trip one corner candidate per instance through the datum.
+
+    Instance i keeps the points of {1..base} that its draw from
+    ``SplitMix64(seed).spawn(i)`` does not drop, and expands the
+    projection onto them with seed ``seed + i``.  An instance whose
+    ``keep`` repeats an earlier one's is counted but not run again:
+
+    * ``expand_sigma`` reads the labels of the candidate (its near-fixed
+      sets take the smallest indices), so only an equal ``keep`` gives
+      an equal input; the key is the exact tuple, not its size.
+    * The expand seed only shuffles the targets of each new block A_i
+      (i >= 1).  Two seeds give expanded candidates conjugate by a
+      permutation pi that fixes A_0 = {1..base} pointwise.
+      ``verify_membership`` reads fixed-point counts, disagreement
+      counts and orthogonal sums, and its witnesses name source
+      elements, not points, so both reports are equal.
+    * The image of p lies in A_0, where pi is the identity, so
+      restriction picks the same B inside A_0, and reindexing to B
+      (which pi fixes, and whose complement pi maps to itself) gives the
+      same corner candidate and report.
+
+    So a repeated outcome equals the first, and neither ``passed`` (an
+    AND) nor ``worst_round_trip`` (a max) can change.
+    """
     cd = scaling.standard_corner(g, [0])
     src = cd.expansion_source(EXPAND_N)
     all_pass = True
     worst_round = 0.0
     base = binding_degree(cd, delta, d)
+    seen = set()
     for i in range(instances):
         rng = SplitMix64(seed).spawn(i)
         # at most base points to drop, whatever delta
         drop = rng.below(max(1, min(int(delta * base), base + 1)))
-        keep = sorted(set(range(1, base + 1)) - set(
-            x + 1 for x in rng.choose_sorted(base, drop)))
+        keep = tuple(sorted(set(range(1, base + 1)) - set(
+            x + 1 for x in rng.choose_sorted(base, drop))))
+        if keep in seen:
+            continue
+        seen.add(keep)
         images = [PartialPermutation.projection(base, keep) if b.arrows
                   else PartialPermutation.empty(base) for b in src.ball_elements]
         sigma = SoficCandidate(base, images)

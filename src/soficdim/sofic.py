@@ -140,12 +140,14 @@ def sum_closure(parts, footprints, join):
 
     Families come breadth first, by size and then in the order of their
     prefixes, so each sum keeps a decomposition with the fewest parts.
+    A closure of more than ``SUM_CAP`` elements, the parts included,
+    raises InfeasibleError.
     """
     elements = list(parts)
     index = {e: i for i, e in enumerate(elements)}
     decomposition = [(i,) for i in range(len(elements))]
     queue = deque(((i,), fp) for i, fp in enumerate(footprints))
-    while queue:
+    while queue and len(elements) <= SUM_CAP:
         picked, union = queue.popleft()
         if len(picked) >= 2:
             total = join([parts[i] for i in picked])
@@ -153,12 +155,11 @@ def sum_closure(parts, footprints, join):
                 index[total] = len(elements)
                 elements.append(total)
                 decomposition.append(picked)
-                if len(elements) > SUM_CAP:
-                    raise InfeasibleError("sum closure", len(elements), "elements",
-                                          SUM_CAP)
         for j in range(picked[-1] + 1, len(footprints)):
             if not (union & footprints[j]):
                 queue.append((picked + (j,), union | footprints[j]))
+    if len(elements) > SUM_CAP:
+        raise InfeasibleError("sum closure", len(elements), "elements", SUM_CAP)
     return elements, index, decomposition
 
 

@@ -1,12 +1,15 @@
 """Reference routes that more than one test module compares the library against.
 
 Each builds an exact object by a route of its own: a candidate by block
-dilation or from the Bernoulli model acting on its own points, and the
-conjugate of a partial permutation by composition.
+dilation or from the Bernoulli model acting on its own points, the
+conjugate of a partial permutation by composition, and the scaling
+suite's dict by a round trip per instance.
 """
 
+from soficdim import cli, pperm, scaling
 from soficdim.partitions import RandomPartition
 from soficdim.pperm import PartialPermutation, compose, inverse
+from soficdim.rng import SplitMix64
 from soficdim.sofic import SoficCandidate
 
 
@@ -80,3 +83,32 @@ def regular_model_candidate(model) -> tuple[SoficCandidate, RandomPartition]:
             d, tuple(amap[x] + 1 if x in amap else 0 for x in range(d))))
     blocks = [frozenset(x + 1 for x in s) for s in model.letter_sets]
     return SoficCandidate(d, images), exact_partition(blocks)
+
+
+def scaling_suite_every_instance(g, d: int, delta, seed: int, instances: int) -> dict:
+    """The scaling suite's dict with a full round trip for every instance,
+    repeated corner candidates included."""
+    cd = scaling.standard_corner(g, [0])
+    src = cd.expansion_source(cli.EXPAND_N)
+    all_pass = True
+    worst_round = 0.0
+    base = cli.binding_degree(cd, delta, d)
+    for i in range(instances):
+        rng = SplitMix64(seed).spawn(i)
+        drop = rng.below(max(1, min(int(delta * base), base + 1)))
+        keep = sorted(set(range(1, base + 1)) - set(
+            x + 1 for x in rng.choose_sorted(base, drop)))
+        images = [PartialPermutation.projection(base, keep) if b.arrows
+                  else PartialPermutation.empty(base) for b in src.ball_elements]
+        sigma = SoficCandidate(base, images)
+        res = scaling.expand_sigma(sigma, cd, n=cli.EXPAND_N, delta=delta, seed=seed + i)
+        rr = scaling.restrict_sigma(res.candidate, cd, n=1, delta=delta)
+        all_pass &= res.report.is_member and rr.report.is_member
+        worst = max(pperm.uniform_distance(sigma.images[src.position[b]],
+                                           rr.candidate.images[j])
+                    for j, b in enumerate(rr.params.source.ball_elements))
+        all_pass &= worst <= 3 * rr.delta_prime
+        worst_round = max(worst_round, float(worst))
+    return {"instances": instances, "passed": bool(all_pass),
+            "worst_round_trip": worst_round,
+            "round_trip_bound": float(3 * (20 * delta / cd.h_p))}

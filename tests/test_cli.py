@@ -16,6 +16,8 @@ from soficdim.cli import main, parse_drange, parse_fraction
 from soficdim.sofic import closed_form_count
 from soficdim.groupoid import transitive_groupoid
 
+from references import scaling_suite_every_instance
+
 
 @pytest.fixture()
 def r2_file(tmp_path):
@@ -220,7 +222,7 @@ SIZE_CAPS = [
      "bisection ball of 2 elements exceeds cap 1"),
     ("sum-closure", sofic, "SUM_CAP", 1,
      ("verify", "--suite", "lin146", "--source", "r2.gpd", "--d", "2", "--delta", "1/10"),
-     "sum closure of 10 elements exceeds cap 1"),
+     "sum closure of 3 elements exceeds cap 1"),
     ("bernoulli-fiber", groupoid, "FIBER_CAP", 1,
      ("verify", "--suite", "c2", "--source", "r2.gpd", "--d", "2", "--delta", "1/10"),
      "fiber over unit 0 of 4 points exceeds cap 1"),
@@ -286,6 +288,16 @@ def test_each_cap_is_read_when_its_check_runs(monkeypatch, module, name, check):
     with pytest.raises(sofic.InfeasibleError,
                        match=r"^[^()]+ of \d+ [a-z]+ exceeds cap 0$"):
         check()
+
+
+@pytest.mark.parametrize("cap", [0, 1])
+def test_sum_cap_counts_the_parts(monkeypatch, cap):
+    # the closure of the r2 source is its 2 ball elements, with no new sum
+    g = transitive_groupoid(2)
+    monkeypatch.setattr(sofic, "SUM_CAP", cap)
+    with pytest.raises(sofic.InfeasibleError,
+                       match=rf"^sum closure of 2 elements exceeds cap {cap}$"):
+        sofic.GroupoidSource(g, cli.full_group_generators(g), 1)
 
 
 @pytest.mark.parametrize("d,size", [(860, "about 10^4304.1"), (5000, "about 10^32651.3")])
@@ -733,6 +745,35 @@ def test_relabeling_orbits_match_one_table_per_draw(n_partitions):
     want = cli.run_suites(g, ("c1", "scaling"), *args[2:])
     want.update(oracle.tabled(cli.ALL_SUITES, 0, n_partitions))
     assert cli.json_doc(cli.run_suites(*args)) == cli.json_doc(want)
+
+
+# (d, delta): at 4 and 1/10 every instance keeps every point; at 30 and
+# 1/10 keeps hold 28 to 30 points, and at 8 and 1/4 up to 2 points drop
+@pytest.mark.parametrize("d,delta", [(4, Fraction(1, 10)), (30, Fraction(1, 10)),
+                                     (8, Fraction(1, 4))],
+                         ids=["d4-1over10", "d30-1over10", "d8-1over4"])
+@pytest.mark.parametrize("source", ["r2", "r3", "zmod(2)"])
+def test_scaling_suite_matches_a_round_trip_per_instance(source, d, delta):
+    # r3 has N - k = 1 but shuffles k = 2 new blocks
+    g = (transitive_groupoid(int(source[1])) if source[0] == "r"
+         else cli.load_source_groupoid(source))
+    for seed in range(4):
+        for instances in (1, 5, 8):
+            want = scaling_suite_every_instance(g, d, delta, seed, instances)
+            assert cli.run_scaling_suite(g, d, delta, seed, instances) == want, (
+                seed, instances)
+
+
+def test_scaling_suite_round_trips_each_corner_candidate_once(capsys, monkeypatch):
+    # all five instances keep every point, so they share one round trip
+    calls = []
+    expand = scaling.expand_sigma
+    monkeypatch.setattr(scaling, "expand_sigma",
+                        lambda *a, **k: calls.append(k["seed"]) or expand(*a, **k))
+    code, out, _ = run(capsys, "verify", "--suite", "scaling", "--source", "zmod(2)",
+                       "--d", "4", "--delta", "1/10", "--instances", "5")
+    assert code == 0 and json.loads(out)["suites"]["scaling"]["instances"] == 5
+    assert calls == [0]
 
 
 class TestConstruct:
@@ -1202,6 +1243,13 @@ class TestScripts:
             assert doc[block]["certificate"]["is_member"]
             assert doc[block]["delta_prime"] > 1
             assert doc[block]["vacuous"] is True
+
+    @pytest.mark.parametrize("argv,d", [(("--delta", "1/20"), "30"),
+                                        (("--d=40",), "40")],
+                             ids=["delta-only", "d-equals"])
+    def test_scaling_demo_reads_only_its_own_d(self, capsys, monkeypatch, argv, d):
+        code, out = run_script(capsys, monkeypatch, "scaling_demo.py", *argv)
+        assert code == 0 and json.loads(out)["config"]["d"] == d
 
 
 def run_script(capsys, monkeypatch, name, *argv):

@@ -24,7 +24,7 @@ from soficdim.scaling import (
 )
 from soficdim.sofic import GroupoidSource, SAParams, SoficCandidate, verify_membership
 
-from references import block_candidate
+from references import block_candidate, conjugate
 
 
 def r2_corner():
@@ -148,6 +148,35 @@ class TestExpand:
                       for seed in (0, 12))
         assert one.gammas != other.gammas
         assert one.candidate.images != other.candidate.images
+
+    @pytest.mark.parametrize("corner", ["r2-p0", "r3-p0"])
+    def test_seeds_change_the_candidate_but_not_the_outcome(self, corner):
+        # the seed only orders the targets of the new blocks, so the two
+        # expansions are conjugate by a permutation fixing A_0 = {1..d},
+        # which no report and no restriction can see
+        cd = CORNERS[corner]()
+        d, delta = 8, Fraction(1, 4)
+        sigma, _ = corner_projection_candidate(cd, d, missing=(5,))
+        one, other = (expand_sigma(sigma, cd, n=5, delta=delta, seed=seed)
+                      for seed in (0, 12))
+        assert one.candidate.images != other.candidate.images
+        # pi is the identity on A_0 and sends gamma_i(x) under seed 0 to
+        # gamma_i(x) under seed 12 on each new block A_i
+        pi = list(range(1, one.d_prime + 1))
+        for a, b in zip(one.gammas[1:], other.gammas[1:]):
+            for x, y in enumerate(a.images, start=1):
+                if y:
+                    pi[y - 1] = b.images[x - 1]
+        pi = PartialPermutation(one.d_prime, pi)
+        assert sorted(pi.images) == list(range(1, one.d_prime + 1))
+        assert pi.images[:d] == tuple(range(1, d + 1))
+        assert [conjugate(s, pi) for s in one.candidate.images] == list(
+            other.candidate.images)
+        assert one.report == other.report
+        back, back_other = (restrict_sigma(res.candidate, cd, n=1, delta=delta)
+                            for res in (one, other))
+        assert back.candidate == back_other.candidate
+        assert back.report == back_other.report
 
     def test_well_defined_on_all_factorizations(self):
         # two corner elements gluing to the same ambient element must get
