@@ -15,8 +15,12 @@ from soficdim.cli import main
 
 if __name__ == "__main__":
     argv = sys.argv[1:]
-    if not any(a.startswith("--m") for a in argv):
+
+    def given(option):
+        return any(a == option or a.startswith(option + "=") for a in argv)
+
+    if not given("--m"):
         argv = ["--m", "2"] + argv
-    if not any(a.startswith("--d") for a in argv):
+    if not given("--d"):
         argv += ["--d", "50,100,200,400,800"]
     sys.exit(main(["curve"] + argv))

@@ -21,7 +21,9 @@ Evaluation rules, all exact rationals:
 * bernoulli(e, q) is value-neutral for every finite alphabet;
 * amalgam(e1, e2, e3) = w1 s1 + w2 s2 - w3 s3 with the base weights
   carried as expression attributes (1 for groups) and w1 + w2 - w3 = 1
-  enforced; the third factor must carry the amenable attribute.
+  enforced; the third factor must carry the amenable attribute and
+  embed in both factors, which is decided among trivial, z and cyclic
+  (see ``_embedding``) and ledgered as user-asserted otherwise.
 
 Every rule application appends the hypotheses it consumes to the
 assumption ledger of the returned value.
@@ -228,6 +230,25 @@ def _finite_part(e: SExpression) -> Fraction:
     raise EvalError(f"{e.kind} has no finite part")
 
 
+def _embedding(sub: SExpression, group: SExpression) -> list[str]:
+    """The ledger lines of ``sub`` embedding in ``group`` as a subgroup:
+    none where that is decided, one user-asserted line where it is not.
+    Raises EvalError where it is decided false.
+
+    trivial embeds in every group.  Among trivial, z and cyclic(m), of
+    orders 1, 0 (standing for infinite) and m: cyclic(k) embeds in
+    cyclic(m) iff k | m, z embeds in z only, and z holds no nontrivial
+    finite subgroup.
+    """
+    k, m = ({"trivial": 1, "z": 0, "cyclic": e.number}.get(e.kind) for e in (sub, group))
+    if k == 1 or k == m == 0 or (k and m and m % k == 0):
+        return []
+    if None in (k, m):
+        return [f"embedding: {sub.describe()} in {group.describe()} (user-asserted)"]
+    raise EvalError(f"amalgam third factor {sub.describe()} does not embed "
+                    f"in {group.describe()}")
+
+
 def evaluate_s(e: SExpression) -> SValue:
     """Exact dimension value with the assumption ledger."""
     ledger: list[str] = []
@@ -262,6 +283,7 @@ def evaluate_s(e: SExpression) -> SValue:
                     f"base weights must satisfy w1 + w2 - w3 = 1, got "
                     f"{w1} + {w2} - {w3}")
             s1, s2, s3 = walk(e1), walk(e2), walk(e3)
+            ledger.extend(_embedding(e3, e1) + _embedding(e3, e2))
             ledger.append(f"amenable: amalgamation over {e3.describe()}")
             ledger.append(f"s-regular and ergodic: factors {e1.describe()} "
                           f"and {e2.describe()} (user-asserted)")

@@ -130,11 +130,6 @@ class HAParams:
         self.d = d
         self.universe = model.universe
 
-    def sigma_params(self, delta=None) -> sofic.SAParams:
-        """Membership parameters for the sigma half over the model ball."""
-        return sofic.SAParams(self.model.context.sigma_source,
-                              Fraction(delta if delta is not None else 1), self.d)
-
 
 class HACandidate:
     """A sigma candidate, held through its ModelMember, plus images of
@@ -201,7 +196,10 @@ def verify_HA(cand: HACandidate, params: HAParams,
     space.  ``check_sigma`` also requires sigma to be a member at the
     same tolerance.  Sigma's padded and inverse images on the model ball
     and its membership report are read from the candidate's ModelMember,
-    which computes each once.
+    which computes each once.  That report is taken at tolerance 2,
+    above every gap, so its ``is_member`` says only that sigma's additive
+    extension resolves; with both gaps below the working tolerance this
+    is membership at it.
     """
     model = params.model
     uni = params.universe
@@ -217,8 +215,8 @@ def verify_HA(cand: HACandidate, params: HAParams,
     sigma_ok = True
     if check_sigma:
         rep = member.sigma_report
-        sigma_ok = (gap_below(rep.mult_gap, tol) and gap_below(rep.trace_gap, tol)
-                    and not any("unresolvable" in n for n in rep.notes))
+        sigma_ok = (rep.is_member and gap_below(rep.mult_gap, tol)
+                    and gap_below(rep.trace_gap, tol))
 
     trace_gap, trace_wit = Fraction(0), ""
     for i in range(uni.p_count):
@@ -493,7 +491,7 @@ def ha_statistic(params: HAParams, E, Q) -> tuple[int, float]:
     """Distinct (sigma|_E, phi|_Q) pairs over all members, with the
     log statistic.
 
-    E indexes ball elements of the sigma source, Q letter blocks.
+    E indexes positions of the model ball, Q letter blocks.
     Enumeration is exhaustive over both halves; tiny instances only, as
     ``ha_statistic_with_sa`` caps it at ``HA_CAP``.
     """
@@ -506,9 +504,12 @@ def ha_statistic_with_sa(params: HAParams, E, Q):
     (i)-(iv) with them, the log statistic of their count, and the
     distinct sigma|_E.
 
-    The members sigma are enumerated first; a search space of phi
-    candidates times their number above ``HA_CAP``, as it reads when the
-    call runs, then raises InfeasibleError.
+    The members sigma are enumerated first, over the context's
+    ``sigma_params``; a search space of phi candidates times their
+    number above ``HA_CAP``, as it reads when the call runs, then raises
+    InfeasibleError.  A member lists its images in the order of the
+    model ball, which is the sigma source's ball, so sigma's padded and
+    inverse images are read from it directly.
 
     phi runs on ``sofic.search``, a closure element per position.  As
     traces and distances are multiples of 1/d, (i) is the window of
@@ -520,7 +521,7 @@ def ha_statistic_with_sa(params: HAParams, E, Q):
     uni = params.universe
     d = params.d
     delta = params.delta
-    sa_params = params.sigma_params(delta if not isinstance(delta, SqrtTol) else 1)
+    sa_params = model.context.sigma_params(1 if isinstance(delta, SqrtTol) else delta, d)
     below = partial(gap_below, tol=delta)
     # (i): a trace window on each cylinder projection
     centres = [model.mu_points(s) if i < uni.p_count else None
@@ -563,9 +564,9 @@ def ha_statistic_with_sa(params: HAParams, E, Q):
     restrictions = set()
     sa_restrictions = set()
     for sigma in sigma_members:
-        member = ModelMember(model, sigma)
-        slots[sig:sig_inv] = member.pads
-        slots[sig_inv:ident] = [(0,) + inv for inv in member.inverses]
+        slots[sig:sig_inv] = [(0,) + s.images for s in sigma.images]
+        slots[sig_inv:ident] = [(0,) + pperm._inverse_images(s.images)
+                                for s in sigma.images]
         sigma_e = sigma.restriction(E)
         sa_restrictions.add(sigma_e)
         for phi in sofic.search(pools, derived, triples, limit, slots, compose):

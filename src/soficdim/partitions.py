@@ -37,7 +37,7 @@ decided by comparing squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
@@ -292,9 +292,17 @@ class LemmaContext:
     unit sets that are not already in F, in order of first appearance;
     and the membership source over F_n at the inflated hypothesis
     radius 4 n |ball| + 1.  The c1 bound reads ``profiles``.  A ball
-    larger than ``PROFILE_CAP`` raises InfeasibleError.  Candidates
-    checked through one context must have been assigned over the F_n
-    ball it exposes.
+    larger than ``PROFILE_CAP`` raises InfeasibleError.
+
+    Two sources index candidates, each by its own ball positions.  The
+    candidates that the bounds check (``check_hypothesis``, ``align``,
+    ``ModelMember``) are assigned over the hypothesis ball.  The
+    members of ``sigma_params`` are assigned over ``sigma_source``,
+    whose ball is ``ball`` in the same order: both are
+    ``bisection_ball(g, F, n)``.  Every element of ``ball`` lies in the
+    hypothesis ball, as F lies in F_n and n <= 4 n |ball| + 1; its
+    position there is found once, and ``align`` reads a hypothesis
+    candidate's images of ``ball`` through those positions.
     """
 
     def __init__(self, g: FiniteGroupoid, F, n: int):
@@ -315,7 +323,8 @@ class LemmaContext:
         projections = dict.fromkeys(
             projection_bisection(g, units) for _, _, units in self.profiles)
         self.F_n = self.F + tuple(p for p in projections if p not in self.F)
-        self.hypothesis_source = GroupoidSource(g, self.F_n, self.radius)
+        source = self.hypothesis_source = GroupoidSource(g, self.F_n, self.radius)
+        self.hypothesis_positions = tuple(source.position[b] for b in ball)
 
     @cached_property
     def sigma_source(self) -> GroupoidSource:
@@ -324,6 +333,9 @@ class LemmaContext:
 
     def hypothesis_params(self, delta, d: int):
         return sofic.SAParams(self.hypothesis_source, Fraction(delta), d)
+
+    def sigma_params(self, delta, d: int):
+        return sofic.SAParams(self.sigma_source, Fraction(delta), d)
 
     def check_hypothesis(self, sigma: SoficCandidate, delta):
         report = verify_membership(sigma, self.hypothesis_params(delta, sigma.degree))
@@ -334,15 +346,10 @@ class LemmaContext:
                 f"trace gap {report.trace_gap}")
         return report
 
-    def align(self, sigma: SoficCandidate, ball) -> tuple:
-        """Candidate images matched to an arbitrary sub-ball by bisection."""
-        out = []
-        for b in ball:
-            i = self.hypothesis_source.position.get(b)
-            if i is None:
-                raise KeyError(f"candidate does not cover {b!r}")
-            out.append(sigma.images[i])
-        return tuple(out)
+    def align(self, sigma: SoficCandidate) -> tuple:
+        """A hypothesis candidate's images of the radius-n ball, in ball
+        order."""
+        return sigma.restriction(self.hypothesis_positions)
 
 
 # -- bound reports -------------------------------------------------------------------
@@ -392,7 +399,7 @@ def verify_lemma_c1(sigma: SoficCandidate, ctx: LemmaContext, delta,
     delta = Fraction(delta)
     if precheck:
         ctx.check_hypothesis(sigma, delta)
-    images_all = ctx.align(sigma, ctx.ball)
+    images_all = ctx.align(sigma)
     weights = ctx.groupoid.unit_weights
     bound = lemma_constants(ctx.f_pm_size, ctx.n).c1 * delta
     worst = Fraction(0)
@@ -441,8 +448,7 @@ class SpanBasis:
     largest coefficient magnitude, gamma the smallest nonzero value
     among subset sums, subset sums minus one, and products of two
     subset sums.  The basis rows are linearly independent, so each
-    subset in the span has exactly one expansion; ``expansions`` keeps
-    every one computed so far, starting with the model cylinders.
+    subset in the span has exactly one expansion.
     """
 
     model: CylinderModel
@@ -452,7 +458,6 @@ class SpanBasis:
     gamma: Fraction
     gamma_parts: tuple
     rows: tuple  # indicator vectors of the basis cylinders
-    expansions: dict = field(repr=False, compare=False)  # subset -> coefficients
 
     @property
     def ell(self) -> int:
@@ -463,6 +468,12 @@ class SpanBasis:
         """``lemma_constants`` of the model with this basis, computed once
         for every table over it."""
         return lemma_constants(self.model.f_pm_size, self.model.n, self)
+
+    @cached_property
+    def expansions(self) -> dict:
+        """Subset -> coefficients, for every expansion computed so far,
+        starting with the model cylinders."""
+        return dict(zip(map(self.model.cylinder, self.model.psis), self.coeffs))
 
     def expand_vector(self, subset) -> tuple:
         """Coefficients of the indicator of a point subset over the basis.
@@ -562,30 +573,31 @@ def span_basis(model: CylinderModel) -> SpanBasis:
     gamma3 = gamma1 * gamma1
     gamma = min(gamma1, gamma2, gamma3)
     return SpanBasis(model, tuple(basis_idx), coeffs, kappa, gamma,
-                     (gamma1, gamma2, gamma3), tuple(basis_rows),
-                     dict(zip(cylinders, coeffs)))
+                     (gamma1, gamma2, gamma3), tuple(basis_rows))
 
 
 class ModelMember:
     """A candidate sigma over one cylinder model, with the work that
     every partition of it shares.
 
-    ``images`` aligns sigma to the model ball.  ``pads`` holds each
-    image as a padded tuple (0, s(1), ..., s(d)) and ``inverses`` the
-    image tuple of its inverse (``pperm._inverse_images``): sigma's
-    transport s p s^-1, which ``crossed.verify_HA``, ``crossed.build_phi0``
-    and ``crossed.ha_statistic_with_sa`` read for every partition of the
-    member, is built here once.  ``sigma_report``, built on first use, is
-    the membership report of sigma over the radius-n sigma source, the
-    check behind the ``sigma_ok`` of ``crossed.verify_HA``.  A sweep over
-    the partitions of one sigma builds one ModelMember and hands it to
-    each of its Phi0Tables.
+    sigma is a candidate over the context's hypothesis source, and
+    ``images`` its images of the model ball (``LemmaContext.align``).
+    ``pads`` holds each image as a padded tuple (0, s(1), ..., s(d)) and
+    ``inverses`` the image tuple of its inverse
+    (``pperm._inverse_images``): sigma's transport s p s^-1, which
+    ``crossed.verify_HA`` and ``crossed.build_phi0`` read for every
+    partition of the member, is built here once.  ``sigma_report``,
+    built on first use, is the membership report of the model-ball
+    images over the radius-n sigma source, the check behind the
+    ``sigma_ok`` of ``crossed.verify_HA``.  A sweep over the partitions
+    of one sigma builds one ModelMember and hands it to each of its
+    Phi0Tables.
     """
 
     def __init__(self, model: CylinderModel, sigma: SoficCandidate):
         self.model = model
         self.sigma = sigma
-        self.images = model.context.align(sigma, model.ball)
+        self.images = model.context.align(sigma)
         self.pads = tuple((0,) + s.images for s in self.images)
         self.inverses = tuple(_inverse_images(s.images) for s in self.images)
 
@@ -641,11 +653,12 @@ class ModelMember:
 
     @cached_property
     def sigma_report(self) -> sofic.MembershipReport:
-        # the sigma source's ball is the model ball: both are
-        # bisection_ball(g, F, n) of the context
+        """Membership of the model-ball images over the sigma source, at
+        tolerance 2.  Every gap lies in [0, 1], so ``is_member`` there
+        holds exactly when the additive extension resolves."""
         d = self.sigma.degree
-        return verify_membership(SoficCandidate(d, self.images), sofic.SAParams(
-            self.model.context.sigma_source, Fraction(1), d))
+        return verify_membership(SoficCandidate(d, self.images),
+                                 self.model.context.sigma_params(2, d))
 
 
 class Phi0Table:

@@ -25,7 +25,7 @@ as exact arithmetic in both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -73,7 +73,6 @@ class CornerData:
     N: int
     k: int
     embedding: CornerEmbedding
-    derived: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def h_p(self) -> Fraction:
@@ -146,10 +145,15 @@ class CornerData:
             return tuple(plan)
         return self._once(("plan", n), build)
 
+    @cached_property
+    def _derived(self) -> dict:
+        """What ``_once`` has built, by key."""
+        return {}
+
     def _once(self, key, build):
-        if key not in self.derived:
-            self.derived[key] = build()
-        return self.derived[key]
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
 
 def make_corner_data(g: FiniteGroupoid, p_units, S) -> CornerData:

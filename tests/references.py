@@ -3,11 +3,14 @@
 Each builds an exact object by a route of its own: a candidate by block
 dilation or from the Bernoulli model acting on its own points, the
 conjugate of a partial permutation by composition, and the scaling
-suite's dict by a round trip per instance.
+suite's dict by a round trip per instance.  ``one_arrow_context`` is the
+lemma context whose hypothesis ball lists its radius-n ball in another
+order.
 """
 
 from soficdim import cli, pperm, scaling
-from soficdim.partitions import RandomPartition
+from soficdim.groupoid import PartialBisection, transitive_groupoid
+from soficdim.partitions import LemmaContext, RandomPartition
 from soficdim.pperm import PartialPermutation, compose, inverse
 from soficdim.rng import SplitMix64
 from soficdim.sofic import SoficCandidate
@@ -18,6 +21,14 @@ def conjugate(s: PartialPermutation, g: PartialPermutation) -> PartialPermutatio
     if g.dom_size != g.degree:
         raise ValueError("conjugator must be a total permutation")
     return compose(compose(g, s), inverse(g))
+
+
+def one_arrow_context() -> LemmaContext:
+    """The 3-point relation with the single arrow 0 -> 1 at radius 2:
+    model-ball positions 3, 4 and 5 are hypothesis positions 5, 3 and 4."""
+    g = transitive_groupoid(3)
+    return LemmaContext(g, [PartialBisection(g, frozenset(
+        a for a in range(g.n_arrows) if (g.source[a], g.range_[a]) == (0, 1)))], 2)
 
 
 def block_candidate(source, d: int) -> SoficCandidate:

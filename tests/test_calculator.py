@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,27 @@ class TestEvaluate:
             "amalgam(cyclic(2), cyclic(2), amalgam(cyclic(2), cyclic(2), trivial))")
         with pytest.raises(EvalError):
             evaluate_s(bad)
+
+    @pytest.mark.parametrize("third,factor,embeds", [
+        ("trivial", "z", True), ("trivial", "amenable(1/2)", True),
+        ("cyclic(1)", "z", True), ("cyclic(2)", "cyclic(6)", True),
+        ("cyclic(6)", "cyclic(6)", True), ("z", "z", True),
+        ("cyclic(5)", "cyclic(4)", False), ("cyclic(4)", "cyclic(2)", False),
+        ("z", "cyclic(3)", False), ("z", "trivial", False),
+        ("cyclic(3)", "z", False), ("cyclic(2)", "trivial", False),
+        ("cyclic(2)", "transitive(2)", None), ("z", "amenable(0)", None),
+        ("amenable(1)", "cyclic(2)", None)])
+    def test_amalgam_embedding(self, third, factor, embeds):
+        # a decided non-embedding is refused, an undecided one ledgered
+        line = f"embedding: {third} in {factor} (user-asserted)"
+        text = f"amalgam({factor}, {factor}, {third})"
+        if embeds is False:
+            with pytest.raises(EvalError,
+                               match=re.escape(f"{third} does not embed in {factor}")):
+                evaluate_s(parse_expr(text))
+        else:
+            ledger = evaluate_s(parse_expr(text)).assumptions
+            assert ledger.count(line) == (2 if embeds is None else 0)
 
     def test_weighted_amalgam(self):
         # two amenable factors with base weights 2/3 each over a weight-1/3

@@ -60,6 +60,14 @@ class TestCalc:
         assert code == 2
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("expr,factor", [
+        ("amalgam(cyclic(4), cyclic(6), cyclic(5))", "cyclic(4)"),
+        ("amalgam(z, z, cyclic(3))", "z")])
+    def test_amalgam_over_a_non_subgroup_exits_2(self, capsys, expr, factor):
+        code, out, err = run(capsys, "calc", expr)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"].endswith(f"does not embed in {factor}")
+
 
 class TestCount:
     def test_trivial_family_csv(self, capsys):
@@ -1136,6 +1144,15 @@ class TestScripts:
         for m, d, delta, count, _ in rows:
             assert int(m) == (4 if argv else 2)
             assert int(count) == closed_form_count(int(m), int(d), parse_fraction(delta))
+
+    @pytest.mark.parametrize("argv,degrees", [
+        (("--delta", "1/100"), "50,100,200,400,800"), (("--d=10",), "10")],
+        ids=["delta-only", "d-equals"])
+    def test_involution_curve_reads_only_its_own_d(self, capsys, monkeypatch, argv,
+                                                   degrees):
+        code, out = run_script(capsys, monkeypatch, "involution_curve.py", *argv)
+        assert code == 0
+        assert f'"d":"{degrees}"' in out
 
     def test_lemma_sweep_passes(self, capsys, monkeypatch, tmp_path):
         # the script writes its groupoid file into the temporary directory

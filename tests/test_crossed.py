@@ -107,7 +107,8 @@ class TestVerifyHA:
         a = HAParams(model, Fraction(1, 10), 4)
         b = HAParams(model, SqrtTol(Fraction(1, 9)), 3)
         assert a.universe is b.universe is model.universe
-        assert a.sigma_params().source is b.sigma_params(Fraction(1, 3)).source
+        assert (model.context.sigma_params(1, a.d).source
+                is model.context.sigma_params(Fraction(1, 3), b.d).source)
         sigma, part = regular_model_candidate(model)
         table = Phi0Table(basis, ModelMember(model, sigma), part)
         res = build_phi(table, Fraction(1, 10))
@@ -500,13 +501,11 @@ def reference_verify_HA(cand, params, check_sigma=True):
     uni = params.universe
     tol = params.delta
     d = params.d
-    images = model.context.align(cand.sigma, model.ball)
+    images = model.context.align(cand.sigma)
     sigma_ok = True
     if check_sigma:
-        sp = params.sigma_params()
-        aligned = SoficCandidate(d, model.context.align(
-            cand.sigma, sp.source.ball_elements))
-        rep = verify_membership(aligned, sp)
+        sp = model.context.sigma_params(1, d)
+        rep = verify_membership(SoficCandidate(d, images), sp)
         sigma_ok = (gap_below(rep.mult_gap, tol) and gap_below(rep.trace_gap, tol)
                     and not any("unresolvable" in n for n in rep.notes))
     trace_gap, trace_wit = Fraction(0), ""

@@ -47,7 +47,12 @@ from soficdim.pperm import (
 from soficdim.rng import SplitMix64
 from soficdim.sofic import SoficCandidate, iter_SA_members
 
-from references import conjugate, exact_partition, regular_model_candidate
+from references import (
+    conjugate,
+    exact_partition,
+    one_arrow_context,
+    regular_model_candidate,
+)
 
 
 # -- the closed measure route: profile measures times letter weights ---------------
@@ -317,7 +322,7 @@ def c2_partition_frequency(sigma, delta, model, seeds, precheck=True):
     ctx = model.context
     if precheck:
         ctx.check_hypothesis(sigma, delta)
-    images = ctx.align(sigma, model.ball)
+    images = ctx.align(sigma)
     c1 = lemma_constants(model.f_pm_size, model.n).c1
     threshold = 2 * c1 * delta
     d = sigma.degree
@@ -456,7 +461,7 @@ class TestBoundChecks:
         model1 = CylinderModel(ctx, [Fraction(1)])
         sigma = members[0]
         part = random_partition(4, [Fraction(1)], seed=0)
-        images = ctx.align(sigma, model1.ball)
+        images = ctx.align(sigma)
         basis1 = span_basis(model1)
         rep = verify_lemma_c2(Phi0Table(basis1, ModelMember(model1, sigma), part),
                               Fraction(1, 10), precheck=False)
@@ -482,7 +487,7 @@ class TestBoundChecks:
         sigma = members[0]
         part = random_partition(4, [Fraction(1), Fraction(0)], seed=1)
         assert part.blocks[1] == frozenset()
-        images = ctx.align(sigma, model.ball)
+        images = ctx.align(sigma)
         for psi in model.psis:
             if any(v == 1 for _, v in psi):
                 assert model.mu_cylinder(psi) == 0
@@ -633,15 +638,27 @@ def test_span_basis_solves_each_psi_once(source, q, monkeypatch):
     assert len(solved) == len(model.psis)
 
 
-@pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("m", [None, 2, 3], ids=["r2", "zmod2", "zmod3"])
-def test_sigma_source_ball_is_the_model_ball(m, n):
+@pytest.mark.parametrize("source,n", [(source, n) for source in ("r2", "zmod2", "zmod3")
+                                      for n in (1, 2)] + [("r3-arrow", 2)])
+def test_sigma_source_ball_is_the_model_ball(source, n):
     # ModelMember.sigma_report checks the model-ball images over the
     # sigma source, so the two balls must list the same bisections in
-    # the same order
-    g = transitive_groupoid(2) if m is None else cyclic_groupoid(m)
-    ctx = LemmaContext(g, full_group_generators(g), n)
+    # the same order; align reads a hypothesis candidate in that order
+    if source == "r3-arrow":
+        ctx = one_arrow_context()
+    else:
+        g = {"r2": transitive_groupoid(2), "zmod2": cyclic_groupoid(2),
+             "zmod3": cyclic_groupoid(3)}[source]
+        ctx = LemmaContext(g, full_group_generators(g), n)
     assert ctx.ball == ctx.sigma_source.ball_elements
+    position = ctx.hypothesis_source.position
+    members = list(iter_SA_members(ctx.hypothesis_params(Fraction(1, 2), 3)))
+    assert members
+    for m in members:
+        assert ctx.align(m) == tuple(m.images[position[b]] for b in ctx.ball)
+    if source == "r3-arrow":
+        # sigma-source positions 3, 4 and 5 are hypothesis positions 5, 3 and 4
+        assert [position[b] for b in ctx.sigma_source.ball_elements] == [0, 1, 2, 5, 3, 4]
 
 
 
@@ -687,7 +704,7 @@ def oracle_c1(sigma, ctx, delta, precheck=True):
     if precheck:
         ctx.check_hypothesis(sigma, delta)
     ball = ctx.ball
-    images_all = ctx.align(sigma, ball)
+    images_all = ctx.align(sigma)
     bound = lemma_constants(ctx.f_pm_size, ctx.n).c1 * delta
     worst = Fraction(0)
     witness = "empty profile sweep"

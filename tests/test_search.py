@@ -65,6 +65,8 @@ from soficdim.sofic import (
 )
 from soficdim.wordball import ball, parse_descriptor
 
+from references import one_arrow_context
+
 FAIR = (Fraction(1, 2), Fraction(1, 2))
 
 
@@ -684,26 +686,54 @@ HA_INSTANCES = (
 )
 
 
-@pytest.mark.parametrize("make,alphabet,d,delta", [case[1:] for case in HA_INSTANCES],
-                         ids=[case[0] for case in HA_INSTANCES])
-def test_ha_statistic_matches_brute_force(make, alphabet, d, delta):
-    params = HAParams(make(alphabet), delta, d)
-    uni = params.universe
+def brute_force_ha(params, E, Q):
+    """(pairs, sigma restrictions) of ``ha_statistic_with_sa``, from every
+    map phi in the product of the pool that ``verify_HA`` accepts.
+
+    A member of the sigma source lists its images in sigma-source ball
+    order, and a ModelMember reads a candidate over the hypothesis
+    source, so each image is placed at its hypothesis position first
+    (the empty map at the others)."""
+    ctx = params.model.context
+    uni, d, delta = params.universe, params.d, params.delta
+    hyp = ctx.hypothesis_source
     pool = object_pool(d, "all")
-    assert len(pool) ** len(uni) <= 5000
-    E, Q = [0], list(range(len(alphabet)))
-    sigmas = list(iter_SA_members(params.sigma_params(
-        delta if isinstance(delta, Fraction) else 1)))
+    sigmas = list(iter_SA_members(ctx.sigma_params(
+        delta if isinstance(delta, Fraction) else 1, d)))
     pairs = set()
     for sigma in sigmas:
-        member = ModelMember(params.model, sigma)
+        images = [pperm.PartialPermutation.empty(d)] * hyp.n_ball
+        for b, s in zip(ctx.sigma_source.ball_elements, sigma.images):
+            images[hyp.position[b]] = s
+        member = ModelMember(params.model, SoficCandidate(d, images))
         for phi in itertools.product(pool, repeat=len(uni)):
             cand = HACandidate(member, phi)
             if verify_HA(cand, params, check_sigma=False).is_member:
                 pairs.add((sigma.restriction(E),
                            tuple(phi[uni.letter_index[q]] for q in Q)))
+    return pairs, {s.restriction(E) for s in sigmas}
+
+
+@pytest.mark.parametrize("make,alphabet,d,delta", [case[1:] for case in HA_INSTANCES],
+                         ids=[case[0] for case in HA_INSTANCES])
+def test_ha_statistic_matches_brute_force(make, alphabet, d, delta):
+    params = HAParams(make(alphabet), delta, d)
+    assert len(object_pool(d, "all")) ** len(params.universe) <= 5000
+    E, Q = [0], list(range(len(alphabet)))
+    pairs, sa_restrictions = brute_force_ha(params, E, Q)
     count, _, sa_count = ha_statistic_with_sa(params, E, Q)
-    assert (count, sa_count) == (len(pairs), len({s.restriction(E) for s in sigmas}))
+    assert (count, sa_count) == (len(pairs), len(sa_restrictions))
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 3), Fraction(1, 2)],
+                         ids=["1over3", "1over2"])
+def test_ha_statistic_reads_sigma_in_model_ball_order(delta):
+    # the radius-2 ball of one arrow is where sigma-source and hypothesis
+    # positions part, so reading a member at hypothesis positions miscounts
+    params = HAParams(CylinderModel(one_arrow_context(), (Fraction(1),)), delta, 2)
+    pairs, sa_restrictions = brute_force_ha(params, [0], [0])
+    assert (len(pairs), len(sa_restrictions)) == (1, 1)
+    assert ha_statistic_with_sa(params, [0], [0])[::2] == (1, 1)
 
 
 def test_ha_statistic_builds_one_pool(monkeypatch):
