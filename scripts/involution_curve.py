@@ -14,13 +14,6 @@ import sys
 from soficdim.cli import main
 
 if __name__ == "__main__":
-    argv = sys.argv[1:]
-
-    def given(option):
-        return any(a == option or a.startswith(option + "=") for a in argv)
-
-    if not given("--m"):
-        argv = ["--m", "2"] + argv
-    if not given("--d"):
-        argv += ["--d", "50,100,200,400,800"]
-    sys.exit(main(["curve"] + argv))
+    # argparse keeps the last value of a repeated option, so the caller's
+    # --m and --d override these defaults
+    sys.exit(main(["curve", "--m", "2", "--d", "50,100,200,400,800"] + sys.argv[1:]))

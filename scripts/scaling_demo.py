@@ -10,7 +10,6 @@ import sys
 from soficdim.cli import main
 
 if __name__ == "__main__":
-    argv = sys.argv[1:]
-    if not any(a == "--d" or a.startswith("--d=") for a in argv):
-        argv += ["--d", "30"]
-    sys.exit(main(["construct", "--what", "restrict"] + argv))
+    # argparse keeps the last value of a repeated option, so the caller's
+    # --d overrides this default
+    sys.exit(main(["construct", "--what", "restrict", "--d", "30"] + sys.argv[1:]))

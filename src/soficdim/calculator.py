@@ -35,7 +35,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .groupoid import FiniteGroupoid, finite_part_measure, validate_pmp
+from .groupoid import finite_part_measure, load_pmp
 from .scaling import scaling_value_inverse
 
 
@@ -221,12 +221,7 @@ def _finite_part(e: SExpression) -> Fraction:
     if e.kind == "amenable":
         return Fraction(e.number)
     if e.kind == "finite_groupoid":
-        g = FiniteGroupoid.load(e.text)
-        rep = validate_pmp(g)
-        if not rep.ok:
-            raise EvalError(f"groupoid file {e.text} is not measure preserving "
-                            f"(arrows {list(rep.violations)})")
-        return finite_part_measure(g)
+        return finite_part_measure(load_pmp(e.text))
     raise EvalError(f"{e.kind} has no finite part")
 
 

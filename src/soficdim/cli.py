@@ -32,6 +32,7 @@ from .groupoid import (
     PartialBisection,
     cyclic_groupoid,
     full_identity,
+    load_pmp,
 )
 from .pperm import PartialPermutation
 from .rng import SplitMix64
@@ -78,9 +79,10 @@ def parse_drange(text: str) -> list[int]:
 
 
 def load_source_groupoid(text: str) -> FiniteGroupoid:
-    """A finite groupoid from a .gpd path or a finite family descriptor."""
+    """A finite groupoid from a .gpd path or a finite family descriptor;
+    a groupoid file must be measure preserving."""
     if text.endswith(".gpd") or "/" in text and Path(text).exists():
-        return FiniteGroupoid.load(text)
+        return load_pmp(text)
     system = wordball.parse_descriptor(text)
     if isinstance(system, wordball.CyclicGroup):
         return cyclic_groupoid(system.order)

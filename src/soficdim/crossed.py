@@ -527,12 +527,8 @@ def ha_statistic_with_sa(params: HAParams, E, Q):
     centres = [model.mu_points(s) if i < uni.p_count else None
                for i, s in enumerate(uni.elements)]
     windows = sofic.fixed_windows(d, centres, below)
-    # sigma ranges over a groupoid source, in all mode like phi: one pass
-    # over the maps fills the pools of both searches
-    pools = sofic.candidate_pool(d, "all",
-                                 windows + sofic.SearchPlan(sa_params).windows)
-    pools, sigma_pools = pools[:len(windows)], pools[len(windows):]
-    sigma_members = list(sofic.iter_SA_members(sa_params, sigma_pools))
+    pools = sofic.candidate_pool(d, "all", windows)
+    sigma_members = list(sofic.iter_SA_members(sa_params))
     space = sofic.pool_size(d, "all") ** len(uni) * max(len(sigma_members), 1)
     if space > HA_CAP:
         raise InfeasibleError("search space", space, "candidates", HA_CAP)

@@ -169,28 +169,43 @@ class FiniteGroupoid:
                 raise GroupoidError(f"expected {prefix!r}, got {line!r}")
             return parts[1:]
 
+        seen = set()
+
+        def fresh(size, what, *key):
+            """``key``, indices each in 0..size-1 that no other ``what``
+            line has given."""
+            text = " ".join(map(str, key))
+            if not all(0 <= i < size for i in key):
+                raise GroupoidError(f"{what} {text}: index outside 0..{size - 1}")
+            if (what, key) in seen:
+                raise GroupoidError(f"{what} {text} given twice")
+            seen.add((what, key))
+            return key
+
         try:
             (n,) = expect("units", next(it))
             n = int(n)
             weights = [Fraction(0)] * n
             for _ in range(n):
                 e, w = expect("unit", next(it))
-                weights[int(e)] = Fraction(w)
+                (e,) = fresh(n, "unit", int(e))
+                weights[e] = Fraction(w)
             (m,) = expect("arrows", next(it))
             m = int(m)
             source, range_, inverse = [0] * m, [0] * m, [0] * m
             for _ in range(m):
                 g, s, r, i = expect("arrow", next(it))
-                g = int(g)
+                (g,) = fresh(m, "arrow", int(g))
                 source[g], range_[g], inverse[g] = int(s), int(r), int(i)
             unit_arrow = [0] * n
             for _ in range(n):
                 e, u = expect("unitarrow", next(it))
-                unit_arrow[int(e)] = int(u)
+                (e,) = fresh(n, "unitarrow", int(e))
+                unit_arrow[e] = int(u)
             comp = {}
             for line in it:
                 g, h, k = expect("compose", line)
-                comp[(int(g), int(h))] = int(k)
+                comp[fresh(m, "compose pair", int(g), int(h))] = int(k)
         except (StopIteration, ValueError, IndexError) as exc:
             raise GroupoidError(f"truncated or malformed groupoid file: {exc}") from exc
         return cls(weights, source, range_, inverse, unit_arrow, comp)
@@ -320,6 +335,16 @@ def validate_pmp(g: FiniteGroupoid) -> ValidationReport:
     bad = tuple(a for a in range(g.n_arrows)
                 if g.unit_weights[g.source[a]] != g.unit_weights[g.range_[a]])
     return ValidationReport(bad)
+
+
+def load_pmp(path) -> FiniteGroupoid:
+    """Load a groupoid file, refusing one that is not measure preserving."""
+    g = FiniteGroupoid.load(path)
+    rep = validate_pmp(g)
+    if not rep.ok:
+        raise GroupoidError(f"groupoid file {path} is not measure preserving "
+                            f"(arrows {list(rep.violations)})")
+    return g
 
 
 def finite_part_measure(g: FiniteGroupoid) -> Fraction:

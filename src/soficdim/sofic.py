@@ -27,10 +27,10 @@ compose with a position whose window admits the identity alone, which
 cannot fail.  The pools the search draws from are bare image tuples
 padded with a leading 0, made in one pass over ``pperm.iter_images``
 that keeps only the tuples some window admits (``candidate_pool``).
-``PartialPermutation`` objects are built for members only: the images
-``iter_SA_members`` yields and the restrictions ``count_SA(..., E=E)``
-counts, the distinct restrictions to the positions E in the same
-enumeration.  ``verify_membership`` checks one candidate on padded
+``PartialPermutation`` objects are built only for the images
+``iter_SA_members`` yields; ``count_SA(..., E=E)`` counts the distinct
+restrictions to the positions E, in the same enumeration, as padded
+tuples.  ``verify_membership`` checks one candidate on padded
 tuples too, with the search's orthogonal sum and disagreement count.
 
 Both membership conditions are unchanged when every image is conjugated
@@ -561,38 +561,32 @@ class SearchPlan:
                       [None] * self.n_universe, _slot_sum)
 
 
-def _maps(d: int, pads) -> tuple:
-    """Validated maps of padded image tuples."""
-    return tuple(PartialPermutation(d, pad[1:]) for pad in pads)
-
-
-def iter_SA_members(params: SAParams, pools=None):
+def iter_SA_members(params: SAParams):
     """Depth-first enumeration of all members, deterministic order.
 
     Constraints are applied as soon as every participant is assigned,
     so the pruned search yields exactly the brute-force member set.
-    ``pools``, when given, are ``candidate_pool(d, mode, windows)`` for
-    the windows of ``SearchPlan(params)``.  Only the members' images
-    are built as ``PartialPermutation`` objects.
+    Only the members' images are built as ``PartialPermutation``
+    objects.
     """
+    d = params.d
     plan = SearchPlan(params)
-    if pools is None:
-        pools = candidate_pool(params.d, params.mode, plan.windows)
+    pools = candidate_pool(d, params.mode, plan.windows)
     n = len(pools)
     for slots in plan.search(pools):
-        yield SoficCandidate(params.d, _maps(params.d, slots[:n]))
+        yield SoficCandidate(d, tuple(PartialPermutation(d, pad[1:]) for pad in slots[:n]))
 
 
 def _count_chunk(plan: SearchPlan, pools, positions):
     """Member count and the set of members' restrictions to
-    ``positions`` (tuples of maps)."""
+    ``positions`` (tuples of padded image tuples)."""
     count = 0
     restrictions = set()
     for slots in plan.search(pools):
         count += 1
         if positions is not None:
             restrictions.add(tuple(slots[i] for i in positions))
-    return count, {_maps(plan.d, pads) for pads in restrictions}
+    return count, restrictions
 
 
 def _count_classes(params: SAParams, plan: SearchPlan, positions):

@@ -5,9 +5,10 @@ products of finite cyclic groups) the counting machinery works on the
 ball of all products of at most n generators and their inverses.  A
 generating system is a normal-form reducer; the exact group trace
 (1 at the identity, 0 elsewhere) follows from it.  Only families whose
-word problem is trivially decidable are built in (integers, cyclic
-groups, finite groups given by a multiplication table, and free
-products of finite factors).  A user-supplied system needs only
+word problem is trivially decidable are built in: free products of
+cyclic groups (``CyclicProduct``, one syllable rule for ``z``,
+``zmod(m)`` and ``freeprod(...)``) and finite groups given by a
+multiplication table.  A user-supplied system needs only
 ``reduce_word``.
 
 ``breadth_first`` and ``product_triples`` are the ball and product
@@ -67,29 +68,40 @@ class GeneratingSystem:
         return self.reduce_word(tuple(u) + tuple(v))
 
 
-class IntegerLine(GeneratingSystem):
-    """The infinite cyclic group; canonical form is a single power of a."""
+class CyclicProduct(GeneratingSystem):
+    """Free product of cyclic groups, one generator each.
 
-    def __init__(self):
-        super().__init__(("a",))
+    ``orders`` maps each generator to the order of its factor, 0 for
+    the integers.  A canonical word never has two consecutive syllables
+    on one generator, and reduces each exponent modulo its order (into
+    1..m-1 for order m).
+    """
+
+    def __init__(self, orders):
+        self.orders = dict(orders)
+        super().__init__(self.orders)
 
     def reduce_word(self, word):
-        k = sum(e for _, e in word)
-        return ((("a", k),) if k else ())
+        out = []
+        for g, e in word:
+            if out and out[-1][0] == g:
+                e += out.pop()[1]
+            m = self.orders[g]
+            if m:
+                e %= m
+            if e:
+                out.append((g, e))
+        return tuple(out)
 
 
-class CyclicGroup(GeneratingSystem):
-    """Cyclic group of order m, exponents reduced into 1..m-1."""
+class CyclicGroup(CyclicProduct):
+    """Cyclic group of order m on the one generator a."""
 
-    def __init__(self, m: int, name: str = "a"):
+    def __init__(self, m: int):
         if m < 1:
             raise ValueError("order must be >= 1")
         self.order = m
-        super().__init__((name,))
-
-    def reduce_word(self, word):
-        k = sum(e for _, e in word) % self.order
-        return (((self.generators[0], k),) if k else ())
+        super().__init__({"a": m})
 
 
 class TableGroup(GeneratingSystem):
@@ -136,48 +148,6 @@ class TableGroup(GeneratingSystem):
         if acc == self.identity_index:
             return ()
         return ((self.names[acc], 1),)
-
-
-class FreeProductOfFinite(GeneratingSystem):
-    """Free product of finite factors, canonical alternating syllables.
-
-    Each factor is a finite generating system on a single generator
-    namespace; canonical words never have two consecutive syllables
-    from the same factor and never contain a factor identity.
-    """
-
-    def __init__(self, factors):
-        self.factors = tuple(factors)
-        gens = []
-        self._factor_of = {}
-        for idx, fac in enumerate(self.factors):
-            for g in fac.generators:
-                if g in self._factor_of:
-                    raise ValueError(f"generator {g!r} used by two factors")
-                self._factor_of[g] = idx
-                gens.append(g)
-        super().__init__(gens)
-
-    def reduce_word(self, word):
-        stack: list[tuple[int, Word]] = []  # (factor index, canonical factor word)
-        for g, e in word:
-            idx = self._factor_of[g]
-            syl = self.factors[idx].reduce_word(((g, e),))
-            stack.append((idx, syl))
-            while True:
-                if stack and not stack[-1][1]:
-                    stack.pop()
-                    continue
-                if len(stack) >= 2 and stack[-1][0] == stack[-2][0]:
-                    i, u = stack[-2]
-                    _, v = stack[-1]
-                    stack[-2:] = [(i, self.factors[i].reduce_word(u + v))]
-                    continue
-                break
-        out = []
-        for _, syl in stack:
-            out.extend(syl)
-        return tuple(out)
 
 
 # -- balls --------------------------------------------------------------------
@@ -298,7 +268,7 @@ def parse_descriptor(text: str) -> GeneratingSystem:
     if head == "z":
         if m.group(2):
             raise ValueError("z takes no arguments")
-        return IntegerLine()
+        return CyclicProduct({"a": 0})
     if body is None:
         raise ValueError(f"{head} needs arguments")
     if head == "zmod":
@@ -308,17 +278,17 @@ def parse_descriptor(text: str) -> GeneratingSystem:
     args = _split_args(body)
     if len(args) > len(_FACTOR_NAMES):
         raise ValueError(f"freeprod takes at most {len(_FACTOR_NAMES)} factors")
-    factors = []
-    for i, arg in enumerate(args):
+    orders = {}
+    for name, arg in zip(_FACTOR_NAMES, args):
         sub = parse_descriptor(arg)
         if not isinstance(sub, CyclicGroup):
             raise ValueError("freeprod factors must be zmod(m) in descriptors")
         if sub.order < 2:
             raise ValueError("freeprod factors must have order >= 2")
-        factors.append(CyclicGroup(sub.order, name=_FACTOR_NAMES[i]))
-    if len(factors) < 2:
+        orders[name] = sub.order
+    if len(orders) < 2:
         raise ValueError("freeprod needs at least two factors")
-    return FreeProductOfFinite(factors)
+    return CyclicProduct(orders)
 
 
 def load_cayley_table(path) -> TableGroup:

@@ -5,7 +5,9 @@ dilation or from the Bernoulli model acting on its own points, the
 conjugate of a partial permutation by composition, and the scaling
 suite's dict by a round trip per instance.  ``one_arrow_context`` is the
 lemma context whose hypothesis ball lists its radius-n ball in another
-order.
+order.  ``reference_system`` reduces words by one reducer per cyclic
+family, the integers, a cyclic group and a free product of such
+factors merged on a stack.
 """
 
 from soficdim import cli, pperm, scaling
@@ -14,6 +16,7 @@ from soficdim.partitions import LemmaContext, RandomPartition
 from soficdim.pperm import PartialPermutation, compose, inverse
 from soficdim.rng import SplitMix64
 from soficdim.sofic import SoficCandidate
+from soficdim.wordball import GeneratingSystem
 
 
 def conjugate(s: PartialPermutation, g: PartialPermutation) -> PartialPermutation:
@@ -123,3 +126,75 @@ def scaling_suite_every_instance(g, d: int, delta, seed: int, instances: int) ->
     return {"instances": instances, "passed": bool(all_pass),
             "worst_round_trip": worst_round,
             "round_trip_bound": float(3 * (20 * delta / cd.h_p))}
+
+
+class IntegerLine(GeneratingSystem):
+    """The infinite cyclic group; canonical form is a single power of
+    the generator."""
+
+    def __init__(self, name: str = "a"):
+        super().__init__((name,))
+
+    def reduce_word(self, word):
+        k = sum(e for _, e in word)
+        return (((self.generators[0], k),) if k else ())
+
+
+class CyclicGroup(GeneratingSystem):
+    """Cyclic group of order m, exponents reduced into 1..m-1."""
+
+    def __init__(self, m: int, name: str = "a"):
+        if m < 1:
+            raise ValueError("order must be >= 1")
+        self.order = m
+        super().__init__((name,))
+
+    def reduce_word(self, word):
+        k = sum(e for _, e in word) % self.order
+        return (((self.generators[0], k),) if k else ())
+
+
+class FreeProductOfFinite(GeneratingSystem):
+    """Free product of one-generator factors, canonical alternating
+    syllables: canonical words never have two consecutive syllables
+    from the same factor and never contain a factor identity."""
+
+    def __init__(self, factors):
+        self.factors = tuple(factors)
+        gens = []
+        self._factor_of = {}
+        for idx, fac in enumerate(self.factors):
+            for g in fac.generators:
+                if g in self._factor_of:
+                    raise ValueError(f"generator {g!r} used by two factors")
+                self._factor_of[g] = idx
+                gens.append(g)
+        super().__init__(gens)
+
+    def reduce_word(self, word):
+        stack = []  # (factor index, canonical factor word)
+        for g, e in word:
+            idx = self._factor_of[g]
+            syl = self.factors[idx].reduce_word(((g, e),))
+            stack.append((idx, syl))
+            while True:
+                if stack and not stack[-1][1]:
+                    stack.pop()
+                    continue
+                if len(stack) >= 2 and stack[-1][0] == stack[-2][0]:
+                    i, u = stack[-2]
+                    _, v = stack[-1]
+                    stack[-2:] = [(i, self.factors[i].reduce_word(u + v))]
+                    continue
+                break
+        out = []
+        for _, syl in stack:
+            out.extend(syl)
+        return tuple(out)
+
+
+def reference_system(orders: dict) -> GeneratingSystem:
+    """The free product of cyclic groups with ``orders`` (generator to
+    order, 0 for the integers), one factor standing alone."""
+    factors = [IntegerLine(g) if m == 0 else CyclicGroup(m, g) for g, m in orders.items()]
+    return factors[0] if len(factors) == 1 else FreeProductOfFinite(factors)

@@ -276,7 +276,7 @@ CAP_CHECKS = [
     (sofic, "DEFAULT_COUNT_CAP", lambda: sofic.count_SA(
         sofic.SAParams(sofic.BallSource(wordball.ball(wordball.CyclicGroup(2))),
                        Fraction(1, 2), 3))),
-    (wordball, "BALL_CAP", lambda: wordball.ball(wordball.IntegerLine(), None, 2)),
+    (wordball, "BALL_CAP", lambda: wordball.ball(wordball.parse_descriptor("z"), None, 2)),
     (sofic, "BALL_CAP", r2_ball),
     (sofic, "SUM_CAP", lambda: r2_ha_params(2).universe),
     (groupoid, "FIBER_CAP", lambda: groupoid.bernoulli_action(
@@ -368,6 +368,32 @@ class TestVerify:
         assert code == 0
         doc = json.loads(out)
         assert list(doc["suites"]) == ["c1"]
+
+    # a --source file is read strictly and must be measure preserving, as
+    # calc's finite_groupoid reads it
+    @pytest.mark.parametrize("old,new,message", [
+        ("unit 1 1/2", "unit -1 1/2", "unit -1: index outside 0..1"),
+        ("unit 0 1/2\nunit 1 1/2", "unit 0 1\nunit 0 1", "unit 0 given twice"),
+        ("compose 3 3 3", "compose 3 3 3\ncompose 3 3 3", "compose pair 3 3 given twice"),
+        ("unit 0 1/2\nunit 1 1/2", "unit 0 1/3\nunit 1 2/3",
+         "is not measure preserving (arrows [1, 2])"),
+    ], ids=["negative-index", "repeated-unit", "repeated-compose", "not-pmp"])
+    @pytest.mark.parametrize("command", [("verify", "--suite", "c1", "--d", "4"),
+                                         ("count", "--d", "2", "--mode", "all")],
+                             ids=["verify", "count"])
+    def test_malformed_or_non_pmp_source_exits_2(self, capsys, r2_file, old, new,
+                                                  message, command):
+        text = Path(r2_file).read_text()
+        assert old in text
+        Path(r2_file).write_text(text.replace(old, new))
+        code, out, err = run(capsys, *command, "--source", r2_file, "--delta", "0.1")
+        assert (code, out) == (2, "")
+        assert message in json.loads(err)["error"]
+        if "measure" not in message:
+            return
+        code, out, err = run(capsys, "calc", f'finite_groupoid("{r2_file}")')
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"].endswith(message)
 
     def test_unknown_suite_rejected(self, capsys, r2_file):
         code, _, err = run(capsys, "verify", "--suite", "c9", "--source",

@@ -305,7 +305,7 @@ class TestBuildPhi:
     def test_members_meet_v_bound_and_tolerance(self, r2):
         _, _, ctx, model, basis = r2
         delta = Fraction(1, 10)
-        for m in iter_SA_members(ctx.hypothesis_params(delta, 6), None):
+        for m in iter_SA_members(ctx.hypothesis_params(delta, 6)):
             part = random_partition(6, FAIR, seed=23)
             table = Phi0Table(basis, ModelMember(model, m), part)
             rep0 = build_phi0(table, delta, precheck=False)

@@ -18,6 +18,7 @@ from soficdim.groupoid import (
     finite_part_measure,
     full_identity,
     group_groupoid,
+    load_pmp,
     projection_bisection,
     tau,
     transitive_groupoid,
@@ -73,6 +74,16 @@ class TestPmp:
 
     def test_groups_are_pmp(self):
         assert validate_pmp(cyclic_groupoid(5)).ok
+
+    def test_load_pmp_refuses_an_unbalanced_file(self, tmp_path):
+        path = tmp_path / "r2.gpd"
+        text = transitive_groupoid(2).to_text()
+        path.write_text(text)
+        assert load_pmp(path).to_text() == text
+        path.write_text(text.replace("unit 0 1/2\nunit 1 1/2", "unit 0 1/3\nunit 1 2/3"))
+        with pytest.raises(GroupoidError, match=r"^groupoid file .*r2\.gpd is not "
+                           r"measure preserving \(arrows \[1, 2\]\)$"):
+            load_pmp(path)
 
 
 class TestTrace:
@@ -191,11 +202,24 @@ class TestFileFormat:
         with pytest.raises(GroupoidError):
             FiniteGroupoid.from_text("units 1\nunit 0 1\narrows 1\n")
 
+    # each line kind also reads its index in 0..n-1 once, where Python's
+    # wraparound would read -1 as the last index and a later line would
+    # overwrite an earlier one
     @pytest.mark.parametrize("old,new,message", [
         ("arrow 1 1 0 2", "arrow 1 1 5 2", "arrow 1 has bad endpoints"),
         ("arrow 1 1 0 2", "arrow 1 1 0 1", "inverse of 1 has wrong endpoints"),
         ("compose 1 3 1\n", "", "composition table domain mismatch"),
         ("compose 1 3 1", "compose 1 3 0", r"composite of \(1,3\) has wrong endpoints"),
+        ("unit 1 1/2", "unit -1 1/2", "unit -1: index outside 0..1"),
+        ("unit 1 1/2", "unit 2 1/2", "unit 2: index outside 0..1"),
+        ("arrow 3 1 1 3", "arrow -1 1 1 3", "arrow -1: index outside 0..3"),
+        ("unitarrow 1 3", "unitarrow -1 3", "unitarrow -1: index outside 0..1"),
+        ("compose 3 3 3", "compose 3 -1 3", "compose pair 3 -1: index outside 0..3"),
+        ("unit 0 1/2\nunit 1 1/2", "unit 0 1\nunit 0 1", "unit 0 given twice"),
+        ("arrow 3 1 1 3", "arrow 2 0 1 1", "arrow 2 given twice"),
+        ("unitarrow 1 3", "unitarrow 0 0", "unitarrow 0 given twice"),
+        ("compose 3 3 3", "compose 3 3 3\ncompose 3 3 3", "compose pair 3 3 given twice"),
+        ("compose 3 3 3", "compose 3 2 2", "compose pair 3 2 given twice"),
     ])
     def test_each_axiom_refusal_names_its_axiom(self, old, new, message):
         text = transitive_groupoid(2).to_text()

@@ -213,7 +213,7 @@ def test_search_matches_brute_force(make):
     if p is not None:
         choices += [(p,), tuple(t for t in everywhere if t != p)]
     for E in choices:
-        restrictions = {tuple(images[i] for i in E) for images in want}
+        restrictions = {tuple((0,) + images[i].images for i in E) for images in want}
         assert _count_chunk(plan, pools, E) == (len(want), restrictions)
         assert _count_classes(params, plan, E) == (len(want), len(restrictions))
         assert count_SA(params, E=E) == (len(want), len(restrictions))
@@ -375,8 +375,8 @@ def test_plan_drops_the_identity_triples(make, dropped):
     assert len(kept) + len(dropped) == len(params.source.triples)
 
 
-# validated maps are built for members only: count_SA builds those of the
-# distinct restrictions, iter_SA_members every image of every member
+# validated maps are built for members only: iter_SA_members builds every
+# image of every member, and count_SA none, with or without E
 @pytest.mark.parametrize("make", [lambda: family("zmod(2)", "1/10", 6),
                                   lambda: family("freeprod(zmod(2),zmod(2))", "1/2", 3),
                                   lambda: r2("full", "1/10", 4)],
@@ -391,8 +391,7 @@ def test_maps_are_built_for_members_only(make, monkeypatch):
     assert count > 0 and built == []
     E = tuple(range(params.source.n_ball))
     assert count_SA(params, E=E)[0] == count
-    assert 0 < len(built) <= count * len(E)
-    built.clear()
+    assert built == []
     assert sum(1 for _ in iter_SA_members(params)) == count
     assert len(built) == count * len(E)
 
@@ -736,17 +735,19 @@ def test_ha_statistic_reads_sigma_in_model_ball_order(delta):
     assert ha_statistic_with_sa(params, [0], [0])[::2] == (1, 1)
 
 
-def test_ha_statistic_builds_one_pool(monkeypatch):
-    # the sigma members and the maps phi draw from one pass over the maps
+def test_ha_statistic_builds_phi_pools_alone(monkeypatch):
+    # one pass over the maps for the windows of phi, and iter_SA_members
+    # makes the sigma members' own
     from soficdim import sofic
     monkeypatch.setattr(crossed, "HA_CAP", 10 ** 15)
     calls = []
     pool = sofic.candidate_pool
     monkeypatch.setattr(sofic, "candidate_pool",
-                        lambda *args: calls.append(args[:2]) or pool(*args))
-    assert ha_statistic_with_sa(HAParams(swap_model(FAIR), Fraction(1, 2), 2),
-                                E=[0], Q=[0, 1])[::2] == (2, 1)
-    assert calls == [(2, "all")]
+                        lambda *args: calls.append((*args[:2], len(args[2]))) or pool(*args))
+    params = HAParams(swap_model(FAIR), Fraction(1, 2), 2)
+    assert ha_statistic_with_sa(params, E=[0], Q=[0, 1])[::2] == (2, 1)
+    sigma_plan = sofic.SearchPlan(params.model.context.sigma_params(Fraction(1, 2), 2))
+    assert calls == [(2, "all", len(params.universe)), (2, "all", len(sigma_plan.windows))]
 
 
 # recorded from the enumeration the pruned search replaced, beyond brute force

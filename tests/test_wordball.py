@@ -14,8 +14,7 @@ from soficdim.groupoid import (
 )
 from soficdim.wordball import (
     CyclicGroup,
-    FreeProductOfFinite,
-    IntegerLine,
+    CyclicProduct,
     TableGroup,
     ball,
     load_cayley_table,
@@ -23,13 +22,19 @@ from soficdim.wordball import (
     word_str,
 )
 
+from references import reference_system
+
 
 def invert_word(word):
     return tuple((g, -e) for g, e in reversed(word))
 
 
+def integers():
+    return CyclicProduct({"a": 0})
+
+
 def z23():
-    return FreeProductOfFinite([CyclicGroup(2, "a"), CyclicGroup(3, "b")])
+    return CyclicProduct({"a": 2, "b": 3})
 
 
 @st.composite
@@ -46,7 +51,7 @@ class TestReduce:
         assert sys.reduce_product((("a", 1),), (("a", 1),)) == ()
 
     def test_integer_line(self):
-        sys = IntegerLine()
+        sys = integers()
         assert sys.reduce_product((("a", 2),), (("a", -1),)) == (("a", 1),)
 
     def test_free_product_syllables(self):
@@ -62,7 +67,7 @@ class TestReduce:
     @settings(max_examples=200)
     @given(st.data())
     def test_reducer_idempotent_and_inverse_law(self, data):
-        sys = data.draw(st.sampled_from([IntegerLine(), CyclicGroup(4), z23()]))
+        sys = data.draw(st.sampled_from([integers(), CyclicGroup(4), z23()]))
         w = data.draw(words(sys))
         r = sys.reduce_word(w)
         assert sys.reduce_word(r) == r
@@ -71,7 +76,7 @@ class TestReduce:
     @settings(max_examples=200)
     @given(st.data())
     def test_associativity_on_canonical_forms(self, data):
-        sys = data.draw(st.sampled_from([IntegerLine(), CyclicGroup(5), z23()]))
+        sys = data.draw(st.sampled_from([integers(), CyclicGroup(5), z23()]))
         u = sys.reduce_word(data.draw(words(sys)))
         v = sys.reduce_word(data.draw(words(sys)))
         w = sys.reduce_word(data.draw(words(sys)))
@@ -79,9 +84,52 @@ class TestReduce:
                 == sys.reduce_product(u, sys.reduce_product(v, w)))
 
 
+# -- the one syllable rule against one reducer per cyclic family -----------------
+
+
+@st.composite
+def orders_and_word(draw):
+    k = draw(st.integers(1, 4))
+    orders = {g: draw(st.integers(0, 7)) for g in "abcd"[:k]}
+    word = draw(st.lists(st.tuples(st.sampled_from(sorted(orders)),
+                                   st.integers(-9, 9).filter(bool)), max_size=10))
+    return orders, tuple(word)
+
+
+@settings(max_examples=300)
+@given(orders_and_word())
+def test_reduce_word_matches_the_family_reducers(case):
+    orders, word = case
+    assert CyclicProduct(orders).reduce_word(word) == reference_system(orders).reduce_word(word)
+
+
+# the balls behind every ``--family`` descriptor but tables; the Monte Carlo
+# pins and the sample golden hashes read their order
+DESCRIPTOR_ORDERS = [("z", {"a": 0})] + [
+    (f"zmod({m})", {"a": m}) for m in range(1, 8)] + [
+    ("freeprod(zmod(2),zmod(2))", {"a": 2, "b": 2}),
+    ("freeprod(zmod(2),zmod(3))", {"a": 2, "b": 3}),
+    ("freeprod(zmod(3), zmod(2), zmod(4))", {"a": 3, "b": 2, "c": 4}),
+    ("freeprod(zmod(2),zmod(2),zmod(2),zmod(2))", {"a": 2, "b": 2, "c": 2, "d": 2}),
+    ("freeprod(zmod(7),zmod(5))", {"a": 7, "b": 5}),
+]
+
+
+@pytest.mark.parametrize("descriptor,orders", DESCRIPTOR_ORDERS,
+                         ids=[d.replace(" ", "") for d, _ in DESCRIPTOR_ORDERS])
+def test_descriptor_balls_match_the_family_reducers(descriptor, orders):
+    system = parse_descriptor(descriptor)
+    assert system.orders == orders
+    for n in range(5):
+        got, want = ball(system, None, n), ball(reference_system(orders), None, n)
+        assert got.elements == want.elements
+        assert got.triples == want.triples
+        assert [got.tau(i) for i in range(len(got))] == [want.tau(i) for i in range(len(want))]
+
+
 class TestTau:
     def test_identity(self):
-        assert IntegerLine().tau_word(()) == 1
+        assert integers().tau_word(()) == 1
 
     def test_nontrivial_in_zmod2(self):
         assert CyclicGroup(2).tau_word((("a", 1),)) == 0
@@ -118,7 +166,7 @@ def test_table_trace_matches_the_groupoid_trace(tmp_path):
 class TestBall:
     def test_integer_line_sizes(self):
         for n in range(11):
-            assert len(ball(IntegerLine(), None, n)) == 2 * n + 1
+            assert len(ball(integers(), None, n)) == 2 * n + 1
 
     def test_zmod2_radius3(self):
         b = ball(CyclicGroup(2), None, 3)
@@ -142,7 +190,7 @@ class TestBall:
                     assert b.system.reduce_product(u, v) in b.index
 
     def test_closed_under_inverse_and_contains_identity(self):
-        for sys in (IntegerLine(), CyclicGroup(6), z23()):
+        for sys in (integers(), CyclicGroup(6), z23()):
             b = ball(sys, None, 2)
             assert () in b.index
             for i in range(len(b)):
@@ -171,18 +219,18 @@ class TestBall:
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(wordball, "BALL_CAP", 10)
         with pytest.raises(InfeasibleError):
-            ball(IntegerLine(), None, 50)
+            ball(integers(), None, 50)
 
 
 class TestDescriptors:
     def test_parse_round_trip(self):
         z = parse_descriptor("z")
-        assert type(z) is IntegerLine and z.generators == ("a",)
+        assert type(z) is CyclicProduct and (z.orders, z.generators) == ({"a": 0}, ("a",))
         c5 = parse_descriptor("zmod(5)")
         assert type(c5) is CyclicGroup and (c5.order, c5.generators) == (5, ("a",))
         fp = parse_descriptor("freeprod(zmod(2), zmod(3))")
-        assert type(fp) is FreeProductOfFinite and fp.generators == ("a", "b")
-        assert [(f.order, f.generators) for f in fp.factors] == [(2, ("a",)), (3, ("b",))]
+        assert type(fp) is CyclicProduct and fp.generators == ("a", "b")
+        assert fp.orders == {"a": 2, "b": 3}
 
     def test_bad_descriptor(self):
         with pytest.raises(ValueError):
