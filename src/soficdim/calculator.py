@@ -201,7 +201,10 @@ class _Parser:
 
 def parse_expr(text: str) -> SExpression:
     parser = _Parser(text)
-    expr = parser.parse_expr()
+    try:
+        expr = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression is nested too deeply", parser.pos) from None
     kind, val, _ = parser.peek()
     if kind is not None:
         parser.error(f"trailing input {val!r}")
@@ -287,5 +290,8 @@ def evaluate_s(e: SExpression) -> SValue:
             return w1 * s1 + w2 * s2 - w3 * s3
         raise EvalError(f"cannot evaluate {node.kind}")
 
-    value = walk(e)
+    try:
+        value = walk(e)
+    except RecursionError:
+        raise EvalError("expression is nested too deeply") from None
     return SValue(value, tuple(ledger))

@@ -160,7 +160,7 @@ def make_source(args):
     check_radius(args.n)
     if args.family:
         system = wordball.parse_descriptor(args.family)
-        return sofic.BallSource(wordball.ball(system, None, args.n))
+        return sofic.BallSource(wordball.ball(system, args.n))
     g = load_source_groupoid(args.source)
     return sofic.GroupoidSource(g, full_group_generators(g), args.n)
 
@@ -168,12 +168,9 @@ def make_source(args):
 def restriction_positions(src) -> list[int]:
     """Positions of the generating set inside the ball (the default E)."""
     if src.is_group:
-        ball = src.ball
-        out = []
-        for gname in ball.gens:
-            word = ball.system.reduce_word(((gname, 1),))
-            out.append(ball.index[word])
-        return sorted(set(out)) or [ball.identity_index()]
+        ball, system = src.ball, src.ball.system
+        return sorted({ball.index[system.reduce_word(((g, 1),))]
+                       for g in system.generators}) or [ball.identity_index()]
     return sorted({src.position[f] for f in src.F}) or [0]
 
 
@@ -317,8 +314,7 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
     if "c1" in suites:
         members = list(hypothesis_members(ctx, delta, d))
         out["c1"] = worst_entry(len(members), [
-            partitions.verify_lemma_c1(m, ctx, delta, precheck=False)
-            for m in members])
+            partitions.verify_lemma_c1(m, ctx, delta) for m in members])
     if tabled:
         model = partitions.CylinderModel(
             ctx, [Fraction(1, alphabet_size)] * alphabet_size)
@@ -344,12 +340,11 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
                 orbits.add(key)
                 table = partitions.Phi0Table(basis, member, part)
                 if "c2" in suites:
-                    c2.append(partitions.verify_lemma_c2(table, delta, precheck=False))
+                    c2.append(partitions.verify_lemma_c2(table, delta))
                 if "c3" in suites:
-                    c3.append(partitions.verify_lemma_c3_sweep(table, delta,
-                                                               precheck=False))
+                    c3.append(partitions.verify_lemma_c3_sweep(table, delta))
                 if "ha" in suites or "lin146" in suites:
-                    prep = crossed.build_phi0(table, delta, precheck=False)
+                    prep = crossed.build_phi0(table, delta)
                     res = crossed.build_phi(table, delta)
                     ha_pass &= (prep.passed and res.v_ok and res.report.is_member)
                     if "lin146" in suites:
@@ -366,7 +361,7 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
             out["lin146"] = {"pairs": checked * len(params.universe.sum_pairs),
                              "passed": lin_pass,
                              "worst_gap": worst_gap,
-                             "bound": float(146 * delta)}
+                             "bound": float(check.bound)}
     if "scaling" in suites:
         out["scaling"] = run_scaling_suite(g, d, delta, seed, instances)
     return out
@@ -444,7 +439,7 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
         worst_round = max(worst_round, float(worst))
     return {"instances": instances, "passed": bool(all_pass),
             "worst_round_trip": worst_round,
-            "round_trip_bound": float(3 * (20 * delta / cd.h_p))}
+            "round_trip_bound": float(allowed)}
 
 
 ALL_SUITES = ("c1", "c2", "c3", "lin146", "ha", "scaling")
@@ -516,7 +511,7 @@ def cmd_construct(args) -> int:
         part = partitions.random_partition(args.d, model.alphabet, args.seed)
         table = partitions.Phi0Table(
             basis, partitions.ModelMember(model, member), part)
-        prep = crossed.build_phi0(table, delta, precheck=False)
+        prep = crossed.build_phi0(table, delta)
         res = crossed.build_phi(table, delta)
         letters = [res.candidate.phi[i].to_text()
                    for i in res.params.universe.letter_index]

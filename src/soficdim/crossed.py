@@ -185,21 +185,20 @@ class HAReport:
         return out
 
 
-def verify_HA(cand: HACandidate, params: HAParams,
-              check_sigma: bool = True) -> HAReport:
+def verify_HA(cand: HACandidate, params: HAParams) -> HAReport:
     """Exact worst gaps of (sigma, phi) against conditions (i)-(iv).
 
     (i) runs over the distinct cylinder projections, (ii) over letter
     blocks against every ball element (phi of the translated cylinder
     against the phi-image transported by sigma), (iii) over sum-closure
     pairs whose product stays in the closure, and (iv) against the full
-    space.  ``check_sigma`` also requires sigma to be a member at the
-    same tolerance.  Sigma's padded and inverse images on the model ball
-    and its membership report are read from the candidate's ModelMember,
-    which computes each once.  That report is taken at tolerance 2,
-    above every gap, so its ``is_member`` says only that sigma's additive
-    extension resolves; with both gaps below the working tolerance this
-    is membership at it.
+    space; sigma must also be a member at the same tolerance.  Sigma's
+    padded and inverse images on the model ball and its membership
+    report are read from the candidate's ModelMember, which computes
+    each once.  That report is taken at tolerance 2, above every gap, so
+    its ``is_member`` says only that sigma's additive extension
+    resolves; with both gaps below the working tolerance this is
+    membership at it.
     """
     model = params.model
     uni = params.universe
@@ -212,11 +211,9 @@ def verify_HA(cand: HACandidate, params: HAParams,
         raise ValueError(f"phi covers {len(cand.phi)} of {len(uni)} projections")
     if any(p.degree != d for p in cand.phi) or member.sigma.degree != d:
         raise ValueError(f"sigma and phi images must have degree {d}")
-    sigma_ok = True
-    if check_sigma:
-        rep = member.sigma_report
-        sigma_ok = (rep.is_member and gap_below(rep.mult_gap, tol)
-                    and gap_below(rep.trace_gap, tol))
+    rep = member.sigma_report
+    sigma_ok = (rep.is_member and gap_below(rep.mult_gap, tol)
+                and gap_below(rep.trace_gap, tol))
 
     trace_gap, trace_wit = Fraction(0), ""
     for i in range(uni.p_count):
@@ -353,17 +350,17 @@ def _square_gap(u, v, d: int) -> Fraction:
     return Fraction(sum((a * x - b * y) ** 2 for x, y in zip(nu, nv)), D * D * d)
 
 
-def build_phi0(table: Phi0Table, delta, precheck: bool = True) -> PropertyReport:
+def build_phi0(table: Phi0Table, delta) -> PropertyReport:
     """The four-property certification of the table's linear map phi0.
 
-    Requires the table's sigma to satisfy the membership hypothesis at
-    the inflated radius and sweeps the four properties against delta0.
+    Sweeps the four properties against delta0.  The lemma assumes that
+    the table's sigma satisfies the membership hypothesis at the
+    inflated radius (``LemmaContext.check_hypothesis``), which the sweep
+    does not check.
     """
     delta = Fraction(delta)
     basis = table.basis
     model = basis.model
-    if precheck:
-        model.context.check_hypothesis(table.sigma, delta)
     d = table.d
     d0_sq = delta0_squared(basis, model.q, delta)
     projections = model.distinct_projections

@@ -30,6 +30,12 @@ the A_psi, and the equivariance bound compares each residual
 
     c3 = (1 + (3 + kappa*ell) * Bell(ell) * N_ell) * c2,  N_ell = ell * 2^ell.
 
+The lemmas assume that sigma is a member over the profile-augmented
+generating set at the inflated radius, which
+``LemmaContext.check_hypothesis`` checks.  The certificates do not
+check it: each computes its bound for whatever candidate it is given,
+so a candidate outside the hypothesis can fail them.
+
 All measures are exact rationals; bounds against sqrt(delta) are
 decided by comparing squares.
 """
@@ -164,7 +170,6 @@ class RandomPartition:
 
     d: int
     q: int
-    seed: int
     block_of: tuple  # block index (0-based) per point 1..d
 
     @property
@@ -181,8 +186,7 @@ def random_partition(d: int, mu0, seed: int) -> RandomPartition:
     if sum(weights) != 1:
         raise ValueError("block weights must sum to 1")
     rng = SplitMix64(seed)
-    return RandomPartition(d, len(weights), seed,
-                           tuple(rng.weighted_indices(weights, d)))
+    return RandomPartition(d, len(weights), tuple(rng.weighted_indices(weights, d)))
 
 
 # -- the cylinder model -------------------------------------------------------------
@@ -338,6 +342,8 @@ class LemmaContext:
         return sofic.SAParams(self.sigma_source, Fraction(delta), d)
 
     def check_hypothesis(self, sigma: SoficCandidate, delta):
+        """The membership report of sigma at the hypothesis radius, the
+        hypothesis the certificates assume; HypothesisError if it fails."""
         report = verify_membership(sigma, self.hypothesis_params(delta, sigma.degree))
         if not report.is_member:
             raise HypothesisError(
@@ -387,18 +393,14 @@ class BoundReport:
         }
 
 
-def verify_lemma_c1(sigma: SoficCandidate, ctx: LemmaContext, delta,
-                    precheck: bool = True) -> BoundReport:
+def verify_lemma_c1(sigma: SoficCandidate, ctx: LemmaContext, delta) -> BoundReport:
     """Certify the profile counting bound over every subset and partition.
 
-    Reads the context's profile sweep of its radius-n ball.  The
-    candidate must be a member over the profile-augmented generating
-    set at the inflated radius; the report carries the worst discrepancy
-    |h(profile) - |image profile|/d| against c1 * delta.
+    Reads the context's profile sweep of its radius-n ball.  The report
+    carries the worst discrepancy |h(profile) - |image profile|/d|
+    against c1 * delta.
     """
     delta = Fraction(delta)
-    if precheck:
-        ctx.check_hypothesis(sigma, delta)
     images_all = ctx.align(sigma)
     weights = ctx.groupoid.unit_weights
     bound = lemma_constants(ctx.f_pm_size, ctx.n).c1 * delta
@@ -415,7 +417,7 @@ def verify_lemma_c1(sigma: SoficCandidate, ctx: LemmaContext, delta,
     return BoundReport(bound, worst, witness, worst < bound)
 
 
-def verify_lemma_c2(table: Phi0Table, delta, precheck: bool = True) -> BoundReport:
+def verify_lemma_c2(table: Phi0Table, delta) -> BoundReport:
     """Certify the cylinder counting bound for one (sigma, partition).
 
     Sweeps every cylinder indexing psi and compares the exact measure
@@ -424,8 +426,6 @@ def verify_lemma_c2(table: Phi0Table, delta, precheck: bool = True) -> BoundRepo
     """
     delta = Fraction(delta)
     model = table.basis.model
-    if precheck:
-        model.context.check_hypothesis(table.sigma, delta)
     bound = table.basis.constants.c2 * delta
     worst = Fraction(0)
     witness = "empty cylinder sweep"
@@ -730,8 +730,7 @@ class Phi0Table:
         return tuple(out)
 
 
-def verify_lemma_c3_sweep(table: Phi0Table, delta,
-                          precheck: bool = True) -> BoundReport:
+def verify_lemma_c3_sweep(table: Phi0Table, delta) -> BoundReport:
     """Certify the equivariance bound over every cylinder indexing.
 
     Compares the squared 2-norm of each residual 1_{A_psi} - phi0(cyl psi)
@@ -740,8 +739,6 @@ def verify_lemma_c3_sweep(table: Phi0Table, delta,
     """
     delta = Fraction(delta)
     model = table.basis.model
-    if precheck:
-        model.context.check_hypothesis(table.sigma, delta)
     norms = [Fraction(sum(r * r for r in res), den * den * table.d)
              for den, res in table.residuals]
     worst = max(norms)

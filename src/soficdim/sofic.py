@@ -285,11 +285,6 @@ def ball_params(ball: Ball, delta, d: int, mode: str = "") -> SAParams:
     return SAParams(BallSource(ball), Fraction(delta), d, mode=mode)
 
 
-def groupoid_params(g: FiniteGroupoid, F, n: int, delta, d: int,
-                    mode: str = "") -> SAParams:
-    return SAParams(GroupoidSource(g, F, n), Fraction(delta), d, mode=mode)
-
-
 def verify_membership(sigma: SoficCandidate, params: SAParams) -> MembershipReport:
     """Exact worst-case gaps of sigma against the two conditions; each
     witness is the first position, or triple, of the largest gap.

@@ -161,11 +161,10 @@ class Ball:
     reduced product elements[k] lies in the ball.
     """
 
-    __slots__ = ("system", "gens", "elements", "index", "triples")
+    __slots__ = ("system", "elements", "index", "triples")
 
-    def __init__(self, system, gens, elements):
+    def __init__(self, system, elements):
         self.system = system
-        self.gens = tuple(gens)
         self.elements = tuple(elements)
         self.index = {w: i for i, w in enumerate(self.elements)}
         self.triples = product_triples(self.elements, self.index, system.reduce_product)
@@ -180,18 +179,14 @@ class Ball:
         return self.system.tau_word(self.elements[i])
 
 
-def ball(system: GeneratingSystem, gens=None, n: int = 1) -> Ball:
-    """Ball of radius n over the chosen generator subset (default all);
-    more than ``BALL_CAP`` elements raise InfeasibleError."""
+def ball(system: GeneratingSystem, n: int) -> Ball:
+    """Ball of radius n over the system's generators; more than
+    ``BALL_CAP`` elements raise InfeasibleError."""
     if n < 0:
         raise ValueError("radius must be >= 0")
-    gens = tuple(gens) if gens is not None else system.generators
-    for g in gens:
-        if g not in system.generators:
-            raise ValueError(f"unknown generator {g!r}")
-    steps = [()] + [((g, e),) for g in gens for e in (1, -1)]
+    steps = [()] + [((g, e),) for g in system.generators for e in (1, -1)]
     elements = breadth_first((), steps, system.reduce_product, n, BALL_CAP, "word ball")
-    return Ball(system, gens, elements)
+    return Ball(system, elements)
 
 
 def breadth_first(start, steps, product, n: int, cap: int, what: str):

@@ -5,17 +5,20 @@ dilation or from the Bernoulli model acting on its own points, the
 conjugate of a partial permutation by composition, and the scaling
 suite's dict by a round trip per instance.  ``one_arrow_context`` is the
 lemma context whose hypothesis ball lists its radius-n ball in another
-order.  ``reference_system`` reduces words by one reducer per cyclic
+order, and ``groupoid_params`` the counting problem over a groupoid's
+radius-n bisection ball.  ``reference_system`` reduces words by one reducer per cyclic
 family, the integers, a cyclic group and a free product of such
 factors merged on a stack.
 """
+
+from fractions import Fraction
 
 from soficdim import cli, pperm, scaling
 from soficdim.groupoid import PartialBisection, transitive_groupoid
 from soficdim.partitions import LemmaContext, RandomPartition
 from soficdim.pperm import PartialPermutation, compose, inverse
 from soficdim.rng import SplitMix64
-from soficdim.sofic import SoficCandidate
+from soficdim.sofic import GroupoidSource, SAParams, SoficCandidate
 from soficdim.wordball import GeneratingSystem
 
 
@@ -32,6 +35,10 @@ def one_arrow_context() -> LemmaContext:
     g = transitive_groupoid(3)
     return LemmaContext(g, [PartialBisection(g, frozenset(
         a for a in range(g.n_arrows) if (g.source[a], g.range_[a]) == (0, 1)))], 2)
+
+
+def groupoid_params(g, F, n: int, delta, d: int, mode: str = "") -> SAParams:
+    return SAParams(GroupoidSource(g, F, n), Fraction(delta), d, mode=mode)
 
 
 def block_candidate(source, d: int) -> SoficCandidate:
@@ -68,7 +75,7 @@ def block_candidate(source, d: int) -> SoficCandidate:
 
 
 def exact_partition(blocks) -> RandomPartition:
-    """Partition of {1..d} given explicitly by blocks (seed recorded as -1)."""
+    """Partition of {1..d} given explicitly by blocks."""
     d = sum(len(b) for b in blocks)
     block_of = [None] * d
     for i, b in enumerate(blocks):
@@ -76,7 +83,7 @@ def exact_partition(blocks) -> RandomPartition:
             block_of[x - 1] = i
     if any(b is None for b in block_of):
         raise ValueError("blocks do not cover {1..d}")
-    return RandomPartition(d, len(blocks), -1, tuple(block_of))
+    return RandomPartition(d, len(blocks), tuple(block_of))
 
 
 def regular_model_candidate(model) -> tuple[SoficCandidate, RandomPartition]:

@@ -105,9 +105,9 @@ def test_criterion_2_monoid_sizes():
 
 def test_criterion_3_exact_counts():
     with Timer(1):
-        p = ball_params(ball(CyclicGroup(1), None, 1), Fraction(3, 5), 2, mode="all")
+        p = ball_params(ball(CyclicGroup(1), 1), Fraction(3, 5), 2, mode="all")
         assert count_SA(p) == 3
-        p2 = ball_params(ball(CyclicGroup(1), None, 1), Fraction(2), 2, mode="all")
+        p2 = ball_params(ball(CyclicGroup(1), 1), Fraction(2), 2, mode="all")
         assert count_SA(p2) == 7 == search_space_size(p2)
     report(3, "trivial group counts: 3 at delta=3/5 and 7 at delta>=2")
 
@@ -116,7 +116,7 @@ def test_criterion_4_trivial_group_trend():
     with Timer(300):
         stats = []
         for d in (4, 5, 6):
-            p = ball_params(ball(CyclicGroup(1), None, 1), Fraction(1, 20), d,
+            p = ball_params(ball(CyclicGroup(1), 1), Fraction(1, 20), d,
                             mode="all")
             _, stat = restricted_statistic(p, [p.source.ball.identity_index()])
             stats.append(stat)
@@ -155,13 +155,13 @@ def test_criterion_6_lemma_certification_sweep(r2_members):
         violations = 0
         for d, ms in members.items():
             for m in ms:
-                rep = verify_lemma_c1(m, ctx, delta, precheck=False)
+                rep = verify_lemma_c1(m, ctx, delta)
                 violations += not rep.passed
                 member = ModelMember(model, m)
                 for seed in range(100):
                     table = Phi0Table(basis, member, random_partition(d, FAIR, seed))
-                    rep2 = verify_lemma_c2(table, delta, precheck=False)
-                    rep3 = verify_lemma_c3_sweep(table, delta, precheck=False)
+                    rep2 = verify_lemma_c2(table, delta)
+                    rep3 = verify_lemma_c3_sweep(table, delta)
                     violations += (not rep2.passed) + (not rep3.passed)
         assert violations == 0
     report(6, f"c1/c2/c3 bounds certified on {total} members x 100 partitions")
@@ -178,7 +178,7 @@ def test_criterion_7_ha_construction(r2_members):
                 member = ModelMember(model, m)
                 for seed in range(100):
                     table = Phi0Table(basis, member, random_partition(d, FAIR, seed))
-                    assert build_phi0(table, delta, precheck=False).passed
+                    assert build_phi0(table, delta).passed
                     res = build_phi(table, delta)
                     assert res.report.is_member
                     p_size = res.params.universe.p_count

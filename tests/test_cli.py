@@ -68,6 +68,21 @@ class TestCalc:
         assert (code, out) == (2, "")
         assert json.loads(err)["error"].endswith(f"does not embed in {factor}")
 
+    @pytest.mark.parametrize("form,depth", [("corner({}, 1)", 500),
+                                            ("bernoulli({}, 2)", 1000)])
+    def test_too_deep_nesting_exits_2(self, capsys, form, depth):
+        # 500 corners exhaust the evaluation, 1000 Bernoulli extensions the parser
+        expr = "trivial"
+        for _ in range(depth):
+            expr = form.format(expr)
+        code, out, err = run(capsys, "calc", expr)
+        assert (code, out) == (2, "")
+        assert "expression is nested too deeply" in json.loads(err)["error"]
+
+    def test_300_nested_corners_evaluate(self, capsys):
+        code, out, _ = run(capsys, "calc", "corner(" * 300 + "trivial" + ", 1)" * 300)
+        assert (code, out) == (0, "0\n")
+
 
 class TestCount:
     def test_trivial_family_csv(self, capsys):
@@ -274,9 +289,9 @@ def r2_ha_params(letters):
 # each cap with a call that runs its check, which passes at the shipped cap
 CAP_CHECKS = [
     (sofic, "DEFAULT_COUNT_CAP", lambda: sofic.count_SA(
-        sofic.SAParams(sofic.BallSource(wordball.ball(wordball.CyclicGroup(2))),
+        sofic.SAParams(sofic.BallSource(wordball.ball(wordball.CyclicGroup(2), 1)),
                        Fraction(1, 2), 3))),
-    (wordball, "BALL_CAP", lambda: wordball.ball(wordball.parse_descriptor("z"), None, 2)),
+    (wordball, "BALL_CAP", lambda: wordball.ball(wordball.parse_descriptor("z"), 2)),
     (sofic, "BALL_CAP", r2_ball),
     (sofic, "SUM_CAP", lambda: r2_ha_params(2).universe),
     (groupoid, "FIBER_CAP", lambda: groupoid.bernoulli_action(
@@ -681,12 +696,11 @@ class PerDrawOracle:
             rows = []
             for member in self.members:
                 table = partitions.Phi0Table(self.basis, member, part)
-                prep = crossed.build_phi0(table, self.delta, precheck=False)
+                prep = crossed.build_phi0(table, self.delta)
                 res = crossed.build_phi(table, self.delta)
                 rows.append((
-                    partitions.verify_lemma_c2(table, self.delta, precheck=False),
-                    partitions.verify_lemma_c3_sweep(table, self.delta,
-                                                     precheck=False),
+                    partitions.verify_lemma_c2(table, self.delta),
+                    partitions.verify_lemma_c3_sweep(table, self.delta),
                     prep.passed and res.v_ok and res.report.is_member,
                     crossed.approx_sum_check(res.candidate, self.params)))
             self.draws[seed] = rows

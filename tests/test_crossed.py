@@ -91,7 +91,7 @@ class TestVerifyHA:
         phi[pos] = corrupted
         bad = HACandidate(ModelMember(model, sigma), phi)
         params = HAParams(model, Fraction(1, d + 1), d)
-        rep = verify_HA(bad, params, check_sigma=False)
+        rep = verify_HA(bad, params)
         assert rep.equivariance_gap >= Fraction(1, d)
         assert not rep.is_member
 
@@ -249,8 +249,7 @@ class TestBuildPhi0:
     def test_exact_properties_zero(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        rep = build_phi0(Phi0Table(basis, ModelMember(model, sigma), part), Fraction(1, 10),
-                         precheck=False)
+        rep = build_phi0(Phi0Table(basis, ModelMember(model, sigma), part), Fraction(1, 10))
         assert rep.passed
         assert rep.trace_gap_sq == rep.equivariance_gap_sq == 0
         assert rep.mult_gap_sq == rep.unit_gap_sq == 0
@@ -265,7 +264,7 @@ class TestBuildPhi0:
                 for seed in (0, 1):
                     part = random_partition(d, FAIR, seed)
                     table = Phi0Table(basis, ModelMember(model, m), part)
-                    rep = build_phi0(table, delta, precheck=False)
+                    rep = build_phi0(table, delta)
                     assert rep.passed
 
     def test_q1_unit_property(self):
@@ -277,20 +276,17 @@ class TestBuildPhi0:
         basis = span_basis(model)
         sigma, part = regular_model_candidate(model)
         table = Phi0Table(basis, ModelMember(model, sigma), part)
-        rep = build_phi0(table, Fraction(1, 10), precheck=False)
+        rep = build_phi0(table, Fraction(1, 10))
         # a single letter: the full-space value is built from the lone block
         assert rep.unit_gap_sq == 0
 
     def test_hypothesis_rejected(self, r2):
-        _, _, ctx, model, basis = r2
-        bad = None
+        _, _, ctx, _, _ = r2
         from soficdim.sofic import SoficCandidate
         n = len(ctx.hypothesis_source.ball_elements)
         bad = SoficCandidate(4, [PartialPermutation.empty(4)] * n)
         with pytest.raises(HypothesisError):
-            build_phi0(Phi0Table(basis, ModelMember(model, bad),
-                                 random_partition(4, FAIR, 0)),
-                       Fraction(1, 10))
+            ctx.check_hypothesis(bad, Fraction(1, 10))
 
 
 class TestBuildPhi:
@@ -308,7 +304,7 @@ class TestBuildPhi:
         for m in iter_SA_members(ctx.hypothesis_params(delta, 6)):
             part = random_partition(6, FAIR, seed=23)
             table = Phi0Table(basis, ModelMember(model, m), part)
-            rep0 = build_phi0(table, delta, precheck=False)
+            rep0 = build_phi0(table, delta)
             assert rep0.passed
             res = build_phi(table, delta)
             assert res.v_ok
@@ -496,18 +492,16 @@ def reference_V(table):
     return frozenset(V)
 
 
-def reference_verify_HA(cand, params, check_sigma=True):
+def reference_verify_HA(cand, params):
     model = params.model
     uni = params.universe
     tol = params.delta
     d = params.d
     images = model.context.align(cand.sigma)
-    sigma_ok = True
-    if check_sigma:
-        sp = model.context.sigma_params(1, d)
-        rep = verify_membership(SoficCandidate(d, images), sp)
-        sigma_ok = (gap_below(rep.mult_gap, tol) and gap_below(rep.trace_gap, tol)
-                    and not any("unresolvable" in n for n in rep.notes))
+    sp = model.context.sigma_params(1, d)
+    rep = verify_membership(SoficCandidate(d, images), sp)
+    sigma_ok = (gap_below(rep.mult_gap, tol) and gap_below(rep.trace_gap, tol)
+                and not any("unresolvable" in n for n in rep.notes))
     trace_gap, trace_wit = Fraction(0), ""
     for i in range(uni.p_count):
         gap = abs(pperm.trace(cand.phi[i]) - model.mu_points(uni.elements[i]))
@@ -595,9 +589,9 @@ def test_integer_sweeps_match_fraction_sweeps_on_members(source, alphabet, delta
             for seed in (0, 1):
                 part = random_partition(d, model.alphabet, seed)
                 table = Phi0Table(basis, ModelMember(model, m), part)
-                rep = build_phi0(table, delta, precheck=False)
+                rep = build_phi0(table, delta)
                 assert rep == reference_build_phi0(m, part, basis, delta)
-                c3 = verify_lemma_c3_sweep(table, delta, precheck=False)
+                c3 = verify_lemma_c3_sweep(table, delta)
                 norms = [reference_c3_norm(table, i) for i in range(len(model.psis))]
                 assert c3.worst == max(norms)
                 assert c3.witness == f"psi={model.psis[norms.index(max(norms))]}"
@@ -624,8 +618,8 @@ def test_c2_and_c3_read_the_table_like_per_psi_loops(source, alphabet):
             for seed in range(3):
                 table = Phi0Table(basis, ModelMember(model, sigma),
                                   random_partition(d, model.alphabet, seed))
-                c2 = verify_lemma_c2(table, delta, precheck=False)
-                c3 = verify_lemma_c3_sweep(table, delta, precheck=False)
+                c2 = verify_lemma_c2(table, delta)
+                c3 = verify_lemma_c3_sweep(table, delta)
                 assert c2 == reference_c2(table, delta)
                 assert c3 == reference_c3_sweep(table, delta)
                 worst2, worst3 = max(worst2, c2.worst), max(worst3, c3.worst)
@@ -651,8 +645,7 @@ def test_build_phi0_matches_on_nonzero_tied_product_gaps(source, alphabet, ties)
         part = random_partition(d, model.alphabet, seed)
         want = reference_build_phi0(sigma, part, basis, DELTAS[0])
         for delta in DELTAS:
-            rep = build_phi0(Phi0Table(basis, ModelMember(model, sigma), part), delta,
-                             precheck=False)
+            rep = build_phi0(Phi0Table(basis, ModelMember(model, sigma), part), delta)
             assert rep == replace(want, delta0_sq=delta0_squared(basis, model.q, delta))
         gaps = reference_mult_gaps(Phi0Table(basis, ModelMember(model, sigma), part))
         worst = max(gaps.values())
@@ -677,10 +670,9 @@ def test_verify_HA_matches_on_random_pairs(source, alphabet):
                            [random_pperm(d, rng) for _ in model.universe.elements])
         for delta in (*DELTAS, SqrtTol(Fraction(1, 5))):
             params = HAParams(model, delta, d)
-            for check_sigma in (True, False):
-                rep = verify_HA(cand, params, check_sigma)
-                assert rep == reference_verify_HA(cand, params, check_sigma)
-                gaps.add((rep.equivariance_gap, rep.mult_gap))
+            rep = verify_HA(cand, params)
+            assert rep == reference_verify_HA(cand, params)
+            gaps.add((rep.equivariance_gap, rep.mult_gap))
     assert any(e > 0 for e, _ in gaps) and any(m > 0 for _, m in gaps)
 
 
@@ -698,9 +690,9 @@ def test_each_subset_evaluated_once_per_table(monkeypatch, r2):
 
     monkeypatch.setattr(SpanBasis, "expand_vector", counted)
     table = Phi0Table(basis, ModelMember(model, sigma), part)
-    verify_lemma_c2(table, delta, precheck=False)
-    verify_lemma_c3_sweep(table, delta, precheck=False)
-    build_phi0(table, delta, precheck=False)
+    verify_lemma_c2(table, delta)
+    verify_lemma_c3_sweep(table, delta)
+    build_phi0(table, delta)
     build_phi(table, delta)
     assert len(table.residuals) == len(model.psis)
     for subset in model.universe.elements:
@@ -717,7 +709,7 @@ def test_residuals_are_computed_once_per_table(r2):
     for sigma in list(iter_SA_members(ctx.hypothesis_params(delta, 4)))[::50]:
         table = Phi0Table(basis, ModelMember(model, sigma),
                           random_partition(4, FAIR, 5))
-        verify_lemma_c3_sweep(table, delta, precheck=False)
+        verify_lemma_c3_sweep(table, delta)
         first = vars(table)["residuals"]
         build_phi(table, delta)
         assert table.residuals is first and len(first) == len(model.psis)
@@ -782,9 +774,7 @@ def test_tuple_sweeps_match_object_oracles(source, d):
     verdicts = set()
     for cand, tol in cands:
         for params in (HAParams(model, tol, d), HAParams(model, delta, d)):
-            for check_sigma in (True, False):
-                assert verify_HA(cand, params, check_sigma) == \
-                    reference_verify_HA(cand, params, check_sigma)
+            assert verify_HA(cand, params) == reference_verify_HA(cand, params)
         for lin_delta in (delta, Fraction(1, 300)):
             check = assert_sum_check_matches(cand, HAParams(model, lin_delta, d))
             gaps |= set(check.counts)

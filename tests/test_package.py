@@ -33,8 +33,8 @@ KEEP = {
     "restricted_statistic": "README-documented API",
     "ha_statistic": "README-documented API",
     "with_weight": "README-documented API (SExpression.with_weight)",
+    "check_hypothesis": "README-documented API: the hypothesis the certificates assume",
     "ball_params": "called by the acceptance tests",
-    "groupoid_params": "called by the acceptance tests",
     "distances": "called by the acceptance tests",
     "random_permutation": "BENCHMARK.json per-layer name pperm.random_permutation",
 }
@@ -102,3 +102,119 @@ def test_every_library_definition_has_a_reader():
                     unread.append(f"{path.stem}.{qualname}")
     assert unread == []
     assert sorted(set(KEEP) - kept) == []
+
+
+# Defaulted parameters and dataclass fields that fewer than two values
+# set outside the tests, with the reason each one stays.
+KEEP_DEFAULTS = {
+    "sofic.ball_params.mode": "acceptance criterion 3 sets it",
+}
+
+
+def _is_dataclass(node):
+    """Decorated ``@dataclass`` or ``@dataclasses.dataclass``, with or
+    without arguments."""
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(getattr(t, "id", getattr(t, "attr", "")) == "dataclass" for t in targets)
+
+
+def _settings(tree):
+    """(qualified name, called name, kinds of call, argument names in call
+    order, {name: default}, node whose body calls do not count) of each
+    def or dataclass that ``_targets`` yields and that has a default.  A
+    method is called by ``.name(...)`` and an ``__init__`` by a call of its
+    class, both without ``self``."""
+    for qualname, kinds, node in _targets(tree):
+        if isinstance(node, ast.ClassDef):
+            if not _is_dataclass(node):
+                continue
+            fields = [s for s in node.body
+                      if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+            names = [f.target.id for f in fields]
+            defaults = {f.target.id: f.value for f in fields if f.value is not None}
+            yield qualname, node.name, kinds, names, defaults, None
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaults = dict(zip((a.arg for a in positional[len(positional) - len(args.defaults):]),
+                            args.defaults))
+        defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                        if d is not None)
+        names = [a.arg for a in positional]
+        called = node.name
+        if "." in qualname and not any(getattr(d, "id", "") == "staticmethod"
+                                       for d in node.decorator_list):
+            names = names[1:]
+        if node.name == "__init__":
+            called, kinds = qualname.split(".")[0], ("bare", "module_attr")
+        if defaults:
+            yield qualname, called, kinds, names, defaults, node
+
+
+def _calls(path):
+    """Each call of a Python file by kind, as ``_reads`` reads names: the
+    called name maps to (line, call) pairs."""
+    calls = {kind: defaultdict(list) for kind in ("attr", "module_attr", "bare")}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            calls["attr"][func.attr].append((node.lineno, node))
+            if isinstance(func.value, ast.Name) and func.value.id in MODULES:
+                calls["module_attr"][func.attr].append((node.lineno, node))
+        elif isinstance(func, ast.Name):
+            calls["bare"][func.id].append((node.lineno, node))
+    return calls
+
+
+def _value(node):
+    """The literal a node spells, else None: a value that may vary."""
+    try:
+        return repr(ast.literal_eval(node))
+    except ValueError:
+        return None
+
+
+def _passed(call, names, name, default):
+    """The value a call gives parameter ``name``: its literal, None for a
+    non-literal or a starred argument that may reach it, or the default
+    when the call leaves it out."""
+    keywords = {k.arg: k.value for k in call.keywords}
+    if name in keywords:
+        return _value(keywords[name])
+    if None in keywords or any(isinstance(a, ast.Starred) for a in call.args):
+        return None
+    if name in names and names.index(name) < len(call.args):
+        return _value(call.args[names.index(name)])
+    return "default " + ast.unparse(default)
+
+
+def test_every_default_has_two_values_in_use():
+    """A defaulted parameter or dataclass field of ``src/soficdim`` stays
+    settable only if callers outside the tests give it two values: it
+    fails with no caller, when every caller leaves it out, or when every
+    caller passes one and the same literal.  Callers are found as
+    readers are, in the package modules, scripts and benchmark files,
+    outside the function's own body, and their arguments are mapped onto
+    the signature; a non-literal argument counts as a value of its own.
+    CLI options are not covered: their values are echoed into output
+    headers.  A ``KEEP_DEFAULTS`` name must fail, so an entry leaves once
+    its reason is gone."""
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    outside = [p for d in ("scripts", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+    calls = {p: _calls(p) for p in modules + outside}
+    single = []
+    for path in modules:
+        for qualname, called, kinds, names, defaults, body in _settings(
+                ast.parse(path.read_text())):
+            found = [call for p, c in calls.items() for kind in kinds
+                     for line, call in c[kind][called]
+                     if body is None or p != path
+                     or not body.lineno <= line <= body.end_lineno]
+            for name, default in defaults.items():
+                values = {_passed(call, names, name, default) for call in found}
+                if not found or (len(values) == 1 and None not in values):
+                    single.append(f"{path.stem}.{qualname}.{name}")
+    assert sorted(set(single) - set(KEEP_DEFAULTS)) == []
+    assert sorted(set(KEEP_DEFAULTS) - set(single)) == []

@@ -310,7 +310,7 @@ class TestCylinderModel:
         assert basis.ell >= 1
 
 
-def c2_partition_frequency(sigma, delta, model, seeds, precheck=True):
+def c2_partition_frequency(sigma, delta, model, seeds):
     """Empirical frequency of per-term violations against the Chebyshev rate.
 
     For each seeded partition and each (psi, profile partition) pair,
@@ -320,8 +320,6 @@ def c2_partition_frequency(sigma, delta, model, seeds, precheck=True):
     """
     delta = Fraction(delta)
     ctx = model.context
-    if precheck:
-        ctx.check_hypothesis(sigma, delta)
     images = ctx.align(sigma)
     c1 = lemma_constants(model.f_pm_size, model.n).c1
     threshold = 2 * c1 * delta
@@ -377,7 +375,22 @@ class TestBoundChecks:
         from soficdim.pperm import PartialPermutation
         bad = SoficCandidate(4, [PartialPermutation.empty(4)] * 3)
         with pytest.raises(HypothesisError):
-            verify_lemma_c1(bad, ctx, Fraction(1, 10))
+            ctx.check_hypothesis(bad, Fraction(1, 10))
+
+    def test_c1_can_fail(self, r2_setup):
+        # the all-empty candidate over the hypothesis ball: c1 computes its
+        # bound for it, passes while the bound is vacuous and fails below
+        # the worst discrepancy 1, while the hypothesis check refuses it
+        g, swap, ctx, _, _, _ = r2_setup
+        from soficdim.pperm import PartialPermutation
+        bad = SoficCandidate(4, [PartialPermutation.empty(4)]
+                             * len(ctx.hypothesis_source.ball_elements))
+        loose = verify_lemma_c1(bad, ctx, Fraction(1, 10))
+        assert (loose.bound, loose.worst, loose.passed) == (Fraction(3168, 5), 1, True)
+        tight = verify_lemma_c1(bad, ctx, Fraction(1, 10000))
+        assert (tight.bound, tight.worst, tight.passed) == (Fraction(396, 625), 1, False)
+        with pytest.raises(HypothesisError):
+            ctx.check_hypothesis(bad, Fraction(1, 10000))
 
     def test_members_pass_c2_c3_random_partitions(self, r2_setup):
         g, swap, ctx, model, basis, members = r2_setup
@@ -386,8 +399,8 @@ class TestBoundChecks:
             for seed in range(5):
                 table = Phi0Table(basis, ModelMember(model, m),
                                   random_partition(4, FAIR, seed))
-                assert verify_lemma_c2(table, delta, precheck=False).passed
-                assert verify_lemma_c3_sweep(table, delta, precheck=False).passed
+                assert verify_lemma_c2(table, delta).passed
+                assert verify_lemma_c3_sweep(table, delta).passed
 
     def test_c3_zero_on_basis_elements(self, r2_setup):
         g, swap, ctx, model, basis, members = r2_setup
@@ -412,7 +425,7 @@ class TestBoundChecks:
                 norms = [Fraction(sum(r * r for r in res), den * den * 4)
                          for den, res in table.residuals]
                 first = max(range(len(norms)), key=norms.__getitem__)
-                rep = verify_lemma_c3_sweep(table, delta, precheck=False)
+                rep = verify_lemma_c3_sweep(table, delta)
                 assert rep.worst == norms[first]
                 assert rep.witness == f"psi={model.psis[first]}"
                 ties += norms.count(norms[first]) > 1
@@ -445,13 +458,13 @@ class TestBoundChecks:
     def test_chebyshev_frequency_report(self, r2_setup):
         g, swap, ctx, model, _, members = r2_setup
         out = c2_partition_frequency(members[0], Fraction(1, 10), model,
-                                     seeds=range(10), precheck=False)
+                                     seeds=range(10))
         assert out["violations"] == 0
         assert out["trials"] > 0
         assert out["violation_frequency"] <= out["chebyshev_rate"]
         # fewer seeds: the trials scale with the seed count
         few = c2_partition_frequency(members[0], Fraction(1, 10), model,
-                                     seeds=range(3), precheck=False)
+                                     seeds=range(3))
         assert few["violations"] == 0 and 10 * few["trials"] == 3 * out["trials"]
 
     def test_q1_discrepancy_is_common_range_defect(self, r2_setup):
@@ -464,7 +477,7 @@ class TestBoundChecks:
         images = ctx.align(sigma)
         basis1 = span_basis(model1)
         rep = verify_lemma_c2(Phi0Table(basis1, ModelMember(model1, sigma), part),
-                              Fraction(1, 10), precheck=False)
+                              Fraction(1, 10))
         worst_direct = Fraction(0)
         from soficdim.groupoid import b_compose, b_inverse, full_identity, tau
         for psi in model1.psis:
@@ -698,11 +711,9 @@ def oracle_augment(F, n, g):
     return out
 
 
-def oracle_c1(sigma, ctx, delta, precheck=True):
+def oracle_c1(sigma, ctx, delta):
     """The c1 sweep with both sides computed per subset and partition."""
     delta = Fraction(delta)
-    if precheck:
-        ctx.check_hypothesis(sigma, delta)
     ball = ctx.ball
     images_all = ctx.align(sigma)
     bound = lemma_constants(ctx.f_pm_size, ctx.n).c1 * delta
@@ -780,8 +791,8 @@ def test_c1_matches_the_per_member_sweep(source, d):
     worsts = set()
     for _ in range(20):
         sigma = SoficCandidate(d, [random_pperm(d, rng) for _ in range(size)])
-        report = verify_lemma_c1(sigma, ctx, delta, precheck=False)
-        assert report == oracle_c1(sigma, ctx, delta, precheck=False)
+        report = verify_lemma_c1(sigma, ctx, delta)
+        assert report == oracle_c1(sigma, ctx, delta)
         worsts.add(report.worst)
     assert len(worsts) > 1
 

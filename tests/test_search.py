@@ -57,7 +57,6 @@ from soficdim.sofic import (
     conjugacy_classes,
     count_SA,
     fixed_windows,
-    groupoid_params,
     iter_SA_members,
     monte_carlo_count,
     search_space_size,
@@ -65,13 +64,13 @@ from soficdim.sofic import (
 )
 from soficdim.wordball import ball, parse_descriptor
 
-from references import one_arrow_context
+from references import groupoid_params, one_arrow_context
 
 FAIR = (Fraction(1, 2), Fraction(1, 2))
 
 
 def family(descriptor, delta, d, mode=""):
-    return ball_params(ball(parse_descriptor(descriptor), None, 1), Fraction(delta),
+    return ball_params(ball(parse_descriptor(descriptor), 1), Fraction(delta),
                        d, mode)
 
 
@@ -687,7 +686,10 @@ HA_INSTANCES = (
 
 def brute_force_ha(params, E, Q):
     """(pairs, sigma restrictions) of ``ha_statistic_with_sa``, from every
-    map phi in the product of the pool that ``verify_HA`` accepts.
+    map phi in the product of the pool whose four gaps in the
+    ``verify_HA`` report lie below the tolerance.  Sigma's own gaps are
+    left out: the statistic takes its sigmas at tolerance 1 for a
+    ``SqrtTol``.
 
     A member of the sigma source lists its images in sigma-source ball
     order, and a ModelMember reads a candidate over the hypothesis
@@ -707,7 +709,9 @@ def brute_force_ha(params, E, Q):
         member = ModelMember(params.model, SoficCandidate(d, images))
         for phi in itertools.product(pool, repeat=len(uni)):
             cand = HACandidate(member, phi)
-            if verify_HA(cand, params, check_sigma=False).is_member:
+            rep = verify_HA(cand, params)
+            if all(gap_below(gap, delta) for gap in (
+                    rep.trace_gap, rep.equivariance_gap, rep.mult_gap, rep.unit_gap)):
                 pairs.add((sigma.restriction(E),
                            tuple(phi[uni.letter_index[q]] for q in Q)))
     return pairs, {s.restriction(E) for s in sigmas}

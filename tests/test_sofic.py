@@ -16,7 +16,6 @@ from soficdim.sofic import (
     closed_form_count,
     closed_form_statistic,
     count_SA,
-    groupoid_params,
     iter_SA_members,
     monte_carlo_count,
     restricted_statistic,
@@ -26,15 +25,15 @@ from soficdim.sofic import (
 )
 from soficdim.wordball import CyclicGroup, ball
 
-from references import block_candidate, conjugate
+from references import block_candidate, conjugate, groupoid_params
 
 
 def trivial_params(delta, d, mode="all"):
-    return ball_params(ball(CyclicGroup(1), None, 1), delta, d, mode=mode)
+    return ball_params(ball(CyclicGroup(1), 1), delta, d, mode=mode)
 
 
 def zmod2_params(delta, d, mode="all", n=1):
-    return ball_params(ball(CyclicGroup(2), None, n), delta, d, mode=mode)
+    return ball_params(ball(CyclicGroup(2), n), delta, d, mode=mode)
 
 
 def fpf_involution(d):

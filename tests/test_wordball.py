@@ -121,7 +121,7 @@ def test_descriptor_balls_match_the_family_reducers(descriptor, orders):
     system = parse_descriptor(descriptor)
     assert system.orders == orders
     for n in range(5):
-        got, want = ball(system, None, n), ball(reference_system(orders), None, n)
+        got, want = ball(system, n), ball(reference_system(orders), n)
         assert got.elements == want.elements
         assert got.triples == want.triples
         assert [got.tau(i) for i in range(len(got))] == [want.tau(i) for i in range(len(want))]
@@ -166,21 +166,21 @@ def test_table_trace_matches_the_groupoid_trace(tmp_path):
 class TestBall:
     def test_integer_line_sizes(self):
         for n in range(11):
-            assert len(ball(integers(), None, n)) == 2 * n + 1
+            assert len(ball(integers(), n)) == 2 * n + 1
 
     def test_zmod2_radius3(self):
-        b = ball(CyclicGroup(2), None, 3)
+        b = ball(CyclicGroup(2), 3)
         assert sorted(map(word_str, b.elements)) == ["a", "e"]
 
     def test_free_product_radius2(self):
-        b = ball(z23(), None, 2)
+        b = ball(z23(), 2)
         expected = {(), (("a", 1),), (("b", 1),), (("b", 2),),
                     (("a", 1), ("b", 1)), (("a", 1), ("b", 2)),
                     (("b", 1), ("a", 1)), (("b", 2), ("a", 1))}
         assert set(b.elements) == expected
 
     def test_ball_closure_under_short_products(self):
-        balls = [ball(z23(), None, r) for r in range(4)]
+        balls = [ball(z23(), r) for r in range(4)]
         b = balls[3]
         wlen = {w: next(r for r, br in enumerate(balls) if w in br.index)
                 for w in b.elements}
@@ -191,20 +191,20 @@ class TestBall:
 
     def test_closed_under_inverse_and_contains_identity(self):
         for sys in (integers(), CyclicGroup(6), z23()):
-            b = ball(sys, None, 2)
+            b = ball(sys, 2)
             assert () in b.index
             for i in range(len(b)):
                 assert sys.reduce_word(invert_word(b.elements[i])) in b.index
 
     def test_alternating_normal_forms(self):
-        b = ball(z23(), None, 4)
+        b = ball(z23(), 4)
         factor = {"a": 0, "b": 1}
         for w in b.elements:
             for (g1, _), (g2, _) in zip(w, w[1:]):
                 assert factor[g1] != factor[g2]
 
     def test_mult_table_matches_reducer(self):
-        b = ball(CyclicGroup(4), None, 2)
+        b = ball(CyclicGroup(4), 2)
         for i, j, k in b.triples:
             assert b.system.reduce_product(b.elements[i], b.elements[j]) == b.elements[k]
 
@@ -219,7 +219,7 @@ class TestBall:
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(wordball, "BALL_CAP", 10)
         with pytest.raises(InfeasibleError):
-            ball(integers(), None, 50)
+            ball(integers(), 50)
 
 
 class TestDescriptors:
