@@ -22,7 +22,7 @@ from itertools import combinations, permutations
 from math import comb, factorial
 from operator import eq, itemgetter
 
-from .rng import _GOLDEN, _MASK, _TWO64, SplitMix64, choose_sorted, mix64
+from .rng import _GOLDEN, _MASK, SplitMix64, mix64, partial_shuffle, rejection_limits
 
 
 class OverlapError(ValueError):
@@ -189,21 +189,19 @@ def distances(s: PartialPermutation, t: PartialPermutation) -> tuple[Fraction, F
     return uniform_distance(s, t), two_norm_sq(s, t)
 
 
-def orthogonal_sum(parts, degree: int | None = None) -> PartialPermutation:
-    """Union of graphs of maps with pairwise disjoint domains and ranges.
+def orthogonal_sum(parts, degree: int) -> PartialPermutation:
+    """Union of graphs of maps of degree ``degree`` with pairwise
+    disjoint domains and ranges; the empty map for no parts.
 
     Raises OverlapError when two summands share a domain or a range
-    point.  ``degree`` is only needed for an empty sequence of parts.
+    point.
     """
     parts = list(parts)
-    if not parts:
-        if degree is None:
-            raise ValueError("empty sum needs an explicit degree")
-        return PartialPermutation.empty(degree)
-    d = parts[0].degree
-    if any(p.degree != d for p in parts):
+    if any(p.degree != degree for p in parts):
         raise ValueError("degree mismatch in orthogonal sum")
-    return PartialPermutation(d, _orthogonal_sum([p.images for p in parts]))
+    if not parts:
+        return PartialPermutation.empty(degree)
+    return PartialPermutation(degree, _orthogonal_sum([p.images for p in parts]))
 
 
 def _orthogonal_sum(tuples) -> tuple:
@@ -297,15 +295,17 @@ def monoid_size(d: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _domain_size_bounds(d: int) -> tuple:
-    """Cumulative counts of partial permutations by domain size, each
-    times 2^64, and the total count."""
+def _draw_plan(d: int) -> tuple:
+    """The per-degree constants of ``random_images``: the rejection
+    limits of every bound m <= d (``rng.rejection_limits``), the points
+    0..d-1 as a range, the cumulative counts of partial permutations by
+    domain size, each times 2^64, and the total count."""
     acc = 0
-    out = []
+    bounds = []
     for k in range(d + 1):
         acc += comb(d, k) ** 2 * factorial(k)
-        out.append(acc << 64)
-    return tuple(out), acc
+        bounds.append(acc << 64)
+    return rejection_limits(d), range(d), tuple(bounds), acc
 
 
 def random_images(d: int, total: bool, lo: int, hi: int, state: int):
@@ -316,36 +316,64 @@ def random_images(d: int, total: bool, lo: int, hi: int, state: int):
     after the draws made.
 
     A partial map takes one ``next64`` for its domain size k (exact
-    weights: u / 2^64 < cum_k / total), then ``choose_sorted(d, k)`` for
-    its domain and for its range; a permutation has domain and range
-    1..d.  A Fisher-Yates shuffle of the range, run from the end as
-    ``SplitMix64.shuffle`` runs it, pairs the i-th domain point with the
-    i-th range point.  Step i settles position i, so the fixed points
-    settled so far plus the i positions left bound the count, as do k
-    and |dom & ran|.  A draw that returns a tuple consumes exactly the
-    stream of the full draw; a None draw stops part-way.
+    weights: u / 2^64 < cum_k / total), then the stream of
+    ``choose_sorted(d, k)`` for its domain and again for its range, each
+    drawn as a ``rng.partial_shuffle`` run over the points; a
+    permutation has domain and range 1..d.  A Fisher-Yates shuffle of
+    the range, run from the end as ``SplitMix64.shuffle`` runs it, pairs
+    the i-th domain point with the i-th range point.  Step i settles
+    position i, so the fixed points settled so far plus the i positions
+    left bound the count, as do k and |dom & ran|.
+
+    Every per-degree constant comes from ``_draw_plan(d)``, computed
+    once per degree: the rejection limits, the points and the
+    domain-size thresholds.  At k = d both subsets are all points, so
+    the draw only steps the stream through their rejection checks,
+    without shuffling or sorting, and mixes no output at a power-of-two
+    bound.  The range draw stops as soon as the range points drawn
+    inside the domain plus the range points still to draw fall below
+    lo, since |dom & ran| bounds the fixed-point count.  A draw that
+    returns a tuple consumes exactly the stream of the full draw; a
+    None draw stops part-way, in the range draw or in the shuffle.
     """
     if hi < lo:
         return None, state
+    limits, points, bounds, size = _draw_plan(d)
+    s = state
     if total:
         k = d
-        dom = range(d)
-        ran = list(dom)
     else:
-        bounds, size = _domain_size_bounds(d)
-        k = bisect_right(bounds, mix64(state) * size)  # next64's output
-        state = (state + _GOLDEN) & _MASK
+        k = bisect_right(bounds, mix64(s) * size)  # next64's output
+        s = (s + _GOLDEN) & _MASK
         if k < lo:
-            return None, state
-        dom, state = choose_sorted(d, k, state)
-        ran, state = choose_sorted(d, k, state)
-        if lo and len(set(dom).intersection(ran)) < lo:
-            return None, state
+            return None, s
+    if k == d:
+        if not total:
+            # both subsets are all points, so only the rejections of the
+            # bounds d, ..., 1 (twice) move the stream; a power-of-two
+            # bound has limit 2^64 and rejects no output
+            for limit in limits[:0:-1] * 2:
+                while limit <= _MASK and mix64(s) >= limit:
+                    s = (s + _GOLDEN) & _MASK
+                s = (s + _GOLDEN) & _MASK
+        dom = points
+        ran = list(points)
+    else:
+        pool = list(points)
+        s, _ = partial_shuffle(pool, k, limits, None, 0, s)
+        ran = list(points)
+        # a range point outside the domain spends one of k - lo misses;
+        # at lo = 0 no k misses can stop the draw, so no set is given
+        s, room = partial_shuffle(ran, k, limits, set(pool[:k]) if lo else None,
+                                  k - lo, s)
+        if room < 0:
+            return None, s
+        dom = sorted(pool[:k])
+        ran = sorted(ran[:k])
     fixed = 0
-    s = state
     for i in range(k - 1, 0, -1):
         n = i + 1
-        limit = _TWO64 - _TWO64 % n
+        limit = limits[n]
         while True:
             s = (s + _GOLDEN) & _MASK
             z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK

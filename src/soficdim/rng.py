@@ -16,7 +16,14 @@ counting, bound by this module (``perfbench``'s ``sample`` workload),
 runs each trial on such a bare state: ``choose_sorted`` here and
 ``pperm.random_images`` take a state and return the state after their
 draws, the stream that the ``SplitMix64`` methods of the same draws
-consume.
+consume.  Both run their subset draws through one loop,
+``partial_shuffle``, which reads each bound's rejection limit from a
+table computed once per size (``rejection_limits``); ``random_images``
+reads that table, its point list and its domain-size thresholds from a
+plan cached per degree.  ``partial_shuffle`` can stop once too many of
+the points it settles fall outside a given set, so a range draw whose
+overlap with its domain cannot reach a fixed-point window stops
+part-way, as a shuffle past its window does.
 
 Weighted choices against exact rational weights are decided by integer
 cross-multiplication, so the sampling itself introduces no rounding.
@@ -27,6 +34,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 _MASK = (1 << 64) - 1
@@ -59,20 +67,29 @@ def _mix64_lanes(x: int, golden: int, low: int) -> int:
     return (z ^ (z >> 31)) & low
 
 
-def choose_sorted(n: int, k: int, state: int) -> tuple[list[int], int]:
-    """A uniform k-subset of range(n), returned sorted, drawn from the
-    stream at ``state``, and the state after it.
+@lru_cache(maxsize=64)
+def rejection_limits(n: int) -> tuple:
+    """``limits[m] = 2^64 - 2^64 mod m`` for 1 <= m <= n (``limits[0]``
+    is unused): ``below(m)`` keeps an output z exactly when z < limits[m]."""
+    return (0,) + tuple(_TWO64 - _TWO64 % m for m in range(1, n + 1))
 
-    Partial Fisher-Yates: position i swaps with ``i + below(n - i)``.
-    The step of ``next64`` runs inline on the bare state.
+
+def partial_shuffle(pool: list, k: int, limits, marked, room: int, s: int):
+    """Steps 0..k-1 of a Fisher-Yates shuffle of ``pool`` from the stream
+    at state s: step i swaps position i with ``i + below(n - i)``, n =
+    len(pool), each bound's rejection limit read from ``limits``
+    (``rejection_limits``).  The step of ``next64`` runs inline on the
+    bare state.
+
+    Returns the state after the steps and the room left: each step that
+    settles a point outside ``marked`` spends one unit of ``room``, and
+    the shuffle stops as soon as the room is negative.  With ``marked``
+    None every step is taken and ``room`` comes back as it was given.
     """
-    if not 0 <= k <= n:
-        raise ValueError("invalid subset size")
-    pool = list(range(n))
-    s = state
+    n = len(pool)
     for i in range(k):
         m = n - i
-        limit = _TWO64 - _TWO64 % m
+        limit = limits[m]
         while True:
             s = (s + _GOLDEN) & _MASK
             z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
@@ -81,7 +98,25 @@ def choose_sorted(n: int, k: int, state: int) -> tuple[list[int], int]:
             if z < limit:
                 break
         j = i + z % m
-        pool[i], pool[j] = pool[j], pool[i]
+        y = pool[j]
+        pool[j] = pool[i]
+        pool[i] = y
+        if marked is not None and y not in marked:
+            room -= 1
+            if room < 0:
+                break
+    return s, room
+
+
+def choose_sorted(n: int, k: int, state: int) -> tuple[list[int], int]:
+    """A uniform k-subset of range(n), returned sorted, drawn from the
+    stream at ``state``, and the state after it: the first k points of a
+    ``partial_shuffle`` of range(n).
+    """
+    if not 0 <= k <= n:
+        raise ValueError("invalid subset size")
+    pool = list(range(n))
+    s, _ = partial_shuffle(pool, k, rejection_limits(n), None, 0, state)
     return sorted(pool[:k]), s
 
 

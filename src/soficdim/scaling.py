@@ -231,7 +231,7 @@ class ExpandResult:
 
 
 def expand_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
-                 delta, seed: int = 0) -> ExpandResult:
+                 delta, seed: int) -> ExpandResult:
     """Dilate a corner candidate to the ambient groupoid and verify it.
 
     The corner candidate must cover the radius 4n+5 ball over the
@@ -296,7 +296,7 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
             inner = pperm.embed(sigma.images[pos], d_prime)
             parts.append(pperm.compose(gammas[i],
                                        pperm.compose(inner, gamma_inverses[j])))
-        return pperm.orthogonal_sum(parts, degree=d_prime)
+        return pperm.orthogonal_sum(parts, d_prime)
 
     images = [expand_element(pieces) for pieces in cd.expansion_plan(n)]
     cand = SoficCandidate(d_prime, images)

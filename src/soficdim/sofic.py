@@ -239,7 +239,7 @@ class MembershipReport:
     trace_witness: str
     delta: Fraction
     degree: int
-    notes: tuple = ()
+    notes: tuple
 
     def to_json_dict(self):
         return {
@@ -633,18 +633,19 @@ def _count_classes(params: SAParams, plan: SearchPlan, positions):
 DEFAULT_COUNT_CAP = 10 ** 8
 
 
-def count_SA(params: SAParams, cap=None, E=None):
+def count_SA(params: SAParams, E, cap=None):
     """Exact number of members, by pruned exhaustive enumeration.
 
     The search keeps, per ball position, only the candidates whose
     fixed-point count meets the trace condition, and rejects a triple
     at ceil(delta*d) disagreements, so it compares integers only.
-    With a collection E of ball positions, the same enumeration
-    returns ``(count, restricted_count)``, where the restricted count
-    is the number of distinct restrictions of members to E.  Both are
-    sums over the conjugacy classes at one position
-    (``_count_classes``).  A position of E outside the ball, such as a
-    sum of the closure, raises ValueError.
+    With E None it returns the count.  With a collection E of ball
+    positions, the same enumeration returns ``(count,
+    restricted_count)``, where the restricted count is the number of
+    distinct restrictions of members to E.  Both are sums over the
+    conjugacy classes at one position (``_count_classes``).  A position
+    of E outside the ball, such as a sum of the closure, raises
+    ValueError.
 
     A search space above ``cap`` raises InfeasibleError.  With no
     ``cap`` the cap is ``DEFAULT_COUNT_CAP`` as it reads when the call
@@ -727,19 +728,21 @@ def monte_carlo_count(params: SAParams, trials: int, seed: int) -> tuple[float, 
     total = params.mode == "perms"
     plan = SearchPlan(params)
     sums, triples, limit = plan.sums, plan.triples, plan.limit
-    # |k/d - tau| < delta holds on an interval of counts k, maybe empty
-    windows = list(enumerate((min(fixed, default=1), max(fixed, default=0))
-                             for fixed in plan.windows))
+    # |k/d - tau| < delta holds on an interval of counts k, maybe empty;
+    # only a position that completes a sum or a triple has checks to run
+    windows = [(t, min(fixed, default=1), max(fixed, default=0),
+                bool(sums[t] or triples[t]))
+               for t, fixed in enumerate(plan.windows)]
     slots: list = [None] * plan.n_universe
     draw = pperm.random_images
     base = SplitMix64(seed)
     hits = 0
     for start in range(0, trials, MC_BLOCK):
         for state in base.spawn_states(start, min(MC_BLOCK, trials - start)):
-            for t, (lo, hi) in windows:
+            for t, lo, hi, checked in windows:
                 slots[t], state = draw(d, total, lo, hi, state)
-                if (slots[t] is None
-                        or not _admissible(t, slots, sums, triples, limit, _slot_sum)):
+                if slots[t] is None or (checked and not _admissible(
+                        t, slots, sums, triples, limit, _slot_sum)):
                     break
             else:
                 hits += 1

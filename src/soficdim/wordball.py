@@ -110,11 +110,12 @@ class TableGroup(GeneratingSystem):
     The canonical word of a non-identity element g is ((name_g, 1),),
     so a word may use every element name, generator or not.
     The one-unit groupoid built from the same table checks the group
-    laws and gives the identity and the inverses.  ``names`` defaults
-    to g0, g1, ... and ``gens`` to every non-identity element.
+    laws and gives the identity and the inverses.  With ``names`` None
+    the elements are g0, g1, ..., and with ``gens`` None every
+    non-identity element generates.
     """
 
-    def __init__(self, table, names=None, gens=None):
+    def __init__(self, table, names, gens):
         self.table = tuple(tuple(row) for row in table)
         m = len(self.table)
         self.names = tuple(names) if names else tuple(f"g{i}" for i in range(m))

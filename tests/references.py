@@ -8,7 +8,8 @@ lemma context whose hypothesis ball lists its radius-n ball in another
 order, and ``groupoid_params`` the counting problem over a groupoid's
 radius-n bisection ball.  ``reference_system`` reduces words by one reducer per cyclic
 family, the integers, a cyclic group and a free product of such
-factors merged on a stack.
+factors merged on a stack.  ``rejected_state`` inverts the SplitMix64
+finalizer to place an output that rejection sampling must skip.
 """
 
 from fractions import Fraction
@@ -20,6 +21,36 @@ from soficdim.pperm import PartialPermutation, compose, inverse
 from soficdim.rng import SplitMix64
 from soficdim.sofic import GroupoidSource, SAParams, SoficCandidate
 from soficdim.wordball import GeneratingSystem
+
+
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _unshift(y: int, shift: int) -> int:
+    """The x with x ^ (x >> shift) = y."""
+    x = y
+    for _ in range(64 // shift):
+        x = y ^ (x >> shift)
+    return x
+
+
+def rejected_state(j: int) -> int:
+    """A state whose j-th ``next64`` output (from 0) is 2^64 - 1.
+
+    That output lies at or above the rejection limit 2^64 - 2^64 mod m
+    of every bound m that is not a power of two, so ``below(m)`` skips
+    it.  The state is the preimage of 2^64 - 1 under ``rng.mix64``, each
+    step of the finalizer undone in reverse, less j increments.
+    """
+    z = _unshift(_MASK, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK
+    z = _unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK
+    return (_unshift(z, 30) - (j + 1) * _GOLDEN) & _MASK
+
+
+def outputs_between(state: int, after: int) -> int:
+    """How many ``next64`` outputs lead from ``state`` to ``after``."""
+    return (after - state) * pow(_GOLDEN, -1, 1 << 64) & _MASK
 
 
 def conjugate(s: PartialPermutation, g: PartialPermutation) -> PartialPermutation:

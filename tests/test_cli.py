@@ -290,7 +290,7 @@ def r2_ha_params(letters):
 CAP_CHECKS = [
     (sofic, "DEFAULT_COUNT_CAP", lambda: sofic.count_SA(
         sofic.SAParams(sofic.BallSource(wordball.ball(wordball.CyclicGroup(2), 1)),
-                       Fraction(1, 2), 3))),
+                       Fraction(1, 2), 3), None)),
     (wordball, "BALL_CAP", lambda: wordball.ball(wordball.parse_descriptor("z"), 2)),
     (sofic, "BALL_CAP", r2_ball),
     (sofic, "SUM_CAP", lambda: r2_ha_params(2).universe),

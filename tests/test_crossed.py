@@ -128,7 +128,7 @@ def corrected_sum(a, b):
     """Sum of two near-orthogonal maps: b is cut off a's domain and range."""
     taken = set(a.images)
     trimmed = [0 if x or y in taken else y for x, y in zip(a.images, b.images)]
-    return pperm.orthogonal_sum([a, PartialPermutation(b.degree, trimmed)])
+    return pperm.orthogonal_sum([a, PartialPermutation(b.degree, trimmed)], b.degree)
 
 
 def reference_disjoint_pairs(uni):
@@ -329,7 +329,7 @@ class TestHAStatistic:
         delta = Fraction(1, 3)
         params = HAParams(model, delta, 2)
         count, stat, sa_count = ha_statistic_with_sa(params, E=[0], Q=[0])
-        sa = count_SA(ctx.hypothesis_params(delta, 2))
+        sa = count_SA(ctx.hypothesis_params(delta, 2), None)
         # phi on the single point space is forced to the identity
         assert sa_count == sa
         assert count == sa

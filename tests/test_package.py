@@ -105,7 +105,8 @@ def test_every_library_definition_has_a_reader():
 
 
 # Defaulted parameters and dataclass fields that fewer than two values
-# set outside the tests, with the reason each one stays.
+# set outside the tests, or whose default no caller outside the tests
+# leaves in place, with the reason each one stays.
 KEEP_DEFAULTS = {
     "sofic.ball_params.mode": "acceptance criterion 3 sets it",
 }
@@ -192,9 +193,10 @@ def _passed(call, names, name, default):
 
 def test_every_default_has_two_values_in_use():
     """A defaulted parameter or dataclass field of ``src/soficdim`` stays
-    settable only if callers outside the tests give it two values: it
-    fails with no caller, when every caller leaves it out, or when every
-    caller passes one and the same literal.  Callers are found as
+    settable only if callers outside the tests give it two values, one
+    of them the default: it fails with no caller, when every caller
+    leaves it out, when every caller passes one and the same literal, or
+    when no caller leaves it out.  Callers are found as
     readers are, in the package modules, scripts and benchmark files,
     outside the function's own body, and their arguments are mapped onto
     the signature; a non-literal argument counts as a value of its own.
@@ -214,7 +216,8 @@ def test_every_default_has_two_values_in_use():
                      or not body.lineno <= line <= body.end_lineno]
             for name, default in defaults.items():
                 values = {_passed(call, names, name, default) for call in found}
-                if not found or (len(values) == 1 and None not in values):
+                if (len(values) == 1 and None not in values
+                        or "default " + ast.unparse(default) not in values):
                     single.append(f"{path.stem}.{qualname}.{name}")
     assert sorted(set(single) - set(KEEP_DEFAULTS)) == []
     assert sorted(set(KEEP_DEFAULTS) - set(single)) == []

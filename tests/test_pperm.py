@@ -24,7 +24,7 @@ from soficdim.pperm import (
 )
 from soficdim.rng import SplitMix64
 
-from references import conjugate
+from references import conjugate, outputs_between, rejected_state
 
 
 def P(text):
@@ -136,13 +136,13 @@ class TestBasics:
                 high = PartialPermutation.from_pairs(
                     n, [(x, s(x)) for x in dom_points(s) if x > n // 2])
                 for got in (s, inverse(s), compose(s, inverse(s)),
-                            orthogonal_sum([low, high])):
+                            orthogonal_sum([low, high], n)):
                     want = PartialPermutation.from_pairs(
                         n, [(x, got(x)) for x in dom_points(got)])
                     assert got == want
                     assert (got.nfix, got.dom_size, hash(got)) == \
                         (want.nfix, want.dom_size, hash(want))
-                assert orthogonal_sum([low, high]) == s
+                assert orthogonal_sum([low, high], n) == s
 
     @settings(max_examples=400)
     @given(st.one_of(raw_images(), near_pperm_images()))
@@ -232,19 +232,19 @@ class TestOrthogonalSum:
     def test_disjoint_pairs(self):
         s = P("4:[1->2]")
         t = P("4:[3->4]")
-        assert orthogonal_sum([s, t]) == P("4:[1->2, 3->4]")
+        assert orthogonal_sum([s, t], 4) == P("4:[1->2, 3->4]")
 
     def test_sum_with_empty(self):
         s = P("4:[1->2]")
-        assert orthogonal_sum([s, PartialPermutation.empty(4)]) == s
+        assert orthogonal_sum([s, PartialPermutation.empty(4)], 4) == s
 
     def test_domain_overlap_raises(self):
         with pytest.raises(OverlapError):
-            orthogonal_sum([P("4:[1->2]"), P("4:[1->3]")])
+            orthogonal_sum([P("4:[1->2]"), P("4:[1->3]")], 4)
 
     def test_range_overlap_raises(self):
         with pytest.raises(OverlapError):
-            orthogonal_sum([P("4:[1->2]"), P("4:[3->2]")])
+            orthogonal_sum([P("4:[1->2]"), P("4:[3->2]")], 4)
 
     @pytest.mark.parametrize("texts", [
         ("5:[1->2, 2->3]", "5:[3->1]", "5:[2->4]"),
@@ -252,7 +252,7 @@ class TestOrthogonalSum:
     ], ids=["domain-only", "range-only"])
     def test_overlap_with_an_earlier_summand_raises(self, texts):
         with pytest.raises(OverlapError):
-            orthogonal_sum([P(t) for t in texts])
+            orthogonal_sum([P(t) for t in texts], 5)
 
     @settings(max_examples=300)
     @given(st.integers(1, 8).flatmap(
@@ -263,7 +263,7 @@ class TestOrthogonalSum:
         overlap = any(doms[i] & doms[j] or rans[i] & rans[j]
                       for i in range(len(parts)) for j in range(i))
         try:
-            total = orthogonal_sum(parts)
+            total = orthogonal_sum(parts, parts[0].degree)
         except OverlapError:
             assert overlap
         else:
@@ -350,6 +350,31 @@ class TestSampling:
                     assert state == rng._state
                 else:
                     assert images is None
+
+    @pytest.mark.parametrize("total,full", FULL_DRAWS, ids=["perms", "all"])
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_windowed_draw_skips_a_rejected_output_like_the_full_draw(
+            self, d, total, full):
+        # the j-th output is 2^64 - 1, which every bound that is not a
+        # power of two rejects; a draw that skips it takes one more output
+        # than its bounded draws: d - 1 for a permutation, and for a
+        # partial map of domain size k, 1 at k = 0 and 3k otherwise
+        windows = [(lo, hi) for lo in range(d + 1) for hi in range(lo, d + 1)]
+        skipped = 0
+        for j in range(3 * d):
+            state = rejected_state(j)
+            rng = SplitMix64(state)
+            s = full(d, rng)
+            clean = d - 1 if total else max(1, 3 * s.dom_size)
+            skipped += outputs_between(state, rng._state) - clean
+            for lo, hi in windows:
+                images, after = pperm.random_images(d, total, lo, hi, state)
+                if lo <= s.nfix <= hi:
+                    assert images == (0,) + s.images
+                    assert after == rng._state
+                else:
+                    assert images is None
+        assert skipped > 0
 
     @pytest.mark.parametrize("total,full", FULL_DRAWS, ids=["perms", "all"])
     def test_wrappers_reproduce_the_full_draws(self, total, full):

@@ -7,6 +7,8 @@ from soficdim import pperm
 from soficdim.partitions import random_partition
 from soficdim.rng import SplitMix64
 
+from references import outputs_between, rejected_state
+
 # bounds near 2^64 reject about half of the raw draws
 BOUNDS = list(range(1, 300)) + [2 ** 63 + 1, 2 ** 64 - 1, 3 * 2 ** 62 + 7]
 
@@ -51,6 +53,21 @@ def test_draws_consume_the_next64_stream():
     ref = draws(SplitMix64(20260809), reference_below, reference_shuffle,
                 reference_choose_sorted)
     assert fast == ref
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 7])
+def test_choose_sorted_skips_a_rejected_output_like_the_reference_loop(n):
+    # the j-th output is 2^64 - 1; the draw at bound n - j skips it unless
+    # n - j is a power of two, and takes one more output than it has steps
+    for j in range(n):
+        for k in range(n + 1):
+            state = rejected_state(j)
+            rng, ref = SplitMix64(state), SplitMix64(state)
+            assert rng.choose_sorted(n, k) == reference_choose_sorted(ref, n, k)
+            assert rng._state == ref._state
+            m = n - j
+            rejected = j < k and m & (m - 1) != 0
+            assert outputs_between(state, ref._state) == k + rejected
 
 
 def test_recorded_stream():

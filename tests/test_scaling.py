@@ -106,7 +106,7 @@ class TestExpand:
         images = [PartialPermutation.projection(d, range(1, d + 1)) if b.arrows
                   else PartialPermutation.empty(d) for b in src.ball_elements]
         sigma = SoficCandidate(d, images)
-        res = expand_sigma(sigma, cd, n=1, delta=Fraction(1, 10))
+        res = expand_sigma(sigma, cd, n=1, delta=Fraction(1, 10), seed=0)
         assert res.d_prime == d
         assert res.report.is_member
         # with p = 1 the dilation changes nothing
@@ -118,7 +118,7 @@ class TestExpand:
         cd = r2_corner()
         d = 12
         sigma, _ = corner_projection_candidate(cd, d, missing=(5,))
-        res = expand_sigma(sigma, cd, n=1, delta=Fraction(1, 10))
+        res = expand_sigma(sigma, cd, n=1, delta=Fraction(1, 10), seed=0)
         assert res.d_prime == 2 * d
         assert res.report.is_member
         assert res.report.mult_gap < res.delta_prime
@@ -138,7 +138,7 @@ class TestExpand:
         imgs = [PartialPermutation.identity(5) if b.arrows
                 else PartialPermutation.empty(5) for b in src2.ball_elements]
         with pytest.raises(ValueError):
-            expand_sigma(SoficCandidate(5, imgs), cd2, 1, Fraction(1, 10))
+            expand_sigma(SoficCandidate(5, imgs), cd2, 1, Fraction(1, 10), 0)
 
     def test_distinct_gammas_give_distinct_candidates(self):
         cd = r2_corner()
@@ -187,7 +187,7 @@ class TestExpand:
         src = GroupoidSource(cd.corner, cd.F_corner, 4 * 1 + 5)
         d = 6
         sigma = block_candidate(src, d)
-        res = expand_sigma(sigma, cd, n=1, delta=Fraction(1, 4))
+        res = expand_sigma(sigma, cd, n=1, delta=Fraction(1, 4), seed=0)
         assert res.report.is_member
         movers = [cd.p_ambient()] + list(cd.S)
         doms = [full_identity(cd.corner), *cd.dom_projections]
@@ -244,7 +244,7 @@ class TestRestrict:
         d = 20
         delta = Fraction(1, 10)
         sigma, src = corner_projection_candidate(cd, d, missing=(3,))
-        res = expand_sigma(sigma, cd, n=5, delta=delta)
+        res = expand_sigma(sigma, cd, n=5, delta=delta, seed=0)
         assert res.report.is_member
         rr = restrict_sigma(res.candidate, cd, n=1, delta=delta)
         assert rr.report.is_member

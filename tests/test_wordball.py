@@ -138,7 +138,7 @@ class TestTau:
         assert z23().tau_word((("a", 1), ("b", 1))) == 0
 
     def test_table_group_routes_through_groupoid_trace(self):
-        tg = TableGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+        tg = TableGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]], None, None)
         assert tg.tau_word(()) == Fraction(1)
         assert tg.tau_word((("g1", 1),)) == 0
         assert tg.tau_word((("g1", 3),)) == 1
@@ -154,7 +154,7 @@ def s3_table_file(path):
 
 def test_table_trace_matches_the_groupoid_trace(tmp_path):
     # the groupoid route: the trace of the singleton bisection at the element
-    z4 = TableGroup([[(i + j) % 4 for j in range(4)] for i in range(4)])
+    z4 = TableGroup([[(i + j) % 4 for j in range(4)] for i in range(4)], None, None)
     s3 = load_cayley_table(s3_table_file(tmp_path / "s3.cay"))
     assert s3.table[1][3] != s3.table[3][1]
     for tg in (z4, s3):
