@@ -59,22 +59,24 @@ def parse_tolerance(text: str) -> Fraction:
 
 def parse_drange(text: str) -> list[int]:
     """Degree lists: ``4``, ``2..6``, ``2..10..2``, ``6..2..-2`` or
-    ``50,100,200``; a range includes its end whichever way it steps."""
+    ``50,100,200``; a range includes its end whichever way it steps, and
+    a range of no degree is refused wherever it stands in the list."""
     out = []
     for chunk in text.split(","):
         try:
             ends = [int(end) for end in chunk.split("..")]
             if len(ends) == 1:
-                out.append(ends[0])
+                degrees = ends
             elif len(ends) <= 3:  # range refuses a zero step with ValueError
                 step = ends[2] if len(ends) == 3 else 1
-                out.extend(range(ends[0], ends[1] + (1 if step > 0 else -1), step))
+                degrees = range(ends[0], ends[1] + (1 if step > 0 else -1), step)
             else:
                 raise ValueError
         except ValueError:
             raise CliError(f"bad degree range {text!r}") from None
-    if not out:
-        raise CliError("empty degree range")
+        if not degrees:
+            raise CliError("empty degree range")
+        out.extend(degrees)
     return out
 
 
@@ -87,8 +89,7 @@ def load_source_groupoid(text: str) -> FiniteGroupoid:
     if isinstance(system, wordball.CyclicGroup):
         return cyclic_groupoid(system.order)
     if isinstance(system, wordball.TableGroup):
-        from .groupoid import group_groupoid
-        return group_groupoid(system.table)
+        return system.groupoid
     raise CliError(f"source {text!r} has no finite groupoid model")
 
 

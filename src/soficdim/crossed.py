@@ -284,11 +284,17 @@ def approx_sum_check(cand: HACandidate, params: HAParams) -> SumCheck:
     projection universe of the model at the radius it was built for;
     ``verify --suite lin146`` passes the radius-n model, not the one at
     four times the working radius that the lemma states the bound for.
-    For a pair (a, b) with union w the corrected sum takes a where a is
-    defined and otherwise b, cut off a's range; the gap counts the
-    points where phi(w) differs from it.  That the pair (sigma, phi) is
-    a member is the caller's to establish (``verify --suite ha`` reports
-    it through ``build_phi``); this check reads phi alone.
+    On the full-group sources that the tabled suites reach, that cannot
+    change an outcome: the generators are every non-identity element of
+    the full group, so the ball is the whole group at radius 1.
+    ``verify --suite lin146 --source "zmod(2)" --d 4 --delta 1/10
+    --partitions 3 --seed 1`` checks 225 pairs at ``--n`` 1, 2 and 4
+    alike.  For a pair (a, b) with union w the corrected sum takes a
+    where a is defined and otherwise b, cut off a's range; the gap
+    counts the points where phi(w) differs from it.  That the pair
+    (sigma, phi) is a member is the caller's to establish (``verify
+    --suite ha`` reports it through ``build_phi``); this check reads phi
+    alone.
     """
     if isinstance(params.delta, SqrtTol):
         raise ValueError("the linearity bound needs a rational tolerance")
@@ -484,27 +490,17 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
 HA_CAP = 10 ** 7
 
 
-def ha_statistic(params: HAParams, E, Q) -> tuple[int, float]:
-    """Distinct (sigma|_E, phi|_Q) pairs over all members, with the
-    log statistic.
-
-    E indexes positions of the model ball, Q letter blocks.
-    Enumeration is exhaustive over both halves; tiny instances only, as
-    ``ha_statistic_with_sa`` caps it at ``HA_CAP``.
-    """
-    return ha_statistic_with_sa(params, E, Q)[:2]
-
-
-def ha_statistic_with_sa(params: HAParams, E, Q):
+def ha_statistic(params: HAParams, E, Q) -> tuple[int, float, int]:
     """(count, statistic, sa_count): the distinct (sigma|_E, phi|_Q) over
     members sigma at delta (at 1 for a ``SqrtTol``) and maps phi passing
     (i)-(iv) with them, the log statistic of their count, and the
     distinct sigma|_E.
 
-    The members sigma are enumerated first, over the context's
-    ``sigma_params``; a search space of phi candidates times their
-    number above ``HA_CAP``, as it reads when the call runs, then raises
-    InfeasibleError.  A member lists its images in the order of the
+    E indexes positions of the model ball, Q letter blocks.  Enumeration
+    is exhaustive over both halves; tiny instances only.  The members
+    sigma are enumerated first, over the context's ``sigma_params``; a
+    search space of phi candidates times their number above ``HA_CAP``,
+    as it reads when the call runs, then raises InfeasibleError.  A member lists its images in the order of the
     model ball, which is the sigma source's ball, so sigma's padded and
     inverse images are read from it directly.
 

@@ -317,8 +317,8 @@ def random_images(d: int, total: bool, lo: int, hi: int, state: int):
 
     A partial map takes one ``next64`` for its domain size k (exact
     weights: u / 2^64 < cum_k / total), then the stream of
-    ``choose_sorted(d, k)`` for its domain and again for its range, each
-    drawn as a ``rng.partial_shuffle`` run over the points; a
+    ``SplitMix64.choose_sorted(d, k)`` for its domain and again for its
+    range, each drawn as a ``rng.partial_shuffle`` run over the points; a
     permutation has domain and range 1..d.  A Fisher-Yates shuffle of
     the range, run from the end as ``SplitMix64.shuffle`` runs it, pairs
     the i-th domain point with the i-th range point.  Step i settles

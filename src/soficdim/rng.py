@@ -13,10 +13,10 @@ A substream's start state is a pure function of (seed, index), so
 consecutive indices at once, with a few operations on one large
 integer that holds each index in a lane of its own.  Monte Carlo
 counting, bound by this module (``perfbench``'s ``sample`` workload),
-runs each trial on such a bare state: ``choose_sorted`` here and
-``pperm.random_images`` take a state and return the state after their
-draws, the stream that the ``SplitMix64`` methods of the same draws
-consume.  Both run their subset draws through one loop,
+runs each trial on such a bare state: ``pperm.random_images`` takes a
+state and returns the state after its draws, the stream that the
+``SplitMix64`` methods of the same draws consume.  It and
+``SplitMix64.choose_sorted`` run their subset draws through one loop,
 ``partial_shuffle``, which reads each bound's rejection limit from a
 table computed once per size (``rejection_limits``); ``random_images``
 reads that table, its point list and its domain-size thresholds from a
@@ -108,26 +108,14 @@ def partial_shuffle(pool: list, k: int, limits, marked, room: int, s: int):
     return s, room
 
 
-def choose_sorted(n: int, k: int, state: int) -> tuple[list[int], int]:
-    """A uniform k-subset of range(n), returned sorted, drawn from the
-    stream at ``state``, and the state after it: the first k points of a
-    ``partial_shuffle`` of range(n).
-    """
-    if not 0 <= k <= n:
-        raise ValueError("invalid subset size")
-    pool = list(range(n))
-    s, _ = partial_shuffle(pool, k, rejection_limits(n), None, 0, state)
-    return sorted(pool[:k]), s
-
-
 class SplitMix64:
     """SplitMix64 generator with 64-bit state.
 
     ``next64`` steps the counter by the golden-ratio increment and
     scrambles it.  Every derived draw consumes the same stream of
     ``next64`` outputs.  ``below``, ``shuffle`` and ``weighted_indices``
-    call ``next64``; ``choose_sorted`` runs the module-level draw of the
-    same name on this generator's state.
+    call ``next64``; ``choose_sorted`` runs ``partial_shuffle`` on this
+    generator's state.
     """
 
     __slots__ = ("seed", "_state")
@@ -180,10 +168,15 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
     def choose_sorted(self, n: int, k: int) -> list[int]:
-        """A uniform k-subset of range(n), returned sorted (the
-        module-level ``choose_sorted`` on this generator's stream)."""
-        subset, self._state = choose_sorted(n, k, self._state)
-        return subset
+        """A uniform k-subset of range(n), returned sorted: the first k
+        points of a ``partial_shuffle`` of range(n) on this generator's
+        stream."""
+        if not 0 <= k <= n:
+            raise ValueError("invalid subset size")
+        pool = list(range(n))
+        self._state, _ = partial_shuffle(pool, k, rejection_limits(n), None, 0,
+                                         self._state)
+        return sorted(pool[:k])
 
     def weighted_indices(self, weights, count: int) -> list[int]:
         """``count`` weighted draws, one ``next64`` output each.

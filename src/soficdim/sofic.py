@@ -17,7 +17,7 @@ the membership report of a groupoid source notes that bound.
 Counting is exact: candidates are enumerated depth first with pruning
 by every multiplicativity constraint whose participants are already
 assigned, so the count equals the brute-force one.  The search, which
-also enumerates the maps phi of ``crossed.ha_statistic_with_sa``,
+also enumerates the maps phi of ``crossed.ha_statistic``,
 compares integers only: distances are multiples of 1/d, so each
 position keeps the candidates whose fixed-point count meets its trace
 condition, and a product fails at ceil(delta*d) disagreements.  A
@@ -41,13 +41,13 @@ and in ``all`` mode cycle-and-chain types) and weighs the members it
 finds by the class size: the count is the sum over r of |class(r)|
 times the count with position q fixed to r, and with q in E the
 restricted count splits the same way.  q is the first position of E
-whose window admits two or more maps.  Where E is None, q is p, the
-first such position of the ball; where E has no such position, q is p
-too, and every member restricts to E alike.  A window that admits a
-single map admits a map that every conjugation fixes (the identity, or
-the empty map), so the positions before p take that map alone.  The
-others, q excepted, draw from one ``candidate_pool`` pass over their own
-windows, so no pass over the maps is made when p is the last position.
+whose window admits two or more maps.  Where E has no such position, q
+is p, the first such position of the ball, and every member restricts
+to E alike.  A window that admits a single map admits a map that every
+conjugation fixes (the identity, or the empty map), so the positions
+before p take that map alone.  The others, q excepted, draw from one
+``candidate_pool`` pass over their own windows, so no pass over the
+maps is made when p is the last position.
 
 A seeded Monte Carlo estimator and a cycle-type closed form for cyclic
 groups extend the statistic beyond enumeration range.  The estimator
@@ -579,21 +579,19 @@ def _count_chunk(plan: SearchPlan, pools, positions):
     restrictions = set()
     for slots in plan.search(pools):
         count += 1
-        if positions is not None:
-            restrictions.add(tuple(slots[i] for i in positions))
+        restrictions.add(tuple(slots[i] for i in positions))
     return count, restrictions
 
 
 def _count_classes(params: SAParams, plan: SearchPlan, positions):
     """``(count, restricted count)`` by one search per conjugacy class
-    at q, each weighed by its class size; the restricted count is 0
-    where ``positions`` is None.
+    at q, each weighed by its class size.
 
     p is the first position whose window admits two or more maps, and q
     the first such position among ``positions``, or p where there is
-    none (or no ``positions``).  The positions before p take their one
-    map each, which every conjugation fixes, and the others, q
-    excepted, draw from one ``candidate_pool`` pass.  Where no position
+    none.  The positions before p take their one map each, which every
+    conjugation fixes, and the others, q excepted, draw from one
+    ``candidate_pool`` pass.  Where no position
     of ``positions`` branches, every member has the same restriction,
     so the restricted count is 1 if there are members.  The class
     sizes find p and q, so no map is enumerated for either.
@@ -609,8 +607,8 @@ def _count_classes(params: SAParams, plan: SearchPlan, positions):
         count, restrictions = _count_chunk(plan, before, positions)
         return count, len(restrictions)
     q, by = p, positions
-    if positions is not None and p not in positions:
-        by = None
+    if p not in positions:
+        by = ()
         for t in range(p + 1, len(windows)):
             if t in positions:
                 classes = conjugacy_classes(d, mode, windows[t])
@@ -624,7 +622,7 @@ def _count_classes(params: SAParams, plan: SearchPlan, positions):
         c, r = _count_chunk(plan, [*head, [pad], *tail], by)
         count += size * c
         restricted += size * len(r)
-    if by is None and positions is not None:
+    if not by:
         restricted = min(count, 1)
     return count, restricted
 
@@ -639,10 +637,10 @@ def count_SA(params: SAParams, E, cap=None):
     The search keeps, per ball position, only the candidates whose
     fixed-point count meets the trace condition, and rejects a triple
     at ceil(delta*d) disagreements, so it compares integers only.
-    With E None it returns the count.  With a collection E of ball
-    positions, the same enumeration returns ``(count,
-    restricted_count)``, where the restricted count is the number of
-    distinct restrictions of members to E.  Both are sums over the
+    E is a collection of ball positions, possibly empty, and the same
+    enumeration returns ``(count, restricted_count)``, where the
+    restricted count is the number of distinct restrictions of members
+    to E (at most 1 for the empty E).  Both are sums over the
     conjugacy classes at one position (``_count_classes``).  A position
     of E outside the ball, such as a sum of the closure, raises
     ValueError.
@@ -655,11 +653,10 @@ def count_SA(params: SAParams, E, cap=None):
     cap = DEFAULT_COUNT_CAP if cap is None else cap
     if space > cap:
         raise InfeasibleError("search space", space, "candidates", cap)
-    positions = None if E is None else tuple(E)
-    if positions and not all(0 <= t < params.source.n_ball for t in positions):
+    positions = tuple(E)
+    if not all(0 <= t < params.source.n_ball for t in positions):
         raise ValueError(f"E {positions} holds positions outside the ball")
-    count, count_e = _count_classes(params, SearchPlan(params), positions)
-    return count if E is None else (count, count_e)
+    return _count_classes(params, SearchPlan(params), positions)
 
 
 NEG_INF = float("-inf")

@@ -109,8 +109,9 @@ class TableGroup(GeneratingSystem):
 
     The canonical word of a non-identity element g is ((name_g, 1),),
     so a word may use every element name, generator or not.
-    The one-unit groupoid built from the same table checks the group
-    laws and gives the identity and the inverses.  With ``names`` None
+    The one-unit groupoid built from the same table (``groupoid``)
+    checks the group laws and gives the identity and the inverses; it is
+    kept as the group's finite groupoid model.  With ``names`` None
     the elements are g0, g1, ..., and with ``gens`` None every
     non-identity element generates.
     """
@@ -124,9 +125,9 @@ class TableGroup(GeneratingSystem):
         if len(set(self.names)) != m:
             raise ValueError("element names must be distinct")
         self._index = {n: i for i, n in enumerate(self.names)}
-        groupoid = group_groupoid(self.table)
-        self.identity_index = groupoid.unit_arrow[0]
-        self._inv = groupoid.inverse
+        self.groupoid = group_groupoid(self.table)
+        self.identity_index = self.groupoid.unit_arrow[0]
+        self._inv = self.groupoid.inverse
         gen_names = tuple(gens) if gens else tuple(
             n for i, n in enumerate(self.names) if i != self.identity_index)
         for n in gen_names:

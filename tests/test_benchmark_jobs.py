@@ -91,7 +91,7 @@ def test_enumerate_configurations_count_by_classes(slot, tmp_path, monkeypatch):
         pools = candidate_pool(d, params.mode, plan.windows)
         count, restrictions = _count_chunk(plan, pools, E)
         assert _count_classes(params, plan, E) == (count, len(restrictions))
-        assert _count_classes(params, plan, None) == (count, 0)
+        assert _count_classes(params, plan, ()) == (count, min(count, 1))
 
 
 def test_certify_jobs_match_golden(tmp_path, monkeypatch):

@@ -156,6 +156,14 @@ class TestCount:
         assert code == 2 and out == ""
         assert json.loads(err) == {"error": f"bad degree range {text!r}"}
 
+    @pytest.mark.parametrize("text", ["4,6..2", "6..2,4", "2..4,6..2..1"])
+    def test_empty_chunk_of_degree_range_refused(self, capsys, text):
+        # a chunk of no degree is refused, not dropped beside chunks that have some
+        code, out, err = run(capsys, "count", "--family", "zmod(2)", "--d", text,
+                             "--delta", "1/10")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {"error": "empty degree range"}
+
     def test_workers_flag_starts_no_process(self, capsys, monkeypatch):
         # the flag is parsed and checked, but every count runs in one
         # process: position 0 branches here, where --workers 2 used to fork
@@ -290,7 +298,7 @@ def r2_ha_params(letters):
 CAP_CHECKS = [
     (sofic, "DEFAULT_COUNT_CAP", lambda: sofic.count_SA(
         sofic.SAParams(sofic.BallSource(wordball.ball(wordball.CyclicGroup(2), 1)),
-                       Fraction(1, 2), 3), None)),
+                       Fraction(1, 2), 3), ())[0]),
     (wordball, "BALL_CAP", lambda: wordball.ball(wordball.parse_descriptor("z"), 2)),
     (sofic, "BALL_CAP", r2_ball),
     (sofic, "SUM_CAP", lambda: r2_ha_params(2).universe),
@@ -822,6 +830,28 @@ def test_scaling_suite_round_trips_each_corner_candidate_once(capsys, monkeypatc
                        "--d", "4", "--delta", "1/10", "--instances", "5")
     assert code == 0 and json.loads(out)["suites"]["scaling"]["instances"] == 5
     assert calls == [0]
+
+
+def test_table_source_builds_its_groupoid_once(capsys, tmp_path, monkeypatch):
+    # the groupoid TableGroup builds to check the group laws is the one
+    # verify runs on, so the O(m^3) associativity check runs once
+    monkeypatch.chdir(tmp_path)
+    Path("t.tbl").write_text("order 2\ntable\n0 1\n1 0\n")
+    calls = []
+    build = groupoid.group_groupoid
+
+    def counted(table):
+        calls.append(table)
+        return build(table)
+
+    monkeypatch.setattr(groupoid, "group_groupoid", counted)
+    monkeypatch.setattr(wordball, "group_groupoid", counted)
+    argv = ("verify", "--suite", "c1", "--d", "4", "--delta", "1/10")
+    code, out, _ = run(capsys, *argv, "--source", "table(t.tbl)")
+    assert code == 0 and len(calls) == 1
+    # it is the groupoid of zmod(2), whose own model gives the same suites
+    _, want, _ = run(capsys, *argv, "--source", "zmod(2)")
+    assert json.loads(out)["suites"] == json.loads(want)["suites"]
 
 
 class TestConstruct:
@@ -1387,7 +1417,7 @@ class TestHelpers:
         for text in ("2..", "..6", "a..b", "2..6..0", "2..4..6..8", "4,", "x"):
             with pytest.raises(cli.CliError, match=r"^bad degree range "):
                 parse_drange(text)
-        for text in ("2..6..-1", "6..2"):
+        for text in ("2..6..-1", "6..2", "4,6..2"):
             with pytest.raises(cli.CliError, match=r"^empty degree range$"):
                 parse_drange(text)
 

@@ -20,7 +20,6 @@ from soficdim.crossed import (
     delta0_squared,
     gap_below,
     ha_statistic,
-    ha_statistic_with_sa,
     verify_HA,
 )
 from soficdim.groupoid import (
@@ -328,8 +327,8 @@ class TestHAStatistic:
         model = CylinderModel(ctx, [Fraction(1)])
         delta = Fraction(1, 3)
         params = HAParams(model, delta, 2)
-        count, stat, sa_count = ha_statistic_with_sa(params, E=[0], Q=[0])
-        sa = count_SA(ctx.hypothesis_params(delta, 2), None)
+        count, stat, sa_count = ha_statistic(params, E=[0], Q=[0])
+        sa = count_SA(ctx.hypothesis_params(delta, 2), ())[0]
         # phi on the single point space is forced to the identity
         assert sa_count == sa
         assert count == sa
@@ -343,7 +342,7 @@ class TestHAStatistic:
         delta = Fraction(1, 3)
         params = HAParams(model, delta, 2)
         Q = [0, 1]
-        count, _, sa_count = ha_statistic_with_sa(params, E=[0], Q=Q)
+        count, _, sa_count = ha_statistic(params, E=[0], Q=Q)
         assert count >= 1
         assert count <= len(Q) ** 2 * sa_count
 
@@ -358,7 +357,7 @@ class TestHAStatistic:
         # shrink delta below 1/d on a 3-point space with a fair alphabet
         model2 = CylinderModel(ctx, FAIR)
         params2 = HAParams(model2, Fraction(1, 100), 3)
-        count, stat = ha_statistic(params2, E=[0], Q=[0])
+        count, stat, _ = ha_statistic(params2, E=[0], Q=[0])
         assert count == 0 and stat == float("-inf")
 
 

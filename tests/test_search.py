@@ -9,7 +9,7 @@ On instances small enough to enumerate in full, the members of
 ``itertools.product(pool, repeat=n_ball)`` that the oracle
 accepts, in the same order; the counts by conjugacy classes must equal
 those of the plain search, and the classes must partition the maps;
-``ha_statistic_with_sa`` must count
+``ha_statistic`` must count
 exactly the (sigma|_E, phi|_Q) pairs of the maps phi in
 ``itertools.product(pool, repeat=len(universe))`` that ``verify_HA``
 accepts; and every Monte Carlo trial must decide membership as the
@@ -31,7 +31,7 @@ from soficdim.crossed import (
     ProjectionUniverse,
     SqrtTol,
     gap_below,
-    ha_statistic_with_sa,
+    ha_statistic,
     verify_HA,
 )
 from soficdim.groupoid import (
@@ -216,8 +216,8 @@ def test_search_matches_brute_force(make):
         assert _count_chunk(plan, pools, E) == (len(want), restrictions)
         assert _count_classes(params, plan, E) == (len(want), len(restrictions))
         assert count_SA(params, E=E) == (len(want), len(restrictions))
-    assert _count_classes(params, plan, None) == (len(want), 0)
-    assert count_SA(params, None) == len(want)
+    assert _count_classes(params, plan, ()) == (len(want), min(len(want), 1))
+    assert count_SA(params, ())[0] == len(want)
 
 
 # -- the membership report --------------------------------------------------------
@@ -386,7 +386,7 @@ def test_maps_are_built_for_members_only(make, monkeypatch):
     init = pperm.PartialPermutation.__init__
     monkeypatch.setattr(pperm.PartialPermutation, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
-    count = count_SA(params, None)
+    count = count_SA(params, ())[0]
     assert count > 0 and built == []
     E = tuple(range(params.source.n_ball))
     assert count_SA(params, E=E)[0] == count
@@ -473,7 +473,7 @@ def test_class_sizes_per_window_match_the_pools(d, mode):
 def test_class_count_matches_closed_form(m, d):
     delta = Fraction(1, d + 1)
     params = family(f"zmod({m})", delta, d)
-    assert count_SA(params, None, cap=10 ** 20) == closed_form_count(m, d, delta)
+    assert count_SA(params, (), cap=10 ** 20)[0] == closed_form_count(m, d, delta)
 
 
 # count_SA splits at q, the first position of E whose window admits two or
@@ -525,7 +525,7 @@ def test_split_matches_plain_search(make, p, monkeypatch):
     for E in choices:
         restricted = len({tuple(images[i] for i in E) for images in members})
         assert count_SA(params, E=E) == (len(members), restricted), E
-    assert count_SA(params, None) == len(members)
+    assert count_SA(params, ())[0] == len(members)
     # the first index past the ball (a sum of a groupoid's closure), or a
     # negative index, is no ball position
     for E in ((nball,), (0, -1)):
@@ -685,7 +685,7 @@ HA_INSTANCES = (
 
 
 def brute_force_ha(params, E, Q):
-    """(pairs, sigma restrictions) of ``ha_statistic_with_sa``, from every
+    """(pairs, sigma restrictions) of ``ha_statistic``, from every
     map phi in the product of the pool whose four gaps in the
     ``verify_HA`` report lie below the tolerance.  Sigma's own gaps are
     left out: the statistic takes its sigmas at tolerance 1 for a
@@ -724,7 +724,7 @@ def test_ha_statistic_matches_brute_force(make, alphabet, d, delta):
     assert len(object_pool(d, "all")) ** len(params.universe) <= 5000
     E, Q = [0], list(range(len(alphabet)))
     pairs, sa_restrictions = brute_force_ha(params, E, Q)
-    count, _, sa_count = ha_statistic_with_sa(params, E, Q)
+    count, _, sa_count = ha_statistic(params, E, Q)
     assert (count, sa_count) == (len(pairs), len(sa_restrictions))
 
 
@@ -736,7 +736,7 @@ def test_ha_statistic_reads_sigma_in_model_ball_order(delta):
     params = HAParams(CylinderModel(one_arrow_context(), (Fraction(1),)), delta, 2)
     pairs, sa_restrictions = brute_force_ha(params, [0], [0])
     assert (len(pairs), len(sa_restrictions)) == (1, 1)
-    assert ha_statistic_with_sa(params, [0], [0])[::2] == (1, 1)
+    assert ha_statistic(params, [0], [0])[::2] == (1, 1)
 
 
 def test_ha_statistic_builds_phi_pools_alone(monkeypatch):
@@ -749,7 +749,7 @@ def test_ha_statistic_builds_phi_pools_alone(monkeypatch):
     monkeypatch.setattr(sofic, "candidate_pool",
                         lambda *args: calls.append((*args[:2], len(args[2]))) or pool(*args))
     params = HAParams(swap_model(FAIR), Fraction(1, 2), 2)
-    assert ha_statistic_with_sa(params, E=[0], Q=[0, 1])[::2] == (2, 1)
+    assert ha_statistic(params, E=[0], Q=[0, 1])[::2] == (2, 1)
     sigma_plan = sofic.SearchPlan(params.model.context.sigma_params(Fraction(1, 2), 2))
     assert calls == [(2, "all", len(params.universe)), (2, "all", len(sigma_plan.windows))]
 
@@ -768,8 +768,8 @@ def test_ha_statistic_builds_phi_pools_alone(monkeypatch):
         "swap-d2-1over100"])
 def test_ha_statistic_recorded(monkeypatch, make, d, delta, want):
     monkeypatch.setattr(crossed, "HA_CAP", 10 ** 15)
-    count, _, sa_count = ha_statistic_with_sa(HAParams(make(FAIR), delta, d),
-                                              E=[0], Q=[0, 1])
+    count, _, sa_count = ha_statistic(HAParams(make(FAIR), delta, d),
+                                      E=[0], Q=[0, 1])
     assert (count, sa_count) == want
 
 
