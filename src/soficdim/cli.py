@@ -430,7 +430,7 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
                   else PartialPermutation.empty(base) for b in src.ball_elements]
         sigma = SoficCandidate(base, images)
         res = scaling.expand_sigma(sigma, cd, n=EXPAND_N, delta=delta, seed=seed + i)
-        rr = scaling.restrict_sigma(res.candidate, cd, n=1, delta=delta)
+        rr = scaling.restrict_sigma(res.candidate, cd, delta=delta)
         all_pass &= res.report.is_member and rr.report.is_member
         worst = max(pperm.uniform_distance(sigma.images[src.position[b]],
                                            rr.candidate.images[j])
@@ -497,7 +497,7 @@ def cmd_construct(args) -> int:
                          "identity_image": res.candidate.images[ident].to_text(),
                          "certificate": res.report.to_json_dict()}
         if args.what == "restrict":
-            rr = scaling.restrict_sigma(res.candidate, cd, n=1, delta=delta)
+            rr = scaling.restrict_sigma(res.candidate, cd, delta=delta)
             doc["restrict"] = {"d_prime": rr.d_prime,
                                "delta_prime": float(rr.delta_prime),
                                "vacuous": rr.delta_prime > 1,

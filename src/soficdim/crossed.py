@@ -53,7 +53,7 @@ from .partitions import (
     SpanBasis,
 )
 from .pperm import PartialPermutation
-from .sofic import InfeasibleError, SoficCandidate
+from .sofic import InfeasibleError
 from .wordball import product_triples
 
 
@@ -141,10 +141,6 @@ class HACandidate:
     def __init__(self, member: ModelMember, phi):
         self.member = member
         self.phi = tuple(phi)
-
-    @property
-    def sigma(self) -> SoficCandidate:
-        return self.member.sigma
 
 
 @dataclass(frozen=True)
@@ -498,10 +494,12 @@ def ha_statistic(params: HAParams, E, Q) -> tuple[int, float, int]:
 
     E indexes positions of the model ball, Q letter blocks.  Enumeration
     is exhaustive over both halves; tiny instances only.  The members
-    sigma are enumerated first, over the context's ``sigma_params``; a
-    search space of phi candidates times their number above ``HA_CAP``,
-    as it reads when the call runs, then raises InfeasibleError.  A member lists its images in the order of the
-    model ball, which is the sigma source's ball, so sigma's padded and
+    sigma are enumerated first, over the context's ``sigma_params``.  A
+    search space of phi candidates above ``HA_CAP``, as it reads when
+    the call runs, raises InfeasibleError before any pool or member is
+    built, and so does that space times the number of members once they
+    are listed.  A member lists its images in the order of the model
+    ball, which is the sigma source's ball, so sigma's padded and
     inverse images are read from it directly.
 
     phi runs on ``sofic.search``, a closure element per position.  As
@@ -514,6 +512,9 @@ def ha_statistic(params: HAParams, E, Q) -> tuple[int, float, int]:
     uni = params.universe
     d = params.d
     delta = params.delta
+    space = sofic.pool_size(d, "all") ** len(uni)
+    if space > HA_CAP:
+        raise InfeasibleError("search space", space, "candidates", HA_CAP)
     sa_params = model.context.sigma_params(1 if isinstance(delta, SqrtTol) else delta, d)
     below = partial(gap_below, tol=delta)
     # (i): a trace window on each cylinder projection
@@ -522,7 +523,7 @@ def ha_statistic(params: HAParams, E, Q) -> tuple[int, float, int]:
     windows = sofic.fixed_windows(d, centres, below)
     pools = sofic.candidate_pool(d, "all", windows)
     sigma_members = list(sofic.iter_SA_members(sa_params))
-    space = sofic.pool_size(d, "all") ** len(uni) * max(len(sigma_members), 1)
+    space *= max(len(sigma_members), 1)
     if space > HA_CAP:
         raise InfeasibleError("search space", space, "candidates", HA_CAP)
     n, n_ball = len(uni), len(model.ball)

@@ -315,11 +315,11 @@ class RestrictResult:
     p_distance: Fraction  # |sigma(p) - p_B|
 
 
-def restrict_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
-                   delta) -> RestrictResult:
-    """Cut an ambient candidate down to the corner and verify it.
+def restrict_sigma(sigma: SoficCandidate, cd: CornerData, delta) -> RestrictResult:
+    """Cut an ambient candidate down to the radius-1 corner ball and
+    verify it there.
 
-    The candidate must cover the radius n+4 ball over the datum's
+    The candidate must cover the radius-5 ball over the datum's
     F_ambient and be a member there at delta, with
     d' = floor(h(p) d) > 1/delta.  The base set B starts from the fixed
     points of the image of p and is extended by the smallest absent
@@ -331,11 +331,11 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
     d_prime = int(h_p * d)
     if d_prime * delta <= 1:
         raise ValueError(f"d' = {d_prime} must exceed 1/delta = {1 / delta}")
-    amb_src = cd.ambient_source(n + 4)
+    amb_src = cd.ambient_source(5)
     rep = sofic.verify_membership(sigma, SAParams(amb_src, delta, d))
     if not rep.is_member:
         raise ValueError(
-            f"ambient candidate is not a member at radius {n + 4}: "
+            "ambient candidate is not a member at radius 5: "
             f"mult gap {rep.mult_gap}, trace gap {rep.trace_gap}")
 
     sig_p = sigma.images[amb_src.position[cd.p_ambient()]]
@@ -349,7 +349,7 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
     p_b = PartialPermutation.projection(d, B)
     p_distance = pperm.uniform_distance(sig_p, p_b)
 
-    corner_src = cd.corner_source(n)
+    corner_src = cd.corner_source(1)
     delta_prime = 20 * delta / h_p
     corner_params = SAParams(corner_src, delta_prime, d_prime)
 

@@ -35,19 +35,20 @@ tuples too, with the search's orthogonal sum and disagreement count.
 
 Both membership conditions are unchanged when every image is conjugated
 by one permutation of the points, so ``count_SA`` counts up to
-conjugacy.  At any position q the search takes one representative r of
-each conjugacy class in q's window (``conjugacy_classes``: cycle types,
-and in ``all`` mode cycle-and-chain types) and weighs the members it
-finds by the class size: the count is the sum over r of |class(r)|
-times the count with position q fixed to r, and with q in E the
-restricted count splits the same way.  q is the first position of E
-whose window admits two or more maps.  Where E has no such position, q
-is p, the first such position of the ball, and every member restricts
-to E alike.  A window that admits a single map admits a map that every
-conjugation fixes (the identity, or the empty map), so the positions
-before p take that map alone.  The others, q excepted, draw from one
-``candidate_pool`` pass over their own windows, so no pass over the
-maps is made when p is the last position.
+conjugacy, in one search.  At one position q the search draws from one
+representative r of each conjugacy class in q's window
+(``conjugacy_classes``: cycle types, and in ``all`` mode
+cycle-and-chain types) and weighs each member by the size of its
+representative's class: the count is the sum over r of |class(r)|
+times the count with position q fixed to r, and with q in E each
+restriction, which holds r, weighs |class(r)| too.  q is the first
+position of E whose window admits two or more maps.  Where E has no
+such position, q is p, the first such position of the ball (the last
+position if there is none), and every member restricts to E alike.  A window that admits a single map admits
+a map that every conjugation fixes (the identity, or the empty map), so
+the positions before p take that map alone.  The others, q excepted,
+draw from one ``candidate_pool`` pass over their own windows, so no
+pass over the maps is made when p is the last position.
 
 A seeded Monte Carlo estimator and a cycle-type closed form for cyclic
 groups extend the statistic beyond enumeration range.  The estimator
@@ -572,91 +573,72 @@ def iter_SA_members(params: SAParams):
         yield SoficCandidate(d, tuple(PartialPermutation(d, pad[1:]) for pad in slots[:n]))
 
 
-def _count_chunk(plan: SearchPlan, pools, positions):
-    """Member count and the set of members' restrictions to
-    ``positions`` (tuples of padded image tuples)."""
-    count = 0
-    restrictions = set()
-    for slots in plan.search(pools):
-        count += 1
-        restrictions.add(tuple(slots[i] for i in positions))
-    return count, restrictions
-
-
-def _count_classes(params: SAParams, plan: SearchPlan, positions):
-    """``(count, restricted count)`` by one search per conjugacy class
-    at q, each weighed by its class size.
-
-    p is the first position whose window admits two or more maps, and q
-    the first such position among ``positions``, or p where there is
-    none.  The positions before p take their one map each, which every
-    conjugation fixes, and the others, q excepted, draw from one
-    ``candidate_pool`` pass.  Where no position
-    of ``positions`` branches, every member has the same restriction,
-    so the restricted count is 1 if there are members.  The class
-    sizes find p and q, so no map is enumerated for either.
-    """
-    d, mode, windows = params.d, params.mode, plan.windows
-    before = []
-    for p, fixed in enumerate(windows):
-        split = conjugacy_classes(d, mode, fixed)
-        if sum(size for _, size in split) > 1:
-            break
-        before.append([pad for pad, _ in split])
-    else:  # no position branches
-        count, restrictions = _count_chunk(plan, before, positions)
-        return count, len(restrictions)
-    q, by = p, positions
-    if p not in positions:
-        by = ()
-        for t in range(p + 1, len(windows)):
-            if t in positions:
-                classes = conjugacy_classes(d, mode, windows[t])
-                if sum(size for _, size in classes) > 1:
-                    q, split, by = t, classes, positions
-                    break
-    rest = candidate_pool(d, mode, windows[p:q] + windows[q + 1:])
-    head, tail = [*before, *rest[:q - p]], rest[q - p:]
-    count = restricted = 0
-    for pad, size in split:
-        c, r = _count_chunk(plan, [*head, [pad], *tail], by)
-        count += size * c
-        restricted += size * len(r)
-    if not by:
-        restricted = min(count, 1)
-    return count, restricted
-
-
 # most candidates an exact count may search; ``count --cap`` overrides it
 DEFAULT_COUNT_CAP = 10 ** 8
 
 
 def count_SA(params: SAParams, E, cap=None):
-    """Exact number of members, by pruned exhaustive enumeration.
+    """``(count, restricted_count)``: the exact number of members and of
+    their distinct restrictions to E, by one pruned search weighed by
+    conjugacy class sizes.
 
     The search keeps, per ball position, only the candidates whose
     fixed-point count meets the trace condition, and rejects a triple
     at ceil(delta*d) disagreements, so it compares integers only.
-    E is a collection of ball positions, possibly empty, and the same
-    enumeration returns ``(count, restricted_count)``, where the
-    restricted count is the number of distinct restrictions of members
-    to E (at most 1 for the empty E).  Both are sums over the
-    conjugacy classes at one position (``_count_classes``).  A position
-    of E outside the ball, such as a sum of the closure, raises
-    ValueError.
+    E is a collection of ball positions, possibly empty (at most one
+    restriction then); a position outside the ball, such as a sum of
+    the closure, raises ValueError.
+
+    p is the first position whose window admits two or more maps (the
+    last position if none does), and q the first such position of E,
+    or p where there is none.  The positions before p take their one
+    map each, which every conjugation fixes, q takes one representative
+    per conjugacy class, and the others draw from one
+    ``candidate_pool`` pass.  Each member adds the class size of its
+    map at q to the count.  With q in E each restriction holds that
+    representative and weighs its class size; otherwise every member
+    restricts to E alike.  The class sizes find p and q, so no map is
+    enumerated for either.
 
     A search space above ``cap`` raises InfeasibleError.  With no
     ``cap`` the cap is ``DEFAULT_COUNT_CAP`` as it reads when the call
     runs; ``count --cap`` passes its value here.
     """
+    positions = tuple(E)
+    if not all(0 <= t < params.source.n_ball for t in positions):
+        raise ValueError(f"E {positions} holds positions outside the ball")
     space = search_space_size(params)
     cap = DEFAULT_COUNT_CAP if cap is None else cap
     if space > cap:
         raise InfeasibleError("search space", space, "candidates", cap)
-    positions = tuple(E)
-    if not all(0 <= t < params.source.n_ball for t in positions):
-        raise ValueError(f"E {positions} holds positions outside the ball")
-    return _count_classes(params, SearchPlan(params), positions)
+    plan = SearchPlan(params)
+    d, mode, windows = params.d, params.mode, plan.windows
+    pools = []
+    for p, fixed in enumerate(windows):
+        classes = conjugacy_classes(d, mode, fixed)
+        if sum(size for _, size in classes) > 1 or p == len(windows) - 1:
+            break
+        pools.append([pad for pad, _ in classes])
+    q, by = p, positions
+    if p not in positions:
+        by = ()
+        for t in range(p + 1, len(windows)):
+            if t in positions:
+                split = conjugacy_classes(d, mode, windows[t])
+                if sum(size for _, size in split) > 1:
+                    q, classes, by = t, split, positions
+                    break
+    weight = dict(classes)
+    rest = candidate_pool(d, mode, windows[p:q] + windows[q + 1:])
+    pools += [*rest[:q - p], list(weight), *rest[q - p:]]
+    count = 0
+    restrictions = set()
+    for slots in plan.search(pools):
+        count += weight[slots[q]]
+        restrictions.add(tuple(slots[i] for i in by))
+    if not by:
+        return count, min(count, 1)
+    return count, sum(weight[r[by.index(q)]] for r in restrictions)
 
 
 NEG_INF = float("-inf")

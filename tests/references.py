@@ -6,7 +6,8 @@ conjugate of a partial permutation by composition, and the scaling
 suite's dict by a round trip per instance.  ``one_arrow_context`` is the
 lemma context whose hypothesis ball lists its radius-n ball in another
 order, and ``groupoid_params`` the counting problem over a groupoid's
-radius-n bisection ball.  ``reference_system`` reduces words by one reducer per cyclic
+radius-n bisection ball, and ``plain_count`` its count by the plain
+search over given pools, without conjugacy classes.  ``reference_system`` reduces words by one reducer per cyclic
 family, the integers, a cyclic group and a free product of such
 factors merged on a stack.  ``rejected_state`` inverts the SplitMix64
 finalizer to place an output that rejection sampling must skip.
@@ -70,6 +71,18 @@ def one_arrow_context() -> LemmaContext:
 
 def groupoid_params(g, F, n: int, delta, d: int, mode: str = "") -> SAParams:
     return SAParams(GroupoidSource(g, F, n), Fraction(delta), d, mode=mode)
+
+
+def plain_count(plan, pools, positions) -> tuple[int, set]:
+    """Member count and the set of members' restrictions to
+    ``positions`` (tuples of padded image tuples) over
+    ``plan.search(pools)``."""
+    count = 0
+    restrictions = set()
+    for slots in plan.search(pools):
+        count += 1
+        restrictions.add(tuple(slots[i] for i in positions))
+    return count, restrictions
 
 
 def block_candidate(source, d: int) -> SoficCandidate:
@@ -154,7 +167,7 @@ def scaling_suite_every_instance(g, d: int, delta, seed: int, instances: int) ->
                   else PartialPermutation.empty(base) for b in src.ball_elements]
         sigma = SoficCandidate(base, images)
         res = scaling.expand_sigma(sigma, cd, n=cli.EXPAND_N, delta=delta, seed=seed + i)
-        rr = scaling.restrict_sigma(res.candidate, cd, n=1, delta=delta)
+        rr = scaling.restrict_sigma(res.candidate, cd, delta=delta)
         all_pass &= res.report.is_member and rr.report.is_member
         worst = max(pperm.uniform_distance(sigma.images[src.position[b]],
                                            rr.candidate.images[j])

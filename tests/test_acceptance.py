@@ -212,7 +212,7 @@ def test_criterion_8_scaling_round_trip():
             sigma = SoficCandidate(d, images)
             res = expand_sigma(sigma, cd, n=5, delta=delta, seed=i)
             assert res.report.is_member  # at delta' by construction of params
-            rr = restrict_sigma(res.candidate, cd, n=1, delta=delta)
+            rr = restrict_sigma(res.candidate, cd, delta=delta)
             assert rr.report.is_member
             assert rr.delta_prime == 20 * delta / cd.h_p
             pos0 = {b: j for j, b in enumerate(src.ball_elements)}

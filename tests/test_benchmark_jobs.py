@@ -24,13 +24,9 @@ import pytest
 
 from soficdim import cli
 from soficdim.groupoid import transitive_groupoid
-from soficdim.sofic import (
-    SAParams,
-    SearchPlan,
-    _count_chunk,
-    _count_classes,
-    candidate_pool,
-)
+from soficdim.sofic import SAParams, SearchPlan, candidate_pool, count_SA
+
+from references import plain_count
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,9 +85,9 @@ def test_enumerate_configurations_count_by_classes(slot, tmp_path, monkeypatch):
         params = SAParams(source, cli.parse_fraction(args.delta), d, args.mode or "")
         plan = SearchPlan(params)
         pools = candidate_pool(d, params.mode, plan.windows)
-        count, restrictions = _count_chunk(plan, pools, E)
-        assert _count_classes(params, plan, E) == (count, len(restrictions))
-        assert _count_classes(params, plan, ()) == (count, min(count, 1))
+        count, restrictions = plain_count(plan, pools, E)
+        assert count_SA(params, E, args.cap) == (count, len(restrictions))
+        assert count_SA(params, (), args.cap) == (count, min(count, 1))
 
 
 def test_certify_jobs_match_golden(tmp_path, monkeypatch):

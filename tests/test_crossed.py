@@ -496,7 +496,7 @@ def reference_verify_HA(cand, params):
     uni = params.universe
     tol = params.delta
     d = params.d
-    images = model.context.align(cand.sigma)
+    images = model.context.align(cand.member.sigma)
     sp = model.context.sigma_params(1, d)
     rep = verify_membership(SoficCandidate(d, images), sp)
     sigma_ok = (gap_below(rep.mult_gap, tol) and gap_below(rep.trace_gap, tol)

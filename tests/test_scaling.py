@@ -173,7 +173,7 @@ class TestExpand:
         assert [conjugate(s, pi) for s in one.candidate.images] == list(
             other.candidate.images)
         assert one.report == other.report
-        back, back_other = (restrict_sigma(res.candidate, cd, n=1, delta=delta)
+        back, back_other = (restrict_sigma(res.candidate, cd, delta=delta)
                             for res in (one, other))
         assert back.candidate == back_other.candidate
         assert back.report == back_other.report
@@ -227,7 +227,7 @@ class TestRestrict:
         src = GroupoidSource(cd.ambient, cd.F_ambient, 5)
         d = 10
         sigma = block_candidate(src, d)
-        rr = restrict_sigma(sigma, cd, n=1, delta=Fraction(1, 4))
+        rr = restrict_sigma(sigma, cd, delta=Fraction(1, 4))
         assert rr.report.is_member
         assert rr.report.mult_gap == 0 and rr.report.trace_gap == 0
         assert rr.d_prime == 5
@@ -237,7 +237,7 @@ class TestRestrict:
         src = GroupoidSource(cd.ambient, cd.F_ambient, 5)
         sigma = block_candidate(src, 4)
         with pytest.raises(ValueError):
-            restrict_sigma(sigma, cd, n=1, delta=Fraction(1, 10))
+            restrict_sigma(sigma, cd, delta=Fraction(1, 10))
 
     def test_round_trip_recovers_near_exact_input(self):
         cd = r2_corner()
@@ -246,7 +246,7 @@ class TestRestrict:
         sigma, src = corner_projection_candidate(cd, d, missing=(3,))
         res = expand_sigma(sigma, cd, n=5, delta=delta, seed=0)
         assert res.report.is_member
-        rr = restrict_sigma(res.candidate, cd, n=1, delta=delta)
+        rr = restrict_sigma(res.candidate, cd, delta=delta)
         assert rr.report.is_member
         assert rr.delta_prime == 20 * delta / cd.h_p
         pos0 = {b: i for i, b in enumerate(src.ball_elements)}
@@ -273,7 +273,7 @@ class TestRestrict:
         results = []
         for seed in range(3):
             res = expand_sigma(sigma, cd, n=5, delta=delta, seed=seed)
-            rr = restrict_sigma(res.candidate, cd, n=1, delta=delta)
+            rr = restrict_sigma(res.candidate, cd, delta=delta)
             results.append((res.report, rr.report, rr.candidate))
         # corner at 4n+5 = 25, ambient at 5 (both steps), corner at 1
         assert sorted(builds) == [(False, 1), (False, 25), (True, 5)]
@@ -282,7 +282,7 @@ class TestRestrict:
             fresh = r2_corner()
             sigma, _ = corner_projection_candidate(fresh, 20, missing=(3,))
             res = expand_sigma(sigma, fresh, n=5, delta=delta, seed=seed)
-            rr = restrict_sigma(res.candidate, fresh, n=1, delta=delta)
+            rr = restrict_sigma(res.candidate, fresh, delta=delta)
             assert (res.report, rr.report, rr.candidate) == want
 
 

@@ -49,8 +49,6 @@ from soficdim.sofic import (
     OverlapError,
     SearchPlan,
     SoficCandidate,
-    _count_chunk,
-    _count_classes,
     ball_params,
     candidate_pool,
     closed_form_count,
@@ -64,7 +62,7 @@ from soficdim.sofic import (
 )
 from soficdim.wordball import ball, parse_descriptor
 
-from references import groupoid_params, one_arrow_context
+from references import groupoid_params, one_arrow_context, plain_count
 
 FAIR = (Fraction(1, 2), Fraction(1, 2))
 
@@ -213,11 +211,9 @@ def test_search_matches_brute_force(make):
         choices += [(p,), tuple(t for t in everywhere if t != p)]
     for E in choices:
         restrictions = {tuple((0,) + images[i].images for i in E) for images in want}
-        assert _count_chunk(plan, pools, E) == (len(want), restrictions)
-        assert _count_classes(params, plan, E) == (len(want), len(restrictions))
+        assert plain_count(plan, pools, E) == (len(want), restrictions)
         assert count_SA(params, E=E) == (len(want), len(restrictions))
-    assert _count_classes(params, plan, ()) == (len(want), min(len(want), 1))
-    assert count_SA(params, ())[0] == len(want)
+    assert count_SA(params, ()) == (len(want), min(len(want), 1))
 
 
 # -- the membership report --------------------------------------------------------
@@ -509,31 +505,38 @@ def test_split_matches_plain_search(make, p, monkeypatch):
     if len(object_pool(d, params.mode)) ** nball <= 2000:
         assert [tuple((0,) + s.images for s in images) for images in
                 brute_force(params, object_pool(d, params.mode))] == members
-    # every search count_SA runs fixes one branching position to one map
+    # each count_SA call runs one search, whose pool at a branching
+    # position holds one map per conjugacy class there
     searched = []
-    chunk = sofic._count_chunk
+    search = SearchPlan.search
 
-    def recorded(plan, split, positions):
+    def recorded(plan, split):
         searched.append([len(pool) for pool in split])
-        return chunk(plan, split, positions)
+        return search(plan, split)
 
-    monkeypatch.setattr(sofic, "_count_chunk", recorded)
+    monkeypatch.setattr(SearchPlan, "search", recorded)
+    classes = [len(conjugacy_classes(d, params.mode, fixed)) for fixed in plan.windows]
     everywhere = tuple(range(nball))
     choices = [everywhere, tuple(t for t in everywhere if len(pools[t]) == 1)]
     for size in range(3):
         choices += itertools.combinations(everywhere, size)
     for E in choices:
         restricted = len({tuple(images[i] for i in E) for images in members})
+        calls = len(searched)
         assert count_SA(params, E=E) == (len(members), restricted), E
-    assert count_SA(params, ())[0] == len(members)
+        assert len(searched) == calls + 1
+        assert any(len(pool) > got == n for pool, got, n in zip(pools, searched[-1], classes))
+    assert count_SA(params, ()) == (len(members), min(len(members), 1))
     # the first index past the ball (a sum of a groupoid's closure), or a
     # negative index, is no ball position
+    calls = len(searched)
     for E in ((nball,), (0, -1)):
         with pytest.raises(ValueError, match="outside the ball"):
             count_SA(params, E=E)
-    assert searched and all(
-        any(len(pool) > 1 and got == 1 for pool, got in zip(pools, sizes))
-        for sizes in searched)
+        # E is checked before the cap
+        with pytest.raises(ValueError, match="outside the ball"):
+            count_SA(params, E=E, cap=0)
+    assert len(searched) == calls
 
 
 # -- Monte Carlo trials ----------------------------------------------------------
@@ -752,6 +755,31 @@ def test_ha_statistic_builds_phi_pools_alone(monkeypatch):
     assert ha_statistic(params, E=[0], Q=[0, 1])[::2] == (2, 1)
     sigma_plan = sofic.SearchPlan(params.model.context.sigma_params(Fraction(1, 2), 2))
     assert calls == [(2, "all", len(params.universe)), (2, "all", len(sigma_plan.windows))]
+
+
+def test_ha_cap_refuses_before_building_pools_or_members(monkeypatch):
+    # 7^15 maps phi of the swap model's 15 closure elements at d = 2 pass
+    # HA_CAP alone, so neither the phi pools nor the members are made
+    def unreachable(*args):
+        raise AssertionError("a refused call built a pool or listed members")
+
+    monkeypatch.setattr(sofic, "candidate_pool", unreachable)
+    monkeypatch.setattr(sofic, "iter_SA_members", unreachable)
+    params = HAParams(swap_model(FAIR), Fraction(1, 2), 2)
+    with pytest.raises(sofic.InfeasibleError,
+                       match=r"^search space of 4747561509943 candidates exceeds cap 10000000$"):
+        ha_statistic(params, E=[0], Q=[0, 1])
+
+
+def test_ha_cap_weighs_the_members_once_listed(monkeypatch):
+    # 34^3 maps phi pass a cap of 34^3; times the 4 members, they do not
+    params = HAParams(point_model(FAIR), Fraction(1, 2), 3)
+    monkeypatch.setattr(crossed, "HA_CAP", 34 ** 3)
+    with pytest.raises(sofic.InfeasibleError,
+                       match=r"^search space of 157216 candidates exceeds cap 39304$"):
+        ha_statistic(params, E=[0], Q=[0, 1])
+    monkeypatch.setattr(crossed, "HA_CAP", 4 * 34 ** 3)
+    assert ha_statistic(params, E=[0], Q=[0, 1])[::2] == (576, 4)
 
 
 # recorded from the enumeration the pruned search replaced, beyond brute force
