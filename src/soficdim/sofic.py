@@ -44,11 +44,12 @@ times the count with position q fixed to r, and with q in E each
 restriction, which holds r, weighs |class(r)| too.  q is the first
 position of E whose window admits two or more maps.  Where E has no
 such position, q is p, the first such position of the ball (the last
-position if there is none), and every member restricts to E alike.  A window that admits a single map admits
-a map that every conjugation fixes (the identity, or the empty map), so
-the positions before p take that map alone.  The others, q excepted,
-draw from one ``candidate_pool`` pass over their own windows, so no
-pass over the maps is made when p is the last position.
+position if there is none), and every member restricts to E alike.  A
+window that admits a single map admits a map that every conjugation
+fixes (the identity, or the empty map), so the positions before p take
+that map alone.  The others, q excepted, draw from one
+``candidate_pool`` pass over their own windows, so no pass over the
+maps is made when p is the last position.
 
 A seeded Monte Carlo estimator and a cycle-type closed form for cyclic
 groups extend the statistic beyond enumeration range.  The estimator
@@ -619,14 +620,13 @@ def count_SA(params: SAParams, E, cap=None):
         if sum(size for _, size in classes) > 1 or p == len(windows) - 1:
             break
         pools.append([pad for pad, _ in classes])
-    q, by = p, positions
+    q = p
     if p not in positions:
-        by = ()
         for t in range(p + 1, len(windows)):
             if t in positions:
                 split = conjugacy_classes(d, mode, windows[t])
                 if sum(size for _, size in split) > 1:
-                    q, classes, by = t, split, positions
+                    q, classes = t, split
                     break
     weight = dict(classes)
     rest = candidate_pool(d, mode, windows[p:q] + windows[q + 1:])
@@ -635,10 +635,10 @@ def count_SA(params: SAParams, E, cap=None):
     restrictions = set()
     for slots in plan.search(pools):
         count += weight[slots[q]]
-        restrictions.add(tuple(slots[i] for i in by))
-    if not by:
+        restrictions.add(tuple(slots[i] for i in positions))
+    if q not in positions:  # every member restricts to E alike
         return count, min(count, 1)
-    return count, sum(weight[r[by.index(q)]] for r in restrictions)
+    return count, sum(weight[r[positions.index(q)]] for r in restrictions)
 
 
 NEG_INF = float("-inf")

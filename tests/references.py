@@ -6,11 +6,12 @@ conjugate of a partial permutation by composition, and the scaling
 suite's dict by a round trip per instance.  ``one_arrow_context`` is the
 lemma context whose hypothesis ball lists its radius-n ball in another
 order, and ``groupoid_params`` the counting problem over a groupoid's
-radius-n bisection ball, and ``plain_count`` its count by the plain
-search over given pools, without conjugacy classes.  ``reference_system`` reduces words by one reducer per cyclic
-family, the integers, a cyclic group and a free product of such
-factors merged on a stack.  ``rejected_state`` inverts the SplitMix64
-finalizer to place an output that rejection sampling must skip.
+radius-n bisection ball; ``plain_count`` counts by the plain search
+over given pools, without conjugacy classes.  ``reference_system``
+reduces words by one reducer per cyclic family, the integers, a cyclic
+group and a free product of such factors merged on a stack.
+``rejected_state`` inverts the SplitMix64 finalizer to place an output
+that rejection sampling must skip.
 """
 
 from fractions import Fraction
