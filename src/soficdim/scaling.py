@@ -319,8 +319,8 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, delta) -> RestrictResu
     """Cut an ambient candidate down to the radius-1 corner ball and
     verify it there.
 
-    The candidate must cover the radius-5 ball over the datum's
-    F_ambient and be a member there at delta, with
+    The candidate must cover the radius-5 ball (the corner radius plus
+    4) over the datum's F_ambient and be a member there at delta, with
     d' = floor(h(p) d) > 1/delta.  The base set B starts from the fixed
     points of the image of p and is extended by the smallest absent
     indices or shrunk by its smallest members to exactly d' points.
