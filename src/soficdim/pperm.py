@@ -22,7 +22,8 @@ from itertools import combinations, permutations
 from math import comb, factorial
 from operator import eq, itemgetter
 
-from .rng import _GOLDEN, _MASK, SplitMix64, mix64, partial_shuffle, rejection_limits
+from .rng import (_GOLDEN, _MASK, SplitMix64, mix64, mix64_each, partial_shuffle,
+                  rejection_limits)
 
 
 class OverlapError(ValueError):
@@ -400,6 +401,37 @@ def random_images(d: int, total: bool, lo: int, hi: int, state: int):
     for x, y in zip(dom, ran):  # points 0..d-1 of the shuffle are 1..d
         images[x + 1] = y + 1
     return tuple(images), s
+
+
+def screen_states(d: int, total: bool, lo: int, hi: int, states: list) -> list:
+    """The states, for 0 <= lo <= d, whose draw ``random_images(d,
+    total, lo, hi, state)`` its first output u = ``mix64(state)`` does
+    not already reject; every state left out draws None.
+
+    u rejects the draw when the window is empty (hi < lo); in ``all``
+    mode when it sets a domain size k < lo, that is u * size <
+    bounds[lo - 1], or u < ceil(bounds[lo - 1] / size) (``_draw_plan``);
+    and in ``total`` mode at d >= 2 when it is accepted at bound d (u <
+    limits[d]) and the first Fisher-Yates step leaves point d unfixed
+    (u % d != d - 1) while lo = d, or fixes it while hi = 0.  A rejected
+    u decides nothing, since the step reads the next output.  The
+    outputs are computed in lanes (``rng.mix64_each``), and only where
+    some u can decide the draw.
+    """
+    if hi < lo:
+        return []
+    limits, _, bounds, size = _draw_plan(d)
+    if not total:
+        if lo == 0:
+            return states
+        low = -(-bounds[lo - 1] // size)
+        return [s for s, u in zip(states, mix64_each(states)) if u >= low]
+    if d < 2 or (lo < d and hi > 0):
+        return states
+    limit, last, identity = limits[d], d - 1, lo == d
+    # the identity window keeps a fixed point d, hi = 0 an unfixed one
+    return [s for s, u in zip(states, mix64_each(states))
+            if u >= limit or (u % d == last) == identity]
 
 
 def random_permutation(d: int, rng: SplitMix64) -> PartialPermutation:

@@ -11,9 +11,13 @@ by index (one substream per Monte Carlo trial, per sweep instance, ...).
 A substream's start state is a pure function of (seed, index), so
 ``SplitMix64.spawn_states`` computes the states of a block of
 consecutive indices at once, with a few operations on one large
-integer that holds each index in a lane of its own.  Monte Carlo
+integer that holds each index in a lane of its own (``mix64_each``).
+The same lanes give the first output of every state of a block,
+``mix64(state)``, from which ``pperm.screen_states`` drops, for the
+whole block at once, each Monte Carlo trial whose first draw that
+output alone already rejects.  Monte Carlo
 counting, bound by this module (``perfbench``'s ``sample`` workload),
-runs each trial on such a bare state: ``pperm.random_images`` takes a
+runs each other trial on such a bare state: ``pperm.random_images`` takes a
 state and returns the state after its draws, the stream that the
 ``SplitMix64`` methods of the same draws consume.  It and
 ``SplitMix64.choose_sorted`` run their subset draws through one loop,
@@ -65,6 +69,23 @@ def _mix64_lanes(x: int, golden: int, low: int) -> int:
     z = ((z ^ (z >> 30)) & low) * 0xBF58476D1CE4E5B9 & low
     z = ((z ^ (z >> 27)) & low) * 0x94D049BB133111EB & low
     return (z ^ (z >> 31)) & low
+
+
+def mix64_each(values, *keys) -> list[int]:
+    """``[mix64(x) for x in values]`` for values in [0, 2^64), then, for
+    each key in turn, every result z replaced by ``mix64(key ^ z)``.
+
+    Each value takes one 64-bit lane in a 128-bit slot of a single
+    integer (``_mix64_lanes``), so every ``mix64`` round and every xor
+    runs once over all of them.
+    """
+    lanes = "<" + "Q8x" * len(values)
+    ones = int.from_bytes((b"\x01" + bytes(15)) * len(values), "little")
+    golden, low = _GOLDEN * ones, _MASK * ones
+    z = _mix64_lanes(int.from_bytes(struct.pack(lanes, *values), "little"), golden, low)
+    for key in keys:
+        z = _mix64_lanes(z ^ key * ones, golden, low)
+    return list(struct.unpack(lanes, z.to_bytes(16 * len(values), "little")))
 
 
 @lru_cache(maxsize=64)
@@ -137,19 +158,9 @@ class SplitMix64:
 
     def spawn_states(self, start: int, count: int) -> list[int]:
         """``[self.spawn(t)._state for t in range(start, start + count)]``
-        for 0 <= start and start + count <= 2^64.
-
-        Each t takes one 64-bit lane in a 128-bit slot of a single
-        integer (``_mix64_lanes``), so both ``mix64`` rounds and the
-        seed's xor run once over the whole block.
-        """
-        lanes = "<" + "Q8x" * count
-        ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
-        golden, low = _GOLDEN * ones, _MASK * ones
-        x = int.from_bytes(struct.pack(lanes, *range(start, start + count)), "little")
-        z = _mix64_lanes(x, golden, low) ^ self.seed * ones
-        z = _mix64_lanes(z, golden, low)
-        return list(struct.unpack(lanes, z.to_bytes(16 * count, "little")))
+        for 0 <= start and start + count <= 2^64: both ``mix64`` rounds
+        and the seed's xor run in lanes (``mix64_each``)."""
+        return mix64_each(range(start, start + count), self.seed)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection; exact, no modulo bias."""

@@ -56,10 +56,14 @@ groups extend the statistic beyond enumeration range.  The estimator
 decides each trial with the same integer test: a trial stops part-way
 through its first draw whose fixed-point count cannot lie in its trace
 window, and otherwise runs the search's checks (``_admissible``) as
-each image lands, stopping at the first that fails.  Each trial draws
-from its own substream of the seed, so stopping early changes no other
-trial's draws and the hits are those of drawing every image and asking
-``verify_membership``.
+each image lands, stopping at the first that fails.  Position 0 is
+decided for a whole block of trials at once where the rule allows: the
+first output of every trial, computed in lanes, drops each trial whose
+first draw that output alone rejects (``pperm.screen_states``), and
+every other trial runs from its start state.  Each trial draws from
+its own substream of the seed, so stopping early, or before the first
+draw, changes no other trial's draws and the hits are those of drawing
+every image and asking ``verify_membership``.
 """
 
 from __future__ import annotations
@@ -680,14 +684,18 @@ def monte_carlo_count(params: SAParams, trials: int, seed: int) -> tuple[float, 
     uniformly from the candidate pool, from the substream
     ``SplitMix64(seed).spawn(t)``.  The trials run on bare integer
     states, in blocks of ``MC_BLOCK`` whose start states
-    ``spawn_states`` computes at once.  A trial decides membership with the
-    integer test of ``count_SA``: ``pperm.random_images`` stops a draw,
-    part-way, as soon as its fixed-point count cannot lie in its
-    position's trace window, and as each image lands the trial runs the
-    checks of the search plan that its position completes, the sums
-    (an overlap rejecting) and the triples.  The first failure ends the
-    trial.  As each trial owns its substream, the draws a stopped trial
-    skips change no other trial, and a draw that lands in its window
+    ``spawn_states`` computes at once.  ``pperm.screen_states`` then
+    drops each trial of the block whose first output, ``mix64`` of its
+    state computed in lanes for the whole block, already rejects its
+    draw at position 0, and the others run from their start states.  A
+    trial decides membership with the integer test of ``count_SA``:
+    ``pperm.random_images`` stops a draw, part-way, as soon as its
+    fixed-point count cannot lie in its position's trace window, and as
+    each image lands the trial runs the checks of the search plan that
+    its position completes, the sums (an overlap rejecting) and the
+    triples.  The first failure ends the trial.  As each trial owns its
+    substream, the draws a stopped or dropped trial skips change no
+    other trial, and a draw that lands in its window
     equals the full draw, so the hits equal those of drawing every
     image in full and asking ``verify_membership``, which checks one
     candidate with the same orthogonal sum and disagreement count.
@@ -714,10 +722,12 @@ def monte_carlo_count(params: SAParams, trials: int, seed: int) -> tuple[float, 
                for t, fixed in enumerate(plan.windows)]
     slots: list = [None] * plan.n_universe
     draw = pperm.random_images
+    _, lo0, hi0, _ = windows[0]
     base = SplitMix64(seed)
     hits = 0
     for start in range(0, trials, MC_BLOCK):
-        for state in base.spawn_states(start, min(MC_BLOCK, trials - start)):
+        states = base.spawn_states(start, min(MC_BLOCK, trials - start))
+        for state in pperm.screen_states(d, total, lo0, hi0, states):
             for t, lo, hi, checked in windows:
                 slots[t], state = draw(d, total, lo, hi, state)
                 if slots[t] is None or (checked and not _admissible(

@@ -10,11 +10,14 @@ radius-n bisection ball; ``plain_count`` counts by the plain search
 over given pools, without conjugacy classes.  ``reference_system``
 reduces words by one reducer per cyclic family, the integers, a cyclic
 group and a free product of such factors merged on a stack.
-``rejected_state`` inverts the SplitMix64 finalizer to place an output
-that rejection sampling must skip.
+``state_with_output`` inverts the SplitMix64 finalizer to place a given
+output in a stream, such as one that rejection sampling must skip
+(``rejected_state``), and ``first_output_rejects`` reads, from the
+definition of a draw, whether its first output alone rejects it.
 """
 
 from fractions import Fraction
+from math import comb, factorial
 
 from soficdim import cli, pperm, scaling
 from soficdim.groupoid import PartialBisection, transitive_groupoid
@@ -37,17 +40,46 @@ def _unshift(y: int, shift: int) -> int:
     return x
 
 
+def state_with_output(u: int, j: int) -> int:
+    """A state whose j-th ``next64`` output (from 0) is u: the preimage
+    of u under ``rng.mix64``, each step of the finalizer undone in
+    reverse, less j increments."""
+    z = _unshift(u, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK
+    z = _unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK
+    return (_unshift(z, 30) - (j + 1) * _GOLDEN) & _MASK
+
+
 def rejected_state(j: int) -> int:
     """A state whose j-th ``next64`` output (from 0) is 2^64 - 1.
 
     That output lies at or above the rejection limit 2^64 - 2^64 mod m
     of every bound m that is not a power of two, so ``below(m)`` skips
-    it.  The state is the preimage of 2^64 - 1 under ``rng.mix64``, each
-    step of the finalizer undone in reverse, less j increments.
+    it.
     """
-    z = _unshift(_MASK, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK
-    z = _unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK
-    return (_unshift(z, 30) - (j + 1) * _GOLDEN) & _MASK
+    return state_with_output(_MASK, j)
+
+
+def first_output_rejects(u: int, d: int, total: bool, lo: int, hi: int) -> bool:
+    """Whether the first output u of a stream alone rejects a draw of
+    degree d whose fixed-point count must lie in lo..hi.
+
+    No count lies in an empty window.  A partial map's u picks domain
+    size k by u / 2^64 < (maps of domain size at most k) / (all maps),
+    and a domain smaller than lo fixes too few points.  A permutation's
+    first Fisher-Yates step, when u lies below the rejection limit of
+    bound d >= 2, swaps point d with point u % d + 1: point d stays
+    fixed only when u % d = d - 1, which the window {0} forbids, and the
+    d - 1 points left cannot reach lo = d without it.
+    """
+    if hi < lo:
+        return True
+    if not total:
+        below_lo = sum(comb(d, k) ** 2 * factorial(k) for k in range(lo))
+        all_maps = sum(comb(d, k) ** 2 * factorial(k) for k in range(d + 1))
+        return u * all_maps < below_lo << 64
+    if d < 2 or u >= (1 << 64) - (1 << 64) % d:
+        return False
+    return hi == 0 if u % d == d - 1 else lo == d
 
 
 def outputs_between(state: int, after: int) -> int:

@@ -24,7 +24,8 @@ from soficdim.pperm import (
 )
 from soficdim.rng import SplitMix64
 
-from references import conjugate, outputs_between, rejected_state
+from references import (conjugate, first_output_rejects, outputs_between, rejected_state,
+                        state_with_output)
 
 
 def P(text):
@@ -375,6 +376,35 @@ class TestSampling:
                 else:
                     assert images is None
         assert skipped > 0
+
+    @pytest.mark.parametrize("total", [True, False], ids=["perms", "all"])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_screen_drops_a_state_where_its_first_output_decides_the_draw(
+            self, d, total):
+        # first outputs at the boundaries of the rule: T - 1 and T for each
+        # domain-size threshold T, the bound-d rejection limit L and L - 1,
+        # L - 2 (= d - 1 and d - 2 mod d), d - 1, d - 2 and 2^64 - 1
+        limit = 2 ** 64 - 2 ** 64 % d
+        below = itertools.accumulate(math.comb(d, k) ** 2 * math.factorial(k)
+                                     for k in range(d))
+        thresholds = [-(-(c << 64) // monoid_size(d)) for c in below]
+        outputs = sorted({u for u in [t + e for t in thresholds for e in (-1, 0)]
+                          + [limit, limit - 1, limit - 2, d - 1, d - 2, 2 ** 64 - 1]
+                          if 0 <= u < 2 ** 64})
+        states = [state_with_output(u, 0) for u in outputs]
+        windows = [(lo, hi) for lo in range(d + 1) for hi in range(lo, d + 1)] + [(1, 0)]
+        dropped = 0
+        for lo, hi in windows:
+            kept = pperm.screen_states(d, total, lo, hi, states)
+            # the screen is the rule, and drops only draws that are None
+            assert kept == [s for s, u in zip(states, outputs)
+                            if not first_output_rejects(u, d, total, lo, hi)]
+            for s in set(states) - set(kept):
+                assert pperm.random_images(d, total, lo, hi, s)[0] is None
+            if lo <= hi:
+                dropped += len(states) - len(kept)
+        # a permutation of degree 1 draws no output
+        assert dropped > 0 or total and d == 1
 
     @pytest.mark.parametrize("total,full", FULL_DRAWS, ids=["perms", "all"])
     def test_wrappers_reproduce_the_full_draws(self, total, full):

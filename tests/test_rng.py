@@ -5,7 +5,7 @@ import pytest
 
 from soficdim import pperm
 from soficdim.partitions import random_partition
-from soficdim.rng import SplitMix64
+from soficdim.rng import SplitMix64, mix64, mix64_each
 
 from references import outputs_between, rejected_state
 
@@ -182,3 +182,11 @@ def test_recorded_partitions():
     assert len(out) == 36000
     assert hashlib.sha256(repr(out).encode()).hexdigest() == (
         "9b157591930b857cf55fdc2f8d9308cb9615f43420d885561c32187aba79710f")
+
+
+def test_lanes_are_mix64_of_each_value():
+    rest = [SplitMix64(3).spawn(t)._state for t in range(1023)]
+    for count in (0, 1, 1023, 1024, 1025):
+        for ends in ([0, 2 ** 64 - 1], [2 ** 64 - 1, 0]):
+            values = (ends + rest)[:count]
+            assert mix64_each(values) == [mix64(x) for x in values]

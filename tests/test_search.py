@@ -62,7 +62,8 @@ from soficdim.sofic import (
 )
 from soficdim.wordball import ball, parse_descriptor
 
-from references import groupoid_params, one_arrow_context, plain_count
+from references import (first_output_rejects, groupoid_params, one_arrow_context,
+                        plain_count)
 
 FAIR = (Fraction(1, 2), Fraction(1, 2))
 
@@ -599,18 +600,22 @@ def test_mc_trials_decide_like_verify_membership(make, d, mode, outcomes,
                                                  monkeypatch):
     # a one-trial run with seed s is the trial SplitMix64(s).spawn(0);
     # drawing every image from that substream gives the reference verdict;
-    # the trial calls the windowed draw once per ball position it reaches
-    # and stops at the first position whose window or completed check fails
+    # a trial whose first output decides position 0 makes no windowed
+    # draw; any other calls it once per ball position it reaches and
+    # stops at the first position whose window or completed check fails
     draw = mc_draw(mode)
     windowed = pperm.random_images
     drawn = []
     monkeypatch.setattr(pperm, "random_images",
                         lambda d, *rest: drawn.append(d) or windowed(d, *rest))
     seen = set()
+    decided_trials = 0
     for delta in mc_deltas(d):
         params = make(delta, d, mode)
         source = params.source
         space = float(search_space_size(params))
+        window = [k for k in range(d + 1) if abs(Fraction(k, d) - source.taus[0]) < delta]
+        lo, hi = min(window, default=1), max(window, default=0)
         for seed in range(100):
             rng = SplitMix64(seed).spawn(0)
             images = [draw(d, rng) for _ in range(source.n_ball)]
@@ -622,9 +627,16 @@ def test_mc_trials_decide_like_verify_membership(make, d, mode, outcomes,
             drawn.clear()
             estimate, _ = monte_carlo_count(params, 1, seed)
             assert estimate == (space if member else 0.0)
-            assert len(drawn) == (source.n_ball if first is None else first + 1)
+            decided = first_output_rejects(
+                SplitMix64(seed).spawn(0).next64(), d, mode == "perms", lo, hi)
+            if decided:
+                assert first == 0
+                decided_trials += 1
+            assert len(drawn) == (0 if decided else source.n_ball if first is None
+                                  else first + 1)
             seen.add("stopped" if outside else "member" if member else "rejected")
     assert seen == outcomes
+    assert decided_trials > 0
 
 
 def full_draw_estimate(params, trials, seed):
@@ -656,6 +668,20 @@ def test_mc_estimate_matches_the_full_draw_loop(make, d, mode, trials):
         params = make(delta, d, mode)
         assert (monte_carlo_count(params, trials, 11)
                 == full_draw_estimate(params, trials, 11))
+
+
+@pytest.mark.parametrize("make,d,mode,outcomes", MC_CASES, ids=MC_IDS)
+def test_mc_estimate_does_not_depend_on_the_block_size(make, d, mode, outcomes,
+                                                       monkeypatch):
+    # 150 trials in blocks of 1 and of 7 substream states: every block
+    # past the first is screened and drawn as the first is
+    for delta in mc_deltas(d):
+        params = make(delta, d, mode)
+        want = monte_carlo_count(params, 150, 5)
+        for block in (1, 7):
+            monkeypatch.setattr(sofic, "MC_BLOCK", block)
+            assert monte_carlo_count(params, 150, 5) == want
+        monkeypatch.undo()
 
 
 # -- the joint (sigma, phi) enumeration -----------------------------------------
