@@ -71,6 +71,15 @@ def _mix64_lanes(x: int, golden: int, low: int) -> int:
     return (z ^ (z >> 31)) & low
 
 
+@lru_cache(maxsize=8)
+def _lanes(count: int) -> tuple:
+    """The layout of ``count`` lanes, one 64-bit value and 8 zero bytes
+    each, and the integers holding 1, the golden-ratio increment and
+    2^64 - 1 in every lane."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * count, "little")
+    return struct.Struct("<" + "Q8x" * count), ones, _GOLDEN * ones, _MASK * ones
+
+
 def mix64_each(values, *keys) -> list[int]:
     """``[mix64(x) for x in values]`` for values in [0, 2^64), then, for
     each key in turn, every result z replaced by ``mix64(key ^ z)``.
@@ -79,13 +88,11 @@ def mix64_each(values, *keys) -> list[int]:
     integer (``_mix64_lanes``), so every ``mix64`` round and every xor
     runs once over all of them.
     """
-    lanes = "<" + "Q8x" * len(values)
-    ones = int.from_bytes((b"\x01" + bytes(15)) * len(values), "little")
-    golden, low = _GOLDEN * ones, _MASK * ones
-    z = _mix64_lanes(int.from_bytes(struct.pack(lanes, *values), "little"), golden, low)
+    lanes, ones, golden, low = _lanes(len(values))
+    z = _mix64_lanes(int.from_bytes(lanes.pack(*values), "little"), golden, low)
     for key in keys:
         z = _mix64_lanes(z ^ key * ones, golden, low)
-    return list(struct.unpack(lanes, z.to_bytes(16 * len(values), "little")))
+    return list(lanes.unpack(z.to_bytes(lanes.size, "little")))
 
 
 @lru_cache(maxsize=64)
