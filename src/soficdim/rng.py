@@ -15,9 +15,9 @@ integer that holds each index in a lane of its own (``mix64_each``).
 The same lanes give the first output of every state of a block,
 ``mix64(state)``, from which ``pperm.screen_states`` drops, for the
 whole block at once, each Monte Carlo trial whose first draw that
-output alone already rejects.  Monte Carlo
-counting, bound by this module (``perfbench``'s ``sample`` workload),
-runs each other trial on such a bare state: ``pperm.random_images`` takes a
+output alone already rejects.  Monte Carlo counting, bound by this
+module (``perfbench``'s ``sample`` workload), runs each other trial on
+such a bare state: ``pperm.random_images`` takes a
 state and returns the state after its draws, the stream that the
 ``SplitMix64`` methods of the same draws consume.  It and
 ``SplitMix64.choose_sorted`` run their subset draws through one loop,

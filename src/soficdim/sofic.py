@@ -57,10 +57,11 @@ decides each trial with the same integer test: a trial stops part-way
 through its first draw whose fixed-point count cannot lie in its trace
 window, and otherwise runs the search's checks (``_admissible``) as
 each image lands, stopping at the first that fails.  Position 0 is
-decided for a whole block of trials at once where the rule allows: the
-first output of every trial, computed in lanes, drops each trial whose
-first draw that output alone rejects (``pperm.screen_states``), and
-every other trial runs from its start state.  Each trial draws from
+decided for a whole block of trials at once wherever a trial's first
+output alone decides it: that output, computed in lanes for every
+trial of the block, drops each trial whose first draw it rejects
+(``pperm.screen_states``), and every other trial runs from its start
+state.  Each trial draws from
 its own substream of the seed, so stopping early, or before the first
 draw, changes no other trial's draws and the hits are those of drawing
 every image and asking ``verify_membership``.
