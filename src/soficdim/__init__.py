@@ -58,7 +58,6 @@ from .partitions import (
 )
 from .crossed import (
     HACandidate,
-    HAParams,
     approx_sum_check,
     build_phi,
     build_phi0,
@@ -89,8 +88,8 @@ __all__ = [
     "BoundReport", "CylinderModel", "LemmaContext", "RandomPartition",
     "SpanBasis", "lemma_constants", "random_partition", "span_basis",
     "verify_lemma_c1", "verify_lemma_c2", "verify_lemma_c3_sweep",
-    "HACandidate", "HAParams", "approx_sum_check", "build_phi", "build_phi0",
-    "ha_statistic", "verify_HA",
+    "HACandidate", "approx_sum_check", "build_phi", "build_phi0", "ha_statistic",
+    "verify_HA",
     "CornerData", "expand_sigma", "make_corner_data", "restrict_sigma",
     "scaling_value", "scaling_value_inverse",
     "SExpression", "SValue", "evaluate_s", "parse_expr",

@@ -320,8 +320,7 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
         model = partitions.CylinderModel(
             ctx, [Fraction(1, alphabet_size)] * alphabet_size)
         basis = partitions.span_basis(model)
-        params = crossed.HAParams(model, delta, d)
-        if "lin146" in suites and not params.universe.sum_pairs:
+        if "lin146" in suites and not model.universe.sum_pairs:
             raise CliError(f"--alphabet {alphabet_size}: the projection universe "
                            "holds no disjoint pair for lin146 to check")
         draws = [partitions.random_partition(d, model.alphabet, seed + i)
@@ -345,11 +344,12 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
                 if "c3" in suites:
                     c3.append(partitions.verify_lemma_c3_sweep(table, delta))
                 if "ha" in suites or "lin146" in suites:
-                    prep = crossed.build_phi0(table, delta)
                     res = crossed.build_phi(table, delta)
-                    ha_pass &= (prep.passed and res.v_ok and res.report.is_member)
+                    if "ha" in suites:  # phi0's report feeds ha alone
+                        ha_pass &= (crossed.build_phi0(table, delta).passed
+                                    and res.v_ok and res.report.is_member)
                     if "lin146" in suites:
-                        check = crossed.approx_sum_check(res.candidate, params)
+                        check = crossed.approx_sum_check(res.candidate, delta)
                         lin_pass &= check.passed
                         worst_gap = max(worst_gap, float(check.worst_gap))
         if "c2" in suites:
@@ -359,7 +359,7 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
         if "ha" in suites:
             out["ha"] = {"instances": checked, "passed": ha_pass}
         if "lin146" in suites:
-            out["lin146"] = {"pairs": checked * len(params.universe.sum_pairs),
+            out["lin146"] = {"pairs": checked * len(model.universe.sum_pairs),
                              "passed": lin_pass,
                              "worst_gap": worst_gap,
                              "bound": float(check.bound)}
@@ -515,7 +515,7 @@ def cmd_construct(args) -> int:
         prep = crossed.build_phi0(table, delta)
         res = crossed.build_phi(table, delta)
         letters = [res.candidate.phi[i].to_text()
-                   for i in res.params.universe.letter_index]
+                   for i in model.universe.letter_index]
         doc["phi"] = {"phi0_properties": prep.to_json_dict(),
                       "v_fraction": float(res.v_fraction),
                       "letter_images": letters,

@@ -27,10 +27,12 @@ tolerance 9 |P|^2 (1/gamma^2) kappa^5 ell^2 q c3^2 sqrt(delta), with
 
     |V| >= d (1 - 2 |P|^2 c3^2 kappa^4 delta / gamma^2).
 
-The checks of a pair count disagreements on padded image tuples: sigma
-transports phi by s p s^-1 without building maps, reading the padded
-images and the inverse image tuples of sigma that its ModelMember
-builds once for all of its partitions, and the 146 delta
+Each check of a pair takes the pair and a tolerance, and reads the
+cylinder model, the degree and the projection universe from the pair's
+ModelMember.  The checks count disagreements on padded image tuples:
+sigma transports phi by s p s^-1 without building maps, reading the
+padded images and the inverse image tuples of sigma that its
+ModelMember builds once for all of its partitions, and the 146 delta
 linearity runs over the disjoint pairs that the projection universe
 lists once as index triples.  Square roots never enter the arithmetic:
 bounds against sqrt(delta) are decided by comparing squares of exact
@@ -116,21 +118,6 @@ class ProjectionUniverse:
         return len(self.elements)
 
 
-class HAParams:
-    """One pair-verification problem over a cylinder model.
-
-    ``delta`` is a Fraction or a SqrtTol.  The projection universe and
-    the sigma source belong to the model and its context, so every
-    problem over one model shares them.
-    """
-
-    def __init__(self, model: CylinderModel, delta, d: int):
-        self.model = model
-        self.delta = delta if isinstance(delta, SqrtTol) else Fraction(delta)
-        self.d = d
-        self.universe = model.universe
-
-
 class HACandidate:
     """A sigma candidate, held through its ModelMember, plus images of
     every sum-closure element.  Candidates that share a member share its
@@ -181,8 +168,13 @@ class HAReport:
         return out
 
 
-def verify_HA(cand: HACandidate, params: HAParams) -> HAReport:
-    """Exact worst gaps of (sigma, phi) against conditions (i)-(iv).
+def verify_HA(cand: HACandidate, tol) -> HAReport:
+    """Exact worst gaps of (sigma, phi) against conditions (i)-(iv) at
+    ``tol``, a rational or a SqrtTol.
+
+    The cylinder model, its projection universe and the degree d of
+    sigma are read from the candidate's ModelMember, and phi must give
+    an image of degree d for every element of that universe.
 
     (i) runs over the distinct cylinder projections, (ii) over letter
     blocks against every ball element (phi of the translated cylinder
@@ -196,17 +188,15 @@ def verify_HA(cand: HACandidate, params: HAParams) -> HAReport:
     resolves; with both gaps below the working tolerance this is
     membership at it.
     """
-    model = params.model
-    uni = params.universe
-    tol = params.delta
-    d = params.d
     member = cand.member
-    if member.model is not model:
-        raise ValueError("sigma's member belongs to another cylinder model")
+    model = member.model
+    uni = model.universe
+    d = member.sigma.degree
+    tol = tol if isinstance(tol, SqrtTol) else Fraction(tol)
     if len(cand.phi) != len(uni):
         raise ValueError(f"phi covers {len(cand.phi)} of {len(uni)} projections")
-    if any(p.degree != d for p in cand.phi) or member.sigma.degree != d:
-        raise ValueError(f"sigma and phi images must have degree {d}")
+    if any(p.degree != d for p in cand.phi):
+        raise ValueError(f"phi images must have sigma's degree {d}")
     rep = member.sigma_report
     sigma_ok = (rep.is_member and gap_below(rep.mult_gap, tol)
                 and gap_below(rep.trace_gap, tol))
@@ -273,11 +263,12 @@ class SumCheck:
         return self.worst_gap < self.bound
 
 
-def approx_sum_check(cand: HACandidate, params: HAParams) -> SumCheck:
+def approx_sum_check(cand: HACandidate, delta) -> SumCheck:
     """Approximate linearity of phi on every disjoint pair at bound 146 delta.
 
-    The pairs are the ``sum_pairs`` of ``params.universe``, the
-    projection universe of the model at the radius it was built for;
+    ``delta`` is rational.  The pairs are the ``sum_pairs`` of the
+    projection universe of the candidate member's model, at the radius
+    the model was built for, and the degree is sigma's;
     ``verify --suite lin146`` passes the radius-n model, not the one at
     four times the working radius that the lemma states the bound for.
     On the full-group sources that the tabled suites reach, that cannot
@@ -292,9 +283,9 @@ def approx_sum_check(cand: HACandidate, params: HAParams) -> SumCheck:
     --suite ha`` reports it through ``build_phi``); this check reads phi
     alone.
     """
-    if isinstance(params.delta, SqrtTol):
+    if isinstance(delta, SqrtTol):
         raise ValueError("the linearity bound needs a rational tolerance")
-    uni = params.universe
+    uni = cand.member.model.universe
     phi = [p.images for p in cand.phi]
     counts = []
     for i, j, k in uni.sum_pairs:
@@ -302,7 +293,7 @@ def approx_sum_check(cand: HACandidate, params: HAParams) -> SumCheck:
         taken = set(a)
         counts.append(sum(1 for x, y, w in zip(a, phi[j], phi[k])
                           if w != (x or (0 if y in taken else y))))
-    return SumCheck(tuple(counts), params.d, 146 * params.delta)
+    return SumCheck(tuple(counts), cand.member.sigma.degree, 146 * Fraction(delta))
 
 
 # -- the linear map phi0 --------------------------------------------------------
@@ -337,10 +328,10 @@ class PropertyReport:
         }
 
 
-def delta0_squared(basis: SpanBasis, q: int, delta) -> Fraction:
+def delta0_squared(basis: SpanBasis, delta) -> Fraction:
     ell = Fraction(basis.ell)
     return (Fraction(9) / basis.gamma ** 2 * basis.kappa ** 4 * ell ** 4
-            * q ** 2 * basis.constants.c3 ** 4 * Fraction(delta))
+            * basis.model.q ** 2 * basis.constants.c3 ** 4 * Fraction(delta))
 
 
 def _square_gap(u, v, d: int) -> Fraction:
@@ -364,7 +355,7 @@ def build_phi0(table: Phi0Table, delta) -> PropertyReport:
     basis = table.basis
     model = basis.model
     d = table.d
-    d0_sq = delta0_squared(basis, model.q, delta)
+    d0_sq = delta0_squared(basis, delta)
     projections = model.distinct_projections
 
     trace_sq, trace_wit = Fraction(0), ""
@@ -414,8 +405,11 @@ def build_phi0(table: Phi0Table, delta) -> PropertyReport:
 
 @dataclass(frozen=True)
 class BuildPhiResult:
+    """The pair that build_phi restricts to V, the SqrtTol ``tolerance``
+    it is certified at, V with its size bound, and the certificate."""
+
     candidate: HACandidate
-    params: HAParams
+    tolerance: SqrtTol
     V: frozenset
     v_fraction: Fraction
     v_bound: Fraction
@@ -423,10 +417,11 @@ class BuildPhiResult:
     report: HAReport
 
 
-def ha_tolerance_squared(basis: SpanBasis, q: int, p_size: int, delta) -> Fraction:
+def ha_tolerance_squared(basis: SpanBasis, delta) -> Fraction:
     ell = Fraction(basis.ell)
+    p_size = len(basis.model.distinct_projections)
     return (Fraction(81) * p_size ** 4 / basis.gamma ** 4 * basis.kappa ** 10
-            * ell ** 4 * q ** 2 * basis.constants.c3 ** 4 * Fraction(delta))
+            * ell ** 4 * basis.model.q ** 2 * basis.constants.c3 ** 4 * Fraction(delta))
 
 
 def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
@@ -436,8 +431,10 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
     V keeps the points where phi0 of every cylinder already equals the
     image-side indicator and where disjoint cylinders have disjoint
     supports; on V each sum-closure value is a genuine projection.  The
-    pair is certified at the displayed tolerance and the size of V is
-    checked against its lower bound.
+    pair is certified at the displayed tolerance, a SqrtTol kept as the
+    result's ``tolerance``, and the size of V is checked against its
+    lower bound.  The phi values run over the model's projection
+    universe.
     """
     delta = Fraction(delta)
     basis = table.basis
@@ -456,13 +453,11 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
         raise HypothesisError("the exactness set V is empty; the linear map "
                               "certification hypotheses must have failed")
     p_size = len(model.distinct_projections)
-    params = HAParams(model,
-                      SqrtTol(ha_tolerance_squared(basis, model.q, p_size, delta)),
-                      d)
+    tolerance = SqrtTol(ha_tolerance_squared(basis, delta))
     v_bound = Fraction(d) * (1 - 2 * p_size ** 2 * basis.constants.c3 ** 2
                              * basis.kappa ** 4 * delta / basis.gamma ** 2)
     phi_values = []
-    for subset in params.universe.elements:
+    for subset in model.universe.elements:
         den, nums = table.numerators(subset)
         support = set()
         for x in V:
@@ -474,8 +469,8 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
                                       f"(value {Fraction(v, den)})")
         phi_values.append(PartialPermutation.projection(d, support))
     cand = HACandidate(table.member, phi_values)
-    report = verify_HA(cand, params)
-    return BuildPhiResult(cand, params, frozenset(V), Fraction(len(V), d),
+    report = verify_HA(cand, tolerance)
+    return BuildPhiResult(cand, tolerance, frozenset(V), Fraction(len(V), d),
                           v_bound, Fraction(len(V)) >= v_bound, report)
 
 
@@ -486,15 +481,16 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
 HA_CAP = 10 ** 7
 
 
-def ha_statistic(params: HAParams, E, Q) -> tuple[int, float, int]:
+def ha_statistic(model: CylinderModel, delta, d: int, E, Q) -> tuple[int, float, int]:
     """(count, statistic, sa_count): the distinct (sigma|_E, phi|_Q) over
-    members sigma at delta (at 1 for a ``SqrtTol``) and maps phi passing
-    (i)-(iv) with them, the log statistic of their count, and the
-    distinct sigma|_E.
+    members sigma of degree d at delta (at 1 for a ``SqrtTol``) and maps
+    phi over the model's projection universe passing (i)-(iv) with them,
+    the log statistic of their count, and the distinct sigma|_E.
 
-    E indexes positions of the model ball, Q letter blocks.  Enumeration
-    is exhaustive over both halves; tiny instances only.  The members
-    sigma are enumerated first, over the context's ``sigma_params``.  A
+    ``delta`` is a rational or a SqrtTol.  E indexes positions of the
+    model ball, Q letter blocks.  Enumeration is exhaustive over both
+    halves; tiny instances only.  The members sigma are enumerated
+    first, over the context's ``sigma_params``.  A
     search space of phi candidates above ``HA_CAP``, as it reads when
     the call runs, raises InfeasibleError before any pool or member is
     built, and so does that space times the number of members once they
@@ -508,10 +504,8 @@ def ha_statistic(params: HAParams, E, Q) -> tuple[int, float, int]:
     product fails at the fewest disagreements c with
     ``not gap_below(c/d, delta)``, for either kind of tolerance.
     """
-    model = params.model
-    uni = params.universe
-    d = params.d
-    delta = params.delta
+    uni = model.universe
+    delta = delta if isinstance(delta, SqrtTol) else Fraction(delta)
     space = sofic.pool_size(d, "all") ** len(uni)
     if space > HA_CAP:
         raise InfeasibleError("search space", space, "candidates", HA_CAP)

@@ -13,7 +13,6 @@ import pytest
 from soficdim import pperm
 from soficdim.cli import main as cli_main
 from soficdim.crossed import (
-    HAParams,
     approx_sum_check,
     build_phi,
     build_phi0,
@@ -173,7 +172,6 @@ def test_criterion_7_ha_construction(r2_members):
     with Timer(600):
         checked = 0
         for d, ms in members.items():
-            lin_params = HAParams(model, delta, d)
             for m in ms:
                 member = ModelMember(model, m)
                 for seed in range(100):
@@ -181,13 +179,13 @@ def test_criterion_7_ha_construction(r2_members):
                     assert build_phi0(table, delta).passed
                     res = build_phi(table, delta)
                     assert res.report.is_member
-                    p_size = res.params.universe.p_count
+                    p_size = model.universe.p_count
                     bound = Fraction(d) * (
                         1 - 2 * p_size ** 2 * consts.c3 ** 2
                         * basis.kappa ** 4 * delta / basis.gamma ** 2)
                     assert Fraction(len(res.V)) >= bound
                     checked += 1
-                    check = approx_sum_check(res.candidate, lin_params)
+                    check = approx_sum_check(res.candidate, delta)
                     assert check.counts and check.passed
     report(7, f"phi0 properties, HA tolerance, V bound and 146-delta "
               f"linearity on {checked} instances")

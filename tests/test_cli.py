@@ -289,9 +289,8 @@ def r2_ball():
     return sofic.bisection_ball(g, cli.full_group_generators(g), 1)
 
 
-def r2_ha_params(letters):
-    model = partitions.CylinderModel(r2_context(), [Fraction(1, letters)] * letters)
-    return crossed.HAParams(model, Fraction(1, 2), 2)
+def r2_model(letters):
+    return partitions.CylinderModel(r2_context(), [Fraction(1, letters)] * letters)
 
 
 # each cap with a call that runs its check, which passes at the shipped cap
@@ -301,12 +300,13 @@ CAP_CHECKS = [
                        Fraction(1, 2), 3), ())[0]),
     (wordball, "BALL_CAP", lambda: wordball.ball(wordball.parse_descriptor("z"), 2)),
     (sofic, "BALL_CAP", r2_ball),
-    (sofic, "SUM_CAP", lambda: r2_ha_params(2).universe),
+    (sofic, "SUM_CAP", lambda: r2_model(2).universe),
     (groupoid, "FIBER_CAP", lambda: groupoid.bernoulli_action(
         transitive_groupoid(2), [Fraction(1, 2)] * 2)),
     (partitions, "PROFILE_CAP", r2_context),
     (cli, "GENERATOR_CAP", lambda: cli.full_group_generators(transitive_groupoid(2))),
-    (crossed, "HA_CAP", lambda: crossed.ha_statistic(r2_ha_params(1), [0], [0])),
+    (crossed, "HA_CAP", lambda: crossed.ha_statistic(r2_model(1), Fraction(1, 2), 2,
+                                                     [0], [0])),
 ]
 
 
@@ -679,6 +679,24 @@ class TestVerify:
         assert code == 0 and json.loads(out)["all_pass"]
         assert len(seen) == calls
 
+    @pytest.mark.parametrize("source", ["r2", "zmod(2)"])
+    def test_lin146_alone_builds_no_phi0_report(self, capsys, monkeypatch,
+                                                r2_file, source):
+        # phi0's report feeds ha alone: lin146 prints the same without it
+        argv = ("verify", "--suite", "lin146", "--source",
+                r2_file if source == "r2" else source, "--d", "4",
+                "--delta", "1/10", "--partitions", "12")
+        want = run(capsys, *argv)
+        assert want[0] == 0 and json.loads(want[1])["all_pass"]
+
+        def unreachable(*args):
+            raise AssertionError("build_phi0 called")
+
+        monkeypatch.setattr(crossed, "build_phi0", unreachable)
+        assert run(capsys, *argv) == want
+        with pytest.raises(AssertionError, match="^build_phi0 called$"):
+            run(capsys, "verify", "--suite", "ha", *argv[3:])
+
 
 class PerDrawOracle:
     """The tabled suites as run_suites computed them before it checked
@@ -692,7 +710,6 @@ class PerDrawOracle:
         ctx = partitions.LemmaContext(g, cli.full_group_generators(g), 1)
         self.model = partitions.CylinderModel(ctx, [Fraction(1, 2)] * 2)
         self.basis = partitions.span_basis(self.model)
-        self.params = crossed.HAParams(self.model, delta, d)
         self.members = [partitions.ModelMember(self.model, m) for m in
                         sofic.iter_SA_members(ctx.hypothesis_params(delta, d))]
         self.d, self.delta = d, delta
@@ -710,7 +727,7 @@ class PerDrawOracle:
                     partitions.verify_lemma_c2(table, self.delta),
                     partitions.verify_lemma_c3_sweep(table, self.delta),
                     prep.passed and res.v_ok and res.report.is_member,
-                    crossed.approx_sum_check(res.candidate, self.params)))
+                    crossed.approx_sum_check(res.candidate, self.delta)))
             self.draws[seed] = rows
         return self.draws[seed]
 

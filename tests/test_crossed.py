@@ -9,7 +9,6 @@ from soficdim import pperm
 from soficdim.cli import full_group_generators
 from soficdim.crossed import (
     HACandidate,
-    HAParams,
     HAReport,
     PropertyReport,
     SqrtTol,
@@ -80,7 +79,7 @@ class TestVerifyHA:
         table = Phi0Table(basis, ModelMember(model, sigma), part)
         res = build_phi(table, Fraction(1, 10))
         d = sigma.degree
-        uni = res.params.universe
+        uni = model.universe
         # corrupt phi at the first letter block: drop one support point
         pos = uni.letter_index[0]
         old = res.candidate.phi[pos]
@@ -89,29 +88,38 @@ class TestVerifyHA:
         phi = list(res.candidate.phi)
         phi[pos] = corrupted
         bad = HACandidate(ModelMember(model, sigma), phi)
-        params = HAParams(model, Fraction(1, d + 1), d)
-        rep = verify_HA(bad, params)
+        rep = verify_HA(bad, Fraction(1, d + 1))
         assert rep.equivariance_gap >= Fraction(1, d)
         assert not rep.is_member
 
     def test_phi_coverage_enforced(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        params = HAParams(model, Fraction(1, 10), sigma.degree)
         with pytest.raises(ValueError):
-            verify_HA(HACandidate(ModelMember(model, sigma), []), params)
+            verify_HA(HACandidate(ModelMember(model, sigma), []), Fraction(1, 10))
+
+    def test_phi_degree_enforced(self, r2):
+        # phi covers the universe, but one image has degree d + 1
+        _, _, _, model, basis = r2
+        sigma, part = regular_model_candidate(model)
+        d = sigma.degree
+        res = build_phi(Phi0Table(basis, ModelMember(model, sigma), part), Fraction(1, 10))
+        phi = list(res.candidate.phi)
+        phi[0] = PartialPermutation.identity(d + 1)
+        with pytest.raises(ValueError, match=f"degree {d}$"):
+            verify_HA(HACandidate(res.candidate.member, phi), Fraction(1, 10))
 
     def test_problems_on_one_model_share_universe_and_sigma_source(self, r2):
         _, _, _, model, basis = r2
-        a = HAParams(model, Fraction(1, 10), 4)
-        b = HAParams(model, SqrtTol(Fraction(1, 9)), 3)
-        assert a.universe is b.universe is model.universe
-        assert (model.context.sigma_params(1, a.d).source
-                is model.context.sigma_params(Fraction(1, 3), b.d).source)
+        assert (model.context.sigma_params(1, 4).source
+                is model.context.sigma_params(Fraction(1, 3), 3).source)
         sigma, part = regular_model_candidate(model)
         table = Phi0Table(basis, ModelMember(model, sigma), part)
         res = build_phi(table, Fraction(1, 10))
-        assert res.params.universe is a.universe
+        # the model builds its universe once, and phi covers that one
+        assert res.candidate.member.model is model
+        assert model.universe is model.universe
+        assert len(res.candidate.phi) == len(model.universe)
 
 
 # -- object-level oracles for the tuple sweeps of verify_HA and the 146 delta
@@ -140,9 +148,9 @@ def reference_disjoint_pairs(uni):
     return out
 
 
-def reference_approx_sum_check(cand, params, p1, p2):
+def reference_approx_sum_check(cand, delta, p1, p2):
     """(gap, bound, passed, witness) of one disjoint pair of subsets."""
-    uni = params.universe
+    uni = cand.member.model.universe
     p1, p2 = frozenset(p1), frozenset(p2)
     if p1 & p2:
         raise ValueError("projections are not disjoint")
@@ -150,7 +158,7 @@ def reference_approx_sum_check(cand, params, p1, p2):
     b = cand.phi[uni.index[p2]]
     whole = cand.phi[uni.index[p1 | p2]]
     gap = pperm.uniform_distance(whole, corrected_sum(a, b))
-    bound = 146 * params.delta
+    bound = 146 * delta
     return gap, bound, gap < bound, f"|p1|={len(p1)}, |p2|={len(p2)}"
 
 
@@ -209,8 +217,7 @@ class TestApproxSum:
         sigma, part = regular_model_candidate(model)
         table = Phi0Table(basis, ModelMember(model, sigma), part)
         res = build_phi(table, Fraction(1, 10))
-        params = HAParams(model, Fraction(1, 10), sigma.degree)
-        check = approx_sum_check(res.candidate, params)
+        check = approx_sum_check(res.candidate, Fraction(1, 10))
         assert check.counts and check.passed
         assert set(check.counts) == {0} and check.worst_gap == 0
 
@@ -230,18 +237,17 @@ class TestApproxSum:
         cand = HACandidate(ModelMember(model, sigma),
                            [PartialPermutation.identity(sigma.degree)] * len(uni))
         with pytest.raises(ValueError):
-            approx_sum_check(cand, HAParams(model, SqrtTol(Fraction(1, 9)), sigma.degree))
+            approx_sum_check(cand, SqrtTol(Fraction(1, 9)))
 
     def test_constructed_members_obey_146_delta(self, r2):
         _, _, ctx, model, basis = r2
         delta = Fraction(1, 10)
         members = list(iter_SA_members(ctx.hypothesis_params(delta, 4)))
-        params = HAParams(model, delta, 4)
         for m in members:
             part = random_partition(4, FAIR, seed=17)
             table = Phi0Table(basis, ModelMember(model, m), part)
             res = build_phi(table, delta)
-            assert approx_sum_check(res.candidate, params).passed
+            assert approx_sum_check(res.candidate, delta).passed
 
 
 class TestBuildPhi0:
@@ -309,7 +315,7 @@ class TestBuildPhi:
             assert res.v_ok
             assert Fraction(len(res.V)) >= res.v_bound
             assert res.report.is_member
-            assert isinstance(res.params.delta, SqrtTol)
+            assert isinstance(res.tolerance, SqrtTol)
 
 
 class TestGapBelow:
@@ -326,8 +332,7 @@ class TestHAStatistic:
         ctx = LemmaContext(g, [full_identity(g)], 1)
         model = CylinderModel(ctx, [Fraction(1)])
         delta = Fraction(1, 3)
-        params = HAParams(model, delta, 2)
-        count, stat, sa_count = ha_statistic(params, E=[0], Q=[0])
+        count, stat, sa_count = ha_statistic(model, delta, 2, E=[0], Q=[0])
         sa = count_SA(ctx.hypothesis_params(delta, 2), ())[0]
         # phi on the single point space is forced to the identity
         assert sa_count == sa
@@ -340,24 +345,20 @@ class TestHAStatistic:
         ctx = LemmaContext(g, [full_identity(g)], 1)
         model = CylinderModel(ctx, FAIR)
         delta = Fraction(1, 3)
-        params = HAParams(model, delta, 2)
         Q = [0, 1]
-        count, _, sa_count = ha_statistic(params, E=[0], Q=Q)
+        count, _, sa_count = ha_statistic(model, delta, 2, E=[0], Q=Q)
         assert count >= 1
         assert count <= len(Q) ** 2 * sa_count
 
     def test_empty_set_gives_sentinel(self):
         g = cyclic_groupoid(1)
         ctx = LemmaContext(g, [full_identity(g)], 1)
-        model = CylinderModel(ctx, [Fraction(1)])
-        params = HAParams(model, Fraction(1, 100), 3)
         # delta too small for any phi: tr phi(X) must be within 1/100 of 1
         # while |phi(X) - id| < 1/100 forces phi(X) = id, which passes; use a
         # sigma-less obstruction instead: d odd has no obstruction here, so
         # shrink delta below 1/d on a 3-point space with a fair alphabet
-        model2 = CylinderModel(ctx, FAIR)
-        params2 = HAParams(model2, Fraction(1, 100), 3)
-        count, stat, _ = ha_statistic(params2, E=[0], Q=[0])
+        model = CylinderModel(ctx, FAIR)
+        count, stat, _ = ha_statistic(model, Fraction(1, 100), 3, E=[0], Q=[0])
         assert count == 0 and stat == float("-inf")
 
 
@@ -439,7 +440,7 @@ def reference_build_phi0(sigma, partition, basis, delta):
             mult_sq, mult_wit = gap_sq, f"pair ({i}, {j})"
     x_vals = reference_value_vector(table, frozenset(range(model.action.n_points)))
     unit_sq = reference_norm_sq([v - 1 for v in x_vals], d)
-    return PropertyReport(delta0_squared(basis, model.q, delta), trace_sq, equi_sq,
+    return PropertyReport(delta0_squared(basis, delta), trace_sq, equi_sq,
                           mult_sq, unit_sq, (trace_wit, equi_wit, mult_wit))
 
 
@@ -491,11 +492,10 @@ def reference_V(table):
     return frozenset(V)
 
 
-def reference_verify_HA(cand, params):
-    model = params.model
-    uni = params.universe
-    tol = params.delta
-    d = params.d
+def reference_verify_HA(cand, tol):
+    model = cand.member.model
+    uni = model.universe
+    d = cand.member.sigma.degree
     images = model.context.align(cand.member.sigma)
     sp = model.context.sigma_params(1, d)
     rep = verify_membership(SoficCandidate(d, images), sp)
@@ -596,7 +596,7 @@ def test_integer_sweeps_match_fraction_sweeps_on_members(source, alphabet, delta
                 assert c3.witness == f"psi={model.psis[norms.index(max(norms))]}"
                 res = build_phi(table, delta)
                 assert res.V == reference_V(table)
-                assert res.report == reference_verify_HA(res.candidate, res.params)
+                assert res.report == reference_verify_HA(res.candidate, res.tolerance)
                 checked += 1
     assert checked
 
@@ -645,7 +645,7 @@ def test_build_phi0_matches_on_nonzero_tied_product_gaps(source, alphabet, ties)
         want = reference_build_phi0(sigma, part, basis, DELTAS[0])
         for delta in DELTAS:
             rep = build_phi0(Phi0Table(basis, ModelMember(model, sigma), part), delta)
-            assert rep == replace(want, delta0_sq=delta0_squared(basis, model.q, delta))
+            assert rep == replace(want, delta0_sq=delta0_squared(basis, delta))
         gaps = reference_mult_gaps(Phi0Table(basis, ModelMember(model, sigma), part))
         worst = max(gaps.values())
         nonzero += worst > 0
@@ -668,9 +668,8 @@ def test_verify_HA_matches_on_random_pairs(source, alphabet):
         cand = HACandidate(ModelMember(model, random_sigma(ctx, d, rng)),
                            [random_pperm(d, rng) for _ in model.universe.elements])
         for delta in (*DELTAS, SqrtTol(Fraction(1, 5))):
-            params = HAParams(model, delta, d)
-            rep = verify_HA(cand, params)
-            assert rep == reference_verify_HA(cand, params)
+            rep = verify_HA(cand, delta)
+            assert rep == reference_verify_HA(cand, delta)
             gaps.add((rep.equivariance_gap, rep.mult_gap))
     assert any(e > 0 for e, _ in gaps) and any(m > 0 for _, m in gaps)
 
@@ -728,14 +727,14 @@ def test_residuals_are_computed_once_per_table(r2):
 # sigma.  At delta = 1/300 the 146 delta bound is below 1/2, so pairs fail.
 
 
-def assert_sum_check_matches(cand, params):
-    check = approx_sum_check(cand, params)
-    uni = params.universe
+def assert_sum_check_matches(cand, delta):
+    check = approx_sum_check(cand, delta)
+    uni = cand.member.model.universe
     assert len(check.counts) == len(uni.sum_pairs)
     refs = []
     for count, (i, j, _) in zip(check.counts, uni.sum_pairs):
         p1, p2 = uni.elements[i], uni.elements[j]
-        ref = reference_approx_sum_check(cand, params, p1, p2)
+        ref = reference_approx_sum_check(cand, delta, p1, p2)
         gap = Fraction(count, check.degree)
         assert (gap, check.bound, gap < check.bound,
                 f"|p1|={len(p1)}, |p2|={len(p2)}") == ref
@@ -762,8 +761,8 @@ def test_tuple_sweeps_match_object_oracles(source, d):
         for seed in range(3):
             res = build_phi(Phi0Table(basis, member, random_partition(d, FAIR, seed)),
                             delta)
-            assert res.report == reference_verify_HA(res.candidate, res.params)
-            cands.append((res.candidate, res.params.delta))
+            assert res.report == reference_verify_HA(res.candidate, res.tolerance)
+            cands.append((res.candidate, res.tolerance))
     for sigma in (members[0], random_sigma(ctx, d, rng)):
         for _ in range(4):
             cands.append((HACandidate(ModelMember(model, sigma),
@@ -772,10 +771,10 @@ def test_tuple_sweeps_match_object_oracles(source, d):
     gaps = set()
     verdicts = set()
     for cand, tol in cands:
-        for params in (HAParams(model, tol, d), HAParams(model, delta, d)):
-            assert verify_HA(cand, params) == reference_verify_HA(cand, params)
+        for t in (tol, delta):
+            assert verify_HA(cand, t) == reference_verify_HA(cand, t)
         for lin_delta in (delta, Fraction(1, 300)):
-            check = assert_sum_check_matches(cand, HAParams(model, lin_delta, d))
+            check = assert_sum_check_matches(cand, lin_delta)
             gaps |= set(check.counts)
             verdicts.add(check.passed)
     assert max(gaps) > 0 and verdicts == {True, False}

@@ -27,7 +27,6 @@ import pytest
 from soficdim.cli import full_group_generators
 from soficdim.crossed import (
     HACandidate,
-    HAParams,
     ProjectionUniverse,
     SqrtTol,
     gap_below,
@@ -713,7 +712,7 @@ HA_INSTANCES = (
 )
 
 
-def brute_force_ha(params, E, Q):
+def brute_force_ha(model, delta, d, E, Q):
     """(pairs, sigma restrictions) of ``ha_statistic``, from every
     map phi in the product of the pool whose four gaps in the
     ``verify_HA`` report lie below the tolerance.  Sigma's own gaps are
@@ -724,8 +723,8 @@ def brute_force_ha(params, E, Q):
     order, and a ModelMember reads a candidate over the hypothesis
     source, so each image is placed at its hypothesis position first
     (the empty map at the others)."""
-    ctx = params.model.context
-    uni, d, delta = params.universe, params.d, params.delta
+    ctx = model.context
+    uni = model.universe
     hyp = ctx.hypothesis_source
     pool = object_pool(d, "all")
     sigmas = list(iter_SA_members(ctx.sigma_params(
@@ -735,10 +734,10 @@ def brute_force_ha(params, E, Q):
         images = [pperm.PartialPermutation.empty(d)] * hyp.n_ball
         for b, s in zip(ctx.sigma_source.ball_elements, sigma.images):
             images[hyp.position[b]] = s
-        member = ModelMember(params.model, SoficCandidate(d, images))
+        member = ModelMember(model, SoficCandidate(d, images))
         for phi in itertools.product(pool, repeat=len(uni)):
             cand = HACandidate(member, phi)
-            rep = verify_HA(cand, params)
+            rep = verify_HA(cand, delta)
             if all(gap_below(gap, delta) for gap in (
                     rep.trace_gap, rep.equivariance_gap, rep.mult_gap, rep.unit_gap)):
                 pairs.add((sigma.restriction(E),
@@ -749,11 +748,11 @@ def brute_force_ha(params, E, Q):
 @pytest.mark.parametrize("make,alphabet,d,delta", [case[1:] for case in HA_INSTANCES],
                          ids=[case[0] for case in HA_INSTANCES])
 def test_ha_statistic_matches_brute_force(make, alphabet, d, delta):
-    params = HAParams(make(alphabet), delta, d)
-    assert len(object_pool(d, "all")) ** len(params.universe) <= 5000
+    model = make(alphabet)
+    assert len(object_pool(d, "all")) ** len(model.universe) <= 5000
     E, Q = [0], list(range(len(alphabet)))
-    pairs, sa_restrictions = brute_force_ha(params, E, Q)
-    count, _, sa_count = ha_statistic(params, E, Q)
+    pairs, sa_restrictions = brute_force_ha(model, delta, d, E, Q)
+    count, _, sa_count = ha_statistic(model, delta, d, E, Q)
     assert (count, sa_count) == (len(pairs), len(sa_restrictions))
 
 
@@ -762,10 +761,10 @@ def test_ha_statistic_matches_brute_force(make, alphabet, d, delta):
 def test_ha_statistic_reads_sigma_in_model_ball_order(delta):
     # the radius-2 ball of one arrow is where sigma-source and hypothesis
     # positions part, so reading a member at hypothesis positions miscounts
-    params = HAParams(CylinderModel(one_arrow_context(), (Fraction(1),)), delta, 2)
-    pairs, sa_restrictions = brute_force_ha(params, [0], [0])
+    model = CylinderModel(one_arrow_context(), (Fraction(1),))
+    pairs, sa_restrictions = brute_force_ha(model, delta, 2, [0], [0])
     assert (len(pairs), len(sa_restrictions)) == (1, 1)
-    assert ha_statistic(params, [0], [0])[::2] == (1, 1)
+    assert ha_statistic(model, delta, 2, [0], [0])[::2] == (1, 1)
 
 
 def test_ha_statistic_builds_phi_pools_alone(monkeypatch):
@@ -777,10 +776,10 @@ def test_ha_statistic_builds_phi_pools_alone(monkeypatch):
     pool = sofic.candidate_pool
     monkeypatch.setattr(sofic, "candidate_pool",
                         lambda *args: calls.append((*args[:2], len(args[2]))) or pool(*args))
-    params = HAParams(swap_model(FAIR), Fraction(1, 2), 2)
-    assert ha_statistic(params, E=[0], Q=[0, 1])[::2] == (2, 1)
-    sigma_plan = sofic.SearchPlan(params.model.context.sigma_params(Fraction(1, 2), 2))
-    assert calls == [(2, "all", len(params.universe)), (2, "all", len(sigma_plan.windows))]
+    model = swap_model(FAIR)
+    assert ha_statistic(model, Fraction(1, 2), 2, E=[0], Q=[0, 1])[::2] == (2, 1)
+    sigma_plan = sofic.SearchPlan(model.context.sigma_params(Fraction(1, 2), 2))
+    assert calls == [(2, "all", len(model.universe)), (2, "all", len(sigma_plan.windows))]
 
 
 def test_ha_cap_refuses_before_building_pools_or_members(monkeypatch):
@@ -791,21 +790,21 @@ def test_ha_cap_refuses_before_building_pools_or_members(monkeypatch):
 
     monkeypatch.setattr(sofic, "candidate_pool", unreachable)
     monkeypatch.setattr(sofic, "iter_SA_members", unreachable)
-    params = HAParams(swap_model(FAIR), Fraction(1, 2), 2)
+    model = swap_model(FAIR)
     with pytest.raises(sofic.InfeasibleError,
                        match=r"^search space of 4747561509943 candidates exceeds cap 10000000$"):
-        ha_statistic(params, E=[0], Q=[0, 1])
+        ha_statistic(model, Fraction(1, 2), 2, E=[0], Q=[0, 1])
 
 
 def test_ha_cap_weighs_the_members_once_listed(monkeypatch):
     # 34^3 maps phi pass a cap of 34^3; times the 4 members, they do not
-    params = HAParams(point_model(FAIR), Fraction(1, 2), 3)
+    model = point_model(FAIR)
     monkeypatch.setattr(crossed, "HA_CAP", 34 ** 3)
     with pytest.raises(sofic.InfeasibleError,
                        match=r"^search space of 157216 candidates exceeds cap 39304$"):
-        ha_statistic(params, E=[0], Q=[0, 1])
+        ha_statistic(model, Fraction(1, 2), 3, E=[0], Q=[0, 1])
     monkeypatch.setattr(crossed, "HA_CAP", 4 * 34 ** 3)
-    assert ha_statistic(params, E=[0], Q=[0, 1])[::2] == (576, 4)
+    assert ha_statistic(model, Fraction(1, 2), 3, E=[0], Q=[0, 1])[::2] == (576, 4)
 
 
 # recorded from the enumeration the pruned search replaced, beyond brute force
@@ -822,8 +821,7 @@ def test_ha_cap_weighs_the_members_once_listed(monkeypatch):
         "swap-d2-1over100"])
 def test_ha_statistic_recorded(monkeypatch, make, d, delta, want):
     monkeypatch.setattr(crossed, "HA_CAP", 10 ** 15)
-    count, _, sa_count = ha_statistic(HAParams(make(FAIR), delta, d),
-                                      E=[0], Q=[0, 1])
+    count, _, sa_count = ha_statistic(make(FAIR), delta, d, E=[0], Q=[0, 1])
     assert (count, sa_count) == want
 
 
