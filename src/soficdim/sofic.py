@@ -26,7 +26,8 @@ position, built once per ``SAParams``; it leaves out the triples that
 compose with a position whose window admits the identity alone, which
 cannot fail.  The pools the search draws from are bare image tuples
 padded with a leading 0, made in one pass over ``pperm.iter_images``
-that keeps only the tuples some window admits (``candidate_pool``).
+that keeps only the tuples some window admits (``candidate_pool``), or
+generated from a position's relation (below).
 ``PartialPermutation`` objects are built only for the images
 ``iter_SA_members`` yields; ``count_SA(..., E=E)`` counts the distinct
 restrictions to the positions E, in the same enumeration, as padded
@@ -51,6 +52,21 @@ that map alone.  The others, q excepted, draw from one
 ``candidate_pool`` pass over their own windows, so no pass over the
 maps is made when p is the last position.
 
+At limit ceil(delta*d) = 1 a triple admits no disagreement, so the
+triples among ball positions read as equations, and some bind one
+position t alone (``SearchPlan.relations``).  A position whose window
+is {d} holds the identity.  A chain t t = t2, t t2 = t3, ... that
+reaches such a position at step m makes t a permutation whose cycle
+lengths divide m (the triple (t, t, e) for m = 2), and (t, t, t) makes
+t a partial identity.  Conjugation keeps either relation, so the
+classes at p and q are those of maps that satisfy it
+(``relation_classes``), with their sizes, and every other position
+with a relation draws from its relation's maps, generated in the order
+of ``pperm.iter_images`` (``relation_pool``).  Members and their order
+stay those of the search over the full pass, and only the positions
+without a relation share a ``candidate_pool`` pass; ``iter_SA_members``
+also gives a window that admits one map that map alone.
+
 A seeded Monte Carlo estimator and a cycle-type closed form for cyclic
 groups extend the statistic beyond enumeration range.  The estimator
 decides each trial with the same integer test: a trial stops part-way
@@ -73,6 +89,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 from operator import eq, ne
 
@@ -378,15 +395,16 @@ def candidate_pool(d: int, mode: str, windows) -> list[list[tuple]]:
     return [shared[fixed] for fixed in windows]
 
 
-def _partitions(n: int, smallest: int, largest: int):
-    """Partitions of n into parts from ``smallest`` to ``largest``, as
+def _partitions(n: int, parts: tuple):
+    """Partitions of n into the given parts, a decreasing sequence, as
     non-increasing tuples."""
     if n == 0:
         yield ()
         return
-    for part in range(min(n, largest), smallest - 1, -1):
-        for rest in _partitions(n - part, smallest, part):
-            yield (part,) + rest
+    for i, part in enumerate(parts):
+        if part <= n:
+            for rest in _partitions(n - part, parts[i:]):
+                yield (part,) + rest
 
 
 def conjugacy_classes(d: int, mode: str, window) -> list[tuple[tuple, int]]:
@@ -404,13 +422,28 @@ def conjugacy_classes(d: int, mode: str, window) -> list[tuple[tuple, int]]:
     equal chains, so a class holds
     d! / (prod_c c^{f_c} f_c! * prod_l g_l!) maps.  The fixed-point
     count is f_1.  In ``perms`` mode the classes are the cycle types.
+    These are the classes of ``relation_classes`` with every length
+    allowed: cycles of 2..d points, and chains of 1..d points in
+    ``all`` mode.
     """
+    chains = range(d, 0, -1) if mode == "all" else ()
+    return relation_classes(d, window, (range(d, 1, -1), chains))
+
+
+def relation_classes(d: int, window, relation) -> list[tuple[tuple, int]]:
+    """The classes of ``conjugacy_classes`` whose maps satisfy
+    ``relation``, one of ``SearchPlan.relations``: (cycle lengths, chain
+    lengths), each decreasing, that a map other than its fixed points
+    may have.  Each class is one cycle-and-chain type, and its
+    size is that of ``conjugacy_classes``.
+    """
+    cycle_lengths, chain_lengths = relation
     classes = []
     for nfix in sorted(window):
         rest = d - nfix
-        for cycled in range(rest, -1, -1) if mode == "all" else (rest,):
-            for cycles in _partitions(cycled, 2, d):
-                for chains in _partitions(rest - cycled, 1, d):
+        for cycled in range(rest, -1, -1) if chain_lengths else (rest,):
+            for cycles in _partitions(cycled, cycle_lengths):
+                for chains in _partitions(rest - cycled, chain_lengths):
                     images = list(range(1, nfix + 1))
                     for length in cycles:
                         start = len(images) + 1
@@ -428,6 +461,56 @@ def conjugacy_classes(d: int, mode: str, window) -> list[tuple[tuple, int]]:
                         fixers *= factorial(chains.count(length))
                     classes.append(((0, *images), factorial(d) // fixers))
     return classes
+
+
+def _image_order(pad) -> tuple:
+    """The place of a padded map in the order of ``pperm.iter_images``:
+    domain size, domain, range, then the images."""
+    dom = [x for x in range(1, len(pad)) if pad[x]]
+    return len(dom), dom, sorted(pad[x] for x in dom), pad
+
+
+def relation_pool(d: int, window, relation) -> list[tuple]:
+    """Every map of ``relation_classes(d, window, relation)``, padded, in
+    the order of ``pperm.iter_images``; the relation's chains, if any,
+    have one point each.
+
+    The maps are built point by point: the smallest point not yet
+    placed is fixed, a chain of one point, or the first point of a
+    cycle of an allowed length through points not yet placed.  A branch
+    stops once its fixed points pass the window or can no longer reach
+    it.
+    """
+    cycle_lengths, chain_lengths = relation
+    if not window:
+        return []
+    lo, hi = min(window), max(window)
+    pad = [0] * (d + 1)
+    maps = []
+
+    def place(free, nfix):
+        if nfix + len(free) < lo:
+            return
+        if not free:
+            if nfix in window:
+                maps.append(tuple(pad))
+            return
+        x, rest = free[0], free[1:]
+        if nfix < hi:
+            pad[x] = x
+            place(rest, nfix + 1)
+        if chain_lengths:
+            pad[x] = 0
+            place(rest, nfix)
+        for length in cycle_lengths:
+            for others in permutations(rest, length - 1):
+                cycle = (x, *others)
+                for a, b in zip(cycle, (*others, x)):
+                    pad[a] = b
+                place(tuple(y for y in rest if y not in others), nfix)
+
+    place(tuple(range(1, d + 1)), 0)
+    return sorted(maps, key=_image_order)
 
 
 def pool_size(d: int, mode: str) -> int:
@@ -527,6 +610,10 @@ class SearchPlan:
     the sum takes part in the triple (identity, sum, sum), so this
     drops exactly the candidates that triple would.
 
+    ``relations()`` reads, at limit 1, the relation that each ball
+    position's own triples impose on its map; the pools are built from
+    it, and a Monte Carlo run, which builds no pool, does not derive it.
+
     The plan leaves out every triple (e, j, j) and (j, e, j) of a ball
     position e of trace 1, which cannot reject.  The window of e holds
     only fixed-point counts k with d - k < delta*d.  A map s with k
@@ -539,6 +626,7 @@ class SearchPlan:
 
     def __init__(self, params: SAParams):
         source = params.source
+        self.params = params
         self.d = params.d
         self.n_universe = source.n_universe
         self.windows = fixed_windows(params.d, source.taus, params.delta.__gt__)
@@ -554,6 +642,44 @@ class SearchPlan:
                 continue
             self.triples[max(need[i], need[j], need[k])].append((i, j, k))
 
+    def relations(self) -> list:
+        """Per ball position, the relation that its own triples impose,
+        as the (cycle lengths, chain lengths) that ``relation_classes``
+        reads, or None.
+
+        Relations hold only at limit 1, where a triple admits no
+        disagreement, and come only from triples of ball positions.  An
+        identity position, whose window is {d}, takes the identity: no
+        cycle, no chain.  A chain of triples (t, t, t2), (t, t2, t3), ...
+        that reaches an identity position at step m makes t a
+        permutation whose m-th power is the identity: its cycle lengths
+        divide m.  Otherwise a triple (t, t, t) makes t idempotent, a
+        partial identity: its chains have one point (in ``perms`` mode
+        it is the identity).  Both relations are invariant under
+        conjugation.
+        """
+        n, d = self.params.source.n_ball, self.d
+        if self.limit != 1:
+            return [None] * n
+        identity = {t for t, fixed in enumerate(self.windows) if fixed == {d}}
+        product = {(i, j): k for i, j, k in self.params.source.triples
+                   if max(i, j, k) < n}
+        one_point = (1,) if self.params.mode == "all" else ()
+        relations = []
+        for t in range(n):
+            m, power, seen = 1, t, set()
+            while power is not None and power not in identity and power not in seen:
+                seen.add(power)
+                m += 1
+                power = product.get((t, power))
+            if power in identity:
+                relations.append((tuple(c for c in range(m, 1, -1) if m % c == 0), ()))
+            elif product.get((t, t)) == t:
+                relations.append(((), one_point))
+            else:
+                relations.append(None)
+        return relations
+
     def search(self, pools):
         """Yield the slot list at every member whose image at each ball
         position comes from that position's pool (as ``candidate_pool``
@@ -563,17 +689,36 @@ class SearchPlan:
                       [None] * self.n_universe, _slot_sum)
 
 
+def _one_pass(d: int, mode: str, windows, pools) -> list[list[tuple]]:
+    """``pools`` with each None replaced by its window's list from one
+    ``candidate_pool`` pass over the windows of the Nones."""
+    shared = iter(candidate_pool(d, mode, [fixed for fixed, pool in zip(windows, pools)
+                                           if pool is None]))
+    return [next(shared) if pool is None else pool for pool in pools]
+
+
 def iter_SA_members(params: SAParams):
     """Depth-first enumeration of all members, deterministic order.
 
     Constraints are applied as soon as every participant is assigned,
     so the pruned search yields exactly the brute-force member set.
     Only the members' images are built as ``PartialPermutation``
-    objects.
+    objects.  A position with a relation (``SearchPlan.relations``)
+    draws from ``relation_pool``, and one whose window admits one map
+    takes that map; the others share one ``candidate_pool`` pass.  Every
+    pool keeps the order of ``pperm.iter_images``, so the members come
+    in the order of a search over the full pass.
     """
-    d = params.d
+    d, mode = params.d, params.mode
     plan = SearchPlan(params)
-    pools = candidate_pool(d, params.mode, plan.windows)
+    pools = []
+    for fixed, relation in zip(plan.windows, plan.relations()):
+        if relation is not None:
+            pools.append(relation_pool(d, fixed, relation))
+            continue
+        classes = conjugacy_classes(d, mode, fixed)
+        pools.append([classes[0][0]] if sum(size for _, size in classes) == 1 else None)
+    pools = _one_pass(d, mode, plan.windows, pools)
     n = len(pools)
     for slots in plan.search(pools):
         yield SoficCandidate(d, tuple(PartialPermutation(d, pad[1:]) for pad in slots[:n]))
@@ -595,16 +740,21 @@ def count_SA(params: SAParams, E, cap=None):
     restriction then); a position outside the ball, such as a sum of
     the closure, raises ValueError.
 
-    p is the first position whose window admits two or more maps (the
-    last position if none does), and q the first such position of E,
-    or p where there is none.  The positions before p take their one
-    map each, which every conjugation fixes, q takes one representative
-    per conjugacy class, and the others draw from one
-    ``candidate_pool`` pass.  Each member adds the class size of its
-    map at q to the count.  With q in E each restriction holds that
-    representative and weighs its class size; otherwise every member
-    restricts to E alike.  The class sizes find p and q, so no map is
-    enumerated for either.
+    A position's classes are those of its window, restricted to the
+    maps that satisfy its relation where it has one
+    (``SearchPlan.relations``, ``relation_classes``).  p is the first
+    position whose classes hold two or more maps (the last position if
+    none does), and q the first such position of E, or p where there is
+    none; a position up to p with no class makes the count 0 at once.
+    The positions before p take their one map
+    each, which every conjugation fixes, q takes one representative per
+    class, the other positions with a relation draw from
+    ``relation_pool``, and the rest from one ``candidate_pool`` pass
+    (none when no position is left for it).  Each member adds the
+    class size of its map at q to the count.  With q in E each
+    restriction holds that representative and weighs its class size;
+    otherwise every member restricts to E alike.  The class sizes find
+    p and q, so no map is enumerated for either.
 
     A search space above ``cap`` raises InfeasibleError.  With no
     ``cap`` the cap is ``DEFAULT_COUNT_CAP`` as it reads when the call
@@ -619,9 +769,18 @@ def count_SA(params: SAParams, E, cap=None):
         raise InfeasibleError("search space", space, "candidates", cap)
     plan = SearchPlan(params)
     d, mode, windows = params.d, params.mode, plan.windows
+    relations = plan.relations()
+
+    def classes_at(t):
+        if relations[t] is None:
+            return conjugacy_classes(d, mode, windows[t])
+        return relation_classes(d, windows[t], relations[t])
+
     pools = []
-    for p, fixed in enumerate(windows):
-        classes = conjugacy_classes(d, mode, fixed)
+    for p in range(len(windows)):
+        classes = classes_at(p)
+        if not classes:
+            return 0, 0
         if sum(size for _, size in classes) > 1 or p == len(windows) - 1:
             break
         pools.append([pad for pad, _ in classes])
@@ -629,13 +788,16 @@ def count_SA(params: SAParams, E, cap=None):
     if p not in positions:
         for t in range(p + 1, len(windows)):
             if t in positions:
-                split = conjugacy_classes(d, mode, windows[t])
+                split = classes_at(t)
                 if sum(size for _, size in split) > 1:
                     q, classes = t, split
                     break
     weight = dict(classes)
-    rest = candidate_pool(d, mode, windows[p:q] + windows[q + 1:])
-    pools += [*rest[:q - p], list(weight), *rest[q - p:]]
+    rest = [t for t in range(p, len(windows)) if t != q]
+    pools += _one_pass(d, mode, [windows[t] for t in rest],
+                       [None if relations[t] is None
+                        else relation_pool(d, windows[t], relations[t]) for t in rest])
+    pools.insert(q, list(weight))
     count = 0
     restrictions = set()
     for slots in plan.search(pools):

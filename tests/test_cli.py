@@ -1034,6 +1034,13 @@ COUNT_SHA256 = [
      ("--family", "zmod(3)", "--d", "6", "--delta", "1/2", "--mode", "perms",
       "--cap", "10000000000000"),
      "4bbae58463ac6f6b64981eadf2b5f5ed6dff0ded4388ae7d55c88343e45ce1a9"),
+    # 2240 members, the permutations of order 3 with no fixed point; the
+    # cap passes 9!^3; recorded when a and a^-1 drew from all 9!
+    # permutations, in about 3.7 s
+    ("zmod3-d9",
+     ("--family", "zmod(3)", "--d", "9", "--delta", "1/10",
+      "--cap", "100000000000000000"),
+     "9251ca53ae06ca441bc370b9d7268556c72e777ff91ab190994bd71064968c51"),
 ]
 
 # stdout sha256 of `count --mc` jobs at --seed 1: the seven Monte Carlo
@@ -1155,6 +1162,20 @@ class TestRecordedOutputs:
         code, out, _ = run(capsys, "count", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == want
+
+    def test_verify_lists_the_flips_of_8_points(self, capsys, tmp_path, monkeypatch):
+        # the hypothesis members at d = 8 are the 105 fixed-point-free
+        # involutions of 8 points, one per image of the flip; recorded when
+        # the member search walked the empty bisection's full window under
+        # each flip, in about 180 s
+        monkeypatch.chdir(tmp_path)
+        transitive_groupoid(2).save("r2.gpd")
+        code, out, _ = run(capsys, "verify", "--suite", "c1", "--source", "r2.gpd",
+                           "--d", "8", "--delta", "1/10")
+        assert code == 0
+        assert json.loads(out)["suites"]["c1"]["instances"] == 105
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3c6746adbea09d32d5dc9f458fe2b0b41772b986e8b57ab20006a918a8289aad")
 
     @pytest.mark.parametrize("case", ["readme-trivial", "r2-d4-5"])
     def test_count_builds_one_source(self, capsys, tmp_path, monkeypatch, case):

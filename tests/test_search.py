@@ -21,6 +21,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from operator import eq
 
 import pytest
 
@@ -56,6 +57,8 @@ from soficdim.sofic import (
     fixed_windows,
     iter_SA_members,
     monte_carlo_count,
+    relation_classes,
+    relation_pool,
     search_space_size,
     verify_membership,
 )
@@ -462,14 +465,136 @@ def test_class_sizes_per_window_match_the_pools(d, mode):
 
 
 # delta*d < 1: exact multiplicativity and no fixed point off the identity,
-# which is what the closed form counts; zmod(3) stops at d = 9, where its
-# last position already searches a pool of 133,496 derangements per class
+# which is what the closed form counts; zmod(3) stops at d = 11: at d = 12
+# its last position walks its pool of 246,400 permutations of order 3
+# under each class of the first, where a^2 = a a could be forced
 @pytest.mark.parametrize("m,d", [(2, d) for d in range(1, 11)]
-                         + [(3, d) for d in range(1, 10)])
+                         + [(3, d) for d in range(1, 12)])
 def test_class_count_matches_closed_form(m, d):
     delta = Fraction(1, d + 1)
     params = family(f"zmod({m})", delta, d)
-    assert count_SA(params, (), cap=10 ** 20)[0] == closed_form_count(m, d, delta)
+    assert count_SA(params, (), cap=10 ** 30)[0] == closed_form_count(m, d, delta)
+
+
+# -- relations at limit 1 ---------------------------------------------------------
+
+# (cycle lengths, chain lengths) as SearchPlan.relations gives them in all
+# mode, and the equation t^i = t^j each stands for
+IDENTITY, ORDER2, ORDER3, IDEMPOTENT = ((), ()), ((2,), ()), ((3,), ()), ((), (1,))
+RELATIONS = [(IDENTITY, (1, 0)), (ORDER2, (2, 0)), (ORDER3, (3, 0)),
+             (((4, 2), ()), (4, 0)), (((6, 3, 2), ()), (6, 0)), (IDEMPOTENT, (2, 1))]
+
+
+def in_mode(relation, mode):
+    """The relation in ``mode``: perms mode has no chains."""
+    cycles, chains = relation
+    return cycles, chains if mode == "all" else ()
+
+
+def powers(pad, m):
+    """pad^0, ..., pad^m of a padded map (pad^0 the identity)."""
+    out = [tuple(range(len(pad)))]
+    for _ in range(m):
+        out.append(tuple(map(pad.__getitem__, out[-1])))
+    return out
+
+
+def r2_hypothesis(delta, d, mode=""):
+    """The hypothesis source of ``verify`` on r2.gpd: the identity, the
+    flip and the empty bisection."""
+    g = transitive_groupoid(2)
+    params = LemmaContext(g, full_group_generators(g), 1).hypothesis_params(delta, d)
+    return sofic.SAParams(params.source, params.delta, d, mode=mode)
+
+
+@pytest.mark.parametrize("make,want", [
+    (lambda: family("zmod(2)", "1/10", 6), [IDENTITY, ORDER2]),
+    (lambda: family("zmod(3)", "1/10", 6), [IDENTITY, ORDER3, ORDER3]),
+    # a^2 lies outside the radius-1 ball of zmod(4), so a keeps no relation;
+    # at radius 2 the chain a, a^2, a^3 = a^-1 reaches the identity
+    (lambda: family("zmod(4)", "1/10", 6), [IDENTITY, None, None]),
+    (lambda: ball_params(ball(parse_descriptor("zmod(4)"), 2), Fraction(1, 10), 6),
+     [IDENTITY, ((4, 2), ()), ((4, 2), ()), ORDER2]),
+    (lambda: r2_hypothesis("1/10", 8), [IDENTITY, ORDER2, IDEMPOTENT]),
+    (lambda: r2_hypothesis("1/10", 8, "perms"), [IDENTITY, ORDER2, in_mode(IDEMPOTENT, "perms")]),
+    # limit 2: a triple admits one disagreement, so no relation holds
+    (lambda: family("zmod(2)", "1/4", 5), [None, None]),
+    (lambda: family("z", "1/4", 5), [None, None, None]),
+    (lambda: r2_hypothesis("1/3", 4), [None, None, None]),
+], ids=["zmod2", "zmod3", "zmod4", "zmod4-n2", "r2-hypothesis", "r2-hypothesis-perms",
+        "zmod2-limit2", "z-limit2", "r2-hypothesis-limit2"])
+def test_relations_come_from_the_positions_own_triples(make, want):
+    assert SearchPlan(make()).relations() == want
+
+
+# zmod(4) at n = 1 imposes no order on a: not the 6, 0 and 0 homomorphisms
+@pytest.mark.parametrize("d,want", [(4, 9), (5, 44), (6, 265)])
+def test_zmod4_without_its_relation(d, want):
+    params = family("zmod(4)", Fraction(1, d + 1), d)
+    assert count_SA(params, (), cap=10 ** 30) == (want, 1)
+
+
+def interval_windows(d):
+    return [frozenset()] + [frozenset(range(lo, hi + 1))
+                            for lo in range(d + 1) for hi in range(lo, d + 1)]
+
+
+# each generated pool is the full pass filtered by its relation's equation,
+# in the same order, and its classes are the pool's conjugacy classes
+@pytest.mark.parametrize("mode", ["perms", "all"])
+@pytest.mark.parametrize("d", range(1, 8))
+def test_relation_pools_filter_the_full_pass(d, mode):
+    kept = [[] for _ in RELATIONS]
+    for pad in candidate_pool(d, mode, [whole(d)])[0]:
+        row = powers(pad, 6)
+        for maps, (_, (i, j)) in zip(kept, RELATIONS):
+            if row[i] == row[j]:
+                maps.append(pad)
+    for maps, (relation, _) in zip(kept, RELATIONS):
+        relation = in_mode(relation, mode)
+        for fixed in interval_windows(d):
+            pool = relation_pool(d, fixed, relation)
+            assert pool == [pad for pad in maps
+                            if sum(map(eq, pad, range(d + 1))) - 1 in fixed]
+            classes = relation_classes(d, fixed, relation)
+            assert sum(size for _, size in classes) == len(pool)
+            assert {pad for pad, _ in classes} <= set(pool)
+
+
+def r3(delta, d, mode="all"):
+    g = transitive_groupoid(3)
+    return groupoid_params(g, full_group_generators(g), 1, Fraction(delta), d, mode=mode)
+
+
+# every source at limit 1 (delta*d <= 1): iter_SA_members yields the
+# members of the plain search over one full pass, in its order, and
+# count_SA its counts; streams, not lists, keep memory flat.  The plain
+# search bounds d: zmod(3) and zmod(4) at d = 7 take 5 s and 9 s, r3 at
+# d = 6 in all mode and at d = 7 in perms mode over a minute
+@pytest.mark.parametrize("make,top", [
+    (partial(family, "zmod(2)"), 7), (partial(family, "zmod(3)"), 6),
+    (partial(family, "zmod(4)"), 6), (partial(family, "freeprod(zmod(2),zmod(2))"), 7),
+    (partial(r2, "full"), 7), (r2_hypothesis, 7), (r3, 5),
+    (lambda delta, d: r3(delta, d, "perms"), 6)],
+    ids=["zmod2", "zmod3", "zmod4", "freeprod", "r2", "r2-hypothesis", "r3", "r3-perms"])
+def test_members_match_the_plain_search(make, top):
+    for d in range(1, top + 1):
+        for delta in sorted({Fraction(1, 10), Fraction(1, d)}):
+            params = make(delta, d)
+            plan = SearchPlan(params)
+            assert plan.limit == 1
+            nball = params.source.n_ball
+            count = 0
+            restrictions = set()
+            plain = plan.search(candidate_pool(d, params.mode, plan.windows))
+            for slots, member in itertools.zip_longest(plain, iter_SA_members(params)):
+                assert member.images == tuple(
+                    pperm.PartialPermutation(d, pad[1:]) for pad in slots[:nball])
+                count += 1
+                restrictions.add(tuple(slots[1:nball]))
+            E = tuple(range(1, nball))
+            assert count_SA(params, E, cap=10 ** 30) == (count, len(restrictions))
+            assert count_SA(params, (), cap=10 ** 30) == (count, min(count, 1))
 
 
 # count_SA splits at q, the first position of E whose window admits two or
@@ -768,8 +893,9 @@ def test_ha_statistic_reads_sigma_in_model_ball_order(delta):
 
 
 def test_ha_statistic_builds_phi_pools_alone(monkeypatch):
-    # one pass over the maps for the windows of phi, and iter_SA_members
-    # makes the sigma members' own
+    # one pass over the maps for the windows of phi; at limit 1 every
+    # position of the sigma source has a relation (the identity, and the
+    # swap of order 2), so iter_SA_members asks for no window's pass
     from soficdim import sofic
     monkeypatch.setattr(crossed, "HA_CAP", 10 ** 15)
     calls = []
@@ -779,7 +905,8 @@ def test_ha_statistic_builds_phi_pools_alone(monkeypatch):
     model = swap_model(FAIR)
     assert ha_statistic(model, Fraction(1, 2), 2, E=[0], Q=[0, 1])[::2] == (2, 1)
     sigma_plan = sofic.SearchPlan(model.context.sigma_params(Fraction(1, 2), 2))
-    assert calls == [(2, "all", len(model.universe)), (2, "all", len(sigma_plan.windows))]
+    assert sigma_plan.relations() == [((), ()), ((2,), ())]
+    assert calls == [(2, "all", len(model.universe)), (2, "all", 0)]
 
 
 def test_ha_cap_refuses_before_building_pools_or_members(monkeypatch):
