@@ -25,32 +25,25 @@ condition, and a product fails at ceil(delta*d) disagreements.  A
 position, built once per ``SAParams``; it leaves out the triples that
 compose with a position whose window admits the identity alone, which
 cannot fail.  The pools the search draws from are bare image tuples
-padded with a leading 0, made in one pass over ``pperm.iter_images``
-that keeps only the tuples some window admits (``candidate_pool``), or
-generated from a position's relation (below).
-``PartialPermutation`` objects are built only for the images
-``iter_SA_members`` yields; ``count_SA(..., E=E)`` counts the distinct
-restrictions to the positions E, in the same enumeration, as padded
-tuples.  ``verify_membership`` checks one candidate on padded
+padded with a leading 0, built by ``SearchPlan.pools``, which states
+their rule.  ``PartialPermutation`` objects are built only for the
+images ``iter_SA_members`` yields; ``count_SA(..., E=E)`` counts the
+distinct restrictions to the positions E, in the same enumeration, as
+padded tuples.  ``verify_membership`` checks one candidate on padded
 tuples too, with the search's orthogonal sum and disagreement count.
 
 Both membership conditions are unchanged when every image is conjugated
 by one permutation of the points, so ``count_SA`` counts up to
 conjugacy, in one search.  At one position q the search draws from one
 representative r of each conjugacy class in q's window
-(``conjugacy_classes``: cycle types, and in ``all`` mode
+(``SearchPlan.classes``: cycle types, and in ``all`` mode
 cycle-and-chain types) and weighs each member by the size of its
 representative's class: the count is the sum over r of |class(r)|
 times the count with position q fixed to r, and with q in E each
 restriction, which holds r, weighs |class(r)| too.  q is the first
 position of E whose window admits two or more maps.  Where E has no
 such position, q is p, the first such position of the ball (the last
-position if there is none), and every member restricts to E alike.  A
-window that admits a single map admits a map that every conjugation
-fixes (the identity, or the empty map), so the positions before p take
-that map alone.  The others, q excepted, draw from one
-``candidate_pool`` pass over their own windows, so no pass over the
-maps is made when p is the last position.
+position if there is none), and every member restricts to E alike.
 
 At limit ceil(delta*d) = 1 a triple admits no disagreement, so the
 triples among ball positions read as equations, and some bind one
@@ -58,14 +51,10 @@ position t alone (``SearchPlan.relations``).  A position whose window
 is {d} holds the identity.  A chain t t = t2, t t2 = t3, ... that
 reaches such a position at step m makes t a permutation whose cycle
 lengths divide m (the triple (t, t, e) for m = 2), and (t, t, t) makes
-t a partial identity.  Conjugation keeps either relation, so the
-classes at p and q are those of maps that satisfy it
-(``relation_classes``), with their sizes, and every other position
-with a relation draws from its relation's maps, generated in the order
-of ``pperm.iter_images`` (``relation_pool``).  Members and their order
-stay those of the search over the full pass, and only the positions
-without a relation share a ``candidate_pool`` pass; ``iter_SA_members``
-also gives a window that admits one map that map alone.
+t a partial identity.  Conjugation keeps either relation, so a
+position's classes and its pool are generated from the maps that
+satisfy it (``relation_classes``, ``relation_pool``) instead of
+filtered out of all the maps.
 
 A seeded Monte Carlo estimator and a cycle-type closed form for cyclic
 groups extend the statistic beyond enumeration range.  The estimator
@@ -88,6 +77,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -610,9 +600,9 @@ class SearchPlan:
     the sum takes part in the triple (identity, sum, sum), so this
     drops exactly the candidates that triple would.
 
-    ``relations()`` reads, at limit 1, the relation that each ball
-    position's own triples impose on its map; the pools are built from
-    it, and a Monte Carlo run, which builds no pool, does not derive it.
+    ``relations``, ``classes`` and ``pools`` build what the search
+    draws from (see ``pools``).  Each is derived on first use, so a
+    Monte Carlo run, which builds no pool, derives none of them.
 
     The plan leaves out every triple (e, j, j) and (j, e, j) of a ball
     position e of trace 1, which cannot reject.  The window of e holds
@@ -641,7 +631,9 @@ class SearchPlan:
             if (k == j and i in identity) or (k == i and j in identity):
                 continue
             self.triples[max(need[i], need[j], need[k])].append((i, j, k))
+        self._classes = {}
 
+    @cached_property
     def relations(self) -> list:
         """Per ball position, the relation that its own triples impose,
         as the (cycle lengths, chain lengths) that ``relation_classes``
@@ -680,21 +672,61 @@ class SearchPlan:
                 relations.append(None)
         return relations
 
+    def classes(self, t) -> list[tuple[tuple, int]]:
+        """The (representative, class size) pairs of the conjugacy
+        classes that ball position t's window admits, restricted to the
+        maps of t's relation where it has one (``relation_classes``,
+        else ``conjugacy_classes``).  Positions with equal windows and
+        relations share one list, computed once per plan."""
+        key = self.windows[t], self.relations[t]
+        if key not in self._classes:
+            fixed, relation = key
+            self._classes[key] = (conjugacy_classes(self.d, self.params.mode, fixed)
+                                  if relation is None
+                                  else relation_classes(self.d, fixed, relation))
+        return self._classes[key]
+
+    def pools(self, split) -> list[list[tuple]]:
+        """Per ball position, the padded maps that the search draws from
+        there, by the first rule that applies:
+
+        1. at ``split``, a ball position or None, one representative of
+           each of its ``classes``;
+        2. the maps of the position's relation, generated in the order
+           of ``pperm.iter_images`` (``relation_pool``);
+        3. where the position's classes hold at most one map, that map
+           (or none): a window that admits a single map admits a map
+           that every conjugation fixes (the identity, or the empty
+           map);
+        4. the position's list from one ``candidate_pool`` pass over the
+           windows of the positions that reach this rule, which passes
+           over no map when none does.
+
+        Every pool but the split one holds exactly the maps of the full
+        pass that satisfy the position's relation, in the same order, so
+        with split None the search yields the members, in their order,
+        of a search over the full pass.
+        """
+        pools = []
+        for t, (fixed, relation) in enumerate(zip(self.windows, self.relations)):
+            if t != split and relation is not None:
+                pools.append(relation_pool(self.d, fixed, relation))
+            elif t == split or sum(size for _, size in self.classes(t)) <= 1:
+                pools.append([pad for pad, _ in self.classes(t)])
+            else:
+                pools.append(None)
+        shared = iter(candidate_pool(self.d, self.params.mode,
+                                     [fixed for fixed, pool in zip(self.windows, pools)
+                                      if pool is None]))
+        return [next(shared) if pool is None else pool for pool in pools]
+
     def search(self, pools):
         """Yield the slot list at every member whose image at each ball
-        position comes from that position's pool (as ``candidate_pool``
-        makes them), depth first in pool order: its first
-        ``len(pools)`` entries are the members' padded images."""
+        position comes from that position's pool (as ``pools`` or
+        ``candidate_pool`` makes them), depth first in pool order: its
+        first ``len(pools)`` entries are the members' padded images."""
         return search(pools, self.sums, self.triples, self.limit,
                       [None] * self.n_universe, _slot_sum)
-
-
-def _one_pass(d: int, mode: str, windows, pools) -> list[list[tuple]]:
-    """``pools`` with each None replaced by its window's list from one
-    ``candidate_pool`` pass over the windows of the Nones."""
-    shared = iter(candidate_pool(d, mode, [fixed for fixed, pool in zip(windows, pools)
-                                           if pool is None]))
-    return [next(shared) if pool is None else pool for pool in pools]
 
 
 def iter_SA_members(params: SAParams):
@@ -703,24 +735,13 @@ def iter_SA_members(params: SAParams):
     Constraints are applied as soon as every participant is assigned,
     so the pruned search yields exactly the brute-force member set.
     Only the members' images are built as ``PartialPermutation``
-    objects.  A position with a relation (``SearchPlan.relations``)
-    draws from ``relation_pool``, and one whose window admits one map
-    takes that map; the others share one ``candidate_pool`` pass.  Every
-    pool keeps the order of ``pperm.iter_images``, so the members come
-    in the order of a search over the full pass.
+    objects.  The pools are ``SearchPlan.pools(None)``, so the members
+    come in the order of a search over the full pass.
     """
-    d, mode = params.d, params.mode
+    d = params.d
     plan = SearchPlan(params)
-    pools = []
-    for fixed, relation in zip(plan.windows, plan.relations()):
-        if relation is not None:
-            pools.append(relation_pool(d, fixed, relation))
-            continue
-        classes = conjugacy_classes(d, mode, fixed)
-        pools.append([classes[0][0]] if sum(size for _, size in classes) == 1 else None)
-    pools = _one_pass(d, mode, plan.windows, pools)
-    n = len(pools)
-    for slots in plan.search(pools):
+    n = params.source.n_ball
+    for slots in plan.search(plan.pools(None)):
         yield SoficCandidate(d, tuple(PartialPermutation(d, pad[1:]) for pad in slots[:n]))
 
 
@@ -740,21 +761,16 @@ def count_SA(params: SAParams, E, cap=None):
     restriction then); a position outside the ball, such as a sum of
     the closure, raises ValueError.
 
-    A position's classes are those of its window, restricted to the
-    maps that satisfy its relation where it has one
-    (``SearchPlan.relations``, ``relation_classes``).  p is the first
-    position whose classes hold two or more maps (the last position if
-    none does), and q the first such position of E, or p where there is
-    none; a position up to p with no class makes the count 0 at once.
-    The positions before p take their one map
-    each, which every conjugation fixes, q takes one representative per
-    class, the other positions with a relation draw from
-    ``relation_pool``, and the rest from one ``candidate_pool`` pass
-    (none when no position is left for it).  Each member adds the
-    class size of its map at q to the count.  With q in E each
-    restriction holds that representative and weighs its class size;
-    otherwise every member restricts to E alike.  The class sizes find
-    p and q, so no map is enumerated for either.
+    p is the first position whose ``SearchPlan.classes`` hold two or
+    more maps (the last position if none does), and q the first such
+    position of E, or p where there is none; a position up to p with no
+    class makes the count 0 at once.  The search draws from
+    ``SearchPlan.pools(q)``, so the positions before p take their one
+    map each, which every conjugation fixes, and q one representative
+    per class.  Each member adds the class size of its map at q to the
+    count.  With q in E each restriction holds that representative and
+    weighs its class size; otherwise every member restricts to E alike.
+    The class sizes find p and q, so no map is enumerated for either.
 
     A search space above ``cap`` raises InfeasibleError.  With no
     ``cap`` the cap is ``DEFAULT_COUNT_CAP`` as it reads when the call
@@ -768,39 +784,18 @@ def count_SA(params: SAParams, E, cap=None):
     if space > cap:
         raise InfeasibleError("search space", space, "candidates", cap)
     plan = SearchPlan(params)
-    d, mode, windows = params.d, params.mode, plan.windows
-    relations = plan.relations()
-
-    def classes_at(t):
-        if relations[t] is None:
-            return conjugacy_classes(d, mode, windows[t])
-        return relation_classes(d, windows[t], relations[t])
-
-    pools = []
-    for p in range(len(windows)):
-        classes = classes_at(p)
+    for p in range(params.source.n_ball):
+        classes = plan.classes(p)
         if not classes:
             return 0, 0
-        if sum(size for _, size in classes) > 1 or p == len(windows) - 1:
+        if sum(size for _, size in classes) > 1:
             break
-        pools.append([pad for pad, _ in classes])
-    q = p
-    if p not in positions:
-        for t in range(p + 1, len(windows)):
-            if t in positions:
-                split = classes_at(t)
-                if sum(size for _, size in split) > 1:
-                    q, classes = t, split
-                    break
-    weight = dict(classes)
-    rest = [t for t in range(p, len(windows)) if t != q]
-    pools += _one_pass(d, mode, [windows[t] for t in rest],
-                       [None if relations[t] is None
-                        else relation_pool(d, windows[t], relations[t]) for t in rest])
-    pools.insert(q, list(weight))
+    q = next((t for t in sorted(positions)
+              if sum(size for _, size in plan.classes(t)) > 1), p)
+    weight = dict(plan.classes(q))
     count = 0
     restrictions = set()
-    for slots in plan.search(pools):
+    for slots in plan.search(plan.pools(q)):
         count += weight[slots[q]]
         restrictions.add(tuple(slots[i] for i in positions))
     if q not in positions:  # every member restricts to E alike

@@ -171,9 +171,10 @@ def _settings(tree):
                         if d is not None)
         names = [a.arg for a in positional]
         called = node.name
-        if "." in qualname and not any(getattr(d, "id", "") == "staticmethod"
-                                       for d in node.decorator_list):
-            names = names[1:]
+        if "." in qualname:
+            kinds = ("attr",)
+            if not any(getattr(d, "id", "") == "staticmethod" for d in node.decorator_list):
+                names = names[1:]
         if node.name == "__init__":
             called, kinds = qualname.split(".")[0], ("bare", "module_attr")
         if defaults:

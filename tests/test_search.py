@@ -524,7 +524,7 @@ def r2_hypothesis(delta, d, mode=""):
 ], ids=["zmod2", "zmod3", "zmod4", "zmod4-n2", "r2-hypothesis", "r2-hypothesis-perms",
         "zmod2-limit2", "z-limit2", "r2-hypothesis-limit2"])
 def test_relations_come_from_the_positions_own_triples(make, want):
-    assert SearchPlan(make()).relations() == want
+    assert SearchPlan(make()).relations == want
 
 
 # zmod(4) at n = 1 imposes no order on a: not the 6, 0 and 0 homomorphisms
@@ -566,17 +566,23 @@ def r3(delta, d, mode="all"):
     return groupoid_params(g, full_group_generators(g), 1, Fraction(delta), d, mode=mode)
 
 
-# every source at limit 1 (delta*d <= 1): iter_SA_members yields the
-# members of the plain search over one full pass, in its order, and
-# count_SA its counts; streams, not lists, keep memory flat.  The plain
-# search bounds d: zmod(3) and zmod(4) at d = 7 take 5 s and 9 s, r3 at
-# d = 6 in all mode and at d = 7 in perms mode over a minute
-@pytest.mark.parametrize("make,top", [
-    (partial(family, "zmod(2)"), 7), (partial(family, "zmod(3)"), 6),
-    (partial(family, "zmod(4)"), 6), (partial(family, "freeprod(zmod(2),zmod(2))"), 7),
-    (partial(r2, "full"), 7), (r2_hypothesis, 7), (r3, 5),
-    (lambda delta, d: r3(delta, d, "perms"), 6)],
-    ids=["zmod2", "zmod3", "zmod4", "freeprod", "r2", "r2-hypothesis", "r3", "r3-perms"])
+# (name, make, top): sources at limit 1 (delta*d <= 1), made by
+# make(delta, d) for d = 1..top.  The plain search bounds top: zmod(3) and
+# zmod(4) at d = 7 take 5 s and 9 s, r3 at d = 6 in all mode and at d = 7
+# in perms mode over a minute
+LIMIT_1_SOURCES = [
+    ("zmod2", partial(family, "zmod(2)"), 7), ("zmod3", partial(family, "zmod(3)"), 6),
+    ("zmod4", partial(family, "zmod(4)"), 6),
+    ("freeprod", partial(family, "freeprod(zmod(2),zmod(2))"), 7),
+    ("r2", partial(r2, "full"), 7), ("r2-hypothesis", r2_hypothesis, 7), ("r3", r3, 5),
+    ("r3-perms", lambda delta, d: r3(delta, d, "perms"), 6)]
+
+
+# every source at limit 1: iter_SA_members yields the members of the plain
+# search over one full pass, in its order, and count_SA its counts;
+# streams, not lists, keep memory flat
+@pytest.mark.parametrize("make,top", [case[1:] for case in LIMIT_1_SOURCES],
+                         ids=[case[0] for case in LIMIT_1_SOURCES])
 def test_members_match_the_plain_search(make, top):
     for d in range(1, top + 1):
         for delta in sorted({Fraction(1, 10), Fraction(1, d)}):
@@ -595,6 +601,60 @@ def test_members_match_the_plain_search(make, top):
             E = tuple(range(1, nball))
             assert count_SA(params, E, cap=10 ** 30) == (count, len(restrictions))
             assert count_SA(params, (), cap=10 ** 30) == (count, min(count, 1))
+
+
+def satisfies(pad, relation):
+    """Whether a padded map satisfies the equation t^i = t^j that
+    ``RELATIONS`` gives for a relation."""
+    i, j = dict(RELATIONS)[relation]
+    row = powers(pad, i)
+    return row[i] == row[j]
+
+
+POOL_SOURCES = (
+    [(name, lambda make=make, top=top: [make(delta, d) for d in range(1, top + 1)
+                                        for delta in sorted({Fraction(1, 10), Fraction(1, d)})])
+     for name, make, top in LIMIT_1_SOURCES]
+    + [("z-limit2", lambda: [family("z", "1/4", 5)]),
+       ("zmod2-all-limit2", lambda: [family("zmod(2)", "1/4", 5, "all")]),
+       ("r2-hypothesis-limit2", lambda: [r2_hypothesis("1/3", 4)])])
+
+
+# SearchPlan.pools against the plain pass, for no split and for each
+# position as the split: every other pool is the pass's pool filtered by
+# the position's relation, in order; the split pool holds one
+# representative per class of that filtered pool, with its size; and the
+# one pass covers just the positions with no relation and two or more maps
+@pytest.mark.parametrize("make", [case[1] for case in POOL_SOURCES],
+                         ids=[case[0] for case in POOL_SOURCES])
+def test_pools_follow_one_rule(make, monkeypatch):
+    calls = []
+    pool = sofic.candidate_pool
+    monkeypatch.setattr(sofic, "candidate_pool",
+                        lambda d, mode, windows: calls.append(windows) or pool(d, mode, windows))
+    for params in make():
+        plan = SearchPlan(params)
+        nball = params.source.n_ball
+        kept = [maps if relation is None else [pad for pad in maps if satisfies(pad, relation)]
+                for maps, relation in zip(pool(params.d, params.mode, plan.windows),
+                                          plan.relations)]
+        for split in (None, *range(nball)):
+            calls.clear()
+            pools = plan.pools(split)
+            assert calls == [[plan.windows[t] for t in range(nball) if t != split
+                              and plan.relations[t] is None and len(kept[t]) > 1]]
+            assert len(pools) == nball
+            assert all(pools[t] == kept[t] for t in range(nball) if t != split)
+            if split is None:
+                continue
+            types = Counter(tuple(map(tuple, cycle_chain_type(pad[1:])))
+                            for pad in kept[split])
+            sizes = {tuple(map(tuple, cycle_chain_type(pad[1:]))): size
+                     for pad, size in plan.classes(split)}
+            assert pools[split] == [pad for pad, _ in plan.classes(split)]
+            assert len(sizes) == len(pools[split]) and set(pools[split]) <= set(kept[split])
+            assert sizes == types
+            assert sum(sizes.values()) == len(kept[split])
 
 
 # count_SA splits at q, the first position of E whose window admits two or
@@ -808,6 +868,21 @@ def test_mc_estimate_does_not_depend_on_the_block_size(make, d, mode, outcomes,
         monkeypatch.undo()
 
 
+def test_mc_derives_no_relation_class_or_pool(monkeypatch):
+    # the plan a Monte Carlo run builds derives what the search draws from
+    # only on first use, and a run uses none of it
+    def unreachable(*args):
+        raise AssertionError("a Monte Carlo run derived a relation, class or pool")
+
+    want = monte_carlo_count(r2_hypothesis("1/10", 4), 200, 3)
+    monkeypatch.setattr(SearchPlan, "relations", property(unreachable))
+    for name in ("classes", "pools"):
+        monkeypatch.setattr(SearchPlan, name, unreachable)
+    for name in ("candidate_pool", "conjugacy_classes", "relation_classes", "relation_pool"):
+        monkeypatch.setattr(sofic, name, unreachable)
+    assert monte_carlo_count(r2_hypothesis("1/10", 4), 200, 3) == want
+
+
 # -- the joint (sigma, phi) enumeration -----------------------------------------
 
 def bernoulli(g, F, alphabet):
@@ -905,7 +980,7 @@ def test_ha_statistic_builds_phi_pools_alone(monkeypatch):
     model = swap_model(FAIR)
     assert ha_statistic(model, Fraction(1, 2), 2, E=[0], Q=[0, 1])[::2] == (2, 1)
     sigma_plan = sofic.SearchPlan(model.context.sigma_params(Fraction(1, 2), 2))
-    assert sigma_plan.relations() == [((), ()), ((2,), ())]
+    assert sigma_plan.relations == [((), ()), ((2,), ())]
     assert calls == [(2, "all", len(model.universe)), (2, "all", 0)]
 
 
