@@ -22,8 +22,8 @@ from itertools import combinations, permutations
 from math import comb, factorial
 from operator import eq, itemgetter
 
-from .rng import (_GOLDEN, _MASK, SplitMix64, mix64, mix64_each, partial_shuffle,
-                  rejection_limits)
+from .rng import (_GOLDEN, _MASK, _TWO64, SplitMix64, mix64, mix64_each,
+                  partial_shuffle, rejection_limits)
 
 
 class OverlapError(ValueError):
@@ -298,23 +298,27 @@ def monoid_size(d: int) -> int:
 @lru_cache(maxsize=64)
 def _draw_plan(d: int) -> tuple:
     """The per-degree constants of ``random_images``: the rejection
-    limits of every bound m <= d (``rng.rejection_limits``), the points
-    0..d-1 as a range, the cumulative counts of partial permutations by
-    domain size, each times 2^64, and the total count."""
+    limits of every bound m <= d (``rng.rejection_limits``), those of
+    the bounds d, ..., 1 twice over, the points as the list 1..d, the
+    cumulative counts of partial permutations by domain size, each
+    times 2^64, and the total count."""
     acc = 0
     bounds = []
     for k in range(d + 1):
         acc += comb(d, k) ** 2 * factorial(k)
         bounds.append(acc << 64)
-    return rejection_limits(d), range(d), tuple(bounds), acc
+    limits = rejection_limits(d)
+    return limits, limits[:0:-1] * 2, list(range(1, d + 1)), tuple(bounds), acc
 
 
-def random_images(d: int, total: bool, lo: int, hi: int, state: int):
+def random_images(d: int, total: bool, lo: int, hi: int, state: int, first: int):
     """``(images, state)``: the padded images (0, s(1), ..., s(d)) of a
     uniform random permutation (``total``) or partial permutation of
     degree d drawn from the SplitMix64 stream at ``state``, or None as
     soon as its fixed-point count cannot lie in lo..hi, and the state
-    after the draws made.
+    after the draws made.  ``first`` is the stream's first output,
+    ``mix64(state)``, which the caller may already hold
+    (``screen_states`` computes it in lanes for a block of trials).
 
     A partial map takes one ``next64`` for its domain size k (exact
     weights: u / 2^64 < cum_k / total), then the stream of
@@ -324,27 +328,34 @@ def random_images(d: int, total: bool, lo: int, hi: int, state: int):
     the range, run from the end as ``SplitMix64.shuffle`` runs it, pairs
     the i-th domain point with the i-th range point.  Step i settles
     position i, so the fixed points settled so far plus the i positions
-    left bound the count, as do k and |dom & ran|.
+    left bound the count, as do k and |dom & ran|.  ``first`` is the
+    domain-size output of a partial map and the first Fisher-Yates
+    step's output of a permutation of degree d >= 2; a first output
+    that step rejects is skipped as any other.
 
     Every per-degree constant comes from ``_draw_plan(d)``, computed
     once per degree: the rejection limits, the points and the
     domain-size thresholds.  At k = d both subsets are all points, so
     the draw only steps the stream through their rejection checks,
     without shuffling or sorting, and mixes no output at a power-of-two
-    bound.  The range draw stops as soon as the range points drawn
-    inside the domain plus the range points still to draw fall below
-    lo, since |dom & ran| bounds the fixed-point count.  A draw that
-    returns a tuple consumes exactly the stream of the full draw; a
-    None draw stops part-way, in the range draw or in the shuffle.
+    bound, and the images are the shuffled range as it stands.  The
+    range draw stops as soon as the range points drawn inside the
+    domain plus the range points still to draw fall below lo, since
+    |dom & ran| bounds the fixed-point count.  A draw that returns a
+    tuple consumes exactly the stream of the full draw; a None draw
+    stops part-way, in the range draw or in the shuffle.
     """
     if hi < lo:
         return None, state
-    limits, points, bounds, size = _draw_plan(d)
+    limits, doubled, points, bounds, size = _draw_plan(d)
     s = state
+    z = _TWO64  # above every limit: the next step reads a fresh output
     if total:
         k = d
+        if d > 1:  # the first Fisher-Yates step reads the first output
+            s, z = (s + _GOLDEN) & _MASK, first
     else:
-        k = bisect_right(bounds, mix64(s) * size)  # next64's output
+        k = bisect_right(bounds, first * size)
         s = (s + _GOLDEN) & _MASK
         if k < lo:
             return None, s
@@ -353,36 +364,37 @@ def random_images(d: int, total: bool, lo: int, hi: int, state: int):
             # both subsets are all points, so only the rejections of the
             # bounds d, ..., 1 (twice) move the stream; a power-of-two
             # bound has limit 2^64 and rejects no output
-            for limit in limits[:0:-1] * 2:
+            for limit in doubled:
                 while limit <= _MASK and mix64(s) >= limit:
                     s = (s + _GOLDEN) & _MASK
                 s = (s + _GOLDEN) & _MASK
         dom = points
-        ran = list(points)
+        ran = points.copy()
     else:
-        pool = list(points)
-        s, _ = partial_shuffle(pool, k, limits, None, 0, s)
-        ran = list(points)
+        dom = points.copy()
+        s, _ = partial_shuffle(dom, k, limits, None, 0, s)
+        del dom[k:]
+        ran = points.copy()
         # a range point outside the domain spends one of k - lo misses;
         # at lo = 0 no k misses can stop the draw, so no set is given
-        s, room = partial_shuffle(ran, k, limits, set(pool[:k]) if lo else None,
+        s, room = partial_shuffle(ran, k, limits, set(dom) if lo else None,
                                   k - lo, s)
         if room < 0:
             return None, s
-        dom = sorted(pool[:k])
-        ran = sorted(ran[:k])
+        dom.sort()
+        del ran[k:]
+        ran.sort()
     fixed = 0
     for i in range(k - 1, 0, -1):
         n = i + 1
         limit = limits[n]
-        while True:
+        while z >= limit:
             s = (s + _GOLDEN) & _MASK
             z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
             z ^= z >> 31
-            if z < limit:
-                break
         j = z % n
+        z = _TWO64
         y = ran[j]
         ran[j] = ran[i]
         ran[i] = y
@@ -397,16 +409,21 @@ def random_images(d: int, total: bool, lo: int, hi: int, state: int):
         fixed += 1
     if not lo <= fixed <= hi:
         return None, s
+    if k == d:
+        return (0, *ran), s
     images = [0] * (d + 1)
-    for x, y in zip(dom, ran):  # points 0..d-1 of the shuffle are 1..d
-        images[x + 1] = y + 1
+    for x, y in zip(dom, ran):
+        images[x] = y
     return tuple(images), s
 
 
 def screen_states(d: int, total: bool, lo: int, hi: int, states: list) -> list:
-    """The states, for 0 <= lo <= d, whose draw ``random_images(d,
-    total, lo, hi, state)`` its first output u = ``mix64(state)`` does
-    not already reject; every state left out draws None.
+    """``(state, mix64(state))`` for each of the states, for 0 <= lo <=
+    d, whose draw ``random_images(d, total, lo, hi, state, first)`` its
+    first output u = ``mix64(state)`` does not already reject; every
+    state left out draws None.  The outputs, computed in lanes for the
+    whole block (``rng.mix64_each``), are the ``first`` arguments of the
+    kept states' draws, so no kept draw mixes its first output again.
 
     u rejects the draw when the window is empty (hi < lo); in ``all``
     mode when it sets a domain size k < lo, that is u * size <
@@ -414,33 +431,31 @@ def screen_states(d: int, total: bool, lo: int, hi: int, states: list) -> list:
     and in ``total`` mode at d >= 2 when it is accepted at bound d (u <
     limits[d]) and the first Fisher-Yates step leaves point d unfixed
     (u % d != d - 1) while lo = d, or fixes it while hi = 0.  A rejected
-    u decides nothing, since the step reads the next output.  The
-    outputs are computed in lanes (``rng.mix64_each``), and only where
-    some u can decide the draw.
+    u decides nothing, since the step reads the next output.
     """
     if hi < lo:
         return []
-    limits, _, bounds, size = _draw_plan(d)
+    limits, _, _, bounds, size = _draw_plan(d)
+    pairs = zip(states, mix64_each(states))
     if not total:
         if lo == 0:
-            return states
+            return list(pairs)
         low = -(-bounds[lo - 1] // size)
-        return [s for s, u in zip(states, mix64_each(states)) if u >= low]
+        return [(s, u) for s, u in pairs if u >= low]
     if d < 2 or (lo < d and hi > 0):
-        return states
+        return list(pairs)
     limit, last, identity = limits[d], d - 1, lo == d
     # the identity window keeps a fixed point d, hi = 0 an unfixed one
-    return [s for s, u in zip(states, mix64_each(states))
-            if u >= limit or (u % d == last) == identity]
+    return [(s, u) for s, u in pairs if u >= limit or (u % d == last) == identity]
 
 
 def random_permutation(d: int, rng: SplitMix64) -> PartialPermutation:
     """Uniform over the permutations of degree d."""
-    images, rng._state = random_images(d, True, 0, d, rng._state)
+    images, rng._state = random_images(d, True, 0, d, rng._state, mix64(rng._state))
     return PartialPermutation(d, images[1:])
 
 
 def random_pperm(d: int, rng: SplitMix64) -> PartialPermutation:
     """Uniform over all partial permutations of degree d (exact weights)."""
-    images, rng._state = random_images(d, False, 0, d, rng._state)
+    images, rng._state = random_images(d, False, 0, d, rng._state, mix64(rng._state))
     return PartialPermutation(d, images[1:])

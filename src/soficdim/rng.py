@@ -17,9 +17,11 @@ The same lanes give the first output of every state of a block,
 whole block at once, each Monte Carlo trial whose first draw that
 output alone already rejects.  Monte Carlo counting, bound by this
 module (``perfbench``'s ``sample`` workload), runs each other trial on
-such a bare state: ``pperm.random_images`` takes a
-state and returns the state after its draws, the stream that the
-``SplitMix64`` methods of the same draws consume.  It and
+such a bare state: ``pperm.random_images`` takes a state and its
+first output and returns the state after its draws, the stream that
+the ``SplitMix64`` methods of the same draws consume.  A kept trial's
+draw at position 0 takes the output the screen computed in lanes, so
+no trial mixes its first output twice.  It and
 ``SplitMix64.choose_sorted`` run their subset draws through one loop,
 ``partial_shuffle``, which reads each bound's rejection limit from a
 table computed once per size (``rejection_limits``); ``random_images``

@@ -66,10 +66,10 @@ decided for a whole block of trials at once wherever a trial's first
 output alone decides it: that output, computed in lanes for every
 trial of the block, drops each trial whose first draw it rejects
 (``pperm.screen_states``), and every other trial runs from its start
-state.  Each trial draws from
-its own substream of the seed, so stopping early, or before the first
-draw, changes no other trial's draws and the hits are those of drawing
-every image and asking ``verify_membership``.
+state, its draw at position 0 reading that output as its first.  Each
+trial draws from its own substream of the seed, so stopping early, or
+before the first draw, changes no other trial's draws and the hits are
+those of drawing every image and asking ``verify_membership``.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ from .groupoid import (
     tau as b_tau,
 )
 from .pperm import PartialPermutation, OverlapError, _orthogonal_sum
-from .rng import SplitMix64
+from .rng import SplitMix64, mix64
 from .wordball import Ball, breadth_first, product_triples, word_str
 
 
@@ -845,15 +845,17 @@ def monte_carlo_count(params: SAParams, trials: int, seed: int) -> tuple[float, 
     ``spawn_states`` computes at once.  ``pperm.screen_states`` then
     drops each trial of the block whose first output, ``mix64`` of its
     state computed in lanes for the whole block, already rejects its
-    draw at position 0, and the others run from their start states.  A
-    trial decides membership with the integer test of ``count_SA``:
-    ``pperm.random_images`` stops a draw, part-way, as soon as its
-    fixed-point count cannot lie in its position's trace window, and as
-    each image lands the trial runs the checks of the search plan that
-    its position completes, the sums (an overlap rejecting) and the
-    triples.  The first failure ends the trial.  As each trial owns its
-    substream, the draws a stopped or dropped trial skips change no
-    other trial, and a draw that lands in its window
+    draw at position 0, and the others run from their start states,
+    their draws at position 0 taking that output as their first; a draw
+    at a later position is given ``mix64`` of the state the draw before
+    it left.  A trial decides membership with the integer test of
+    ``count_SA``: ``pperm.random_images`` stops a draw, part-way, as
+    soon as its fixed-point count cannot lie in its position's trace
+    window, and as each image lands the trial runs the checks of the
+    search plan that its position completes, the sums (an overlap
+    rejecting) and the triples.  The first failure ends the trial.  As
+    each trial owns its substream, the draws a stopped or dropped trial
+    skips change no other trial, and a draw that lands in its window
     equals the full draw, so the hits equal those of drawing every
     image in full and asking ``verify_membership``, which checks one
     candidate with the same orthogonal sum and disagreement count.
@@ -885,9 +887,11 @@ def monte_carlo_count(params: SAParams, trials: int, seed: int) -> tuple[float, 
     hits = 0
     for start in range(0, trials, MC_BLOCK):
         states = base.spawn_states(start, min(MC_BLOCK, trials - start))
-        for state in pperm.screen_states(d, total, lo0, hi0, states):
+        for state, first in pperm.screen_states(d, total, lo0, hi0, states):
             for t, lo, hi, checked in windows:
-                slots[t], state = draw(d, total, lo, hi, state)
+                if t:
+                    first = mix64(state)
+                slots[t], state = draw(d, total, lo, hi, state, first)
                 if slots[t] is None or (checked and not _admissible(
                         t, slots, sums, triples, limit, _slot_sum)):
                     break

@@ -22,7 +22,7 @@ from soficdim.pperm import (
     two_norm_sq,
     uniform_distance,
 )
-from soficdim.rng import SplitMix64
+from soficdim.rng import SplitMix64, mix64
 
 from references import (conjugate, first_output_rejects, outputs_between, rejected_state,
                         state_with_output)
@@ -343,9 +343,10 @@ class TestSampling:
         for seed in range(200):
             rng = SplitMix64(seed)
             s = full(d, rng)
+            start = SplitMix64(seed)._state
             for lo, hi in windows:
-                images, state = pperm.random_images(d, total, lo, hi,
-                                                    SplitMix64(seed)._state)
+                images, state = pperm.random_images(d, total, lo, hi, start,
+                                                    mix64(start))
                 if lo <= s.nfix <= hi:
                     assert images == (0,) + s.images
                     assert state == rng._state
@@ -369,7 +370,8 @@ class TestSampling:
             clean = d - 1 if total else max(1, 3 * s.dom_size)
             skipped += outputs_between(state, rng._state) - clean
             for lo, hi in windows:
-                images, after = pperm.random_images(d, total, lo, hi, state)
+                images, after = pperm.random_images(d, total, lo, hi, state,
+                                                    mix64(state))
                 if lo <= s.nfix <= hi:
                     assert images == (0,) + s.images
                     assert after == rng._state
@@ -396,15 +398,44 @@ class TestSampling:
         dropped = 0
         for lo, hi in windows:
             kept = pperm.screen_states(d, total, lo, hi, states)
-            # the screen is the rule, and drops only draws that are None
-            assert kept == [s for s, u in zip(states, outputs)
+            # the screen is the rule, keeps each state with its first
+            # output u = mix64(state), and drops only draws that are None
+            assert kept == [(s, u) for s, u in zip(states, outputs)
                             if not first_output_rejects(u, d, total, lo, hi)]
-            for s in set(states) - set(kept):
-                assert pperm.random_images(d, total, lo, hi, s)[0] is None
+            for s in set(states) - {s for s, _ in kept}:
+                assert pperm.random_images(d, total, lo, hi, s, mix64(s))[0] is None
             if lo <= hi:
                 dropped += len(states) - len(kept)
         # a permutation of degree 1 draws no output
         assert dropped > 0 or total and d == 1
+
+    @pytest.mark.parametrize("total,full", FULL_DRAWS, ids=["perms", "all"])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_draw_given_the_screens_first_output_is_the_full_draw_or_none(
+            self, d, total, full):
+        # the screen's first outputs, computed in lanes, are mix64 of the
+        # states, and a draw given one is the full draw or None in every
+        # window, empty ones included; the states include those whose j-th
+        # output is 2^64 - 1, the first (j = 0) among them
+        states = ([rejected_state(j) for j in range(3 * d)]
+                  + SplitMix64(d).spawn_states(0, 200))
+        draws = {}
+        for state in states:
+            rng = SplitMix64(state)
+            draws[state] = full(d, rng), rng._state
+        compared = 0
+        for lo in range(d + 1):
+            for hi in range(d + 1):
+                for s, u in pperm.screen_states(d, total, lo, hi, states):
+                    assert u == mix64(s)
+                    want, after = draws[s]
+                    images, state = pperm.random_images(d, total, lo, hi, s, u)
+                    if lo <= want.nfix <= hi:
+                        assert (images, state) == ((0,) + want.images, after)
+                        compared += 1
+                    else:
+                        assert images is None
+        assert compared > 0
 
     @pytest.mark.parametrize("total,full", FULL_DRAWS, ids=["perms", "all"])
     def test_wrappers_reproduce_the_full_draws(self, total, full):

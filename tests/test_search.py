@@ -868,6 +868,25 @@ def test_mc_estimate_does_not_depend_on_the_block_size(make, d, mode, outcomes,
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("make,d,mode,outcomes", MC_CASES, ids=MC_IDS)
+def test_mc_mixes_no_kept_trials_first_output_again(make, d, mode, outcomes,
+                                                    monkeypatch):
+    # the screen computes each block's first outputs in lanes and hands
+    # them to the position-0 draws, so no scalar mix64 reads a start state
+    # (positions after 0 mix the state their previous draw left)
+    mixed = []
+    for module in (pperm, sofic):
+        mix = module.mix64
+        monkeypatch.setattr(module, "mix64",
+                            lambda x, mix=mix: mixed.append(x) or mix(x))
+    starts = set(SplitMix64(5).spawn_states(0, 150))
+    for delta in mc_deltas(d):
+        params = make(delta, d, mode)
+        monte_carlo_count(params, 150, 5)
+    assert starts.isdisjoint(mixed)
+    assert mixed or params.source.n_ball == 1
+
+
 def test_mc_derives_no_relation_class_or_pool(monkeypatch):
     # the plan a Monte Carlo run builds derives what the search draws from
     # only on first use, and a run uses none of it
