@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property
 
 from . import pperm, sofic
 from .partitions import (
@@ -414,7 +414,13 @@ class BuildPhiResult:
     v_fraction: Fraction
     v_bound: Fraction
     v_ok: bool
-    report: HAReport
+
+    @cached_property
+    def report(self) -> HAReport:
+        """``verify_HA`` of the pair at ``tolerance``, computed when
+        first read, so a caller that reads only ``candidate`` (``verify
+        --suite lin146``) certifies nothing."""
+        return verify_HA(self.candidate, self.tolerance)
 
 
 def ha_tolerance_squared(basis: SpanBasis, delta) -> Fraction:
@@ -432,9 +438,9 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
     image-side indicator and where disjoint cylinders have disjoint
     supports; on V each sum-closure value is a genuine projection.  The
     pair is certified at the displayed tolerance, a SqrtTol kept as the
-    result's ``tolerance``, and the size of V is checked against its
-    lower bound.  The phi values run over the model's projection
-    universe.
+    result's ``tolerance``, when its ``report`` is first read, and the
+    size of V is checked against its lower bound.  The phi values run
+    over the model's projection universe.
     """
     delta = Fraction(delta)
     basis = table.basis
@@ -468,10 +474,8 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
                 raise HypothesisError(f"phi0 is not 0/1 on V at point {x} "
                                       f"(value {Fraction(v, den)})")
         phi_values.append(PartialPermutation.projection(d, support))
-    cand = HACandidate(table.member, phi_values)
-    report = verify_HA(cand, tolerance)
-    return BuildPhiResult(cand, tolerance, frozenset(V), Fraction(len(V), d),
-                          v_bound, Fraction(len(V)) >= v_bound, report)
+    return BuildPhiResult(HACandidate(table.member, phi_values), tolerance, frozenset(V),
+                          Fraction(len(V), d), v_bound, Fraction(len(V)) >= v_bound)
 
 
 # -- joint enumeration -----------------------------------------------------------
@@ -499,10 +503,11 @@ def ha_statistic(model: CylinderModel, delta, d: int, E, Q) -> tuple[int, float,
     inverse images are read from it directly.
 
     phi runs on ``sofic.search``, a closure element per position.  As
-    traces and distances are multiples of 1/d, (i) is the window of
-    fixed-point counts k with ``gap_below(|k/d - mu|, delta)``, and a
-    product fails at the fewest disagreements c with
-    ``not gap_below(c/d, delta)``, for either kind of tolerance.
+    traces and distances are multiples of 1/d, both tests come from the
+    squared tolerance (``value_sq``, or delta^2): (i) is the window of
+    fixed-point counts k with |k/d - mu| < delta
+    (``sofic.fixed_windows``), and a product fails at the fewest
+    disagreements c with c/d >= delta, ``sofic.reach(tol_sq, d) + 1``.
     """
     uni = model.universe
     delta = delta if isinstance(delta, SqrtTol) else Fraction(delta)
@@ -510,11 +515,11 @@ def ha_statistic(model: CylinderModel, delta, d: int, E, Q) -> tuple[int, float,
     if space > HA_CAP:
         raise InfeasibleError("search space", space, "candidates", HA_CAP)
     sa_params = model.context.sigma_params(1 if isinstance(delta, SqrtTol) else delta, d)
-    below = partial(gap_below, tol=delta)
+    tol_sq = delta.value_sq if isinstance(delta, SqrtTol) else delta ** 2
     # (i): a trace window on each cylinder projection
     centres = [model.mu_points(s) if i < uni.p_count else None
                for i, s in enumerate(uni.elements)]
-    windows = sofic.fixed_windows(d, centres, below)
+    windows = sofic.fixed_windows(d, centres, tol_sq)
     pools = sofic.candidate_pool(d, "all", windows)
     sigma_members = list(sofic.iter_SA_members(sa_params))
     space *= max(len(sigma_members), 1)
@@ -539,7 +544,7 @@ def ha_statistic(model: CylinderModel, delta, d: int, E, Q) -> tuple[int, float,
             derived[pos].append((k, (pos, sig_inv + b)))
             triples[max(pos, tpos)].append((sig + b, k, tpos))
     triples[uni.x_index].append((ident, uni.x_index, ident))  # (iv)
-    limit = next((c for c in range(d + 1) if not below(Fraction(c, d))), d + 1)
+    limit = sofic.reach(tol_sq, d) + 1
 
     def compose(slots, ij):
         return tuple(map(slots[ij[0]].__getitem__, slots[ij[1]]))

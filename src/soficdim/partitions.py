@@ -103,33 +103,42 @@ PROFILE_CAP = 8
 # -- profiles -------------------------------------------------------------------
 
 
+def _first_seen(values) -> tuple:
+    """``values`` relabeled 0, 1, 2, ... in order of first appearance:
+    two sequences get equal relabelings exactly when their entries are
+    equal at the same pairs of places."""
+    labels = {}
+    return tuple(labels.setdefault(v, len(labels)) for v in values)
+
+
 def profile_units(g: FiniteGroupoid, F0, blocks) -> list:
     """Units classified by the block pattern of F0, in increasing order.
 
     A unit e qualifies when every element of F0 has an arrow with range
-    e and two elements share that arrow exactly when they share a block.
+    e and two elements share that arrow exactly when they share a block:
+    the arrows relabel by first appearance (``_first_seen``) as the
+    blocks do.
     """
     tables = [{g.range_[a]: a for a in s.arrows} for s in F0]
+    pattern = _first_seen(blocks)
     out = []
     for e in range(g.n_units):
         arrows = [t.get(e) for t in tables]
-        if None not in arrows and all(
-                (arrows[i] == arrows[j]) == (blocks[i] == blocks[j])
-                for i in range(len(F0)) for j in range(i + 1, len(F0))):
+        if None not in arrows and _first_seen(arrows) == pattern:
             out.append(e)
     return out
 
 
 def profile_sigma_points(images, blocks, d: int) -> frozenset:
-    """Points of {1..d} classified by the preimage pattern of the images."""
+    """Points of {1..d} classified by the preimage pattern of the images:
+    every image has a preimage of the point, and two share it exactly
+    when they share a block, as in ``profile_units``."""
     preimages = [_inverse_images(s.images) for s in images]
+    pattern = _first_seen(blocks)
     out = set()
     for e in range(1, d + 1):
         pres = [inv[e - 1] for inv in preimages]
-        if 0 in pres:
-            continue
-        if all((pres[i] == pres[j]) == (blocks[i] == blocks[j])
-               for i in range(len(images)) for j in range(i + 1, len(images))):
+        if 0 not in pres and _first_seen(pres) == pattern:
             out.add(e)
     return frozenset(out)
 
@@ -686,7 +695,6 @@ class Phi0Table:
             raise ValueError("partition and model disagree on the alphabet size")
         self.basis = basis
         self.member = member
-        self.sigma = member.sigma
         self.partition = partition
         self.d = partition.d
         self.images = member.images

@@ -20,7 +20,10 @@ assigned, so the count equals the brute-force one.  The search, which
 also enumerates the maps phi of ``crossed.ha_statistic``,
 compares integers only: distances are multiples of 1/d, so each
 position keeps the candidates whose fixed-point count meets its trace
-condition, and a product fails at ceil(delta*d) disagreements.  A
+condition, and a product fails at ceil(delta*d) disagreements.  Both
+come from one exact routine over the squared tolerance, ``reach``,
+which gives the integers strictly inside a tolerance, so a rational
+delta and a square root one are decided alike (``fixed_windows``).  A
 ``SearchPlan`` holds those windows, the limit and the checks of each
 position, built once per ``SAParams``; it leaves out the triples that
 compose with a position whose window admits the identity alone, which
@@ -511,31 +514,39 @@ def search_space_size(params: SAParams) -> int:
     return pool_size(params.d, params.mode) ** params.source.n_ball
 
 
-def fixed_windows(d: int, centres, below) -> list[frozenset]:
-    """Per position, the fixed-point counts k in 0..d with
-    ``below(|k/d - centre|)``; a centre of None keeps every count.
+def reach(tol_sq, scale: int) -> int:
+    """The largest integer m with m^2 < tol_sq * scale^2, or -1 when
+    there is none.
 
-    ``below`` must hold for every gap under some bound and for none
-    above it (a tolerance test), so each window is an interval around
-    d*centre.  It is found from its two ends: from the count nearest
-    d*centre within 0..d, which has the smallest gap (the window is
-    empty when it fails), outward while the test holds.
+    For a tolerance tol given by its rational square ``tol_sq`` (a
+    Fraction or an int), the integers strictly within tol * scale of 0
+    are those of absolute value at most ``reach(tol_sq, scale)``, so a
+    rational tolerance and a square root one are decided exactly alike.
+    With tol_sq = a/b, m^2 < a scale^2 / b exactly when
+    m^2 <= (a scale^2 - 1) // b.
     """
-    every = frozenset(range(d + 1))
+    top = tol_sq.numerator * scale * scale
+    return math.isqrt((top - 1) // tol_sq.denominator) if top > 0 else -1
+
+
+def fixed_windows(d: int, centres, tol_sq) -> list[frozenset]:
+    """Per position, the fixed-point counts k in 0..d with
+    |k/d - centre| < tol, where tol^2 = ``tol_sq``; a centre of None
+    keeps every count.
+
+    With d*centre = p/q in lowest terms, |k/d - centre| < tol exactly
+    when |q k - p| < tol d q, that is when |q k - p| <= r for
+    r = ``reach(tol_sq, d*q)``: the window is the interval of k from
+    ceil((p - r)/q) to floor((p + r)/q), clipped to 0..d, and empty
+    when no k lies there.
+    """
     windows = []
     for centre in centres:
-        if centre is None:
-            windows.append(every)
-            continue
-        mid = min(max(round(centre * d), 0), d)
-        if not below(abs(Fraction(mid, d) - centre)):
-            windows.append(frozenset())
-            continue
-        lo = hi = mid
-        while lo > 0 and below(abs(Fraction(lo - 1, d) - centre)):
-            lo -= 1
-        while hi < d and below(abs(Fraction(hi + 1, d) - centre)):
-            hi += 1
+        lo, hi = 0, d
+        if centre is not None:
+            p, q = (Fraction(centre) * d).as_integer_ratio()
+            r = reach(tol_sq, d * q)
+            lo, hi = max(-((r - p) // q), 0), min((p + r) // q, d)
         windows.append(frozenset(range(lo, hi + 1)))
     return windows
 
@@ -593,12 +604,14 @@ class SearchPlan:
     """The membership search of one SAParams, planned once.
 
     ``windows`` holds each ball position's fixed-point window (its
-    trace condition), ``limit`` = ceil(delta*d) the disagreements that
-    reject a triple, and ``sums`` and ``triples`` what each ball
-    position completes.  A sum resolves at the ball position that
-    completes it, and an overlap of its summands' images rejects there:
-    the sum takes part in the triple (identity, sum, sum), so this
-    drops exactly the candidates that triple would.
+    trace condition, ``fixed_windows`` at delta^2), ``limit`` the
+    disagreements that reject a triple, the fewest c with c/d >= delta,
+    ``reach(delta^2, d) + 1`` = ceil(delta*d), and ``sums`` and
+    ``triples`` what each ball position completes.  A sum resolves at
+    the ball position that completes it, and an overlap of its
+    summands' images rejects there: the sum takes part in the triple
+    (identity, sum, sum), so this drops exactly the candidates that
+    triple would.
 
     ``relations``, ``classes`` and ``pools`` build what the search
     draws from (see ``pools``).  Each is derived on first use, so a
@@ -619,8 +632,8 @@ class SearchPlan:
         self.params = params
         self.d = params.d
         self.n_universe = source.n_universe
-        self.windows = fixed_windows(params.d, source.taus, params.delta.__gt__)
-        self.limit = math.ceil(params.delta * params.d)
+        self.windows = fixed_windows(params.d, source.taus, params.delta ** 2)
+        self.limit = reach(params.delta ** 2, params.d) + 1
         need = [max(parts) for parts in source.decomposition]
         self.sums = [[] for _ in range(source.n_ball)]
         self.triples = [[] for _ in range(source.n_ball)]

@@ -697,6 +697,21 @@ class TestVerify:
         with pytest.raises(AssertionError, match="^build_phi0 called$"):
             run(capsys, "verify", "--suite", "ha", *argv[3:])
 
+    def test_lin146_alone_certifies_no_pair(self, monkeypatch):
+        # lin146 reads the restricted pair alone; its certificate, the
+        # result's report, is computed for ha only, once per checked table
+        calls = []
+        verify = crossed.verify_HA
+        monkeypatch.setattr(crossed, "verify_HA",
+                            lambda *args: calls.append(args) or verify(*args))
+        g = transitive_groupoid(2)
+        args = (4, Fraction(1, 10), 1, 1, 12, 2, 1)
+        lin146 = cli.run_suites(g, ("lin146",), *args)
+        assert lin146["lin146"]["passed"] and calls == []
+        both = cli.run_suites(g, ("ha", "lin146"), *args)
+        assert both["lin146"] == lin146["lin146"] and both["ha"]["passed"]
+        assert len(calls) == 5
+
 
 class PerDrawOracle:
     """The tabled suites as run_suites computed them before it checked

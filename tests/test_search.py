@@ -57,6 +57,7 @@ from soficdim.sofic import (
     fixed_windows,
     iter_SA_members,
     monte_carlo_count,
+    reach,
     relation_classes,
     relation_pool,
     search_space_size,
@@ -292,7 +293,8 @@ def test_reports_on_suite_candidates(argv, tmp_path, monkeypatch, capsys):
 
 # -- trace windows ----------------------------------------------------------------
 
-CENTRES = [0, Fraction(0), Fraction(1, 3), Fraction(1, 2), 1, Fraction(1), None]
+CENTRES = [0, Fraction(0), Fraction(1, 3), Fraction(1, 2), 1, Fraction(1), None,
+           Fraction(1, 7), Fraction(5, 6)]
 # rational tolerances, and square roots compared through squares (sqrt 1/8
 # is irrational); 1/4, 1/5 and sqrt 1/25 put a window end on k/d exactly
 TOLERANCES = [Fraction(1, 100), Fraction(1, 12), Fraction(1, 5), Fraction(1, 4),
@@ -300,6 +302,10 @@ TOLERANCES = [Fraction(1, 100), Fraction(1, 12), Fraction(1, 5), Fraction(1, 4),
               SqrtTol(Fraction(1, 10000)), SqrtTol(Fraction(1, 25)),
               SqrtTol(Fraction(1, 16)), SqrtTol(Fraction(1, 8)),
               SqrtTol(Fraction(1, 4)), SqrtTol(Fraction(4))]
+
+
+def squared(tol):
+    return tol.value_sq if isinstance(tol, SqrtTol) else tol ** 2
 
 
 def windows_per_count(d, centres, below):
@@ -312,26 +318,57 @@ def windows_per_count(d, centres, below):
 @pytest.mark.parametrize("tol", TOLERANCES, ids=str)
 def test_windows_match_the_per_count_test(tol):
     below = partial(gap_below, tol=tol)
-    for d in range(1, 13):
-        windows = fixed_windows(d, CENTRES, below)
+    for d in range(1, 41):
+        windows = fixed_windows(d, CENTRES, squared(tol))
         assert windows == windows_per_count(d, CENTRES, below)
         assert all(type(w) is frozenset for w in windows)
 
 
 def test_windows_at_their_edges():
-    fifth = Fraction(1, 5).__gt__
+    fifth_sq = Fraction(1, 25)
     # d = 5, delta = 1/5: every end on k/d is left out, strictly
-    assert fixed_windows(5, [0, Fraction(1, 3), Fraction(1, 2), 1, None], fifth) == [
+    assert fixed_windows(5, [0, Fraction(1, 3), Fraction(1, 2), 1, None], fifth_sq) == [
         {0}, {1, 2}, {2, 3}, {5}, set(range(6))]
-    assert fixed_windows(5, [Fraction(1, 5)], partial(
-        gap_below, tol=SqrtTol(Fraction(1, 25)))) == [{1}]
+    assert fixed_windows(5, [Fraction(1, 5)], squared(SqrtTol(Fraction(1, 25)))) == [{1}]
     # no count within 1/100 of 1/3 at d = 4, nor of 1/2 at odd d
-    hundredth = Fraction(1, 100).__gt__
-    assert fixed_windows(4, [Fraction(1, 3), 1], hundredth) == [frozenset(), {4}]
-    assert fixed_windows(7, [Fraction(1, 2)], hundredth) == [frozenset()]
+    hundredth_sq = Fraction(1, 10000)
+    assert fixed_windows(4, [Fraction(1, 3), 1], hundredth_sq) == [frozenset(), {4}]
+    assert fixed_windows(7, [Fraction(1, 2)], hundredth_sq) == [frozenset()]
     # zmod(3) at d = 4, delta = 1/4: the identity keeps 4 and a, a^-1 keep 0
     plan = SearchPlan(family("zmod(3)", "1/4", 4))
     assert sorted(plan.windows, key=min) == [{0}, {0}, {4}]
+
+
+def test_reach_is_the_integers_strictly_inside_a_tolerance():
+    for tol_sq in (Fraction(0), Fraction(1, 50), Fraction(1, 4), Fraction(2), Fraction(9)):
+        for scale in range(1, 30):
+            m = reach(tol_sq, scale)
+            assert m >= -1 and (m < 0 or m * m < tol_sq * scale * scale)
+            assert (m + 1) ** 2 >= tol_sq * scale * scale
+    # the search's limit: the fewest disagreements c with c/d >= delta
+    for num in range(1, 25):
+        for den in range(1, 25):
+            delta = Fraction(num, den)
+            for d in range(1, 41):
+                assert reach(delta ** 2, d) + 1 == math.ceil(delta * d)
+
+
+@pytest.mark.parametrize("tol", TOLERANCES, ids=str)
+def test_ha_statistic_limit_matches_the_scan(monkeypatch, tol):
+    # the limit that ha_statistic hands the search, against the scan it
+    # replaced: the fewest c in 0..d with c/d not below the tolerance, or
+    # d + 1, which rejects nothing, as every limit above d does
+    limits = []
+    monkeypatch.setattr(crossed, "HA_CAP", math.inf)
+    monkeypatch.setattr(sofic, "candidate_pool", lambda d, mode, windows: [[]] * len(windows))
+    monkeypatch.setattr(sofic, "search", lambda *args: limits.append(args[3]) or ())
+    model = point_model(FAIR)
+    monkeypatch.setattr(sofic, "iter_SA_members", lambda params: [SoficCandidate(
+        params.d, [pperm.PartialPermutation.identity(params.d)] * len(model.ball))])
+    for d in range(1, 13):
+        ha_statistic(model, tol, d, [0], [0])
+        scan = next((c for c in range(d + 1) if not gap_below(Fraction(c, d), tol)), d + 1)
+        assert min(limits.pop(), d + 1) == scan
 
 
 def first_branching(pools):
