@@ -33,6 +33,7 @@ from .groupoid import (
     cyclic_groupoid,
     full_identity,
     load_pmp,
+    transitive_groupoid,
 )
 from .pperm import PartialPermutation
 from .rng import SplitMix64
@@ -474,7 +475,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    from .groupoid import transitive_groupoid
     delta = parse_tolerance(args.delta)
     g = transitive_groupoid(2)
     cd = scaling.standard_corner(g, [0])

@@ -45,6 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import ne
 
 from . import pperm, sofic
 from .partitions import (
@@ -90,11 +91,10 @@ class ProjectionUniverse:
 
     def __init__(self, model: CylinderModel):
         self.model = model
-        self.p_projections = model.distinct_projections
-        self.p_count = len(self.p_projections)
+        projections = model.distinct_projections
+        self.p_count = len(projections)
         elements, index, decomposition = sofic.sum_closure(
-            self.p_projections, self.p_projections,
-            lambda sets: frozenset().union(*sets))
+            projections, projections, lambda sets: frozenset().union(*sets))
         self.elements = tuple(elements)
         self.index = index
         self.decomposition = tuple(decomposition)
@@ -201,32 +201,32 @@ def verify_HA(cand: HACandidate, tol) -> HAReport:
     sigma_ok = (rep.is_member and gap_below(rep.mult_gap, tol)
                 and gap_below(rep.trace_gap, tol))
 
-    trace_gap, trace_wit = Fraction(0), ""
-    for i in range(uni.p_count):
-        gap = abs(pperm.trace(cand.phi[i]) - model.mu_points(uni.elements[i]))
-        if gap > trace_gap:
-            trace_gap, trace_wit = gap, f"projection {i}"
+    i, trace_gap = sofic._first_largest(enumerate(
+        abs(pperm.trace(p) - model.mu_points(s))
+        for p, s in zip(cand.phi, uni.elements[:uni.p_count])), Fraction(0))
+    trace_wit = "" if i is None else f"projection {i}"
 
     # (ii) and (iii) compare disagreement counts on padded image tuples;
     # the gap is count / d.  s p s^-1 sends x to s(p(s^-1(x))).
     phi = [p.images for p in cand.phi]
-    equi_count, equi_wit = 0, ""
-    for letter, pos in enumerate(uni.letter_index):
-        p = (0,) + phi[pos]
-        for bidx, (s, inv) in enumerate(zip(member.pads, member.inverses)):
-            target = phi[uni.index[model.translate(bidx, letter)]]
-            count = sum(1 for w, y in zip(target, inv) if w != s[p[y]])
-            if count > equi_count:
-                equi_count, equi_wit = count, f"letter {letter}, ball {bidx}"
+    pads = [(0,) + p for p in phi]
+
+    def equivariance():
+        for letter, pos in enumerate(uni.letter_index):
+            p = pads[pos]
+            for bidx, (s, inv) in enumerate(zip(member.pads, member.inverses)):
+                target = phi[uni.index[model.translate(bidx, letter)]]
+                yield (letter, bidx), sum(1 for w, y in zip(target, inv) if w != s[p[y]])
+
+    at, equi_count = sofic._first_largest(equivariance(), 0)
+    equi_wit = "" if at is None else f"letter {at[0]}, ball {at[1]}"
     equi_gap = Fraction(equi_count, d)
 
     # phi(i) phi(j) against phi(k), point by point, without building the product
-    mult_count, mult_wit = 0, ""
-    for (i, j, k) in uni.triples:
-        left = phi[i]
-        count = sum(1 for y, z in zip(phi[j], phi[k]) if z != (left[y - 1] if y else 0))
-        if count > mult_count:
-            mult_count, mult_wit = count, f"pair ({i}, {j})"
+    counts = [sum(map(ne, map(pads[i].__getitem__, phi[j]), phi[k]))
+              for i, j, k in uni.triples]
+    ijk, mult_count = sofic._first_largest(zip(uni.triples, counts), 0)
+    mult_wit = "" if ijk is None else f"pair {ijk[:2]}"
     mult_gap = Fraction(mult_count, d)
 
     unit_gap = pperm.uniform_distance(cand.phi[uni.x_index],
@@ -358,23 +358,23 @@ def build_phi0(table: Phi0Table, delta) -> PropertyReport:
     d0_sq = delta0_squared(basis, delta)
     projections = model.distinct_projections
 
-    trace_sq, trace_wit = Fraction(0), ""
-    for i, p in enumerate(projections):
-        den, nums = table.numerators(p)
-        gap = abs(Fraction(sum(nums), den * d) - model.mu_points(p))
-        if gap * gap > trace_sq:
-            trace_sq, trace_wit = gap * gap, f"projection {i}"
+    i, trace_sq = sofic._first_largest(enumerate(
+        (Fraction(sum(nums), den * d) - model.mu_points(p)) ** 2
+        for p, (den, nums) in zip(projections, map(table.numerators, projections))),
+        Fraction(0))
+    trace_wit = "" if i is None else f"projection {i}"
 
-    equi_sq, equi_wit = Fraction(0), ""
-    for letter, bset in enumerate(model.letter_sets):
-        g_den, g_nums = table.numerators(bset)
-        for bidx, inv in enumerate(table.member.inverses):
-            # push the diagonal of g forward along s: (s g s^-1)(y) = g(s^-1 y)
-            pushed = [g_nums[x - 1] if x else 0 for x in inv]
-            gap_sq = _square_gap(table.numerators(model.translate(bidx, letter)),
-                                 (g_den, pushed), d)
-            if gap_sq > equi_sq:
-                equi_sq, equi_wit = gap_sq, f"letter {letter}, ball {bidx}"
+    def equivariance():
+        for letter, bset in enumerate(model.letter_sets):
+            g_den, g_nums = table.numerators(bset)
+            for bidx, inv in enumerate(table.member.inverses):
+                # push the diagonal of g forward along s: (s g s^-1)(y) = g(s^-1 y)
+                pushed = [g_nums[x - 1] if x else 0 for x in inv]
+                yield (letter, bidx), _square_gap(
+                    table.numerators(model.translate(bidx, letter)), (g_den, pushed), d)
+
+    at, equi_sq = sofic._first_largest(equivariance(), Fraction(0))
+    equi_wit = "" if at is None else f"letter {at[0]}, ball {at[1]}"
 
     # |phi0(p1 & p2) - phi0(p1) phi0(p2)|^2 on integer numerators over one
     # common denominator D is sum (D n12 - n1 n2)^2 / (D^4 d).  The gap is
@@ -385,12 +385,11 @@ def build_phi0(table: Phi0Table, delta) -> PropertyReport:
     values = {p: table.numerators(p) for p in (*projections, *meets.values())}
     D = math.lcm(*(den for den, _ in values.values()))
     scaled = {p: tuple(x * (D // den) for x in v) for p, (den, v) in values.items()}
-    mult_num, mult_wit = 0, ""
-    for (i, j), meet in meets.items():
-        gap = sum((D * c - a * b) ** 2 for a, b, c in
-                  zip(scaled[projections[i]], scaled[projections[j]], scaled[meet]))
-        if gap > mult_num:
-            mult_num, mult_wit = gap, f"pair ({i}, {j})"
+    pair, mult_num = sofic._first_largest(
+        (((i, j), sum((D * c - a * b) ** 2 for a, b, c in
+                      zip(scaled[projections[i]], scaled[projections[j]], scaled[meet])))
+         for (i, j), meet in meets.items()), 0)
+    mult_wit = "" if pair is None else f"pair {pair}"
     mult_sq = Fraction(mult_num, D ** 4 * d)
 
     unit_sq = _square_gap(table.numerators(frozenset(range(model.action.n_points))),

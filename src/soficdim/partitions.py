@@ -111,36 +111,34 @@ def _first_seen(values) -> tuple:
     return tuple(labels.setdefault(v, len(labels)) for v in values)
 
 
+def _profile(tables, points, blocks) -> list:
+    """The points e, in the order of ``points``, where every table (a
+    dict) is defined and two tables agree exactly when they share a
+    block: the column of their values at e relabels by first appearance
+    (``_first_seen``) as the blocks do."""
+    pattern = _first_seen(blocks)
+    columns = ((e, [t.get(e) for t in tables]) for e in points)
+    return [e for e, column in columns if None not in column and _first_seen(column) == pattern]
+
+
 def profile_units(g: FiniteGroupoid, F0, blocks) -> list:
     """Units classified by the block pattern of F0, in increasing order.
 
     A unit e qualifies when every element of F0 has an arrow with range
-    e and two elements share that arrow exactly when they share a block:
-    the arrows relabel by first appearance (``_first_seen``) as the
-    blocks do.
+    e and two elements share that arrow exactly when they share a block
+    (``_profile``).
     """
-    tables = [{g.range_[a]: a for a in s.arrows} for s in F0]
-    pattern = _first_seen(blocks)
-    out = []
-    for e in range(g.n_units):
-        arrows = [t.get(e) for t in tables]
-        if None not in arrows and _first_seen(arrows) == pattern:
-            out.append(e)
-    return out
+    return _profile([{g.range_[a]: a for a in s.arrows} for s in F0],
+                    range(g.n_units), blocks)
 
 
 def profile_sigma_points(images, blocks, d: int) -> frozenset:
     """Points of {1..d} classified by the preimage pattern of the images:
     every image has a preimage of the point, and two share it exactly
     when they share a block, as in ``profile_units``."""
-    preimages = [_inverse_images(s.images) for s in images]
-    pattern = _first_seen(blocks)
-    out = set()
-    for e in range(1, d + 1):
-        pres = [inv[e - 1] for inv in preimages]
-        if 0 not in pres and _first_seen(pres) == pattern:
-            out.add(e)
-    return frozenset(out)
+    return frozenset(_profile(
+        [{y: x for x, y in enumerate(s.images, start=1) if y} for s in images],
+        range(1, d + 1), blocks))
 
 
 # -- lemma constants -------------------------------------------------------------
@@ -413,16 +411,16 @@ def verify_lemma_c1(sigma: SoficCandidate, ctx: LemmaContext, delta) -> BoundRep
     images_all = ctx.align(sigma)
     weights = ctx.groupoid.unit_weights
     bound = lemma_constants(ctx.f_pm_size, ctx.n).c1 * delta
-    worst = Fraction(0)
-    witness = "empty profile sweep"
     d = sigma.degree
-    for combo, blocks, units in ctx.profiles:
-        h = sum((weights[e] for e in units), Fraction(0))
-        pts = profile_sigma_points([images_all[i] for i in combo], blocks, d)
-        disc = abs(h - Fraction(len(pts), d))
-        if disc > worst:
-            worst = disc
-            witness = f"F0={list(combo)} blocks={blocks}"
+
+    def discrepancies():
+        for combo, blocks, units in ctx.profiles:
+            h = sum((weights[e] for e in units), Fraction(0))
+            pts = profile_sigma_points([images_all[i] for i in combo], blocks, d)
+            yield (combo, blocks), abs(h - Fraction(len(pts), d))
+
+    at, worst = sofic._first_largest(discrepancies(), Fraction(0))
+    witness = "empty profile sweep" if at is None else f"F0={list(at[0])} blocks={at[1]}"
     return BoundReport(bound, worst, witness, worst < bound)
 
 
@@ -436,13 +434,10 @@ def verify_lemma_c2(table: Phi0Table, delta) -> BoundReport:
     delta = Fraction(delta)
     model = table.basis.model
     bound = table.basis.constants.c2 * delta
-    worst = Fraction(0)
-    witness = "empty cylinder sweep"
-    for psi, a_psi in zip(model.psis, table.a_psis):
-        disc = abs(model.mu_cylinder(psi) - Fraction(len(a_psi), table.d))
-        if disc > worst:
-            worst = disc
-            witness = f"psi={psi}"
+    psi, worst = sofic._first_largest(
+        ((psi, abs(model.mu_cylinder(psi) - Fraction(len(a_psi), table.d)))
+         for psi, a_psi in zip(model.psis, table.a_psis)), Fraction(0))
+    witness = "empty cylinder sweep" if psi is None else f"psi={psi}"
     return BoundReport(bound, worst, witness, worst < bound)
 
 

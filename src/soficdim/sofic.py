@@ -120,8 +120,11 @@ class BallSource:
         # universe == ball; every element decomposes as itself
         self.decomposition = tuple((i,) for i in range(self.n_ball))
         self.n_universe = self.n_ball
-        self.triples = ball.triples
         self.taus = tuple(ball.tau(i) for i in range(self.n_ball))
+
+    @property
+    def triples(self) -> tuple:
+        return self.ball.triples
 
     def key_label(self, i):
         return word_str(self.ball.elements[i])
@@ -185,7 +188,9 @@ class GroupoidSource:
 
     ``position`` maps each ball element to its index in ``ball_elements``.
     It holds the ball only, never a sum of the closure, so a lookup of a
-    bisection outside the ball finds nothing.
+    bisection outside the ball finds nothing.  The product table
+    ``triples`` takes |universe|^2 products and is built on first read,
+    as the word ball's is.
     """
 
     is_group = False
@@ -198,7 +203,7 @@ class GroupoidSource:
         self.n_ball = len(elements)
         self.position = {b: i for i, b in enumerate(elements)}
         # a footprint holds the domain units e and the range units as n_units + e
-        universe, index, decomposition = sum_closure(
+        universe, self._index, decomposition = sum_closure(
             elements, [b.dom_units() | {g.n_units + e for e in b.ran_units()}
                        for b in elements],
             lambda bs: PartialBisection(g, frozenset().union(*(b.arrows for b in bs))))
@@ -206,7 +211,10 @@ class GroupoidSource:
         self.n_universe = len(universe)
         self.decomposition = tuple(decomposition)
         self.taus = tuple(b_tau(b) for b in self.ball_elements)
-        self.triples = product_triples(universe, index, b_compose)
+
+    @cached_property
+    def triples(self) -> tuple:
+        return product_triples(self.universe, self._index, b_compose)
 
     def key_label(self, i):
         return repr(self.universe[i])
@@ -302,6 +310,25 @@ def ball_params(ball: Ball, delta, d: int, mode: str = "") -> SAParams:
     return SAParams(BallSource(ball), Fraction(delta), d, mode=mode)
 
 
+def _first_largest(gaps, floor):
+    """The first (key, gap) pair of ``gaps`` whose gap is the largest
+    above ``floor``, or ``(None, floor)`` when no gap is above it.
+
+    This is the witness rule of every report that sweeps for a worst
+    gap (membership, ``crossed.verify_HA``, ``crossed.build_phi0`` and
+    the c1 and c2 bounds): the first of the largest gaps names the
+    witness, and a sweep whose every gap is at most ``floor``, its 0,
+    names none.  ``floor`` comes back unchanged in that case, so a
+    report that holds a Fraction passes ``Fraction(0)`` and one that
+    counts disagreements passes the integer 0.
+    """
+    key, worst = None, floor
+    for k, gap in gaps:
+        if gap > worst:
+            key, worst = k, gap
+    return key, worst
+
+
 def verify_membership(sigma: SoficCandidate, params: SAParams) -> MembershipReport:
     """Exact worst-case gaps of sigma against the two conditions; each
     witness is the first position, or triple, of the largest gap.
@@ -326,12 +353,10 @@ def verify_membership(sigma: SoficCandidate, params: SAParams) -> MembershipRepo
         # no sum has more summands than the ball has elements
         notes.append(f"sum closure truncated at m={source.n_ball} summands;"
                      " images extended additively")
-    trace_gap = Fraction(0)
-    trace_witness = ""
-    for i, s in enumerate(sigma.images):
-        gap = abs(Fraction(s.nfix, d) - source.taus[i])
-        if gap > trace_gap:
-            trace_gap, trace_witness = gap, source.key_label(i)
+    i, trace_gap = _first_largest(enumerate(
+        abs(Fraction(s.nfix, d) - tau) for s, tau in zip(sigma.images, source.taus)),
+        Fraction(0))
+    trace_witness = "" if i is None else source.key_label(i)
     slots = [(0,) + s.images for s in sigma.images]
     for parts in source.decomposition[source.n_ball:]:
         try:
@@ -339,15 +364,12 @@ def verify_membership(sigma: SoficCandidate, params: SAParams) -> MembershipRepo
         except OverlapError:
             slots.append(None)
     flagged = None in slots
-    worst = 0
-    mult_witness = ("", "")
-    for (i, j, k) in source.triples:
-        a, b, c = slots[i], slots[j], slots[k]
-        if a is None or b is None or c is None:
-            continue
-        gap = sum(map(ne, map(a.__getitem__, b), c))
-        if gap > worst:
-            worst, mult_witness = gap, (source.key_label(i), source.key_label(j))
+    # a triple that reads a flagged sum counts 0, so it names no witness
+    counts = [0 if None in (slots[i], slots[j], slots[k])
+              else sum(map(ne, map(slots[i].__getitem__, slots[j]), slots[k]))
+              for i, j, k in source.triples]
+    ijk, worst = _first_largest(zip(source.triples, counts), 0)
+    mult_witness = ("", "") if ijk is None else tuple(map(source.key_label, ijk[:2]))
     mult_gap = Fraction(worst, d)
     if flagged:
         notes.append("additive extension unresolvable on some sums"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from .groupoid import InfeasibleError, group_groupoid
@@ -160,16 +161,19 @@ class Ball:
 
     ``elements`` are ordered by discovery (word length, then insertion);
     ``triples`` holds (i, j, k) in (i, j) order for each pair whose
-    reduced product elements[k] lies in the ball.
+    reduced product elements[k] lies in the ball.  It takes |ball|^2
+    products, so it is built on first read: a count refused for its
+    size never builds it.
     """
-
-    __slots__ = ("system", "elements", "index", "triples")
 
     def __init__(self, system, elements):
         self.system = system
         self.elements = tuple(elements)
         self.index = {w: i for i, w in enumerate(self.elements)}
-        self.triples = product_triples(self.elements, self.index, system.reduce_product)
+
+    @cached_property
+    def triples(self) -> tuple:
+        return product_triples(self.elements, self.index, self.system.reduce_product)
 
     def __len__(self):
         return len(self.elements)

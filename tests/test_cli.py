@@ -129,6 +129,27 @@ class TestCount:
                            "--delta", "1/10", "--mode", "all", "--cap", "10")
         assert code == 2 and "error" in json.loads(err)
 
+    @pytest.mark.parametrize("refusal,error", [
+        (("--d", "4", "--cap", "10"), "candidates exceeds cap 10"),
+        (("--d", "100", "--mc", "10"), "is beyond the float range of the estimate"),
+    ], ids=["cap", "mc"])
+    @pytest.mark.parametrize("source", [("--family", "freeprod(zmod(2),zmod(3))"),
+                                        ("--source", "r2.gpd")], ids=["family", "source"])
+    def test_refusal_builds_no_product_table(self, capsys, tmp_path, monkeypatch,
+                                             source, refusal, error):
+        # the |universe|^2 product table is built on first read, so a job
+        # refused for its size never builds it
+        def refuse(*args):
+            raise AssertionError("the product table was built")
+
+        monkeypatch.setattr(wordball, "product_triples", refuse)
+        monkeypatch.setattr(sofic, "product_triples", refuse)
+        monkeypatch.chdir(tmp_path)
+        transitive_groupoid(2).save("r2.gpd")
+        code, out, err = run(capsys, "count", *source, "--delta", "1/10", *refusal)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"].endswith(error)
+
     @pytest.mark.parametrize("source", [("--family", "z"), ("--source", "r2.gpd")],
                              ids=["family", "source"])
     def test_radius_zero_refused(self, capsys, tmp_path, monkeypatch, source):

@@ -745,6 +745,49 @@ SWEEP_SOURCES = {
 }
 
 
+def matches_blocks(values, blocks) -> bool:
+    """Two entries of ``values`` are equal exactly where their blocks are."""
+    return all((values[i] == values[j]) == (blocks[i] == blocks[j])
+               for i in range(len(values)) for j in range(i))
+
+
+@pytest.mark.parametrize("source", ["r2", "r3"])
+def test_profiles_match_the_per_point_pattern(source):
+    # both profiles against a pairwise check at each unit or point, with
+    # block labels that are not in first-use order; the images repeat,
+    # so joined blocks find points too
+    g = SWEEP_SOURCES[source]()
+    ball = sofic.bisection_ball(g, full_group_generators(g), 1)
+    rng = SplitMix64(len(ball))
+    d = 4
+    found = set()
+    for _ in range(4):
+        maps = [random_pperm(d, rng) for _ in range(2)]
+        images = [maps[rng.below(2)] for _ in ball]
+        for r in range(len(ball) + 1):
+            for combo in combinations(range(len(ball)), r):
+                F0 = [ball[i] for i in combo]
+                sub = [images[i] for i in combo]
+                for rgf in set_partitions(r):
+                    blocks = tuple(3 * (r - b) for b in rgf)
+                    units = []
+                    for e in range(g.n_units):
+                        arrows = [next((a for a in s.arrows if g.range_[a] == e), None)
+                                  for s in F0]
+                        if None not in arrows and matches_blocks(arrows, blocks):
+                            units.append(e)
+                    assert profile_units(g, F0, blocks) == units
+                    points = frozenset(
+                        e for e in range(1, d + 1)
+                        if all(e in s.images for s in sub)
+                        and matches_blocks([s.images.index(e) for s in sub], blocks))
+                    assert profile_sigma_points(sub, blocks, d) == points
+                    joined = len(set(blocks)) < r
+                    found |= {("units", joined)} if units else set()
+                    found |= {("points", joined)} if points else set()
+    assert {("units", False), ("points", False), ("points", True)} <= found
+
+
 @pytest.mark.parametrize("source,n", [("r2", 1), ("zmod2", 1), ("zmod3", 1),
                                       ("r3", 1), ("r2", 2)])
 def test_context_sweep_matches_the_standalone_routes(source, n):
