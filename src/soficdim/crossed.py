@@ -34,7 +34,11 @@ sigma transports phi by s p s^-1 without building maps, reading the
 padded images and the inverse image tuples of sigma that its
 ModelMember builds once for all of its partitions, and the 146 delta
 linearity runs over the disjoint pairs that the projection universe
-lists once as index triples.  Square roots never enter the arithmetic:
+lists once as index triples.  The trace check and the four phi0
+properties compare integer numerators over one denominator per sweep
+and build one Fraction per reported gap; delta0^2, the ha tolerance^2
+and V's size factor are computed once per basis and delta
+(``SpanBasis.per_delta``).  Square roots never enter the arithmetic:
 bounds against sqrt(delta) are decided by comparing squares of exact
 rationals.
 """
@@ -201,9 +205,12 @@ def verify_HA(cand: HACandidate, tol) -> HAReport:
     sigma_ok = (rep.is_member and gap_below(rep.mult_gap, tol)
                 and gap_below(rep.trace_gap, tol))
 
-    i, trace_gap = sofic._first_largest(enumerate(
-        abs(pperm.trace(p) - model.mu_points(s))
-        for p, s in zip(cand.phi, uni.elements[:uni.p_count])), Fraction(0))
+    # |nfix/d - mu| over M d, M the model's weight denominator
+    M = model.weight_den
+    i, trace_num = sofic._first_largest(enumerate(
+        abs(p.nfix * M - model.mu_num(s) * d)
+        for p, s in zip(cand.phi, uni.elements[:uni.p_count])), 0)
+    trace_gap = Fraction(trace_num, M * d)
     trace_wit = "" if i is None else f"projection {i}"
 
     # (ii) and (iii) compare disagreement counts on padded image tuples;
@@ -334,69 +341,67 @@ def delta0_squared(basis: SpanBasis, delta) -> Fraction:
             * basis.model.q ** 2 * basis.constants.c3 ** 4 * Fraction(delta))
 
 
-def _square_gap(u, v, d: int) -> Fraction:
-    """Normalized squared 2-norm of u - v, both given as (denominator,
-    integer numerators over {1..d})."""
-    (du, nu), (dv, nv) = u, v
-    D = math.lcm(du, dv)
-    a, b = D // du, D // dv
-    return Fraction(sum((a * x - b * y) ** 2 for x, y in zip(nu, nv)), D * D * d)
-
-
 def build_phi0(table: Phi0Table, delta) -> PropertyReport:
     """The four-property certification of the table's linear map phi0.
 
-    Sweeps the four properties against delta0.  The lemma assumes that
-    the table's sigma satisfies the membership hypothesis at the
-    inflated radius (``LemmaContext.check_hypothesis``), which the sweep
-    does not check.
+    Sweeps the four properties against delta0.  Every subset the sweeps
+    read (the projections, their meets, the letter sets, their
+    translates and the full set) is taken as integer numerators over one
+    denominator D, and each gap is decided on integers: a squared 2-norm
+    is a sum of squares over D^2 d (D^4 d for products).  The lemma
+    assumes that the table's sigma satisfies the membership hypothesis
+    at the inflated radius (``LemmaContext.check_hypothesis``), which
+    the sweep does not check.
     """
     delta = Fraction(delta)
     basis = table.basis
     model = basis.model
     d = table.d
-    d0_sq = delta0_squared(basis, delta)
     projections = model.distinct_projections
+    full = frozenset(range(model.action.n_points))
+    # the meets of the product property: the gap is symmetric in the
+    # pair, so its first largest value in (i, j) order has i <= j, and
+    # only that half is visited
+    meets = {(i, j): projections[i] & projections[j]
+             for i in range(len(projections)) for j in range(i, len(projections))}
+    translates = [model.translate(b, letter) for letter in range(model.q)
+                  for b in range(len(model.ball))]
+    values = {p: table.numerators(p) for p in
+              (*projections, *meets.values(), *model.letter_sets, *translates, full)}
+    D = math.lcm(*(den for den, _ in values.values()))
+    v = {p: nums if den == D else tuple(x * (D // den) for x in nums)
+         for p, (den, nums) in values.items()}
 
-    i, trace_sq = sofic._first_largest(enumerate(
-        (Fraction(sum(nums), den * d) - model.mu_points(p)) ** 2
-        for p, (den, nums) in zip(projections, map(table.numerators, projections))),
-        Fraction(0))
+    # |trace phi0(p) - mu(p)| = |sum v[p] M - mu_M(p) D d| / (D M d)
+    M = model.weight_den
+    i, trace_num = sofic._first_largest(enumerate(
+        abs(sum(v[p]) * M - model.mu_num(p) * D * d) for p in projections), 0)
     trace_wit = "" if i is None else f"projection {i}"
+    trace_sq = Fraction(trace_num * trace_num, (D * M * d) ** 2)
 
     def equivariance():
         for letter, bset in enumerate(model.letter_sets):
-            g_den, g_nums = table.numerators(bset)
+            g = (0,) + v[bset]
             for bidx, inv in enumerate(table.member.inverses):
                 # push the diagonal of g forward along s: (s g s^-1)(y) = g(s^-1 y)
-                pushed = [g_nums[x - 1] if x else 0 for x in inv]
-                yield (letter, bidx), _square_gap(
-                    table.numerators(model.translate(bidx, letter)), (g_den, pushed), d)
+                f = v[model.translate(bidx, letter)]
+                yield (letter, bidx), sum((a - b) ** 2 for a, b in
+                                          zip(f, map(g.__getitem__, inv)))
 
-    at, equi_sq = sofic._first_largest(equivariance(), Fraction(0))
+    at, equi_num = sofic._first_largest(equivariance(), 0)
     equi_wit = "" if at is None else f"letter {at[0]}, ball {at[1]}"
 
-    # |phi0(p1 & p2) - phi0(p1) phi0(p2)|^2 on integer numerators over one
-    # common denominator D is sum (D n12 - n1 n2)^2 / (D^4 d).  The gap is
-    # symmetric in the pair, so its first largest value in (i, j) order
-    # has i <= j, and only that half is visited.
-    meets = {(i, j): projections[i] & projections[j]
-             for i in range(len(projections)) for j in range(i, len(projections))}
-    values = {p: table.numerators(p) for p in (*projections, *meets.values())}
-    D = math.lcm(*(den for den, _ in values.values()))
-    scaled = {p: tuple(x * (D // den) for x in v) for p, (den, v) in values.items()}
+    # |phi0(p1 & p2) - phi0(p1) phi0(p2)|^2 = sum (D n12 - n1 n2)^2 / (D^4 d)
     pair, mult_num = sofic._first_largest(
         (((i, j), sum((D * c - a * b) ** 2 for a, b, c in
-                      zip(scaled[projections[i]], scaled[projections[j]], scaled[meet])))
+                      zip(v[projections[i]], v[projections[j]], v[meet])))
          for (i, j), meet in meets.items()), 0)
     mult_wit = "" if pair is None else f"pair {pair}"
-    mult_sq = Fraction(mult_num, D ** 4 * d)
 
-    unit_sq = _square_gap(table.numerators(frozenset(range(model.action.n_points))),
-                          (1, (1,) * d), d)
-
-    return PropertyReport(d0_sq, trace_sq, equi_sq, mult_sq, unit_sq,
-                          (trace_wit, equi_wit, mult_wit))
+    unit_num = sum((x - D) ** 2 for x in v[full])
+    return PropertyReport(basis.per_delta(delta0_squared, delta), trace_sq,
+                          Fraction(equi_num, D * D * d), Fraction(mult_num, D ** 4 * d),
+                          Fraction(unit_num, D * D * d), (trace_wit, equi_wit, mult_wit))
 
 
 # -- the restriction phi ---------------------------------------------------------
@@ -429,6 +434,13 @@ def ha_tolerance_squared(basis: SpanBasis, delta) -> Fraction:
             * ell ** 4 * basis.model.q ** 2 * basis.constants.c3 ** 4 * Fraction(delta))
 
 
+def v_size_factor(basis: SpanBasis, delta) -> Fraction:
+    """The lower bound on |V| / d, 1 - 2 |P|^2 c3^2 kappa^4 delta / gamma^2."""
+    p_size = len(basis.model.distinct_projections)
+    return 1 - (2 * p_size ** 2 * basis.constants.c3 ** 2 * basis.kappa ** 4
+                * Fraction(delta) / basis.gamma ** 2)
+
+
 def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
     """Restrict the table's phi0 to its exactness set V and certify the
     resulting pair with the table's sigma.
@@ -457,10 +469,8 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
     if not V:
         raise HypothesisError("the exactness set V is empty; the linear map "
                               "certification hypotheses must have failed")
-    p_size = len(model.distinct_projections)
-    tolerance = SqrtTol(ha_tolerance_squared(basis, delta))
-    v_bound = Fraction(d) * (1 - 2 * p_size ** 2 * basis.constants.c3 ** 2
-                             * basis.kappa ** 4 * delta / basis.gamma ** 2)
+    tolerance = SqrtTol(basis.per_delta(ha_tolerance_squared, delta))
+    v_bound = d * basis.per_delta(v_size_factor, delta)
     phi_values = []
     for subset in model.universe.elements:
         den, nums = table.numerators(subset)
@@ -474,7 +484,7 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
                                       f"(value {Fraction(v, den)})")
         phi_values.append(PartialPermutation.projection(d, support))
     return BuildPhiResult(HACandidate(table.member, phi_values), tolerance, frozenset(V),
-                          Fraction(len(V), d), v_bound, Fraction(len(V)) >= v_bound)
+                          Fraction(len(V), d), v_bound, len(V) >= v_bound)
 
 
 # -- joint enumeration -----------------------------------------------------------

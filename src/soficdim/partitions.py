@@ -37,7 +37,15 @@ check it: each computes its bound for whatever candidate it is given,
 so a candidate outside the hypothesis can fail them.
 
 All measures are exact rationals; bounds against sqrt(delta) are
-decided by comparing squares.
+decided by comparing squares.  Each sweep decides its gaps on integer
+numerators over one positive denominator fixed for the sweep, which
+keeps the order and the ties of the gaps: c1 over the unit weights'
+common denominator W (``LemmaContext.profile_weights``), c2 over the
+point weights' M (``CylinderModel.mu_num``), c3 over the residuals' L.
+It builds one Fraction for each value it reports and names its witness
+by ``sofic._first_largest``.  The bounds that depend only on the basis
+and delta are computed once per basis and delta
+(``SpanBasis.per_delta``), for every table over the basis.
 """
 
 from __future__ import annotations
@@ -206,8 +214,10 @@ class CylinderModel:
     of bisections of the chosen generating set (through a shared
     LemmaContext): cylinder sets are intersections of translates of the
     letter sets, indexed by a map psi from a ball subset to letters.
-    Exposes the exact measure of a cylinder (point weights of the model)
-    and the image-side cylinder of a candidate map.
+    Exposes the exact measure of a point set, as an integer over the one
+    denominator ``weight_den`` of the point weights (``mu_num``) or as a
+    Fraction (``mu_points``), and the image-side cylinder of a candidate
+    map.
     """
 
     def __init__(self, context: "LemmaContext", alphabet):
@@ -217,6 +227,8 @@ class CylinderModel:
         self.q = len(self.alphabet)
         self.n = context.n
         self.action = bernoulli_action(g, self.alphabet)
+        # the point weights as integers over one denominator M
+        self.weight_den, self.weight_nums = sofic.common_denominator(self.action.weight)
         self.ball = context.ball
         self.f_pm_size = context.f_pm_size
         # letter sets: points whose coordinate at their own unit arrow is i
@@ -257,16 +269,18 @@ class CylinderModel:
             self._cyl_cache[psi] = pts
         return self._cyl_cache[psi]
 
-    def mu_points(self, points) -> Fraction:
-        """Exact measure of a point subset, summed once per subset."""
+    def mu_num(self, points) -> int:
+        """The measure of a point subset times ``weight_den``, an integer,
+        summed once per subset."""
         points = frozenset(points)
-        if points not in self._mu_cache:
-            self._mu_cache[points] = sum((self.action.weight[x] for x in points),
-                                         Fraction(0))
-        return self._mu_cache[points]
+        out = self._mu_cache.get(points)
+        if out is None:
+            out = self._mu_cache[points] = sum(map(self.weight_nums.__getitem__, points))
+        return out
 
-    def mu_cylinder(self, psi) -> Fraction:
-        return self.mu_points(self.cylinder(psi))
+    def mu_points(self, points) -> Fraction:
+        """Exact measure of a point subset."""
+        return Fraction(self.mu_num(points), self.weight_den)
 
     def image_cylinder(self, psi, sigma_images, blocks) -> frozenset:
         """Intersection of candidate-map translates of the partition blocks.
@@ -338,6 +352,13 @@ class LemmaContext:
         self.hypothesis_positions = tuple(source.position[b] for b in ball)
 
     @cached_property
+    def profile_weights(self) -> tuple:
+        """(W, h): W the least common denominator of the unit weights, and
+        h[i] W times the measure of the units of ``profiles[i]``."""
+        W, nums = sofic.common_denominator(self.groupoid.unit_weights)
+        return W, tuple(sum(nums[e] for e in units) for _, _, units in self.profiles)
+
+    @cached_property
     def sigma_source(self) -> GroupoidSource:
         """The membership source at radius n, built on first use."""
         return GroupoidSource(self.groupoid, self.F, self.n)
@@ -405,22 +426,23 @@ def verify_lemma_c1(sigma: SoficCandidate, ctx: LemmaContext, delta) -> BoundRep
 
     Reads the context's profile sweep of its radius-n ball.  The report
     carries the worst discrepancy |h(profile) - |image profile|/d|
-    against c1 * delta.
+    against c1 * delta, decided on integers over W d, where h = h_W / W
+    (``LemmaContext.profile_weights``).
     """
     delta = Fraction(delta)
     images_all = ctx.align(sigma)
-    weights = ctx.groupoid.unit_weights
+    W, hs = ctx.profile_weights
     bound = lemma_constants(ctx.f_pm_size, ctx.n).c1 * delta
     d = sigma.degree
 
     def discrepancies():
-        for combo, blocks, units in ctx.profiles:
-            h = sum((weights[e] for e in units), Fraction(0))
+        for (combo, blocks, _), h in zip(ctx.profiles, hs):
             pts = profile_sigma_points([images_all[i] for i in combo], blocks, d)
-            yield (combo, blocks), abs(h - Fraction(len(pts), d))
+            yield (combo, blocks), abs(h * d - len(pts) * W)
 
-    at, worst = sofic._first_largest(discrepancies(), Fraction(0))
+    at, worst = sofic._first_largest(discrepancies(), 0)
     witness = "empty profile sweep" if at is None else f"F0={list(at[0])} blocks={at[1]}"
+    worst = Fraction(worst, W * d)
     return BoundReport(bound, worst, witness, worst < bound)
 
 
@@ -429,16 +451,26 @@ def verify_lemma_c2(table: Phi0Table, delta) -> BoundReport:
 
     Sweeps every cylinder indexing psi and compares the exact measure
     with the image-side intersection fraction |A_psi| / d of the table
-    at c2 * delta.
+    at c2 * delta, on integers over M d (M the model's ``weight_den``).
     """
     delta = Fraction(delta)
     model = table.basis.model
-    bound = table.basis.constants.c2 * delta
+    M, d = model.weight_den, table.d
+    bound = table.basis.per_delta(c2_bound, delta)
     psi, worst = sofic._first_largest(
-        ((psi, abs(model.mu_cylinder(psi) - Fraction(len(a_psi), table.d)))
-         for psi, a_psi in zip(model.psis, table.a_psis)), Fraction(0))
+        ((psi, abs(model.mu_num(model.cylinder(psi)) * d - len(a_psi) * M))
+         for psi, a_psi in zip(model.psis, table.a_psis)), 0)
     witness = "empty cylinder sweep" if psi is None else f"psi={psi}"
+    worst = Fraction(worst, M * d)
     return BoundReport(bound, worst, witness, worst < bound)
+
+
+def c2_bound(basis: SpanBasis, delta) -> Fraction:
+    return basis.constants.c2 * delta
+
+
+def c3_bound_squared(basis: SpanBasis, delta) -> Fraction:
+    return basis.constants.c3 ** 2 * delta
 
 
 # -- span basis and the equivariance bound ----------------------------------------
@@ -472,6 +504,20 @@ class SpanBasis:
         """``lemma_constants`` of the model with this basis, computed once
         for every table over it."""
         return lemma_constants(self.model.f_pm_size, self.model.n, self)
+
+    @cached_property
+    def _per_delta(self) -> dict:
+        return {}
+
+    def per_delta(self, bound, delta):
+        """``bound(self, delta)``, a bound of this basis at a rational delta
+        (``c2_bound``, ``crossed.delta0_squared``, ...), computed once per
+        bound and delta for every table over the basis."""
+        key = (bound, delta)
+        out = self._per_delta.get(key)
+        if out is None:
+            out = self._per_delta[key] = bound(self, delta)
+        return out
 
     @cached_property
     def expansions(self) -> dict:
@@ -562,18 +608,20 @@ def span_basis(model: CylinderModel) -> SpanBasis:
             solved.append((Fraction(0),) * len(basis_rows) + (Fraction(1),))
             basis_idx.append(i)
             basis_rows.append(v)
-    coeffs = tuple(c + (Fraction(0),) * (len(basis_rows) - len(c)) for c in solved)
-    kappa = max((abs(c) for row in coeffs for c in row), default=Fraction(1))
-    kappa = max(kappa, Fraction(1))
+    width = len(basis_rows)
+    coeffs = tuple(c + (Fraction(0),) * (width - len(c)) for c in solved)
+    # kappa and the subset sums on integer numerators over one denominator G
+    G, flat = sofic.common_denominator([c for row in coeffs for c in row])
+    kappa = max(Fraction(max(map(abs, flat)), G), Fraction(1))
     subset_sums = set()
-    for row in coeffs:
-        support = [c for c in row if c != 0]
-        sums = {Fraction(0)}
-        for c in support:
-            sums |= {s + c for s in sums}
+    for start in range(0, len(flat), width):
+        sums = {0}
+        for c in flat[start:start + width]:
+            if c:
+                sums |= {s + c for s in sums}
         subset_sums |= sums
-    gamma1 = min((abs(s) for s in subset_sums if s != 0), default=Fraction(1))
-    gamma2 = min((abs(s - 1) for s in subset_sums if s != 1), default=Fraction(1))
+    gamma1 = Fraction(min((abs(s) for s in subset_sums if s), default=G), G)
+    gamma2 = Fraction(min((abs(s - G) for s in subset_sums if s != G), default=G), G)
     gamma3 = gamma1 * gamma1
     gamma = min(gamma1, gamma2, gamma3)
     return SpanBasis(model, tuple(basis_idx), coeffs, kappa, gamma,
@@ -738,13 +786,16 @@ def verify_lemma_c3_sweep(table: Phi0Table, delta) -> BoundReport:
 
     Compares the squared 2-norm of each residual 1_{A_psi} - phi0(cyl psi)
     of the table against (c3)^2 * delta and reports the first psi with
-    the largest one.
+    the largest one.  The norms are integers over L^2 d, L the least
+    common denominator of the residuals.
     """
     delta = Fraction(delta)
     model = table.basis.model
-    norms = [Fraction(sum(r * r for r in res), den * den * table.d)
-             for den, res in table.residuals]
+    residuals = table.residuals
+    L = math.lcm(*(den for den, _ in residuals))
+    norms = [sum(r * r for r in res) * (L // den) ** 2 for den, res in residuals]
     worst = max(norms)
-    bound_sq = table.basis.constants.c3 ** 2 * delta
-    return BoundReport(bound_sq, worst, f"psi={model.psis[norms.index(worst)]}",
-                       worst < bound_sq, squared=True)
+    bound_sq = table.basis.per_delta(c3_bound_squared, delta)
+    worst_sq = Fraction(worst, L * L * table.d)
+    return BoundReport(bound_sq, worst_sq, f"psi={model.psis[norms.index(worst)]}",
+                       worst_sq < bound_sq, squared=True)

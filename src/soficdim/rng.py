@@ -24,7 +24,9 @@ draw at position 0 takes the output the screen computed in lanes, so
 no trial mixes its first output twice.  It and
 ``SplitMix64.choose_sorted`` run their subset draws through one loop,
 ``partial_shuffle``, which reads each bound's rejection limit from a
-table computed once per size (``rejection_limits``); ``random_images``
+table computed once per size (``rejection_limits``), as
+``weighted_indices`` reads its thresholds from a table computed once
+per weight tuple (``weight_thresholds``); ``random_images``
 reads that table, its point list and its domain-size thresholds from a
 plan cached per degree.  ``partial_shuffle`` can stop once too many of
 the points it settles fall outside a given set, so a range draw whose
@@ -102,6 +104,19 @@ def rejection_limits(n: int) -> tuple:
     """``limits[m] = 2^64 - 2^64 mod m`` for 1 <= m <= n (``limits[0]``
     is unused): ``below(m)`` keeps an output z exactly when z < limits[m]."""
     return (0,) + tuple(_TWO64 - _TWO64 % m for m in range(1, n + 1))
+
+
+@lru_cache(maxsize=64)
+def weight_thresholds(weights: tuple) -> tuple:
+    """The running maxima of ceil(acc_i * 2^64), acc_i the cumulative
+    weight through i, computed once per weight tuple: a draw u / 2^64
+    falls below acc_i exactly when u is below the i-th threshold."""
+    thresholds = []
+    acc = Fraction(0)
+    for w in weights:
+        acc += w
+        thresholds.append(-(-(acc.numerator << 64) // acc.denominator))
+    return tuple(accumulate(thresholds, max))
 
 
 def partial_shuffle(pool: list, k: int, limits, marked, room: int, s: int):
@@ -203,16 +218,12 @@ class SplitMix64:
 
         A draw u picks the first i with u / 2^64 < acc_i, the cumulative
         weight through i.  For integer u that is u < ceil(acc_i * 2^64),
-        so the thresholds are computed once, and the first threshold
-        above u is the first running maximum above it (bisection).  When
-        none lies above u, the last index is returned.
+        so the thresholds are computed once per weight tuple
+        (``weight_thresholds``), and the first threshold above u is the
+        first running maximum above it (bisection).  When none lies above
+        u, the last index is returned.
         """
-        thresholds = []
-        acc = Fraction(0)
-        for w in weights:
-            acc += w
-            thresholds.append(-(-(acc.numerator << 64) // acc.denominator))
-        bounds = list(accumulate(thresholds, max))
+        bounds = weight_thresholds(tuple(weights))
         last = max(len(bounds) - 1, 0)
         return [min(bisect_right(bounds, self.next64()), last)
                 for _ in range(count)]

@@ -121,6 +121,7 @@ class BallSource:
         self.decomposition = tuple((i,) for i in range(self.n_ball))
         self.n_universe = self.n_ball
         self.taus = tuple(ball.tau(i) for i in range(self.n_ball))
+        self.tau_den, self.tau_nums = common_denominator(self.taus)
 
     @property
     def triples(self) -> tuple:
@@ -128,6 +129,15 @@ class BallSource:
 
     def key_label(self, i):
         return word_str(self.ball.elements[i])
+
+
+def common_denominator(values) -> tuple[int, tuple]:
+    """(D, nums): the rationals ``values`` as integers over one positive
+    denominator D, their least common one, so values[i] = nums[i] / D.
+    A sweep that compares gaps over one D compares their numerators,
+    with the same order and the same ties.  ``values`` is a sequence."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
 
 
 def bisection_ball(g: FiniteGroupoid, F, n: int):
@@ -211,6 +221,7 @@ class GroupoidSource:
         self.n_universe = len(universe)
         self.decomposition = tuple(decomposition)
         self.taus = tuple(b_tau(b) for b in self.ball_elements)
+        self.tau_den, self.tau_nums = common_denominator(self.taus)
 
     @cached_property
     def triples(self) -> tuple:
@@ -318,9 +329,11 @@ def _first_largest(gaps, floor):
     gap (membership, ``crossed.verify_HA``, ``crossed.build_phi0`` and
     the c1 and c2 bounds): the first of the largest gaps names the
     witness, and a sweep whose every gap is at most ``floor``, its 0,
-    names none.  ``floor`` comes back unchanged in that case, so a
-    report that holds a Fraction passes ``Fraction(0)`` and one that
-    counts disagreements passes the integer 0.
+    names none.  ``floor`` comes back unchanged in that case.  Every
+    report passes the integer 0: it sweeps integer numerators over one
+    positive denominator per sweep (a disagreement count over d, or
+    ``common_denominator``), which keep the order and the ties of the
+    gaps, and builds a Fraction only for the gap it reports.
     """
     key, worst = None, floor
     for k, gap in gaps:
@@ -353,9 +366,11 @@ def verify_membership(sigma: SoficCandidate, params: SAParams) -> MembershipRepo
         # no sum has more summands than the ball has elements
         notes.append(f"sum closure truncated at m={source.n_ball} summands;"
                      " images extended additively")
-    i, trace_gap = _first_largest(enumerate(
-        abs(Fraction(s.nfix, d) - tau) for s, tau in zip(sigma.images, source.taus)),
-        Fraction(0))
+    # |nfix/d - tau| over the source's one denominator T of its taus
+    T = source.tau_den
+    i, trace_num = _first_largest(enumerate(
+        abs(s.nfix * T - t * d) for s, t in zip(sigma.images, source.tau_nums)), 0)
+    trace_gap = Fraction(trace_num, T * d)
     trace_witness = "" if i is None else source.key_label(i)
     slots = [(0,) + s.images for s in sigma.images]
     for parts in source.decomposition[source.n_ball:]:

@@ -2,10 +2,12 @@
 
 Each builds an exact object by a route of its own: a candidate by block
 dilation or from the Bernoulli model acting on its own points, the
-conjugate of a partial permutation by composition, and the scaling
-suite's dict by a round trip per instance.  ``one_arrow_context`` is the
+conjugate of a partial permutation by composition, a cylinder's
+measure from its points' weights, and the scaling suite's dict by a
+round trip per instance.  ``one_arrow_context`` is the
 lemma context whose hypothesis ball lists its radius-n ball in another
-order, and ``groupoid_params`` the counting problem over a groupoid's
+order, ``uneven_groupoid`` a groupoid whose unit weights differ, and
+``groupoid_params`` the counting problem over a groupoid's
 radius-n bisection ball; ``plain_count`` counts by the plain search
 over given pools, without conjugacy classes.  ``reference_system``
 reduces words by one reducer per cyclic family, the integers, a cyclic
@@ -20,7 +22,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from soficdim import cli, pperm, scaling
-from soficdim.groupoid import PartialBisection, transitive_groupoid
+from soficdim.groupoid import FiniteGroupoid, PartialBisection, transitive_groupoid
 from soficdim.partitions import LemmaContext, RandomPartition
 from soficdim.pperm import PartialPermutation, compose, inverse
 from soficdim.rng import SplitMix64
@@ -102,6 +104,18 @@ def one_arrow_context() -> LemmaContext:
         a for a in range(g.n_arrows) if (g.source[a], g.range_[a]) == (0, 1)))], 2)
 
 
+def uneven_groupoid() -> FiniteGroupoid:
+    """Units 0 and 1 of weight 1/6, joined by the arrows 0 -> 1 and 1 -> 0,
+    and a lone unit 2 of weight 2/3: the swap of 0 and 1 has trace 2/3,
+    and the unit weights have denominators 6 and 3."""
+    joined = transitive_groupoid(2)
+    comp = dict(joined.comp)
+    comp[(4, 4)] = 4
+    return FiniteGroupoid([Fraction(1, 6), Fraction(1, 6), Fraction(2, 3)],
+                          joined.source + (2,), joined.range_ + (2,),
+                          joined.inverse + (4,), joined.unit_arrow + (4,), comp)
+
+
 def groupoid_params(g, F, n: int, delta, d: int, mode: str = "") -> SAParams:
     return SAParams(GroupoidSource(g, F, n), Fraction(delta), d, mode=mode)
 
@@ -149,6 +163,12 @@ def block_candidate(source, d: int) -> SoficCandidate:
         return PartialPermutation(d, images)
 
     return SoficCandidate(d, [image(b) for b in source.ball_elements])
+
+
+def mu_cylinder(model, psi) -> Fraction:
+    """The exact measure of psi's cylinder, summed as Fractions over its
+    points' weights."""
+    return sum((model.action.weight[x] for x in model.cylinder(psi)), Fraction(0))
 
 
 def exact_partition(blocks) -> RandomPartition:

@@ -647,6 +647,40 @@ class TestVerify:
         assert code == 0 and json.loads(out)["suites"]["ha"]["instances"] == 36
         assert len(calls) == 1
 
+    def test_basis_bounds_once_per_delta(self, capsys, monkeypatch, r2_file):
+        # 3 members x 12 partitions, 5 tables over one span basis: c2 delta,
+        # c3^2 delta, delta0^2, the ha tolerance^2 and V's size factor are
+        # each computed once, and once more at a second delta
+        calls = []
+        for module, name in ((partitions, "c2_bound"), (partitions, "c3_bound_squared"),
+                             (crossed, "delta0_squared"), (crossed, "ha_tolerance_squared"),
+                             (crossed, "v_size_factor")):
+            def counted(basis, delta, name=name, bound=getattr(module, name)):
+                calls.append((name, basis, delta))
+                return bound(basis, delta)
+            monkeypatch.setattr(module, name, counted)
+        tables = []
+        init = partitions.Phi0Table.__init__
+
+        def counted_init(self, *args):
+            tables.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(partitions.Phi0Table, "__init__", counted_init)
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--source", r2_file,
+                           "--d", "4", "--delta", "1/20", "--partitions", "12")
+        assert code == 0 and json.loads(out)["suites"]["ha"]["instances"] == 36
+        assert len(tables) == 5
+        basis = tables[0].basis
+        assert sorted(name for name, _, _ in calls) == sorted(
+            ["c2_bound", "c3_bound_squared", "delta0_squared", "ha_tolerance_squared",
+             "v_size_factor"])
+        assert {(b, delta) for _, b, delta in calls} == {(basis, Fraction(1, 20))}
+        for table in tables:
+            partitions.verify_lemma_c2(table, Fraction(1, 10))
+            crossed.build_phi(table, "1/10")
+        assert len(calls) == 5 + 3  # c2, the ha tolerance and the V factor at 1/10
+
     @pytest.mark.parametrize("suite", ["lin146", "all"])
     def test_lin146_without_pairs_refused(self, capsys, r2_file, suite):
         # one letter leaves no disjoint pair of projections, so lin146

@@ -46,7 +46,8 @@ from soficdim.pperm import PartialPermutation, parse_pperm, random_pperm
 from soficdim.rng import SplitMix64
 from soficdim.sofic import SoficCandidate, count_SA, iter_SA_members, verify_membership
 
-from references import regular_model_candidate
+from references import (exact_partition, mu_cylinder, regular_model_candidate,
+                        uneven_groupoid)
 
 FAIR = (Fraction(1, 2), Fraction(1, 2))
 
@@ -778,3 +779,93 @@ def test_tuple_sweeps_match_object_oracles(source, d):
             gaps |= set(check.counts)
             verdicts.add(check.passed)
     assert max(gaps) > 0 and verdicts == {True, False}
+
+
+# -- every table report against its Fraction reference -----------------------------
+#
+# The sweeps decide on integers over one denominator per sweep: point
+# weights over M (3 and 6 with the uneven alphabets, 6 and 18 on the
+# uneven groupoid), phi0 values over D, residual norms over L^2 d (D and
+# L are 2 on r4-pairs).  The reports must be the Fraction references'
+# field for field, first witness included.  build_phi0 and the ha pair
+# are checked where the references' all-pairs loops stay small.
+
+ORACLE_GROUPOIDS = {"r2": lambda: transitive_groupoid(2),
+                    "r3": lambda: transitive_groupoid(3),
+                    "zmod2": lambda: cyclic_groupoid(2),
+                    "zmod3": lambda: cyclic_groupoid(3),
+                    "uneven": uneven_groupoid}
+SIXTHS = (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2))
+
+
+@lru_cache(maxsize=None)
+def oracle_model(source, alphabet):
+    """The model over the full group generators of a groupoid of
+    ``ORACLE_GROUPOIDS``, or else ``model_basis``'s."""
+    if source not in ORACLE_GROUPOIDS:
+        return model_basis(source, alphabet)
+    g = ORACLE_GROUPOIDS[source]()
+    model = CylinderModel(LemmaContext(g, full_group_generators(g), 1),
+                          SIXTHS if alphabet == "sixths" else ALPHABETS[alphabet])
+    return model, span_basis(model)
+
+
+@pytest.mark.parametrize("source,alphabet", [
+    ("r2", "one"), ("r2", "thirds"), ("r2", "sixths"), ("zmod2", "thirds"),
+    ("zmod2", "sixths"), ("zmod3", "one"), ("zmod3", "thirds"), ("r3", "one"),
+    ("uneven", "one"), ("uneven", "thirds"), ("r4-pairs", "one")])
+def test_table_reports_equal_their_fraction_references(source, alphabet):
+    model, basis = oracle_model(source, alphabet)
+    projections = len(model.distinct_projections)
+    delta = Fraction(1, 10)
+    rng = SplitMix64(60 + len(alphabet))
+    nonzero = set()
+    for d in range(2, 7):
+        for seed in range(2):
+            sigma = random_sigma(model.context, d, rng)
+            part = random_partition(d, model.alphabet, 10 * d + seed)
+            table = Phi0Table(basis, ModelMember(model, sigma), part)
+            c2 = verify_lemma_c2(table, delta)
+            assert c2 == reference_c2(table, delta)
+            assert verify_lemma_c3_sweep(table, delta) == reference_c3_sweep(table, delta)
+            nonzero.add(c2.worst > 0)
+            if projections <= 16 or seed == 0:
+                rep = build_phi0(table, delta)
+                assert rep == reference_build_phi0(sigma, part, basis, delta)
+                nonzero.add(rep.mult_gap_sq > 0)
+            if projections <= 9:  # a universe of at most 15 elements
+                cand = HACandidate(table.member,
+                                   [random_pperm(d, rng) for _ in model.universe.elements])
+                for tol in (delta, SqrtTol(Fraction(1, 5))):
+                    assert verify_HA(cand, tol) == reference_verify_HA(cand, tol)
+    assert True in nonzero
+
+
+def test_first_of_tied_gaps_names_the_witness(r2):
+    # constructed ties on r2 with the fair alphabet at d = 2.  With sigma
+    # the identity and the blocks {1} and {2}, A_psi of a psi with two
+    # letters is {1}, {2} or empty, so each of the four such psi has the
+    # c2 gap |1/4 - 1/2| or |1/4 - 0|.  phi the identity on every
+    # projection gives the trace gap 1 - mu(p), 3/4 on the four
+    # projections of measure 1/4.  Each report names the first.
+    _, _, ctx, model, basis = r2
+    delta = Fraction(1, 10)
+    sigma = SoficCandidate(2, [PartialPermutation.identity(2)]
+                           * len(ctx.hypothesis_source.ball_elements))
+    table = Phi0Table(basis, ModelMember(model, sigma),
+                      exact_partition([{1}, {2}]))
+    gaps = [abs(mu_cylinder(model, psi) - Fraction(len(a), 2))
+            for psi, a in zip(model.psis, table.a_psis)]
+    assert gaps.count(max(gaps)) > 1
+    c2 = verify_lemma_c2(table, delta)
+    assert c2 == reference_c2(table, delta)
+    assert (c2.worst, c2.witness) == (max(gaps), f"psi={model.psis[gaps.index(max(gaps))]}")
+
+    uni = model.universe
+    cand = HACandidate(table.member, [PartialPermutation.identity(2)] * len(uni))
+    gaps = [1 - model.mu_points(p) for p in uni.elements[:uni.p_count]]
+    assert gaps.count(max(gaps)) > 1
+    rep = verify_HA(cand, delta)
+    assert rep == reference_verify_HA(cand, delta)
+    assert (rep.trace_gap, rep.trace_witness) == (
+        max(gaps), f"projection {gaps.index(max(gaps))}")

@@ -59,6 +59,7 @@ KEEP = {
     "ball_params": (ACCEPTANCE,),
     "distances": (ACCEPTANCE,),
     "random_permutation": (PER_LAYER,),
+    "trace": (EXPORTED, PER_LAYER),  # pperm.trace
 }
 
 

@@ -50,8 +50,10 @@ from soficdim.sofic import SoficCandidate, iter_SA_members
 from references import (
     conjugate,
     exact_partition,
+    mu_cylinder,
     one_arrow_context,
     regular_model_candidate,
+    uneven_groupoid,
 )
 
 
@@ -283,7 +285,7 @@ class TestCylinderModel:
     def test_measure_routes_agree(self, r2_setup):
         _, _, _, model, _, _ = r2_setup
         for psi in model.psis:
-            assert model.mu_cylinder(psi) == mu_cylinder_closed(model, psi)
+            assert mu_cylinder(model, psi) == mu_cylinder_closed(model, psi)
 
     def test_degenerate_q1(self):
         g, swap = r2_swap()
@@ -503,7 +505,7 @@ class TestBoundChecks:
         images = ctx.align(sigma)
         for psi in model.psis:
             if any(v == 1 for _, v in psi):
-                assert model.mu_cylinder(psi) == 0
+                assert mu_cylinder(model, psi) == 0
                 assert model.image_cylinder(psi, images, part.blocks) == frozenset()
 
 
@@ -923,3 +925,29 @@ def test_relabeling_key_separates_exactly_the_orbits(m, d):
             orbits.append(least_relabeling(member.pads, block_of, perms))
     assert len(set(keys)) == len(set(orbits)) == len(set(zip(keys, orbits)))
     assert 1 < len(set(keys)) < len(keys)
+
+
+@pytest.mark.parametrize("source", [*SWEEP_SOURCES, "uneven"])
+def test_integer_c1_sweep_matches_the_oracle(source):
+    # the sweep decides on integers over W d, W the unit weights' common
+    # denominator (6 on the uneven groupoid); random sigma and the identity
+    # at d = 2..6, where the identity ties profiles of equal measure
+    g = uneven_groupoid() if source == "uneven" else SWEEP_SOURCES[source]()
+    ctx = LemmaContext(g, full_group_generators(g), 1)
+    n = len(ctx.hypothesis_source.ball_elements)
+    rng = SplitMix64(41)
+    tied = 0
+    for d in range(2, 7):
+        sigmas = [SoficCandidate(d, [random_pperm(d, rng) for _ in range(n)])
+                  for _ in range(2)]
+        sigmas.append(SoficCandidate(d, [PartialPermutation.identity(d)] * n))
+        for sigma in sigmas:
+            rep = verify_lemma_c1(sigma, ctx, Fraction(1, 10))
+            assert rep == oracle_c1(sigma, ctx, Fraction(1, 10))
+            images = ctx.align(sigma)
+            gaps = [abs(sum((g.unit_weights[e] for e in units), Fraction(0))
+                        - Fraction(len(profile_sigma_points(
+                            [images[i] for i in combo], blocks, d)), d))
+                    for combo, blocks, units in ctx.profiles]
+            tied += rep.worst > 0 and gaps.count(rep.worst) > 1
+    assert tied

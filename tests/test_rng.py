@@ -5,7 +5,7 @@ import pytest
 
 from soficdim import pperm
 from soficdim.partitions import random_partition
-from soficdim.rng import SplitMix64, mix64, mix64_each
+from soficdim.rng import SplitMix64, mix64, mix64_each, weight_thresholds
 
 from references import outputs_between, rejected_state
 
@@ -190,3 +190,17 @@ def test_lanes_are_mix64_of_each_value():
         for ends in ([0, 2 ** 64 - 1], [2 ** 64 - 1, 0]):
             values = (ends + rest)[:count]
             assert mix64_each(values) == [mix64(x) for x in values]
+
+
+def test_weight_thresholds_computed_once_per_weight_tuple():
+    # twelve partition draws over one alphabet, as a certify job makes,
+    # compute its thresholds once: ceil(acc_i * 2^64) as running maxima
+    weight_thresholds.cache_clear()
+    for seed in range(12):
+        random_partition(8, (Fraction(1, 3), Fraction(2, 3)), seed)
+    info = weight_thresholds.cache_info()
+    assert (info.misses, info.hits) == (1, 11)
+    assert weight_thresholds((Fraction(1, 3), Fraction(2, 3))) == (
+        -(-(1 << 64) // 3), 1 << 64)
+    assert weight_thresholds((Fraction(1, 2), Fraction(-1, 4), Fraction(3, 4))) == (
+        1 << 63, 1 << 63, 1 << 64)

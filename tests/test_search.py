@@ -66,7 +66,7 @@ from soficdim.sofic import (
 from soficdim.wordball import ball, parse_descriptor
 
 from references import (first_output_rejects, groupoid_params, one_arrow_context,
-                        plain_count)
+                        plain_count, uneven_groupoid)
 
 FAIR = (Fraction(1, 2), Fraction(1, 2))
 
@@ -264,6 +264,41 @@ def test_reports_on_random_groupoid_candidates(make):
                   for _ in range(params.source.n_ball)]
         flagged += len(same_report(SoficCandidate(params.d, images), params).notes) == 2
     assert flagged > 0
+
+
+# the trace sweep decides on integers over one denominator T of the
+# source's taus: T is 2 on r2, 3 on r3 and on the uneven groupoid (taus 1
+# and 2/3), and 1 on the groups
+MEMBERSHIP_SOURCES = {"r2": lambda: transitive_groupoid(2),
+                      "r3": lambda: transitive_groupoid(3),
+                      "zmod2": lambda: cyclic_groupoid(2),
+                      "zmod3": lambda: cyclic_groupoid(3),
+                      "uneven": uneven_groupoid}
+
+
+@pytest.mark.parametrize("source", list(MEMBERSHIP_SOURCES))
+def test_integer_trace_sweep_matches_the_reference(source):
+    g = MEMBERSHIP_SOURCES[source]()
+    rng = SplitMix64(len(source))
+    worst = set()
+    for d in range(2, 7):
+        params = groupoid_params(g, full_group_generators(g), 1, Fraction(1, 3), d)
+        for _ in range(12):
+            images = [pperm.random_pperm(d, rng) for _ in range(params.source.n_ball)]
+            rep = same_report(SoficCandidate(d, images), params)
+            worst.add(rep.trace_gap)
+        # every map the identity: the trace gaps are 1 - tau, tied wherever
+        # two elements have one tau, and the first of the largest names it
+        ident = [pperm.PartialPermutation.identity(d)] * params.source.n_ball
+        rep = same_report(SoficCandidate(d, ident), params)
+        gaps = [1 - tau for tau in params.source.taus]
+        assert rep.trace_gap == max(gaps)
+        first = gaps.index(max(gaps)) if max(gaps) else None
+        assert rep.trace_witness == ("" if first is None
+                                     else params.source.key_label(first))
+        # r3's two 3-cycles and zmod3's two generators have tau 0
+        assert (gaps.count(max(gaps)) > 1) == (source in ("r3", "zmod3"))
+    assert len(worst) > 3
 
 
 # every candidate the certification suites check: c1 and ha through
