@@ -34,11 +34,15 @@ sigma transports phi by s p s^-1 without building maps, reading the
 padded images and the inverse image tuples of sigma that its
 ModelMember builds once for all of its partitions, and the 146 delta
 linearity runs over the disjoint pairs that the projection universe
-lists once as index triples.  The trace check and the four phi0
-properties compare integer numerators over one denominator per sweep
-and build one Fraction per reported gap; delta0^2, the ha tolerance^2
-and V's size factor are computed once per basis and delta
-(``SpanBasis.per_delta``).  Square roots never enter the arithmetic:
+lists once as index triples.  The trace check compares integer
+numerators over the point weights' denominator, and the four phi0
+properties compare phi0's values as integer numerators over the span
+basis' one denominator D (``SpanBasis.den``), with no rescaling per
+table; each builds one Fraction per reported gap.  The meets of the
+product property and the disjoint cylinder pairs of build_phi are
+computed once per model, and delta0^2, the ha tolerance^2 and V's size
+factor once per basis and delta (``SpanBasis.per_delta``).  Square
+roots never enter the arithmetic:
 bounds against sqrt(delta) are decided by comparing squares of exact
 rationals.
 """
@@ -346,45 +350,40 @@ def build_phi0(table: Phi0Table, delta) -> PropertyReport:
 
     Sweeps the four properties against delta0.  Every subset the sweeps
     read (the projections, their meets, the letter sets, their
-    translates and the full set) is taken as integer numerators over one
-    denominator D, and each gap is decided on integers: a squared 2-norm
-    is a sum of squares over D^2 d (D^4 d for products).  The lemma
-    assumes that the table's sigma satisfies the membership hypothesis
-    at the inflated radius (``LemmaContext.check_hypothesis``), which
-    the sweep does not check.
+    translates and the full set) is taken as integer numerators over the
+    basis' one denominator D (``Phi0Table.numerators``), and each gap is
+    decided on integers: a squared 2-norm is a sum of squares over D^2 d
+    (D^4 d for products).  The product property's gap is symmetric in
+    the pair, so its first largest value in (i, j) order has i <= j, and
+    only that half (``CylinderModel.projection_meets``) is visited.  The
+    lemma assumes that the table's sigma satisfies the membership
+    hypothesis at the inflated radius (``LemmaContext.check_hypothesis``),
+    which the sweep does not check.
     """
     delta = Fraction(delta)
     basis = table.basis
     model = basis.model
     d = table.d
+    D = basis.den
     projections = model.distinct_projections
-    full = frozenset(range(model.action.n_points))
-    # the meets of the product property: the gap is symmetric in the
-    # pair, so its first largest value in (i, j) order has i <= j, and
-    # only that half is visited
-    meets = {(i, j): projections[i] & projections[j]
-             for i in range(len(projections)) for j in range(i, len(projections))}
-    translates = [model.translate(b, letter) for letter in range(model.q)
-                  for b in range(len(model.ball))]
-    values = {p: table.numerators(p) for p in
-              (*projections, *meets.values(), *model.letter_sets, *translates, full)}
-    D = math.lcm(*(den for den, _ in values.values()))
-    v = {p: nums if den == D else tuple(x * (D // den) for x in nums)
-         for p, (den, nums) in values.items()}
 
-    # |trace phi0(p) - mu(p)| = |sum v[p] M - mu_M(p) D d| / (D M d)
+    def v(subset):
+        return table.numerators(subset)[1]
+
+    pv = [v(p) for p in projections]
+    # |trace phi0(p) - mu(p)| = |sum v(p) M - mu_M(p) D d| / (D M d)
     M = model.weight_den
     i, trace_num = sofic._first_largest(enumerate(
-        abs(sum(v[p]) * M - model.mu_num(p) * D * d) for p in projections), 0)
+        abs(sum(n) * M - model.mu_num(p) * D * d) for p, n in zip(projections, pv)), 0)
     trace_wit = "" if i is None else f"projection {i}"
     trace_sq = Fraction(trace_num * trace_num, (D * M * d) ** 2)
 
     def equivariance():
         for letter, bset in enumerate(model.letter_sets):
-            g = (0,) + v[bset]
+            g = (0,) + v(bset)
             for bidx, inv in enumerate(table.member.inverses):
                 # push the diagonal of g forward along s: (s g s^-1)(y) = g(s^-1 y)
-                f = v[model.translate(bidx, letter)]
+                f = v(model.translate(bidx, letter))
                 yield (letter, bidx), sum((a - b) ** 2 for a, b in
                                           zip(f, map(g.__getitem__, inv)))
 
@@ -394,11 +393,11 @@ def build_phi0(table: Phi0Table, delta) -> PropertyReport:
     # |phi0(p1 & p2) - phi0(p1) phi0(p2)|^2 = sum (D n12 - n1 n2)^2 / (D^4 d)
     pair, mult_num = sofic._first_largest(
         (((i, j), sum((D * c - a * b) ** 2 for a, b, c in
-                      zip(v[projections[i]], v[projections[j]], v[meet])))
-         for (i, j), meet in meets.items()), 0)
+                      zip(pv[i], pv[j], v(meet))))
+         for (i, j), meet in model.projection_meets.items()), 0)
     mult_wit = "" if pair is None else f"pair {pair}"
 
-    unit_num = sum((x - D) ** 2 for x in v[full])
+    unit_num = sum((x - D) ** 2 for x in v(frozenset(range(model.action.n_points))))
     return PropertyReport(basis.per_delta(delta0_squared, delta), trace_sq,
                           Fraction(equi_num, D * D * d), Fraction(mult_num, D ** 4 * d),
                           Fraction(unit_num, D * D * d), (trace_wit, equi_wit, mult_wit))
@@ -458,14 +457,11 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
     model = basis.model
     d = table.d
     V = set(range(1, d + 1))
-    for _, residual in table.residuals:
+    for residual in table.residuals:
         V -= {x for x, r in enumerate(residual, start=1) if r}
     a_psis = table.a_psis
-    cylinders = [model.cylinder(psi) for psi in model.psis]
-    for i, a in enumerate(a_psis):
-        for j in range(i + 1, len(a_psis)):
-            if not cylinders[i] & cylinders[j]:
-                V -= a & a_psis[j]
+    for i, j in model.disjoint_psi_pairs:
+        V -= a_psis[i] & a_psis[j]
     if not V:
         raise HypothesisError("the exactness set V is empty; the linear map "
                               "certification hypotheses must have failed")

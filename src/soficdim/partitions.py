@@ -15,8 +15,11 @@ to the alphabet weights, and the cylinder bound compares exact
 cylinder measures with intersection counts at c2 * delta, where
 c2 = 2 * c1 * Bell(|F+-|^n).  A basis of cylinder projections for the
 span of the cylinder algebra yields the coefficient statistics kappa
-and gamma; the basis expands each subset of its span once, by
-eliminating on integers.
+and gamma.  One fraction-free elimination of the model's point x psi
+indicator matrix gives the basis, every psi's coefficients and a
+transform T; every coefficient is an integer numerator over one
+denominator D per basis, and each other subset of the span is expanded
+once, as T times its indicator, when a sweep first reads it.
 
 One ModelMember per sigma holds what its partitions share: sigma's
 images on the model ball, their padded and inverse image tuples, its
@@ -41,10 +44,12 @@ decided by comparing squares.  Each sweep decides its gaps on integer
 numerators over one positive denominator fixed for the sweep, which
 keeps the order and the ties of the gaps: c1 over the unit weights'
 common denominator W (``LemmaContext.profile_weights``), c2 over the
-point weights' M (``CylinderModel.mu_num``), c3 over the residuals' L.
+point weights' M (``CylinderModel.mu_num``), c3 over the basis' D.
 It builds one Fraction for each value it reports and names its witness
-by ``sofic._first_largest``.  The bounds that depend only on the basis
-and delta are computed once per basis and delta
+by ``sofic._first_largest``.  What depends only on the model (each
+psi's cylinder and its measure, the disjoint cylinder pairs, the meets
+of the projections) is computed once per model, and the bounds that
+depend only on the basis and delta once per basis and delta
 (``SpanBasis.per_delta``), for every table over the basis.
 """
 
@@ -55,6 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from operator import mul
 
 from . import sofic
 from .groupoid import FiniteGroupoid, bernoulli_action, projection_bisection
@@ -294,9 +300,32 @@ class CylinderModel:
         return frozenset(pts)
 
     @cached_property
+    def cylinders(self) -> tuple:
+        """The cylinder of each psi, in psi order."""
+        return tuple(map(self.cylinder, self.psis))
+
+    @cached_property
+    def cylinder_mu_nums(self) -> tuple:
+        """``mu_num`` of each psi's cylinder, in psi order."""
+        return tuple(map(self.mu_num, self.cylinders))
+
+    @cached_property
+    def disjoint_psi_pairs(self) -> tuple:
+        """The (i, j), i < j, whose cylinders are disjoint."""
+        cyl = self.cylinders
+        return tuple((i, j) for i, j in combinations(range(len(cyl)), 2)
+                     if not cyl[i] & cyl[j])
+
+    @cached_property
     def distinct_projections(self) -> tuple:
         """Distinct cylinder subsets in first-appearance order."""
-        return tuple(dict.fromkeys(map(self.cylinder, self.psis)))
+        return tuple(dict.fromkeys(self.cylinders))
+
+    @cached_property
+    def projection_meets(self) -> dict:
+        """(i, j) -> the meet of distinct projections i and j, for i <= j."""
+        p = self.distinct_projections
+        return {(i, j): p[i] & p[j] for i in range(len(p)) for j in range(i, len(p))}
 
     @cached_property
     def universe(self):
@@ -458,8 +487,8 @@ def verify_lemma_c2(table: Phi0Table, delta) -> BoundReport:
     M, d = model.weight_den, table.d
     bound = table.basis.per_delta(c2_bound, delta)
     psi, worst = sofic._first_largest(
-        ((psi, abs(model.mu_num(model.cylinder(psi)) * d - len(a_psi) * M))
-         for psi, a_psi in zip(model.psis, table.a_psis)), 0)
+        ((psi, abs(mu * d - len(a_psi) * M))
+         for psi, mu, a_psi in zip(model.psis, model.cylinder_mu_nums, table.a_psis)), 0)
     witness = "empty cylinder sweep" if psi is None else f"psi={psi}"
     worst = Fraction(worst, M * d)
     return BoundReport(bound, worst, witness, worst < bound)
@@ -478,26 +507,53 @@ def c3_bound_squared(basis: SpanBasis, delta) -> Fraction:
 
 @dataclass(frozen=True)
 class SpanBasis:
-    """Greedy cylinder basis with coefficient statistics.
+    """Greedy cylinder basis with coefficient statistics, from one exact
+    elimination (``_eliminate``).
 
-    ``coeffs[i]`` expands psi number i over the basis; kappa is the
-    largest coefficient magnitude, gamma the smallest nonzero value
-    among subset sums, subset sums minus one, and products of two
-    subset sums.  The basis rows are linearly independent, so each
-    subset in the span has exactly one expansion.
+    Every coefficient is an integer numerator over one positive
+    denominator ``den`` (D): ``coeffs[i]`` expands psi number i over the
+    basis, and ``transform`` holds T, whose first ``ell`` rows give the
+    numerators of any vector in the span and whose other rows vanish
+    exactly on the span (``expand_vector``).  kappa is the largest
+    coefficient magnitude, gamma the smallest nonzero value among subset
+    sums, subset sums minus one, and products of two subset sums.  The
+    basis cylinders are linearly independent, so each subset in the span
+    has exactly one expansion; ``row`` computes each once per basis, when
+    it is first read.
     """
 
     model: CylinderModel
     basis_psi_indices: tuple
-    coeffs: tuple  # per psi, tuple of Fractions over the basis
-    kappa: Fraction
-    gamma: Fraction
-    gamma_parts: tuple
-    rows: tuple  # indicator vectors of the basis cylinders
+    den: int
+    coeffs: tuple  # per psi, integer numerators over den
+    transform: tuple  # integer rows over the model points
 
     @property
     def ell(self) -> int:
         return len(self.basis_psi_indices)
+
+    @cached_property
+    def kappa(self) -> Fraction:
+        return max(Fraction(max(abs(c) for row in self.coeffs for c in row), self.den),
+                   Fraction(1))
+
+    @cached_property
+    def gamma_parts(self) -> tuple:
+        D = self.den
+        subset_sums = set()
+        for row in self.coeffs:
+            sums = {0}
+            for c in row:
+                if c:
+                    sums |= {s + c for s in sums}
+            subset_sums |= sums
+        gamma1 = Fraction(min((abs(s) for s in subset_sums if s), default=D), D)
+        gamma2 = Fraction(min((abs(s - D) for s in subset_sums if s != D), default=D), D)
+        return gamma1, gamma2, gamma1 * gamma1
+
+    @property
+    def gamma(self) -> Fraction:
+        return min(self.gamma_parts)
 
     @cached_property
     def constants(self) -> LemmaConstants:
@@ -520,112 +576,96 @@ class SpanBasis:
         return out
 
     @cached_property
-    def expansions(self) -> dict:
-        """Subset -> coefficients, for every expansion computed so far,
-        starting with the model cylinders."""
-        return dict(zip(map(self.model.cylinder, self.model.psis), self.coeffs))
+    def _rows(self) -> dict:
+        return dict(zip(self.model.cylinders, self.coeffs))
 
-    def expand_vector(self, subset) -> tuple:
-        """Coefficients of the indicator of a point subset over the basis.
-
-        Each distinct subset is solved once; raises when it lies outside
-        the span.
-        """
+    def row(self, subset) -> tuple:
+        """The coefficients of the indicator of a point subset over the
+        basis, as integer numerators over ``den``.  A model cylinder's are
+        its psi's ``coeffs``; every other subset is expanded once, when
+        first read."""
         subset = frozenset(subset)
-        if subset not in self.expansions:
-            self.expansions[subset] = _solve_against(
-                self.rows, _indicator(subset, self.model.action.n_points))
-        return self.expansions[subset]
+        out = self._rows.get(subset)
+        if out is None:
+            out = self._rows[subset] = self.expand_vector(
+                _indicator(subset, self.model.action.n_points))
+        return out
+
+    def expand_vector(self, vector) -> tuple:
+        """T times a vector over the model points: its coefficients over
+        the basis as numerators over ``den``.  Raises when it lies outside
+        the span."""
+        out = [sum(map(mul, t, vector)) for t in self.transform]
+        if any(out[self.ell:]):
+            raise ValueError("vector outside span")
+        return tuple(out[:self.ell])
 
 
 def _indicator(points, n: int) -> tuple:
     return tuple(int(x in points) for x in range(n))
 
 
-def _solve_against(basis_rows, vec):
-    """Solve sum c_i row_i = vec exactly; raises when out of span.
+def _eliminate(vectors, n: int) -> tuple:
+    """(basis indices, D, coefficients, transform) of ``vectors`` of
+    length n, by one fraction-free Gauss-Jordan elimination (Bareiss).
 
-    Gauss-Jordan elimination on integers: each equation (one per
-    coordinate) is scaled by the common denominator of its entries, a
-    row update is pv * row - f * pivot row, and every updated row is
-    divided by the gcd of its entries.  Each row stays a nonzero
-    multiple of the row that rational elimination would hold, so the
-    pivots, the coefficients and the refusals are the same; Fractions
-    are built only for the coefficients.
+    The matrix has one equation per coordinate x: the entries of every
+    vector at x and the unit vector e_x, all scaled by the common
+    denominator of the entries.  Column by column, the first row from
+    the rank down with a nonzero entry p becomes the next pivot row, and
+    every other row becomes (p row - f pivot row) / p', f its entry in
+    the column and p' the previous pivot.  By Sylvester's identity every
+    entry stays an integer minor of the matrix, so the division is
+    exact, and each pivot row ends with the last pivot in its pivot
+    column.  A column without a pivot lies in the span of the columns
+    before it, so the pivot columns are the greedy basis, in order.
+    Pivot row r over its content has pivot P_r; its left block holds P_r
+    times each vector's coefficient of basis element r, and its right
+    block T_r gives P_r times that coefficient of any vector in the
+    span.  The rows below the pivots vanish exactly on the span.  D is
+    the lcm of the |P_r|, and each pivot row is scaled to it.  Returns
+    the pivot columns, D, each vector's coefficients as numerators over
+    D, and the scaled T_r followed by the right blocks below the pivots.
     """
-    if not basis_rows:
-        if any(vec):
-            raise ValueError("vector outside span")
-        return ()
-    nrows = len(basis_rows)
-    aug = []
-    for c, v in enumerate(vec):
-        eq = [row[c] for row in basis_rows]
-        eq.append(v)
-        den = math.lcm(*(x.denominator for x in eq))
-        aug.append([x.numerator * (den // x.denominator) for x in eq])
-    pivots = []
-    row = 0
-    for col in range(nrows):
-        sel = next((r for r in range(row, len(aug)) if aug[r][col]), None)
+    m = len(vectors)
+    rows = []
+    for x in range(n):
+        s, nums = sofic.common_denominator([v[x] for v in vectors])
+        rows.append([*nums, *(s if y == x else 0 for y in range(n))])
+    basis = []
+    prev = 1
+    for j in range(m):
+        rank = len(basis)
+        sel = next((r for r in range(rank, n) if rows[r][j]), None)
         if sel is None:
             continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        top = aug[row]
-        pv = top[col]
-        for r, other in enumerate(aug):
-            f = other[col]
-            if f and r != row:
-                new = [pv * a - f * b for a, b in zip(other, top)]
-                g = math.gcd(*new)
-                aug[r] = [x // g for x in new] if g > 1 else new
-        pivots.append(col)
-        row += 1
-    # consistency: rows beyond the pivots must be zero
-    if any(aug[r][-1] for r in range(row, len(aug))):
-        raise ValueError("vector outside span")
-    coeffs = [Fraction(0)] * nrows
-    for r, col in enumerate(pivots):
-        coeffs[col] = Fraction(aug[r][-1], aug[r][col])
-    return tuple(coeffs)
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        top = rows[rank]
+        p = top[j]
+        for r, other in enumerate(rows):
+            f = other[j]
+            if r != rank and (f or p != prev):
+                rows[r] = [(p * a - f * b) // prev for a, b in zip(other, top)]
+        prev = p
+        basis.append(j)
+    rank = len(basis)
+    contents = [math.gcd(*row) for row in rows[:rank]]
+    den = math.lcm(*(abs(prev) // g for g in contents))
+    scaled = [[a // g * (den // (prev // g)) for a in row]
+              for row, g in zip(rows, contents)]
+    coeffs = tuple(zip(*(row[:m] for row in scaled))) if rank else ((),) * m
+    transform = tuple(tuple(row[m:]) for row in scaled + rows[rank:])
+    return tuple(basis), den, coeffs, transform
 
 
 def span_basis(model: CylinderModel) -> SpanBasis:
-    """Greedy basis over the canonical cylinder order plus kappa and gamma."""
-    cylinders = [model.cylinder(psi) for psi in model.psis]
-    vectors = [_indicator(c, model.action.n_points) for c in cylinders]
-    if not any(any(v) for v in vectors):
+    """Greedy basis over the canonical cylinder order, from one
+    elimination of the model's point x psi indicator matrix."""
+    n = model.action.n_points
+    vectors = [_indicator(c, n) for c in model.cylinders]
+    if not any(map(any, vectors)):
         raise ValueError("degenerate cylinder system: all cylinders are null")
-    # the rows are independent, so a psi's expansion against the rows
-    # chosen before it, padded with zeros, is its expansion in the basis
-    basis_idx = []
-    basis_rows = []
-    solved = []
-    for i, v in enumerate(vectors):
-        try:
-            solved.append(_solve_against(basis_rows, v))
-        except ValueError:
-            solved.append((Fraction(0),) * len(basis_rows) + (Fraction(1),))
-            basis_idx.append(i)
-            basis_rows.append(v)
-    width = len(basis_rows)
-    coeffs = tuple(c + (Fraction(0),) * (width - len(c)) for c in solved)
-    # kappa and the subset sums on integer numerators over one denominator G
-    G, flat = sofic.common_denominator([c for row in coeffs for c in row])
-    kappa = max(Fraction(max(map(abs, flat)), G), Fraction(1))
-    subset_sums = set()
-    for start in range(0, len(flat), width):
-        sums = {0}
-        for c in flat[start:start + width]:
-            if c:
-                sums |= {s + c for s in sums}
-        subset_sums |= sums
-    gamma1 = Fraction(min((abs(s) for s in subset_sums if s), default=G), G)
-    gamma2 = Fraction(min((abs(s - G) for s in subset_sums if s != G), default=G), G)
-    gamma3 = gamma1 * gamma1
-    gamma = min(gamma1, gamma2, gamma3)
-    return SpanBasis(model, tuple(basis_idx), coeffs, kappa, gamma,
-                     (gamma1, gamma2, gamma3), tuple(basis_rows))
+    return SpanBasis(model, *_eliminate(vectors, n))
 
 
 class ModelMember:
@@ -722,11 +762,13 @@ class Phi0Table:
     bounds, ``crossed.build_phi0`` and ``crossed.build_phi`` all read
     it.  phi0 sends each basis cylinder projection to the indicator of
     its image-side cylinder and extends linearly over the span basis;
-    each distinct span subset is evaluated once, on integers:
-    ``numerators`` gives phi0 of a subset as integer numerators over one
-    denominator.  ``residuals`` gives every psi its residual
-    1_{A_psi} - phi0(cyl psi), computed once on first read for the c3
-    sweep and ``crossed.build_phi``.
+    each distinct span subset is evaluated once per table, when a sweep
+    first reads it: ``numerators`` gives phi0 of a subset as integer
+    numerators over the basis' one denominator D (``SpanBasis.den``),
+    from the subset's integer row (``SpanBasis.row``).  ``residuals``
+    gives every psi its residual 1_{A_psi} - phi0(cyl psi) over D,
+    computed once on first read for the c3 sweep and
+    ``crossed.build_phi``.
     """
 
     def __init__(self, basis: SpanBasis, member: ModelMember,
@@ -745,39 +787,30 @@ class Phi0Table:
         self.a_psis = tuple(model.image_cylinder(psi, self.images, blocks)
                             for psi in model.psis)
         self.a_sets = tuple(self.a_psis[i] for i in basis.basis_psi_indices)
-        self._values = {}  # subset -> (denominator, numerators over {1..d})
+        self._values = {}  # subset -> numerators over {1..d}
 
     def numerators(self, subset) -> tuple:
-        """(D, n): phi0 of the projection onto ``subset`` is n / D.
-
-        D is the least common denominator of the subset's coefficients
-        and n a tuple of integers over {1..d}; each distinct subset is
-        evaluated once per table.
-        """
+        """(D, n): phi0 of the projection onto ``subset`` is n / D, with D
+        the basis' ``den`` and n a tuple of integers over {1..d}."""
         subset = frozenset(subset)
         out = self._values.get(subset)
         if out is None:
-            coeffs = self.basis.expand_vector(subset)
-            den = math.lcm(*(c.denominator for c in coeffs))
             nums = [0] * self.d
-            for c, s in zip(coeffs, self.a_sets):
-                if c:
-                    k = c.numerator * (den // c.denominator)
+            for k, s in zip(self.basis.row(subset), self.a_sets):
+                if k:
                     for x in s:
                         nums[x - 1] += k
-            out = self._values[subset] = (den, tuple(nums))
-        return out
+            out = self._values[subset] = tuple(nums)
+        return self.basis.den, out
 
     @cached_property
     def residuals(self) -> tuple:
-        """(D, r) for each psi in order: the residual
-        1_{A_psi} - phi0(cyl psi) on {1..d} is r / D, r integers."""
-        model = self.basis.model
+        """For each psi in order, the residual 1_{A_psi} - phi0(cyl psi)
+        on {1..d} as integer numerators over the basis' ``den``."""
         out = []
-        for psi, a_psi in zip(model.psis, self.a_psis):
-            den, nums = self.numerators(model.cylinder(psi))
-            out.append((den, tuple((x in a_psi) * den - n
-                                   for x, n in enumerate(nums, start=1))))
+        for cyl, a_psi in zip(self.basis.model.cylinders, self.a_psis):
+            D, nums = self.numerators(cyl)
+            out.append(tuple((x in a_psi) * D - n for x, n in enumerate(nums, start=1)))
         return tuple(out)
 
 
@@ -786,16 +819,14 @@ def verify_lemma_c3_sweep(table: Phi0Table, delta) -> BoundReport:
 
     Compares the squared 2-norm of each residual 1_{A_psi} - phi0(cyl psi)
     of the table against (c3)^2 * delta and reports the first psi with
-    the largest one.  The norms are integers over L^2 d, L the least
-    common denominator of the residuals.
+    the largest one.  The norms are integers over D^2 d, D the basis'
+    ``den``.
     """
     delta = Fraction(delta)
-    model = table.basis.model
-    residuals = table.residuals
-    L = math.lcm(*(den for den, _ in residuals))
-    norms = [sum(r * r for r in res) * (L // den) ** 2 for den, res in residuals]
+    basis = table.basis
+    norms = [sum(r * r for r in res) for res in table.residuals]
     worst = max(norms)
-    bound_sq = table.basis.per_delta(c3_bound_squared, delta)
-    worst_sq = Fraction(worst, L * L * table.d)
-    return BoundReport(bound_sq, worst_sq, f"psi={model.psis[norms.index(worst)]}",
+    bound_sq = basis.per_delta(c3_bound_squared, delta)
+    worst_sq = Fraction(worst, basis.den ** 2 * table.d)
+    return BoundReport(bound_sq, worst_sq, f"psi={basis.model.psis[norms.index(worst)]}",
                        worst_sq < bound_sq, squared=True)

@@ -588,20 +588,25 @@ class TestVerify:
         # each pair is all 0, all 1 or mixed.  The draws reach 5 of the 6
         # multisets of two such pair colourings (not "both all 0"), and
         # one Phi0Table is built per orbit, which computes every A_psi
-        # once and evaluates 16 distinct subsets
+        # once and reads 16 distinct subsets from the one span basis; the
+        # basis expands each of them that is not a model cylinder once
         monkeypatch.chdir(tmp_path)
         transitive_groupoid(2).save("r2.gpd")
         tables = []  # the psis of each table's image cylinders
+        bases = set()
         building = []
+        reads = []
         expansions = []
         init = partitions.Phi0Table.__init__
         image_cylinder = partitions.CylinderModel.image_cylinder
+        row = partitions.SpanBasis.row
         expand = partitions.SpanBasis.expand_vector
 
-        def counted_init(self, *args):
+        def counted_init(self, basis, *args):
             tables.append([])
+            bases.add(basis)
             building.append(True)
-            init(self, *args)
+            init(self, basis, *args)
             building.pop()
 
         def counted_image_cylinder(self, psi, *args):
@@ -609,13 +614,18 @@ class TestVerify:
             tables[-1].append(psi)
             return image_cylinder(self, psi, *args)
 
-        def counted_expand(self, subset):
-            expansions.append(subset)
-            return expand(self, subset)
+        def counted_row(self, subset):
+            reads.append(subset)
+            return row(self, subset)
+
+        def counted_expand(self, vector):
+            expansions.append(vector)
+            return expand(self, vector)
 
         monkeypatch.setattr(partitions.Phi0Table, "__init__", counted_init)
         monkeypatch.setattr(partitions.CylinderModel, "image_cylinder",
                             counted_image_cylinder)
+        monkeypatch.setattr(partitions.SpanBasis, "row", counted_row)
         monkeypatch.setattr(partitions.SpanBasis, "expand_vector", counted_expand)
         code, out, _ = run(capsys, "verify", "--suite", "all", "--source", "r2.gpd",
                            "--d", "4", "--delta", "1/20", "--partitions", "12",
@@ -627,8 +637,30 @@ class TestVerify:
         assert len(tables) == 5
         assert len(tables[0]) == len(set(tables[0])) == 9
         assert all(psis == tables[0] for psis in tables)
-        assert len(expansions) == 5 * 16
+        assert len(bases) == 1
+        assert len(reads) == 5 * 16 and len(set(reads)) == 16
+        cylinders = set(bases.pop().model.cylinders)
+        assert len(expansions) == len(set(expansions)) == len(set(reads) - cylinders) == 7
         assert json.loads(out)["suites"]["c2"]["instances"] == 36
+
+    @pytest.mark.parametrize("suite,want", [
+        ("c2", "5d0ec2142fae86f73304ccd1073811c64c9b1e1c6807ead8d2abc6e70b95d769"),
+        ("c3", "60b88d22a2536c015e22bbe8497dea444bb88ab9cf090eca7b466d33af76ec04")])
+    def test_c2_and_c3_reach_r3(self, capsys, monkeypatch, tmp_path, suite, want):
+        # r3's projection universe exceeds sofic.SUM_CAP at d = 3, and c2
+        # and c3 never read it: each sweep reads only its own rows
+        monkeypatch.chdir(tmp_path)
+        transitive_groupoid(3).save("r3.gpd")
+
+        def unbuilt(model):
+            raise AssertionError("a c2 or c3 run built the projection universe")
+
+        monkeypatch.setattr(crossed, "ProjectionUniverse", unbuilt)
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--source", "r3.gpd",
+                           "--d", "3", "--delta", "1/10", "--seed", "1")
+        assert code == 0
+        # recorded before one elimination served the span basis
+        assert hashlib.sha256(out.encode()).hexdigest() == want
 
     def test_lemma_constants_once_per_basis(self, capsys, monkeypatch, r2_file):
         # 3 members x 12 partitions over one span basis: c2, c3, delta0,

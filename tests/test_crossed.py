@@ -42,6 +42,7 @@ from soficdim.partitions import (
     verify_lemma_c2,
     verify_lemma_c3_sweep,
 )
+from soficdim.partitions import _indicator as indicator
 from soficdim.pperm import PartialPermutation, parse_pperm, random_pperm
 from soficdim.rng import SplitMix64
 from soficdim.sofic import SoficCandidate, count_SA, iter_SA_members, verify_membership
@@ -387,8 +388,11 @@ def reference_value_vector(table, subset):
     psis = table.basis.model.psis
     a_sets = [reference_image_cylinder(psis[i], table.images, table.partition)
               for i in table.basis.basis_psi_indices]
+    basis = table.basis
     vals = [Fraction(0)] * table.d
-    for c, s in zip(table.basis.expand_vector(subset), a_sets):
+    for c, s in zip(basis.expand_vector(indicator(subset, basis.model.action.n_points)),
+                    a_sets):
+        c = Fraction(c, basis.den)
         if c:
             for x in s:
                 vals[x - 1] += c
@@ -681,13 +685,13 @@ def test_each_subset_evaluated_once_per_table(monkeypatch, r2):
     sigma = next(iter_SA_members(ctx.hypothesis_params(delta, 4)))
     part = random_partition(4, FAIR, 5)
     calls = Counter()
-    expand = SpanBasis.expand_vector
+    row = SpanBasis.row
 
     def counted(self, subset):
         calls[frozenset(subset)] += 1
-        return expand(self, subset)
+        return row(self, subset)
 
-    monkeypatch.setattr(SpanBasis, "expand_vector", counted)
+    monkeypatch.setattr(SpanBasis, "row", counted)
     table = Phi0Table(basis, ModelMember(model, sigma), part)
     verify_lemma_c2(table, delta)
     verify_lemma_c3_sweep(table, delta)
@@ -712,9 +716,9 @@ def test_residuals_are_computed_once_per_table(r2):
         first = vars(table)["residuals"]
         build_phi(table, delta)
         assert table.residuals is first and len(first) == len(model.psis)
-        for (den, res), psi, a_psi in zip(first, model.psis, table.a_psis):
+        for res, psi, a_psi in zip(first, model.psis, table.a_psis):
             phi0 = reference_value_vector(table, model.cylinder(psi))
-            assert [Fraction(r, den) for r in res] == [
+            assert [Fraction(r, basis.den) for r in res] == [
                 (x in a_psi) - v for x, v in enumerate(phi0, start=1)]
             nonzero += any(res)
     assert nonzero

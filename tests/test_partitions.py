@@ -37,7 +37,7 @@ from soficdim.partitions import (
     verify_lemma_c3_sweep,
 )
 from soficdim.partitions import _indicator as indicator
-from soficdim.partitions import _solve_against
+from soficdim.partitions import SpanBasis, _eliminate
 from soficdim.pperm import (
     PartialPermutation,
     inverse,
@@ -409,8 +409,7 @@ class TestBoundChecks:
         table = Phi0Table(basis, ModelMember(model, members[0]),
                           random_partition(4, FAIR, seed=0))
         for i in basis.basis_psi_indices:
-            _, res = table.residuals[i]
-            assert not any(res)
+            assert not any(table.residuals[i])
 
     @pytest.mark.parametrize("delta,stride",
                              [(Fraction(1, 10), 1), (Fraction(1, 3), 50)])
@@ -424,8 +423,8 @@ class TestBoundChecks:
             for seed in range(5):
                 table = Phi0Table(basis, ModelMember(model, m),
                                   random_partition(4, FAIR, seed))
-                norms = [Fraction(sum(r * r for r in res), den * den * 4)
-                         for den, res in table.residuals]
+                norms = [Fraction(sum(r * r for r in res), basis.den ** 2 * 4)
+                         for res in table.residuals]
                 first = max(range(len(norms)), key=norms.__getitem__)
                 rep = verify_lemma_c3_sweep(table, delta)
                 assert rep.worst == norms[first]
@@ -437,22 +436,23 @@ class TestBoundChecks:
         _, _, _, model, _, _ = r2_setup
         basis = span_basis(model)
         solved = []
-        monkeypatch.setattr(partitions, "_solve_against",
-                            lambda rows, vec: solved.append(vec)
-                            or _solve_against(rows, vec))
+        expand = SpanBasis.expand_vector
+        monkeypatch.setattr(SpanBasis, "expand_vector",
+                            lambda self, vec: solved.append(vec) or expand(self, vec))
         n = model.action.n_points
+        rows = [indicator(model.cylinders[i], n) for i in basis.basis_psi_indices]
         subsets = ([model.cylinder(psi) for psi in model.psis]
                    + [model.translate(b, letter) for b in range(len(model.ball))
                       for letter in range(model.q)]
                    + list(model.universe.elements))
         for subset in subsets + subsets:
-            coeffs = basis.expand_vector(subset)
-            assert coeffs == _solve_against(basis.rows, indicator(subset, n))
+            coeffs = tuple(Fraction(c, basis.den) for c in basis.row(subset))
+            assert coeffs == reference_solve_against(rows, indicator(subset, n))
             assert indicator(subset, n) == tuple(
-                sum((c * row[x] for c, row in zip(coeffs, basis.rows)), Fraction(0))
+                sum((c * row[x] for c, row in zip(coeffs, rows)), Fraction(0))
                 for x in range(n))
         for i, psi in enumerate(model.psis):
-            assert basis.expand_vector(model.cylinder(psi)) == basis.coeffs[i]
+            assert basis.row(model.cylinder(psi)) == basis.coeffs[i]
         assert len(solved) == len(set(solved))
         cylinders = {model.cylinder(psi) for psi in model.psis}
         assert len(solved) == len(set(subsets) - cylinders)
@@ -517,12 +517,13 @@ class TestBoundReport:
         assert d["slack_ratio"] == 0.1
 
 
-# -- the integer basis solve against the rational one it replaces ---------------
+# -- the one elimination against the rational solve it replaces ------------------
 
 
 def reference_solve_against(basis_rows, vec):
-    """Gauss-Jordan elimination on Fractions, as _solve_against ran before
-    it eliminated on integers."""
+    """Gauss-Jordan elimination on Fractions of one vector against the
+    basis rows, as each vector was solved before one elimination served
+    the whole basis."""
     if not basis_rows:
         if any(vec):
             raise ValueError("vector outside span")
@@ -570,36 +571,64 @@ def random_rational(rng):
     return Fraction(rng.below(9) - 4, 1 + rng.below(6))
 
 
+def eliminated(vectors, n: int) -> SpanBasis:
+    """The span basis of one elimination of ``vectors``, without a model."""
+    return SpanBasis(None, *_eliminate(vectors, n))
+
+
+def expansion(basis, vec):
+    """``expand_vector`` of vec as Fractions, or the refusal text."""
+    try:
+        return tuple(Fraction(c, basis.den) for c in basis.expand_vector(vec))
+    except ValueError as exc:
+        return str(exc)
+
+
 @pytest.mark.parametrize("kind", ["01", "rational"])
 def test_integer_solve_matches_rational_solve(kind):
+    # every drawn row is eliminated; the rows kept are those the reference
+    # finds outside the span of the rows kept before them
     rng = SplitMix64(71 if kind == "01" else 72)
     draw = (lambda: rng.below(2)) if kind == "01" else (lambda: random_rational(rng))
-    inside = outside = 0
+    inside = outside = dependent = 0
     for _ in range(150):
         n = 2 + rng.below(8)
-        rows = []
-        for _ in range(1 + rng.below(n)):  # keep the independent draws
+        drawn, rows, kept = [], [], []
+        for _ in range(1 + rng.below(n)):
             row = tuple(draw() for _ in range(n))
             if not isinstance(solve_outcome(reference_solve_against, rows, row), tuple):
+                kept.append(len(drawn))
                 rows.append(row)
+            drawn.append(row)
         coeffs = [random_rational(rng) for _ in rows]
         in_span = tuple(sum((c * r[x] for c, r in zip(coeffs, rows)), Fraction(0))
                         for x in range(n))
         free = tuple(draw() for _ in range(n))
+        basis = eliminated(drawn, n)
+        assert basis.basis_psi_indices == tuple(kept)
+        assert basis.den > 0
+        for row, got in zip(drawn, basis.coeffs):
+            assert tuple(Fraction(c, basis.den) for c in got) == (
+                reference_solve_against(rows, row))
         for vec in (in_span, free):
             want = solve_outcome(reference_solve_against, rows, vec)
-            assert solve_outcome(_solve_against, rows, vec) == want
+            assert expansion(basis, vec) == want
             inside += isinstance(want, tuple)
             outside += want == "vector outside span"
-        assert _solve_against(rows, in_span) == tuple(coeffs)
-    assert inside > 150 and outside > 10
+        assert expansion(basis, in_span) == tuple(coeffs)
+        dependent += len(drawn) > len(rows)
+    assert inside > 150 and outside > 10 and dependent
 
 
 def test_integer_solve_on_an_empty_basis():
-    assert _solve_against((), (0, 0, 0)) == reference_solve_against((), (0, 0, 0)) == ()
-    for vec in ((0, 1, 0), (Fraction(1, 2),)):
+    for vectors in ((), ((0, 0, 0),), ((0, 0, 0), (0, 0, 0))):
+        basis = eliminated(vectors, 3)
+        assert basis.basis_psi_indices == () and basis.coeffs == ((),) * len(vectors)
+        assert basis.expand_vector((0, 0, 0)) == reference_solve_against((), (0, 0, 0)) == ()
         with pytest.raises(ValueError, match="outside span"):
-            _solve_against((), vec)
+            basis.expand_vector((0, 1, 0))
+    with pytest.raises(ValueError, match="outside span"):
+        eliminated((), 1).expand_vector((Fraction(1, 2),))
 
 
 def reference_span_basis(model):
@@ -635,7 +664,8 @@ def test_span_basis_matches_rational_solve(source, q):
     model = CylinderModel(LemmaContext(g, full_group_generators(g), 1),
                           [Fraction(1, q)] * q)
     basis = span_basis(model)
-    assert (basis.basis_psi_indices, basis.coeffs, basis.kappa, basis.gamma,
+    coeffs = tuple(tuple(Fraction(c, basis.den) for c in row) for row in basis.coeffs)
+    assert (basis.basis_psi_indices, coeffs, basis.kappa, basis.gamma,
             basis.gamma_parts) == reference_span_basis(model)
 
 
@@ -645,12 +675,36 @@ def test_span_basis_solves_each_psi_once(source, q, monkeypatch):
     g = transitive_groupoid(2) if source == "r2" else cyclic_groupoid(2)
     model = CylinderModel(LemmaContext(g, full_group_generators(g), 1),
                           [Fraction(1, q)] * q)
-    solved = []
-    monkeypatch.setattr(partitions, "_solve_against",
-                        lambda rows, vec: solved.append(vec)
-                        or _solve_against(rows, vec))
+    eliminations = []
+    monkeypatch.setattr(partitions, "_eliminate",
+                        lambda vectors, n: eliminations.append(vectors)
+                        or _eliminate(vectors, n))
     span_basis(model)
-    assert len(solved) == len(model.psis)
+    assert len(eliminations) == 1 and len(eliminations[0]) == len(model.psis)
+
+
+@pytest.mark.parametrize("suite", ["c2", "c3"])
+def test_c2_and_c3_sweeps_read_only_their_rows(suite, monkeypatch):
+    # on r3 with two letters the projection universe exceeds SUM_CAP; c2
+    # reads no span row and c3 only the cylinders', which the elimination
+    # gives, so neither builds the universe nor expands a vector
+    g = transitive_groupoid(3)
+    ctx = LemmaContext(g, full_group_generators(g), 1)
+    model = CylinderModel(ctx, FAIR)
+    basis = span_basis(model)
+
+    def refuse(self, vector):
+        raise AssertionError("a c2 or c3 sweep expanded a vector")
+
+    monkeypatch.setattr(SpanBasis, "expand_vector", refuse)
+    delta = Fraction(1, 10)
+    sweep = verify_lemma_c2 if suite == "c2" else verify_lemma_c3_sweep
+    for m in list(iter_SA_members(ctx.hypothesis_params(delta, 3)))[:3]:
+        for seed in range(2):
+            table = Phi0Table(basis, ModelMember(model, m), random_partition(3, FAIR, seed))
+            assert sweep(table, delta).passed
+    assert "universe" not in vars(model)
+    assert ("_rows" in vars(basis)) == (suite == "c3")
 
 
 @pytest.mark.parametrize("source,n", [(source, n) for source in ("r2", "zmod2", "zmod3")
