@@ -12,6 +12,7 @@ Prints one row per module, sorted by path, and a total row:
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -64,4 +65,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (``| head -1``): stop quietly, with stdout
+        # on the null device so that the exit flush writes nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)

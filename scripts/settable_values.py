@@ -16,6 +16,7 @@ parser it is added to, when the script can tell).
 """
 
 import ast
+import os
 import sys
 from pathlib import Path
 
@@ -133,4 +134,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (``| head -1``): stop quietly, with stdout
+        # on the null device so that the exit flush writes nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)

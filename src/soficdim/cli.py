@@ -382,10 +382,6 @@ def binding_degree(cd: scaling.CornerData, delta: Fraction, d: int) -> int:
     return base
 
 
-# the radius n of the expansions that the scaling suite and construct run
-EXPAND_N = 5
-
-
 def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
                       instances: int) -> dict:
     """Round-trip one corner candidate per instance through the datum.
@@ -413,7 +409,7 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
     AND) nor ``worst_round_trip`` (a max) can change.
     """
     cd = scaling.standard_corner(g, [0])
-    src = cd.expansion_source(EXPAND_N)
+    src = cd.expansion_source(scaling.EXPAND_N)
     all_pass = True
     worst_round = 0.0
     base = binding_degree(cd, delta, d)
@@ -430,7 +426,8 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
         images = [PartialPermutation.projection(base, keep) if b.arrows
                   else PartialPermutation.empty(base) for b in src.ball_elements]
         sigma = SoficCandidate(base, images)
-        res = scaling.expand_sigma(sigma, cd, n=EXPAND_N, delta=delta, seed=seed + i)
+        res = scaling.expand_sigma(sigma, cd, n=scaling.EXPAND_N, delta=delta,
+                                   seed=seed + i)
         rr = scaling.restrict_sigma(res.candidate, cd, delta=delta)
         all_pass &= res.report.is_member and rr.report.is_member
         worst = max(pperm.uniform_distance(sigma.images[src.position[b]],
@@ -483,11 +480,12 @@ def cmd_construct(args) -> int:
     doc = {"tool": "soficdim construct", "what": args.what, "seed": args.seed,
            "config": json.loads(config_echo(args, ("what", "d", "delta")))}
     if args.what in ("expand", "restrict"):
-        src = cd.expansion_source(EXPAND_N)
+        src = cd.expansion_source(scaling.EXPAND_N)
         images = [PartialPermutation.identity(args.d) if b.arrows
                   else PartialPermutation.empty(args.d) for b in src.ball_elements]
         sigma = SoficCandidate(args.d, images)
-        res = scaling.expand_sigma(sigma, cd, n=EXPAND_N, delta=delta, seed=args.seed)
+        res = scaling.expand_sigma(sigma, cd, n=scaling.EXPAND_N, delta=delta,
+                                   seed=args.seed)
         ident = res.params.source.position[full_identity(cd.ambient)]
         # every gap is at most 1 and membership is strict, so a
         # tolerance above 1 admits every candidate

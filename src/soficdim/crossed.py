@@ -38,13 +38,16 @@ lists once as index triples.  The trace check compares integer
 numerators over the point weights' denominator, and the four phi0
 properties compare phi0's values as integer numerators over the span
 basis' one denominator D (``SpanBasis.den``), with no rescaling per
-table; each builds one Fraction per reported gap.  The meets of the
-product property and the disjoint cylinder pairs of build_phi are
-computed once per model, and delta0^2, the ha tolerance^2 and V's size
-factor once per basis and delta (``SpanBasis.per_delta``).  Square
-roots never enter the arithmetic:
-bounds against sqrt(delta) are decided by comparing squares of exact
-rationals.
+table; each builds one Fraction per reported gap.  The checks read
+what depends only on the model from its tables, each computed once per
+model: the translates of the letter sets (``CylinderModel.translates``)
+for equivariance, the measures of the distinct projections
+(``projection_mu_nums``) for the traces and the trace windows of
+ha_statistic, the meets of the product property and the disjoint
+cylinder pairs of build_phi.  delta0^2, the ha tolerance^2 and V's size
+factor are computed once per basis and delta (``SpanBasis.per_delta``).
+Square roots never enter the arithmetic: bounds against sqrt(delta)
+are decided by comparing squares of exact rationals.
 """
 
 from __future__ import annotations
@@ -212,8 +215,7 @@ def verify_HA(cand: HACandidate, tol) -> HAReport:
     # |nfix/d - mu| over M d, M the model's weight denominator
     M = model.weight_den
     i, trace_num = sofic._first_largest(enumerate(
-        abs(p.nfix * M - model.mu_num(s) * d)
-        for p, s in zip(cand.phi, uni.elements[:uni.p_count])), 0)
+        abs(p.nfix * M - mu * d) for p, mu in zip(cand.phi, model.projection_mu_nums)), 0)
     trace_gap = Fraction(trace_num, M * d)
     trace_wit = "" if i is None else f"projection {i}"
 
@@ -226,7 +228,7 @@ def verify_HA(cand: HACandidate, tol) -> HAReport:
         for letter, pos in enumerate(uni.letter_index):
             p = pads[pos]
             for bidx, (s, inv) in enumerate(zip(member.pads, member.inverses)):
-                target = phi[uni.index[model.translate(bidx, letter)]]
+                target = phi[uni.index[model.translates[bidx][letter]]]
                 yield (letter, bidx), sum(1 for w, y in zip(target, inv) if w != s[p[y]])
 
     at, equi_count = sofic._first_largest(equivariance(), 0)
@@ -374,7 +376,7 @@ def build_phi0(table: Phi0Table, delta) -> PropertyReport:
     # |trace phi0(p) - mu(p)| = |sum v(p) M - mu_M(p) D d| / (D M d)
     M = model.weight_den
     i, trace_num = sofic._first_largest(enumerate(
-        abs(sum(n) * M - model.mu_num(p) * D * d) for p, n in zip(projections, pv)), 0)
+        abs(sum(n) * M - mu * D * d) for n, mu in zip(pv, model.projection_mu_nums)), 0)
     trace_wit = "" if i is None else f"projection {i}"
     trace_sq = Fraction(trace_num * trace_num, (D * M * d) ** 2)
 
@@ -383,7 +385,7 @@ def build_phi0(table: Phi0Table, delta) -> PropertyReport:
             g = (0,) + v(bset)
             for bidx, inv in enumerate(table.member.inverses):
                 # push the diagonal of g forward along s: (s g s^-1)(y) = g(s^-1 y)
-                f = v(model.translate(bidx, letter))
+                f = v(model.translates[bidx][letter])
                 yield (letter, bidx), sum((a - b) ** 2 for a, b in
                                           zip(f, map(g.__getitem__, inv)))
 
@@ -522,8 +524,8 @@ def ha_statistic(model: CylinderModel, delta, d: int, E, Q) -> tuple[int, float,
     sa_params = model.context.sigma_params(1 if isinstance(delta, SqrtTol) else delta, d)
     tol_sq = delta.value_sq if isinstance(delta, SqrtTol) else delta ** 2
     # (i): a trace window on each cylinder projection
-    centres = [model.mu_points(s) if i < uni.p_count else None
-               for i, s in enumerate(uni.elements)]
+    centres = [Fraction(mu, model.weight_den) for mu in model.projection_mu_nums]
+    centres += [None] * (len(uni) - uni.p_count)
     windows = sofic.fixed_windows(d, centres, tol_sq)
     pools = sofic.candidate_pool(d, "all", windows)
     sigma_members = list(sofic.iter_SA_members(sa_params))
@@ -544,7 +546,7 @@ def ha_statistic(model: CylinderModel, delta, d: int, E, Q) -> tuple[int, float,
         triples[max(i, j, k)].append((i, j, k))
     for letter, pos in enumerate(uni.letter_index):  # (ii)
         for b in range(n_ball):
-            tpos = uni.index[model.translate(b, letter)]
+            tpos = uni.index[model.translates[b][letter]]
             k = n + letter * n_ball + b
             derived[pos].append((k, (pos, sig_inv + b)))
             triples[max(pos, tpos)].append((sig + b, k, tpos))

@@ -13,9 +13,13 @@ point fraction of its image-side twin, at tolerance c1 * delta with
 Random partitions of {1..d} place each point independently according
 to the alphabet weights, and the cylinder bound compares exact
 cylinder measures with intersection counts at c2 * delta, where
-c2 = 2 * c1 * Bell(|F+-|^n).  A basis of cylinder projections for the
-span of the cylinder algebra yields the coefficient statistics kappa
-and gamma.  One fraction-free elimination of the model's point x psi
+c2 = 2 * c1 * Bell(|F+-|^n).  One rule takes the cylinder of every
+psi on both sides (``_cylinders``): the meet of its entries'
+translates, read from a ball x letter table, which holds the
+translates of the letter sets on the model side and sigma's images of
+the partition blocks on the image side.  A basis of cylinder
+projections for the span of the cylinder algebra yields the
+coefficient statistics kappa and gamma.  One fraction-free elimination of the model's point x psi
 indicator matrix gives the basis, every psi's coefficients and a
 transform T; every coefficient is an integer numerator over one
 denominator D per basis, and each other subset of the span is expanded
@@ -26,9 +30,9 @@ images on the model ball, their padded and inverse image tuples, its
 membership check, and the key of each (sigma, partition) under
 relabeling of the points.  One Phi0Table per (sigma, partition) is the
 whole image side of that pair: it holds the image cylinder A_psi of
-every psi, computed once, and the linear map phi0, which sends each
-basis cylinder to its image-side cylinder.  The cylinder bound reads
-the A_psi, and the equivariance bound compares each residual
+every psi, taken once from sigma's images of the blocks, and the
+linear map phi0, which sends each basis cylinder to its image-side
+cylinder.  The cylinder bound reads the A_psi, and the equivariance bound compares each residual
 1_{A_psi} - phi0(cyl psi) with c3 * sqrt(delta), where
 
     c3 = (1 + (3 + kappa*ell) * Bell(ell) * N_ell) * c2,  N_ell = ell * 2^ell.
@@ -44,12 +48,13 @@ decided by comparing squares.  Each sweep decides its gaps on integer
 numerators over one positive denominator fixed for the sweep, which
 keeps the order and the ties of the gaps: c1 over the unit weights'
 common denominator W (``LemmaContext.profile_weights``), c2 over the
-point weights' M (``CylinderModel.mu_num``), c3 over the basis' D.
+point weights' M (``CylinderModel.weight_den``), c3 over the basis' D.
 It builds one Fraction for each value it reports and names its witness
-by ``sofic._first_largest``.  What depends only on the model (each
-psi's cylinder and its measure, the disjoint cylinder pairs, the meets
-of the projections) is computed once per model, and the bounds that
-depend only on the basis and delta once per basis and delta
+by ``sofic._first_largest``.  What depends only on the model (the
+translates, each psi's cylinder, the measures of the cylinders and of
+the distinct projections, the disjoint cylinder pairs, the meets of
+the projections) is a table computed once per model, and the bounds
+that depend only on the basis and delta once per basis and delta
 (``SpanBasis.per_delta``), for every table over the basis.
 """
 
@@ -213,6 +218,21 @@ def random_partition(d: int, mu0, seed: int) -> RandomPartition:
 # -- the cylinder model -------------------------------------------------------------
 
 
+def _cylinders(psis, translates, points) -> tuple:
+    """The cylinder of each psi, in order: the points of ``points`` in
+    ``translates[b][letter]`` for every entry (b, letter) of psi.  The
+    model side reads the translates of its letter sets
+    (``CylinderModel.translates``) and the image side sigma's images of
+    the partition blocks (``Phi0Table``)."""
+    out = []
+    for psi in psis:
+        pts = points
+        for b, letter in psi:
+            pts = pts & translates[b][letter]
+        out.append(pts)
+    return tuple(out)
+
+
 class CylinderModel:
     """Finite Bernoulli model of a groupoid with its cylinder algebra.
 
@@ -220,10 +240,12 @@ class CylinderModel:
     of bisections of the chosen generating set (through a shared
     LemmaContext): cylinder sets are intersections of translates of the
     letter sets, indexed by a map psi from a ball subset to letters.
-    Exposes the exact measure of a point set, as an integer over the one
-    denominator ``weight_den`` of the point weights (``mu_num``) or as a
-    Fraction (``mu_points``), and the image-side cylinder of a candidate
-    map.
+    Each table is built once, on first read: ``translates``, the ball x
+    letter table of translates; ``cylinders``, each psi's cylinder by
+    the one rule of both sides (``_cylinders``); and their exact
+    measures as integers over the one denominator ``weight_den`` of the
+    point weights, per psi (``cylinder_mu_nums``) and per distinct
+    projection (``projection_mu_nums``).
     """
 
     def __init__(self, context: "LemmaContext", alphabet):
@@ -255,59 +277,30 @@ class CylinderModel:
             for combo in combinations(range(len(self.ball)), r):
                 for values in product(range(self.q), repeat=r):
                     self.psis.append(tuple(zip(combo, values)))
-        self._cyl_cache = {}
-        self._translate_cache = {}
-        self._mu_cache = {}
 
-    def translate(self, ball_idx: int, letter: int) -> frozenset:
-        key = (ball_idx, letter)
-        if key not in self._translate_cache:
-            self._translate_cache[key] = self.action.bisection_image(
-                self.ball[ball_idx], self.letter_sets[letter])
-        return self._translate_cache[key]
-
-    def cylinder(self, psi) -> frozenset:
-        """The set of model points in every translate prescribed by psi."""
-        if psi not in self._cyl_cache:
-            pts = frozenset(range(self.action.n_points))
-            for ball_idx, letter in psi:
-                pts &= self.translate(ball_idx, letter)
-            self._cyl_cache[psi] = pts
-        return self._cyl_cache[psi]
-
-    def mu_num(self, points) -> int:
-        """The measure of a point subset times ``weight_den``, an integer,
-        summed once per subset."""
-        points = frozenset(points)
-        out = self._mu_cache.get(points)
-        if out is None:
-            out = self._mu_cache[points] = sum(map(self.weight_nums.__getitem__, points))
-        return out
-
-    def mu_points(self, points) -> Fraction:
-        """Exact measure of a point subset."""
-        return Fraction(self.mu_num(points), self.weight_den)
-
-    def image_cylinder(self, psi, sigma_images, blocks) -> frozenset:
-        """Intersection of candidate-map translates of the partition blocks.
-
-        ``blocks`` is ``RandomPartition.blocks`` of a partition of {1..d}.
-        """
-        pts = set().union(*blocks)
-        for ball_idx, letter in psi:
-            s = sigma_images[ball_idx].images
-            pts &= {s[x - 1] for x in blocks[letter] if s[x - 1]}
-        return frozenset(pts)
+    @cached_property
+    def translates(self) -> tuple:
+        """``translates[b][letter]``: the image of the letter set under
+        ball element b."""
+        return tuple(tuple(self.action.bisection_image(s, letters)
+                           for letters in self.letter_sets) for s in self.ball)
 
     @cached_property
     def cylinders(self) -> tuple:
         """The cylinder of each psi, in psi order."""
-        return tuple(map(self.cylinder, self.psis))
+        return _cylinders(self.psis, self.translates,
+                          frozenset(range(self.action.n_points)))
 
     @cached_property
     def cylinder_mu_nums(self) -> tuple:
-        """``mu_num`` of each psi's cylinder, in psi order."""
-        return tuple(map(self.mu_num, self.cylinders))
+        """Each psi's cylinder's measure times ``weight_den``, in psi order."""
+        return tuple(sum(map(self.weight_nums.__getitem__, c)) for c in self.cylinders)
+
+    @cached_property
+    def projection_mu_nums(self) -> tuple:
+        """Each distinct projection's measure times ``weight_den``."""
+        return tuple(sum(map(self.weight_nums.__getitem__, p))
+                     for p in self.distinct_projections)
 
     @cached_property
     def disjoint_psi_pairs(self) -> tuple:
@@ -756,19 +749,20 @@ class ModelMember:
 class Phi0Table:
     """The image side of one (sigma, partition), with the linear map phi0.
 
-    The table reads sigma's images on the model ball from its
-    ModelMember, takes the partition blocks once and computes the image
-    cylinder A_psi of every cylinder indexing psi once; the c2 and c3
-    bounds, ``crossed.build_phi0`` and ``crossed.build_phi`` all read
-    it.  phi0 sends each basis cylinder projection to the indicator of
-    its image-side cylinder and extends linearly over the span basis;
-    each distinct span subset is evaluated once per table, when a sweep
-    first reads it: ``numerators`` gives phi0 of a subset as integer
-    numerators over the basis' one denominator D (``SpanBasis.den``),
-    from the subset's integer row (``SpanBasis.row``).  ``residuals``
-    gives every psi its residual 1_{A_psi} - phi0(cyl psi) over D,
-    computed once on first read for the c3 sweep and
-    ``crossed.build_phi``.
+    The table reads sigma's padded images on the model ball from its
+    ModelMember, builds their images of the partition blocks once, a
+    ball x letter table, and takes from it the image cylinder A_psi of
+    every cylinder indexing psi by the model's rule (``_cylinders``),
+    once; the c2 and c3 bounds, ``crossed.build_phi0`` and
+    ``crossed.build_phi`` all read it.  phi0 sends each basis cylinder
+    projection to the indicator of its image-side cylinder and extends
+    linearly over the span basis; each distinct span subset is evaluated
+    once per table, when a sweep first reads it: ``numerators`` gives
+    phi0 of a subset as integer numerators over the basis' one
+    denominator D (``SpanBasis.den``), from the subset's integer row
+    (``SpanBasis.row``).  ``residuals`` gives every psi its residual
+    1_{A_psi} - phi0(cyl psi) over D, computed once on first read for
+    the c3 sweep and ``crossed.build_phi``.
     """
 
     def __init__(self, basis: SpanBasis, member: ModelMember,
@@ -783,9 +777,10 @@ class Phi0Table:
         self.partition = partition
         self.d = partition.d
         self.images = member.images
-        blocks = partition.blocks
-        self.a_psis = tuple(model.image_cylinder(psi, self.images, blocks)
-                            for psi in model.psis)
+        # sigma's image of each block under each ball element, 0 dropped
+        translates = tuple(tuple(frozenset(filter(None, map(pad.__getitem__, block)))
+                                 for block in partition.blocks) for pad in member.pads)
+        self.a_psis = _cylinders(model.psis, translates, frozenset(range(1, self.d + 1)))
         self.a_sets = tuple(self.a_psis[i] for i in basis.basis_psi_indices)
         self._values = {}  # subset -> numerators over {1..d}
 

@@ -231,26 +231,6 @@ def _inverse_images(images) -> tuple:
     return tuple(out)
 
 
-def reindex(s: PartialPermutation, points) -> PartialPermutation:
-    """Reindex the restriction of s to ``points`` (sorted) as a partial
-    permutation of degree len(points)."""
-    pts = sorted(points)
-    pos = {x: i + 1 for i, x in enumerate(pts)}
-    images = [0] * len(pts)
-    for x in pts:
-        y = s.images[x - 1]
-        if y and y in pos:
-            images[pos[x] - 1] = pos[y]
-    return PartialPermutation(len(pts), images)
-
-
-def embed(s: PartialPermutation, degree: int) -> PartialPermutation:
-    """View s inside a larger degree, undefined on the new points."""
-    if degree < s.degree:
-        raise ValueError("cannot shrink by embedding")
-    return PartialPermutation(degree, s.images + (0,) * (degree - s.degree))
-
-
 # -- enumeration and sampling ------------------------------------------------
 
 

@@ -42,7 +42,7 @@ from .groupoid import (
     projection_bisection,
     tau,
 )
-from .pperm import PartialPermutation
+from .pperm import PartialPermutation, _inverse_images
 from .rng import SplitMix64
 from .sofic import GroupoidSource, MembershipReport, SAParams, SoficCandidate
 
@@ -286,16 +286,18 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
     amb_src = cd.ambient_source(n)
     delta_prime = expansion_delta(cd, n, delta)
     amb_params = SAParams(amb_src, delta_prime, d_prime)
-    gamma_inverses = [pperm.inverse(gamma) for gamma in gammas]
+    gamma_pads = [(0,) + gamma.images for gamma in gammas]
+    gamma_inverses = [_inverse_images(gamma.images) for gamma in gammas]
 
     def expand_element(pieces) -> PartialPermutation:
+        # each piece gamma_i s gamma_j^-1 on image tuples: gamma_j^-1 lands in {1..d}
         parts = []
         for i, j, f_c, pos in pieces:
             if pos is None:
                 raise ValueError(f"corner element {f_c!r} outside the candidate ball")
-            inner = pperm.embed(sigma.images[pos], d_prime)
-            parts.append(pperm.compose(gammas[i],
-                                       pperm.compose(inner, gamma_inverses[j])))
+            inner = (0,) + sigma.images[pos].images
+            parts.append(PartialPermutation(
+                d_prime, (gamma_pads[i][inner[y]] for y in gamma_inverses[j])))
         return pperm.orthogonal_sum(parts, d_prime)
 
     images = [expand_element(pieces) for pieces in cd.expansion_plan(n)]
@@ -303,6 +305,11 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
     report = sofic.verify_membership(cand, amb_params)
     return ExpandResult(cand, amb_params, report, delta_prime, d_prime,
                         tuple(blocks), tuple(gammas))
+
+
+# the ambient radius that restriction reads (the corner radius 1 plus 4),
+# and so the radius n of an expansion that a restriction can follow
+EXPAND_N = 5
 
 
 @dataclass(frozen=True)
@@ -319,8 +326,8 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, delta) -> RestrictResu
     """Cut an ambient candidate down to the radius-1 corner ball and
     verify it there.
 
-    The candidate must cover the radius-5 ball (the corner radius plus
-    4) over the datum's F_ambient and be a member there at delta, with
+    The candidate must cover the radius-``EXPAND_N`` ball over the
+    datum's F_ambient and be a member there at delta, with
     d' = floor(h(p) d) > 1/delta.  The base set B starts from the fixed
     points of the image of p and is extended by the smallest absent
     indices or shrunk by its smallest members to exactly d' points.
@@ -331,11 +338,11 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, delta) -> RestrictResu
     d_prime = int(h_p * d)
     if d_prime * delta <= 1:
         raise ValueError(f"d' = {d_prime} must exceed 1/delta = {1 / delta}")
-    amb_src = cd.ambient_source(5)
+    amb_src = cd.ambient_source(EXPAND_N)
     rep = sofic.verify_membership(sigma, SAParams(amb_src, delta, d))
     if not rep.is_member:
         raise ValueError(
-            "ambient candidate is not a member at radius 5: "
+            f"ambient candidate is not a member at radius {EXPAND_N}: "
             f"mult gap {rep.mult_gap}, trace gap {rep.trace_gap}")
 
     sig_p = sigma.images[amb_src.position[cd.p_ambient()]]
@@ -353,12 +360,15 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, delta) -> RestrictResu
     delta_prime = 20 * delta / h_p
     corner_params = SAParams(corner_src, delta_prime, d_prime)
 
+    label = {x: i for i, x in enumerate(B, start=1)}  # B relabeled 1..d'
+
     def restrict_element(f_c: PartialBisection) -> PartialPermutation:
         f_amb = cd.embedding.embed_bisection(f_c)
         pos = amb_src.position.get(f_amb)
         if pos is None:
             raise ValueError(f"ambient element {f_amb!r} outside the candidate ball")
-        return pperm.reindex(sigma.images[pos], B)
+        s = sigma.images[pos].images
+        return PartialPermutation(d_prime, (label.get(s[x - 1], 0) for x in B))
 
     images = [restrict_element(f) for f in corner_src.ball_elements]
     cand = SoficCandidate(d_prime, images)

@@ -2,8 +2,9 @@
 
 Each builds an exact object by a route of its own: a candidate by block
 dilation or from the Bernoulli model acting on its own points, the
-conjugate of a partial permutation by composition, a cylinder's
-measure from its points' weights, and the scaling suite's dict by a
+conjugate of a partial permutation by composition, a model's
+cylinders point by point from its action table and their measures from
+their points' weights, and the scaling suite's dict by a
 round trip per instance.  ``one_arrow_context`` is the
 lemma context whose hypothesis ball lists its radius-n ball in another
 order, ``uneven_groupoid`` a groupoid whose unit weights differ, and
@@ -165,10 +166,48 @@ def block_candidate(source, d: int) -> SoficCandidate:
     return SoficCandidate(d, [image(b) for b in source.ball_elements])
 
 
+def reference_translates(model) -> dict:
+    """(b, letter) -> the points a.y for an arrow a of ball element b and
+    a point y of the letter set, read from the action table."""
+    act = model.action.act
+    return {(b, c): frozenset(act[a, y] for a in s.arrows for y in letters
+                              if (a, y) in act)
+            for b, s in enumerate(model.ball)
+            for c, letters in enumerate(model.letter_sets)}
+
+
+def reference_cylinders(model) -> list:
+    """Each psi's cylinder, point by point: the model points that lie in
+    the translate of every entry of psi (``reference_translates``)."""
+    translates = reference_translates(model)
+    return [frozenset(x for x in range(model.action.n_points)
+                      if all(x in translates[entry] for entry in psi))
+            for psi in model.psis]
+
+
+def mu_points(model, points) -> Fraction:
+    """The exact measure of a set of model points, summed as Fractions
+    over their weights."""
+    return sum((model.action.weight[x] for x in points), Fraction(0))
+
+
 def mu_cylinder(model, psi) -> Fraction:
-    """The exact measure of psi's cylinder, summed as Fractions over its
-    points' weights."""
-    return sum((model.action.weight[x] for x in model.cylinder(psi)), Fraction(0))
+    """The exact measure of psi's cylinder (``reference_cylinders``)."""
+    return mu_points(model, reference_cylinders(model)[model.psis.index(psi)])
+
+
+def reference_image_cylinder(psi, images, partition) -> frozenset:
+    """psi's image-side cylinder A_psi: the points of {1..d} that, for
+    each entry (b, letter) of psi, the image of ball position b sends
+    some point of the letter's block to, the block read from
+    ``block_of``."""
+    pts = set(range(1, partition.d + 1))
+    for ball_idx, letter in psi:
+        s = images[ball_idx]
+        block = frozenset(x for x, b in enumerate(partition.block_of, start=1)
+                          if b == letter)
+        pts &= {s.images[x - 1] for x in block if s.images[x - 1]}
+    return frozenset(pts)
 
 
 def exact_partition(blocks) -> RandomPartition:
@@ -207,7 +246,7 @@ def scaling_suite_every_instance(g, d: int, delta, seed: int, instances: int) ->
     """The scaling suite's dict with a full round trip for every instance,
     repeated corner candidates included."""
     cd = scaling.standard_corner(g, [0])
-    src = cd.expansion_source(cli.EXPAND_N)
+    src = cd.expansion_source(scaling.EXPAND_N)
     all_pass = True
     worst_round = 0.0
     base = cli.binding_degree(cd, delta, d)
@@ -219,7 +258,8 @@ def scaling_suite_every_instance(g, d: int, delta, seed: int, instances: int) ->
         images = [PartialPermutation.projection(base, keep) if b.arrows
                   else PartialPermutation.empty(base) for b in src.ball_elements]
         sigma = SoficCandidate(base, images)
-        res = scaling.expand_sigma(sigma, cd, n=cli.EXPAND_N, delta=delta, seed=seed + i)
+        res = scaling.expand_sigma(sigma, cd, n=scaling.EXPAND_N, delta=delta,
+                                   seed=seed + i)
         rr = scaling.restrict_sigma(res.candidate, cd, delta=delta)
         all_pass &= res.report.is_member and rr.report.is_member
         worst = max(pperm.uniform_distance(sigma.images[src.position[b]],

@@ -587,32 +587,40 @@ class TestVerify:
         # partition colours the two swapped pairs of the first member:
         # each pair is all 0, all 1 or mixed.  The draws reach 5 of the 6
         # multisets of two such pair colourings (not "both all 0"), and
-        # one Phi0Table is built per orbit, which computes every A_psi
-        # once and reads 16 distinct subsets from the one span basis; the
-        # basis expands each of them that is not a model cylinder once
+        # one Phi0Table is built per orbit.  It builds sigma's ball x
+        # letter table of block images once (2 x 2 sets) and takes its 9
+        # A_psi from it by the one cylinder rule, as the model takes its 9
+        # cylinders from its translates, built once; each table reads 16
+        # distinct subsets from the one span basis, which expands each of
+        # them that is not a model cylinder once
         monkeypatch.chdir(tmp_path)
         transitive_groupoid(2).save("r2.gpd")
-        tables = []  # the psis of each table's image cylinders
+        tables = []  # the (psis, translates) of each table's cylinder rule
+        models = []  # the same for the model's
         bases = set()
         building = []
+        images = []
         reads = []
         expansions = []
         init = partitions.Phi0Table.__init__
-        image_cylinder = partitions.CylinderModel.image_cylinder
+        cylinders = partitions._cylinders
+        bisection_image = groupoid.FibredAction.bisection_image
         row = partitions.SpanBasis.row
         expand = partitions.SpanBasis.expand_vector
 
         def counted_init(self, basis, *args):
-            tables.append([])
             bases.add(basis)
             building.append(True)
             init(self, basis, *args)
             building.pop()
 
-        def counted_image_cylinder(self, psi, *args):
-            assert building, "an image cylinder computed outside a table"
-            tables[-1].append(psi)
-            return image_cylinder(self, psi, *args)
+        def counted_cylinders(psis, translates, points):
+            (tables if building else models).append((psis, translates))
+            return cylinders(psis, translates, points)
+
+        def counted_bisection_image(self, s, points):
+            images.append((s, points))
+            return bisection_image(self, s, points)
 
         def counted_row(self, subset):
             reads.append(subset)
@@ -623,8 +631,9 @@ class TestVerify:
             return expand(self, vector)
 
         monkeypatch.setattr(partitions.Phi0Table, "__init__", counted_init)
-        monkeypatch.setattr(partitions.CylinderModel, "image_cylinder",
-                            counted_image_cylinder)
+        monkeypatch.setattr(partitions, "_cylinders", counted_cylinders)
+        monkeypatch.setattr(groupoid.FibredAction, "bisection_image",
+                            counted_bisection_image)
         monkeypatch.setattr(partitions.SpanBasis, "row", counted_row)
         monkeypatch.setattr(partitions.SpanBasis, "expand_vector", counted_expand)
         code, out, _ = run(capsys, "verify", "--suite", "all", "--source", "r2.gpd",
@@ -634,13 +643,18 @@ class TestVerify:
         # recorded when every pair built two tables
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "b346651b6a7708ae11d807a570040f02e744f5e6d8d407728492ffb7e09c76cb")
-        assert len(tables) == 5
-        assert len(tables[0]) == len(set(tables[0])) == 9
-        assert all(psis == tables[0] for psis in tables)
         assert len(bases) == 1
+        model = next(iter(bases)).model
+        assert images == [(s, letters) for s in model.ball
+                          for letters in model.letter_sets]
+        assert models == [(model.psis, model.translates)]
+        assert len(tables) == 5
+        for psis, translates in tables:
+            assert psis is model.psis and len(psis) == 9
+            assert [len(row) for row in translates] == [2, 2]
         assert len(reads) == 5 * 16 and len(set(reads)) == 16
-        cylinders = set(bases.pop().model.cylinders)
-        assert len(expansions) == len(set(expansions)) == len(set(reads) - cylinders) == 7
+        assert len(expansions) == len(set(expansions)) == len(
+            set(reads) - set(model.cylinders)) == 7
         assert json.loads(out)["suites"]["c2"]["instances"] == 36
 
     @pytest.mark.parametrize("suite,want", [
@@ -1460,6 +1474,23 @@ class TestScripts:
             "a.py:31  option  run target",
             "pkg/b.py:6  field  R.r = 0.5",
             "    10  total"]
+
+    @pytest.mark.parametrize("name", ["code_lines.py", "settable_values.py"])
+    def test_script_stops_quietly_when_its_reader_leaves(self, tmp_path, name):
+        # 1,000 modules with 200-letter names print over 200 KB, more than
+        # a pipe holds, so the script is still writing when the reader
+        # closes the pipe after the first line, as ``| head -1`` does
+        for i in range(1000):
+            (tmp_path / f"{'m' * 200}{i}.py").write_text("def f(x=1):\n    return x\n")
+        script = Path(__file__).resolve().parent.parent / "scripts" / name
+        proc = subprocess.Popen([sys.executable, str(script), str(tmp_path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (0, b"")
+        assert b"m" * 200 in first
 
     def test_scaling_demo_defaults_are_vacuous(self, capsys, monkeypatch):
         code, out = run_script(capsys, monkeypatch, "scaling_demo.py")

@@ -47,8 +47,9 @@ from soficdim.pperm import PartialPermutation, parse_pperm, random_pperm
 from soficdim.rng import SplitMix64
 from soficdim.sofic import SoficCandidate, count_SA, iter_SA_members, verify_membership
 
-from references import (exact_partition, mu_cylinder, regular_model_candidate,
-                        uneven_groupoid)
+from references import (exact_partition, mu_cylinder, mu_points, reference_cylinders,
+                        reference_image_cylinder, reference_translates,
+                        regular_model_candidate, uneven_groupoid)
 
 FAIR = (Fraction(1, 2), Fraction(1, 2))
 
@@ -374,16 +375,6 @@ class TestHAStatistic:
 # per letter, as the checks did before they shared one Phi0Table.
 
 
-def reference_image_cylinder(psi, images, partition):
-    pts = set(range(1, partition.d + 1))
-    for ball_idx, letter in psi:
-        s = images[ball_idx]
-        block = frozenset(x for x, b in enumerate(partition.block_of, start=1)
-                          if b == letter)
-        pts &= {s.images[x - 1] for x in block if s.images[x - 1]}
-    return frozenset(pts)
-
-
 def reference_value_vector(table, subset):
     psis = table.basis.model.psis
     a_sets = [reference_image_cylinder(psis[i], table.images, table.partition)
@@ -420,16 +411,17 @@ def reference_build_phi0(sigma, partition, basis, delta):
     table = Phi0Table(basis, ModelMember(model, sigma), partition)
     d = table.d
     trace_sq, trace_wit = Fraction(0), ""
-    for i, p in enumerate(model.distinct_projections):
+    for i, p in enumerate(dict.fromkeys(reference_cylinders(model))):
         tr = sum(reference_value_vector(table, p), Fraction(0)) / d
-        gap = abs(tr - model.mu_points(p))
+        gap = abs(tr - mu_points(model, p))
         if gap * gap > trace_sq:
             trace_sq, trace_wit = gap * gap, f"projection {i}"
     equi_sq, equi_wit = Fraction(0), ""
+    translates = reference_translates(model)
     for letter, bset in enumerate(model.letter_sets):
         g_vec = reference_value_vector(table, bset)
         for bidx in range(len(model.ball)):
-            f_vec = reference_value_vector(table, model.translate(bidx, letter))
+            f_vec = reference_value_vector(table, translates[bidx, letter])
             s = table.images[bidx]
             pushed = [Fraction(0)] * d
             for x in range(1, d + 1):
@@ -449,21 +441,23 @@ def reference_build_phi0(sigma, partition, basis, delta):
                           mult_sq, unit_sq, (trace_wit, equi_wit, mult_wit))
 
 
-def reference_c3_norm(table, i):
+def reference_c3_norms(table):
     model = table.basis.model
-    psi = model.psis[i]
-    a_psi = reference_image_cylinder(psi, table.images, table.partition)
-    vals = reference_value_vector(table, model.cylinder(psi))
-    return reference_norm_sq([(x in a_psi) - v for x, v in enumerate(vals, start=1)],
-                             table.d)
+    norms = []
+    for psi, cylinder in zip(model.psis, reference_cylinders(model)):
+        a_psi = reference_image_cylinder(psi, table.images, table.partition)
+        vals = reference_value_vector(table, cylinder)
+        norms.append(reference_norm_sq(
+            [(x in a_psi) - v for x, v in enumerate(vals, start=1)], table.d))
+    return norms
 
 
 def reference_c2(table, delta):
     model = table.basis.model
     bound = lemma_constants(model.f_pm_size, model.n).c2 * delta
     worst, witness = Fraction(0), "empty cylinder sweep"
-    for psi in model.psis:
-        mu = sum((model.action.weight[x] for x in model.cylinder(psi)), Fraction(0))
+    for psi, cylinder in zip(model.psis, reference_cylinders(model)):
+        mu = mu_points(model, cylinder)
         a_psi = reference_image_cylinder(psi, table.images, table.partition)
         disc = abs(mu - Fraction(len(a_psi), table.d))
         if disc > worst:
@@ -473,7 +467,7 @@ def reference_c2(table, delta):
 
 def reference_c3_sweep(table, delta):
     model = table.basis.model
-    norms = [reference_c3_norm(table, i) for i in range(len(model.psis))]
+    norms = reference_c3_norms(table)
     worst = max(norms)
     bound_sq = lemma_constants(model.f_pm_size, model.n, table.basis).c3 ** 2 * delta
     return BoundReport(bound_sq, worst, f"psi={model.psis[norms.index(worst)]}",
@@ -484,12 +478,12 @@ def reference_V(table):
     model = table.basis.model
     V = set(range(1, table.d + 1))
     a_sets = []
-    for psi in model.psis:
+    cylinders = reference_cylinders(model)
+    for psi, cylinder in zip(model.psis, cylinders):
         a_psi = reference_image_cylinder(psi, table.images, table.partition)
-        vals = reference_value_vector(table, model.cylinder(psi))
+        vals = reference_value_vector(table, cylinder)
         V -= {x for x, v in enumerate(vals, start=1) if (x in a_psi) != v}
         a_sets.append(a_psi)
-    cylinders = [model.cylinder(psi) for psi in model.psis]
     for i in range(len(a_sets)):
         for j in range(i + 1, len(a_sets)):
             if not cylinders[i] & cylinders[j]:
@@ -508,13 +502,14 @@ def reference_verify_HA(cand, tol):
                 and not any("unresolvable" in n for n in rep.notes))
     trace_gap, trace_wit = Fraction(0), ""
     for i in range(uni.p_count):
-        gap = abs(pperm.trace(cand.phi[i]) - model.mu_points(uni.elements[i]))
+        gap = abs(pperm.trace(cand.phi[i]) - mu_points(model, uni.elements[i]))
         if gap > trace_gap:
             trace_gap, trace_wit = gap, f"projection {i}"
     equi_gap, equi_wit = Fraction(0), ""
+    translates = reference_translates(model)
     for letter, pos in enumerate(uni.letter_index):
         for bidx in range(len(model.ball)):
-            translated = uni.index[model.translate(bidx, letter)]
+            translated = uni.index[translates[bidx, letter]]
             gap = pperm.uniform_distance(cand.phi[translated],
                                          push_forward(images[bidx], cand.phi[pos]))
             if gap > equi_gap:
@@ -596,7 +591,7 @@ def test_integer_sweeps_match_fraction_sweeps_on_members(source, alphabet, delta
                 rep = build_phi0(table, delta)
                 assert rep == reference_build_phi0(m, part, basis, delta)
                 c3 = verify_lemma_c3_sweep(table, delta)
-                norms = [reference_c3_norm(table, i) for i in range(len(model.psis))]
+                norms = reference_c3_norms(table)
                 assert c3.worst == max(norms)
                 assert c3.witness == f"psi={model.psis[norms.index(max(norms))]}"
                 res = build_phi(table, delta)
@@ -716,8 +711,8 @@ def test_residuals_are_computed_once_per_table(r2):
         first = vars(table)["residuals"]
         build_phi(table, delta)
         assert table.residuals is first and len(first) == len(model.psis)
-        for res, psi, a_psi in zip(first, model.psis, table.a_psis):
-            phi0 = reference_value_vector(table, model.cylinder(psi))
+        for res, cylinder, a_psi in zip(first, reference_cylinders(model), table.a_psis):
+            phi0 = reference_value_vector(table, cylinder)
             assert [Fraction(r, basis.den) for r in res] == [
                 (x in a_psi) - v for x, v in enumerate(phi0, start=1)]
             nonzero += any(res)
@@ -867,7 +862,7 @@ def test_first_of_tied_gaps_names_the_witness(r2):
 
     uni = model.universe
     cand = HACandidate(table.member, [PartialPermutation.identity(2)] * len(uni))
-    gaps = [1 - model.mu_points(p) for p in uni.elements[:uni.p_count]]
+    gaps = [1 - mu_points(model, p) for p in uni.elements[:uni.p_count]]
     assert gaps.count(max(gaps)) > 1
     rep = verify_HA(cand, delta)
     assert rep == reference_verify_HA(cand, delta)

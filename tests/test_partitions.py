@@ -51,7 +51,11 @@ from references import (
     conjugate,
     exact_partition,
     mu_cylinder,
+    mu_points,
     one_arrow_context,
+    reference_cylinders,
+    reference_image_cylinder,
+    reference_translates,
     regular_model_candidate,
     uneven_groupoid,
 )
@@ -329,12 +333,12 @@ def c2_partition_frequency(sigma, delta, model, seeds):
     trials = 0
     violations = 0
     for seed in seeds:
-        letter_blocks = random_partition(d, model.alphabet, seed).blocks
+        partition = random_partition(d, model.alphabet, seed)
         for psi in model.psis:
             support = [model.ball[i] for i, _ in psi]
             letters = [v for _, v in psi]
             imgs = [images[i] for i, _ in psi]
-            a_psi = model.image_cylinder(psi, images, letter_blocks)
+            a_psi = reference_image_cylinder(psi, images, partition)
             for blocks in set_partitions(len(support)):
                 trials += 1
                 w = block_weight(model.alphabet, letters, blocks)
@@ -441,9 +445,8 @@ class TestBoundChecks:
                             lambda self, vec: solved.append(vec) or expand(self, vec))
         n = model.action.n_points
         rows = [indicator(model.cylinders[i], n) for i in basis.basis_psi_indices]
-        subsets = ([model.cylinder(psi) for psi in model.psis]
-                   + [model.translate(b, letter) for b in range(len(model.ball))
-                      for letter in range(model.q)]
+        cylinders = reference_cylinders(model)
+        subsets = (cylinders + list(reference_translates(model).values())
                    + list(model.universe.elements))
         for subset in subsets + subsets:
             coeffs = tuple(Fraction(c, basis.den) for c in basis.row(subset))
@@ -451,11 +454,10 @@ class TestBoundChecks:
             assert indicator(subset, n) == tuple(
                 sum((c * row[x] for c, row in zip(coeffs, rows)), Fraction(0))
                 for x in range(n))
-        for i, psi in enumerate(model.psis):
-            assert basis.row(model.cylinder(psi)) == basis.coeffs[i]
+        for cylinder, coeffs in zip(cylinders, basis.coeffs):
+            assert basis.row(cylinder) == coeffs
         assert len(solved) == len(set(solved))
-        cylinders = {model.cylinder(psi) for psi in model.psis}
-        assert len(solved) == len(set(subsets) - cylinders)
+        assert len(solved) == len(set(subsets) - set(cylinders))
 
     def test_chebyshev_frequency_report(self, r2_setup):
         g, swap, ctx, model, _, members = r2_setup
@@ -502,11 +504,11 @@ class TestBoundChecks:
         sigma = members[0]
         part = random_partition(4, [Fraction(1), Fraction(0)], seed=1)
         assert part.blocks[1] == frozenset()
-        images = ctx.align(sigma)
-        for psi in model.psis:
+        table = Phi0Table(span_basis(model), ModelMember(model, sigma), part)
+        for psi, mu, a_psi in zip(model.psis, model.cylinder_mu_nums, table.a_psis):
             if any(v == 1 for _, v in psi):
-                assert mu_cylinder(model, psi) == 0
-                assert model.image_cylinder(psi, images, part.blocks) == frozenset()
+                assert mu_cylinder(model, psi) == mu == 0
+                assert a_psi == frozenset()
 
 
 class TestBoundReport:
@@ -635,8 +637,8 @@ def reference_span_basis(model):
     """basis indices, coefficients, kappa, gamma and its parts by the
     rational solve on Fraction indicator vectors."""
     n = model.action.n_points
-    vectors = [tuple(Fraction(x in model.cylinder(psi)) for x in range(n))
-               for psi in model.psis]
+    vectors = [tuple(Fraction(x in cylinder) for x in range(n))
+               for cylinder in reference_cylinders(model)]
     rows, idx = [], []
     for i, v in enumerate(vectors):
         if not isinstance(solve_outcome(reference_solve_against, rows, v), tuple):
@@ -705,6 +707,52 @@ def test_c2_and_c3_sweeps_read_only_their_rows(suite, monkeypatch):
             assert sweep(table, delta).passed
     assert "universe" not in vars(model)
     assert ("_rows" in vars(basis)) == (suite == "c3")
+
+
+def full_group_context(g) -> LemmaContext:
+    return LemmaContext(g, full_group_generators(g), 1)
+
+
+CYLINDER_CONTEXTS = {
+    "r2": lambda: full_group_context(transitive_groupoid(2)),
+    "zmod2": lambda: full_group_context(cyclic_groupoid(2)),
+    "zmod3": lambda: full_group_context(cyclic_groupoid(3)),
+    "r3-arrow": one_arrow_context,
+    "uneven": lambda: full_group_context(uneven_groupoid()),
+}
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("source", CYLINDER_CONTEXTS)
+def test_cylinder_tables_match_the_action_table(source, q):
+    # the model's cylinders and their measures against cylinders taken
+    # point by point from the action table, and each table's A_psi
+    # against sigma's images read block by block
+    ctx = CYLINDER_CONTEXTS[source]()
+    model = CylinderModel(ctx, [Fraction(1, q)] * q)
+    translates = reference_translates(model)
+    assert {(b, c): t for b, row in enumerate(model.translates)
+            for c, t in enumerate(row)} == translates
+    cylinders = reference_cylinders(model)
+    assert model.cylinders == tuple(cylinders)
+    assert model.distinct_projections == tuple(dict.fromkeys(cylinders))
+    for sets, nums in ((cylinders, model.cylinder_mu_nums),
+                       (dict.fromkeys(cylinders), model.projection_mu_nums)):
+        assert [Fraction(n, model.weight_den) for n in nums] == [
+            mu_points(model, s) for s in sets]
+    basis = span_basis(model)
+    rng = SplitMix64(q)
+    d = 5
+    nonempty = 0
+    for seed in range(3):
+        sigma = SoficCandidate(d, [random_pperm(d, rng)
+                                   for _ in ctx.hypothesis_source.ball_elements])
+        part = random_partition(d, model.alphabet, seed)
+        table = Phi0Table(basis, ModelMember(model, sigma), part)
+        assert table.a_psis == tuple(reference_image_cylinder(psi, table.images, part)
+                                     for psi in model.psis)
+        nonempty += sum(map(bool, table.a_psis[1:]))
+    assert nonempty
 
 
 @pytest.mark.parametrize("source,n", [(source, n) for source in ("r2", "zmod2", "zmod3")

@@ -201,10 +201,11 @@ class TestExpand:
                     sandwiched = b_compose(b_compose(doms[i], f), doms[j])
                     f_amb = cd.embedding.embed_bisection(f)
                     glue = b_compose(b_compose(si, f_amb), b_inverse(sj))
+                    inner = sigma.images[pos[sandwiched]].images + (0,) * (d_prime - d)
                     img = pperm.compose(
                         res.gammas[i],
                         pperm.compose(
-                            pperm.embed(sigma.images[pos[sandwiched]], d_prime),
+                            PartialPermutation(d_prime, inner),
                             pperm.inverse(res.gammas[j])))
                     if glue in glued:
                         collisions += 1
