@@ -29,12 +29,23 @@ tolerance 9 |P|^2 (1/gamma^2) kappa^5 ell^2 q c3^2 sqrt(delta), with
 
 Each check of a pair takes the pair and a tolerance, and reads the
 cylinder model, the degree and the projection universe from the pair's
-ModelMember.  The checks count disagreements on padded image tuples:
-sigma transports phi by s p s^-1 without building maps, reading the
-padded images and the inverse image tuples of sigma that its
-ModelMember builds once for all of its partitions, and the 146 delta
-linearity runs over the disjoint pairs that the projection universe
-lists once as index triples.  The trace check compares integer
+ModelMember.  The checks count disagreements, a gap being a count
+over d.  Equivariance reads padded image tuples: sigma transports phi
+by s p s^-1 without building maps, reading the padded images and the
+inverse image tuples of sigma that its ModelMember builds once for all
+of its partitions.  The product property (iii) runs over the triples
+and the 146 delta linearity over the disjoint pairs that the
+projection universe lists once as index triples.  When every phi value
+is a projection (``nfix == dom_size``, an O(1) test per value), as
+build_phi's always are, both run on support bitmasks m, built once per
+call: the composite of the projections onto A and B is the projection
+onto A & B, and the corrected sum of the projections onto A and B is
+the projection onto A | B (a where a is defined, else b unless b's
+image lies in a's range, which for projections is A itself).  Two
+projections disagree exactly on the symmetric difference of their
+supports, so (iii) counts ((m_i & m_j) ^ m_k).bit_count() and the
+linearity ((m_i | m_j) ^ m_k).bit_count().  Any other phi is swept
+point by point on image tuples.  The trace check compares integer
 numerators over the point weights' denominator, and the four phi0
 properties compare phi0's values as integer numerators over the span
 basis' one denominator D (``SpanBasis.den``), with no rescaling per
@@ -179,6 +190,14 @@ class HAReport:
         return out
 
 
+def _projection_masks(phi):
+    """The support of every value of phi as a bitmask, bit x for point x,
+    or None when some value is not a projection (``nfix < dom_size``)."""
+    if any(p.nfix != p.dom_size for p in phi):
+        return None
+    return [sum([1 << x for x in p.images if x]) for p in phi]
+
+
 def verify_HA(cand: HACandidate, tol) -> HAReport:
     """Exact worst gaps of (sigma, phi) against conditions (i)-(iv) at
     ``tol``, a rational or a SqrtTol.
@@ -191,7 +210,15 @@ def verify_HA(cand: HACandidate, tol) -> HAReport:
     blocks against every ball element (phi of the translated cylinder
     against the phi-image transported by sigma), (iii) over sum-closure
     pairs whose product stays in the closure, and (iv) against the full
-    space; sigma must also be a member at the same tolerance.  Sigma's
+    space; sigma must also be a member at the same tolerance.  (iii)
+    counts, for the triple (i, j, k), the points where phi(i) phi(j)
+    and phi(k) differ.  When every value of phi is a projection, that
+    count is ((m_i & m_j) ^ m_k).bit_count() over the support bitmasks
+    m: the composite of two projections is the projection onto the
+    meet of their supports, and two projections differ exactly on the
+    symmetric difference of theirs.  Otherwise the count is taken point
+    by point on the image tuples.  Both give the same counts, so the
+    same gaps and the same first witness.  Sigma's
     padded and inverse images on the model ball and its membership
     report are read from the candidate's ModelMember, which computes
     each once.  That report is taken at tolerance 2, above every gap, so
@@ -235,9 +262,13 @@ def verify_HA(cand: HACandidate, tol) -> HAReport:
     equi_wit = "" if at is None else f"letter {at[0]}, ball {at[1]}"
     equi_gap = Fraction(equi_count, d)
 
-    # phi(i) phi(j) against phi(k), point by point, without building the product
-    counts = [sum(map(ne, map(pads[i].__getitem__, phi[j]), phi[k]))
-              for i, j, k in uni.triples]
+    masks = _projection_masks(cand.phi)
+    if masks is not None:  # phi(i) phi(j) is the projection onto the meet
+        counts = [((masks[i] & masks[j]) ^ masks[k]).bit_count()
+                  for i, j, k in uni.triples]
+    else:  # phi(i) phi(j) against phi(k), point by point, without the product
+        counts = [sum(map(ne, map(pads[i].__getitem__, phi[j]), phi[k]))
+                  for i, j, k in uni.triples]
     ijk, mult_count = sofic._first_largest(zip(uni.triples, counts), 0)
     mult_wit = "" if ijk is None else f"pair {ijk[:2]}"
     mult_gap = Fraction(mult_count, d)
@@ -291,7 +322,12 @@ def approx_sum_check(cand: HACandidate, delta) -> SumCheck:
     --partitions 3 --seed 1`` checks 225 pairs at ``--n`` 1, 2 and 4
     alike.  For a pair (a, b) with union w the corrected sum takes a
     where a is defined and otherwise b, cut off a's range; the gap
-    counts the points where phi(w) differs from it.  That the pair
+    counts the points where phi(w) differs from it.  When every value
+    of phi is a projection, the corrected sum of the projections onto
+    A and B is the projection onto A | B (off A, b's image x is not in
+    a's range A), so pair (i, j, k) counts
+    ((m_i | m_j) ^ m_k).bit_count() over the support bitmasks m;
+    otherwise the count is taken point by point.  That the pair
     (sigma, phi) is a member is the caller's to establish (``verify
     --suite ha`` reports it through ``build_phi``); this check reads phi
     alone.
@@ -299,13 +335,18 @@ def approx_sum_check(cand: HACandidate, delta) -> SumCheck:
     if isinstance(delta, SqrtTol):
         raise ValueError("the linearity bound needs a rational tolerance")
     uni = cand.member.model.universe
-    phi = [p.images for p in cand.phi]
-    counts = []
-    for i, j, k in uni.sum_pairs:
-        a = phi[i]
-        taken = set(a)
-        counts.append(sum(1 for x, y, w in zip(a, phi[j], phi[k])
-                          if w != (x or (0 if y in taken else y))))
+    masks = _projection_masks(cand.phi)
+    if masks is not None:  # the corrected sum is the projection onto the union
+        counts = [((masks[i] | masks[j]) ^ masks[k]).bit_count()
+                  for i, j, k in uni.sum_pairs]
+    else:
+        phi = [p.images for p in cand.phi]
+        counts = []
+        for i, j, k in uni.sum_pairs:
+            a = phi[i]
+            taken = set(a)
+            counts.append(sum(1 for x, y, w in zip(a, phi[j], phi[k])
+                              if w != (x or (0 if y in taken else y))))
     return SumCheck(tuple(counts), cand.member.sigma.degree, 146 * Fraction(delta))
 
 
@@ -452,7 +493,8 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
     pair is certified at the displayed tolerance, a SqrtTol kept as the
     result's ``tolerance``, when its ``report`` is first read, and the
     size of V is checked against its lower bound.  The phi values run
-    over the model's projection universe.
+    over the model's projection universe; subsets whose phi0 numerators
+    are equal share one projection, built once.
     """
     delta = Fraction(delta)
     basis = table.basis
@@ -469,18 +511,22 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
                               "certification hypotheses must have failed")
     tolerance = SqrtTol(basis.per_delta(ha_tolerance_squared, delta))
     v_bound = d * basis.per_delta(v_size_factor, delta)
+    by_nums = {}
     phi_values = []
     for subset in model.universe.elements:
         den, nums = table.numerators(subset)
-        support = set()
-        for x in V:
-            v = nums[x - 1]
-            if v == den:
-                support.add(x)
-            elif v:
-                raise HypothesisError(f"phi0 is not 0/1 on V at point {x} "
-                                      f"(value {Fraction(v, den)})")
-        phi_values.append(PartialPermutation.projection(d, support))
+        p = by_nums.get(nums)
+        if p is None:
+            support = set()
+            for x in V:
+                v = nums[x - 1]
+                if v == den:
+                    support.add(x)
+                elif v:
+                    raise HypothesisError(f"phi0 is not 0/1 on V at point {x} "
+                                          f"(value {Fraction(v, den)})")
+            p = by_nums[nums] = PartialPermutation.projection(d, support)
+        phi_values.append(p)
     return BuildPhiResult(HACandidate(table.member, phi_values), tolerance, frozenset(V),
                           Fraction(len(V), d), v_bound, len(V) >= v_bound)
 

@@ -13,6 +13,7 @@ from soficdim.crossed import (
     PropertyReport,
     SqrtTol,
     SumCheck,
+    _projection_masks,
     approx_sum_check,
     build_phi,
     build_phi0,
@@ -868,3 +869,116 @@ def test_first_of_tied_gaps_names_the_witness(r2):
     assert rep == reference_verify_HA(cand, delta)
     assert (rep.trace_gap, rep.trace_witness) == (
         max(gaps), f"projection {gaps.index(max(gaps))}")
+
+
+# -- the mask sweeps against the object-level oracles ----------------------------
+#
+# When every phi value is a projection, (iii) and the 146 delta linearity
+# count on support bitmasks; any other value sends both to the tuple sweeps.
+
+SUPPORT_KINDS = ("empty", "full", "equal", "nested", "random")
+
+
+def random_projection_phi(n, d, rng):
+    """n projections of degree d and the kind of each support: empty,
+    full, equal to an earlier one, inside or around an earlier one, or
+    random."""
+    supports, kinds = [], []
+    every = frozenset(range(1, d + 1))
+    for _ in range(n):
+        kind = SUPPORT_KINDS[rng.below(len(SUPPORT_KINDS))] if supports else "random"
+        earlier = supports[rng.below(len(supports))] if supports else every
+        drawn = frozenset(x for x in every if rng.below(2))
+        support = {"empty": frozenset(), "full": every, "equal": earlier,
+                   "nested": earlier & drawn if rng.below(2) else earlier | drawn,
+                   "random": drawn}[kind]
+        supports.append(support)
+        kinds.append(kind)
+    return [PartialPermutation.projection(d, s) for s in supports], kinds
+
+
+@pytest.mark.parametrize("source", ["r2", "zmod2"])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_mask_sweeps_match_object_oracles_on_projections(source, d):
+    model, _ = model_basis(source, "fair")
+    uni = model.universe
+    rng = SplitMix64(500 + d)
+    kinds, mult, lin = set(), set(), set()
+    for _ in range(8):
+        phi, drawn = random_projection_phi(len(uni), d, rng)
+        assert _projection_masks(phi) is not None
+        kinds |= set(drawn)
+        cand = HACandidate(ModelMember(model, random_sigma(model.context, d, rng)), phi)
+        for tol in (Fraction(1, 10), SqrtTol(Fraction(1, 5))):
+            rep = verify_HA(cand, tol)
+            assert rep == reference_verify_HA(cand, tol)
+            mult.add(rep.mult_gap)
+        for delta in (Fraction(1, 10), Fraction(1, 300)):
+            lin |= set(assert_sum_check_matches(cand, delta).counts)
+    assert kinds == set(SUPPORT_KINDS)
+    assert max(mult) > 0 and max(lin) > 0
+
+
+def test_mask_sweep_names_the_first_of_tied_product_gaps(r2):
+    # phi full on every element but the first, which is empty: every
+    # triple that reads the empty value exactly once misses all d points
+    _, _, ctx, model, _ = r2
+    uni = model.universe
+    d = 3
+    sigma = SoficCandidate(d, [PartialPermutation.identity(d)]
+                           * len(ctx.hypothesis_source.ball_elements))
+    phi = [PartialPermutation.empty(d)] + [PartialPermutation.identity(d)] * (len(uni) - 1)
+    cand = HACandidate(ModelMember(model, sigma), phi)
+    gaps = [pperm.uniform_distance(phi[k], pperm.compose(phi[i], phi[j]))
+            for i, j, k in uni.triples]
+    assert max(gaps) == 1 and gaps.count(1) > 1 and gaps[0] < 1
+    rep = verify_HA(cand, Fraction(1, 10))
+    assert rep == reference_verify_HA(cand, Fraction(1, 10))
+    assert (rep.mult_gap, rep.mult_witness) == (1, f"pair {uni.triples[gaps.index(1)][:2]}")
+
+
+@pytest.mark.parametrize("source", ["r2", "zmod2"])
+def test_one_transposition_sends_phi_to_the_tuple_sweeps(source):
+    # one value swaps points 1 and 2; read as the projection onto its
+    # domain it would change some count, so the tuple sweeps must run
+    model, _ = model_basis(source, "fair")
+    uni = model.universe
+    rng = SplitMix64(700)
+    misread = 0
+    for d in (2, 3, 4, 5):
+        for _ in range(4):
+            phi, _ = random_projection_phi(len(uni), d, rng)
+            pos = rng.below(len(uni))
+            phi[pos] = PartialPermutation(d, (2, 1, *range(3, d + 1)))
+            assert _projection_masks(phi) is None
+            member = ModelMember(model, random_sigma(model.context, d, rng))
+            cand = HACandidate(member, phi)
+            delta = Fraction(1, 10)
+            rep = verify_HA(cand, delta)
+            assert rep == reference_verify_HA(cand, delta)
+            check = assert_sum_check_matches(cand, delta)
+            phi[pos] = PartialPermutation.identity(d)
+            as_projection = HACandidate(member, phi)
+            misread += (verify_HA(as_projection, delta).mult_gap != rep.mult_gap
+                        or approx_sum_check(as_projection, delta).counts != check.counts)
+    assert misread
+
+
+def test_build_phi_builds_one_projection_per_distinct_numerator_tuple(monkeypatch, r2):
+    _, _, ctx, model, basis = r2
+    delta = Fraction(1, 3)
+    sigma = next(iter_SA_members(ctx.hypothesis_params(delta, 4)))
+    table = Phi0Table(basis, ModelMember(model, sigma), random_partition(4, FAIR, 5))
+    calls = []
+    projection = PartialPermutation.projection.__func__
+
+    def counted(cls, d, points):
+        calls.append(frozenset(points))
+        return projection(cls, d, points)
+
+    monkeypatch.setattr(PartialPermutation, "projection", classmethod(counted))
+    phi = build_phi(table, delta).candidate.phi
+    tuples = [table.numerators(s)[1] for s in model.universe.elements]
+    assert len(calls) == len(set(tuples)) < len(tuples)
+    # subsets with equal numerators share one value
+    assert all(p is phi[tuples.index(t)] for t, p in zip(tuples, phi))
