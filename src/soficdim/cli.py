@@ -512,7 +512,9 @@ def cmd_construct(args) -> int:
             basis, partitions.ModelMember(model, member), part)
         prep = crossed.build_phi0(table, delta)
         res = crossed.build_phi(table, delta)
-        letters = [res.candidate.phi[i].to_text()
+        points = [[x for x in range(1, args.d + 1) if m >> x & 1]
+                  for m in res.candidate.supports]
+        letters = [PartialPermutation.projection(args.d, points[i]).to_text()
                    for i in model.universe.letter_index]
         doc["phi"] = {"phi0_properties": prep.to_json_dict(),
                       "v_fraction": float(res.v_fraction),

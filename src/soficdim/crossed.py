@@ -27,36 +27,42 @@ tolerance 9 |P|^2 (1/gamma^2) kappa^5 ell^2 q c3^2 sqrt(delta), with
 
     |V| >= d (1 - 2 |P|^2 c3^2 kappa^4 delta / gamma^2).
 
-Each check of a pair takes the pair and a tolerance, and reads the
-cylinder model, the degree and the projection universe from the pair's
-ModelMember.  The checks count disagreements, a gap being a count
-over d.  Equivariance reads padded image tuples: sigma transports phi
-by s p s^-1 without building maps, reading the padded images and the
-inverse image tuples of sigma that its ModelMember builds once for all
-of its partitions.  The product property (iii) runs over the triples
-and the 146 delta linearity over the disjoint pairs that the
-projection universe lists once as index triples.  When every phi value
-is a projection (``nfix == dom_size``, an O(1) test per value), as
-build_phi's always are, both run on support bitmasks m, built once per
-call: the composite of the projections onto A and B is the projection
-onto A & B, and the corrected sum of the projections onto A and B is
-the projection onto A | B (a where a is defined, else b unless b's
-image lies in a's range, which for projections is A itself).  Two
-projections disagree exactly on the symmetric difference of their
-supports, so (iii) counts ((m_i & m_j) ^ m_k).bit_count() and the
-linearity ((m_i | m_j) ^ m_k).bit_count().  Any other phi is swept
-point by point on image tuples.  The trace check compares integer
-numerators over the point weights' denominator, and the four phi0
-properties compare phi0's values as integer numerators over the span
-basis' one denominator D (``SpanBasis.den``), with no rescaling per
-table; each builds one Fraction per reported gap.  The checks read
-what depends only on the model from its tables, each computed once per
-model: the translates of the letter sets (``CylinderModel.translates``)
-for equivariance, the measures of the distinct projections
-(``projection_mu_nums``) for the traces and the trace windows of
-ha_statistic, the meets of the product property and the disjoint
-cylinder pairs of build_phi.  delta0^2, the ha tolerance^2 and V's size
-factor are computed once per basis and delta (``SpanBasis.per_delta``).
+The pair's phi is projection-valued, and that is the contract of every
+check here.  build_phi is the only builder of pairs in this package, and
+it keeps only the points V where phi0 is 0/1 on every universe element,
+so each of its values is the projection onto a support.  An HACandidate
+therefore holds supports, not maps: one int bitmask per universe
+element, bit x for point x of 1..d.  Each check of a pair takes the pair
+and a tolerance, and reads the cylinder model, the degree and the
+projection universe from the pair's ModelMember.  The checks count
+disagreements, a gap being a count over d, and two projections disagree
+exactly on the symmetric difference of their supports.  So each gap is a
+bit count: the trace of the projection onto m is m.bit_count() over d;
+sigma transports it by s p s^-1, the projection onto s(m), whose mask is
+read from the inverse image tuples of sigma that its ModelMember builds
+once for all of its partitions; the product property (iii) runs over
+the triples of the projection universe, and the composite of the
+projections onto A and B is the projection onto A & B, so it counts
+((m_i & m_j) ^ m_k).bit_count(); the 146 delta linearity runs over the
+disjoint pairs, and the corrected sum of the projections onto A and B
+(a where a is defined, else b unless b's image lies in a's range, which
+for projections is A itself) is the projection onto A | B, so it counts
+((m_i | m_j) ^ m_k).bit_count(); and the unit gap counts d minus the
+full space's support.  ha_statistic alone enumerates arbitrary partial
+maps phi, a superset of the pairs these checks certify.
+
+The trace check compares integer numerators over the point weights'
+denominator, and the four phi0 properties compare phi0's values as
+integer numerators over the span basis' one denominator D
+(``SpanBasis.den``), with no rescaling per table; each builds one
+Fraction per reported gap.  The checks read what depends only on the
+model from its tables, each computed once per model: the translates of
+the letter sets (``CylinderModel.translates``) for equivariance, the
+measures of the distinct projections (``projection_mu_nums``) for the
+traces and the trace windows of ha_statistic, the meets of the product
+property and the disjoint cylinder pairs of build_phi.  delta0^2, the
+ha tolerance^2 and V's size factor are computed once per basis and
+delta (``SpanBasis.per_delta``).
 Square roots never enter the arithmetic: bounds against sqrt(delta)
 are decided by comparing squares of exact rationals.
 """
@@ -67,7 +73,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import ne
 
 from . import pperm, sofic
 from .partitions import (
@@ -77,7 +82,6 @@ from .partitions import (
     Phi0Table,
     SpanBasis,
 )
-from .pperm import PartialPermutation
 from .sofic import InfeasibleError
 from .wordball import product_triples
 
@@ -141,15 +145,26 @@ class ProjectionUniverse:
 
 
 class HACandidate:
-    """A sigma candidate, held through its ModelMember, plus images of
-    every sum-closure element.  Candidates that share a member share its
-    alignment to the model ball and its membership check."""
+    """A sigma candidate, held through its ModelMember, plus the support
+    of phi's projection at every sum-closure element.
 
-    __slots__ = ("member", "phi")
+    ``supports`` holds one int bitmask per element of the model's
+    projection universe, bit x for point x of 1..d, d sigma's degree;
+    a wrong length or a bit outside 1..d raises ValueError.  Candidates
+    that share a member share its alignment to the model ball and its
+    membership check."""
 
-    def __init__(self, member: ModelMember, phi):
+    __slots__ = ("member", "supports")
+
+    def __init__(self, member: ModelMember, supports):
+        n = len(member.model.universe)
+        d = member.sigma.degree
         self.member = member
-        self.phi = tuple(phi)
+        self.supports = tuple(supports)
+        if len(self.supports) != n:
+            raise ValueError(f"phi covers {len(self.supports)} of {n} projections")
+        if any(m >> (d + 1) or m & 1 for m in self.supports):
+            raise ValueError(f"phi supports must lie in 1..d, sigma's degree d = {d}")
 
 
 @dataclass(frozen=True)
@@ -190,39 +205,31 @@ class HAReport:
         return out
 
 
-def _projection_masks(phi):
-    """The support of every value of phi as a bitmask, bit x for point x,
-    or None when some value is not a projection (``nfix < dom_size``)."""
-    if any(p.nfix != p.dom_size for p in phi):
-        return None
-    return [sum([1 << x for x in p.images if x]) for p in phi]
-
-
 def verify_HA(cand: HACandidate, tol) -> HAReport:
     """Exact worst gaps of (sigma, phi) against conditions (i)-(iv) at
     ``tol``, a rational or a SqrtTol.
 
     The cylinder model, its projection universe and the degree d of
-    sigma are read from the candidate's ModelMember, and phi must give
-    an image of degree d for every element of that universe.
+    sigma are read from the candidate's ModelMember, and phi is the
+    projection onto each of the candidate's supports m.
 
-    (i) runs over the distinct cylinder projections, (ii) over letter
-    blocks against every ball element (phi of the translated cylinder
-    against the phi-image transported by sigma), (iii) over sum-closure
-    pairs whose product stays in the closure, and (iv) against the full
-    space; sigma must also be a member at the same tolerance.  (iii)
-    counts, for the triple (i, j, k), the points where phi(i) phi(j)
-    and phi(k) differ.  When every value of phi is a projection, that
-    count is ((m_i & m_j) ^ m_k).bit_count() over the support bitmasks
-    m: the composite of two projections is the projection onto the
-    meet of their supports, and two projections differ exactly on the
-    symmetric difference of theirs.  Otherwise the count is taken point
-    by point on the image tuples.  Both give the same counts, so the
-    same gaps and the same first witness.  Sigma's
-    padded and inverse images on the model ball and its membership
-    report are read from the candidate's ModelMember, which computes
-    each once.  That report is taken at tolerance 2, above every gap, so
-    its ``is_member`` says only that sigma's additive extension
+    (i) runs over the distinct cylinder projections, comparing
+    m.bit_count() / d with the measure.  (ii) runs over letter blocks
+    against every ball element: phi of the translated cylinder against
+    the phi-image transported by sigma, s p s^-1, which is the
+    projection onto s(m), the points x whose s^-1(x) lies in m (read
+    from the member's inverse image tuples).  (iii) runs over
+    sum-closure pairs whose product stays in the closure: the composite
+    of two projections is the projection onto the meet of their
+    supports, so the triple (i, j, k) counts
+    ((m_i & m_j) ^ m_k).bit_count().  (iv) counts the points off the
+    full space's support m_X, d - m_X.bit_count().  Two
+    projections differ exactly on the symmetric difference of their
+    supports, so each count is a bit count, and each gap that count
+    over d.  sigma must also be a member at the same tolerance: its
+    membership report is read from the candidate's ModelMember, which
+    computes it once.  That report is taken at tolerance 2, above every
+    gap, so its ``is_member`` says only that sigma's additive extension
     resolves; with both gaps below the working tolerance this is
     membership at it.
     """
@@ -231,50 +238,37 @@ def verify_HA(cand: HACandidate, tol) -> HAReport:
     uni = model.universe
     d = member.sigma.degree
     tol = tol if isinstance(tol, SqrtTol) else Fraction(tol)
-    if len(cand.phi) != len(uni):
-        raise ValueError(f"phi covers {len(cand.phi)} of {len(uni)} projections")
-    if any(p.degree != d for p in cand.phi):
-        raise ValueError(f"phi images must have sigma's degree {d}")
     rep = member.sigma_report
     sigma_ok = (rep.is_member and gap_below(rep.mult_gap, tol)
                 and gap_below(rep.trace_gap, tol))
+    masks = cand.supports
 
-    # |nfix/d - mu| over M d, M the model's weight denominator
+    # |m.bit_count()/d - mu| over M d, M the model's weight denominator
     M = model.weight_den
     i, trace_num = sofic._first_largest(enumerate(
-        abs(p.nfix * M - mu * d) for p, mu in zip(cand.phi, model.projection_mu_nums)), 0)
+        abs(m.bit_count() * M - mu * d) for m, mu in zip(masks, model.projection_mu_nums)), 0)
     trace_gap = Fraction(trace_num, M * d)
     trace_wit = "" if i is None else f"projection {i}"
 
-    # (ii) and (iii) compare disagreement counts on padded image tuples;
-    # the gap is count / d.  s p s^-1 sends x to s(p(s^-1(x))).
-    phi = [p.images for p in cand.phi]
-    pads = [(0,) + p for p in phi]
-
     def equivariance():
         for letter, pos in enumerate(uni.letter_index):
-            p = pads[pos]
-            for bidx, (s, inv) in enumerate(zip(member.pads, member.inverses)):
-                target = phi[uni.index[model.translates[bidx][letter]]]
-                yield (letter, bidx), sum(1 for w, y in zip(target, inv) if w != s[p[y]])
+            m = masks[pos]
+            for bidx, inv in enumerate(member.inverses):
+                # s(m): bit 0 is never set, so an undefined s^-1(x) = 0 misses
+                moved = sum([1 << x for x, y in enumerate(inv, start=1) if m >> y & 1])
+                target = masks[uni.index[model.translates[bidx][letter]]]
+                yield (letter, bidx), (target ^ moved).bit_count()
 
     at, equi_count = sofic._first_largest(equivariance(), 0)
     equi_wit = "" if at is None else f"letter {at[0]}, ball {at[1]}"
     equi_gap = Fraction(equi_count, d)
 
-    masks = _projection_masks(cand.phi)
-    if masks is not None:  # phi(i) phi(j) is the projection onto the meet
-        counts = [((masks[i] & masks[j]) ^ masks[k]).bit_count()
-                  for i, j, k in uni.triples]
-    else:  # phi(i) phi(j) against phi(k), point by point, without the product
-        counts = [sum(map(ne, map(pads[i].__getitem__, phi[j]), phi[k]))
-                  for i, j, k in uni.triples]
+    counts = [((masks[i] & masks[j]) ^ masks[k]).bit_count() for i, j, k in uni.triples]
     ijk, mult_count = sofic._first_largest(zip(uni.triples, counts), 0)
     mult_wit = "" if ijk is None else f"pair {ijk[:2]}"
     mult_gap = Fraction(mult_count, d)
 
-    unit_gap = pperm.uniform_distance(cand.phi[uni.x_index],
-                                      PartialPermutation.identity(d))
+    unit_gap = Fraction(d - masks[uni.x_index].bit_count(), d)
     member_ok = (sigma_ok and gap_below(trace_gap, tol) and gap_below(equi_gap, tol)
                  and gap_below(mult_gap, tol) and gap_below(unit_gap, tol))
     return HAReport(member_ok, trace_gap, trace_wit, equi_gap, equi_wit,
@@ -322,31 +316,20 @@ def approx_sum_check(cand: HACandidate, delta) -> SumCheck:
     --partitions 3 --seed 1`` checks 225 pairs at ``--n`` 1, 2 and 4
     alike.  For a pair (a, b) with union w the corrected sum takes a
     where a is defined and otherwise b, cut off a's range; the gap
-    counts the points where phi(w) differs from it.  When every value
-    of phi is a projection, the corrected sum of the projections onto
-    A and B is the projection onto A | B (off A, b's image x is not in
-    a's range A), so pair (i, j, k) counts
-    ((m_i | m_j) ^ m_k).bit_count() over the support bitmasks m;
-    otherwise the count is taken point by point.  That the pair
+    counts the points where phi(w) differs from it.  The corrected sum
+    of the projections onto A and B is the projection onto A | B (off
+    A, b's image x is not in a's range A), so pair (i, j, k) counts
+    ((m_i | m_j) ^ m_k).bit_count() over the candidate's supports m.
+    That the pair
     (sigma, phi) is a member is the caller's to establish (``verify
     --suite ha`` reports it through ``build_phi``); this check reads phi
     alone.
     """
     if isinstance(delta, SqrtTol):
         raise ValueError("the linearity bound needs a rational tolerance")
-    uni = cand.member.model.universe
-    masks = _projection_masks(cand.phi)
-    if masks is not None:  # the corrected sum is the projection onto the union
-        counts = [((masks[i] | masks[j]) ^ masks[k]).bit_count()
-                  for i, j, k in uni.sum_pairs]
-    else:
-        phi = [p.images for p in cand.phi]
-        counts = []
-        for i, j, k in uni.sum_pairs:
-            a = phi[i]
-            taken = set(a)
-            counts.append(sum(1 for x, y, w in zip(a, phi[j], phi[k])
-                              if w != (x or (0 if y in taken else y))))
+    masks = cand.supports
+    counts = [((masks[i] | masks[j]) ^ masks[k]).bit_count()
+              for i, j, k in cand.member.model.universe.sum_pairs]
     return SumCheck(tuple(counts), cand.member.sigma.degree, 146 * Fraction(delta))
 
 
@@ -489,12 +472,13 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
 
     V keeps the points where phi0 of every cylinder already equals the
     image-side indicator and where disjoint cylinders have disjoint
-    supports; on V each sum-closure value is a genuine projection.  The
-    pair is certified at the displayed tolerance, a SqrtTol kept as the
+    supports; on V each sum-closure value is a genuine projection, held
+    as the bitmask of its support (``HACandidate``).  The pair is
+    certified at the displayed tolerance, a SqrtTol kept as the
     result's ``tolerance``, when its ``report`` is first read, and the
-    size of V is checked against its lower bound.  The phi values run
+    size of V is checked against its lower bound.  The supports run
     over the model's projection universe; subsets whose phi0 numerators
-    are equal share one projection, built once.
+    are equal share one support, computed once.
     """
     delta = Fraction(delta)
     basis = table.basis
@@ -512,22 +496,22 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
     tolerance = SqrtTol(basis.per_delta(ha_tolerance_squared, delta))
     v_bound = d * basis.per_delta(v_size_factor, delta)
     by_nums = {}
-    phi_values = []
+    supports = []
     for subset in model.universe.elements:
         den, nums = table.numerators(subset)
-        p = by_nums.get(nums)
-        if p is None:
-            support = set()
+        m = by_nums.get(nums)
+        if m is None:
+            m = 0
             for x in V:
                 v = nums[x - 1]
                 if v == den:
-                    support.add(x)
+                    m |= 1 << x
                 elif v:
                     raise HypothesisError(f"phi0 is not 0/1 on V at point {x} "
                                           f"(value {Fraction(v, den)})")
-            p = by_nums[nums] = PartialPermutation.projection(d, support)
-        phi_values.append(p)
-    return BuildPhiResult(HACandidate(table.member, phi_values), tolerance, frozenset(V),
+            by_nums[nums] = m
+        supports.append(m)
+    return BuildPhiResult(HACandidate(table.member, supports), tolerance, frozenset(V),
                           Fraction(len(V), d), v_bound, len(V) >= v_bound)
 
 
@@ -543,6 +527,10 @@ def ha_statistic(model: CylinderModel, delta, d: int, E, Q) -> tuple[int, float,
     members sigma of degree d at delta (at 1 for a ``SqrtTol``) and maps
     phi over the model's projection universe passing (i)-(iv) with them,
     the log statistic of their count, and the distinct sigma|_E.
+
+    phi runs over every partial map of degree d at each universe
+    element, not only projections: the statistic counts a superset of
+    the projection-valued pairs that ``verify_HA`` certifies.
 
     ``delta`` is a rational or a SqrtTol.  E indexes positions of the
     model ball, Q letter blocks.  Enumeration is exhaustive over both

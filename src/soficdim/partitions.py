@@ -667,11 +667,13 @@ class ModelMember:
 
     sigma is a candidate over the context's hypothesis source, and
     ``images`` its images of the model ball (``LemmaContext.align``).
-    ``pads`` holds each image as a padded tuple (0, s(1), ..., s(d)) and
-    ``inverses`` the image tuple of its inverse
-    (``pperm._inverse_images``): sigma's transport s p s^-1, which
-    ``crossed.verify_HA`` and ``crossed.build_phi0`` read for every
-    partition of the member, is built here once.  ``sigma_report``,
+    ``pads`` holds each image as a padded tuple (0, s(1), ..., s(d)),
+    which each Phi0Table reads for its block images, and ``inverses``
+    the image tuple of its inverse (``pperm._inverse_images``), from
+    which ``crossed.build_phi0`` transports phi0's values and
+    ``crossed.verify_HA`` the supports of phi's projections by
+    s p s^-1; both are built here once for every partition of the
+    member.  ``sigma_report``,
     built on first use, is the membership report of the model-ball
     images over the radius-n sigma source, the check behind the
     ``sigma_ok`` of ``crossed.verify_HA``.  A sweep over the partitions

@@ -13,7 +13,6 @@ from soficdim.crossed import (
     PropertyReport,
     SqrtTol,
     SumCheck,
-    _projection_masks,
     approx_sum_check,
     build_phi,
     build_phi0,
@@ -48,9 +47,9 @@ from soficdim.pperm import PartialPermutation, parse_pperm, random_pperm
 from soficdim.rng import SplitMix64
 from soficdim.sofic import SoficCandidate, count_SA, iter_SA_members, verify_membership
 
-from references import (exact_partition, mu_cylinder, mu_points, reference_cylinders,
-                        reference_image_cylinder, reference_translates,
-                        regular_model_candidate, uneven_groupoid)
+from references import (exact_partition, mu_cylinder, mu_points, pair_gaps,
+                        reference_cylinders, reference_image_cylinder,
+                        reference_translates, regular_model_candidate, uneven_groupoid)
 
 FAIR = (Fraction(1, 2), Fraction(1, 2))
 
@@ -84,34 +83,35 @@ class TestVerifyHA:
         res = build_phi(table, Fraction(1, 10))
         d = sigma.degree
         uni = model.universe
-        # corrupt phi at the first letter block: drop one support point
+        # corrupt phi at the first letter block: drop its first support point
         pos = uni.letter_index[0]
-        old = res.candidate.phi[pos]
-        support = [x for x, y in enumerate(old.images, start=1) if y]
-        corrupted = PartialPermutation.projection(d, support[1:])
-        phi = list(res.candidate.phi)
-        phi[pos] = corrupted
-        bad = HACandidate(ModelMember(model, sigma), phi)
+        supports = list(res.candidate.supports)
+        supports[pos] &= supports[pos] - 1
+        bad = HACandidate(ModelMember(model, sigma), supports)
         rep = verify_HA(bad, Fraction(1, d + 1))
         assert rep.equivariance_gap >= Fraction(1, d)
         assert not rep.is_member
 
     def test_phi_coverage_enforced(self, r2):
+        # the candidate is refused when it is built
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        with pytest.raises(ValueError):
-            verify_HA(HACandidate(ModelMember(model, sigma), []), Fraction(1, 10))
+        with pytest.raises(ValueError, match=f"^phi covers 0 of {len(model.universe)} "):
+            HACandidate(ModelMember(model, sigma), [])
 
     def test_phi_degree_enforced(self, r2):
-        # phi covers the universe, but one image has degree d + 1
+        # phi covers the universe, but one support holds point d + 1 or
+        # the bit of point 0, which no point of 1..d sets
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
         d = sigma.degree
         res = build_phi(Phi0Table(basis, ModelMember(model, sigma), part), Fraction(1, 10))
-        phi = list(res.candidate.phi)
-        phi[0] = PartialPermutation.identity(d + 1)
-        with pytest.raises(ValueError, match=f"degree {d}$"):
-            verify_HA(HACandidate(res.candidate.member, phi), Fraction(1, 10))
+        HACandidate(res.candidate.member, res.candidate.supports)
+        for bad in (1 << (d + 1), 1, -2):
+            supports = list(res.candidate.supports)
+            supports[0] = bad
+            with pytest.raises(ValueError, match=f"degree d = {d}$"):
+                HACandidate(res.candidate.member, supports)
 
     def test_problems_on_one_model_share_universe_and_sigma_source(self, r2):
         _, _, _, model, basis = r2
@@ -123,11 +123,23 @@ class TestVerifyHA:
         # the model builds its universe once, and phi covers that one
         assert res.candidate.member.model is model
         assert model.universe is model.universe
-        assert len(res.candidate.phi) == len(model.universe)
+        assert len(res.candidate.supports) == len(model.universe)
 
 
-# -- object-level oracles for the tuple sweeps of verify_HA and the 146 delta
+# -- object-level oracles for the mask sweeps of verify_HA and the 146 delta
 # linearity: s p s^-1 and the corrected sum as composed and summed maps
+
+
+def points_mask(points) -> int:
+    """The support bitmask of a set of points of 1..d, bit x for x."""
+    return sum(1 << x for x in points)
+
+
+def projections(cand) -> list:
+    """The candidate's phi as maps: the projection onto each support."""
+    d = cand.member.sigma.degree
+    return [PartialPermutation.projection(d, [x for x in range(1, d + 1) if m >> x & 1])
+            for m in cand.supports]
 
 
 def push_forward(s, p):
@@ -158,9 +170,10 @@ def reference_approx_sum_check(cand, delta, p1, p2):
     p1, p2 = frozenset(p1), frozenset(p2)
     if p1 & p2:
         raise ValueError("projections are not disjoint")
-    a = cand.phi[uni.index[p1]]
-    b = cand.phi[uni.index[p2]]
-    whole = cand.phi[uni.index[p1 | p2]]
+    phi = projections(cand)
+    a = phi[uni.index[p1]]
+    b = phi[uni.index[p2]]
+    whole = phi[uni.index[p1 | p2]]
     gap = pperm.uniform_distance(whole, corrected_sum(a, b))
     bound = 146 * delta
     return gap, bound, gap < bound, f"|p1|={len(p1)}, |p2|={len(p2)}"
@@ -239,7 +252,7 @@ class TestApproxSum:
         assert (full, full) not in reference_disjoint_pairs(uni)
         sigma, _ = regular_model_candidate(model)
         cand = HACandidate(ModelMember(model, sigma),
-                           [PartialPermutation.identity(sigma.degree)] * len(uni))
+                           [points_mask(range(1, sigma.degree + 1))] * len(uni))
         with pytest.raises(ValueError):
             approx_sum_check(cand, SqrtTol(Fraction(1, 9)))
 
@@ -493,17 +506,23 @@ def reference_V(table):
 
 
 def reference_verify_HA(cand, tol):
-    model = cand.member.model
+    return reference_pair_report(cand.member, projections(cand), tol)
+
+
+def reference_pair_report(member, phi, tol):
+    """The HAReport of sigma and any map phi, one partial permutation per
+    universe element, from composed, inverted and compared maps."""
+    model = member.model
     uni = model.universe
-    d = cand.member.sigma.degree
-    images = model.context.align(cand.member.sigma)
+    d = member.sigma.degree
+    images = model.context.align(member.sigma)
     sp = model.context.sigma_params(1, d)
     rep = verify_membership(SoficCandidate(d, images), sp)
     sigma_ok = (gap_below(rep.mult_gap, tol) and gap_below(rep.trace_gap, tol)
                 and not any("unresolvable" in n for n in rep.notes))
     trace_gap, trace_wit = Fraction(0), ""
     for i in range(uni.p_count):
-        gap = abs(pperm.trace(cand.phi[i]) - mu_points(model, uni.elements[i]))
+        gap = abs(pperm.trace(phi[i]) - mu_points(model, uni.elements[i]))
         if gap > trace_gap:
             trace_gap, trace_wit = gap, f"projection {i}"
     equi_gap, equi_wit = Fraction(0), ""
@@ -511,17 +530,17 @@ def reference_verify_HA(cand, tol):
     for letter, pos in enumerate(uni.letter_index):
         for bidx in range(len(model.ball)):
             translated = uni.index[translates[bidx, letter]]
-            gap = pperm.uniform_distance(cand.phi[translated],
-                                         push_forward(images[bidx], cand.phi[pos]))
+            gap = pperm.uniform_distance(phi[translated],
+                                         push_forward(images[bidx], phi[pos]))
             if gap > equi_gap:
                 equi_gap, equi_wit = gap, f"letter {letter}, ball {bidx}"
     mult_gap, mult_wit = Fraction(0), ""
     for (i, j, k) in uni.triples:
-        gap = pperm.uniform_distance(cand.phi[k],
-                                     pperm.compose(cand.phi[i], cand.phi[j]))
+        gap = pperm.uniform_distance(phi[k],
+                                     pperm.compose(phi[i], phi[j]))
         if gap > mult_gap:
             mult_gap, mult_wit = gap, f"pair ({i}, {j})"
-    unit_gap = pperm.uniform_distance(cand.phi[uni.x_index],
+    unit_gap = pperm.uniform_distance(phi[uni.x_index],
                                       PartialPermutation.identity(d))
     member = (sigma_ok and gap_below(trace_gap, tol) and gap_below(equi_gap, tol)
               and gap_below(mult_gap, tol) and gap_below(unit_gap, tol))
@@ -658,8 +677,10 @@ def test_build_phi0_matches_on_nonzero_tied_product_gaps(source, alphabet, ties)
 @pytest.mark.parametrize("source", ["r2", "zmod2"])
 @pytest.mark.parametrize("alphabet", list(ALPHABETS))
 def test_verify_HA_matches_on_random_pairs(source, alphabet):
-    # random phi values over the universe: every scan has nonzero, often
-    # tied gaps, and sigma passes or fails its own check
+    # random projections over the universe: every scan has nonzero, often
+    # tied gaps, and sigma passes or fails its own check.  A projection is
+    # idempotent, so with one letter, whose universe holds only the triple
+    # (0, 0, 0), the product gap is 0 for every projection-valued phi.
     model, _ = model_basis(source, alphabet)
     ctx = model.context
     gaps = set()
@@ -667,12 +688,33 @@ def test_verify_HA_matches_on_random_pairs(source, alphabet):
         rng = SplitMix64(100 + seed)
         d = 3 + seed % 2
         cand = HACandidate(ModelMember(model, random_sigma(ctx, d, rng)),
-                           [random_pperm(d, rng) for _ in model.universe.elements])
+                           random_projection_phi(len(model.universe), d, rng)[0])
         for delta in (*DELTAS, SqrtTol(Fraction(1, 5))):
             rep = verify_HA(cand, delta)
             assert rep == reference_verify_HA(cand, delta)
             gaps.add((rep.equivariance_gap, rep.mult_gap))
-    assert any(e > 0 for e, _ in gaps) and any(m > 0 for _, m in gaps)
+    assert any(e > 0 for e, _ in gaps)
+    assert any(m > 0 for _, m in gaps) or model.universe.triples == ((0, 0, 0),)
+
+
+@pytest.mark.parametrize("source", ["r2", "zmod2"])
+@pytest.mark.parametrize("alphabet", list(ALPHABETS))
+def test_point_sweep_oracle_matches_object_oracle_on_arbitrary_maps(source, alphabet):
+    # random partial maps phi, neither projections nor orthogonal: the
+    # point-by-point gaps that ha_statistic's brute force reads are the
+    # four gaps of the object-level report
+    model, _ = model_basis(source, alphabet)
+    gaps = set()
+    for seed in range(6):
+        rng = SplitMix64(100 + seed)
+        d = 3 + seed % 2
+        member = ModelMember(model, random_sigma(model.context, d, rng))
+        phi = [random_pperm(d, rng) for _ in model.universe.elements]
+        rep = reference_pair_report(member, phi, Fraction(1, 10))
+        got = pair_gaps(member, phi)
+        assert got == (rep.trace_gap, rep.equivariance_gap, rep.mult_gap, rep.unit_gap)
+        gaps.add(got)
+    assert all(any(g[n] > 0 for g in gaps) for n in range(4))
 
 
 def test_each_subset_evaluated_once_per_table(monkeypatch, r2):
@@ -720,12 +762,12 @@ def test_residuals_are_computed_once_per_table(r2):
     assert nonzero
 
 
-# -- the tuple sweeps against the object-level oracles ---------------------------
+# -- the mask sweeps against the object-level oracles ----------------------------
 #
 # On the benchmark's two models at d = 2 and 4: the build_phi candidates of
-# sampled members, and random phi (neither projections nor orthogonal, so
-# images overlap and corrected sums cut), each against a member and a random
-# sigma.  At delta = 1/300 the 146 delta bound is below 1/2, so pairs fail.
+# sampled members, and random projections (overlapping, so corrected sums
+# cut), each against a member and a random sigma.  At delta = 1/300 the
+# 146 delta bound is below 1/2, so pairs fail.
 
 
 def assert_sum_check_matches(cand, delta):
@@ -767,7 +809,7 @@ def test_tuple_sweeps_match_object_oracles(source, d):
     for sigma in (members[0], random_sigma(ctx, d, rng)):
         for _ in range(4):
             cands.append((HACandidate(ModelMember(model, sigma),
-                                      [random_pperm(d, rng) for _ in uni.elements]),
+                                      random_projection_phi(len(uni), d, rng)[0]),
                           delta))
     gaps = set()
     verdicts = set()
@@ -835,7 +877,7 @@ def test_table_reports_equal_their_fraction_references(source, alphabet):
                 nonzero.add(rep.mult_gap_sq > 0)
             if projections <= 9:  # a universe of at most 15 elements
                 cand = HACandidate(table.member,
-                                   [random_pperm(d, rng) for _ in model.universe.elements])
+                                   random_projection_phi(len(model.universe), d, rng)[0])
                 for tol in (delta, SqrtTol(Fraction(1, 5))):
                     assert verify_HA(cand, tol) == reference_verify_HA(cand, tol)
     assert True in nonzero
@@ -862,7 +904,7 @@ def test_first_of_tied_gaps_names_the_witness(r2):
     assert (c2.worst, c2.witness) == (max(gaps), f"psi={model.psis[gaps.index(max(gaps))]}")
 
     uni = model.universe
-    cand = HACandidate(table.member, [PartialPermutation.identity(2)] * len(uni))
+    cand = HACandidate(table.member, [points_mask({1, 2})] * len(uni))
     gaps = [1 - mu_points(model, p) for p in uni.elements[:uni.p_count]]
     assert gaps.count(max(gaps)) > 1
     rep = verify_HA(cand, delta)
@@ -871,18 +913,18 @@ def test_first_of_tied_gaps_names_the_witness(r2):
         max(gaps), f"projection {gaps.index(max(gaps))}")
 
 
-# -- the mask sweeps against the object-level oracles ----------------------------
+# -- the mask sweeps on chosen supports ----------------------------------------
 #
-# When every phi value is a projection, (iii) and the 146 delta linearity
-# count on support bitmasks; any other value sends both to the tuple sweeps.
+# Supports that meet the edge cases of the bit rules: empty, full, equal to,
+# inside or around an earlier one.
 
 SUPPORT_KINDS = ("empty", "full", "equal", "nested", "random")
 
 
 def random_projection_phi(n, d, rng):
-    """n projections of degree d and the kind of each support: empty,
-    full, equal to an earlier one, inside or around an earlier one, or
-    random."""
+    """n support bitmasks of projections of degree d and the kind of
+    each support: empty, full, equal to an earlier one, inside or around
+    an earlier one, or random."""
     supports, kinds = [], []
     every = frozenset(range(1, d + 1))
     for _ in range(n):
@@ -894,7 +936,7 @@ def random_projection_phi(n, d, rng):
                    "random": drawn}[kind]
         supports.append(support)
         kinds.append(kind)
-    return [PartialPermutation.projection(d, s) for s in supports], kinds
+    return [points_mask(s) for s in supports], kinds
 
 
 @pytest.mark.parametrize("source", ["r2", "zmod2"])
@@ -906,7 +948,6 @@ def test_mask_sweeps_match_object_oracles_on_projections(source, d):
     kinds, mult, lin = set(), set(), set()
     for _ in range(8):
         phi, drawn = random_projection_phi(len(uni), d, rng)
-        assert _projection_masks(phi) is not None
         kinds |= set(drawn)
         cand = HACandidate(ModelMember(model, random_sigma(model.context, d, rng)), phi)
         for tol in (Fraction(1, 10), SqrtTol(Fraction(1, 5))):
@@ -928,7 +969,8 @@ def test_mask_sweep_names_the_first_of_tied_product_gaps(r2):
     sigma = SoficCandidate(d, [PartialPermutation.identity(d)]
                            * len(ctx.hypothesis_source.ball_elements))
     phi = [PartialPermutation.empty(d)] + [PartialPermutation.identity(d)] * (len(uni) - 1)
-    cand = HACandidate(ModelMember(model, sigma), phi)
+    cand = HACandidate(ModelMember(model, sigma),
+                       [points_mask(range(1, d + 1)) if p.nfix else 0 for p in phi])
     gaps = [pperm.uniform_distance(phi[k], pperm.compose(phi[i], phi[j]))
             for i, j, k in uni.triples]
     assert max(gaps) == 1 and gaps.count(1) > 1 and gaps[0] < 1
@@ -937,48 +979,19 @@ def test_mask_sweep_names_the_first_of_tied_product_gaps(r2):
     assert (rep.mult_gap, rep.mult_witness) == (1, f"pair {uni.triples[gaps.index(1)][:2]}")
 
 
-@pytest.mark.parametrize("source", ["r2", "zmod2"])
-def test_one_transposition_sends_phi_to_the_tuple_sweeps(source):
-    # one value swaps points 1 and 2; read as the projection onto its
-    # domain it would change some count, so the tuple sweeps must run
-    model, _ = model_basis(source, "fair")
-    uni = model.universe
-    rng = SplitMix64(700)
-    misread = 0
-    for d in (2, 3, 4, 5):
-        for _ in range(4):
-            phi, _ = random_projection_phi(len(uni), d, rng)
-            pos = rng.below(len(uni))
-            phi[pos] = PartialPermutation(d, (2, 1, *range(3, d + 1)))
-            assert _projection_masks(phi) is None
-            member = ModelMember(model, random_sigma(model.context, d, rng))
-            cand = HACandidate(member, phi)
-            delta = Fraction(1, 10)
-            rep = verify_HA(cand, delta)
-            assert rep == reference_verify_HA(cand, delta)
-            check = assert_sum_check_matches(cand, delta)
-            phi[pos] = PartialPermutation.identity(d)
-            as_projection = HACandidate(member, phi)
-            misread += (verify_HA(as_projection, delta).mult_gap != rep.mult_gap
-                        or approx_sum_check(as_projection, delta).counts != check.counts)
-    assert misread
-
-
 def test_build_phi_builds_one_projection_per_distinct_numerator_tuple(monkeypatch, r2):
+    # build_phi keeps supports: it constructs no PartialPermutation, and
+    # subsets with equal phi0 numerators get equal supports
     _, _, ctx, model, basis = r2
     delta = Fraction(1, 3)
     sigma = next(iter_SA_members(ctx.hypothesis_params(delta, 4)))
     table = Phi0Table(basis, ModelMember(model, sigma), random_partition(4, FAIR, 5))
-    calls = []
-    projection = PartialPermutation.projection.__func__
-
-    def counted(cls, d, points):
-        calls.append(frozenset(points))
-        return projection(cls, d, points)
-
-    monkeypatch.setattr(PartialPermutation, "projection", classmethod(counted))
-    phi = build_phi(table, delta).candidate.phi
+    built = []
+    init = PartialPermutation.__init__
+    monkeypatch.setattr(PartialPermutation, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    supports = build_phi(table, delta).candidate.supports
+    assert built == []
     tuples = [table.numerators(s)[1] for s in model.universe.elements]
-    assert len(calls) == len(set(tuples)) < len(tuples)
-    # subsets with equal numerators share one value
-    assert all(p is phi[tuples.index(t)] for t, p in zip(tuples, phi))
+    assert len(set(tuples)) < len(tuples)
+    assert all(m == supports[tuples.index(t)] for t, m in zip(tuples, supports))

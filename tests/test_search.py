@@ -9,11 +9,13 @@ On instances small enough to enumerate in full, the members of
 ``itertools.product(pool, repeat=n_ball)`` that the oracle
 accepts, in the same order; the counts by conjugacy classes must equal
 those of the plain search, and the classes must partition the maps;
-``ha_statistic`` must count
-exactly the (sigma|_E, phi|_Q) pairs of the maps phi in
-``itertools.product(pool, repeat=len(universe))`` that ``verify_HA``
-accepts; and every Monte Carlo trial must decide membership as the
-oracle does on the images drawn from its substream.
+``ha_statistic`` must count exactly the (sigma|_E, phi|_Q) pairs of the
+maps phi in ``itertools.product(pool, repeat=len(universe))`` whose four
+gaps, swept point by point (``references.pair_gaps``), lie below the
+tolerance; phi there is any partial map, so the statistic counts a
+superset of the projection-valued pairs that ``verify_HA`` certifies;
+and every Monte Carlo trial must decide membership as the oracle does on
+the images drawn from its substream.
 """
 
 import itertools
@@ -27,12 +29,10 @@ import pytest
 
 from soficdim.cli import full_group_generators
 from soficdim.crossed import (
-    HACandidate,
     ProjectionUniverse,
     SqrtTol,
     gap_below,
     ha_statistic,
-    verify_HA,
 )
 from soficdim.groupoid import (
     PartialBisection,
@@ -66,7 +66,7 @@ from soficdim.sofic import (
 from soficdim.wordball import ball, parse_descriptor
 
 from references import (first_output_rejects, groupoid_params, one_arrow_context,
-                        plain_count, uneven_groupoid)
+                        pair_gaps, plain_count, uneven_groupoid)
 
 FAIR = (Fraction(1, 2), Fraction(1, 2))
 
@@ -1005,8 +1005,8 @@ HA_INSTANCES = (
 
 def brute_force_ha(model, delta, d, E, Q):
     """(pairs, sigma restrictions) of ``ha_statistic``, from every
-    map phi in the product of the pool whose four gaps in the
-    ``verify_HA`` report lie below the tolerance.  Sigma's own gaps are
+    map phi in the product of the pool whose four gaps, swept point by
+    point (``pair_gaps``), lie below the tolerance.  Sigma's own gaps are
     left out: the statistic takes its sigmas at tolerance 1 for a
     ``SqrtTol``.
 
@@ -1027,10 +1027,7 @@ def brute_force_ha(model, delta, d, E, Q):
             images[hyp.position[b]] = s
         member = ModelMember(model, SoficCandidate(d, images))
         for phi in itertools.product(pool, repeat=len(uni)):
-            cand = HACandidate(member, phi)
-            rep = verify_HA(cand, delta)
-            if all(gap_below(gap, delta) for gap in (
-                    rep.trace_gap, rep.equivariance_gap, rep.mult_gap, rep.unit_gap)):
+            if all(gap_below(gap, delta) for gap in pair_gaps(member, phi)):
                 pairs.add((sigma.restriction(E),
                            tuple(phi[uni.letter_index[q]] for q in Q)))
     return pairs, {s.restriction(E) for s in sigmas}
