@@ -61,7 +61,6 @@ from .crossed import (
     approx_sum_check,
     build_phi,
     build_phi0,
-    ha_statistic,
     verify_HA,
 )
 from .scaling import (
@@ -88,8 +87,7 @@ __all__ = [
     "BoundReport", "CylinderModel", "LemmaContext", "RandomPartition",
     "SpanBasis", "lemma_constants", "random_partition", "span_basis",
     "verify_lemma_c1", "verify_lemma_c2", "verify_lemma_c3_sweep",
-    "HACandidate", "approx_sum_check", "build_phi", "build_phi0", "ha_statistic",
-    "verify_HA",
+    "HACandidate", "approx_sum_check", "build_phi", "build_phi0", "verify_HA",
     "CornerData", "expand_sigma", "make_corner_data", "restrict_sigma",
     "scaling_value", "scaling_value_inverse",
     "SExpression", "SValue", "evaluate_s", "parse_expr",

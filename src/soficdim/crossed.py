@@ -48,8 +48,7 @@ disjoint pairs, and the corrected sum of the projections onto A and B
 (a where a is defined, else b unless b's image lies in a's range, which
 for projections is A itself) is the projection onto A | B, so it counts
 ((m_i | m_j) ^ m_k).bit_count(); and the unit gap counts d minus the
-full space's support.  ha_statistic alone enumerates arbitrary partial
-maps phi, a superset of the pairs these checks certify.
+full space's support.
 
 The trace check compares integer numerators over the point weights'
 denominator, and the four phi0 properties compare phi0's values as
@@ -59,8 +58,8 @@ Fraction per reported gap.  The checks read what depends only on the
 model from its tables, each computed once per model: the translates of
 the letter sets (``CylinderModel.translates``) for equivariance, the
 measures of the distinct projections (``projection_mu_nums``) for the
-traces and the trace windows of ha_statistic, the meets of the product
-property and the disjoint cylinder pairs of build_phi.  delta0^2, the
+traces, the meets of the product property and the disjoint cylinder
+pairs of build_phi.  delta0^2, the
 ha tolerance^2 and V's size factor are computed once per basis and
 delta (``SpanBasis.per_delta``).
 Square roots never enter the arithmetic: bounds against sqrt(delta)
@@ -74,7 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import pperm, sofic
+from . import sofic
 from .partitions import (
     CylinderModel,
     HypothesisError,
@@ -82,7 +81,6 @@ from .partitions import (
     Phi0Table,
     SpanBasis,
 )
-from .sofic import InfeasibleError
 from .wordball import product_triples
 
 
@@ -514,92 +512,3 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
     return BuildPhiResult(HACandidate(table.member, supports), tolerance, frozenset(V),
                           Fraction(len(V), d), v_bound, len(V) >= v_bound)
 
-
-# -- joint enumeration -----------------------------------------------------------
-
-
-# most (phi, sigma) candidates the joint enumeration may search
-HA_CAP = 10 ** 7
-
-
-def ha_statistic(model: CylinderModel, delta, d: int, E, Q) -> tuple[int, float, int]:
-    """(count, statistic, sa_count): the distinct (sigma|_E, phi|_Q) over
-    members sigma of degree d at delta (at 1 for a ``SqrtTol``) and maps
-    phi over the model's projection universe passing (i)-(iv) with them,
-    the log statistic of their count, and the distinct sigma|_E.
-
-    phi runs over every partial map of degree d at each universe
-    element, not only projections: the statistic counts a superset of
-    the projection-valued pairs that ``verify_HA`` certifies.
-
-    ``delta`` is a rational or a SqrtTol.  E indexes positions of the
-    model ball, Q letter blocks.  Enumeration is exhaustive over both
-    halves; tiny instances only.  The members sigma are enumerated
-    first, over the context's ``sigma_params``.  A
-    search space of phi candidates above ``HA_CAP``, as it reads when
-    the call runs, raises InfeasibleError before any pool or member is
-    built, and so does that space times the number of members once they
-    are listed.  A member lists its images in the order of the model
-    ball, which is the sigma source's ball, so sigma's padded and
-    inverse images are read from it directly.
-
-    phi runs on ``sofic.search``, a closure element per position.  As
-    traces and distances are multiples of 1/d, both tests come from the
-    squared tolerance (``value_sq``, or delta^2): (i) is the window of
-    fixed-point counts k with |k/d - mu| < delta
-    (``sofic.fixed_windows``), and a product fails at the fewest
-    disagreements c with c/d >= delta, ``sofic.reach(tol_sq, d) + 1``.
-    """
-    uni = model.universe
-    delta = delta if isinstance(delta, SqrtTol) else Fraction(delta)
-    space = sofic.pool_size(d, "all") ** len(uni)
-    if space > HA_CAP:
-        raise InfeasibleError("search space", space, "candidates", HA_CAP)
-    sa_params = model.context.sigma_params(1 if isinstance(delta, SqrtTol) else delta, d)
-    tol_sq = delta.value_sq if isinstance(delta, SqrtTol) else delta ** 2
-    # (i): a trace window on each cylinder projection
-    centres = [Fraction(mu, model.weight_den) for mu in model.projection_mu_nums]
-    centres += [None] * (len(uni) - uni.p_count)
-    windows = sofic.fixed_windows(d, centres, tol_sq)
-    pools = sofic.candidate_pool(d, "all", windows)
-    sigma_members = list(sofic.iter_SA_members(sa_params))
-    space *= max(len(sigma_members), 1)
-    if space > HA_CAP:
-        raise InfeasibleError("search space", space, "candidates", HA_CAP)
-    n, n_ball = len(uni), len(model.ball)
-    # slots: the positions, then phi(letter) sigma(b)^-1 for every letter
-    # and ball element b, then sigma(b), sigma(b)^-1 and the identity
-    sig = n + len(uni.letter_index) * n_ball
-    sig_inv = sig + n_ball
-    ident = sig_inv + n_ball
-    slots: list = [None] * (ident + 1)
-    slots[ident] = tuple(range(d + 1))
-    derived = [[] for _ in range(n)]
-    triples = [[] for _ in range(n)]
-    for (i, j, k) in uni.triples:  # (iii)
-        triples[max(i, j, k)].append((i, j, k))
-    for letter, pos in enumerate(uni.letter_index):  # (ii)
-        for b in range(n_ball):
-            tpos = uni.index[model.translates[b][letter]]
-            k = n + letter * n_ball + b
-            derived[pos].append((k, (pos, sig_inv + b)))
-            triples[max(pos, tpos)].append((sig + b, k, tpos))
-    triples[uni.x_index].append((ident, uni.x_index, ident))  # (iv)
-    limit = sofic.reach(tol_sq, d) + 1
-
-    def compose(slots, ij):
-        return tuple(map(slots[ij[0]].__getitem__, slots[ij[1]]))
-
-    letter_pos = [uni.letter_index[i] for i in Q]
-    restrictions = set()
-    sa_restrictions = set()
-    for sigma in sigma_members:
-        slots[sig:sig_inv] = [(0,) + s.images for s in sigma.images]
-        slots[sig_inv:ident] = [(0,) + pperm._inverse_images(s.images)
-                                for s in sigma.images]
-        sigma_e = sigma.restriction(E)
-        sa_restrictions.add(sigma_e)
-        for phi in sofic.search(pools, derived, triples, limit, slots, compose):
-            restrictions.add((sigma_e, tuple(phi[p] for p in letter_pos)))
-    count = len(restrictions)
-    return count, sofic.statistic_from_count(count, d), len(sa_restrictions)

@@ -16,24 +16,24 @@ the membership report of a groupoid source notes that bound.
 
 Counting is exact: candidates are enumerated depth first with pruning
 by every multiplicativity constraint whose participants are already
-assigned, so the count equals the brute-force one.  The search, which
-also enumerates the maps phi of ``crossed.ha_statistic``,
-compares integers only: distances are multiples of 1/d, so each
-position keeps the candidates whose fixed-point count meets its trace
-condition, and a product fails at ceil(delta*d) disagreements.  Both
-come from one exact routine over the squared tolerance, ``reach``,
-which gives the integers strictly inside a tolerance, so a rational
-delta and a square root one are decided alike (``fixed_windows``).  A
-``SearchPlan`` holds those windows, the limit and the checks of each
-position, built once per ``SAParams``; it leaves out the triples that
-compose with a position whose window admits the identity alone, which
-cannot fail.  The pools the search draws from are bare image tuples
-padded with a leading 0, built by ``SearchPlan.pools``, which states
-their rule.  ``PartialPermutation`` objects are built only for the
-images ``iter_SA_members`` yields; ``count_SA(..., E=E)`` counts the
-distinct restrictions to the positions E, in the same enumeration, as
-padded tuples.  ``verify_membership`` checks one candidate on padded
-tuples too, with the search's orthogonal sum and disagreement count.
+assigned, so the count equals the brute-force one.  The search,
+``SearchPlan.search``, compares integers only: distances are multiples
+of 1/d, so each position keeps the candidates whose fixed-point count
+meets its trace condition, and a product fails at ceil(delta*d)
+disagreements.  Both come from one exact routine over the squared
+tolerance, ``reach``, which gives the integers strictly inside a
+tolerance, so a rational delta and a square root one are decided alike
+(``fixed_windows``).  A ``SearchPlan`` holds those windows, the limit
+and the checks of each position, built once per ``SAParams``; it
+leaves out the triples that compose with a position whose window
+admits the identity alone, which cannot fail.  The pools the search
+draws from are bare image tuples padded with a leading 0, built by
+``SearchPlan.pools``, which states their rule.  ``PartialPermutation``
+objects are built only for the images ``iter_SA_members`` yields;
+``count_SA(..., E=E)`` counts the distinct restrictions to the
+positions E, in the same enumeration, as padded tuples.
+``verify_membership`` checks one candidate on padded tuples too, with
+the search's orthogonal sum and disagreement count.
 
 Both membership conditions are unchanged when every image is conjugated
 by one permutation of the points, so ``count_SA`` counts up to
@@ -543,12 +543,9 @@ def relation_pool(d: int, window, relation) -> list[tuple]:
     return sorted(maps, key=_image_order)
 
 
-def pool_size(d: int, mode: str) -> int:
-    return factorial(d) if mode == "perms" else pperm.monoid_size(d)
-
-
 def search_space_size(params: SAParams) -> int:
-    return pool_size(params.d, params.mode) ** params.source.n_ball
+    pool = factorial(params.d) if params.mode == "perms" else pperm.monoid_size(params.d)
+    return pool ** params.source.n_ball
 
 
 def reach(tol_sq, scale: int) -> int:
@@ -568,8 +565,7 @@ def reach(tol_sq, scale: int) -> int:
 
 def fixed_windows(d: int, centres, tol_sq) -> list[frozenset]:
     """Per position, the fixed-point counts k in 0..d with
-    |k/d - centre| < tol, where tol^2 = ``tol_sq``; a centre of None
-    keeps every count.
+    |k/d - centre| < tol, where tol^2 = ``tol_sq``.
 
     With d*centre = p/q in lowest terms, |k/d - centre| < tol exactly
     when |q k - p| < tol d q, that is when |q k - p| <= r for
@@ -579,27 +575,26 @@ def fixed_windows(d: int, centres, tol_sq) -> list[frozenset]:
     """
     windows = []
     for centre in centres:
-        lo, hi = 0, d
-        if centre is not None:
-            p, q = (Fraction(centre) * d).as_integer_ratio()
-            r = reach(tol_sq, d * q)
-            lo, hi = max(-((r - p) // q), 0), min((p + r) // q, d)
+        p, q = (Fraction(centre) * d).as_integer_ratio()
+        r = reach(tol_sq, d * q)
+        lo, hi = max(-((r - p) // q), 0), min((p + r) // q, d)
         windows.append(frozenset(range(lo, hi + 1)))
     return windows
 
 
-def _admissible(t, slots, derived, triples, limit, derive) -> bool:
+def _admissible(t, slots, sums, triples, limit) -> bool:
     """Whether the assignment in ``slots`` passes the checks that
     position t completes.
 
-    Each (k, arg) in ``derived[t]`` sets ``slots[k] = derive(slots,
-    arg)``, an OverlapError rejecting, and each (i, j, k) in
-    ``triples[t]`` rejects when ``slots[k]`` disagrees with ``slots[i]``
-    after ``slots[j]`` on ``limit`` or more points.
+    Each (k, parts) in ``sums[t]`` sets ``slots[k]`` to the orthogonal
+    sum of the padded images at ``parts``, an OverlapError rejecting,
+    and each (i, j, k) in ``triples[t]`` rejects when ``slots[k]``
+    disagrees with ``slots[i]`` after ``slots[j]`` on ``limit`` or more
+    points.
     """
-    for k, arg in derived[t]:
+    for k, parts in sums[t]:
         try:
-            slots[k] = derive(slots, arg)
+            slots[k] = _orthogonal_sum([slots[i] for i in parts])
         except OverlapError:
             return False
     for (i, j, k) in triples[t]:
@@ -607,34 +602,6 @@ def _admissible(t, slots, derived, triples, limit, derive) -> bool:
         if sum(map(ne, map(a.__getitem__, slots[j]), slots[k])) >= limit:
             return False
     return True
-
-
-def search(pools, derived, triples, limit, slots, derive):
-    """Yield ``slots`` at every assignment that passes its checks,
-    depth first in pool order; the list is reused, so copy from it.
-
-    Position t takes a padded image tuple of ``pools[t]`` into
-    ``slots[t]`` and keeps it when ``_admissible`` passes t.  The caller
-    sets any constant slots.
-    """
-    n = len(pools)
-
-    def walk(t):
-        if t == n:
-            yield slots
-            return
-        for pad in pools[t]:
-            slots[t] = pad
-            if _admissible(t, slots, derived, triples, limit, derive):
-                yield from walk(t + 1)
-
-    yield from walk(0)
-    del walk  # walk refers to itself; dropping it frees the pools at once
-
-
-def _slot_sum(slots, parts) -> tuple:
-    """The orthogonal sum of the padded images in ``slots`` at ``parts``."""
-    return _orthogonal_sum([slots[i] for i in parts])
 
 
 class SearchPlan:
@@ -774,9 +741,27 @@ class SearchPlan:
         """Yield the slot list at every member whose image at each ball
         position comes from that position's pool (as ``pools`` or
         ``candidate_pool`` makes them), depth first in pool order: its
-        first ``len(pools)`` entries are the members' padded images."""
-        return search(pools, self.sums, self.triples, self.limit,
-                      [None] * self.n_universe, _slot_sum)
+        first ``len(pools)`` entries are the members' padded images, and
+        the list is reused, so copy from it.
+
+        Position t takes a padded image tuple of ``pools[t]`` into the
+        slot list and keeps it when ``_admissible`` passes t.
+        """
+        n = len(pools)
+        sums, triples, limit = self.sums, self.triples, self.limit
+        slots = [None] * self.n_universe
+
+        def walk(t):
+            if t == n:
+                yield slots
+                return
+            for pad in pools[t]:
+                slots[t] = pad
+                if _admissible(t, slots, sums, triples, limit):
+                    yield from walk(t + 1)
+
+        yield from walk(0)
+        del walk  # walk refers to itself; dropping it frees the pools at once
 
 
 def iter_SA_members(params: SAParams):
@@ -943,7 +928,7 @@ def monte_carlo_count(params: SAParams, trials: int, seed: int) -> tuple[float, 
                     first = mix64(state)
                 slots[t], state = draw(d, total, lo, hi, state, first)
                 if slots[t] is None or (checked and not _admissible(
-                        t, slots, sums, triples, limit, _slot_sum)):
+                        t, slots, sums, triples, limit)):
                     break
             else:
                 hits += 1

@@ -4,9 +4,8 @@ Each builds an exact object by a route of its own: a candidate by block
 dilation or from the Bernoulli model acting on its own points, the
 conjugate of a partial permutation by composition, a model's
 cylinders point by point from its action table and their measures from
-their points' weights, the four gaps of an arbitrary pair (sigma, phi)
-point by point on image tuples (``pair_gaps``), and the scaling suite's
-dict by a round trip per instance.  ``one_arrow_context`` is the
+their points' weights, and the scaling suite's dict by a round trip
+per instance.  ``one_arrow_context`` is the
 lemma context whose hypothesis ball lists its radius-n ball in another
 order, ``uneven_groupoid`` a groupoid whose unit weights differ, and
 ``groupoid_params`` the counting problem over a groupoid's
@@ -22,7 +21,6 @@ definition of a draw, whether its first output alone rejects it.
 
 from fractions import Fraction
 from math import comb, factorial
-from operator import ne
 
 from soficdim import cli, pperm, scaling
 from soficdim.groupoid import FiniteGroupoid, PartialBisection, transitive_groupoid
@@ -210,34 +208,6 @@ def reference_image_cylinder(psi, images, partition) -> frozenset:
                           if b == letter)
         pts &= {s.images[x - 1] for x in block if s.images[x - 1]}
     return frozenset(pts)
-
-
-def pair_gaps(member, phi) -> tuple:
-    """(trace, equivariance, product, unit) gaps of an arbitrary map phi,
-    one partial permutation of sigma's degree d per element of the
-    member's projection universe, each counted point by point on padded
-    image tuples and taken over d.  ``crossed.verify_HA`` certifies
-    projection supports only; this sweep takes any partial map, as the
-    brute force behind ``ha_statistic`` needs.  s p s^-1 sends x to
-    s(p(s^-1(x))), and phi(i) phi(j) is compared with phi(k) without
-    building the product."""
-    model = member.model
-    uni = model.universe
-    d = member.sigma.degree
-    M = model.weight_den
-    trace = max((Fraction(abs(p.nfix * M - mu * d), M * d)
-                 for p, mu in zip(phi, model.projection_mu_nums)), default=Fraction(0))
-    images = [p.images for p in phi]
-    pads = [(0,) + t for t in images]
-    equivariance = max((sum(w != s[pads[pos][y]] for w, y in zip(
-                            images[uni.index[model.translates[b][letter]]], inv))
-                        for letter, pos in enumerate(uni.letter_index)
-                        for b, (s, inv) in enumerate(zip(member.pads, member.inverses))),
-                       default=0)
-    product = max((sum(map(ne, map(pads[i].__getitem__, images[j]), images[k]))
-                   for i, j, k in uni.triples), default=0)
-    unit = pperm.uniform_distance(phi[uni.x_index], PartialPermutation.identity(d))
-    return trace, Fraction(equivariance, d), Fraction(product, d), unit
 
 
 def exact_partition(blocks) -> RandomPartition:

@@ -326,8 +326,6 @@ CAP_CHECKS = [
         transitive_groupoid(2), [Fraction(1, 2)] * 2)),
     (partitions, "PROFILE_CAP", r2_context),
     (cli, "GENERATOR_CAP", lambda: cli.full_group_generators(transitive_groupoid(2))),
-    (crossed, "HA_CAP", lambda: crossed.ha_statistic(r2_model(1), Fraction(1, 2), 2,
-                                                     [0], [0])),
 ]
 
 

@@ -53,7 +53,6 @@ KEEP = {
     "random_pperm": (ACCEPTANCE, PER_LAYER),  # criterion 1 draws with it
     "scaling_value": (EXPORTED,),
     "restricted_statistic": (EXPORTED, PER_LAYER),
-    "ha_statistic": (README,),
     "with_weight": (README,),  # SExpression.with_weight
     "check_hypothesis": (README,),  # the hypothesis the certificates assume
     "ball_params": (ACCEPTANCE,),

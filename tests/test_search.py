@@ -9,11 +9,6 @@ On instances small enough to enumerate in full, the members of
 ``itertools.product(pool, repeat=n_ball)`` that the oracle
 accepts, in the same order; the counts by conjugacy classes must equal
 those of the plain search, and the classes must partition the maps;
-``ha_statistic`` must count exactly the (sigma|_E, phi|_Q) pairs of the
-maps phi in ``itertools.product(pool, repeat=len(universe))`` whose four
-gaps, swept point by point (``references.pair_gaps``), lie below the
-tolerance; phi there is any partial map, so the statistic counts a
-superset of the projection-valued pairs that ``verify_HA`` certifies;
 and every Monte Carlo trial must decide membership as the oracle does on
 the images drawn from its substream.
 """
@@ -28,20 +23,14 @@ from operator import eq
 import pytest
 
 from soficdim.cli import full_group_generators
-from soficdim.crossed import (
-    ProjectionUniverse,
-    SqrtTol,
-    gap_below,
-    ha_statistic,
-)
+from soficdim.crossed import ProjectionUniverse, SqrtTol, gap_below
 from soficdim.groupoid import (
     PartialBisection,
     cyclic_groupoid,
-    full_identity,
     transitive_groupoid,
 )
-from soficdim import cli, crossed, partitions, pperm, sofic
-from soficdim.partitions import CylinderModel, LemmaContext, ModelMember
+from soficdim import cli, partitions, pperm, sofic
+from soficdim.partitions import CylinderModel, LemmaContext
 from soficdim.rng import SplitMix64
 from soficdim.sofic import (
     GroupoidSource,
@@ -65,8 +54,7 @@ from soficdim.sofic import (
 )
 from soficdim.wordball import ball, parse_descriptor
 
-from references import (first_output_rejects, groupoid_params, one_arrow_context,
-                        pair_gaps, plain_count, uneven_groupoid)
+from references import first_output_rejects, groupoid_params, plain_count, uneven_groupoid
 
 FAIR = (Fraction(1, 2), Fraction(1, 2))
 
@@ -328,7 +316,7 @@ def test_reports_on_suite_candidates(argv, tmp_path, monkeypatch, capsys):
 
 # -- trace windows ----------------------------------------------------------------
 
-CENTRES = [0, Fraction(0), Fraction(1, 3), Fraction(1, 2), 1, Fraction(1), None,
+CENTRES = [0, Fraction(0), Fraction(1, 3), Fraction(1, 2), 1, Fraction(1),
            Fraction(1, 7), Fraction(5, 6)]
 # rational tolerances, and square roots compared through squares (sqrt 1/8
 # is irrational); 1/4, 1/5 and sqrt 1/25 put a window end on k/d exactly
@@ -345,8 +333,7 @@ def squared(tol):
 
 def windows_per_count(d, centres, below):
     """Each k in 0..d tested on its own."""
-    return [frozenset(k for k in range(d + 1)
-                      if centre is None or below(abs(Fraction(k, d) - centre)))
+    return [frozenset(k for k in range(d + 1) if below(abs(Fraction(k, d) - centre)))
             for centre in centres]
 
 
@@ -362,8 +349,8 @@ def test_windows_match_the_per_count_test(tol):
 def test_windows_at_their_edges():
     fifth_sq = Fraction(1, 25)
     # d = 5, delta = 1/5: every end on k/d is left out, strictly
-    assert fixed_windows(5, [0, Fraction(1, 3), Fraction(1, 2), 1, None], fifth_sq) == [
-        {0}, {1, 2}, {2, 3}, {5}, set(range(6))]
+    assert fixed_windows(5, [0, Fraction(1, 3), Fraction(1, 2), 1], fifth_sq) == [
+        {0}, {1, 2}, {2, 3}, {5}]
     assert fixed_windows(5, [Fraction(1, 5)], squared(SqrtTol(Fraction(1, 25)))) == [{1}]
     # no count within 1/100 of 1/3 at d = 4, nor of 1/2 at odd d
     hundredth_sq = Fraction(1, 10000)
@@ -386,24 +373,6 @@ def test_reach_is_the_integers_strictly_inside_a_tolerance():
             delta = Fraction(num, den)
             for d in range(1, 41):
                 assert reach(delta ** 2, d) + 1 == math.ceil(delta * d)
-
-
-@pytest.mark.parametrize("tol", TOLERANCES, ids=str)
-def test_ha_statistic_limit_matches_the_scan(monkeypatch, tol):
-    # the limit that ha_statistic hands the search, against the scan it
-    # replaced: the fewest c in 0..d with c/d not below the tolerance, or
-    # d + 1, which rejects nothing, as every limit above d does
-    limits = []
-    monkeypatch.setattr(crossed, "HA_CAP", math.inf)
-    monkeypatch.setattr(sofic, "candidate_pool", lambda d, mode, windows: [[]] * len(windows))
-    monkeypatch.setattr(sofic, "search", lambda *args: limits.append(args[3]) or ())
-    model = point_model(FAIR)
-    monkeypatch.setattr(sofic, "iter_SA_members", lambda params: [SoficCandidate(
-        params.d, [pperm.PartialPermutation.identity(params.d)] * len(model.ball))])
-    for d in range(1, 13):
-        ha_statistic(model, tol, d, [0], [0])
-        scan = next((c for c in range(d + 1) if not gap_below(Fraction(c, d), tol)), d + 1)
-        assert min(limits.pop(), d + 1) == scan
 
 
 def first_branching(pools):
@@ -589,12 +558,14 @@ def r2_hypothesis(delta, d, mode=""):
      [IDENTITY, ((4, 2), ()), ((4, 2), ()), ORDER2]),
     (lambda: r2_hypothesis("1/10", 8), [IDENTITY, ORDER2, IDEMPOTENT]),
     (lambda: r2_hypothesis("1/10", 8, "perms"), [IDENTITY, ORDER2, in_mode(IDEMPOTENT, "perms")]),
+    # the sigma source of r2.gpd, a groupoid ball without the empty bisection
+    (lambda: swap_model(FAIR).context.sigma_params(Fraction(1, 2), 2), [IDENTITY, ORDER2]),
     # limit 2: a triple admits one disagreement, so no relation holds
     (lambda: family("zmod(2)", "1/4", 5), [None, None]),
     (lambda: family("z", "1/4", 5), [None, None, None]),
     (lambda: r2_hypothesis("1/3", 4), [None, None, None]),
 ], ids=["zmod2", "zmod3", "zmod4", "zmod4-n2", "r2-hypothesis", "r2-hypothesis-perms",
-        "zmod2-limit2", "z-limit2", "r2-hypothesis-limit2"])
+        "r2-sigma", "zmod2-limit2", "z-limit2", "r2-hypothesis-limit2"])
 def test_relations_come_from_the_positions_own_triples(make, want):
     assert SearchPlan(make()).relations == want
 
@@ -974,148 +945,13 @@ def test_mc_derives_no_relation_class_or_pool(monkeypatch):
     assert monte_carlo_count(r2_hypothesis("1/10", 4), 200, 3) == want
 
 
-# -- the joint (sigma, phi) enumeration -----------------------------------------
-
-def bernoulli(g, F, alphabet):
-    return CylinderModel(LemmaContext(g, F, 1), alphabet)
-
-
-def point_model(alphabet):
-    g = cyclic_groupoid(1)
-    return bernoulli(g, [full_identity(g)], alphabet)
-
+# -- the sum closure ------------------------------------------------------------
 
 def swap_model(alphabet):
-    # the 2-point relation with the swap: sigma(swap) conjugates phi
+    # the Bernoulli model of the 2-point relation with the swap, at radius 1
     g = transitive_groupoid(2)
-    return bernoulli(g, full_group_generators(g), alphabet)
+    return CylinderModel(LemmaContext(g, full_group_generators(g), 1), alphabet)
 
-
-HA_TOLERANCES = [("1over3", Fraction(1, 3)), ("1over2", Fraction(1, 2)),
-                 ("sqrt1over5", SqrtTol(Fraction(1, 5)))]
-HA_INSTANCES = (
-    [(f"point-one-d{d}-{name}", point_model, (Fraction(1),), d, delta)
-     for d in range(1, 4) for name, delta in HA_TOLERANCES]
-    + [(f"point-fair-d{d}-{name}", point_model, FAIR, d, delta)
-       for d in range(1, 3) for name, delta in HA_TOLERANCES]
-    + [(f"swap-one-d{d}-{name}", swap_model, (Fraction(1),), d, delta)
-       for d in range(1, 4) for name, delta in HA_TOLERANCES]
-)
-
-
-def brute_force_ha(model, delta, d, E, Q):
-    """(pairs, sigma restrictions) of ``ha_statistic``, from every
-    map phi in the product of the pool whose four gaps, swept point by
-    point (``pair_gaps``), lie below the tolerance.  Sigma's own gaps are
-    left out: the statistic takes its sigmas at tolerance 1 for a
-    ``SqrtTol``.
-
-    A member of the sigma source lists its images in sigma-source ball
-    order, and a ModelMember reads a candidate over the hypothesis
-    source, so each image is placed at its hypothesis position first
-    (the empty map at the others)."""
-    ctx = model.context
-    uni = model.universe
-    hyp = ctx.hypothesis_source
-    pool = object_pool(d, "all")
-    sigmas = list(iter_SA_members(ctx.sigma_params(
-        delta if isinstance(delta, Fraction) else 1, d)))
-    pairs = set()
-    for sigma in sigmas:
-        images = [pperm.PartialPermutation.empty(d)] * hyp.n_ball
-        for b, s in zip(ctx.sigma_source.ball_elements, sigma.images):
-            images[hyp.position[b]] = s
-        member = ModelMember(model, SoficCandidate(d, images))
-        for phi in itertools.product(pool, repeat=len(uni)):
-            if all(gap_below(gap, delta) for gap in pair_gaps(member, phi)):
-                pairs.add((sigma.restriction(E),
-                           tuple(phi[uni.letter_index[q]] for q in Q)))
-    return pairs, {s.restriction(E) for s in sigmas}
-
-
-@pytest.mark.parametrize("make,alphabet,d,delta", [case[1:] for case in HA_INSTANCES],
-                         ids=[case[0] for case in HA_INSTANCES])
-def test_ha_statistic_matches_brute_force(make, alphabet, d, delta):
-    model = make(alphabet)
-    assert len(object_pool(d, "all")) ** len(model.universe) <= 5000
-    E, Q = [0], list(range(len(alphabet)))
-    pairs, sa_restrictions = brute_force_ha(model, delta, d, E, Q)
-    count, _, sa_count = ha_statistic(model, delta, d, E, Q)
-    assert (count, sa_count) == (len(pairs), len(sa_restrictions))
-
-
-@pytest.mark.parametrize("delta", [Fraction(1, 3), Fraction(1, 2)],
-                         ids=["1over3", "1over2"])
-def test_ha_statistic_reads_sigma_in_model_ball_order(delta):
-    # the radius-2 ball of one arrow is where sigma-source and hypothesis
-    # positions part, so reading a member at hypothesis positions miscounts
-    model = CylinderModel(one_arrow_context(), (Fraction(1),))
-    pairs, sa_restrictions = brute_force_ha(model, delta, 2, [0], [0])
-    assert (len(pairs), len(sa_restrictions)) == (1, 1)
-    assert ha_statistic(model, delta, 2, [0], [0])[::2] == (1, 1)
-
-
-def test_ha_statistic_builds_phi_pools_alone(monkeypatch):
-    # one pass over the maps for the windows of phi; at limit 1 every
-    # position of the sigma source has a relation (the identity, and the
-    # swap of order 2), so iter_SA_members asks for no window's pass
-    from soficdim import sofic
-    monkeypatch.setattr(crossed, "HA_CAP", 10 ** 15)
-    calls = []
-    pool = sofic.candidate_pool
-    monkeypatch.setattr(sofic, "candidate_pool",
-                        lambda *args: calls.append((*args[:2], len(args[2]))) or pool(*args))
-    model = swap_model(FAIR)
-    assert ha_statistic(model, Fraction(1, 2), 2, E=[0], Q=[0, 1])[::2] == (2, 1)
-    sigma_plan = sofic.SearchPlan(model.context.sigma_params(Fraction(1, 2), 2))
-    assert sigma_plan.relations == [((), ()), ((2,), ())]
-    assert calls == [(2, "all", len(model.universe)), (2, "all", 0)]
-
-
-def test_ha_cap_refuses_before_building_pools_or_members(monkeypatch):
-    # 7^15 maps phi of the swap model's 15 closure elements at d = 2 pass
-    # HA_CAP alone, so neither the phi pools nor the members are made
-    def unreachable(*args):
-        raise AssertionError("a refused call built a pool or listed members")
-
-    monkeypatch.setattr(sofic, "candidate_pool", unreachable)
-    monkeypatch.setattr(sofic, "iter_SA_members", unreachable)
-    model = swap_model(FAIR)
-    with pytest.raises(sofic.InfeasibleError,
-                       match=r"^search space of 4747561509943 candidates exceeds cap 10000000$"):
-        ha_statistic(model, Fraction(1, 2), 2, E=[0], Q=[0, 1])
-
-
-def test_ha_cap_weighs_the_members_once_listed(monkeypatch):
-    # 34^3 maps phi pass a cap of 34^3; times the 4 members, they do not
-    model = point_model(FAIR)
-    monkeypatch.setattr(crossed, "HA_CAP", 34 ** 3)
-    with pytest.raises(sofic.InfeasibleError,
-                       match=r"^search space of 157216 candidates exceeds cap 39304$"):
-        ha_statistic(model, Fraction(1, 2), 3, E=[0], Q=[0, 1])
-    monkeypatch.setattr(crossed, "HA_CAP", 4 * 34 ** 3)
-    assert ha_statistic(model, Fraction(1, 2), 3, E=[0], Q=[0, 1])[::2] == (576, 4)
-
-
-# recorded from the enumeration the pruned search replaced, beyond brute force
-@pytest.mark.parametrize("make,d,delta,want", [
-    (point_model, 3, Fraction(1, 2), (576, 4)),
-    (point_model, 3, SqrtTol(Fraction(1, 5)), (951, 16)),
-    (point_model, 3, Fraction(1, 3), (36, 1)),
-    (point_model, 3, Fraction(1, 100), (0, 1)),
-    (swap_model, 2, Fraction(1, 2), (2, 1)),
-    (swap_model, 2, SqrtTol(Fraction(1, 5)), (6, 3)),
-    (swap_model, 2, Fraction(1, 100), (0, 1)),
-], ids=["point-d3-1over2", "point-d3-sqrt1over5", "point-d3-1over3",
-        "point-d3-1over100", "swap-d2-1over2", "swap-d2-sqrt1over5",
-        "swap-d2-1over100"])
-def test_ha_statistic_recorded(monkeypatch, make, d, delta, want):
-    monkeypatch.setattr(crossed, "HA_CAP", 10 ** 15)
-    count, _, sa_count = ha_statistic(make(FAIR), delta, d, E=[0], Q=[0, 1])
-    assert (count, sa_count) == want
-
-
-# -- the sum closure ------------------------------------------------------------
 
 # the element order of both universes fixes the positions of every search
 # and of the recorded outputs: sums come breadth first, fewest parts first
