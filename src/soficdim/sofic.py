@@ -59,6 +59,14 @@ position's classes and its pool are generated from the maps that
 satisfy it (``relation_classes``, ``relation_pool``) instead of
 filtered out of all the maps.
 
+One triple can fix a position t outright (``SearchPlan.forced``): at
+limit 1, (i, j, t) holds only for t = i after j, and in ``perms`` mode,
+where two different permutations never disagree on exactly one point,
+a triple holds exactly at limit 2 as well, so it fixes t in any of its
+slots.  The search derives such a position's one map from the
+positions before it instead of walking a pool.  A relation of t needs
+no check there: it comes from triples that the search checks anyway.
+
 A seeded Monte Carlo estimator and a cycle-type closed form for cyclic
 groups extend the statistic beyond enumeration range.  The estimator
 decides each trial with the same integer test: a trial stops part-way
@@ -582,6 +590,25 @@ def fixed_windows(d: int, centres, tol_sq) -> list[frozenset]:
     return windows
 
 
+def _forced_map(t, triple, slots) -> tuple:
+    """The padded map at position t that makes ``triple`` (i, j, k) hold
+    exactly, given its other two maps in ``slots``: slots[i] after
+    slots[j] where t is k; otherwise the permutation solving
+    slots[k] = t after slots[j] (t = k after j^-1) or
+    slots[k] = slots[i] after t (t = i^-1 after k)."""
+    i, j, k = triple
+    if k == t:
+        return tuple(map(slots[i].__getitem__, slots[j]))
+    pad = [0] * len(slots[k])
+    if i == t:
+        for x, y in zip(slots[j], slots[k]):
+            pad[x] = y
+        return tuple(pad)
+    for x, y in enumerate(slots[i]):
+        pad[y] = x
+    return tuple(map(pad.__getitem__, slots[k]))
+
+
 def _admissible(t, slots, sums, triples, limit) -> bool:
     """Whether the assignment in ``slots`` passes the checks that
     position t completes.
@@ -617,9 +644,10 @@ class SearchPlan:
     (identity, sum, sum), so this drops exactly the candidates that
     triple would.
 
-    ``relations``, ``classes`` and ``pools`` build what the search
-    draws from (see ``pools``).  Each is derived on first use, so a
-    Monte Carlo run, which builds no pool, derives none of them.
+    ``relations``, ``forced``, ``classes`` and ``pools`` build what
+    the search draws from (see ``pools``).  Each is derived on first
+    use, so a Monte Carlo run, which builds no pool, derives none of
+    them.
 
     The plan leaves out every triple (e, j, j) and (j, e, j) of a ball
     position e of trace 1, which cannot reject.  The window of e holds
@@ -689,6 +717,28 @@ class SearchPlan:
                 relations.append(None)
         return relations
 
+    @cached_property
+    def forced(self) -> list:
+        """Per ball position t, the first of its own triples that fixes
+        its map, or None: a triple of ``triples[t]`` that holds t once
+        and ball positions in its other two slots, with t the product
+        at limit 1, or in any slot at limit 1 or 2 in ``perms`` mode.
+
+        At limit 1 a triple admits no disagreement, so (i, j, t) holds
+        only for t = i after j.  Two different permutations never
+        disagree on exactly one point, so in ``perms`` mode a triple
+        admits none at limit 2 either, and (i, t, k) holds only for
+        t = i^-1 after k, (t, j, k) only for t = k after j^-1.  The
+        other two positions come before t, so the map is known when the
+        search reaches t (``_forced_map``), and every other map of t's
+        pool fails that triple.
+        """
+        n, limit = self.params.source.n_ball, self.limit
+        exact = self.params.mode == "perms" and limit <= 2
+        return [next((ijk for ijk in own if ijk.count(t) == 1 and max(ijk) < n
+                      and (exact or (limit == 1 and ijk[2] == t))), None)
+                for t, own in enumerate(self.triples)]
+
     def classes(self, t) -> list[tuple[tuple, int]]:
         """The (representative, class size) pairs of the conjugacy
         classes that ball position t's window admits, restricted to the
@@ -709,33 +759,41 @@ class SearchPlan:
 
         1. at ``split``, a ball position or None, one representative of
            each of its ``classes``;
-        2. the maps of the position's relation, generated in the order
+        2. None at a ``forced`` position: the search derives its map;
+        3. the maps of the position's relation, generated in the order
            of ``pperm.iter_images`` (``relation_pool``);
-        3. where the position's classes hold at most one map, that map
+        4. where the position's classes hold at most one map, that map
            (or none): a window that admits a single map admits a map
            that every conjugation fixes (the identity, or the empty
            map);
-        4. the position's list from one ``candidate_pool`` pass over the
+        5. the position's list from one ``candidate_pool`` pass over the
            windows of the positions that reach this rule, which passes
            over no map when none does.
 
-        Every pool but the split one holds exactly the maps of the full
-        pass that satisfy the position's relation, in the same order, so
-        with split None the search yields the members, in their order,
-        of a search over the full pass.
+        Every pool of rules 3 to 5 holds exactly the maps of the full
+        pass that satisfy the position's relation, in the same order,
+        and at a forced position the derived map is the one map of the
+        full pass that can pass the triple that forces it, so with split
+        None the search yields the members, in their order, of a search
+        over the full pass.  A relation needs no check at a forced
+        position: it comes from triples that the search checks anyway,
+        or that cannot fail.
         """
-        pools = []
+        pools, passed = [], []
         for t, (fixed, relation) in enumerate(zip(self.windows, self.relations)):
-            if t != split and relation is not None:
+            if t != split and self.forced[t] is not None:
+                pools.append(None)
+            elif t != split and relation is not None:
                 pools.append(relation_pool(self.d, fixed, relation))
             elif t == split or sum(size for _, size in self.classes(t)) <= 1:
                 pools.append([pad for pad, _ in self.classes(t)])
             else:
+                passed.append(t)
                 pools.append(None)
-        shared = iter(candidate_pool(self.d, self.params.mode,
-                                     [fixed for fixed, pool in zip(self.windows, pools)
-                                      if pool is None]))
-        return [next(shared) if pool is None else pool for pool in pools]
+        shared = candidate_pool(self.d, self.params.mode, [self.windows[t] for t in passed])
+        for t, pool in zip(passed, shared):
+            pools[t] = pool
+        return pools
 
     def search(self, pools):
         """Yield the slot list at every member whose image at each ball
@@ -745,17 +803,28 @@ class SearchPlan:
         the list is reused, so copy from it.
 
         Position t takes a padded image tuple of ``pools[t]`` into the
-        slot list and keeps it when ``_admissible`` passes t.
+        slot list and keeps it when ``_admissible`` passes t.  Where
+        ``pools[t]`` is None, t is ``forced`` and its one candidate is
+        the map its forcing triple derives, kept when its fixed-point
+        count lies in t's window; any other map of t's window fails
+        that triple, so the members and their order are those of a walk
+        over the full window.  Pools given as lists at every position
+        are walked as they are.
         """
         n = len(pools)
         sums, triples, limit = self.sums, self.triples, self.limit
+        forced, windows, points = self.forced, self.windows, range(self.d + 1)
         slots = [None] * self.n_universe
 
         def walk(t):
             if t == n:
                 yield slots
                 return
-            for pad in pools[t]:
+            pool = pools[t]
+            if pool is None:
+                pad = _forced_map(t, forced[t], slots)
+                pool = (pad,) if sum(map(eq, pad, points)) - 1 in windows[t] else ()
+            for pad in pool:
                 slots[t] = pad
                 if _admissible(t, slots, sums, triples, limit):
                     yield from walk(t + 1)

@@ -8,8 +8,10 @@ On instances small enough to enumerate in full, the members of
 ``SearchPlan.search`` (and of its callers) must be exactly the candidates of
 ``itertools.product(pool, repeat=n_ball)`` that the oracle
 accepts, in the same order; the counts by conjugacy classes must equal
-those of the plain search, and the classes must partition the maps;
-and every Monte Carlo trial must decide membership as the oracle does on
+those of the plain search, and the classes must partition the maps; a
+map derived at a forced position must be the one its triple allows, and
+the D-infinity counts must equal their closed series; and every Monte
+Carlo trial must decide membership as the oracle does on
 the images drawn from its substream.
 """
 
@@ -506,15 +508,15 @@ def test_class_sizes_per_window_match_the_pools(d, mode):
 
 
 # delta*d < 1: exact multiplicativity and no fixed point off the identity,
-# which is what the closed form counts; zmod(3) stops at d = 11: at d = 12
-# its last position walks its pool of 246,400 permutations of order 3
-# under each class of the first, where a^2 = a a could be forced
+# which is what the closed form counts; the last position of zmod(3), a^-1,
+# is forced by (a, a, a^-1), so at d = 15 (44,844,800 members) it derives
+# one map where a walk of its pool would try all 44,844,800
 @pytest.mark.parametrize("m,d", [(2, d) for d in range(1, 11)]
-                         + [(3, d) for d in range(1, 12)])
+                         + [(3, d) for d in range(1, 16)])
 def test_class_count_matches_closed_form(m, d):
     delta = Fraction(1, d + 1)
     params = family(f"zmod({m})", delta, d)
-    assert count_SA(params, (), cap=10 ** 30)[0] == closed_form_count(m, d, delta)
+    assert count_SA(params, (), cap=10 ** 40)[0] == closed_form_count(m, d, delta)
 
 
 # -- relations at limit 1 ---------------------------------------------------------
@@ -609,6 +611,18 @@ def r3(delta, d, mode="all"):
     return groupoid_params(g, full_group_generators(g), 1, Fraction(delta), d, mode=mode)
 
 
+def r3_arrow_unit(delta, d):
+    """The arrow 0 -> 1 and the projection P onto unit 2 of the 3-point
+    relation, in all mode.  Every triple of P's own that holds P once,
+    such as (s, s, P) for the sum s of the arrow and P, reads a sum
+    resolved at P itself, so none forces P."""
+    g = transitive_groupoid(3)
+    F = [PartialBisection(g, frozenset(a for a in range(g.n_arrows)
+                                       if (g.source[a], g.range_[a]) == pair))
+         for pair in ((0, 1), (2, 2))]
+    return groupoid_params(g, F, 1, Fraction(delta), d, mode="all")
+
+
 # (name, make, top): sources at limit 1 (delta*d <= 1), made by
 # make(delta, d) for d = 1..top.  The plain search bounds top: zmod(3) and
 # zmod(4) at d = 7 take 5 s and 9 s, r3 at d = 6 in all mode and at d = 7
@@ -618,7 +632,8 @@ LIMIT_1_SOURCES = [
     ("zmod4", partial(family, "zmod(4)"), 6),
     ("freeprod", partial(family, "freeprod(zmod(2),zmod(2))"), 7),
     ("r2", partial(r2, "full"), 7), ("r2-hypothesis", r2_hypothesis, 7), ("r3", r3, 5),
-    ("r3-perms", lambda delta, d: r3(delta, d, "perms"), 6)]
+    ("r3-perms", lambda delta, d: r3(delta, d, "perms"), 6),
+    ("r3-arrow-unit", r3_arrow_unit, 4)]
 
 
 # every source at limit 1: iter_SA_members yields the members of the plain
@@ -646,6 +661,73 @@ def test_members_match_the_plain_search(make, top):
             assert count_SA(params, (), cap=10 ** 30) == (count, min(count, 1))
 
 
+# each slot of a triple solved from the other two: every pair of
+# permutations of degree 4, and in the product slot every pair of maps
+# of degree 3
+@pytest.mark.parametrize("d,mode", [(4, "perms"), (3, "all")])
+def test_forced_map_solves_each_slot(d, mode):
+    maps = candidate_pool(d, mode, [whole(d)])[0]
+    for a, b in itertools.product(maps, repeat=2):
+        slots = [a, b, tuple(map(a.__getitem__, b))]
+        for t in range(3) if mode == "perms" else (2,):
+            assert sofic._forced_map(t, (0, 1, 2), slots[:t] + [None] + slots[t + 1:]) == slots[t]
+
+
+def dinfinity(n):
+    """make(delta, d) for the radius-n ball of D-infinity, freeprod(zmod(2),zmod(2))."""
+    system = parse_descriptor("freeprod(zmod(2),zmod(2))")
+    return lambda delta, d: ball_params(ball(system, n), Fraction(delta), d)
+
+
+# perms mode at limit 2, where a triple of permutations admits no
+# disagreement either: positions forced in any slot (a^-1 from (a, a^-1, e)
+# on z and zmod(4), ab from (a, b, ab) on D-infinity at n = 2) give the
+# members of the plain search over one full pass, in its order, and
+# count_SA its counts for every E
+@pytest.mark.parametrize("make", [partial(family, "z"), partial(family, "zmod(4)"),
+                                  dinfinity(2)], ids=["z", "zmod4", "freeprod-n2"])
+def test_limit_2_members_match_the_plain_search(make):
+    forced = 0
+    for d in range(1, 7):
+        for delta in (Fraction(1, 4), Fraction(2, 7)):
+            params = make(delta, d)
+            plan = SearchPlan(params)
+            forced += plan.limit == 2 and any(plan.forced)
+            nball = params.source.n_ball
+            members = []
+            plain = plan.search(candidate_pool(d, params.mode, plan.windows))
+            for slots, member in itertools.zip_longest(plain, iter_SA_members(params)):
+                assert member.images == tuple(
+                    pperm.PartialPermutation(d, pad[1:]) for pad in slots[:nball])
+                members.append(tuple(slots[:nball]))
+            for size in range(nball + 1):
+                for E in itertools.combinations(range(nball), size):
+                    restricted = {tuple(images[i] for i in E) for images in members}
+                    assert count_SA(params, E, cap=10 ** 30) == (len(members), len(restricted))
+    assert forced
+
+
+def dinfinity_series(n, d):
+    """d! [x^d] exp(sum of x^j / j over even j > n), exactly, by g' = f' g
+    on the coefficients: the actions of D-infinity on d points in which
+    no word of length 1..n fixes a point (every orbit has more than n
+    points)."""
+    f = [Fraction(1, j) if j % 2 == 0 and j > n else 0 for j in range(d + 1)]
+    g = [Fraction(1)]
+    for m in range(1, d + 1):
+        g.append(sum(k * f[k] * g[m - k] for k in range(1, m + 1)) / m)
+    return g[d] * math.factorial(d)
+
+
+# delta*d < 1: exact multiplicativity and no fixed point off the identity
+@pytest.mark.parametrize("n", range(1, 5))
+def test_dinfinity_counts_match_the_series(n):
+    for d in range(1, 9):
+        for delta in (Fraction(1, d + 1), Fraction(1, 10)):
+            params = dinfinity(n)(delta, d)
+            assert count_SA(params, (), cap=10 ** 60)[0] == dinfinity_series(n, d)
+
+
 def satisfies(pad, relation):
     """Whether a padded map satisfies the equation t^i = t^j that
     ``RELATIONS`` gives for a relation."""
@@ -663,11 +745,24 @@ POOL_SOURCES = (
        ("r2-hypothesis-limit2", lambda: [r2_hypothesis("1/3", 4)])])
 
 
+def forced_positions(params, plan):
+    """Per ball position, whether one of its own triples fixes its map:
+    a triple that holds it once and ball positions elsewhere, with the
+    position the product at limit 1, or in any slot at limit 1 or 2 in
+    perms mode."""
+    nball, limit = params.source.n_ball, plan.limit
+    return [any(ijk.count(t) == 1 and max(ijk) < nball
+                and ((limit == 1 and ijk[2] == t) or (params.mode == "perms" and limit <= 2))
+                for ijk in own)
+            for t, own in enumerate(plan.triples)]
+
+
 # SearchPlan.pools against the plain pass, for no split and for each
-# position as the split: every other pool is the pass's pool filtered by
-# the position's relation, in order; the split pool holds one
-# representative per class of that filtered pool, with its size; and the
-# one pass covers just the positions with no relation and two or more maps
+# position as the split: a forced position other than the split gets no
+# pool; every other pool is the pass's pool filtered by the position's
+# relation, in order; the split pool holds one representative per class
+# of that filtered pool, with its size; and the one pass covers just the
+# positions not forced, with no relation and two or more maps
 @pytest.mark.parametrize("make", [case[1] for case in POOL_SOURCES],
                          ids=[case[0] for case in POOL_SOURCES])
 def test_pools_follow_one_rule(make, monkeypatch):
@@ -678,6 +773,8 @@ def test_pools_follow_one_rule(make, monkeypatch):
     for params in make():
         plan = SearchPlan(params)
         nball = params.source.n_ball
+        forced = forced_positions(params, plan)
+        assert forced == [triple is not None for triple in plan.forced]
         kept = [maps if relation is None else [pad for pad in maps if satisfies(pad, relation)]
                 for maps, relation in zip(pool(params.d, params.mode, plan.windows),
                                           plan.relations)]
@@ -685,9 +782,11 @@ def test_pools_follow_one_rule(make, monkeypatch):
             calls.clear()
             pools = plan.pools(split)
             assert calls == [[plan.windows[t] for t in range(nball) if t != split
-                              and plan.relations[t] is None and len(kept[t]) > 1]]
+                              and not forced[t] and plan.relations[t] is None
+                              and len(kept[t]) > 1]]
             assert len(pools) == nball
-            assert all(pools[t] == kept[t] for t in range(nball) if t != split)
+            assert all(pools[t] is None if forced[t] else pools[t] == kept[t]
+                       for t in range(nball) if t != split)
             if split is None:
                 continue
             types = Counter(tuple(map(tuple, cycle_chain_type(pad[1:])))
