@@ -407,6 +407,17 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
 
     So a repeated outcome equals the first, and neither ``passed`` (an
     AND) nor ``worst_round_trip`` (a max) can change.
+
+    Each round trip sweeps the ambient source once, in ``restrict_sigma``,
+    and ``passed`` reads only the restriction's report.  The expansion's
+    verdict needs no sweep of its own: ``restrict_sigma`` raises unless
+    the expanded candidate is a member at delta over
+    ``cd.ambient_source(EXPAND_N)``, the very source and degree of the
+    expansion's certificate, so the gaps are the same, and that
+    certificate's tolerance delta' = (5 N^2 + 150 N^2 (2 |F_ambient| +
+    1)^(2 (2n+5))) delta is above delta.  Whenever restriction returns, the expansion
+    is a member at delta'.  The round-trip distance is the largest
+    disagreement count over the corner ball, over the base degree.
     """
     cd = scaling.standard_corner(g, [0])
     src = cd.expansion_source(scaling.EXPAND_N)
@@ -429,10 +440,11 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
         res = scaling.expand_sigma(sigma, cd, n=scaling.EXPAND_N, delta=delta,
                                    seed=seed + i)
         rr = scaling.restrict_sigma(res.candidate, cd, delta=delta)
-        all_pass &= res.report.is_member and rr.report.is_member
-        worst = max(pperm.uniform_distance(sigma.images[src.position[b]],
-                                           rr.candidate.images[j])
-                    for j, b in enumerate(rr.params.source.ball_elements))
+        all_pass &= rr.report.is_member
+        worst = Fraction(max(pperm.disagreement_count(sigma.images[src.position[b]],
+                                                      rr.candidate.images[j])
+                             for j, b in enumerate(rr.params.source.ball_elements)),
+                         base)
         allowed = 3 * rr.delta_prime
         all_pass &= worst <= allowed
         worst_round = max(worst_round, float(worst))

@@ -127,15 +127,15 @@ class ProjectionUniverse:
         self.letter_index = tuple(index[s] for s in model.letter_sets)
         self.triples = product_triples(self.elements, index, frozenset.__and__)
         # (i, j, k) with i <= j, elements[i] and elements[j] disjoint and
-        # their union elements[k]: the pairs of the 146 delta linearity
+        # their union elements[k]: the pairs of the 146 delta linearity.
+        # The closure holds the join of every disjoint family of parts
+        # (or raises), so the union of two disjoint elements is in it.
         pairs = []
         for i, a in enumerate(self.elements):
             for j in range(i, len(self.elements)):
                 b = self.elements[j]
                 if not (a & b):
-                    k = index.get(a | b)
-                    if k is not None:
-                        pairs.append((i, j, k))
+                    pairs.append((i, j, index[a | b]))
         self.sum_pairs = tuple(pairs)
 
     def __len__(self):

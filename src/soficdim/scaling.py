@@ -8,7 +8,8 @@ travel both ways:
 * expansion takes a candidate over the corner of degree d (with
   (N-k) | d) to one over the ambient of degree d' = N d / (N-k),
   gluing k new blocks to {1..d} through chosen bijections; the output
-  is verified at delta' = 5 N^2 delta + 150 N^2 (2|F u S|+1)^(2(2n+5)) delta.
+  is certified, when its report is first read, at
+  delta' = 5 N^2 delta + 150 N^2 (2|F u S|+1)^(2(2n+5)) delta.
 
 * restriction cuts an ambient candidate of degree d down to the fixed
   set of the image of p, adjusted to exactly floor(h(p) d) points, and
@@ -42,7 +43,7 @@ from .groupoid import (
     projection_bisection,
     tau,
 )
-from .pperm import PartialPermutation, _inverse_images
+from .pperm import PartialPermutation, _inverse_images, _orthogonal_sum
 from .rng import SplitMix64
 from .sofic import GroupoidSource, MembershipReport, SAParams, SoficCandidate
 
@@ -221,24 +222,40 @@ def expansion_delta(cd: CornerData, n: int, delta) -> Fraction:
 
 @dataclass(frozen=True)
 class ExpandResult:
+    """The expanded candidate, the ambient parameters it is certified
+    at (delta' over ``ambient_source(n)``), the blocks and the block
+    bijections."""
+
     candidate: SoficCandidate
     params: SAParams
-    report: MembershipReport
     delta_prime: Fraction
     d_prime: int
     blocks: tuple  # A_0..A_k as sorted tuples
     gammas: tuple  # the block bijections as partial permutations
 
+    @cached_property
+    def report(self) -> MembershipReport:
+        """``verify_membership`` of the candidate at ``params``, computed
+        when first read, so a caller that reads only ``candidate``
+        (``verify --suite scaling``, through ``restrict_sigma``) sweeps
+        the ambient source once."""
+        return sofic.verify_membership(self.candidate, self.params)
+
 
 def expand_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
                  delta, seed: int) -> ExpandResult:
-    """Dilate a corner candidate to the ambient groupoid and verify it.
+    """Dilate a corner candidate to the ambient groupoid.
 
     The corner candidate must cover the radius 4n+5 ball over the
     datum's F_corner and be a member there at delta; the degree d must be
     divisible by N-k.  New blocks A_1..A_k are glued to A_0 = {1..d}
     through bijections gamma_i from near-fixed sets B_i, each onto its
-    block in an order shuffled by ``seed``.
+    block in an order shuffled by ``seed``.  Each ambient image is the
+    orthogonal sum of its pieces gamma_i sigma(f) gamma_j^-1
+    (``expansion_plan``), each held as a padded image tuple and summed
+    by ``pperm._orthogonal_sum`` as the search sums its slots; an
+    overlap raises OverlapError.  The result's certificate at delta' is
+    computed when first read (``ExpandResult.report``).
     """
     delta = Fraction(delta)
     d = sigma.degree
@@ -273,7 +290,7 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
             fill = [x for x in range(1, d + 1) if x not in fixed]
             b_i = fix + fill[:block - len(fix)]
         sym_diff = len(set(fix) ^ set(b_i))
-        if Fraction(sym_diff) >= delta * d_prime:
+        if sym_diff >= delta * d_prime:
             raise ValueError(
                 f"near-fixed set of mover {i} misses its block by {sym_diff} points")
         targets = list(blocks[i])
@@ -283,28 +300,26 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
             images[x - 1] = y
         gammas.append(PartialPermutation(d_prime, images))
 
-    amb_src = cd.ambient_source(n)
     delta_prime = expansion_delta(cd, n, delta)
-    amb_params = SAParams(amb_src, delta_prime, d_prime)
+    amb_params = SAParams(cd.ambient_source(n), delta_prime, d_prime)
     gamma_pads = [(0,) + gamma.images for gamma in gammas]
     gamma_inverses = [_inverse_images(gamma.images) for gamma in gammas]
+    empty = (0,) * (d_prime + 1)
 
     def expand_element(pieces) -> PartialPermutation:
-        # each piece gamma_i s gamma_j^-1 on image tuples: gamma_j^-1 lands in {1..d}
-        parts = []
+        # each piece gamma_i s gamma_j^-1 as a padded tuple: gamma_j^-1 lands in
+        # {1..d}; the sum starts from the empty map (the empty bisection has no pieces)
+        parts = [empty]
         for i, j, f_c, pos in pieces:
             if pos is None:
                 raise ValueError(f"corner element {f_c!r} outside the candidate ball")
             inner = (0,) + sigma.images[pos].images
-            parts.append(PartialPermutation(
-                d_prime, (gamma_pads[i][inner[y]] for y in gamma_inverses[j])))
-        return pperm.orthogonal_sum(parts, d_prime)
+            parts.append((0, *(gamma_pads[i][inner[y]] for y in gamma_inverses[j])))
+        return PartialPermutation(d_prime, _orthogonal_sum(parts)[1:])
 
     images = [expand_element(pieces) for pieces in cd.expansion_plan(n)]
-    cand = SoficCandidate(d_prime, images)
-    report = sofic.verify_membership(cand, amb_params)
-    return ExpandResult(cand, amb_params, report, delta_prime, d_prime,
-                        tuple(blocks), tuple(gammas))
+    return ExpandResult(SoficCandidate(d_prime, images), amb_params, delta_prime,
+                        d_prime, tuple(blocks), tuple(gammas))
 
 
 # the ambient radius that restriction reads (the corner radius 1 plus 4),
@@ -331,6 +346,9 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, delta) -> RestrictResu
     d' = floor(h(p) d) > 1/delta.  The base set B starts from the fixed
     points of the image of p and is extended by the smallest absent
     indices or shrunk by its smallest members to exactly d' points.
+    The membership check at delta is this function's contract;
+    ``verify --suite scaling`` also reads it as the expansion's verdict
+    (``cli.run_scaling_suite``).
     """
     delta = Fraction(delta)
     d = sigma.degree

@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import runpy
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ from soficdim import cli, crossed, groupoid, partitions, scaling, sofic, wordbal
 from soficdim.cli import main, parse_drange, parse_fraction
 from soficdim.sofic import closed_form_count
 from soficdim.groupoid import transitive_groupoid
+from soficdim.pperm import PartialPermutation
 
 from references import scaling_suite_every_instance
 
@@ -963,6 +965,64 @@ def test_scaling_suite_round_trips_each_corner_candidate_once(capsys, monkeypatc
     assert calls == [0]
 
 
+# (source, d, seed, instances, distinct kept sets): at seed 2 the eight r2
+# instances keep eight different sets, at seed 0 two of them repeat
+@pytest.mark.parametrize("source,d,seed,instances,distinct", [
+    ("zmod(2)", "4", "0", "5", 1), ("r2", "30", "2", "8", 8), ("r2", "30", "0", "8", 7),
+], ids=["zmod2-d4", "r2-d30-seed2", "r2-d30-seed0"])
+def test_scaling_suite_sweeps_the_ambient_source_once_per_kept_set(
+        capsys, monkeypatch, r2_file, source, d, seed, instances, distinct):
+    # restriction's membership check decides both verdicts, so the
+    # expansion's certificate over the same source is never computed
+    kept, datums, sources = [], [], []
+    expand, verify = scaling.expand_sigma, sofic.verify_membership
+
+    def expanded(sigma, cd, **kwargs):
+        kept.append(sigma.images)
+        datums.append(cd)
+        return expand(sigma, cd, **kwargs)
+
+    def verified(sigma, params):
+        sources.append(params.source)
+        return verify(sigma, params)
+
+    monkeypatch.setattr(scaling, "expand_sigma", expanded)
+    monkeypatch.setattr(sofic, "verify_membership", verified)
+    code, out, _ = run(capsys, "verify", "--suite", "scaling",
+                       "--source", r2_file if source == "r2" else source,
+                       "--d", d, "--delta", "1/10", "--seed", seed,
+                       "--instances", instances)
+    assert code == 0 and json.loads(out)["suites"]["scaling"]["passed"]
+    assert len(kept) == len(set(kept)) == distinct
+    (cd,) = set(datums)
+    ambient = cd.ambient_source(scaling.EXPAND_N)
+    assert sum(src is ambient for src in sources) == distinct
+    # per round trip: the corner source in, the ambient and the corner back
+    assert len(sources) == 3 * distinct
+
+
+def test_expansion_certificate_is_computed_when_first_read(monkeypatch):
+    cd = scaling.standard_corner(transitive_groupoid(2), [0])
+    src = cd.expansion_source(scaling.EXPAND_N)
+    keep = range(1, 12)
+    sigma = sofic.SoficCandidate(12, [
+        PartialPermutation.projection(12, keep) if b.arrows else PartialPermutation.empty(12)
+        for b in src.ball_elements])
+    sources = []
+    verify = sofic.verify_membership
+    monkeypatch.setattr(sofic, "verify_membership",
+                        lambda sigma, params: sources.append(params.source)
+                        or verify(sigma, params))
+    res = scaling.expand_sigma(sigma, cd, n=scaling.EXPAND_N, delta=Fraction(1, 10),
+                               seed=3)
+    ambient = cd.ambient_source(scaling.EXPAND_N)
+    assert sources == [src] and res.params.source is ambient
+    report = res.report
+    assert sources == [src, ambient]
+    assert report == verify(res.candidate, res.params) and report.is_member
+    assert res.report is report and len(sources) == 2
+
+
 def test_table_source_builds_its_groupoid_once(capsys, tmp_path, monkeypatch):
     # the groupoid TableGroup builds to check the group laws is the one
     # verify runs on, so the O(m^3) associativity check runs once
@@ -1385,6 +1445,26 @@ class TestScripts:
         assert doc["all_pass"]
         assert set(doc["suites"]) == {"c1", "c2", "c3", "lin146", "ha", "scaling"}
         assert (tmp_path / "r2.gpd").exists()
+
+    def test_job_hashes_match_the_jobs_run_here(self, capsys, monkeypatch, tmp_path):
+        # a count that prints and a refusal that exits 2 with its error
+        # on stderr; each hash line must match the bytes of the job
+        jobs = [("count", "--family", "zmod(2)", "--d", "2", "--delta", "1/2"),
+                ("verify", "--suite", "nope", "--source", "zmod(2)", "--d", "2",
+                 "--delta", "1/10")]
+        listed = tmp_path / "jobs.txt"
+        listed.write_text("# two tiny jobs\n\n" + "".join(
+            " ".join(argv) + "\n" for argv in jobs))
+        code, out = run_script(capsys, monkeypatch, "job_hashes.py", "--jobs", str(listed))
+        assert code == 0
+        want = []
+        for argv in jobs:
+            exit_code, stdout, stderr = run(capsys, *argv)
+            want.append(" ".join([str(exit_code), hashlib.sha256(stdout.encode()).hexdigest(),
+                                  hashlib.sha256(stderr.encode()).hexdigest(),
+                                  shlex.join(argv)]))
+        assert out.splitlines() == want
+        assert [line.split()[0] for line in want] == ["0", "2"]
 
     def test_code_lines_counts_a_fixture_directory(self, capsys, monkeypatch,
                                                    tmp_path):

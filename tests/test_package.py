@@ -59,6 +59,7 @@ KEEP = {
     "distances": (ACCEPTANCE,),
     "random_permutation": (PER_LAYER,),
     "trace": (EXPORTED, PER_LAYER),  # pperm.trace
+    "orthogonal_sum": (EXPORTED, PER_LAYER),  # pperm.orthogonal_sum
 }
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -212,6 +213,30 @@ class TestExpand:
                         assert glued[glue] == img, (i, j, f)
                     glued[glue] = img
         assert collisions > 0
+
+    @pytest.mark.parametrize("corner", ["r2-p0", "r3-p0", "r4-p01"])
+    def test_glued_images_are_orthogonal_sums_of_their_pieces(self, corner):
+        # each ambient image is the orthogonal sum, over the plan's pieces
+        # (i, j, f), of gamma_i sigma(f) gamma_j^-1 built as partial
+        # permutations; sigma drops point 2 from every image at seed 5
+        cd = CORNERS[corner]()
+        for n, d, seed in product((1, 5), (6, 10), (0, 5)):
+            src = cd.expansion_source(n)
+            sigma = block_candidate(src, d)
+            if seed:
+                cut = PartialPermutation.projection(d, set(range(1, d + 1)) - {2})
+                sigma = SoficCandidate(d, [pperm.compose(cut, pperm.compose(s, cut))
+                                           for s in sigma.images])
+            res = expand_sigma(sigma, cd, n=n, delta=Fraction(1, 2), seed=seed)
+            d_prime = res.d_prime
+            inverses = [pperm.inverse(gamma) for gamma in res.gammas]
+            plan = cd.expansion_plan(n)
+            assert len(plan) == len(res.candidate.images)
+            for pieces, image in zip(plan, res.candidate.images):
+                parts = [pperm.compose(res.gammas[i], pperm.compose(PartialPermutation(
+                    d_prime, sigma.images[pos].images + (0,) * (d_prime - d)), inverses[j]))
+                    for i, j, _, pos in pieces]
+                assert image == pperm.orthogonal_sum(parts, d_prime), (n, d, seed)
 
     def test_expansion_delta_formula(self):
         cd = r2_corner()
