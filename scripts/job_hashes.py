@@ -9,7 +9,9 @@ checkouts compares every byte of every job:
     python3 scripts/job_hashes.py --jobs jobs.txt  # argv lines (shlex; # comments)
     python3 scripts/job_hashes.py --menu certify   # a menu of perfbench/workloads.py
 
-A menu run first writes ``perfbench/.work/r2.gpd``, as the benchmark's set-up does.
+Every run first writes the groupoid files ``GPD_FILES`` the jobs may read:
+``perfbench/.work/r2.gpd``, as the benchmark's set-up does, and ``r3.gpd`` and
+``r4.gpd`` beside it for ``scripts/scaling_jobs.txt``.
 """
 
 import argparse
@@ -22,7 +24,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SAVE_R2 = "from soficdim import transitive_groupoid; transitive_groupoid(2).save({!r})"
+# the transitive relation on m points, saved where the job lines name it
+GPD_FILES = {m: f"perfbench/.work/r{m}.gpd" for m in (2, 3, 4)}
+SAVE = ("from soficdim import transitive_groupoid\n"
+        "for m, path in {!r}.items(): transitive_groupoid(m).save(path)")
 
 
 def menu_jobs(name: str) -> list:
@@ -31,8 +36,6 @@ def menu_jobs(name: str) -> list:
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # dataclasses look their module up
     spec.loader.exec_module(workloads)
-    (ROOT / workloads.R2).parent.mkdir(parents=True, exist_ok=True)
-    run([sys.executable, "-c", SAVE_R2.format(workloads.R2)], check=True)
     return workloads.menu(workloads.WORKLOADS[name])
 
 
@@ -52,6 +55,8 @@ def main() -> int:
         jobs = [shlex.split(ln) for ln in lines if ln.strip() and not ln.startswith("#")]
     else:
         jobs = menu_jobs(args.menu)
+    (ROOT / GPD_FILES[2]).parent.mkdir(parents=True, exist_ok=True)
+    run([sys.executable, "-c", SAVE.format(GPD_FILES)], check=True)
     for argv in jobs:
         done = run([sys.executable, "-m", "soficdim.cli", *argv])
         print(done.returncode, hashlib.sha256(done.stdout).hexdigest(),

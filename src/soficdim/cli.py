@@ -412,15 +412,16 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
     and ``passed`` reads only the restriction's report.  The expansion's
     verdict needs no sweep of its own: ``restrict_sigma`` raises unless
     the expanded candidate is a member at delta over
-    ``cd.ambient_source(EXPAND_N)``, the very source and degree of the
+    ``cd.ambient_source``, the very source and degree of the
     expansion's certificate, so the gaps are the same, and that
     certificate's tolerance delta' = (5 N^2 + 150 N^2 (2 |F_ambient| +
-    1)^(2 (2n+5))) delta is above delta.  Whenever restriction returns, the expansion
-    is a member at delta'.  The round-trip distance is the largest
-    disagreement count over the corner ball, over the base degree.
+    1)^(2 (2n+5))) delta at n = ``scaling.EXPAND_N`` is above delta.
+    Whenever restriction returns, the expansion is a member at delta'.
+    The round-trip distance is the largest disagreement count over the
+    corner ball, over the base degree.
     """
     cd = scaling.standard_corner(g, [0])
-    src = cd.expansion_source(scaling.EXPAND_N)
+    src = cd.expansion_source
     all_pass = True
     worst_round = 0.0
     base = binding_degree(cd, delta, d)
@@ -437,15 +438,14 @@ def run_scaling_suite(g: FiniteGroupoid, d: int, delta: Fraction, seed: int,
         images = [PartialPermutation.projection(base, keep) if b.arrows
                   else PartialPermutation.empty(base) for b in src.ball_elements]
         sigma = SoficCandidate(base, images)
-        res = scaling.expand_sigma(sigma, cd, n=scaling.EXPAND_N, delta=delta,
-                                   seed=seed + i)
+        res = scaling.expand_sigma(sigma, cd, delta=delta, seed=seed + i)
         rr = scaling.restrict_sigma(res.candidate, cd, delta=delta)
         all_pass &= rr.report.is_member
         worst = Fraction(max(pperm.disagreement_count(sigma.images[src.position[b]],
                                                       rr.candidate.images[j])
                              for j, b in enumerate(rr.params.source.ball_elements)),
                          base)
-        allowed = 3 * rr.delta_prime
+        allowed = 3 * rr.params.delta
         all_pass &= worst <= allowed
         worst_round = max(worst_round, float(worst))
     return {"instances": instances, "passed": bool(all_pass),
@@ -492,25 +492,24 @@ def cmd_construct(args) -> int:
     doc = {"tool": "soficdim construct", "what": args.what, "seed": args.seed,
            "config": json.loads(config_echo(args, ("what", "d", "delta")))}
     if args.what in ("expand", "restrict"):
-        src = cd.expansion_source(scaling.EXPAND_N)
+        src = cd.expansion_source
         images = [PartialPermutation.identity(args.d) if b.arrows
                   else PartialPermutation.empty(args.d) for b in src.ball_elements]
         sigma = SoficCandidate(args.d, images)
-        res = scaling.expand_sigma(sigma, cd, n=scaling.EXPAND_N, delta=delta,
-                                   seed=args.seed)
+        res = scaling.expand_sigma(sigma, cd, delta=delta, seed=args.seed)
         ident = res.params.source.position[full_identity(cd.ambient)]
         # every gap is at most 1 and membership is strict, so a
         # tolerance above 1 admits every candidate
-        doc["expand"] = {"d_prime": res.d_prime,
-                         "delta_prime": float(res.delta_prime),
-                         "vacuous": res.delta_prime > 1,
+        doc["expand"] = {"d_prime": res.params.d,
+                         "delta_prime": float(res.params.delta),
+                         "vacuous": res.params.delta > 1,
                          "identity_image": res.candidate.images[ident].to_text(),
                          "certificate": res.report.to_json_dict()}
         if args.what == "restrict":
             rr = scaling.restrict_sigma(res.candidate, cd, delta=delta)
-            doc["restrict"] = {"d_prime": rr.d_prime,
-                               "delta_prime": float(rr.delta_prime),
-                               "vacuous": rr.delta_prime > 1,
+            doc["restrict"] = {"d_prime": rr.params.d,
+                               "delta_prime": float(rr.params.delta),
+                               "vacuous": rr.params.delta > 1,
                                "certificate": rr.report.to_json_dict()}
     else:  # phi
         swap = [a for a in range(4) if g.source[a] != g.range_[a]]

@@ -63,7 +63,9 @@ pairs of build_phi.  delta0^2, the
 ha tolerance^2 and V's size factor are computed once per basis and
 delta (``SpanBasis.per_delta``).
 Square roots never enter the arithmetic: bounds against sqrt(delta)
-are decided by comparing squares of exact rationals.
+are decided by comparing squares of exact rationals.  The ha tolerance
+is held as its square (``BuildPhiResult.tolerance_sq``), and verify_HA
+passes a gap g when g * g is below it.
 """
 
 from __future__ import annotations
@@ -82,22 +84,6 @@ from .partitions import (
     SpanBasis,
 )
 from .wordball import product_triples
-
-
-@dataclass(frozen=True)
-class SqrtTol:
-    """A tolerance of the form sqrt(value_sq); compared via squares."""
-
-    value_sq: Fraction
-
-    def __float__(self):
-        return math.sqrt(float(self.value_sq))
-
-
-def gap_below(gap: Fraction, tol) -> bool:
-    if isinstance(tol, SqrtTol):
-        return gap * gap < tol.value_sq
-    return gap < tol
 
 
 class ProjectionUniverse:
@@ -203,9 +189,11 @@ class HAReport:
         return out
 
 
-def verify_HA(cand: HACandidate, tol) -> HAReport:
+def verify_HA(cand: HACandidate, tol_sq) -> HAReport:
     """Exact worst gaps of (sigma, phi) against conditions (i)-(iv) at
-    ``tol``, a rational or a SqrtTol.
+    the tolerance whose square is the rational ``tol_sq``: a gap g
+    passes when g * g < tol_sq, and the report shows the tolerance as
+    the float square root of ``tol_sq``.
 
     The cylinder model, its projection universe and the degree d of
     sigma are read from the candidate's ModelMember, and phi is the
@@ -235,10 +223,12 @@ def verify_HA(cand: HACandidate, tol) -> HAReport:
     model = member.model
     uni = model.universe
     d = member.sigma.degree
-    tol = tol if isinstance(tol, SqrtTol) else Fraction(tol)
+
+    def below(gap):
+        return gap * gap < tol_sq
+
     rep = member.sigma_report
-    sigma_ok = (rep.is_member and gap_below(rep.mult_gap, tol)
-                and gap_below(rep.trace_gap, tol))
+    sigma_ok = rep.is_member and below(rep.mult_gap) and below(rep.trace_gap)
     masks = cand.supports
 
     # |m.bit_count()/d - mu| over M d, M the model's weight denominator
@@ -267,10 +257,9 @@ def verify_HA(cand: HACandidate, tol) -> HAReport:
     mult_gap = Fraction(mult_count, d)
 
     unit_gap = Fraction(d - masks[uni.x_index].bit_count(), d)
-    member_ok = (sigma_ok and gap_below(trace_gap, tol) and gap_below(equi_gap, tol)
-                 and gap_below(mult_gap, tol) and gap_below(unit_gap, tol))
+    member_ok = sigma_ok and all(map(below, (trace_gap, equi_gap, mult_gap, unit_gap)))
     return HAReport(member_ok, trace_gap, trace_wit, equi_gap, equi_wit,
-                    mult_gap, mult_wit, unit_gap, sigma_ok, float(tol))
+                    mult_gap, mult_wit, unit_gap, sigma_ok, math.sqrt(float(tol_sq)))
 
 
 # -- approximate linearity ------------------------------------------------------
@@ -323,8 +312,6 @@ def approx_sum_check(cand: HACandidate, delta) -> SumCheck:
     --suite ha`` reports it through ``build_phi``); this check reads phi
     alone.
     """
-    if isinstance(delta, SqrtTol):
-        raise ValueError("the linearity bound needs a rational tolerance")
     masks = cand.supports
     counts = [((masks[i] | masks[j]) ^ masks[k]).bit_count()
               for i, j, k in cand.member.model.universe.sum_pairs]
@@ -432,22 +419,22 @@ def build_phi0(table: Phi0Table, delta) -> PropertyReport:
 
 @dataclass(frozen=True)
 class BuildPhiResult:
-    """The pair that build_phi restricts to V, the SqrtTol ``tolerance``
-    it is certified at, V with its size bound, and the certificate."""
+    """The pair that build_phi restricts to V, the square ``tolerance_sq``
+    of the tolerance it is certified at, V with whether it meets its size
+    bound, and the certificate."""
 
     candidate: HACandidate
-    tolerance: SqrtTol
+    tolerance_sq: Fraction
     V: frozenset
     v_fraction: Fraction
-    v_bound: Fraction
     v_ok: bool
 
     @cached_property
     def report(self) -> HAReport:
-        """``verify_HA`` of the pair at ``tolerance``, computed when
+        """``verify_HA`` of the pair at ``tolerance_sq``, computed when
         first read, so a caller that reads only ``candidate`` (``verify
         --suite lin146``) certifies nothing."""
-        return verify_HA(self.candidate, self.tolerance)
+        return verify_HA(self.candidate, self.tolerance_sq)
 
 
 def ha_tolerance_squared(basis: SpanBasis, delta) -> Fraction:
@@ -472,9 +459,9 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
     image-side indicator and where disjoint cylinders have disjoint
     supports; on V each sum-closure value is a genuine projection, held
     as the bitmask of its support (``HACandidate``).  The pair is
-    certified at the displayed tolerance, a SqrtTol kept as the
-    result's ``tolerance``, when its ``report`` is first read, and the
-    size of V is checked against its lower bound.  The supports run
+    certified at the displayed tolerance, whose square is kept as the
+    result's ``tolerance_sq``, when its ``report`` is first read, and
+    the size of V is checked against its lower bound.  The supports run
     over the model's projection universe; subsets whose phi0 numerators
     are equal share one support, computed once.
     """
@@ -491,8 +478,6 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
     if not V:
         raise HypothesisError("the exactness set V is empty; the linear map "
                               "certification hypotheses must have failed")
-    tolerance = SqrtTol(basis.per_delta(ha_tolerance_squared, delta))
-    v_bound = d * basis.per_delta(v_size_factor, delta)
     by_nums = {}
     supports = []
     for subset in model.universe.elements:
@@ -509,6 +494,8 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
                                           f"(value {Fraction(v, den)})")
             by_nums[nums] = m
         supports.append(m)
-    return BuildPhiResult(HACandidate(table.member, supports), tolerance, frozenset(V),
-                          Fraction(len(V), d), v_bound, len(V) >= v_bound)
+    return BuildPhiResult(HACandidate(table.member, supports),
+                          basis.per_delta(ha_tolerance_squared, delta), frozenset(V),
+                          Fraction(len(V), d),
+                          len(V) >= d * basis.per_delta(v_size_factor, delta))
 

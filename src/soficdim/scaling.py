@@ -3,13 +3,14 @@
 A corner datum couples an ambient groupoid with a unit projection p of
 rational mass (N-k)/N and k bisections whose domains sit inside p with
 mass 1/N each and whose ranges tile the complement of p.  Candidates
-travel both ways:
+travel both ways, and every expansion runs at the one radius
+``EXPAND_N`` that a restriction can follow:
 
 * expansion takes a candidate over the corner of degree d (with
   (N-k) | d) to one over the ambient of degree d' = N d / (N-k),
   gluing k new blocks to {1..d} through chosen bijections; the output
   is certified, when its report is first read, at
-  delta' = 5 N^2 delta + 150 N^2 (2|F u S|+1)^(2(2n+5)) delta.
+  delta' = 5 N^2 delta + 150 N^2 (2|F u S|+1)^(2(2n+5)) delta, n = EXPAND_N.
 
 * restriction cuts an ambient candidate of degree d down to the fixed
   set of the image of p, adjusted to exactly floor(h(p) d) points, and
@@ -18,7 +19,8 @@ travel both ways:
 The datum fixes the generating sets both steps use: F_corner is the
 corner identity and the mover domain projections, and F_ambient is
 F_corner pushed into the ambient joined with the movers.  It works
-them out once and builds each radius-n source over them once.
+them out once and builds each source the round trip reads over them
+once.
 
 The closed identity s(ambient) - 1 = h(p) (s(corner) - 1) is exposed
 as exact arithmetic in both directions.
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import pperm, sofic
+from . import sofic
 from .groupoid import (
     CornerEmbedding,
     FiniteGroupoid,
@@ -52,6 +54,11 @@ class CornerDataError(GroupoidError):
     """The corner datum violates one of its three exact conditions."""
 
 
+# the ambient radius that restriction reads (the corner radius 1 plus 4),
+# and so the radius n of an expansion that a restriction can follow
+EXPAND_N = 5
+
+
 @dataclass(frozen=True)
 class CornerData:
     """Ambient groupoid, unit projection of mass (N-k)/N, and the k movers.
@@ -61,11 +68,13 @@ class CornerData:
     each on first use and then kept: ``dom_projections``, the mover
     domains as corner projections; ``F_corner``, the corner identity
     followed by those domains; ``F_ambient``, F_corner embedded in the
-    ambient followed by the movers (so it holds the image of p);
-    through ``corner_source(n)`` and ``ambient_source(n)``, the radius-n
-    membership source over each set; through ``expansion_source(n)``,
-    the corner source an expansion at radius n reads; and through
-    ``expansion_plan(n)``, the bisection algebra of that expansion.
+    ambient followed by the movers (so it holds the image of p); the
+    membership sources of the round trip, ``corner_source`` (radius 1
+    over F_corner, restriction's output), ``ambient_source`` (radius
+    ``EXPAND_N`` over F_ambient, expansion's output and restriction's
+    input) and ``expansion_source`` (radius 4 ``EXPAND_N`` + 5 over
+    F_corner, expansion's input); and ``expansion_plan``, the bisection
+    algebra of the expansion.
     """
 
     ambient: FiniteGroupoid
@@ -104,57 +113,47 @@ class CornerData:
         return tuple(dict.fromkeys(
             [self.embedding.embed_bisection(f) for f in self.F_corner] + list(self.S)))
 
-    def corner_source(self, n: int) -> GroupoidSource:
-        """The radius-n source over F_corner, built on first use."""
-        return self._once(("corner", n),
-                          lambda: GroupoidSource(self.corner, self.F_corner, n))
-
-    def ambient_source(self, n: int) -> GroupoidSource:
-        """The radius-n source over F_ambient, built on first use."""
-        return self._once(("ambient", n),
-                          lambda: GroupoidSource(self.ambient, self.F_ambient, n))
-
-    def expansion_source(self, n: int) -> GroupoidSource:
-        """The corner source an expansion at radius n reads its candidate
-        over: ``corner_source(4 n + 5)``."""
-        return self.corner_source(4 * n + 5)
-
-    def expansion_plan(self, n: int) -> tuple:
-        """What ``expand_sigma`` at radius n reads of the datum, built on
-        first use: for each element u of ``ambient_source(n)``, in ball
-        order, one (i, j, f, pos) per nonempty piece r_i u r_j, where
-        r_0 = p and r_i = ran(s_i) cut the ambient into blocks.  f is the
-        piece moved into the corner, m_i^-1 (r_i u r_j) m_j pulled back
-        (m_0 = p, m_i = s_i), and pos its position in
-        ``expansion_source(n)``, None where that ball misses it."""
-        def build():
-            position = self.expansion_source(n).position
-            movers = [self.p_ambient(), *self.S]
-            cut = [b_compose(m, b_inverse(m)) for m in movers]
-            plan = []
-            for u in self.ambient_source(n).ball_elements:
-                pieces = []
-                for i, (r_i, m_i) in enumerate(zip(cut, movers)):
-                    row = b_compose(r_i, u)
-                    for j, (r_j, m_j) in enumerate(zip(cut, movers)):
-                        piece = b_compose(row, r_j)
-                        if piece.arrows:
-                            f = self.embedding.pull_back_bisection(
-                                b_compose(b_compose(b_inverse(m_i), piece), m_j))
-                            pieces.append((i, j, f, position.get(f)))
-                plan.append(tuple(pieces))
-            return tuple(plan)
-        return self._once(("plan", n), build)
+    @cached_property
+    def corner_source(self) -> GroupoidSource:
+        """The radius-1 source over F_corner that restriction lands in."""
+        return GroupoidSource(self.corner, self.F_corner, 1)
 
     @cached_property
-    def _derived(self) -> dict:
-        """What ``_once`` has built, by key."""
-        return {}
+    def ambient_source(self) -> GroupoidSource:
+        """The radius-``EXPAND_N`` source over F_ambient."""
+        return GroupoidSource(self.ambient, self.F_ambient, EXPAND_N)
 
-    def _once(self, key, build):
-        if key not in self._derived:
-            self._derived[key] = build()
-        return self._derived[key]
+    @cached_property
+    def expansion_source(self) -> GroupoidSource:
+        """The radius 4 ``EXPAND_N`` + 5 source over F_corner that an
+        expansion reads its candidate over."""
+        return GroupoidSource(self.corner, self.F_corner, 4 * EXPAND_N + 5)
+
+    @cached_property
+    def expansion_plan(self) -> tuple:
+        """What ``expand_sigma`` reads of the datum: for each element u of
+        ``ambient_source``, in ball order, one (i, j, f, pos) per nonempty
+        piece r_i u r_j, where r_0 = p and r_i = ran(s_i) cut the ambient
+        into blocks.  f is the piece moved into the corner,
+        m_i^-1 (r_i u r_j) m_j pulled back (m_0 = p, m_i = s_i), and pos
+        its position in ``expansion_source``, None where that ball misses
+        it."""
+        position = self.expansion_source.position
+        movers = [self.p_ambient(), *self.S]
+        cut = [b_compose(m, b_inverse(m)) for m in movers]
+        plan = []
+        for u in self.ambient_source.ball_elements:
+            pieces = []
+            for i, (r_i, m_i) in enumerate(zip(cut, movers)):
+                row = b_compose(r_i, u)
+                for j, (r_j, m_j) in enumerate(zip(cut, movers)):
+                    piece = b_compose(row, r_j)
+                    if piece.arrows:
+                        f = self.embedding.pull_back_bisection(
+                            b_compose(b_compose(b_inverse(m_i), piece), m_j))
+                        pieces.append((i, j, f, position.get(f)))
+            plan.append(tuple(pieces))
+        return tuple(plan)
 
 
 def make_corner_data(g: FiniteGroupoid, p_units, S) -> CornerData:
@@ -214,8 +213,8 @@ def standard_corner(g: FiniteGroupoid, p_units) -> CornerData:
     return make_corner_data(g, p_units, S)
 
 
-def expansion_delta(cd: CornerData, n: int, delta) -> Fraction:
-    size, N = len(cd.F_ambient), cd.N
+def expansion_delta(cd: CornerData, delta) -> Fraction:
+    size, N, n = len(cd.F_ambient), cd.N, EXPAND_N
     return (5 * N ** 2 + 150 * N ** 2 * (2 * size + 1) ** (2 * (2 * n + 5))) \
         * Fraction(delta)
 
@@ -223,13 +222,11 @@ def expansion_delta(cd: CornerData, n: int, delta) -> Fraction:
 @dataclass(frozen=True)
 class ExpandResult:
     """The expanded candidate, the ambient parameters it is certified
-    at (delta' over ``ambient_source(n)``), the blocks and the block
-    bijections."""
+    at (degree d' and tolerance delta' over ``ambient_source``), the
+    blocks and the block bijections."""
 
     candidate: SoficCandidate
     params: SAParams
-    delta_prime: Fraction
-    d_prime: int
     blocks: tuple  # A_0..A_k as sorted tuples
     gammas: tuple  # the block bijections as partial permutations
 
@@ -242,31 +239,33 @@ class ExpandResult:
         return sofic.verify_membership(self.candidate, self.params)
 
 
-def expand_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
-                 delta, seed: int) -> ExpandResult:
-    """Dilate a corner candidate to the ambient groupoid.
+def expand_sigma(sigma: SoficCandidate, cd: CornerData, delta,
+                 seed: int) -> ExpandResult:
+    """Dilate a corner candidate to the ambient groupoid at radius
+    ``EXPAND_N``.
 
-    The corner candidate must cover the radius 4n+5 ball over the
-    datum's F_corner and be a member there at delta; the degree d must be
-    divisible by N-k.  New blocks A_1..A_k are glued to A_0 = {1..d}
-    through bijections gamma_i from near-fixed sets B_i, each onto its
-    block in an order shuffled by ``seed``.  Each ambient image is the
-    orthogonal sum of its pieces gamma_i sigma(f) gamma_j^-1
-    (``expansion_plan``), each held as a padded image tuple and summed
-    by ``pperm._orthogonal_sum`` as the search sums its slots; an
-    overlap raises OverlapError.  The result's certificate at delta' is
-    computed when first read (``ExpandResult.report``).
+    The corner candidate must cover the datum's ``expansion_source``
+    (radius 4 ``EXPAND_N`` + 5) and be a member there at delta; the
+    degree d must be divisible by N-k.  New blocks A_1..A_k are glued
+    to A_0 = {1..d} through bijections gamma_i from near-fixed sets
+    B_i, each onto its block in an order shuffled by ``seed``.  Each
+    ambient image is the orthogonal sum of its pieces
+    gamma_i sigma(f) gamma_j^-1 (``expansion_plan``), each held as a
+    padded image tuple and summed by ``pperm._orthogonal_sum`` as the
+    search sums its slots; an overlap raises OverlapError.  The
+    result's certificate at delta' (``expansion_delta``) is computed
+    when first read (``ExpandResult.report``).
     """
     delta = Fraction(delta)
     d = sigma.degree
     N, k = cd.N, cd.k
     if (N - k) == 0 or d % (N - k):
         raise ValueError(f"degree {d} is not divisible by N-k = {N - k}")
-    corner_src = cd.expansion_source(n)
+    corner_src = cd.expansion_source
     rep = sofic.verify_membership(sigma, SAParams(corner_src, delta, d))
     if not rep.is_member:
         raise ValueError(
-            f"corner candidate is not a member at radius {4 * n + 5}: "
+            f"corner candidate is not a member at radius {4 * EXPAND_N + 5}: "
             f"mult gap {rep.mult_gap}, trace gap {rep.trace_gap}")
 
     d_prime = d * N // (N - k)
@@ -300,8 +299,7 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
             images[x - 1] = y
         gammas.append(PartialPermutation(d_prime, images))
 
-    delta_prime = expansion_delta(cd, n, delta)
-    amb_params = SAParams(cd.ambient_source(n), delta_prime, d_prime)
+    amb_params = SAParams(cd.ambient_source, expansion_delta(cd, delta), d_prime)
     gamma_pads = [(0,) + gamma.images for gamma in gammas]
     gamma_inverses = [_inverse_images(gamma.images) for gamma in gammas]
     empty = (0,) * (d_prime + 1)
@@ -317,14 +315,9 @@ def expand_sigma(sigma: SoficCandidate, cd: CornerData, n: int,
             parts.append((0, *(gamma_pads[i][inner[y]] for y in gamma_inverses[j])))
         return PartialPermutation(d_prime, _orthogonal_sum(parts)[1:])
 
-    images = [expand_element(pieces) for pieces in cd.expansion_plan(n)]
-    return ExpandResult(SoficCandidate(d_prime, images), amb_params, delta_prime,
-                        d_prime, tuple(blocks), tuple(gammas))
-
-
-# the ambient radius that restriction reads (the corner radius 1 plus 4),
-# and so the radius n of an expansion that a restriction can follow
-EXPAND_N = 5
+    images = [expand_element(pieces) for pieces in cd.expansion_plan]
+    return ExpandResult(SoficCandidate(d_prime, images), amb_params,
+                        tuple(blocks), tuple(gammas))
 
 
 @dataclass(frozen=True)
@@ -332,9 +325,6 @@ class RestrictResult:
     candidate: SoficCandidate
     params: SAParams
     report: MembershipReport
-    delta_prime: Fraction
-    d_prime: int
-    p_distance: Fraction  # |sigma(p) - p_B|
 
 
 def restrict_sigma(sigma: SoficCandidate, cd: CornerData, delta) -> RestrictResult:
@@ -346,7 +336,9 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, delta) -> RestrictResu
     d' = floor(h(p) d) > 1/delta.  The base set B starts from the fixed
     points of the image of p and is extended by the smallest absent
     indices or shrunk by its smallest members to exactly d' points.
-    The membership check at delta is this function's contract;
+    The result's ``params`` hold d' and the corner tolerance
+    20 delta / h(p).  The membership check at delta is this function's
+    contract;
     ``verify --suite scaling`` also reads it as the expansion's verdict
     (``cli.run_scaling_suite``).
     """
@@ -356,7 +348,7 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, delta) -> RestrictResu
     d_prime = int(h_p * d)
     if d_prime * delta <= 1:
         raise ValueError(f"d' = {d_prime} must exceed 1/delta = {1 / delta}")
-    amb_src = cd.ambient_source(EXPAND_N)
+    amb_src = cd.ambient_source
     rep = sofic.verify_membership(sigma, SAParams(amb_src, delta, d))
     if not rep.is_member:
         raise ValueError(
@@ -371,12 +363,9 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, delta) -> RestrictResu
         kept = set(b0)
         absent = [x for x in range(1, d + 1) if x not in kept]
         B = sorted(b0 + absent[:d_prime - len(b0)])
-    p_b = PartialPermutation.projection(d, B)
-    p_distance = pperm.uniform_distance(sig_p, p_b)
 
-    corner_src = cd.corner_source(1)
-    delta_prime = 20 * delta / h_p
-    corner_params = SAParams(corner_src, delta_prime, d_prime)
+    corner_src = cd.corner_source
+    corner_params = SAParams(corner_src, 20 * delta / h_p, d_prime)
 
     label = {x: i for i, x in enumerate(B, start=1)}  # B relabeled 1..d'
 
@@ -391,8 +380,7 @@ def restrict_sigma(sigma: SoficCandidate, cd: CornerData, delta) -> RestrictResu
     images = [restrict_element(f) for f in corner_src.ball_elements]
     cand = SoficCandidate(d_prime, images)
     report = sofic.verify_membership(cand, corner_params)
-    return RestrictResult(cand, corner_params, report, delta_prime, d_prime,
-                          p_distance)
+    return RestrictResult(cand, corner_params, report)
 
 
 # -- the closed identity ----------------------------------------------------------

@@ -246,7 +246,7 @@ def scaling_suite_every_instance(g, d: int, delta, seed: int, instances: int) ->
     """The scaling suite's dict with a full round trip for every instance,
     repeated corner candidates included."""
     cd = scaling.standard_corner(g, [0])
-    src = cd.expansion_source(scaling.EXPAND_N)
+    src = cd.expansion_source
     all_pass = True
     worst_round = 0.0
     base = cli.binding_degree(cd, delta, d)
@@ -258,14 +258,13 @@ def scaling_suite_every_instance(g, d: int, delta, seed: int, instances: int) ->
         images = [PartialPermutation.projection(base, keep) if b.arrows
                   else PartialPermutation.empty(base) for b in src.ball_elements]
         sigma = SoficCandidate(base, images)
-        res = scaling.expand_sigma(sigma, cd, n=scaling.EXPAND_N, delta=delta,
-                                   seed=seed + i)
+        res = scaling.expand_sigma(sigma, cd, delta=delta, seed=seed + i)
         rr = scaling.restrict_sigma(res.candidate, cd, delta=delta)
         all_pass &= res.report.is_member and rr.report.is_member
         worst = max(pperm.uniform_distance(sigma.images[src.position[b]],
                                            rr.candidate.images[j])
                     for j, b in enumerate(rr.params.source.ball_elements))
-        all_pass &= worst <= 3 * rr.delta_prime
+        all_pass &= worst <= 3 * rr.params.delta
         worst_round = max(worst_round, float(worst))
     return {"instances": instances, "passed": bool(all_pass),
             "worst_round_trip": worst_round,

@@ -208,17 +208,17 @@ def test_criterion_8_scaling_round_trip():
                       else PartialPermutation.empty(d)
                       for b in src.ball_elements]
             sigma = SoficCandidate(d, images)
-            res = expand_sigma(sigma, cd, n=5, delta=delta, seed=i)
+            res = expand_sigma(sigma, cd, delta=delta, seed=i)
             assert res.report.is_member  # at delta' by construction of params
             rr = restrict_sigma(res.candidate, cd, delta=delta)
             assert rr.report.is_member
-            assert rr.delta_prime == 20 * delta / cd.h_p
+            assert rr.params.delta == 20 * delta / cd.h_p
             pos0 = {b: j for j, b in enumerate(src.ball_elements)}
             small = GroupoidSource(cd.corner, cd.F_corner, 1)
             worst = max(pperm.uniform_distance(sigma.images[pos0[b]],
                                                rr.candidate.images[j])
                         for j, b in enumerate(small.ball_elements))
-            assert worst <= 3 * rr.delta_prime
+            assert worst <= 3 * rr.params.delta
     report(8, "expand/restrict certified and round trip within 3*(20 delta/h) "
               "on 50 seeded instances")
 

@@ -995,7 +995,7 @@ def test_scaling_suite_sweeps_the_ambient_source_once_per_kept_set(
     assert code == 0 and json.loads(out)["suites"]["scaling"]["passed"]
     assert len(kept) == len(set(kept)) == distinct
     (cd,) = set(datums)
-    ambient = cd.ambient_source(scaling.EXPAND_N)
+    ambient = cd.ambient_source
     assert sum(src is ambient for src in sources) == distinct
     # per round trip: the corner source in, the ambient and the corner back
     assert len(sources) == 3 * distinct
@@ -1003,7 +1003,7 @@ def test_scaling_suite_sweeps_the_ambient_source_once_per_kept_set(
 
 def test_expansion_certificate_is_computed_when_first_read(monkeypatch):
     cd = scaling.standard_corner(transitive_groupoid(2), [0])
-    src = cd.expansion_source(scaling.EXPAND_N)
+    src = cd.expansion_source
     keep = range(1, 12)
     sigma = sofic.SoficCandidate(12, [
         PartialPermutation.projection(12, keep) if b.arrows else PartialPermutation.empty(12)
@@ -1013,9 +1013,8 @@ def test_expansion_certificate_is_computed_when_first_read(monkeypatch):
     monkeypatch.setattr(sofic, "verify_membership",
                         lambda sigma, params: sources.append(params.source)
                         or verify(sigma, params))
-    res = scaling.expand_sigma(sigma, cd, n=scaling.EXPAND_N, delta=Fraction(1, 10),
-                               seed=3)
-    ambient = cd.ambient_source(scaling.EXPAND_N)
+    res = scaling.expand_sigma(sigma, cd, delta=Fraction(1, 10), seed=3)
+    ambient = cd.ambient_source
     assert sources == [src] and res.params.source is ambient
     report = res.report
     assert sources == [src, ambient]
@@ -1465,6 +1464,17 @@ class TestScripts:
                                   shlex.join(argv)]))
         assert out.splitlines() == want
         assert [line.split()[0] for line in want] == ["0", "2"]
+
+    def test_scaling_jobs_read_only_groupoid_files_the_hash_script_writes(self):
+        # parsed as job_hashes.py parses it; no job is run
+        scripts = Path(__file__).resolve().parent.parent / "scripts"
+        written = runpy.run_path(str(scripts / "job_hashes.py"))["GPD_FILES"].values()
+        lines = (scripts / "scaling_jobs.txt").read_text().splitlines()
+        jobs = [shlex.split(ln) for ln in lines if ln.strip() and not ln.startswith("#")]
+        named = {arg for argv in jobs for arg in argv if arg.endswith(".gpd")}
+        assert len(jobs) == 18 and named and named <= set(written)
+        assert all(cli.build_parser().parse_args(argv).command in ("verify", "construct")
+                   for argv in jobs)
 
     def test_code_lines_counts_a_fixture_directory(self, capsys, monkeypatch,
                                                    tmp_path):

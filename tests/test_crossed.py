@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -11,13 +12,13 @@ from soficdim.crossed import (
     HACandidate,
     HAReport,
     PropertyReport,
-    SqrtTol,
     SumCheck,
     approx_sum_check,
     build_phi,
     build_phi0,
     delta0_squared,
-    gap_below,
+    ha_tolerance_squared,
+    v_size_factor,
     verify_HA,
 )
 from soficdim.groupoid import (
@@ -86,9 +87,24 @@ class TestVerifyHA:
         supports = list(res.candidate.supports)
         supports[pos] &= supports[pos] - 1
         bad = HACandidate(ModelMember(model, sigma), supports)
-        rep = verify_HA(bad, Fraction(1, d + 1))
+        rep = verify_HA(bad, Fraction(1, d + 1) ** 2)
         assert rep.equivariance_gap >= Fraction(1, d)
         assert not rep.is_member
+
+    def test_a_gap_at_the_tolerance_fails(self, r2):
+        # the tolerance is given by its square, and a gap passes strictly below it
+        _, _, _, model, basis = r2
+        sigma, part = regular_model_candidate(model)
+        res = build_phi(Phi0Table(basis, ModelMember(model, sigma), part), Fraction(1, 10))
+        supports = list(res.candidate.supports)
+        supports[model.universe.letter_index[0]] = 0
+        bad = HACandidate(ModelMember(model, sigma), supports)
+        rep = verify_HA(bad, 1)
+        gap = max(rep.trace_gap, rep.equivariance_gap, rep.mult_gap, rep.unit_gap)
+        assert gap == Fraction(1, 2) and rep.sigma_ok
+        assert not verify_HA(bad, gap ** 2).is_member
+        assert verify_HA(bad, gap ** 2 + Fraction(1, 10 ** 6)).is_member
+        assert verify_HA(bad, gap ** 2).tolerance == 0.5
 
     def test_phi_coverage_enforced(self, r2):
         # the candidate is refused when it is built
@@ -250,11 +266,6 @@ class TestApproxSum:
         assert [(uni.elements[i], uni.elements[j]) for i, j, _ in uni.sum_pairs] \
             == reference_disjoint_pairs(uni)
         assert (full, full) not in reference_disjoint_pairs(uni)
-        sigma, _ = regular_model_candidate(model)
-        cand = HACandidate(ModelMember(model, sigma),
-                           [points_mask(range(1, sigma.degree + 1))] * len(uni))
-        with pytest.raises(ValueError):
-            approx_sum_check(cand, SqrtTol(Fraction(1, 9)))
 
     def test_constructed_members_obey_146_delta(self, r2):
         _, _, ctx, model, basis = r2
@@ -330,17 +341,9 @@ class TestBuildPhi:
             assert rep0.passed
             res = build_phi(table, delta)
             assert res.v_ok
-            assert Fraction(len(res.V)) >= res.v_bound
+            assert Fraction(len(res.V)) >= 6 * v_size_factor(basis, delta)
             assert res.report.is_member
-            assert isinstance(res.tolerance, SqrtTol)
-
-
-class TestGapBelow:
-    def test_rational_and_sqrt(self):
-        assert gap_below(Fraction(1, 4), Fraction(1, 2))
-        assert not gap_below(Fraction(1, 2), Fraction(1, 2))
-        assert gap_below(Fraction(1, 2), SqrtTol(Fraction(1, 2)))
-        assert not gap_below(Fraction(3, 4), SqrtTol(Fraction(1, 2)))
+            assert res.tolerance_sq == ha_tolerance_squared(basis, delta)
 
 
 # -- the integer sweeps against the Fraction sweeps they replace -----------------
@@ -469,9 +472,14 @@ def reference_V(table):
     return frozenset(V)
 
 
-def reference_verify_HA(cand, tol):
+def reference_verify_HA(cand, tol_sq):
     """The HAReport of the candidate from composed, inverted and compared
-    maps, phi being the projection onto each support (``projections``)."""
+    maps, phi being the projection onto each support (``projections``),
+    at the tolerance whose square is ``tol_sq``."""
+
+    def below(gap):
+        return gap * gap < tol_sq
+
     member = cand.member
     phi = projections(cand)
     model = member.model
@@ -480,7 +488,7 @@ def reference_verify_HA(cand, tol):
     images = model.context.align(member.sigma)
     sp = model.context.sigma_params(1, d)
     rep = verify_membership(SoficCandidate(d, images), sp)
-    sigma_ok = (gap_below(rep.mult_gap, tol) and gap_below(rep.trace_gap, tol)
+    sigma_ok = (below(rep.mult_gap) and below(rep.trace_gap)
                 and not any("unresolvable" in n for n in rep.notes))
     trace_gap, trace_wit = Fraction(0), ""
     for i in range(uni.p_count):
@@ -504,10 +512,10 @@ def reference_verify_HA(cand, tol):
             mult_gap, mult_wit = gap, f"pair ({i}, {j})"
     unit_gap = pperm.uniform_distance(phi[uni.x_index],
                                       PartialPermutation.identity(d))
-    member = (sigma_ok and gap_below(trace_gap, tol) and gap_below(equi_gap, tol)
-              and gap_below(mult_gap, tol) and gap_below(unit_gap, tol))
+    member = (sigma_ok and below(trace_gap) and below(equi_gap)
+              and below(mult_gap) and below(unit_gap))
     return HAReport(member, trace_gap, trace_wit, equi_gap, equi_wit,
-                    mult_gap, mult_wit, unit_gap, sigma_ok, float(tol))
+                    mult_gap, mult_wit, unit_gap, sigma_ok, math.sqrt(float(tol_sq)))
 
 
 ALPHABETS = {"fair": FAIR, "thirds": (Fraction(1, 3), Fraction(2, 3)),
@@ -578,7 +586,7 @@ def test_integer_sweeps_match_fraction_sweeps_on_members(source, alphabet, delta
                 assert c3.witness == f"psi={model.psis[norms.index(max(norms))]}"
                 res = build_phi(table, delta)
                 assert res.V == reference_V(table)
-                assert res.report == reference_verify_HA(res.candidate, res.tolerance)
+                assert res.report == reference_verify_HA(res.candidate, res.tolerance_sq)
                 checked += 1
     assert checked
 
@@ -651,9 +659,9 @@ def test_verify_HA_matches_on_random_pairs(source, alphabet):
         d = 3 + seed % 2
         cand = HACandidate(ModelMember(model, random_sigma(ctx, d, rng)),
                            random_projection_phi(len(model.universe), d, rng)[0])
-        for delta in (*DELTAS, SqrtTol(Fraction(1, 5))):
-            rep = verify_HA(cand, delta)
-            assert rep == reference_verify_HA(cand, delta)
+        for tol_sq in (*(delta ** 2 for delta in DELTAS), Fraction(1, 5)):
+            rep = verify_HA(cand, tol_sq)
+            assert rep == reference_verify_HA(cand, tol_sq)
             gaps.add((rep.equivariance_gap, rep.mult_gap))
     assert any(e > 0 for e, _ in gaps)
     assert any(m > 0 for _, m in gaps) or model.universe.triples == ((0, 0, 0),)
@@ -746,17 +754,17 @@ def test_tuple_sweeps_match_object_oracles(source, d):
         for seed in range(3):
             res = build_phi(Phi0Table(basis, member, random_partition(d, FAIR, seed)),
                             delta)
-            assert res.report == reference_verify_HA(res.candidate, res.tolerance)
-            cands.append((res.candidate, res.tolerance))
+            assert res.report == reference_verify_HA(res.candidate, res.tolerance_sq)
+            cands.append((res.candidate, res.tolerance_sq))
     for sigma in (members[0], random_sigma(ctx, d, rng)):
         for _ in range(4):
             cands.append((HACandidate(ModelMember(model, sigma),
                                       random_projection_phi(len(uni), d, rng)[0]),
-                          delta))
+                          delta ** 2))
     gaps = set()
     verdicts = set()
-    for cand, tol in cands:
-        for t in (tol, delta):
+    for cand, tol_sq in cands:
+        for t in (tol_sq, delta ** 2):
             assert verify_HA(cand, t) == reference_verify_HA(cand, t)
         for lin_delta in (delta, Fraction(1, 300)):
             check = assert_sum_check_matches(cand, lin_delta)
@@ -820,8 +828,8 @@ def test_table_reports_equal_their_fraction_references(source, alphabet):
             if projections <= 9:  # a universe of at most 15 elements
                 cand = HACandidate(table.member,
                                    random_projection_phi(len(model.universe), d, rng)[0])
-                for tol in (delta, SqrtTol(Fraction(1, 5))):
-                    assert verify_HA(cand, tol) == reference_verify_HA(cand, tol)
+                for tol_sq in (delta ** 2, Fraction(1, 5)):
+                    assert verify_HA(cand, tol_sq) == reference_verify_HA(cand, tol_sq)
     assert True in nonzero
 
 
@@ -849,8 +857,8 @@ def test_first_of_tied_gaps_names_the_witness(r2):
     cand = HACandidate(table.member, [points_mask({1, 2})] * len(uni))
     gaps = [1 - mu_points(model, p) for p in uni.elements[:uni.p_count]]
     assert gaps.count(max(gaps)) > 1
-    rep = verify_HA(cand, delta)
-    assert rep == reference_verify_HA(cand, delta)
+    rep = verify_HA(cand, delta ** 2)
+    assert rep == reference_verify_HA(cand, delta ** 2)
     assert (rep.trace_gap, rep.trace_witness) == (
         max(gaps), f"projection {gaps.index(max(gaps))}")
 
@@ -892,9 +900,9 @@ def test_mask_sweeps_match_object_oracles_on_projections(source, d):
         phi, drawn = random_projection_phi(len(uni), d, rng)
         kinds |= set(drawn)
         cand = HACandidate(ModelMember(model, random_sigma(model.context, d, rng)), phi)
-        for tol in (Fraction(1, 10), SqrtTol(Fraction(1, 5))):
-            rep = verify_HA(cand, tol)
-            assert rep == reference_verify_HA(cand, tol)
+        for tol_sq in (Fraction(1, 100), Fraction(1, 5)):
+            rep = verify_HA(cand, tol_sq)
+            assert rep == reference_verify_HA(cand, tol_sq)
             mult.add(rep.mult_gap)
         for delta in (Fraction(1, 10), Fraction(1, 300)):
             lin |= set(assert_sum_check_matches(cand, delta).counts)
@@ -916,8 +924,8 @@ def test_mask_sweep_names_the_first_of_tied_product_gaps(r2):
     gaps = [pperm.uniform_distance(phi[k], pperm.compose(phi[i], phi[j]))
             for i, j, k in uni.triples]
     assert max(gaps) == 1 and gaps.count(1) > 1 and gaps[0] < 1
-    rep = verify_HA(cand, Fraction(1, 10))
-    assert rep == reference_verify_HA(cand, Fraction(1, 10))
+    rep = verify_HA(cand, Fraction(1, 100))
+    assert rep == reference_verify_HA(cand, Fraction(1, 100))
     assert (rep.mult_gap, rep.mult_witness) == (1, f"pair {uni.triples[gaps.index(1)][:2]}")
 
 

@@ -18,6 +18,7 @@ the images drawn from its substream.
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import eq
@@ -25,7 +26,7 @@ from operator import eq
 import pytest
 
 from soficdim.cli import full_group_generators
-from soficdim.crossed import ProjectionUniverse, SqrtTol, gap_below
+from soficdim.crossed import ProjectionUniverse
 from soficdim.groupoid import (
     PartialBisection,
     cyclic_groupoid,
@@ -320,6 +321,15 @@ def test_reports_on_suite_candidates(argv, tmp_path, monkeypatch, capsys):
 
 CENTRES = [0, Fraction(0), Fraction(1, 3), Fraction(1, 2), 1, Fraction(1),
            Fraction(1, 7), Fraction(5, 6)]
+
+
+@dataclass(frozen=True)
+class SqrtTol:
+    """The tolerance sqrt(value_sq), given by its square."""
+
+    value_sq: Fraction
+
+
 # rational tolerances, and square roots compared through squares (sqrt 1/8
 # is irrational); 1/4, 1/5 and sqrt 1/25 put a window end on k/d exactly
 TOLERANCES = [Fraction(1, 100), Fraction(1, 12), Fraction(1, 5), Fraction(1, 4),
@@ -333,6 +343,13 @@ def squared(tol):
     return tol.value_sq if isinstance(tol, SqrtTol) else tol ** 2
 
 
+def gap_below(tol):
+    """The test of one gap against ``tol``: a square root through squares."""
+    if isinstance(tol, SqrtTol):
+        return lambda gap: gap * gap < tol.value_sq
+    return lambda gap: gap < tol
+
+
 def windows_per_count(d, centres, below):
     """Each k in 0..d tested on its own."""
     return [frozenset(k for k in range(d + 1) if below(abs(Fraction(k, d) - centre)))
@@ -341,10 +358,9 @@ def windows_per_count(d, centres, below):
 
 @pytest.mark.parametrize("tol", TOLERANCES, ids=str)
 def test_windows_match_the_per_count_test(tol):
-    below = partial(gap_below, tol=tol)
     for d in range(1, 41):
         windows = fixed_windows(d, CENTRES, squared(tol))
-        assert windows == windows_per_count(d, CENTRES, below)
+        assert windows == windows_per_count(d, CENTRES, gap_below(tol))
         assert all(type(w) is frozenset for w in windows)
 
 
