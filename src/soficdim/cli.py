@@ -183,6 +183,8 @@ def cmd_count(args) -> int:
         raise CliError(f"--mc {args.mc}: the trial count must be >= 1 (0 counts exactly)")
     if args.cap is None:  # per job: the parser is built once per process
         args.cap = sofic.DEFAULT_COUNT_CAP
+    elif args.cap < 1:
+        raise CliError(f"--cap {args.cap}: the search space cap must be >= 1")
     rows = []
     delta = parse_fraction(args.delta)
     degrees = parse_drange(args.d)
@@ -320,7 +322,6 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
     if tabled:
         model = partitions.CylinderModel(
             ctx, [Fraction(1, alphabet_size)] * alphabet_size)
-        basis = partitions.span_basis(model)
         if "lin146" in suites and not model.universe.sum_pairs:
             raise CliError(f"--alphabet {alphabet_size}: the projection universe "
                            "holds no disjoint pair for lin146 to check")
@@ -339,7 +340,7 @@ def run_suites(g: FiniteGroupoid, suites, d: int, delta: Fraction, seed: int,
                 if key in orbits:
                     continue
                 orbits.add(key)
-                table = partitions.Phi0Table(basis, member, part)
+                table = partitions.Phi0Table(member, part)
                 if "c2" in suites:
                     c2.append(partitions.verify_lemma_c2(table, delta))
                 if "c3" in suites:
@@ -516,11 +517,9 @@ def cmd_construct(args) -> int:
         F = [PartialBisection(g, frozenset(swap))]
         ctx = partitions.LemmaContext(g, F, 1)
         model = partitions.CylinderModel(ctx, [Fraction(1, 2)] * 2)
-        basis = partitions.span_basis(model)
         member = next(hypothesis_members(ctx, delta, args.d))
         part = partitions.random_partition(args.d, model.alphabet, args.seed)
-        table = partitions.Phi0Table(
-            basis, partitions.ModelMember(model, member), part)
+        table = partitions.Phi0Table(partitions.ModelMember(model, member), part)
         prep = crossed.build_phi0(table, delta)
         res = crossed.build_phi(table, delta)
         points = [[x for x in range(1, args.d + 1) if m >> x & 1]

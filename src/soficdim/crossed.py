@@ -234,7 +234,7 @@ def verify_HA(cand: HACandidate, tol_sq) -> HAReport:
     # |m.bit_count()/d - mu| over M d, M the model's weight denominator
     M = model.weight_den
     i, trace_num = sofic._first_largest(enumerate(
-        abs(m.bit_count() * M - mu * d) for m, mu in zip(masks, model.projection_mu_nums)), 0)
+        abs(m.bit_count() * M - mu * d) for m, mu in zip(masks, model.projection_mu_nums)))
     trace_gap = Fraction(trace_num, M * d)
     trace_wit = "" if i is None else f"projection {i}"
 
@@ -247,12 +247,12 @@ def verify_HA(cand: HACandidate, tol_sq) -> HAReport:
                 target = masks[uni.index[model.translates[bidx][letter]]]
                 yield (letter, bidx), (target ^ moved).bit_count()
 
-    at, equi_count = sofic._first_largest(equivariance(), 0)
+    at, equi_count = sofic._first_largest(equivariance())
     equi_wit = "" if at is None else f"letter {at[0]}, ball {at[1]}"
     equi_gap = Fraction(equi_count, d)
 
     counts = [((masks[i] & masks[j]) ^ masks[k]).bit_count() for i, j, k in uni.triples]
-    ijk, mult_count = sofic._first_largest(zip(uni.triples, counts), 0)
+    ijk, mult_count = sofic._first_largest(zip(uni.triples, counts))
     mult_wit = "" if ijk is None else f"pair {ijk[:2]}"
     mult_gap = Fraction(mult_count, d)
 
@@ -385,7 +385,7 @@ def build_phi0(table: Phi0Table, delta) -> PropertyReport:
     # |trace phi0(p) - mu(p)| = |sum v(p) M - mu_M(p) D d| / (D M d)
     M = model.weight_den
     i, trace_num = sofic._first_largest(enumerate(
-        abs(sum(n) * M - mu * D * d) for n, mu in zip(pv, model.projection_mu_nums)), 0)
+        abs(sum(n) * M - mu * D * d) for n, mu in zip(pv, model.projection_mu_nums)))
     trace_wit = "" if i is None else f"projection {i}"
     trace_sq = Fraction(trace_num * trace_num, (D * M * d) ** 2)
 
@@ -398,14 +398,14 @@ def build_phi0(table: Phi0Table, delta) -> PropertyReport:
                 yield (letter, bidx), sum((a - b) ** 2 for a, b in
                                           zip(f, map(g.__getitem__, inv)))
 
-    at, equi_num = sofic._first_largest(equivariance(), 0)
+    at, equi_num = sofic._first_largest(equivariance())
     equi_wit = "" if at is None else f"letter {at[0]}, ball {at[1]}"
 
     # |phi0(p1 & p2) - phi0(p1) phi0(p2)|^2 = sum (D n12 - n1 n2)^2 / (D^4 d)
     pair, mult_num = sofic._first_largest(
         (((i, j), sum((D * c - a * b) ** 2 for a, b, c in
                       zip(pv[i], pv[j], v(meet))))
-         for (i, j), meet in model.projection_meets.items()), 0)
+         for (i, j), meet in model.projection_meets.items()))
     mult_wit = "" if pair is None else f"pair {pair}"
 
     unit_num = sum((x - D) ** 2 for x in v(frozenset(range(model.action.n_points))))
@@ -421,13 +421,18 @@ def build_phi0(table: Phi0Table, delta) -> PropertyReport:
 class BuildPhiResult:
     """The pair that build_phi restricts to V, the square ``tolerance_sq``
     of the tolerance it is certified at, V with whether it meets its size
-    bound, and the certificate."""
+    bound, the share of sigma's points it holds (``v_fraction``), and
+    the certificate."""
 
     candidate: HACandidate
     tolerance_sq: Fraction
     V: frozenset
-    v_fraction: Fraction
     v_ok: bool
+
+    @property
+    def v_fraction(self) -> Fraction:
+        """|V| over sigma's degree."""
+        return Fraction(len(self.V), self.candidate.member.sigma.degree)
 
     @cached_property
     def report(self) -> HAReport:
@@ -496,6 +501,5 @@ def build_phi(table: Phi0Table, delta) -> BuildPhiResult:
         supports.append(m)
     return BuildPhiResult(HACandidate(table.member, supports),
                           basis.per_delta(ha_tolerance_squared, delta), frozenset(V),
-                          Fraction(len(V), d),
                           len(V) >= d * basis.per_delta(v_size_factor, delta))
 

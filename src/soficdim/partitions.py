@@ -18,8 +18,9 @@ psi on both sides (``_cylinders``): the meet of its entries'
 translates, read from a ball x letter table, which holds the
 translates of the letter sets on the model side and sigma's images of
 the partition blocks on the image side.  A basis of cylinder
-projections for the span of the cylinder algebra yields the
-coefficient statistics kappa and gamma.  One fraction-free elimination of the model's point x psi
+projections for the span of the cylinder algebra, one per model
+(``CylinderModel.basis``), yields the coefficient statistics kappa and
+gamma.  One fraction-free elimination of the model's point x psi
 indicator matrix gives the basis, every psi's coefficients and a
 transform T; every coefficient is an integer numerator over one
 denominator D per basis, and each other subset of the span is expanded
@@ -245,7 +246,8 @@ class CylinderModel:
     the one rule of both sides (``_cylinders``); and their exact
     measures as integers over the one denominator ``weight_den`` of the
     point weights, per psi (``cylinder_mu_nums``) and per distinct
-    projection (``projection_mu_nums``).
+    projection (``projection_mu_nums``); and ``basis``, its span basis
+    (``span_basis``), which every Phi0Table of the model reads.
     """
 
     def __init__(self, context: "LemmaContext", alphabet):
@@ -319,6 +321,11 @@ class CylinderModel:
         """(i, j) -> the meet of distinct projections i and j, for i <= j."""
         p = self.distinct_projections
         return {(i, j): p[i] & p[j] for i in range(len(p)) for j in range(i, len(p))}
+
+    @cached_property
+    def basis(self) -> SpanBasis:
+        """The model's span basis, built on first read (``span_basis``)."""
+        return span_basis(self)
 
     @cached_property
     def universe(self):
@@ -462,7 +469,7 @@ def verify_lemma_c1(sigma: SoficCandidate, ctx: LemmaContext, delta) -> BoundRep
             pts = profile_sigma_points([images_all[i] for i in combo], blocks, d)
             yield (combo, blocks), abs(h * d - len(pts) * W)
 
-    at, worst = sofic._first_largest(discrepancies(), 0)
+    at, worst = sofic._first_largest(discrepancies())
     witness = "empty profile sweep" if at is None else f"F0={list(at[0])} blocks={at[1]}"
     worst = Fraction(worst, W * d)
     return BoundReport(bound, worst, witness, worst < bound)
@@ -481,7 +488,7 @@ def verify_lemma_c2(table: Phi0Table, delta) -> BoundReport:
     bound = table.basis.per_delta(c2_bound, delta)
     psi, worst = sofic._first_largest(
         ((psi, abs(mu * d - len(a_psi) * M))
-         for psi, mu, a_psi in zip(model.psis, model.cylinder_mu_nums, table.a_psis)), 0)
+         for psi, mu, a_psi in zip(model.psis, model.cylinder_mu_nums, table.a_psis)))
     witness = "empty cylinder sweep" if psi is None else f"psi={psi}"
     worst = Fraction(worst, M * d)
     return BoundReport(bound, worst, witness, worst < bound)
@@ -752,11 +759,12 @@ class Phi0Table:
     """The image side of one (sigma, partition), with the linear map phi0.
 
     The table reads sigma's padded images on the model ball from its
-    ModelMember, builds their images of the partition blocks once, a
-    ball x letter table, and takes from it the image cylinder A_psi of
-    every cylinder indexing psi by the model's rule (``_cylinders``),
-    once; the c2 and c3 bounds, ``crossed.build_phi0`` and
-    ``crossed.build_phi`` all read it.  phi0 sends each basis cylinder
+    ModelMember, and the span basis from the member's model
+    (``CylinderModel.basis``).  It builds sigma's images of the
+    partition blocks once, a ball x letter table, and takes from it the
+    image cylinder A_psi of every cylinder indexing psi by the model's
+    rule (``_cylinders``), once; the c2 and c3 bounds,
+    ``crossed.build_phi0`` and ``crossed.build_phi`` all read it.  phi0 sends each basis cylinder
     projection to the indicator of its image-side cylinder and extends
     linearly over the span basis; each distinct span subset is evaluated
     once per table, when a sweep first reads it: ``numerators`` gives
@@ -767,18 +775,14 @@ class Phi0Table:
     the c3 sweep and ``crossed.build_phi``.
     """
 
-    def __init__(self, basis: SpanBasis, member: ModelMember,
-                 partition: RandomPartition):
-        model = basis.model
-        if member.model is not model:
-            raise ValueError("member and basis belong to different models")
+    def __init__(self, member: ModelMember, partition: RandomPartition):
+        model = member.model
         if partition.q != model.q:
             raise ValueError("partition and model disagree on the alphabet size")
-        self.basis = basis
+        self.basis = basis = model.basis
         self.member = member
         self.partition = partition
         self.d = partition.d
-        self.images = member.images
         # sigma's image of each block under each ball element, 0 dropped
         translates = tuple(tuple(frozenset(filter(None, map(pad.__getitem__, block)))
                                  for block in partition.blocks) for pad in member.pads)

@@ -20,9 +20,8 @@ assigned, so the count equals the brute-force one.  The search,
 ``SearchPlan.search``, compares integers only: distances are multiples
 of 1/d, so each position keeps the candidates whose fixed-point count
 meets its trace condition, and a product fails at ceil(delta*d)
-disagreements.  Both come from one exact routine over the squared
-tolerance, ``reach``, which gives the integers strictly inside a
-tolerance, so a rational delta and a square root one are decided alike
+disagreements.  Both come from one exact routine, ``reach``, which
+gives the integers strictly inside delta times a scale
 (``fixed_windows``).  A ``SearchPlan`` holds those windows, the limit
 and the checks of each position, built once per ``SAParams``; it
 leaves out the triples that compose with a position whose window
@@ -329,21 +328,20 @@ def ball_params(ball: Ball, delta, d: int, mode: str = "") -> SAParams:
     return SAParams(BallSource(ball), Fraction(delta), d, mode=mode)
 
 
-def _first_largest(gaps, floor):
+def _first_largest(gaps):
     """The first (key, gap) pair of ``gaps`` whose gap is the largest
-    above ``floor``, or ``(None, floor)`` when no gap is above it.
+    above 0, or ``(None, 0)`` when no gap is above it.
 
     This is the witness rule of every report that sweeps for a worst
     gap (membership, ``crossed.verify_HA``, ``crossed.build_phi0`` and
     the c1 and c2 bounds): the first of the largest gaps names the
-    witness, and a sweep whose every gap is at most ``floor``, its 0,
-    names none.  ``floor`` comes back unchanged in that case.  Every
-    report passes the integer 0: it sweeps integer numerators over one
-    positive denominator per sweep (a disagreement count over d, or
-    ``common_denominator``), which keep the order and the ties of the
-    gaps, and builds a Fraction only for the gap it reports.
+    witness, and a sweep whose every gap is 0 names none.  Every report
+    sweeps integer numerators over one positive denominator per sweep
+    (a disagreement count over d, or ``common_denominator``), which keep
+    the order and the ties of the gaps, and builds a Fraction only for
+    the gap it reports.
     """
-    key, worst = None, floor
+    key, worst = None, 0
     for k, gap in gaps:
         if gap > worst:
             key, worst = k, gap
@@ -377,7 +375,7 @@ def verify_membership(sigma: SoficCandidate, params: SAParams) -> MembershipRepo
     # |nfix/d - tau| over the source's one denominator T of its taus
     T = source.tau_den
     i, trace_num = _first_largest(enumerate(
-        abs(s.nfix * T - t * d) for s, t in zip(sigma.images, source.tau_nums)), 0)
+        abs(s.nfix * T - t * d) for s, t in zip(sigma.images, source.tau_nums)))
     trace_gap = Fraction(trace_num, T * d)
     trace_witness = "" if i is None else source.key_label(i)
     slots = [(0,) + s.images for s in sigma.images]
@@ -391,7 +389,7 @@ def verify_membership(sigma: SoficCandidate, params: SAParams) -> MembershipRepo
     counts = [0 if None in (slots[i], slots[j], slots[k])
               else sum(map(ne, map(slots[i].__getitem__, slots[j]), slots[k]))
               for i, j, k in source.triples]
-    ijk, worst = _first_largest(zip(source.triples, counts), 0)
+    ijk, worst = _first_largest(zip(source.triples, counts))
     mult_witness = ("", "") if ijk is None else tuple(map(source.key_label, ijk[:2]))
     mult_gap = Fraction(worst, d)
     if flagged:
@@ -556,35 +554,31 @@ def search_space_size(params: SAParams) -> int:
     return pool ** params.source.n_ball
 
 
-def reach(tol_sq, scale: int) -> int:
-    """The largest integer m with m^2 < tol_sq * scale^2, or -1 when
-    there is none.
+def reach(delta, scale: int) -> int:
+    """The largest integer m with m < delta * scale.
 
-    For a tolerance tol given by its rational square ``tol_sq`` (a
-    Fraction or an int), the integers strictly within tol * scale of 0
-    are those of absolute value at most ``reach(tol_sq, scale)``, so a
-    rational tolerance and a square root one are decided exactly alike.
-    With tol_sq = a/b, m^2 < a scale^2 / b exactly when
-    m^2 <= (a scale^2 - 1) // b.
+    For a rational delta >= 0 (a Fraction or an int), the integers
+    strictly within delta * scale of 0 are those of absolute value at
+    most ``reach(delta, scale)``, -1 when there are none.  With
+    delta = a/b, m < a scale / b exactly when m <= (a scale - 1) // b.
     """
-    top = tol_sq.numerator * scale * scale
-    return math.isqrt((top - 1) // tol_sq.denominator) if top > 0 else -1
+    return (delta.numerator * scale - 1) // delta.denominator
 
 
-def fixed_windows(d: int, centres, tol_sq) -> list[frozenset]:
+def fixed_windows(d: int, centres, delta) -> list[frozenset]:
     """Per position, the fixed-point counts k in 0..d with
-    |k/d - centre| < tol, where tol^2 = ``tol_sq``.
+    |k/d - centre| < delta.
 
-    With d*centre = p/q in lowest terms, |k/d - centre| < tol exactly
-    when |q k - p| < tol d q, that is when |q k - p| <= r for
-    r = ``reach(tol_sq, d*q)``: the window is the interval of k from
+    With d*centre = p/q in lowest terms, |k/d - centre| < delta exactly
+    when |q k - p| < delta d q, that is when |q k - p| <= r for
+    r = ``reach(delta, d*q)``: the window is the interval of k from
     ceil((p - r)/q) to floor((p + r)/q), clipped to 0..d, and empty
     when no k lies there.
     """
     windows = []
     for centre in centres:
         p, q = (Fraction(centre) * d).as_integer_ratio()
-        r = reach(tol_sq, d * q)
+        r = reach(delta, d * q)
         lo, hi = max(-((r - p) // q), 0), min((p + r) // q, d)
         windows.append(frozenset(range(lo, hi + 1)))
     return windows
@@ -635,9 +629,9 @@ class SearchPlan:
     """The membership search of one SAParams, planned once.
 
     ``windows`` holds each ball position's fixed-point window (its
-    trace condition, ``fixed_windows`` at delta^2), ``limit`` the
+    trace condition, ``fixed_windows`` at delta), ``limit`` the
     disagreements that reject a triple, the fewest c with c/d >= delta,
-    ``reach(delta^2, d) + 1`` = ceil(delta*d), and ``sums`` and
+    ``reach(delta, d) + 1`` = ceil(delta*d), and ``sums`` and
     ``triples`` what each ball position completes.  A sum resolves at
     the ball position that completes it, and an overlap of its
     summands' images rejects there: the sum takes part in the triple
@@ -664,8 +658,8 @@ class SearchPlan:
         self.params = params
         self.d = params.d
         self.n_universe = source.n_universe
-        self.windows = fixed_windows(params.d, source.taus, params.delta ** 2)
-        self.limit = reach(params.delta ** 2, params.d) + 1
+        self.windows = fixed_windows(params.d, source.taus, params.delta)
+        self.limit = reach(params.delta, params.d) + 1
         need = [max(parts) for parts in source.decomposition]
         self.sums = [[] for _ in range(source.n_ball)]
         self.triples = [[] for _ in range(source.n_ball)]

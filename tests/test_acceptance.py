@@ -158,7 +158,7 @@ def test_criterion_6_lemma_certification_sweep(r2_members):
                 violations += not rep.passed
                 member = ModelMember(model, m)
                 for seed in range(100):
-                    table = Phi0Table(basis, member, random_partition(d, FAIR, seed))
+                    table = Phi0Table(member, random_partition(d, FAIR, seed))
                     rep2 = verify_lemma_c2(table, delta)
                     rep3 = verify_lemma_c3_sweep(table, delta)
                     violations += (not rep2.passed) + (not rep3.passed)
@@ -175,7 +175,7 @@ def test_criterion_7_ha_construction(r2_members):
             for m in ms:
                 member = ModelMember(model, m)
                 for seed in range(100):
-                    table = Phi0Table(basis, member, random_partition(d, FAIR, seed))
+                    table = Phi0Table(member, random_partition(d, FAIR, seed))
                     assert build_phi0(table, delta).passed
                     res = build_phi(table, delta)
                     assert res.report.is_member

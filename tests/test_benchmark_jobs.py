@@ -1,5 +1,5 @@
-"""The jobs of the benchmark's enumerate and certify menus, run as the
-benchmark runs them.
+"""The jobs of the benchmark's enumerate, certify and sample menus, run as
+the benchmark runs them.
 
 ``perfbench/run.py`` runs each job through ``cli.main`` from the checkout
 root, where the r2 source sits at ``perfbench/.work/r2.gpd``, and compares
@@ -8,7 +8,8 @@ menu is the one-worker menu with ``--workers 2`` appended, so the first
 test checks the stdout of both, and that none of these jobs starts a
 process.  The second counts every configuration of the menu by
 conjugacy classes and by the plain search over the full pools.  The
-last checks the stdout of every job of the certify menu.
+last two check the stdout of every job of the certify menu and of the
+sample menu (its Monte Carlo counts and its curves).
 """
 
 import contextlib
@@ -90,11 +91,11 @@ def test_enumerate_configurations_count_by_classes(slot, tmp_path, monkeypatch):
         assert count_SA(params, (), args.cap) == (count, min(count, 1))
 
 
-def test_certify_jobs_match_golden(tmp_path, monkeypatch):
+def assert_menu_matches_golden(name, size, tmp_path, monkeypatch):
     workloads = load_workloads(monkeypatch)
-    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())["certify"]
-    jobs = workloads.menu(workloads.WORKLOADS["certify"])
-    assert len(jobs) == len(golden) == 32
+    golden = json.loads((ROOT / "perfbench" / "golden.json").read_text())[name]
+    jobs = workloads.menu(workloads.WORKLOADS[name])
+    assert len(jobs) == len(golden) == size
     in_work_dir(workloads, tmp_path, monkeypatch)
     for argv in jobs:
         out = io.StringIO()
@@ -103,3 +104,11 @@ def test_certify_jobs_match_golden(tmp_path, monkeypatch):
         want = golden[" ".join(argv)]
         assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == (
             want["exit"], want["sha256"]), argv
+
+
+def test_certify_jobs_match_golden(tmp_path, monkeypatch):
+    assert_menu_matches_golden("certify", 32, tmp_path, monkeypatch)
+
+
+def test_sample_jobs_match_golden(tmp_path, monkeypatch):
+    assert_menu_matches_golden("sample", 48, tmp_path, monkeypatch)

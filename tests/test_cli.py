@@ -57,6 +57,17 @@ class TestCalc:
         ledger = json.loads(path.read_text())["assumptions"]
         assert ledger[0].startswith(f'amenable: finite_groupoid("{gpd}") ')
 
+    def test_corner_third_factor_is_amenable(self, capsys):
+        # a corner of an amenable factor is tagged amenable
+        code, out, _ = run(capsys, "calc", "amalgam(cyclic(2), cyclic(4), corner(trivial, 1))")
+        assert (code, out) == (0, "5/4\n")
+
+    def test_bernoulli_over_an_amalgam_is_not_amenable(self, capsys):
+        third = "bernoulli(amalgam(cyclic(2), cyclic(2), trivial), 2)"
+        code, out, err = run(capsys, "calc", f"amalgam(cyclic(2), cyclic(2), {third})")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == f"amalgam third factor {third} is not tagged amenable"
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "calc", "corner(z, 0)")
         assert code == 2
@@ -171,6 +182,16 @@ class TestCount:
         assert code == 2 and out == ""
         assert json.loads(err) == {
             "error": f"--workers {workers}: the worker count must be >= 1"}
+
+    @pytest.mark.parametrize("mc", ["0", "200"])
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_refused(self, capsys, cap, mc):
+        # refused before any count, exact or Monte Carlo, that would read it
+        code, out, err = run(capsys, "count", "--family", "zmod(2)", "--d", "2",
+                             "--delta", "1/10", "--mc", mc, "--cap", cap)
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": f"--cap {cap}: the search space cap must be >= 1"}
 
     @pytest.mark.parametrize("text", ["2..", "..6", "a..b", "2..6..0", "2..4..6..8"])
     def test_bad_degree_range_refused(self, capsys, text):
@@ -608,11 +629,11 @@ class TestVerify:
         row = partitions.SpanBasis.row
         expand = partitions.SpanBasis.expand_vector
 
-        def counted_init(self, basis, *args):
-            bases.add(basis)
+        def counted_init(self, *args):
             building.append(True)
-            init(self, basis, *args)
+            init(self, *args)
             building.pop()
+            bases.add(self.basis)
 
         def counted_cylinders(psis, translates, points):
             (tables if building else models).append((psis, translates))
@@ -825,7 +846,6 @@ class PerDrawOracle:
     def __init__(self, g, d, delta):
         ctx = partitions.LemmaContext(g, cli.full_group_generators(g), 1)
         self.model = partitions.CylinderModel(ctx, [Fraction(1, 2)] * 2)
-        self.basis = partitions.span_basis(self.model)
         self.members = [partitions.ModelMember(self.model, m) for m in
                         sofic.iter_SA_members(ctx.hypothesis_params(delta, d))]
         self.d, self.delta = d, delta
@@ -836,7 +856,7 @@ class PerDrawOracle:
             part = partitions.random_partition(self.d, self.model.alphabet, seed)
             rows = []
             for member in self.members:
-                table = partitions.Phi0Table(self.basis, member, part)
+                table = partitions.Phi0Table(member, part)
                 prep = crossed.build_phi0(table, self.delta)
                 res = crossed.build_phi(table, self.delta)
                 rows.append((

@@ -37,7 +37,6 @@ from soficdim.partitions import (
     SpanBasis,
     lemma_constants,
     random_partition,
-    span_basis,
     verify_lemma_c2,
     verify_lemma_c3_sweep,
 )
@@ -60,15 +59,14 @@ def r2():
                                          if g.source[a] != g.range_[a]))
     ctx = LemmaContext(g, [swap], 1)
     model = CylinderModel(ctx, FAIR)
-    basis = span_basis(model)
-    return g, swap, ctx, model, basis
+    return g, swap, ctx, model, model.basis
 
 
 class TestVerifyHA:
     def test_exact_model_all_gaps_zero(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        table = Phi0Table(basis, ModelMember(model, sigma), part)
+        table = Phi0Table(ModelMember(model, sigma), part)
         res = build_phi(table, Fraction(1, 10))
         rep = res.report
         assert rep.is_member
@@ -78,7 +76,7 @@ class TestVerifyHA:
     def test_one_point_corruption_breaks_equivariance(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        table = Phi0Table(basis, ModelMember(model, sigma), part)
+        table = Phi0Table(ModelMember(model, sigma), part)
         res = build_phi(table, Fraction(1, 10))
         d = sigma.degree
         uni = model.universe
@@ -95,7 +93,7 @@ class TestVerifyHA:
         # the tolerance is given by its square, and a gap passes strictly below it
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        res = build_phi(Phi0Table(basis, ModelMember(model, sigma), part), Fraction(1, 10))
+        res = build_phi(Phi0Table(ModelMember(model, sigma), part), Fraction(1, 10))
         supports = list(res.candidate.supports)
         supports[model.universe.letter_index[0]] = 0
         bad = HACandidate(ModelMember(model, sigma), supports)
@@ -119,7 +117,7 @@ class TestVerifyHA:
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
         d = sigma.degree
-        res = build_phi(Phi0Table(basis, ModelMember(model, sigma), part), Fraction(1, 10))
+        res = build_phi(Phi0Table(ModelMember(model, sigma), part), Fraction(1, 10))
         HACandidate(res.candidate.member, res.candidate.supports)
         for bad in (1 << (d + 1), 1, -2):
             supports = list(res.candidate.supports)
@@ -132,7 +130,7 @@ class TestVerifyHA:
         assert (model.context.sigma_params(1, 4).source
                 is model.context.sigma_params(Fraction(1, 3), 3).source)
         sigma, part = regular_model_candidate(model)
-        table = Phi0Table(basis, ModelMember(model, sigma), part)
+        table = Phi0Table(ModelMember(model, sigma), part)
         res = build_phi(table, Fraction(1, 10))
         # the model builds its universe once, and phi covers that one
         assert res.candidate.member.model is model
@@ -248,7 +246,7 @@ class TestApproxSum:
     def test_exact_phi_gap_zero(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        table = Phi0Table(basis, ModelMember(model, sigma), part)
+        table = Phi0Table(ModelMember(model, sigma), part)
         res = build_phi(table, Fraction(1, 10))
         check = approx_sum_check(res.candidate, Fraction(1, 10))
         assert check.counts and check.passed
@@ -273,7 +271,7 @@ class TestApproxSum:
         members = list(iter_SA_members(ctx.hypothesis_params(delta, 4)))
         for m in members:
             part = random_partition(4, FAIR, seed=17)
-            table = Phi0Table(basis, ModelMember(model, m), part)
+            table = Phi0Table(ModelMember(model, m), part)
             res = build_phi(table, delta)
             assert approx_sum_check(res.candidate, delta).passed
 
@@ -282,7 +280,7 @@ class TestBuildPhi0:
     def test_exact_properties_zero(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        rep = build_phi0(Phi0Table(basis, ModelMember(model, sigma), part), Fraction(1, 10))
+        rep = build_phi0(Phi0Table(ModelMember(model, sigma), part), Fraction(1, 10))
         assert rep.passed
         assert rep.trace_gap_sq == rep.equivariance_gap_sq == 0
         assert rep.mult_gap_sq == rep.unit_gap_sq == 0
@@ -296,7 +294,7 @@ class TestBuildPhi0:
             for m in it(ctx.hypothesis_params(delta, d)):
                 for seed in (0, 1):
                     part = random_partition(d, FAIR, seed)
-                    table = Phi0Table(basis, ModelMember(model, m), part)
+                    table = Phi0Table(ModelMember(model, m), part)
                     rep = build_phi0(table, delta)
                     assert rep.passed
 
@@ -306,9 +304,8 @@ class TestBuildPhi0:
                                              if g.source[a] != g.range_[a]))
         ctx = LemmaContext(g, [swap], 1)
         model = CylinderModel(ctx, [Fraction(1)])
-        basis = span_basis(model)
         sigma, part = regular_model_candidate(model)
-        table = Phi0Table(basis, ModelMember(model, sigma), part)
+        table = Phi0Table(ModelMember(model, sigma), part)
         rep = build_phi0(table, Fraction(1, 10))
         # a single letter: the full-space value is built from the lone block
         assert rep.unit_gap_sq == 0
@@ -326,7 +323,7 @@ class TestBuildPhi:
     def test_exact_instance_keeps_everything(self, r2):
         _, _, _, model, basis = r2
         sigma, part = regular_model_candidate(model)
-        table = Phi0Table(basis, ModelMember(model, sigma), part)
+        table = Phi0Table(ModelMember(model, sigma), part)
         res = build_phi(table, Fraction(1, 10))
         assert res.v_fraction == 1 and res.v_ok
         assert res.report.is_member
@@ -336,7 +333,7 @@ class TestBuildPhi:
         delta = Fraction(1, 10)
         for m in iter_SA_members(ctx.hypothesis_params(delta, 6)):
             part = random_partition(6, FAIR, seed=23)
-            table = Phi0Table(basis, ModelMember(model, m), part)
+            table = Phi0Table(ModelMember(model, m), part)
             rep0 = build_phi0(table, delta)
             assert rep0.passed
             res = build_phi(table, delta)
@@ -358,7 +355,7 @@ class TestBuildPhi:
 
 def reference_value_vector(table, subset):
     psis = table.basis.model.psis
-    a_sets = [reference_image_cylinder(psis[i], table.images, table.partition)
+    a_sets = [reference_image_cylinder(psis[i], table.member.images, table.partition)
               for i in table.basis.basis_psi_indices]
     basis = table.basis
     vals = [Fraction(0)] * table.d
@@ -389,7 +386,7 @@ def reference_mult_gaps(table):
 def reference_build_phi0(sigma, partition, basis, delta):
     delta = Fraction(delta)
     model = basis.model
-    table = Phi0Table(basis, ModelMember(model, sigma), partition)
+    table = Phi0Table(ModelMember(model, sigma), partition)
     d = table.d
     trace_sq, trace_wit = Fraction(0), ""
     for i, p in enumerate(dict.fromkeys(reference_cylinders(model))):
@@ -403,7 +400,7 @@ def reference_build_phi0(sigma, partition, basis, delta):
         g_vec = reference_value_vector(table, bset)
         for bidx in range(len(model.ball)):
             f_vec = reference_value_vector(table, translates[bidx, letter])
-            s = table.images[bidx]
+            s = table.member.images[bidx]
             pushed = [Fraction(0)] * d
             for x in range(1, d + 1):
                 y = s.images[x - 1]
@@ -426,7 +423,7 @@ def reference_c3_norms(table):
     model = table.basis.model
     norms = []
     for psi, cylinder in zip(model.psis, reference_cylinders(model)):
-        a_psi = reference_image_cylinder(psi, table.images, table.partition)
+        a_psi = reference_image_cylinder(psi, table.member.images, table.partition)
         vals = reference_value_vector(table, cylinder)
         norms.append(reference_norm_sq(
             [(x in a_psi) - v for x, v in enumerate(vals, start=1)], table.d))
@@ -439,7 +436,7 @@ def reference_c2(table, delta):
     worst, witness = Fraction(0), "empty cylinder sweep"
     for psi, cylinder in zip(model.psis, reference_cylinders(model)):
         mu = mu_points(model, cylinder)
-        a_psi = reference_image_cylinder(psi, table.images, table.partition)
+        a_psi = reference_image_cylinder(psi, table.member.images, table.partition)
         disc = abs(mu - Fraction(len(a_psi), table.d))
         if disc > worst:
             worst, witness = disc, f"psi={psi}"
@@ -461,7 +458,7 @@ def reference_V(table):
     a_sets = []
     cylinders = reference_cylinders(model)
     for psi, cylinder in zip(model.psis, cylinders):
-        a_psi = reference_image_cylinder(psi, table.images, table.partition)
+        a_psi = reference_image_cylinder(psi, table.member.images, table.partition)
         vals = reference_value_vector(table, cylinder)
         V -= {x for x, v in enumerate(vals, start=1) if (x in a_psi) != v}
         a_sets.append(a_psi)
@@ -553,7 +550,7 @@ def context(source):
 @lru_cache(maxsize=None)
 def model_basis(source, alphabet):
     model = CylinderModel(context(source), ALPHABETS[alphabet])
-    return model, span_basis(model)
+    return model, model.basis
 
 
 @lru_cache(maxsize=None)
@@ -577,7 +574,7 @@ def test_integer_sweeps_match_fraction_sweeps_on_members(source, alphabet, delta
         for m in sampled_members(source, delta, d):
             for seed in (0, 1):
                 part = random_partition(d, model.alphabet, seed)
-                table = Phi0Table(basis, ModelMember(model, m), part)
+                table = Phi0Table(ModelMember(model, m), part)
                 rep = build_phi0(table, delta)
                 assert rep == reference_build_phi0(m, part, basis, delta)
                 c3 = verify_lemma_c3_sweep(table, delta)
@@ -605,7 +602,7 @@ def test_c2_and_c3_read_the_table_like_per_psi_loops(source, alphabet):
                   *(random_sigma(model.context, d, rng) for _ in range(4))]
         for sigma in sigmas:
             for seed in range(3):
-                table = Phi0Table(basis, ModelMember(model, sigma),
+                table = Phi0Table(ModelMember(model, sigma),
                                   random_partition(d, model.alphabet, seed))
                 c2 = verify_lemma_c2(table, delta)
                 c3 = verify_lemma_c3_sweep(table, delta)
@@ -634,9 +631,9 @@ def test_build_phi0_matches_on_nonzero_tied_product_gaps(source, alphabet, ties)
         part = random_partition(d, model.alphabet, seed)
         want = reference_build_phi0(sigma, part, basis, DELTAS[0])
         for delta in DELTAS:
-            rep = build_phi0(Phi0Table(basis, ModelMember(model, sigma), part), delta)
+            rep = build_phi0(Phi0Table(ModelMember(model, sigma), part), delta)
             assert rep == replace(want, delta0_sq=delta0_squared(basis, delta))
-        gaps = reference_mult_gaps(Phi0Table(basis, ModelMember(model, sigma), part))
+        gaps = reference_mult_gaps(Phi0Table(ModelMember(model, sigma), part))
         worst = max(gaps.values())
         nonzero += worst > 0
         tied += worst > 0 and sum(g == worst for (i, j), g in gaps.items()
@@ -680,7 +677,7 @@ def test_each_subset_evaluated_once_per_table(monkeypatch, r2):
         return row(self, subset)
 
     monkeypatch.setattr(SpanBasis, "row", counted)
-    table = Phi0Table(basis, ModelMember(model, sigma), part)
+    table = Phi0Table(ModelMember(model, sigma), part)
     verify_lemma_c2(table, delta)
     verify_lemma_c3_sweep(table, delta)
     build_phi0(table, delta)
@@ -698,7 +695,7 @@ def test_residuals_are_computed_once_per_table(r2):
     delta = Fraction(1, 3)
     nonzero = 0
     for sigma in list(iter_SA_members(ctx.hypothesis_params(delta, 4)))[::50]:
-        table = Phi0Table(basis, ModelMember(model, sigma),
+        table = Phi0Table(ModelMember(model, sigma),
                           random_partition(4, FAIR, 5))
         verify_lemma_c3_sweep(table, delta)
         first = vars(table)["residuals"]
@@ -752,7 +749,7 @@ def test_tuple_sweeps_match_object_oracles(source, d):
     for m in members:
         member = ModelMember(model, m)
         for seed in range(3):
-            res = build_phi(Phi0Table(basis, member, random_partition(d, FAIR, seed)),
+            res = build_phi(Phi0Table(member, random_partition(d, FAIR, seed)),
                             delta)
             assert res.report == reference_verify_HA(res.candidate, res.tolerance_sq)
             cands.append((res.candidate, res.tolerance_sq))
@@ -799,7 +796,7 @@ def oracle_model(source, alphabet):
     g = ORACLE_GROUPOIDS[source]()
     model = CylinderModel(LemmaContext(g, full_group_generators(g), 1),
                           SIXTHS if alphabet == "sixths" else ALPHABETS[alphabet])
-    return model, span_basis(model)
+    return model, model.basis
 
 
 @pytest.mark.parametrize("source,alphabet", [
@@ -816,7 +813,7 @@ def test_table_reports_equal_their_fraction_references(source, alphabet):
         for seed in range(2):
             sigma = random_sigma(model.context, d, rng)
             part = random_partition(d, model.alphabet, 10 * d + seed)
-            table = Phi0Table(basis, ModelMember(model, sigma), part)
+            table = Phi0Table(ModelMember(model, sigma), part)
             c2 = verify_lemma_c2(table, delta)
             assert c2 == reference_c2(table, delta)
             assert verify_lemma_c3_sweep(table, delta) == reference_c3_sweep(table, delta)
@@ -844,7 +841,7 @@ def test_first_of_tied_gaps_names_the_witness(r2):
     delta = Fraction(1, 10)
     sigma = SoficCandidate(2, [PartialPermutation.identity(2)]
                            * len(ctx.hypothesis_source.ball_elements))
-    table = Phi0Table(basis, ModelMember(model, sigma),
+    table = Phi0Table(ModelMember(model, sigma),
                       exact_partition([{1}, {2}]))
     gaps = [abs(mu_cylinder(model, psi) - Fraction(len(a), 2))
             for psi, a in zip(model.psis, table.a_psis)]
@@ -935,7 +932,7 @@ def test_build_phi_builds_one_projection_per_distinct_numerator_tuple(monkeypatc
     _, _, ctx, model, basis = r2
     delta = Fraction(1, 3)
     sigma = next(iter_SA_members(ctx.hypothesis_params(delta, 4)))
-    table = Phi0Table(basis, ModelMember(model, sigma), random_partition(4, FAIR, 5))
+    table = Phi0Table(ModelMember(model, sigma), random_partition(4, FAIR, 5))
     built = []
     init = PartialPermutation.__init__
     monkeypatch.setattr(PartialPermutation, "__init__",

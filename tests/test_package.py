@@ -140,6 +140,18 @@ KEEP_DEFAULTS = {
     "sofic.ball_params.mode": "acceptance criterion 3 sets it",
 }
 
+# Parameters and dataclass fields without a default that every caller
+# outside the tests gives one and the same literal, with the reason each
+# one stays.
+KEEP_FIXED = {
+    "groupoid.transitive_groupoid.d": EXPORTED,
+    "scaling.standard_corner.p_units": "the scaling suite is left as it is "
+                                       "until it checks a verdict that can fail",
+    "partitions.LemmaContext.sigma_params.delta": README,
+    "pperm.random_images.lo": "monte_carlo_count passes each window's lo "
+                              "through its local alias draw, which no scan sees",
+}
+
 
 def _is_dataclass(node):
     """Decorated ``@dataclass`` or ``@dataclasses.dataclass``, with or
@@ -150,10 +162,11 @@ def _is_dataclass(node):
 
 def _settings(tree):
     """(qualified name, called name, kinds of call, argument names in call
-    order, {name: default}, node whose body calls do not count) of each
-    def or dataclass that ``_targets`` yields and that has a default.  A
-    method is called by ``.name(...)`` and an ``__init__`` by a call of its
-    class, both without ``self``."""
+    order, {name: default or None}, node whose body calls do not count) of
+    each def or dataclass that ``_targets`` yields, over its parameters or
+    fields, None marking one without a default.  A method is called by
+    ``.name(...)`` and an ``__init__`` by a call of its class, both without
+    ``self`` (or a classmethod's ``cls``)."""
     for qualname, kinds, node in _targets(tree):
         if isinstance(node, ast.ClassDef):
             if not _is_dataclass(node):
@@ -161,25 +174,24 @@ def _settings(tree):
             fields = [s for s in node.body
                       if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
             names = [f.target.id for f in fields]
-            defaults = {f.target.id: f.value for f in fields if f.value is not None}
-            yield qualname, node.name, kinds, names, defaults, None
+            yield qualname, node.name, kinds, names, {f.target.id: f.value for f in fields}, None
             continue
         args = node.args
         positional = args.posonlyargs + args.args
-        defaults = dict(zip((a.arg for a in positional[len(positional) - len(args.defaults):]),
-                            args.defaults))
-        defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                        if d is not None)
+        params = dict.fromkeys(a.arg for a in positional + args.kwonlyargs)
+        params.update(zip((a.arg for a in positional[len(positional) - len(args.defaults):]),
+                          args.defaults))
+        params.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None)
         names = [a.arg for a in positional]
         called = node.name
         if "." in qualname:
             kinds = ("attr",)
             if not any(getattr(d, "id", "") == "staticmethod" for d in node.decorator_list):
-                names = names[1:]
+                del params[names.pop(0)]
         if node.name == "__init__":
             called, kinds = qualname.split(".")[0], ("bare", "module_attr")
-        if defaults:
-            yield qualname, called, kinds, names, defaults, node
+        yield qualname, called, kinds, names, params, node
 
 
 def _calls(path):
@@ -218,7 +230,31 @@ def _passed(call, names, name, default):
         return None
     if name in names and names.index(name) < len(call.args):
         return _value(call.args[names.index(name)])
-    return "default " + ast.unparse(default)
+    return None if default is None else "default " + ast.unparse(default)
+
+
+def _values_in_use():
+    """(``module.qualified name.parameter``, default or None, the set of
+    values its callers give it) of each parameter and dataclass field of
+    ``src/soficdim``.  Callers are found as readers are, in the package
+    modules, scripts and benchmark files, outside the function's own
+    body, and their arguments are mapped onto the signature; a
+    non-literal argument counts as a value of its own (None).  CLI
+    options are not covered: their values are echoed into output
+    headers."""
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    outside = [p for d in ("scripts", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+    calls = {p: _calls(p) for p in modules + outside}
+    for path in modules:
+        for qualname, called, kinds, names, params, body in _settings(
+                ast.parse(path.read_text())):
+            found = [call for p, c in calls.items() for kind in kinds
+                     for line, call in c[kind][called]
+                     if body is None or p != path
+                     or not body.lineno <= line <= body.end_lineno]
+            for name, default in params.items():
+                yield (f"{path.stem}.{qualname}.{name}", default,
+                       {_passed(call, names, name, default) for call in found})
 
 
 def test_every_default_has_two_values_in_use():
@@ -226,28 +262,28 @@ def test_every_default_has_two_values_in_use():
     settable only if callers outside the tests give it two values, one
     of them the default: it fails with no caller, when every caller
     leaves it out, when every caller passes one and the same literal, or
-    when no caller leaves it out.  Callers are found as
-    readers are, in the package modules, scripts and benchmark files,
-    outside the function's own body, and their arguments are mapped onto
-    the signature; a non-literal argument counts as a value of its own.
-    CLI options are not covered: their values are echoed into output
-    headers.  A ``KEEP_DEFAULTS`` name must fail, so an entry leaves once
-    its reason is gone."""
-    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    outside = [p for d in ("scripts", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
-    calls = {p: _calls(p) for p in modules + outside}
-    single = []
-    for path in modules:
-        for qualname, called, kinds, names, defaults, body in _settings(
-                ast.parse(path.read_text())):
-            found = [call for p, c in calls.items() for kind in kinds
-                     for line, call in c[kind][called]
-                     if body is None or p != path
-                     or not body.lineno <= line <= body.end_lineno]
-            for name, default in defaults.items():
-                values = {_passed(call, names, name, default) for call in found}
-                if (len(values) == 1 and None not in values
-                        or "default " + ast.unparse(default) not in values):
-                    single.append(f"{path.stem}.{qualname}.{name}")
+    when no caller leaves it out (``_values_in_use``).  A
+    ``KEEP_DEFAULTS`` name must fail, so an entry leaves once its reason
+    is gone."""
+    single = [qualname for qualname, default, values in _values_in_use()
+              if default is not None
+              and (len(values) == 1 and None not in values
+                   or "default " + ast.unparse(default) not in values)]
     assert sorted(set(single) - set(KEEP_DEFAULTS)) == []
     assert sorted(set(KEEP_DEFAULTS) - set(single)) == []
+
+
+def test_every_parameter_without_a_default_takes_two_values():
+    """A parameter or dataclass field of ``src/soficdim`` without a
+    default fails when every caller outside the tests passes it one and
+    the same literal (``_values_in_use``): the code can hold that value
+    itself.  A ``KEEP_FIXED`` name must fail, so an entry leaves once its
+    reason is gone, and a reason that names a ``KEEP`` reason must
+    hold."""
+    fixed = [qualname for qualname, default, values in _values_in_use()
+             if default is None and len(values) == 1 and None not in values]
+    assert sorted(set(fixed) - set(KEEP_FIXED)) == []
+    assert sorted(set(KEEP_FIXED) - set(fixed)) == []
+    names = _names_by_reason()
+    assert [qualname for qualname, reason in KEEP_FIXED.items()
+            if reason in names and qualname.split(".")[-2] not in names[reason]] == []

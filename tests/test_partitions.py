@@ -280,9 +280,8 @@ def r2_setup():
     g, swap = r2_swap()
     ctx = LemmaContext(g, [swap], 1)
     model = CylinderModel(ctx, FAIR)
-    basis = span_basis(model)
     members = list(iter_SA_members(ctx.hypothesis_params(Fraction(1, 10), 4)))
-    return g, swap, ctx, model, basis, members
+    return g, swap, ctx, model, model.basis, members
 
 
 class TestCylinderModel:
@@ -365,7 +364,7 @@ class TestBoundChecks:
         g, swap, ctx, model, basis, _ = r2_setup
         sigma, part = regular_model_candidate(model)
         assert verify_lemma_c1(sigma, ctx, Fraction(1, 10)).worst == 0
-        table = Phi0Table(basis, ModelMember(model, sigma), part)
+        table = Phi0Table(ModelMember(model, sigma), part)
         assert verify_lemma_c2(table, Fraction(1, 10)).worst == 0
         assert verify_lemma_c3_sweep(table, Fraction(1, 10)).worst == 0
 
@@ -403,14 +402,14 @@ class TestBoundChecks:
         delta = Fraction(1, 10)
         for m in members[:2]:
             for seed in range(5):
-                table = Phi0Table(basis, ModelMember(model, m),
+                table = Phi0Table(ModelMember(model, m),
                                   random_partition(4, FAIR, seed))
                 assert verify_lemma_c2(table, delta).passed
                 assert verify_lemma_c3_sweep(table, delta).passed
 
     def test_c3_zero_on_basis_elements(self, r2_setup):
         g, swap, ctx, model, basis, members = r2_setup
-        table = Phi0Table(basis, ModelMember(model, members[0]),
+        table = Phi0Table(ModelMember(model, members[0]),
                           random_partition(4, FAIR, seed=0))
         for i in basis.basis_psi_indices:
             assert not any(table.residuals[i])
@@ -425,7 +424,7 @@ class TestBoundChecks:
         ties = 0
         for m in members:
             for seed in range(5):
-                table = Phi0Table(basis, ModelMember(model, m),
+                table = Phi0Table(ModelMember(model, m),
                                   random_partition(4, FAIR, seed))
                 norms = [Fraction(sum(r * r for r in res), basis.den ** 2 * 4)
                          for res in table.residuals]
@@ -479,8 +478,7 @@ class TestBoundChecks:
         sigma = members[0]
         part = random_partition(4, [Fraction(1)], seed=0)
         images = ctx.align(sigma)
-        basis1 = span_basis(model1)
-        rep = verify_lemma_c2(Phi0Table(basis1, ModelMember(model1, sigma), part),
+        rep = verify_lemma_c2(Phi0Table(ModelMember(model1, sigma), part),
                               Fraction(1, 10))
         worst_direct = Fraction(0)
         from soficdim.groupoid import b_compose, b_inverse, full_identity, tau
@@ -504,7 +502,7 @@ class TestBoundChecks:
         sigma = members[0]
         part = random_partition(4, [Fraction(1), Fraction(0)], seed=1)
         assert part.blocks[1] == frozenset()
-        table = Phi0Table(span_basis(model), ModelMember(model, sigma), part)
+        table = Phi0Table(ModelMember(model, sigma), part)
         for psi, mu, a_psi in zip(model.psis, model.cylinder_mu_nums, table.a_psis):
             if any(v == 1 for _, v in psi):
                 assert mu_cylinder(model, psi) == mu == 0
@@ -693,7 +691,6 @@ def test_c2_and_c3_sweeps_read_only_their_rows(suite, monkeypatch):
     g = transitive_groupoid(3)
     ctx = LemmaContext(g, full_group_generators(g), 1)
     model = CylinderModel(ctx, FAIR)
-    basis = span_basis(model)
 
     def refuse(self, vector):
         raise AssertionError("a c2 or c3 sweep expanded a vector")
@@ -703,10 +700,10 @@ def test_c2_and_c3_sweeps_read_only_their_rows(suite, monkeypatch):
     sweep = verify_lemma_c2 if suite == "c2" else verify_lemma_c3_sweep
     for m in list(iter_SA_members(ctx.hypothesis_params(delta, 3)))[:3]:
         for seed in range(2):
-            table = Phi0Table(basis, ModelMember(model, m), random_partition(3, FAIR, seed))
+            table = Phi0Table(ModelMember(model, m), random_partition(3, FAIR, seed))
             assert sweep(table, delta).passed
     assert "universe" not in vars(model)
-    assert ("_rows" in vars(basis)) == (suite == "c3")
+    assert ("_rows" in vars(model.basis)) == (suite == "c3")
 
 
 def full_group_context(g) -> LemmaContext:
@@ -740,7 +737,6 @@ def test_cylinder_tables_match_the_action_table(source, q):
                        (dict.fromkeys(cylinders), model.projection_mu_nums)):
         assert [Fraction(n, model.weight_den) for n in nums] == [
             mu_points(model, s) for s in sets]
-    basis = span_basis(model)
     rng = SplitMix64(q)
     d = 5
     nonempty = 0
@@ -748,8 +744,8 @@ def test_cylinder_tables_match_the_action_table(source, q):
         sigma = SoficCandidate(d, [random_pperm(d, rng)
                                    for _ in ctx.hypothesis_source.ball_elements])
         part = random_partition(d, model.alphabet, seed)
-        table = Phi0Table(basis, ModelMember(model, sigma), part)
-        assert table.a_psis == tuple(reference_image_cylinder(psi, table.images, part)
+        table = Phi0Table(ModelMember(model, sigma), part)
+        assert table.a_psis == tuple(reference_image_cylinder(psi, table.member.images, part)
                                      for psi in model.psis)
         nonempty += sum(map(bool, table.a_psis[1:]))
     assert nonempty

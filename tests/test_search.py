@@ -18,7 +18,6 @@ the images drawn from its substream.
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from operator import eq
@@ -323,74 +322,52 @@ CENTRES = [0, Fraction(0), Fraction(1, 3), Fraction(1, 2), 1, Fraction(1),
            Fraction(1, 7), Fraction(5, 6)]
 
 
-@dataclass(frozen=True)
-class SqrtTol:
-    """The tolerance sqrt(value_sq), given by its square."""
-
-    value_sq: Fraction
-
-
-# rational tolerances, and square roots compared through squares (sqrt 1/8
-# is irrational); 1/4, 1/5 and sqrt 1/25 put a window end on k/d exactly
+# 1/4 and 1/5 put a window end on k/d exactly
 TOLERANCES = [Fraction(1, 100), Fraction(1, 12), Fraction(1, 5), Fraction(1, 4),
-              Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2),
-              SqrtTol(Fraction(1, 10000)), SqrtTol(Fraction(1, 25)),
-              SqrtTol(Fraction(1, 16)), SqrtTol(Fraction(1, 8)),
-              SqrtTol(Fraction(1, 4)), SqrtTol(Fraction(4))]
+              Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2)]
 
 
-def squared(tol):
-    return tol.value_sq if isinstance(tol, SqrtTol) else tol ** 2
-
-
-def gap_below(tol):
-    """The test of one gap against ``tol``: a square root through squares."""
-    if isinstance(tol, SqrtTol):
-        return lambda gap: gap * gap < tol.value_sq
-    return lambda gap: gap < tol
-
-
-def windows_per_count(d, centres, below):
+def windows_per_count(d, centres, delta):
     """Each k in 0..d tested on its own."""
-    return [frozenset(k for k in range(d + 1) if below(abs(Fraction(k, d) - centre)))
+    return [frozenset(k for k in range(d + 1) if abs(Fraction(k, d) - centre) < delta)
             for centre in centres]
 
 
 @pytest.mark.parametrize("tol", TOLERANCES, ids=str)
 def test_windows_match_the_per_count_test(tol):
     for d in range(1, 41):
-        windows = fixed_windows(d, CENTRES, squared(tol))
-        assert windows == windows_per_count(d, CENTRES, gap_below(tol))
+        windows = fixed_windows(d, CENTRES, tol)
+        assert windows == windows_per_count(d, CENTRES, tol)
         assert all(type(w) is frozenset for w in windows)
 
 
 def test_windows_at_their_edges():
-    fifth_sq = Fraction(1, 25)
+    fifth = Fraction(1, 5)
     # d = 5, delta = 1/5: every end on k/d is left out, strictly
-    assert fixed_windows(5, [0, Fraction(1, 3), Fraction(1, 2), 1], fifth_sq) == [
+    assert fixed_windows(5, [0, Fraction(1, 3), Fraction(1, 2), 1], fifth) == [
         {0}, {1, 2}, {2, 3}, {5}]
-    assert fixed_windows(5, [Fraction(1, 5)], squared(SqrtTol(Fraction(1, 25)))) == [{1}]
+    assert fixed_windows(5, [Fraction(1, 5)], fifth) == [{1}]
     # no count within 1/100 of 1/3 at d = 4, nor of 1/2 at odd d
-    hundredth_sq = Fraction(1, 10000)
-    assert fixed_windows(4, [Fraction(1, 3), 1], hundredth_sq) == [frozenset(), {4}]
-    assert fixed_windows(7, [Fraction(1, 2)], hundredth_sq) == [frozenset()]
+    hundredth = Fraction(1, 100)
+    assert fixed_windows(4, [Fraction(1, 3), 1], hundredth) == [frozenset(), {4}]
+    assert fixed_windows(7, [Fraction(1, 2)], hundredth) == [frozenset()]
     # zmod(3) at d = 4, delta = 1/4: the identity keeps 4 and a, a^-1 keep 0
     plan = SearchPlan(family("zmod(3)", "1/4", 4))
     assert sorted(plan.windows, key=min) == [{0}, {0}, {4}]
 
 
 def test_reach_is_the_integers_strictly_inside_a_tolerance():
-    for tol_sq in (Fraction(0), Fraction(1, 50), Fraction(1, 4), Fraction(2), Fraction(9)):
+    for delta in (Fraction(0), Fraction(1, 50), Fraction(1, 4), Fraction(2), Fraction(9)):
         for scale in range(1, 30):
-            m = reach(tol_sq, scale)
-            assert m >= -1 and (m < 0 or m * m < tol_sq * scale * scale)
-            assert (m + 1) ** 2 >= tol_sq * scale * scale
+            m = reach(delta, scale)
+            assert m >= -1 and (m < 0 or m < delta * scale)
+            assert m + 1 >= delta * scale
     # the search's limit: the fewest disagreements c with c/d >= delta
     for num in range(1, 25):
         for den in range(1, 25):
             delta = Fraction(num, den)
             for d in range(1, 41):
-                assert reach(delta ** 2, d) + 1 == math.ceil(delta * d)
+                assert reach(delta, d) + 1 == math.ceil(delta * d)
 
 
 def first_branching(pools):

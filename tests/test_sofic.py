@@ -44,26 +44,24 @@ def fpf_involution(d):
 
 class TestFirstLargest:
     def test_no_pairs_names_nothing(self):
-        floor = Fraction(0)
-        key, gap = _first_largest(iter(()), floor)
-        assert key is None and gap is floor
+        key, gap = _first_largest(iter(()))
+        assert (key, gap, type(gap)) == (None, 0, int)
 
     def test_all_zero_gaps_name_nothing(self):
-        floor = Fraction(0)
-        key, gap = _first_largest([("a", Fraction(0)), ("b", Fraction(0))], floor)
-        assert key is None and gap is floor
-        key, gap = _first_largest([((0, 1), 0), ((1, 0), 0)], 0)
+        key, gap = _first_largest([("a", Fraction(0)), ("b", Fraction(0))])
+        assert (key, gap) == (None, 0)
+        key, gap = _first_largest([((0, 1), 0), ((1, 0), 0)])
         assert (key, gap, type(gap)) == (None, 0, int)
 
     def test_first_key_wins_a_tie(self):
         gaps = [("a", Fraction(1, 3)), ("b", Fraction(2, 3)), ("c", Fraction(2, 3)),
                 ("d", Fraction(1, 2))]
-        assert _first_largest(gaps, Fraction(0)) == ("b", Fraction(2, 3))
+        assert _first_largest(gaps) == ("b", Fraction(2, 3))
 
     def test_a_later_strictly_larger_gap_wins(self):
-        assert _first_largest([("a", 2), ("b", 2), ("c", 5), ("d", 5)], 0) == ("c", 5)
+        assert _first_largest([("a", 2), ("b", 2), ("c", 5), ("d", 5)]) == ("c", 5)
         # a key that is falsy still names the witness
-        assert _first_largest([((), 1), ("b", 1)], 0) == ((), 1)
+        assert _first_largest([((), 1), ("b", 1)]) == ((), 1)
 
 
 class TestVerifyMembership:
